@@ -225,6 +225,8 @@ func (ws *WebSocket) connect(addr string) {
 	for {
 		f, err := ReadFrame(br)
 		if err != nil {
+			// Release any writer still blocked on the dead connection.
+			conn.Close()
 			ws.closeEvent()
 			return
 		}
@@ -322,6 +324,18 @@ func (ws *WebSocket) Ping(payload []byte) error {
 	ws.wmu.Lock()
 	defer ws.wmu.Unlock()
 	return WriteFrame(ws.conn, f)
+}
+
+// abort drops the connection without a close frame, the way a reset
+// TCP connection ends: the reader pump fails and delivers the close
+// event. Safe from any goroutine.
+func (ws *WebSocket) abort() {
+	ws.connMu.Lock()
+	conn := ws.conn
+	ws.connMu.Unlock()
+	if conn != nil {
+		conn.Close()
+	}
 }
 
 // Close sends a close frame and tears down the connection. Closing

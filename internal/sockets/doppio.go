@@ -81,32 +81,32 @@ func (s *Socket) onReadable() {
 	}
 	s.pending = nil
 	s.mu.Unlock()
-	s.settleRead(c, data, err)
+	c.Resolver()(readResult(data, err))
 }
 
-func (s *Socket) settleRead(c *core.Completion, data []byte, err error) {
+// readResult maps a tryRead outcome to a Read completion's result.
+func readResult(data []byte, err error) (interface{}, error) {
 	if err == io.EOF {
-		// TCP EOF convention: (nil, nil).
-		c.Resolver()(nil, nil)
-		return
+		return nil, nil // TCP EOF convention: (nil, nil)
 	}
 	if err != nil {
-		c.Resolver()(nil, err)
-		return
+		return nil, err
 	}
-	c.Resolver()(data, nil)
+	return data, nil
 }
 
 // Read returns a completion that resolves with up to n bytes once
 // available ([]byte value), with (nil, nil) at end of stream — the
 // TCP EOF convention — or with the stream's terminal error. Only one
-// Read may be pending at a time.
+// Read may be pending at a time. A Read that finds data (or EOF)
+// already buffered returns settled, so the caller continues without
+// yielding.
 func (s *Socket) Read(n int) *core.Completion {
 	c := core.NewCompletion(s.loop, fmt.Sprintf("sockets.read(%d)", s.fd))
 	s.mu.Lock()
 	if s.pending != nil {
 		s.mu.Unlock()
-		c.Resolver()(nil, fmt.Errorf("sockets: concurrent Read on one socket"))
+		c.Resolve(nil, fmt.Errorf("sockets: concurrent Read on one socket"))
 		return c
 	}
 	data, err := s.bs.tryRead(n)
@@ -117,7 +117,7 @@ func (s *Socket) Read(n int) *core.Completion {
 		return c
 	}
 	s.mu.Unlock()
-	s.settleRead(c, data, err)
+	c.Resolve(readResult(data, err))
 	return c
 }
 
@@ -125,10 +125,39 @@ func (s *Socket) Read(n int) *core.Completion {
 // admitted to the transport — for a mux stream, once flow control has
 // accepted them, so a zero-window stream parks the writer (visibly,
 // under the `sockets.write(fd)` label) until the peer grants credit.
+// A write admitted at once returns settled, as a browser's
+// WebSocket.send returns without waiting; only a later settlement,
+// which may come from a session goroutine, goes through the
+// completion's resolver.
 func (s *Socket) Write(data []byte) *core.Completion {
 	c := core.NewCompletion(s.loop, fmt.Sprintf("sockets.write(%d)", s.fd))
-	resolve := c.Resolver()
-	s.bs.writeAsync(data, func(err error) { resolve(nil, err) })
+	var (
+		mu        sync.Mutex
+		launching = true
+		early     bool
+		earlyErr  error
+		resolve   func(interface{}, error)
+	)
+	s.bs.writeAsync(data, func(err error) {
+		mu.Lock()
+		if launching {
+			early, earlyErr = true, err
+			mu.Unlock()
+			return
+		}
+		r := resolve
+		mu.Unlock()
+		r(nil, err)
+	})
+	mu.Lock()
+	launching = false
+	if !early {
+		resolve = c.Resolver()
+	}
+	mu.Unlock()
+	if early {
+		c.Resolve(nil, earlyErr)
+	}
 	return c
 }
 

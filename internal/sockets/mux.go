@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"doppio/internal/telemetry"
 	"doppio/internal/vfs"
@@ -22,21 +21,27 @@ import (
 //	[stream id u32][kind u8][arg u32][dlen u32] payload...
 //
 // arg is the kind's argument: the advertised receive window (SYN,
-// SYNACK), the cumulative byte offset of the payload's first byte
-// (DATA), the cumulative bytes received (ACK), a credit delta
-// (CREDIT), the stream's final length (FIN), or a reset code (RST).
-// dlen is the declared payload length; a DATA frame whose payload
-// arrives shorter than its dlen was truncated in flight and is
-// treated as lost.
+// SYNACK), the stream offset of the payload's first byte (DATA), the
+// receiver's consumed edge (CREDIT), the bytes received through the
+// peer's FIN (ACK), the stream's final length (FIN), a reset code
+// (RST), or the highest stream id the sender has seen the peer open
+// (RESUME). dlen is the declared payload length.
 //
-// DATA frames ride a go-back-N ARQ: the receiver accepts only the
-// next in-order offset, acknowledges cumulatively, and duplicate ACKs
-// (plus a retransmission timer) drive resends — which is what makes N
-// muxed streams byte-identical to N plain connections even under the
-// fault injector's 10% frame drop/truncate. Control frames are the
-// reliable plane: the fault boundary (faultLink, gateway injector)
-// only ever drops or truncates DATA frames, mirroring how real
-// networks lose payloads, not the session's existence.
+// The mux adds no reliability of its own. WebSocket rides TCP, so a
+// frame is lost only when the whole connection dies, and a DATA frame
+// gets no reply: its offset and length are an invariant check — a
+// frame off the next expected offset or short of its dlen resets the
+// stream with EPROTO. A receiver reports how far it has received at
+// three points only: the CREDIT grants flow control already sends,
+// the end-of-stream ACK, and the resume handshake. A sender keeps each
+// byte until one of those reports covers it, about one window.
+//
+// Losing the connection loses whatever frames it carried. An owner
+// that can redial parks the session (Park) and picks it up on the new
+// transport (Resume): both ends send a RESUME frame listing each
+// stream's received offset, each sender replays its tail from the
+// peer's offset, and lost SYN, SYNACK, FIN, CREDIT and RST frames are
+// reconciled by re-sending current state.
 //
 // Offsets are uint32 and do not wrap: a stream carries at most ~4 GiB
 // and is reset with EPROTO past that — a documented limit, not a
@@ -47,7 +52,8 @@ const MuxHeaderLen = 13
 
 // MuxPath is the handshake request path that selects multiplexed mode
 // on the gateway; any other path proxies one TCP stream per
-// connection, the classic websockify behavior.
+// connection, the classic websockify behavior. A client that can
+// resume its session adds a token: MuxPath + "?session=" + token.
 const MuxPath = "/mux"
 
 // The mux frame kinds.
@@ -59,10 +65,13 @@ const (
 	muxCredit byte = 0x4
 	muxFin    byte = 0x5
 	muxRst    byte = 0x6
+	muxResume byte = 0x7
 )
 
 // The RST reason codes carried in arg, mapped to errnos so stream
-// failures classify through vfs.Classify like every other error.
+// failures classify through vfs.Classify like every other error. An
+// RST on stream id 0 (never a stream) answers a RESUME for a session
+// this endpoint does not have.
 const (
 	rstShed    uint32 = 1 // receiver refused the stream under load
 	rstRefused uint32 = 2 // the gateway's TCP dial was refused
@@ -118,8 +127,9 @@ func IsShed(err error) bool {
 	return vfs.IsErrno(err, vfs.EAGAIN)
 }
 
-// MuxIsData reports whether a mux frame (a WS binary payload) is a
-// DATA frame — the only kind the fault boundary may drop or truncate.
+// MuxIsData reports whether a mux frame (a WS binary payload, or just
+// its header) is a DATA frame — the only kind the fault boundary
+// draws decisions for.
 func MuxIsData(frame []byte) bool {
 	return len(frame) >= MuxHeaderLen && frame[4] == muxData
 }
@@ -137,15 +147,21 @@ func muxHeader(id uint32, kind byte, arg, dlen uint32) []byte {
 const (
 	defaultWindow     = 64 << 10
 	defaultMaxStreams = 1024
-	defaultRTO        = 50 * time.Millisecond
 	maxDataChunk      = 16 << 10
-	// minRetxGap rate-limits duplicate-ACK fast retransmits so a burst
-	// of dup ACKs (one per out-of-order frame) resends the window once,
-	// not once per ACK.
-	minRetxGap = 2 * time.Millisecond
 	// maxStreamBytes caps a stream's cumulative offset below uint32
 	// wrap; past it the stream resets with EPROTO.
 	maxStreamBytes = 1<<32 - 1 - (64 << 20)
+)
+
+// A RESUME payload is one record per live stream:
+//
+//	[stream id u32][flags u8][received u32][consumed edge u32]
+const resumeRecLen = 13
+
+// RESUME record flags.
+const (
+	resumeOpen    byte = 1 << 0 // the handshake completed on the sender's side
+	resumeFinRecv byte = 1 << 1 // the sender holds every byte through the peer's FIN
 )
 
 // MuxConfig configures one mux session endpoint.
@@ -154,22 +170,22 @@ type MuxConfig struct {
 	// transport; it is called from the session's writer goroutine,
 	// never with the session lock held. The two slices must be sent as
 	// one WebSocket binary frame — WriteBinaryFrame does it with a
-	// single writev and no copy.
+	// single writev and no copy. A Send error stops the session from
+	// writing until Resume attaches a new transport.
 	Send func(hdr, payload []byte) error
 	// Window is the receive window advertised per stream (bytes);
 	// 0 means 64 KiB.
 	Window int
-	// MaxStreams caps concurrently open streams; a SYN past the cap is
-	// shed with RST(EAGAIN). 0 means 1024.
+	// MaxStreams caps concurrently open streams: a SYN past the cap is
+	// shed with RST(EAGAIN), and Open past it fails with EAGAIN.
+	// 0 means 1024.
 	MaxStreams int
-	// RTO is the go-back-N retransmission timeout; 0 means 50 ms.
-	RTO time.Duration
 	// AcceptStream, when non-nil, receives each incoming SYN (server
 	// role). The handler must call st.Accept or st.Reject. A session
 	// without it rejects all SYNs with ECONNREFUSED.
 	AcceptStream func(st *MuxStream)
-	// OnClose fires once when the session dies (transport failure or
-	// CloseSession); err is nil for an orderly local close.
+	// OnClose fires once when the session dies (CloseSession, or a
+	// malformed frame); err is nil for an orderly local close.
 	OnClose func(err error)
 	// Hub, when non-nil, mirrors session counters under "sockmux".
 	Hub *telemetry.Hub
@@ -178,47 +194,46 @@ type MuxConfig struct {
 type muxFrame struct {
 	hdr     []byte
 	payload []byte
+	gen     uint32 // the transport generation it was queued for
 }
 
 type muxTel struct {
-	streams, shed, resets, retransmits *telemetry.Counter
-	dataIn, dataOut                    *telemetry.Counter
+	streams, shed, resets, resumes *telemetry.Counter
+	dataIn, dataOut                *telemetry.Counter
 }
 
 func newMuxTel(h *telemetry.Hub) muxTel {
 	if h == nil {
 		return muxTel{
 			streams: &telemetry.Counter{}, shed: &telemetry.Counter{},
-			resets: &telemetry.Counter{}, retransmits: &telemetry.Counter{},
+			resets: &telemetry.Counter{}, resumes: &telemetry.Counter{},
 			dataIn: &telemetry.Counter{}, dataOut: &telemetry.Counter{},
 		}
 	}
 	reg := h.Registry
 	return muxTel{
-		streams:     reg.Counter("sockmux", "streams"),
-		shed:        reg.Counter("sockmux", "shed"),
-		resets:      reg.Counter("sockmux", "resets"),
-		retransmits: reg.Counter("sockmux", "retransmits"),
-		dataIn:      reg.Counter("sockmux", "data_frames_in"),
-		dataOut:     reg.Counter("sockmux", "data_frames_out"),
+		streams: reg.Counter("sockmux", "streams"),
+		shed:    reg.Counter("sockmux", "shed"),
+		resets:  reg.Counter("sockmux", "resets"),
+		resumes: reg.Counter("sockmux", "resumes"),
+		dataIn:  reg.Counter("sockmux", "data_frames_in"),
+		dataOut: reg.Counter("sockmux", "data_frames_out"),
 	}
 }
 
-// muxStats are the session counters surfaced by Snapshot and
+// MuxStats are the session counters surfaced by Snapshot and
 // /debug/sock. All fields are guarded by the Mux lock.
 type MuxStats struct {
-	Opened      int64 // streams opened locally
-	Accepted    int64 // streams accepted from the peer
-	Shed        int64 // SYNs refused for load (cap or handler reject)
-	Resets      int64 // RST frames sent or received
-	Retransmits int64 // go-back-N resends (dup-ACK + RTO)
-	DupAcks     int64 // duplicate ACKs received
-	Truncated   int64 // DATA frames dropped for a dlen mismatch
-	DataIn      int64 // DATA frames accepted in order
-	DataOut     int64 // DATA frames first-transmitted
-	BytesIn     int64
-	BytesOut    int64
-	Credits     int64 // CREDIT frames sent
+	Opened   int64 // streams opened locally
+	Accepted int64 // streams accepted from the peer
+	Shed     int64 // SYNs refused for load (cap or handler reject)
+	Resets   int64 // RST frames sent or received
+	Resumes  int64 // resume handshakes completed on a new transport
+	DataIn   int64 // DATA frames received
+	DataOut  int64 // DATA frames sent (resume replays included)
+	BytesIn  int64
+	BytesOut int64
+	Credits  int64 // CREDIT frames sent
 }
 
 // Mux is one endpoint of a multiplexed session. It is
@@ -231,21 +246,28 @@ type Mux struct {
 	tel muxTel
 
 	mu      sync.Mutex
-	cond    *sync.Cond // broadcast on stream state changes (blocking I/O)
-	outCond *sync.Cond // signals the writer goroutine
+	outCond *sync.Cond // signals the writer goroutine; Park waits on it
 	outQ    []muxFrame
+	send    func(hdr, payload []byte) error // the current transport
+	gen     uint32                          // bumped whenever a transport is let go
+	writing bool                            // the writer is sending a batch unlocked
 	streams map[uint32]*MuxStream
 	nextID  uint32
-	dead    bool
-	deadErr error
-	stats   MuxStats
-
-	tickStop chan struct{}
+	peerMax uint32 // highest stream id the peer has opened (SYN seen)
+	// parked: no transport — frames are dropped and writes wait, but
+	// stream state is kept. resuming: a new transport carries our
+	// RESUME; everything else waits for the peer's.
+	parked   bool
+	resuming bool
+	dead     bool
+	deadErr  error
+	stats    MuxStats
 }
 
 // NewMux starts a session endpoint over the given transport send
 // function. The caller feeds incoming WS binary payloads to
-// HandleFrame and must call CloseSession when the transport dies.
+// HandleFrame and, when the transport dies, either parks the session
+// for a Resume or ends it with CloseSession.
 func NewMux(cfg MuxConfig) *Mux {
 	if cfg.Window <= 0 {
 		cfg.Window = defaultWindow
@@ -253,20 +275,15 @@ func NewMux(cfg MuxConfig) *Mux {
 	if cfg.MaxStreams <= 0 {
 		cfg.MaxStreams = defaultMaxStreams
 	}
-	if cfg.RTO <= 0 {
-		cfg.RTO = defaultRTO
-	}
 	m := &Mux{
-		cfg:      cfg,
-		tel:      newMuxTel(cfg.Hub),
-		streams:  make(map[uint32]*MuxStream),
-		nextID:   1,
-		tickStop: make(chan struct{}),
+		cfg:     cfg,
+		tel:     newMuxTel(cfg.Hub),
+		send:    cfg.Send,
+		streams: make(map[uint32]*MuxStream),
+		nextID:  1,
 	}
-	m.cond = sync.NewCond(&m.mu)
 	m.outCond = sync.NewCond(&m.mu)
 	go m.writeLoop()
-	go m.retxLoop()
 	return m
 }
 
@@ -297,32 +314,37 @@ type MuxStream struct {
 	remote bool // opened by a peer SYN (vs locally via Open)
 	state  int
 	err    *StreamError
+	// cond (on the session lock) wakes this stream's blocking callers
+	// only; one condition per session would wake every blocked reader
+	// of every stream on each frame.
+	cond *sync.Cond
 
-	// Sender: sendBuf holds written bytes not yet acknowledged;
-	// sendBase is the stream offset of sendBuf[0]; the first sentLen
-	// bytes of sendBuf have been transmitted at least once (credit
-	// spent); the rest await window. DATA payloads alias sendBuf — the
-	// single copy of user data is the append into sendBuf, everything
-	// downstream (retransmits included) is a re-slice.
+	// Sender: sendBuf holds written bytes the peer has not reported
+	// received; sendBase is the stream offset of sendBuf[0]; the first
+	// sentLen bytes of sendBuf have been transmitted on the current
+	// transport (a resume rewinds it to the peer's offset); the rest
+	// await window. DATA payloads alias sendBuf — the single copy of
+	// user data is the append into sendBuf, everything downstream
+	// (resume replays included) is a re-slice.
 	sw         sendWindow
 	sendBuf    []byte
 	sendBase   uint32
 	sentLen    int
-	lastSend   time.Time
-	lastRetx   time.Time
 	finSent    bool
 	finAt      uint32
+	finAcked   bool // the peer holds every byte through finAt
 	writeWaits []writeWait
+	admitWait  int // WriteBlocking callers waiting for window
 
 	// Receiver.
-	rw       recvWindow
-	recvBuf  []byte
-	recvNext uint32
-	finRecv  bool
+	rw        recvWindow
+	recvBuf   []byte
+	recvNext  uint32
+	finRecv   bool
 	finRecvAt uint32
 
-	readable func()          // persistent data/EOF/error notification
-	opened   func(err error) // one-shot open/refuse notification
+	readable  func()          // persistent data/EOF/error notification
+	opened    func(err error) // one-shot open/refuse notification
 	openFired bool
 }
 
@@ -334,112 +356,153 @@ type writeWait struct {
 // ID returns the stream's session-unique id (immutable after open).
 func (st *MuxStream) ID() uint32 { return st.id }
 
-// enqueue appends a frame for the writer goroutine. Lock held.
+// online reports whether frames may be queued: a live transport whose
+// resume handshake, if any, has completed. Lock held.
+func (m *Mux) online() bool { return !m.dead && !m.parked && !m.resuming }
+
+// enqueue appends a frame for the writer goroutine; offline, the frame
+// is dropped and a resume re-sends whatever state it carried. Lock
+// held.
 func (m *Mux) enqueue(hdr, payload []byte) {
-	if m.dead {
-		return
+	if m.online() {
+		m.push(hdr, payload)
 	}
-	m.outQ = append(m.outQ, muxFrame{hdr: hdr, payload: payload})
+}
+
+func (m *Mux) push(hdr, payload []byte) {
+	m.outQ = append(m.outQ, muxFrame{hdr: hdr, payload: payload, gen: m.gen})
 	m.outCond.Signal()
 }
 
 // writeLoop is the session's single writer: it drains outQ in order,
-// calling cfg.Send without the lock so a backpressured transport
-// never wedges frame processing.
+// calling the transport's send without the lock so a backpressured
+// transport never wedges frame processing.
 func (m *Mux) writeLoop() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	for {
-		m.mu.Lock()
 		for len(m.outQ) == 0 && !m.dead {
 			m.outCond.Wait()
 		}
-		if len(m.outQ) == 0 && m.dead {
-			m.mu.Unlock()
+		if m.dead {
 			return
 		}
 		batch := m.outQ
 		m.outQ = nil
-		m.mu.Unlock()
+		send, gen := m.send, m.gen
+		m.writing = true
 		for _, f := range batch {
-			// Re-check liveness per frame: after CloseSession an
-			// already-dequeued batch must stop writing — on a
-			// reconnecting client the transport may by now belong to
-			// the *successor* session, and stale frames with recycled
-			// stream ids would corrupt it.
-			m.mu.Lock()
-			dead := m.dead
+			// Re-check per frame: once the transport is let go, an
+			// already-dequeued batch must stop — its frames belong to
+			// the old transport, and the owner may already be dialing
+			// the new one.
+			if m.dead || f.gen != m.gen {
+				break
+			}
 			m.mu.Unlock()
-			if dead {
-				return
+			err := send(f.hdr, f.payload)
+			m.mu.Lock()
+			if err != nil {
+				if f.gen == m.gen {
+					m.detachLocked()
+				}
+				break
 			}
-			if err := m.cfg.Send(f.hdr, f.payload); err != nil {
-				m.fail(err)
-				return
-			}
+		}
+		m.writing = false
+		if gen != m.gen {
+			m.outCond.Broadcast() // Park waits for this batch
 		}
 	}
 }
 
-// retxLoop is the go-back-N timer: it scans for streams whose oldest
-// unacked byte has outlived the RTO and resends from the base.
-func (m *Mux) retxLoop() {
-	t := time.NewTicker(m.cfg.RTO / 2)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.tickStop:
-			return
-		case <-t.C:
-		}
-		m.mu.Lock()
-		now := time.Now()
-		for _, st := range m.streams {
-			if st.sentLen > 0 && now.Sub(st.lastSend) > m.cfg.RTO {
-				m.retransmit(st, now)
-			}
-		}
-		m.mu.Unlock()
+// detachLocked lets go of the current transport: queued frames are
+// dropped and nothing more is queued until Resume. Lock held.
+func (m *Mux) detachLocked() {
+	m.parked = true
+	m.resuming = false
+	m.gen++
+	m.outQ = nil
+}
+
+// Park detaches the session from a transport that died abruptly.
+// Streams keep their state and their unreported tail; writes stop
+// being admitted and reads wait until Resume attaches a new transport
+// or CloseSession ends the session. Park returns once no frame meant
+// for the old transport can still be written. Idempotent.
+func (m *Mux) Park() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.dead {
+		return
+	}
+	if !m.parked {
+		m.detachLocked()
+	}
+	for m.writing {
+		m.outCond.Wait()
 	}
 }
 
-// retransmit resends the transmitted-but-unacked prefix. Lock held.
-func (m *Mux) retransmit(st *MuxStream, now time.Time) {
-	for off := 0; off < st.sentLen; off += maxDataChunk {
-		end := off + maxDataChunk
-		if end > st.sentLen {
-			end = st.sentLen
-		}
-		chunk := st.sendBuf[off:end]
-		m.enqueue(muxHeader(st.id, muxData, st.sendBase+uint32(off), uint32(len(chunk))), chunk)
+// Resume attaches a parked session to a new transport and starts the
+// resume handshake: it sends a RESUME frame describing every stream,
+// and holds all other traffic until the peer's RESUME arrives (see
+// handleResume). A peer that started a fresh session instead, or no
+// longer has this one, makes the session drop its streams with
+// ECONNRESET and carry on empty.
+func (m *Mux) Resume(send func(hdr, payload []byte) error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.dead || !m.parked {
+		return
 	}
-	st.lastSend = now
-	st.lastRetx = now
-	m.stats.Retransmits++
-	m.tel.retransmits.Inc()
+	m.send = send
+	m.parked = false
+	m.resuming = true
+	payload := make([]byte, 0, len(m.streams)*resumeRecLen)
+	for id, st := range m.streams {
+		var flags byte
+		if st.state == stOpen {
+			flags |= resumeOpen
+		}
+		if st.recvDone() {
+			flags |= resumeFinRecv
+		}
+		payload = binary.BigEndian.AppendUint32(payload, id)
+		payload = append(payload, flags)
+		payload = binary.BigEndian.AppendUint32(payload, st.recvNext)
+		payload = binary.BigEndian.AppendUint32(payload, st.rw.granted)
+	}
+	m.push(muxHeader(0, muxResume, m.peerMax, uint32(len(payload))), payload)
 }
 
 // pump transmits whatever the window permits and fires Write
 // completions whose bytes are fully admitted. Lock held; returns
 // callbacks to run after unlock.
 func (m *Mux) pump(st *MuxStream) []func() {
-	if st.state != stOpen && st.state != stSynSent {
+	if !m.online() || (st.state != stOpen && st.state != stSynSent) {
 		return nil
 	}
+	moved := false
 	for st.sentLen < len(st.sendBuf) {
-		want := len(st.sendBuf) - st.sentLen
-		if want > maxDataChunk {
-			want = maxDataChunk
-		}
-		n := st.sw.take(want)
+		next := st.sendBase + uint32(st.sentLen)
+		n := st.sw.avail(next)
 		if n == 0 {
 			break
 		}
+		if want := len(st.sendBuf) - st.sentLen; n > want {
+			n = want
+		}
+		if n > maxDataChunk {
+			n = maxDataChunk
+		}
 		chunk := st.sendBuf[st.sentLen : st.sentLen+n]
-		m.enqueue(muxHeader(st.id, muxData, st.sendBase+uint32(st.sentLen), uint32(n)), chunk)
+		m.enqueue(muxHeader(st.id, muxData, next, uint32(n)), chunk)
 		st.sentLen += n
-		st.lastSend = time.Now()
 		m.stats.DataOut++
 		m.stats.BytesOut += int64(n)
 		m.tel.dataOut.Inc()
+		moved = true
 	}
 	admitted := st.sendBase + uint32(st.sentLen)
 	var fire []func()
@@ -453,10 +516,31 @@ func (m *Mux) pump(st *MuxStream) []func() {
 		}
 	}
 	st.writeWaits = kept
-	if len(fire) > 0 {
-		m.cond.Broadcast()
+	if moved && st.admitWait > 0 {
+		st.cond.Broadcast()
 	}
 	return fire
+}
+
+// release drops the sent bytes below offset upTo, which the peer has
+// reported received. Lock held; the caller has checked
+// sendBase <= upTo <= sendBase+sentLen.
+func (st *MuxStream) release(upTo uint32) {
+	drop := int(upTo - st.sendBase)
+	st.sendBuf = st.sendBuf[drop:]
+	st.sentLen -= drop
+	st.sendBase = upTo
+}
+
+// reported checks an offset the peer says it has received: it cannot
+// be below what it reported before or beyond what was sent.
+func (st *MuxStream) reported(off uint32) bool {
+	return off >= st.sendBase && off <= st.sendBase+uint32(st.sentLen)
+}
+
+// recvDone reports whether every byte through the peer's FIN is here.
+func (st *MuxStream) recvDone() bool {
+	return st.finRecv && st.recvNext == st.finRecvAt
 }
 
 func run(fns []func()) {
@@ -468,12 +552,16 @@ func run(fns []func()) {
 // Open starts a new outgoing stream: it sends SYN carrying our
 // receive window and returns immediately. Writes are accepted right
 // away (they queue until the SYNACK grants window); SetOpened or
-// WaitOpen observe acceptance or refusal.
+// WaitOpen observe acceptance or refusal. Past MaxStreams live
+// streams, Open fails with a shed StreamError (EAGAIN).
 func (m *Mux) Open() (*MuxStream, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.dead {
 		return nil, &StreamError{Code: vfs.ECONNRESET}
+	}
+	if len(m.streams) >= m.cfg.MaxStreams {
+		return nil, &StreamError{Code: vfs.EAGAIN}
 	}
 	// Skip ids already taken by peer-opened streams: both endpoints
 	// allocate from one space, so without this a symmetric session
@@ -481,7 +569,7 @@ func (m *Mux) Open() (*MuxStream, error) {
 	for m.nextID == 0 || m.streams[m.nextID] != nil {
 		m.nextID++
 	}
-	st := &MuxStream{m: m, id: m.nextID, state: stSynSent}
+	st := &MuxStream{m: m, id: m.nextID, state: stSynSent, cond: sync.NewCond(&m.mu)}
 	m.nextID++
 	st.rw.window = m.cfg.Window
 	m.streams[st.id] = st
@@ -516,7 +604,7 @@ func (st *MuxStream) WaitOpen() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for !st.openFired {
-		m.cond.Wait()
+		st.cond.Wait()
 	}
 	if st.err != nil {
 		return st.err
@@ -530,7 +618,7 @@ func (st *MuxStream) settleOpen(err error) []func() {
 		return nil
 	}
 	st.openFired = true
-	st.m.cond.Broadcast()
+	st.cond.Broadcast()
 	if st.opened == nil {
 		return nil
 	}
@@ -576,10 +664,11 @@ func (st *MuxStream) Reject(code vfs.Errno) {
 }
 
 // Write queues p for transmission and calls done(nil) once every byte
-// has been admitted to the flow-control window (transmitted once). A
-// zero-window stream holds the completion until the peer grants
-// credit — the backpressure the tests pin down. done(err) reports a
-// reset stream.
+// has been admitted to the flow-control window (queued for the
+// transport). A zero-window stream holds the completion until the
+// peer grants credit — the backpressure the tests pin down — and a
+// parked session holds it until the session resumes. done(err)
+// reports a reset stream.
 func (st *MuxStream) Write(p []byte, done func(error)) {
 	m := st.m
 	m.mu.Lock()
@@ -629,7 +718,7 @@ func (st *MuxStream) WriteBlocking(p []byte) error {
 		if st.state == stOpen || st.state == stSynSent {
 			break
 		}
-		m.cond.Wait()
+		st.cond.Wait()
 	}
 	st.sendBuf = append(st.sendBuf, p...)
 	target := st.sendBase + uint32(len(st.sendBuf))
@@ -649,7 +738,9 @@ func (st *MuxStream) WriteBlocking(p []byte) error {
 		if st.sendBase+uint32(st.sentLen) >= target || target <= st.sendBase {
 			return nil
 		}
-		m.cond.Wait()
+		st.admitWait++
+		st.cond.Wait()
+		st.admitWait--
 	}
 }
 
@@ -668,7 +759,7 @@ func (st *MuxStream) SetReadable(fn func()) {
 }
 
 func (st *MuxStream) atEOFLocked() bool {
-	return st.finRecv && st.recvNext == st.finRecvAt && len(st.recvBuf) == 0
+	return st.recvDone() && len(st.recvBuf) == 0
 }
 
 // TryRead drains up to max buffered bytes without blocking. It
@@ -697,9 +788,7 @@ func (st *MuxStream) TryRead(max int) ([]byte, error) {
 	}
 	out := st.recvBuf[:k]
 	st.recvBuf = st.recvBuf[k:]
-	if g := st.rw.drained(k); g > 0 {
-		m.creditLocked(st, g)
-	}
+	m.consumedLocked(st, k)
 	m.mu.Unlock()
 	return out, nil
 }
@@ -711,15 +800,9 @@ func (st *MuxStream) ReadBlocking(buf []byte) (int, error) {
 	m.mu.Lock()
 	for {
 		if len(st.recvBuf) > 0 {
-			k := len(buf)
-			if k > len(st.recvBuf) {
-				k = len(st.recvBuf)
-			}
-			copy(buf, st.recvBuf[:k])
+			k := copy(buf, st.recvBuf)
 			st.recvBuf = st.recvBuf[k:]
-			if g := st.rw.drained(k); g > 0 {
-				m.creditLocked(st, g)
-			}
+			m.consumedLocked(st, k)
 			m.mu.Unlock()
 			return k, nil
 		}
@@ -736,7 +819,7 @@ func (st *MuxStream) ReadBlocking(buf []byte) (int, error) {
 			m.mu.Unlock()
 			return 0, &StreamError{StreamID: st.id, Code: vfs.ECONNRESET}
 		}
-		m.cond.Wait()
+		st.cond.Wait()
 	}
 }
 
@@ -747,12 +830,22 @@ func (st *MuxStream) Buffered() int {
 	return len(st.recvBuf)
 }
 
-// creditLocked emits a CREDIT grant. Lock held.
-func (m *Mux) creditLocked(st *MuxStream, g int) {
-	if st.state != stOpen {
+// consumedLocked records n bytes drained by the consumer and grants
+// credit if it is due. Lock held.
+func (m *Mux) consumedLocked(st *MuxStream, n int) {
+	st.rw.consumed += uint32(n)
+	m.grantLocked(st)
+}
+
+// grantLocked advertises the consumed edge once a quarter window has
+// drained. Offline, the grant waits: the RESUME frame carries the edge
+// last granted and the handshake re-evaluates. Lock held.
+func (m *Mux) grantLocked(st *MuxStream) {
+	if !m.online() || st.state != stOpen || !st.rw.due() {
 		return
 	}
-	m.enqueue(muxHeader(st.id, muxCredit, uint32(g), 0), nil)
+	st.rw.granted = st.rw.consumed
+	m.enqueue(muxHeader(st.id, muxCredit, st.rw.granted, 0), nil)
 	m.stats.Credits++
 }
 
@@ -761,7 +854,7 @@ func (m *Mux) creditLocked(st *MuxStream, g int) {
 // tenant's loop falls behind.
 func (st *MuxStream) PauseCredit() {
 	st.m.mu.Lock()
-	st.rw.pause()
+	st.rw.paused = true
 	st.m.mu.Unlock()
 }
 
@@ -770,9 +863,8 @@ func (st *MuxStream) PauseCredit() {
 func (st *MuxStream) ResumeCredit() {
 	m := st.m
 	m.mu.Lock()
-	if g := st.rw.resume(); g > 0 {
-		m.creditLocked(st, g)
-	}
+	st.rw.paused = false
+	m.grantLocked(st)
 	m.mu.Unlock()
 }
 
@@ -789,7 +881,6 @@ func (st *MuxStream) Close() error {
 	st.finSent = true
 	st.finAt = st.sendBase + uint32(len(st.sendBuf))
 	m.enqueue(muxHeader(st.id, muxFin, st.finAt, 0), nil)
-	m.maybeReapLocked(st)
 	m.mu.Unlock()
 	return nil
 }
@@ -833,17 +924,19 @@ func (m *Mux) killLocked(st *MuxStream, code vfs.Errno) []func() {
 	if st.readable != nil {
 		fns = append(fns, st.readable)
 	}
-	m.cond.Broadcast()
+	st.cond.Broadcast()
 	return fns
 }
 
-// maybeReapLocked removes a stream whose both directions finished, so
-// the session map does not grow without bound.
+// maybeReapLocked removes a stream once both directions are finished
+// — the peer holds everything through our FIN, and we hold everything
+// through theirs — so the session map does not grow without bound.
+// Bytes the consumer has not drained stay readable from the stream.
 func (m *Mux) maybeReapLocked(st *MuxStream) {
-	if st.finSent && st.sendBase == st.finAt && len(st.sendBuf) == 0 &&
-		st.finRecv && st.atEOFLocked() {
+	if st.finAcked && st.recvDone() && st.state != stClosed {
 		st.state = stClosed
 		delete(m.streams, st.id)
+		st.cond.Broadcast()
 	}
 }
 
@@ -862,19 +955,40 @@ func (m *Mux) HandleFrame(b []byte) {
 	payload := b[MuxHeaderLen:]
 
 	m.mu.Lock()
-	if m.dead {
+	if m.dead || m.parked {
 		m.mu.Unlock()
 		return
 	}
-	st := m.streams[id]
 	var fns []func()
+	if m.resuming {
+		if kind == muxResume {
+			if len(payload)%resumeRecLen != 0 {
+				m.mu.Unlock()
+				m.fail(&StreamError{Code: vfs.EPROTO})
+				return
+			}
+			fns = m.handleResume(arg, payload)
+			m.mu.Unlock()
+			run(fns)
+			return
+		}
+		// The first frame on a resumed transport is the peer's RESUME
+		// unless the peer no longer has the session (RST on stream 0,
+		// which names no stream) or started a fresh one: either way,
+		// what we kept is gone.
+		fns = m.forgetLocked()
+	}
+	st := m.streams[id]
 	switch kind {
+	case muxResume:
+		// The peer is resuming a session this endpoint does not have.
+		m.enqueue(muxHeader(0, muxRst, rstReset, 0), nil)
 	case muxSyn:
-		fns = m.handleSyn(id, arg)
+		fns = append(fns, m.handleSyn(id, arg)...)
 	case muxSynAck:
 		if st != nil && st.state == stSynSent {
 			st.state = stOpen
-			st.sw.grant(int(arg))
+			st.sw.open(int(arg))
 			fns = append(fns, st.settleOpen(nil)...)
 			fns = append(fns, m.pump(st)...)
 		}
@@ -884,36 +998,28 @@ func (m *Mux) HandleFrame(b []byte) {
 			m.enqueue(muxHeader(id, muxRst, rstReset, 0), nil)
 			break
 		}
-		fns = m.handleData(st, arg, dlen, payload)
+		fns = append(fns, m.handleData(st, arg, dlen, payload)...)
 	case muxAck:
 		if st != nil {
-			fns = m.handleAck(st, arg)
+			fns = append(fns, m.handleAck(st, arg)...)
 		}
 	case muxCredit:
 		if st != nil {
-			st.sw.grant(int(arg))
-			fns = m.pump(st)
+			fns = append(fns, m.handleCredit(st, arg)...)
 		}
 	case muxFin:
 		if st != nil && !st.finRecv {
-			st.finRecv = true
-			st.finRecvAt = arg
-			if st.atEOFLocked() {
-				m.cond.Broadcast()
-				if st.readable != nil {
-					fns = append(fns, st.readable)
-				}
-				m.maybeReapLocked(st)
-			}
+			fns = append(fns, m.handleFin(st, arg)...)
 		}
 	case muxRst:
 		if st != nil {
 			m.stats.Resets++
 			m.tel.resets.Inc()
-			fns = m.killLocked(st, rstErrno(arg))
+			fns = append(fns, m.killLocked(st, rstErrno(arg))...)
 		}
 	default:
 		m.mu.Unlock()
+		run(fns)
 		m.fail(&StreamError{StreamID: id, Code: vfs.EPROTO})
 		return
 	}
@@ -925,20 +1031,24 @@ func (m *Mux) HandleFrame(b []byte) {
 func (m *Mux) handleSyn(id uint32, window uint32) []func() {
 	if dup := m.streams[id]; dup != nil {
 		if dup.remote {
-			return nil // retransmitted SYN; control frames are reliable, ignore
+			return nil // a SYN we already hold; nothing new to admit
 		}
 		// The peer's SYN collides with a stream *we* opened: both
 		// sides are allocating from the same id space. Reject loudly
-		// as a protocol violation instead of silently treating it as
-		// a retransmit and desyncing the two endpoints' stream maps.
+		// as a protocol violation instead of silently ignoring it and
+		// desyncing the two endpoints' stream maps.
 		m.enqueue(muxHeader(id, muxRst, rstProto, 0), nil)
 		m.stats.Resets++
 		m.tel.resets.Inc()
 		return nil
 	}
+	if id > m.peerMax {
+		m.peerMax = id
+	}
 	if m.cfg.AcceptStream == nil {
 		m.enqueue(muxHeader(id, muxRst, rstRefused, 0), nil)
 		m.stats.Resets++
+		m.tel.resets.Inc()
 		return nil
 	}
 	if len(m.streams) >= m.cfg.MaxStreams {
@@ -947,78 +1057,158 @@ func (m *Mux) handleSyn(id uint32, window uint32) []func() {
 		m.tel.shed.Inc()
 		return nil
 	}
-	st := &MuxStream{m: m, id: id, remote: true, state: stSynRecv}
-	st.sw.grant(int(window))
+	st := &MuxStream{m: m, id: id, remote: true, state: stSynRecv, cond: sync.NewCond(&m.mu)}
+	st.sw.open(int(window))
 	m.streams[id] = st
 	m.tel.streams.Inc()
 	accept := m.cfg.AcceptStream
 	return []func(){func() { accept(st) }}
 }
 
-// handleData runs the receiver side of go-back-N. Lock held.
+// handleData appends one DATA frame. TCP under the WebSocket neither
+// reorders nor truncates, so a frame off the next offset, short of its
+// declared length, past the FIN, or past the granted credit is a
+// broken peer. Lock held.
 func (m *Mux) handleData(st *MuxStream, seq, dlen uint32, payload []byte) []func() {
-	if int(dlen) != len(payload) {
-		// Truncated in flight: treat as loss, solicit a resend.
-		m.stats.Truncated++
-		m.enqueue(muxHeader(st.id, muxAck, st.recvNext, 0), nil)
-		return nil
-	}
 	n := uint32(len(payload))
-	accept := payload
-	switch {
-	case seq == st.recvNext:
-		// In order.
-	case seq < st.recvNext && seq+n > st.recvNext:
-		// Overlapping retransmit: keep the unseen tail.
-		accept = payload[st.recvNext-seq:]
-	default:
-		// A gap (or a fully stale duplicate): drop, dup-ACK.
-		m.enqueue(muxHeader(st.id, muxAck, st.recvNext, 0), nil)
-		return nil
-	}
-	st.recvBuf = append(st.recvBuf, accept...)
-	st.recvNext += uint32(len(accept))
-	m.stats.DataIn++
-	m.stats.BytesIn += int64(len(accept))
-	m.tel.dataIn.Inc()
-	m.enqueue(muxHeader(st.id, muxAck, st.recvNext, 0), nil)
-	// A peer that overruns its credit by more than a full window is
-	// violating the protocol, not just racing a grant.
-	if len(st.recvBuf) > 2*st.rw.window+maxDataChunk {
+	end := uint64(seq) + uint64(n)
+	if dlen != n || seq != st.recvNext || !st.rw.admits(end) ||
+		(st.finRecv && end > uint64(st.finRecvAt)) {
 		return m.resetLocked(st, vfs.EPROTO, true)
 	}
-	m.cond.Broadcast()
+	st.recvBuf = append(st.recvBuf, payload...)
+	st.recvNext += n
+	m.stats.DataIn++
+	m.stats.BytesIn += int64(n)
+	m.tel.dataIn.Inc()
+	return m.receivedLocked(st)
+}
+
+// handleFin records where the peer's byte stream ends. Lock held.
+func (m *Mux) handleFin(st *MuxStream, finAt uint32) []func() {
+	if finAt < st.recvNext {
+		return m.resetLocked(st, vfs.EPROTO, true)
+	}
+	st.finRecv = true
+	st.finRecvAt = finAt
+	return m.receivedLocked(st)
+}
+
+// receivedLocked wakes the reader after new data or a FIN; once
+// everything through the peer's FIN is here it sends the end-of-stream
+// ACK, the only receive report outside CREDIT and RESUME. Lock held.
+func (m *Mux) receivedLocked(st *MuxStream) []func() {
+	if st.recvDone() {
+		m.enqueue(muxHeader(st.id, muxAck, st.recvNext, 0), nil)
+		m.maybeReapLocked(st)
+	}
+	st.cond.Broadcast()
 	if st.readable != nil {
 		return []func(){st.readable}
 	}
 	return nil
 }
 
-// handleAck advances the sender base or fast-retransmits. Lock held.
-func (m *Mux) handleAck(st *MuxStream, cum uint32) []func() {
-	switch {
-	case cum > st.sendBase:
-		drop := int(cum - st.sendBase)
-		if drop > st.sentLen {
+// handleCredit applies a consumed edge: bytes below it are released
+// and the window extends past it. Lock held.
+func (m *Mux) handleCredit(st *MuxStream, edge uint32) []func() {
+	if edge > st.sendBase {
+		if !st.reported(edge) {
 			return m.resetLocked(st, vfs.EPROTO, true)
 		}
-		st.sendBuf = st.sendBuf[drop:]
-		st.sentLen -= drop
-		st.sendBase = cum
-		m.cond.Broadcast()
-		fns := m.pump(st)
-		m.maybeReapLocked(st)
-		return fns
-	case cum == st.sendBase && st.sentLen > 0:
-		// Duplicate ACK: the peer is missing our base. Fast
-		// retransmit, rate-limited.
-		m.stats.DupAcks++
-		now := time.Now()
-		if now.Sub(st.lastRetx) >= minRetxGap {
-			m.retransmit(st, now)
+		st.release(edge)
+	}
+	st.sw.credit(edge)
+	return m.pump(st)
+}
+
+// handleAck takes the peer's end-of-stream report: it holds every byte
+// through our FIN. Lock held.
+func (m *Mux) handleAck(st *MuxStream, recv uint32) []func() {
+	if !st.finSent || recv != st.finAt || !st.reported(recv) {
+		return m.resetLocked(st, vfs.EPROTO, true)
+	}
+	st.release(recv)
+	st.finAcked = true
+	m.maybeReapLocked(st)
+	return nil
+}
+
+// handleResume completes the resume handshake from the peer's RESUME:
+// peerMax is the highest stream id it has seen us open, and the
+// records give each stream it still holds. Every stream is brought up
+// to date by re-sending current state. Lock held.
+func (m *Mux) handleResume(peerMax uint32, recs []byte) []func() {
+	m.resuming = false
+	m.stats.Resumes++
+	m.tel.resumes.Inc()
+	type rec struct {
+		flags      byte
+		recv, edge uint32
+	}
+	peer := make(map[uint32]rec, len(recs)/resumeRecLen)
+	for ; len(recs) > 0; recs = recs[resumeRecLen:] {
+		peer[binary.BigEndian.Uint32(recs[0:4])] = rec{
+			flags: recs[4],
+			recv:  binary.BigEndian.Uint32(recs[5:9]),
+			edge:  binary.BigEndian.Uint32(recs[9:13]),
 		}
 	}
-	return nil
+	var fns []func()
+	for id, st := range m.streams {
+		r, ok := peer[id]
+		if !ok {
+			switch {
+			case !st.remote && id > peerMax:
+				// Our SYN died with the old transport.
+				m.enqueue(muxHeader(id, muxSyn, uint32(st.rw.window), 0), nil)
+			case st.finSent && st.recvDone():
+				// Both directions were done and the peer reaped the
+				// stream; only its end-of-stream ACK was lost.
+				st.finAcked = true
+				m.maybeReapLocked(st)
+			default:
+				// The peer reset the stream and the RST was lost.
+				fns = append(fns, m.killLocked(st, vfs.ECONNRESET)...)
+			}
+			continue
+		}
+		// The peer holds everything below r.recv: replay the rest.
+		if !st.reported(r.recv) {
+			fns = append(fns, m.resetLocked(st, vfs.EPROTO, true)...)
+			continue
+		}
+		st.release(r.recv)
+		st.sentLen = 0
+		if st.state != stSynSent {
+			st.sw.credit(r.edge)
+		}
+		if st.finSent && r.flags&resumeFinRecv != 0 {
+			st.finAcked = true
+		}
+		if st.remote && st.state == stOpen && r.flags&resumeOpen == 0 {
+			m.enqueue(muxHeader(id, muxSynAck, uint32(st.rw.window), 0), nil)
+		}
+		if st.finSent && r.flags&resumeFinRecv == 0 {
+			m.enqueue(muxHeader(id, muxFin, st.finAt, 0), nil)
+		}
+		fns = append(fns, m.pump(st)...)
+		m.grantLocked(st)
+		m.maybeReapLocked(st)
+	}
+	return fns
+}
+
+// forgetLocked drops every stream of a session the peer no longer
+// has; the session carries on empty. Lock held.
+func (m *Mux) forgetLocked() []func() {
+	m.resuming = false
+	m.peerMax = 0
+	var fns []func()
+	for _, st := range m.streams {
+		fns = append(fns, m.killLocked(st, vfs.ECONNRESET)...)
+	}
+	return fns
 }
 
 // fail kills the whole session: every stream errors with ECONNRESET
@@ -1037,9 +1227,7 @@ func (m *Mux) fail(err error) {
 	}
 	m.outQ = nil
 	m.outCond.Broadcast()
-	m.cond.Broadcast()
 	m.mu.Unlock()
-	close(m.tickStop) // first fail only: guarded by m.dead above
 	run(fns)
 	if m.cfg.OnClose != nil {
 		m.cfg.OnClose(err)
@@ -1062,7 +1250,7 @@ type StreamSnapshot struct {
 	ID           uint32 `json:"id"`
 	State        string `json:"state"`
 	SendWindow   int    `json:"send_window"`   // unspent credit
-	SendQueued   int    `json:"send_queued"`   // bytes unacked or awaiting window
+	SendQueued   int    `json:"send_queued"`   // bytes unreported or awaiting window
 	RecvBuffered int    `json:"recv_buffered"` // bytes awaiting the consumer
 	Paused       bool   `json:"paused"`        // credit withheld (shedding)
 }
@@ -1070,6 +1258,7 @@ type StreamSnapshot struct {
 // MuxSnapshot is the session state for /debug/sock.
 type MuxSnapshot struct {
 	Dead    bool             `json:"dead"`
+	Parked  bool             `json:"parked"` // no transport, waiting to resume
 	Stats   MuxStats         `json:"stats"`
 	Streams []StreamSnapshot `json:"streams"`
 }
@@ -1078,12 +1267,12 @@ type MuxSnapshot struct {
 func (m *Mux) Snapshot() MuxSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	snap := MuxSnapshot{Dead: m.dead, Stats: m.stats}
+	snap := MuxSnapshot{Dead: m.dead, Parked: m.parked, Stats: m.stats}
 	for _, st := range m.streams {
 		snap.Streams = append(snap.Streams, StreamSnapshot{
 			ID:           st.id,
 			State:        stateName(st.state),
-			SendWindow:   st.sw.avail,
+			SendWindow:   st.sw.avail(st.sendBase + uint32(st.sentLen)),
 			SendQueued:   len(st.sendBuf),
 			RecvBuffered: len(st.recvBuf),
 			Paused:       st.rw.paused,
@@ -1105,9 +1294,7 @@ func (s *MuxStats) Add(b MuxStats) {
 	s.Accepted += b.Accepted
 	s.Shed += b.Shed
 	s.Resets += b.Resets
-	s.Retransmits += b.Retransmits
-	s.DupAcks += b.DupAcks
-	s.Truncated += b.Truncated
+	s.Resumes += b.Resumes
 	s.DataIn += b.DataIn
 	s.DataOut += b.DataOut
 	s.BytesIn += b.BytesIn

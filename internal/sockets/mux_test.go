@@ -13,6 +13,7 @@ import (
 	"doppio/internal/browser"
 	"doppio/internal/vfs"
 	"doppio/internal/vfs/faultfs"
+	"doppio/internal/vfs/retry"
 )
 
 // streamPattern builds the deterministic byte sequence stream i sends.
@@ -85,8 +86,9 @@ func echoOverStack(t *testing.T, conn *Conn, got [][]byte, total, chunkSize int,
 // TestMuxEquivalence pins the gateway redesign's core claim: N
 // logical streams multiplexed over one WebSocket are byte-identical
 // to N plain one-connection-per-stream sockets — including when the
-// fault injector drops and truncates 10% of data frames, which the
-// mux's go-back-N must repair.
+// fault injector resets the connection on about one data frame in
+// five (10% errno plus 10% short decisions), which the reconnecting
+// stack must ride out by resuming the session.
 func TestMuxEquivalence(t *testing.T) {
 	echoAddr, stopEcho := startEchoServer(t)
 	defer stopEcho()
@@ -167,7 +169,6 @@ func TestMuxEquivalence(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			muxGW, err := NewGateway("127.0.0.1:0", echoAddr, GatewayOptions{
 				Window: 4 << 10,
-				RTO:    10 * time.Millisecond,
 				Faults: tc.plan,
 			})
 			if err != nil {
@@ -180,7 +181,7 @@ func TestMuxEquivalence(t *testing.T) {
 			finished := false
 			w.Loop.Post("main", func() {
 				conn := Stack(w, muxGW.Addr(),
-					WithMux(0), WithWindow(4<<10), WithRTO(10*time.Millisecond))
+					WithReconnect(retry.Defaults()), WithMux(0), WithWindow(4<<10))
 				echoOverStack(t, conn, got, total, chunk, func() {
 					finished = true
 					conn.Close()
@@ -203,9 +204,10 @@ func TestMuxEquivalence(t *testing.T) {
 				if snap.Faults.ErrsPre+snap.Faults.ErrsPost+snap.Faults.Shorts == 0 {
 					t.Error("fault plan enabled but no faults were injected")
 				}
-				if snap.Stats.Retransmits == 0 {
-					t.Error("faults injected but no retransmissions recorded")
+				if snap.Stats.Resumes == 0 {
+					t.Error("faults injected but no session was resumed")
 				}
+				t.Logf("faults %+v, resumes %d", snap.Faults, snap.Stats.Resumes)
 			}
 		})
 	}
@@ -215,20 +217,30 @@ func TestMuxEquivalence(t *testing.T) {
 // side sends is handed to the other's HandleFrame. accept configures
 // the server side's AcceptStream handler.
 func wirePair(window int, accept func(st *MuxStream)) (client, server *Mux) {
+	return tappedPair(window, accept, nil)
+}
+
+// tappedPair is wirePair with tap, when non-nil, seeing every frame
+// header on its way (fromClient tells the direction).
+func tappedPair(window int, accept func(st *MuxStream), tap func(fromClient bool, hdr []byte)) (client, server *Mux) {
 	var cl, sv *Mux
 	sv = NewMux(MuxConfig{
 		Window:       window,
-		RTO:          10 * time.Millisecond,
 		AcceptStream: accept,
 		Send: func(hdr, payload []byte) error {
+			if tap != nil {
+				tap(false, hdr)
+			}
 			cl.HandleFrame(append(append([]byte{}, hdr...), payload...))
 			return nil
 		},
 	})
 	cl = NewMux(MuxConfig{
 		Window: window,
-		RTO:    10 * time.Millisecond,
 		Send: func(hdr, payload []byte) error {
+			if tap != nil {
+				tap(true, hdr)
+			}
 			sv.HandleFrame(append(append([]byte{}, hdr...), payload...))
 			return nil
 		},
@@ -527,7 +539,6 @@ func TestMuxHeartbeatConcurrentWriters(t *testing.T) {
 			// the whole transfer, maximizing overlap with the pings.
 			m = NewMux(MuxConfig{
 				Window: 1 << 10,
-				RTO:    20 * time.Millisecond,
 				Send:   func(hdr, payload []byte) error { return rws.SendParts(hdr, payload) },
 			})
 			go func() {
@@ -597,13 +608,12 @@ func TestMuxHeartbeatConcurrentWriters(t *testing.T) {
 // TestMuxSynCollision pins the symmetric-API id-space guards: Open
 // skips ids held by peer-opened streams, and a peer SYN colliding with
 // a locally opened stream is rejected with RST(EPROTO) instead of
-// being silently ignored as a retransmit.
+// being silently ignored.
 func TestMuxSynCollision(t *testing.T) {
 	acceptCh := make(chan *MuxStream, 4)
 	var cl, sv *Mux
 	sv = NewMux(MuxConfig{
 		Window: 4 << 10,
-		RTO:    10 * time.Millisecond,
 		AcceptStream: func(st *MuxStream) {
 			st.Accept()
 			acceptCh <- st
@@ -615,7 +625,6 @@ func TestMuxSynCollision(t *testing.T) {
 	})
 	cl = NewMux(MuxConfig{
 		Window: 4 << 10,
-		RTO:    10 * time.Millisecond,
 		AcceptStream: func(st *MuxStream) {
 			st.Accept()
 			acceptCh <- st
@@ -743,5 +752,163 @@ func TestGatewaySelfDepthNoDeadlock(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Snapshot deadlocked against the overload ticker")
+	}
+}
+
+// TestMuxFrameCount pins the ACK-free data path: a clean echo of N
+// small messages puts exactly N DATA frames on each direction, at most
+// ⌈bytes/(window/4)⌉ CREDIT frames, and otherwise only the open and
+// end-of-stream handshakes — no per-DATA reply frames.
+func TestMuxFrameCount(t *testing.T) {
+	const (
+		window = 4 << 10
+		n      = 64
+		size   = 64
+	)
+	var mu sync.Mutex
+	counts := map[bool]map[byte]int{true: {}, false: {}}
+	acceptCh := make(chan *MuxStream, 1)
+	client, server := tappedPair(window, func(st *MuxStream) {
+		st.Accept()
+		acceptCh <- st
+	}, func(fromClient bool, hdr []byte) {
+		mu.Lock()
+		counts[fromClient][hdr[4]]++
+		mu.Unlock()
+	})
+	defer client.CloseSession(nil)
+	defer server.CloseSession(nil)
+
+	st, err := client.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WaitOpen(); err != nil {
+		t.Fatal(err)
+	}
+	peer := <-acceptCh
+	echoed := make(chan error, 1)
+	go func() {
+		buf := make([]byte, 4096)
+		for {
+			k, err := peer.ReadBlocking(buf)
+			if err == io.EOF {
+				echoed <- peer.Close()
+				return
+			}
+			if err != nil {
+				echoed <- err
+				return
+			}
+			if err := peer.WriteBlocking(buf[:k]); err != nil {
+				echoed <- err
+				return
+			}
+		}
+	}()
+	buf := make([]byte, size)
+	for i := 0; i < n; i++ {
+		msg := streamPattern(i, size)
+		if err := st.WriteBlocking(msg); err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; off < size; {
+			k, err := st.ReadBlocking(buf[off:])
+			if err != nil {
+				t.Fatalf("message %d: %v", i, err)
+			}
+			off += k
+		}
+		if !bytes.Equal(buf, msg) {
+			t.Fatalf("message %d corrupted", i)
+		}
+	}
+	st.Close()
+	if err := <-echoed; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.ReadBlocking(buf); err != io.EOF {
+		t.Fatalf("client read after peer close = %v, want EOF", err)
+	}
+	waitFor(t, "both session maps empty", func() bool {
+		return client.StreamCount() == 0 && server.StreamCount() == 0
+	})
+
+	mu.Lock()
+	defer mu.Unlock()
+	maxCredits := (n*size + window/4 - 1) / (window / 4)
+	for _, dir := range []struct {
+		name       string
+		fromClient bool
+		open       byte
+	}{{"client->server", true, muxSyn}, {"server->client", false, muxSynAck}} {
+		c := counts[dir.fromClient]
+		if c[muxData] != n {
+			t.Errorf("%s: %d DATA frames, want %d", dir.name, c[muxData], n)
+		}
+		if c[muxCredit] > maxCredits {
+			t.Errorf("%s: %d CREDIT frames, want at most %d", dir.name, c[muxCredit], maxCredits)
+		}
+		if c[dir.open] != 1 || c[muxFin] != 1 || c[muxAck] != 1 {
+			t.Errorf("%s: open/FIN/ACK frames = %d/%d/%d, want 1 each",
+				dir.name, c[dir.open], c[muxFin], c[muxAck])
+		}
+		total := 0
+		for _, k := range c {
+			total += k
+		}
+		if extra := total - c[muxData] - c[muxCredit] - c[dir.open] - c[muxFin] - c[muxAck]; extra != 0 {
+			t.Errorf("%s: %d unexpected frames: %v", dir.name, extra, c)
+		}
+	}
+}
+
+// TestMuxReapWithoutDrain pins stream cleanup: once both sides have
+// closed, a stream leaves both session maps even if its reader never
+// drained what arrived, and the bytes stay readable from the stream.
+func TestMuxReapWithoutDrain(t *testing.T) {
+	acceptCh := make(chan *MuxStream, 1)
+	client, server := wirePair(4<<10, func(st *MuxStream) {
+		st.Accept()
+		acceptCh <- st
+	})
+	defer client.CloseSession(nil)
+	defer server.CloseSession(nil)
+
+	st, err := client.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WaitOpen(); err != nil {
+		t.Fatal(err)
+	}
+	peer := <-acceptCh
+	msg := streamPattern(5, 100)
+	if err := st.WriteBlocking(msg); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	peer.Close() // the server never reads
+	waitFor(t, "both session maps empty", func() bool {
+		return client.StreamCount() == 0 && server.StreamCount() == 0
+	})
+	got, err := peer.TryRead(len(msg))
+	if err != nil || !bytes.Equal(got, msg) {
+		t.Fatalf("undrained bytes after reap = %q, %v", got, err)
+	}
+	if _, err := peer.TryRead(1); err != io.EOF {
+		t.Fatalf("read past the undrained bytes = %v, want EOF", err)
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 5s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

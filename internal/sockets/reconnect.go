@@ -89,10 +89,10 @@ type ReconnectingWS struct {
 	// stateMu guards ws, open, and closed: all three are mutated on
 	// the event loop (dial, open/close events, Close) and read from
 	// the mux writer goroutine via Send/SendParts/Connected.
-	stateMu    sync.Mutex
-	ws         *WebSocket
-	open       bool
-	closed     bool
+	stateMu sync.Mutex
+	ws      *WebSocket
+	open    bool
+	closed  bool
 
 	everOpened bool // loop thread only
 	attempt    int  // failed dials in the current outage
@@ -197,6 +197,15 @@ func (r *ReconnectingWS) SendParts(parts ...[]byte) error {
 		return ErrNotConnected
 	}
 	return ws.SendParts(parts...)
+}
+
+// abort drops the current connection without a close frame, as a reset
+// would; the close event then drives the normal redial path. Safe from
+// any goroutine.
+func (r *ReconnectingWS) abort() {
+	if ws := r.transport(); ws != nil {
+		ws.abort()
+	}
 }
 
 // Close shuts the client down for good: no further redials, heartbeats
@@ -357,11 +366,13 @@ func (r *ReconnectingWS) heartbeat() {
 }
 
 // dropDead tears down a connection the heartbeat has declared dead;
-// the WebSocket's close event then drives the normal redial path.
+// the WebSocket's close event then drives the normal redial path. No
+// close frame is sent: the peer is presumed gone, and to a gateway a
+// close frame would mean the client is done with its session.
 func (r *ReconnectingWS) dropDead(err error) {
 	r.lastErr = err
 	r.stopHeartbeat()
 	if r.ws != nil {
-		r.ws.Close()
+		r.ws.abort()
 	}
 }

@@ -1,6 +1,8 @@
 package sockets
 
 import (
+	"crypto/rand"
+	"encoding/hex"
 	"fmt"
 	"time"
 
@@ -21,8 +23,9 @@ import (
 //	with the mux session — when enabled — consuming the whole chain.
 //
 // The ordering is load-bearing: faults sit directly on the transport
-// so they model the network (the mux's go-back-N above them must
-// absorb them, exactly like VFS retry absorbs faultfs); telemetry
+// so they model the network (in mux mode a fault resets the
+// connection, which the reconnecting transport and session resume
+// above them must absorb, as VFS retry absorbs faultfs); telemetry
 // sits outermost so its counters see what the application sees.
 // Options are order-independent; Find walks the chain.
 
@@ -75,7 +78,6 @@ type stackConfig struct {
 	mux       bool
 	maxStream int
 	window    int
-	rto       time.Duration
 	plan      *faultfs.Plan
 	inj       *faultfs.Injector
 	hub       *telemetry.Hub
@@ -85,7 +87,9 @@ type stackConfig struct {
 
 // WithReconnect adds the reconnecting transport: connection drops
 // redial with the policy's exponential backoff (a zero Policy gets
-// retry.Defaults()).
+// retry.Defaults()). With WithMux, the stack also presents a session
+// token on its handshake, so a redial resumes the gateway session —
+// every stream picks up where the dead transport left it.
 func WithReconnect(policy retry.Policy) Option {
 	return func(c *stackConfig) { c.reconnect = &policy }
 }
@@ -99,8 +103,9 @@ func WithHeartbeat(d time.Duration) Option {
 
 // WithMux multiplexes up to n concurrent logical streams over the one
 // connection (n <= 0 means the gateway default, 1024). Each Dial
-// opens one flow-controlled stream; without WithMux, a Conn carries
-// exactly one Dial.
+// opens one flow-controlled stream, and a Dial past n live streams
+// fails with a shed StreamError (EAGAIN); without WithMux, a Conn
+// carries exactly one Dial.
 func WithMux(n int) Option {
 	return func(c *stackConfig) { c.mux = true; c.maxStream = n }
 }
@@ -111,14 +116,10 @@ func WithWindow(bytes int) Option {
 	return func(c *stackConfig) { c.window = bytes }
 }
 
-// WithRTO overrides the mux retransmission timeout (tests).
-func WithRTO(d time.Duration) Option {
-	return func(c *stackConfig) { c.rto = d }
-}
-
 // WithFaults adds the fault-injection layer directly above the
-// transport. In mux mode faults hit only DATA frames (drop/truncate,
-// both repaired by go-back-N); in plain mode they hit whole messages.
+// transport. In mux mode decisions are drawn per DATA frame and every
+// fault resets the connection without a close frame (resumed with
+// WithReconnect); in plain mode they hit whole messages.
 func WithFaults(plan faultfs.Plan) Option {
 	return func(c *stackConfig) { c.plan = &plan }
 }
@@ -162,6 +163,8 @@ func (l *wsLink) Send(parts ...[]byte) error {
 
 func (l *wsLink) Close() error { return l.ws.Close() }
 
+func (l *wsLink) abort() { l.ws.abort() }
+
 // rwsLink is the base transport over a reconnecting WebSocket.
 type rwsLink struct {
 	rws *ReconnectingWS
@@ -176,6 +179,13 @@ func (l *rwsLink) Send(parts ...[]byte) error {
 }
 
 func (l *rwsLink) Close() error { return l.rws.Close() }
+
+func (l *rwsLink) abort() { l.rws.abort() }
+
+// aborter is a base transport that can drop its connection without a
+// close frame, the way a reset TCP connection ends. Safe from any
+// goroutine.
+type aborter interface{ abort() }
 
 func concat(parts [][]byte) []byte {
 	if len(parts) == 1 {
@@ -199,6 +209,10 @@ type FaultLink struct {
 	inner Link
 	inj   *faultfs.Injector
 	mux   bool
+	// severed records that an incoming fault reset the current
+	// transport: what it still delivers is dropped, since a reset
+	// connection delivers nothing past the fault. Loop thread only.
+	severed bool
 }
 
 // Unwrap exposes the wrapped layer.
@@ -209,16 +223,15 @@ func (l *FaultLink) Stats() faultfs.Stats { return l.inj.Stats() }
 
 func (l *FaultLink) Send(parts ...[]byte) error {
 	if l.mux {
-		hdr := parts[0]
-		payload := []byte(nil)
-		if len(parts) > 1 {
-			payload = parts[1]
+		deliver, reset := muxFault(l.inj, "out", parts[0])
+		err := errInjectedReset
+		if deliver {
+			err = l.inner.Send(parts...)
 		}
-		out, forward := applyMuxFault(l.inj, "out", hdr, payload)
-		if !forward {
-			return nil
+		if reset {
+			l.abort()
 		}
-		return l.inner.Send(hdr, out)
+		return err
 	}
 	payload, forward, _ := applyFault(l.inj, "out", concat(parts))
 	if !forward {
@@ -229,20 +242,25 @@ func (l *FaultLink) Send(parts ...[]byte) error {
 
 func (l *FaultLink) Close() error { return l.inner.Close() }
 
+// abort resets the transport under the link.
+func (l *FaultLink) abort() {
+	if a, ok := Find[aborter](l.inner); ok {
+		a.abort()
+	}
+}
+
 // recv transforms one incoming message (dropping it returns nil, false).
 func (l *FaultLink) recv(data []byte) ([]byte, bool) {
 	if l.mux {
-		if len(data) < MuxHeaderLen || !MuxIsData(data) {
-			return data, true
-		}
-		out, forward := applyMuxFault(l.inj, "in", data[:MuxHeaderLen], data[MuxHeaderLen:])
-		if !forward {
+		if l.severed {
 			return nil, false
 		}
-		if len(out) != len(data)-MuxHeaderLen {
-			data = append(append([]byte{}, data[:MuxHeaderLen]...), out...)
+		deliver, reset := muxFault(l.inj, "in", data)
+		if reset {
+			l.severed = true
+			l.abort()
 		}
-		return data, true
+		return data, deliver
 	}
 	out, forward, _ := applyFault(l.inj, "in", data)
 	return out, forward
@@ -252,7 +270,7 @@ func (l *FaultLink) recv(data []byte) ([]byte, bool) {
 // "sockstack" subsystem — the outermost layer, so it measures what
 // the application sees.
 type TelLink struct {
-	inner              Link
+	inner               Link
 	framesIn, framesOut *telemetry.Counter
 	bytesIn, bytesOut   *telemetry.Counter
 }
@@ -293,14 +311,21 @@ type Conn struct {
 	tel  *TelLink
 	flt  *FaultLink
 
-	mux        *Mux
-	open       bool
-	closed     bool
-	err        error
-	waitOpen   []func() // dials queued before the link opened
-	plainUsed  bool
-	plain      *plainStream
-	shedLocal  int64
+	mux       *Mux
+	open      bool
+	closed    bool
+	err       error
+	waitOpen  []func() // dials queued before the link opened
+	plainUsed bool
+	plain     *plainStream
+	shedLocal int64
+}
+
+// sessionToken names a resumable mux session to the gateway.
+func sessionToken() string {
+	b := make([]byte, 16)
+	rand.Read(b)
+	return hex.EncodeToString(b)
 }
 
 // Stack assembles a client connection to addr from the window's event
@@ -324,6 +349,9 @@ func Stack(w *browser.Window, addr string, opts ...Option) *Conn {
 	path := "/"
 	if cfg.mux {
 		path = MuxPath
+		if cfg.reconnect != nil {
+			path += "?session=" + sessionToken()
+		}
 	}
 
 	// Incoming events route through the chain top-down: telemetry
@@ -411,22 +439,23 @@ func (c *Conn) onOpen(reconnected bool) {
 	if c.closed {
 		return
 	}
+	if c.flt != nil {
+		c.flt.severed = false
+	}
 	if c.cfg.mux {
-		// A (re)connection starts a fresh session: the gateway's state
-		// for the old one died with the old transport. Streams of the
-		// old session error with ECONNRESET (transient; redial).
-		if c.mux != nil {
-			c.mux.CloseSession(nil)
+		send := func(hdr, payload []byte) error { return c.link.Send(hdr, payload) }
+		if c.mux == nil {
+			c.mux = NewMux(MuxConfig{
+				Window:     c.cfg.window,
+				MaxStreams: c.cfg.maxStream,
+				Hub:        c.cfg.hub,
+				Send:       send,
+			})
+		} else {
+			// A redial: the gateway parked the session when the old
+			// transport died, so pick it up where it stopped.
+			c.mux.Resume(send)
 		}
-		c.mux = NewMux(MuxConfig{
-			Window:     c.cfg.window,
-			MaxStreams: c.cfg.maxStream,
-			RTO:        c.cfg.rto,
-			Hub:        c.cfg.hub,
-			Send: func(hdr, payload []byte) error {
-				return c.link.Send(hdr, payload)
-			},
-		})
 	}
 	c.open = true
 	waiters := c.waitOpen
@@ -437,11 +466,11 @@ func (c *Conn) onOpen(reconnected bool) {
 }
 
 func (c *Conn) onDown(err error) {
-	// Reconnecting transport lost the link; a redial is in flight.
+	// Reconnecting transport lost the link; a redial is in flight, and
+	// the session waits for it with every stream intact.
 	c.open = false
 	if c.mux != nil {
-		c.mux.CloseSession(err)
-		c.mux = nil
+		c.mux.Park()
 	}
 	if c.plain != nil {
 		c.plain.finish(err)

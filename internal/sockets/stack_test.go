@@ -1,11 +1,14 @@
 package sockets
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
 	"doppio/internal/browser"
 	"doppio/internal/telemetry"
+	"doppio/internal/vfs"
 	"doppio/internal/vfs/faultfs"
 	"doppio/internal/vfs/retry"
 )
@@ -87,7 +90,9 @@ func TestStackHeartbeatImpliesReconnect(t *testing.T) {
 }
 
 // TestStackMuxEcho exercises the full option set together: reconnect
-// policy, mux, telemetry, and a fault plan, over one echo round trip.
+// policy, mux, telemetry, and a fault plan whose data-frame faults
+// reset the connection. The session must resume across the resets and
+// deliver every echo byte-exact.
 func TestStackMuxEcho(t *testing.T) {
 	echoAddr, stopEcho := startEchoServer(t)
 	defer stopEcho()
@@ -97,6 +102,11 @@ func TestStackMuxEcho(t *testing.T) {
 	}
 	defer gw.Close()
 
+	const rounds = 32
+	var want []byte
+	for i := 0; i < rounds; i++ {
+		want = append(want, fmt.Sprintf("stacked echo %02d;", i)...)
+	}
 	hub := telemetry.NewHub()
 	w := browser.NewWindow(browser.Chrome28)
 	var got []byte
@@ -105,54 +115,115 @@ func TestStackMuxEcho(t *testing.T) {
 			WithReconnect(retry.Defaults()),
 			WithMux(8),
 			WithWindow(2048),
-			WithRTO(10*time.Millisecond),
 			WithFaults(faultfs.Plan{Seed: 3, ErrRate: 0.05, ShortRate: 0.05}),
 			WithTelemetry(hub),
 		)
 		conn.Dial(func(s *Socket, err error) {
 			if err != nil {
 				t.Errorf("dial: %v", err)
+				conn.Close()
 				return
 			}
-			s.Write([]byte("stacked echo")).Then(func(_ interface{}, err error) {
-				if err != nil {
-					t.Errorf("write: %v", err)
-				}
-			})
-			var pump func()
-			pump = func() {
-				s.Read(64).Then(func(v interface{}, err error) {
-					if err != nil {
-						t.Errorf("read: %v", err)
-						return
-					}
-					data, _ := v.([]byte)
-					got = append(got, data...)
-					if len(got) < len("stacked echo") {
-						pump()
-						return
-					}
+			// One message outstanding at a time, each echoed whole
+			// before the next is sent.
+			var round func(i int)
+			round = func(i int) {
+				if i == rounds {
 					s.Close()
 					conn.Close()
+					return
+				}
+				msg := []byte(fmt.Sprintf("stacked echo %02d;", i))
+				s.Write(msg).Then(func(_ interface{}, err error) {
+					if err != nil {
+						t.Errorf("write %d: %v", i, err)
+					}
 				})
+				n := 0
+				var pump func()
+				pump = func() {
+					s.Read(64).Then(func(v interface{}, err error) {
+						if err != nil {
+							t.Errorf("read %d: %v", i, err)
+							conn.Close()
+							return
+						}
+						data, _ := v.([]byte)
+						got = append(got, data...)
+						if n += len(data); n < len(msg) {
+							pump()
+							return
+						}
+						round(i + 1)
+					})
+				}
+				pump()
 			}
-			pump()
+			round(0)
 		})
 	})
 	if err := w.Loop.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != "stacked echo" {
-		t.Fatalf("echo = %q", got)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("echo transcript = %q\nwant %q", got, want)
 	}
-	// Telemetry flowed through every layer that was asked to report.
+	// Telemetry flowed through every layer that was asked to report,
+	// and at least one injected reset was ridden out by a resume.
 	for _, m := range []struct{ sub, name string }{
 		{"sockstack", "frames_out"},
 		{"sockmux", "streams"},
-		{"sockretry", "dials"},
+		{"sockmux", "resumes"},
+		{"sockretry", "reconnects"},
 	} {
 		if hub.Registry.Counter(m.sub, m.name).Value() == 0 {
 			t.Errorf("%s/%s is zero", m.sub, m.name)
 		}
+	}
+}
+
+// TestStackMuxStreamCap pins WithMux(n): a Dial past n live streams
+// fails locally with a shed StreamError (EAGAIN, transient) instead of
+// opening stream n+1.
+func TestStackMuxStreamCap(t *testing.T) {
+	echoAddr, stopEcho := startEchoServer(t)
+	defer stopEcho()
+	gw, err := NewWebsockify("127.0.0.1:0", echoAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+
+	const n = 2
+	w := browser.NewWindow(browser.Chrome28)
+	var opened, shed int
+	var other error
+	w.Loop.Post("main", func() {
+		conn := Stack(w, gw.Addr(), WithMux(n))
+		dials := 0
+		for i := 0; i < n+1; i++ {
+			conn.Dial(func(s *Socket, err error) {
+				switch {
+				case err == nil:
+					opened++
+				case IsShed(err):
+					shed++
+					if errno, ok := vfs.Classify(err); !ok || !errno.Transient() {
+						other = err
+					}
+				default:
+					other = err
+				}
+				if dials++; dials == n+1 {
+					conn.Close()
+				}
+			})
+		}
+	})
+	if err := w.Loop.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if opened != n || shed != 1 || other != nil {
+		t.Fatalf("dials: %d opened, %d shed, other error %v; want %d opened, 1 shed", opened, shed, other, n)
 	}
 }

@@ -1,8 +1,11 @@
 package sockets
 
 import (
+	"errors"
 	"io"
 	"net"
+	"net/url"
+	"strings"
 	"sync"
 	"time"
 
@@ -25,7 +28,11 @@ import (
 //     over the one WebSocket, each with its own credit window, shed
 //     with RST(EAGAIN) when the owning tenant's event loop falls
 //     behind (GatewayOptions.QueueDepth over ShedDepth) or the
-//     session hits MaxStreams.
+//     session hits MaxStreams. A client that presents a session token
+//     (MuxPath + "?session=" + token) can resume the session on a new
+//     connection: when its transport dies without a close frame, the
+//     session is parked, streams and target connections intact, for
+//     ParkGrace.
 type Websockify struct {
 	listener net.Listener
 	target   string
@@ -37,14 +44,38 @@ type Websockify struct {
 	inj        *faultfs.Injector
 	plainConns int64
 	muxConns   int64
+	parked     int
+	grace      time.Duration // ParkGrace; tests shorten it
 	paused     bool
 	pauses     int64
 	retired    MuxStats // counters of closed mux sessions
-	sessions   map[*Mux]struct{}
+	sessions   map[*Mux]*gwSession
+	tokens     map[string]*gwSession // resumable sessions by client token
 	conns      map[net.Conn]struct{} // live accepted conns, closed by Close
 
 	tel *proxyTelemetry
 }
+
+// ParkGrace is how long the gateway keeps a resumable session whose
+// transport died abruptly — its streams and their bridged target
+// connections — waiting for the client to redial. It comfortably
+// outlasts the default redial budget: retry.Defaults spends about
+// 31 ms of backoff over its six attempts.
+const ParkGrace = 3 * time.Second
+
+// gwSession is one mux session and the transport carrying it.
+type gwSession struct {
+	m     *Mux
+	token string        // "" for a client that cannot resume
+	conn  net.Conn      // the carrying transport; nil while parked
+	freed chan struct{} // closed once conn's handler has let go
+	parks int           // parks so far; a grace timer expires only its own
+	timer *time.Timer   // grace expiry while parked
+}
+
+// errInjectedReset is the send error of a mux frame whose injected
+// fault reset the connection.
+var errInjectedReset = errors.New("sockets: injected connection reset")
 
 // GatewayOptions configures NewGateway. The zero value is a plain
 // websockify: 64 KiB windows, 1024 streams per session, no shedding,
@@ -64,8 +95,6 @@ type GatewayOptions struct {
 	// depth (core.Runtime.QueueDepth is safe cross-goroutine). Nil
 	// disables depth-based shedding.
 	QueueDepth func() int
-	// RTO overrides the mux retransmission timeout (0 = 50 ms).
-	RTO time.Duration
 	// DisableMux serves every path in plain one-stream-per-connection
 	// mode, MuxPath included — the -mux=false escape hatch for
 	// debugging against clients that cannot speak the framing.
@@ -127,7 +156,9 @@ func NewGateway(listenAddr, target string, opts GatewayOptions) (*Websockify, er
 		target:   target,
 		opts:     opts,
 		tel:      newProxyTelemetry(opts.Hub),
-		sessions: make(map[*Mux]struct{}),
+		grace:    ParkGrace,
+		sessions: make(map[*Mux]*gwSession),
+		tokens:   make(map[string]*gwSession),
 		conns:    make(map[net.Conn]struct{}),
 	}
 	if opts.Faults.Enabled() {
@@ -159,12 +190,13 @@ func NewWebsockify(listenAddr, target string) (*Websockify, error) {
 //   - Short truncates the frame's payload to Keep of its bytes.
 //   - A latency spike stalls the pump before forwarding.
 //
-// In mux mode faults hit only DATA frames (the data plane): ErrPre
-// and ErrPost drop the frame, Short truncates its payload below its
-// declared length — both of which go-back-N detects and repairs.
-// Control frames (SYN/ACK/CREDIT/FIN/RST) are the reliable plane and
-// pass untouched. Connections already past their handshake keep their
-// previous injector.
+// In mux mode decisions are drawn per DATA frame, and every fault
+// resets the connection without a close frame — WebSocket rides TCP,
+// which loses connections, never single frames. ErrPost delivers the
+// frame first; ErrPre and Short reset before it. A resumable client
+// redials and its parked session picks up where it stopped; any other
+// session's streams fail with ECONNRESET. Connections already past
+// their handshake keep their previous injector.
 func (w *Websockify) SetFaults(plan faultfs.Plan) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -213,9 +245,9 @@ func (w *Websockify) LiveStreams() int {
 func (w *Websockify) Close() error {
 	w.mu.Lock()
 	w.closed = true
-	sessions := make([]*Mux, 0, len(w.sessions))
-	for m := range w.sessions {
-		sessions = append(sessions, m)
+	sessions := make([]*gwSession, 0, len(w.sessions))
+	for _, s := range w.sessions {
+		sessions = append(sessions, s)
 	}
 	conns := make([]net.Conn, 0, len(w.conns))
 	for c := range w.conns {
@@ -223,8 +255,8 @@ func (w *Websockify) Close() error {
 	}
 	w.mu.Unlock()
 	err := w.listener.Close()
-	for _, m := range sessions {
-		m.CloseSession(nil)
+	for _, s := range sessions {
+		s.m.CloseSession(nil)
 	}
 	// Closing the conns unblocks handlers parked in ReadFrame so the
 	// Wait below cannot hang on an idle client.
@@ -232,6 +264,16 @@ func (w *Websockify) Close() error {
 		c.Close()
 	}
 	w.wg.Wait()
+	// Parked sessions have no handler to retire them.
+	w.mu.Lock()
+	for _, s := range w.sessions {
+		if s.conn == nil {
+			s.timer.Stop()
+			w.parked--
+			w.retireLocked(s)
+		}
+	}
+	w.mu.Unlock()
 	return err
 }
 
@@ -352,24 +394,27 @@ func applyFault(inj *faultfs.Injector, op string, payload []byte) (out []byte, f
 	return payload, true, false
 }
 
-// applyMuxFault faults the data plane of a mux frame already split
-// into header and payload: drop (skip the send), or truncate the
-// payload below its declared length. Control frames pass untouched.
-func applyMuxFault(inj *faultfs.Injector, op string, hdr, payload []byte) (out []byte, forward bool) {
-	if inj == nil || len(hdr) < MuxHeaderLen || hdr[4] != muxData {
-		return payload, true
+// muxFault draws the fault decision for one mux frame given its
+// header. Only DATA frames draw. Every fault resets the transport:
+// WebSocket rides TCP, which can lose a connection but never a single
+// frame, nor deliver one short. ErrPost delivers the frame and then
+// resets; ErrPre and Short reset before it. A latency spike stalls the
+// frame and delivers it.
+func muxFault(inj *faultfs.Injector, op string, hdr []byte) (deliver, reset bool) {
+	if inj == nil || !MuxIsData(hdr) {
+		return true, false
 	}
 	ft := inj.Next(op)
 	if ft.Delay > 0 {
 		time.Sleep(ft.Delay)
 	}
 	switch ft.Kind {
-	case faultfs.ErrPre, faultfs.ErrPost:
-		return nil, false
-	case faultfs.Short:
-		return payload[:int(float64(len(payload))*ft.Keep)], true
+	case faultfs.ErrPre, faultfs.Short:
+		return false, true
+	case faultfs.ErrPost:
+		return true, true
 	}
-	return payload, true
+	return true, false
 }
 
 // connWriter serializes every writer of one WebSocket connection: the
@@ -377,7 +422,7 @@ func applyMuxFault(inj *faultfs.Injector, op string, hdr, payload []byte) (out [
 // plain mode's two pumps all target the same conn. net.Conn.Write may
 // split a frame across several syscalls under backpressure, so
 // unserialized writers can interleave mid-frame and desync the WS
-// framing layer itself — corruption no retransmission can repair.
+// framing layer itself — corruption nothing above it can repair.
 type connWriter struct {
 	mu   sync.Mutex
 	conn net.Conn
@@ -418,8 +463,9 @@ func (w *Websockify) serve(wsConn net.Conn) {
 		tel.flight.Record("sock", "conn", peer, 0)
 	}
 	cw := &connWriter{conn: wsConn}
-	if path == MuxPath && !w.opts.DisableMux {
-		w.serveMux(wsConn, cw, br, inj)
+	if p, query, _ := strings.Cut(path, "?"); p == MuxPath && !w.opts.DisableMux {
+		q, _ := url.ParseQuery(query)
+		w.serveMux(wsConn, cw, br, inj, q.Get("session"))
 		return
 	}
 	w.servePlain(wsConn, cw, br, tel, inj)
@@ -427,39 +473,27 @@ func (w *Websockify) serve(wsConn net.Conn) {
 
 // ---- mux mode ----
 
-func (w *Websockify) serveMux(wsConn net.Conn, cw *connWriter, br io.Reader, inj *faultfs.Injector) {
-	w.mu.Lock()
-	w.muxConns++
-	w.mu.Unlock()
-	var m *Mux
-	m = NewMux(MuxConfig{
-		Window:     w.opts.Window,
-		MaxStreams: w.opts.MaxStreams,
-		RTO:        w.opts.RTO,
-		Hub:        w.opts.Hub,
-		Send: func(hdr, payload []byte) error {
-			out, forward := applyMuxFault(inj, "tcp2ws", hdr, payload)
-			if !forward {
-				return nil
-			}
-			return cw.writeBinary(hdr, out)
-		},
-		AcceptStream: func(st *MuxStream) {
-			// Admission control: a tenant past the shed threshold
-			// refuses the stream outright — RST(EAGAIN), which
-			// classifies transient so well-behaved clients back off
-			// and redial.
-			if w.overloaded() {
-				st.Reject(vfs.EAGAIN)
-				return
-			}
-			go w.bridgeStream(st)
-		},
-	})
-	w.mu.Lock()
-	w.sessions[m] = struct{}{}
-	w.mu.Unlock()
-
+func (w *Websockify) serveMux(wsConn net.Conn, cw *connWriter, br io.Reader, inj *faultfs.Injector, token string) {
+	send := func(hdr, payload []byte) error {
+		deliver, reset := muxFault(inj, "tcp2ws", hdr)
+		if !deliver {
+			wsConn.Close()
+			return errInjectedReset
+		}
+		err := cw.writeBinary(hdr, payload)
+		if err != nil || reset {
+			// The transport is gone: closing it ends the reader below,
+			// which parks or retires the session.
+			wsConn.Close()
+		}
+		return err
+	}
+	s := w.attach(token, wsConn, send)
+	if s == nil {
+		return
+	}
+	orderly := false
+loop:
 	for {
 		f, err := ReadFrame(br)
 		if err != nil {
@@ -468,32 +502,127 @@ func (w *Websockify) serveMux(wsConn net.Conn, cw *connWriter, br io.Reader, inj
 		switch f.Op {
 		case OpClose:
 			cw.writeFrame(&Frame{Fin: true, Op: OpClose})
-			goto done
+			orderly = true
+			break loop
 		case OpPing:
 			cw.writeFrame(&Frame{Fin: true, Op: OpPong, Payload: f.Payload})
 		case OpBinary:
-			payload := f.Payload
-			if len(payload) >= MuxHeaderLen && MuxIsData(payload) {
-				hdr := payload[:MuxHeaderLen]
-				data, forward := applyMuxFault(inj, "ws2tcp", hdr, payload[MuxHeaderLen:])
-				if !forward {
-					continue
-				}
-				if len(data) != len(payload)-MuxHeaderLen {
-					payload = append(append([]byte{}, hdr...), data...)
-				}
+			deliver, reset := muxFault(inj, "ws2tcp", f.Payload)
+			if deliver {
+				s.m.HandleFrame(f.Payload)
 			}
-			m.HandleFrame(payload)
+			if reset {
+				break loop
+			}
 		}
 	}
-done:
-	stats := m.Stats()
-	m.CloseSession(nil)
+	wsConn.Close()
+	w.detach(s, orderly)
+}
+
+// attach binds a new mux connection to its session: the parked
+// session its token names, one still held by a previous transport that
+// has not yet noticed it died (that transport is closed and its
+// handler waited for), or else a new session.
+func (w *Websockify) attach(token string, conn net.Conn, send func(hdr, payload []byte) error) *gwSession {
+	for {
+		w.mu.Lock()
+		if w.closed {
+			w.mu.Unlock()
+			return nil
+		}
+		s := w.tokens[token]
+		switch {
+		case s == nil:
+			s = &gwSession{token: token, conn: conn, freed: make(chan struct{})}
+			s.m = NewMux(MuxConfig{
+				Window:       w.opts.Window,
+				MaxStreams:   w.opts.MaxStreams,
+				Hub:          w.opts.Hub,
+				Send:         send,
+				AcceptStream: w.acceptStream,
+			})
+			w.sessions[s.m] = s
+			if token != "" {
+				w.tokens[token] = s
+			}
+			w.muxConns++
+			w.mu.Unlock()
+			return s
+		case s.conn == nil:
+			s.timer.Stop()
+			s.conn, s.freed = conn, make(chan struct{})
+			w.parked--
+			w.muxConns++
+			w.mu.Unlock()
+			s.m.Resume(send)
+			return s
+		}
+		old, freed := s.conn, s.freed
+		w.mu.Unlock()
+		old.Close()
+		<-freed
+	}
+}
+
+// acceptStream is admission control: a tenant past the shed threshold
+// refuses the stream outright — RST(EAGAIN), which classifies
+// transient so well-behaved clients back off and redial.
+func (w *Websockify) acceptStream(st *MuxStream) {
+	if w.overloaded() {
+		st.Reject(vfs.EAGAIN)
+		return
+	}
+	go w.bridgeStream(st)
+}
+
+// detach lets go of a session whose transport ended. An orderly close,
+// a client without a token, or a closing gateway retires it at once;
+// otherwise it is parked for the grace period, streams and target
+// connections intact, waiting for the client to redial.
+func (w *Websockify) detach(s *gwSession, orderly bool) {
+	park := !orderly && s.token != ""
+	if park {
+		s.m.Park()
+	}
 	w.mu.Lock()
-	delete(w.sessions, m)
+	s.conn = nil
+	close(s.freed)
 	w.muxConns--
-	w.retired.Add(stats)
+	if park && !w.closed {
+		w.parked++
+		s.parks++
+		parks := s.parks
+		s.timer = time.AfterFunc(w.grace, func() { w.expire(s, parks) })
+		w.mu.Unlock()
+		return
+	}
+	w.retireLocked(s)
 	w.mu.Unlock()
+}
+
+// expire retires a session still parked when its grace period ends:
+// its streams fail with ECONNRESET and the bridges close their target
+// connections.
+func (w *Websockify) expire(s *gwSession, parks int) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if s.conn != nil || s.parks != parks || w.sessions[s.m] != s {
+		return // resumed, parked again, or already retired
+	}
+	w.parked--
+	w.retireLocked(s)
+}
+
+// retireLocked ends a session for good. w.mu held; CloseSession takes
+// only the session's own lock and runs no gateway callbacks.
+func (w *Websockify) retireLocked(s *gwSession) {
+	s.m.CloseSession(nil)
+	delete(w.sessions, s.m)
+	if w.tokens[s.token] == s {
+		delete(w.tokens, s.token)
+	}
+	w.retired.Add(s.m.Stats())
 }
 
 // bridgeStream connects one accepted mux stream to the TCP target and
@@ -672,9 +801,10 @@ type GatewaySnapshot struct {
 	Target     string        `json:"target"`
 	PlainConns int64         `json:"plain_conns"`
 	MuxConns   int64         `json:"mux_conns"`
-	Paused     bool          `json:"paused"` // shedding backpressure right now
-	Pauses     int64         `json:"pauses"` // times the gateway entered pause
-	Stats      MuxStats      `json:"stats"`  // live + retired sessions
+	Parked     int           `json:"parked_sessions"` // waiting for their client to redial
+	Paused     bool          `json:"paused"`          // shedding backpressure right now
+	Pauses     int64         `json:"pauses"`          // times the gateway entered pause
+	Stats      MuxStats      `json:"stats"`           // live + retired sessions
 	Sessions   []MuxSnapshot `json:"sessions"`
 	Faults     faultfs.Stats `json:"faults"`
 }
@@ -687,6 +817,7 @@ func (w *Websockify) Snapshot() GatewaySnapshot {
 		Target:     w.target,
 		PlainConns: w.plainConns,
 		MuxConns:   w.muxConns,
+		Parked:     w.parked,
 		Paused:     w.paused,
 		Pauses:     w.pauses,
 		Stats:      w.retired,

@@ -1,17 +1,21 @@
 package sockets
 
 // Per-stream flow control is credit-based, the scheme the mux frames
-// carry in their arg field (§15 of DESIGN.md):
+// carry in their arg field (§15 of DESIGN.md). Every quantity is an
+// absolute stream offset, so any grant can be re-sent safely — which
+// is what lets a resumed session reconcile credit by restating it:
 //
 //   - At stream open, SYN/SYNACK advertise each side's receive window:
-//     the number of payload bytes the peer may have in flight.
-//   - A sender spends credit when it first transmits a byte
-//     (retransmissions are free — the receiver budgeted for the byte
-//     when it was first sent, and go-back-N may resend it many times).
-//   - A receiver earns the sender new credit by draining its receive
-//     buffer: CREDIT frames carry the delta, batched until a quarter
-//     of the window has been drained so a byte-at-a-time consumer does
-//     not generate a credit frame per byte.
+//     the number of payload bytes the peer may send beyond what the
+//     consumer has drained.
+//   - A receiver grants credit by advertising its consumed edge — the
+//     offset through which its consumer has drained the stream. CREDIT
+//     frames carry that edge, batched until a quarter of the window
+//     has drained, so a byte-at-a-time consumer does not generate a
+//     credit frame per byte.
+//   - A sender may transmit up to the last edge it heard plus the
+//     window; the edge also tells it which bytes the peer holds, so
+//     the same frame releases the sender's retained tail.
 //
 // A writer that exhausts the window parks (its Write completion stays
 // pending) until credit arrives — the "zero-window writer blocks,
@@ -19,33 +23,45 @@ package sockets
 // sheds load by withholding credit (pausing) or refusing streams
 // (RST), both expressed in this same currency.
 
-// sendWindow is the sender half: the credit balance for one stream
-// direction. Callers hold the owning Mux's lock.
+// sendWindow is the sender half of one stream direction. Callers hold
+// the owning Mux's lock.
 type sendWindow struct {
-	avail int // bytes of credit not yet spent
+	window int    // the peer's advertised receive window
+	limit  uint64 // stream offset the sender may transmit up to
 }
 
-// grant adds peer-issued credit.
-func (w *sendWindow) grant(n int) { w.avail += n }
+// open records the window a SYN or SYNACK advertised: nothing is
+// consumed yet, so the limit is the window itself.
+func (w *sendWindow) open(window int) {
+	w.window = window
+	w.limit = uint64(window)
+}
 
-// take spends up to n bytes of credit, returning how many were
-// actually available; 0 means the window is closed and the writer
-// must park.
-func (w *sendWindow) take(n int) int {
-	if n > w.avail {
-		n = w.avail
+// credit applies a consumed edge the peer advertised. Edges only move
+// forward, so a stale or repeated grant changes nothing.
+func (w *sendWindow) credit(edge uint32) {
+	if l := uint64(edge) + uint64(w.window); l > w.limit {
+		w.limit = l
 	}
-	w.avail -= n
-	return n
 }
 
-// recvWindow is the receiver half: it remembers the advertised window
-// and accumulates drained bytes until a credit grant is worth sending.
-// Callers hold the owning Mux's lock.
+// avail reports how many bytes past offset next the window admits; 0
+// means the window is closed and the writer must park.
+func (w *sendWindow) avail(next uint32) int {
+	if w.limit <= uint64(next) {
+		return 0
+	}
+	return int(w.limit - uint64(next))
+}
+
+// recvWindow is the receiver half: the advertised window, how far the
+// consumer has drained, and the edge last granted to the peer. Callers
+// hold the owning Mux's lock.
 type recvWindow struct {
-	window  int // bytes advertised to the peer at open
-	pending int // bytes drained by the consumer, not yet granted back
-	paused  bool
+	window   int    // bytes advertised to the peer at open
+	consumed uint32 // stream offset the consumer has drained through
+	granted  uint32 // consumed edge last advertised to the peer
+	paused   bool
 }
 
 // creditThreshold is the fraction of the window that must drain before
@@ -59,33 +75,15 @@ func (w *recvWindow) creditThreshold() int {
 	return t
 }
 
-// drained records n consumed bytes and returns the credit grant to
-// transmit now — 0 when the grant is still batching or the stream is
-// paused for shedding (a paused stream keeps accumulating; resume
-// releases the whole balance).
-func (w *recvWindow) drained(n int) int {
-	w.pending += n
-	if w.paused || w.pending < w.creditThreshold() {
-		return 0
-	}
-	g := w.pending
-	w.pending = 0
-	return g
+// due reports whether a grant is worth sending now: a quarter window
+// has drained since the last one and the stream is not paused for
+// shedding (a paused stream keeps accumulating; resume releases it).
+func (w *recvWindow) due() bool {
+	return !w.paused && int(w.consumed-w.granted) >= w.creditThreshold()
 }
 
-// pause withholds future credit grants; the sender runs out of window
-// and stalls, which is how the gateway applies backpressure to a
-// stream whose tenant has fallen behind.
-func (w *recvWindow) pause() { w.paused = true }
-
-// resume lifts a pause and returns any credit that accumulated while
-// paused (0 when nothing is owed).
-func (w *recvWindow) resume() int {
-	w.paused = false
-	g := w.pending
-	if g > 0 && g >= w.creditThreshold() {
-		w.pending = 0
-		return g
-	}
-	return 0
+// admits reports whether bytes through offset end fit the credit this
+// receiver has granted; a sender past it is violating the protocol.
+func (w *recvWindow) admits(end uint64) bool {
+	return end <= uint64(w.granted)+uint64(w.window)
 }
