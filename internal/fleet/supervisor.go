@@ -55,8 +55,9 @@ type Config struct {
 	StallCount  int
 
 	// NewRoot builds a tenant's private root backend; called off-loop
-	// at admission, wrapped in a page cache when the tenant's budget
-	// asks for one. Default: vfs.NewInMemory.
+	// by Submit before admission (a refused tenant's root is dropped),
+	// wrapped in a page cache when the tenant's budget asks for one.
+	// Default: vfs.NewInMemory.
 	NewRoot func() vfs.Backend
 
 	// Profiling gives every tenant its own continuous guest profiler
@@ -145,6 +146,30 @@ func (s *Supervisor) Submit(spec Tenant) (*TenantRef, error) {
 	if spec.Start == nil {
 		return nil, fmt.Errorf("fleet: tenant %q has no Start", spec.Label)
 	}
+	// The tenant is fully built before s.tenants can reach it: Snapshot
+	// reads it under s.mu from other goroutines. The root backend is
+	// built off-loop (in-memory backends are safe to construct
+	// anywhere) and outside s.mu, so Submit serializes on neither.
+	t := &tenant{
+		spec:        spec,
+		sup:         s,
+		state:       StatePending,
+		submittedAt: time.Now(),
+		doneCh:      make(chan struct{}),
+		root:        s.cfg.NewRoot(),
+	}
+	if spec.Budget.CacheBytes > 0 {
+		t.root = vfs.Stack(t.root, vfs.WithCache(vfs.CacheOptions{ByteBudget: spec.Budget.CacheBytes}))
+	}
+	if s.cfg.Profiling {
+		// Immutable on the tenant thereafter, so Snapshot can rank hot
+		// methods without touching the shard.
+		interval := s.cfg.ProfileInterval
+		if interval <= 0 {
+			interval = 10 * time.Millisecond
+		}
+		t.prof = profile.New(profile.Options{CPUInterval: interval})
+	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -167,14 +192,7 @@ func (s *Supervisor) Submit(spec Tenant) (*TenantRef, error) {
 		}
 		return nil, &AdmissionError{Label: spec.Label, Reason: "every shard is at its per-shard tenant cap"}
 	}
-	t := &tenant{
-		spec:        spec,
-		sup:         s,
-		shard:       sh,
-		state:       StatePending,
-		submittedAt: time.Now(),
-		doneCh:      make(chan struct{}),
-	}
+	t.shard = sh
 	s.admitted++
 	s.live++
 	s.heapUsed += spec.Budget.HeapBytes
@@ -192,23 +210,6 @@ func (s *Supervisor) Submit(spec Tenant) (*TenantRef, error) {
 	}
 	if s.mLive != nil {
 		s.mLive.Add(1)
-	}
-
-	// The root backend is built off-loop (in-memory backends are safe
-	// to construct anywhere) so Submit does not serialize on the shard.
-	root := s.cfg.NewRoot()
-	if spec.Budget.CacheBytes > 0 {
-		root = vfs.Stack(root, vfs.WithCache(vfs.CacheOptions{ByteBudget: spec.Budget.CacheBytes}))
-	}
-	t.root = root
-	if s.cfg.Profiling {
-		// Built off-loop and immutable on the tenant thereafter, so
-		// Snapshot can rank hot methods without touching the shard.
-		interval := s.cfg.ProfileInterval
-		if interval <= 0 {
-			interval = 10 * time.Millisecond
-		}
-		t.prof = profile.New(profile.Options{CPUInterval: interval})
 	}
 
 	sh.loop.InvokeExternal("fleet-admit:"+spec.Label, func() { sh.startTenant(t) })

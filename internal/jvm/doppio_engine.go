@@ -895,15 +895,10 @@ func (vm *DoppioVM) EvalJS(snippet string) string {
 // JVM natives wrap them with suspend-and-resume.
 type VFSHostFS struct{ FS *vfs.FS }
 
-// ReadFile loads a whole file.
+// ReadFile loads a whole file, delivering the VFS's read-only slice
+// (see HostFS.ReadFile).
 func (v *VFSHostFS) ReadFile(path string, cb func([]byte, error)) {
-	v.FS.ReadFile(path, func(b *buffer.Buffer, err error) {
-		if err != nil {
-			cb(nil, err)
-			return
-		}
-		cb(b.Bytes(), nil)
-	})
+	v.FS.ReadFileBytes(path, cb)
 }
 
 // WriteFile replaces a whole file.
@@ -959,12 +954,14 @@ func (p *VFSClassProvider) BytesAsync(name string, cb func([]byte, error)) {
 			return
 		}
 		path := strings.TrimSuffix(p.Dirs[i], "/") + "/" + name + ".class"
-		p.FS.ReadFile(path, func(b *buffer.Buffer, err error) {
+		// The class parser copies what it keeps, so the VFS's
+		// read-only slice goes straight to it.
+		p.FS.ReadFileBytes(path, func(data []byte, err error) {
 			if err != nil {
 				try(i + 1)
 				return
 			}
-			cb(b.Bytes(), nil)
+			cb(data, nil)
 		})
 	}
 	try(0)

@@ -539,6 +539,65 @@ public class Main {
 	}
 }
 
+// TestDoppioGuestCannotReachStoredBytes pins the one copy of a guest
+// read: the VFS shares stored contents read-only down to the natives,
+// so the byte[] FileSystem.readFile returns must be the guest's own.
+// Overwriting it must change neither the cached page nor the stored
+// file that the second read sees.
+func TestDoppioGuestCannotReachStoredBytes(t *testing.T) {
+	classes, err := rt.CompileWith(map[string]string{"Main.mj": `
+import doppio.io.FileSystem;
+
+public class Main {
+    static String text(byte[] b) {
+        char[] cs = new char[b.length];
+        for (int i = 0; i < b.length; i++) {
+            cs[i] = (char) b[i];
+        }
+        return new String(cs);
+    }
+
+    public static void main(String[] args) {
+        byte[] first = FileSystem.readFile("/data.txt");
+        for (int i = 0; i < first.length; i++) {
+            first[i] = (byte) 120;
+        }
+        byte[] second = FileSystem.readFile("/data.txt");
+        System.out.println(text(first));
+        System.out.println(text(second));
+    }
+}`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	win := browser.NewWindow(browser.Chrome28)
+	store := vfs.NewInMemory()
+	store.Sync("/data.txt", []byte("stored"), func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	fs := vfs.New(win.Loop, &buffer.Factory{Typed: true}, vfs.Stack(store, vfs.WithCache(vfs.CacheOptions{})))
+	var stdout bytes.Buffer
+	vm := jvm.NewDoppioVM(win, jvm.DoppioOptions{
+		Stdout:           &stdout,
+		Provider:         jvm.MapProvider(classes),
+		FS:               &jvm.VFSHostFS{FS: fs},
+		DisableEngineTax: true,
+	})
+	if err := vm.RunMain("Main", nil); err != nil {
+		t.Fatalf("RunMain: %v\n%s", err, stdout.String())
+	}
+	if got, want := stdout.String(), "xxxxxx\nstored\n"; got != want {
+		t.Errorf("out = %q, want %q", got, want)
+	}
+	store.Open("/data.txt", func(data []byte, err error) {
+		if err != nil || string(data) != "stored" {
+			t.Errorf("stored file = %q, %v; want \"stored\"", data, err)
+		}
+	})
+}
+
 func TestDoppioMissingClass(t *testing.T) {
 	out, err := runDoppioErr(t, browser.Chrome28, `
 public class Main {

@@ -41,6 +41,9 @@ type AsyncWriter interface {
 // the native engine implements it over the host OS, invoking the
 // callbacks synchronously. All callbacks must eventually fire.
 type HostFS interface {
+	// ReadFile delivers a whole file. The slice is read-only: it may
+	// share the file system's stored contents (vfs.FS.ReadFileBytes),
+	// so callers copy it into memory of their own before any write.
 	ReadFile(path string, cb func([]byte, error))
 	WriteFile(path string, data []byte, cb func(error))
 	Append(path string, data []byte, cb func(error))

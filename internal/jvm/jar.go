@@ -7,7 +7,6 @@ import (
 	"io"
 	"strings"
 
-	"doppio/internal/buffer"
 	"doppio/internal/vfs"
 )
 
@@ -96,12 +95,14 @@ func (p *JarProvider) BytesAsync(name string, cb func([]byte, error)) {
 // archive itself can live on any backend — HTTP, localStorage, cloud)
 // and delivers a provider for it.
 func LoadJarFromVFS(fs *vfs.FS, path string, cb func(*JarProvider, error)) {
-	fs.ReadFile(path, func(b *buffer.Buffer, err error) {
+	// ReadJar only reads the archive (each entry lands in a slice of
+	// its own), so the VFS's read-only slice needs no copy.
+	fs.ReadFileBytes(path, func(data []byte, err error) {
 		if err != nil {
 			cb(nil, err)
 			return
 		}
-		p, perr := NewJarProvider(b.Bytes())
+		p, perr := NewJarProvider(data)
 		cb(p, perr)
 	})
 }

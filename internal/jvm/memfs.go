@@ -33,7 +33,9 @@ func (m *MemHostFS) Len() int {
 	return len(m.files)
 }
 
-// ReadFile reads a whole file.
+// ReadFile reads a whole file: the stored slice itself, read-only
+// (see HostFS.ReadFile). Put stores a copy and Append only writes past
+// the end of earlier contents, so delivered slices never change.
 func (m *MemHostFS) ReadFile(p string, cb func([]byte, error)) {
 	m.mu.Lock()
 	d, ok := m.files[p]
@@ -42,7 +44,7 @@ func (m *MemHostFS) ReadFile(p string, cb func([]byte, error)) {
 		cb(nil, fmt.Errorf("memfs: not found: %s", p))
 		return
 	}
-	cb(append([]byte(nil), d...), nil)
+	cb(d, nil)
 }
 
 // WriteFile replaces a whole file.

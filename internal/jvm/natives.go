@@ -5,6 +5,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // registerNatives builds the native method table (§6.3): JVM
@@ -241,25 +242,28 @@ func javaDoubleString(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// byteArray wraps data in a JVM byte[].
+// byteArray copies data into a fresh JVM byte[]. It must copy: data
+// may be a file's shared read-only contents (HostFS.ReadFile), and the
+// guest is free to write into the array it gets.
 func byteArray(h NativeHost, data []byte) *Object {
 	arrC := h.LookupClass("[B")
 	arr := NewArray(arrC, "B", len(data))
-	dst := arr.Arr.([]int8)
-	for i, b := range data {
-		dst[i] = int8(b)
-	}
+	copy(int8Bytes(arr.Arr.([]int8)), data)
 	return arr
 }
 
-// goBytes reads a JVM byte[] into Go bytes.
+// goBytes copies a JVM byte[] into fresh Go bytes.
 func goBytes(o *Object) []byte {
 	src, _ := o.Arr.([]int8)
 	out := make([]byte, len(src))
-	for i, b := range src {
-		out[i] = byte(b)
-	}
+	copy(out, int8Bytes(src))
 	return out
+}
+
+// int8Bytes views a byte[]'s []int8 storage as []byte (same size and
+// layout), so copies in and out of guest arrays are one bulk copy.
+func int8Bytes(s []int8) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
 }
 
 func stringArray(h NativeHost, ss []string) *Object {

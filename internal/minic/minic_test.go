@@ -158,6 +158,53 @@ int main() {
 	}
 }
 
+// TestReadFileCopiesIntoHeap pins readfile's one copy: the VFS shares
+// stored contents read-only, and the heap block readfile returns is
+// the program's own, so writing into it must change neither the
+// cached page nor the stored file that a second readfile sees.
+func TestReadFileCopiesIntoHeap(t *testing.T) {
+	win := browser.NewWindow(browser.Chrome28)
+	store := vfs.NewInMemory()
+	store.Sync("/data.txt", []byte("stored"), func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	fs := vfs.New(win.Loop, &buffer.Factory{Typed: true}, vfs.Stack(store, vfs.WithCache(vfs.CacheOptions{})))
+	prog, err := minic.CompileC(`
+int main() {
+    char *first = readfile("/data.txt");
+    int i = 0;
+    while (first[i] != 0) {
+        first[i] = 'x';
+        i++;
+    }
+    char *second = readfile("/data.txt");
+    puts(first); putchar('\n');
+    puts(second); putchar('\n');
+    return 0;
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout bytes.Buffer
+	vm, err := minic.NewVM(win, prog, minic.VMOptions{Stdout: &stdout, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vm.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := stdout.String(), "xxxxxx\nstored\n"; got != want {
+		t.Errorf("out = %q, want %q", got, want)
+	}
+	store.Open("/data.txt", func(data []byte, err error) {
+		if err != nil || string(data) != "stored" {
+			t.Errorf("stored file = %q, %v; want \"stored\"", data, err)
+		}
+	})
+}
+
 func TestGetlineBlockingInput(t *testing.T) {
 	// The paper's §3.2 motivating example: synchronous console input.
 	lines := []string{"Ada Lovelace"}

@@ -540,15 +540,16 @@ func (vm *VM) syscall(ct *core.Thread, n int32) bool {
 		})
 	case SysReadFile:
 		// The §7.2 payoff: synchronous dynamic file loading — the
-		// program blocks while the Doppio FS fetches the file.
+		// program blocks while the Doppio FS fetches the file. The
+		// VFS's slice is read-only; WriteBytes into the heap is the
+		// read's one copy.
 		path := vm.cString(vm.pop())
 		return vm.blockOn(ct, "minic.readfile("+path+")", func(done func(int32)) {
-			vm.fs.ReadFile(path, func(b *buffer.Buffer, err error) {
+			vm.fs.ReadFileBytes(path, func(data []byte, err error) {
 				if err != nil {
 					done(0)
 					return
 				}
-				data := b.Bytes()
 				addr, merr := vm.heap.Malloc(len(data) + 1)
 				if merr != nil {
 					done(0)

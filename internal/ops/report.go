@@ -104,14 +104,14 @@ const FlightTail = 200
 // runtime emits on deadlock/watchdog/stall, and the payload behind the
 // server's debug endpoints. Nil sections were unavailable at capture.
 type Report struct {
-	Reason    string                  `json:"reason"`
-	Detail    string                  `json:"detail,omitempty"`
-	Source    string                  `json:"source,omitempty"`
-	Scheduler *core.SchedulerDump     `json:"scheduler,omitempty"`
-	VFS       *VFSState               `json:"vfs,omitempty"`
-	Heap      *HeapState              `json:"heap,omitempty"`
-	Procs     []proc.ProcInfo         `json:"procs,omitempty"`
-	JVM       []JVMEngineState        `json:"jvm,omitempty"`
+	Reason    string              `json:"reason"`
+	Detail    string              `json:"detail,omitempty"`
+	Source    string              `json:"source,omitempty"`
+	Scheduler *core.SchedulerDump `json:"scheduler,omitempty"`
+	VFS       *VFSState           `json:"vfs,omitempty"`
+	Heap      *HeapState          `json:"heap,omitempty"`
+	Procs     []proc.ProcInfo     `json:"procs,omitempty"`
+	JVM       []JVMEngineState    `json:"jvm,omitempty"`
 	// HotStacks is the head of the guest CPU profile at capture time
 	// (collapsed stacks, Value in sampled nanoseconds) — where the
 	// workload was spending its guest time when it died.

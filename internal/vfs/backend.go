@@ -103,10 +103,14 @@ type Backend interface {
 	ReadOnly() bool
 	// Stat describes the node at path.
 	Stat(path string, cb func(Stats, error))
-	// Open loads the entire contents of the file at path.
+	// Open loads the entire contents of the file at path. The slice
+	// is a read-only value: it may alias backend storage or a cache
+	// page, so callers must not modify it (copy first to mutate).
 	Open(path string, cb func([]byte, error))
 	// Sync writes back the entire contents of the file at path,
-	// creating it if necessary.
+	// creating it if necessary. The caller keeps data: a backend that
+	// retains the contents stores its own copy, which it then never
+	// modifies in place, so the slices Open delivers stay valid.
 	Sync(path string, data []byte, cb func(error))
 	// Unlink removes the file at path.
 	Unlink(path string, cb func(error))

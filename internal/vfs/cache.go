@@ -391,7 +391,9 @@ func (c *Cached) Stat(p string, cb func(Stats, error)) {
 }
 
 // Open serves whole files from the page cache; a cached negative stat
-// short-circuits to ENOENT without a backend round trip.
+// short-circuits to ENOENT without a backend round trip. Pages hold
+// the backend's read-only slices (or the cache's own copy of a Sync),
+// and a hit delivers the page itself, so Open copies nothing.
 func (c *Cached) Open(p string, cb func([]byte, error)) {
 	start := time.Now()
 	c.mu.Lock()
@@ -399,7 +401,7 @@ func (c *Cached) Open(p string, cb func([]byte, error)) {
 		if pg.elem != nil {
 			c.lru.MoveToBack(pg.elem)
 		}
-		data := append([]byte(nil), pg.data...)
+		data := pg.data
 		c.mu.Unlock()
 		c.hit.Inc()
 		c.noteHit()
@@ -421,9 +423,8 @@ func (c *Cached) Open(p string, cb func([]byte, error)) {
 	c.b.Open(p, func(data []byte, err error) {
 		if err == nil {
 			c.mu.Lock()
-			// Store a private copy: the caller's slice feeds file
-			// descriptors that mutate it in place.
-			c.insertPageLocked(p, append([]byte(nil), data...), false)
+			// The page shares the backend's read-only slice.
+			c.insertPageLocked(p, data, false)
 			c.mu.Unlock()
 		}
 		c.latOpenMiss.ObserveSince(start)

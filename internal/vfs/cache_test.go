@@ -3,6 +3,7 @@ package vfs
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -517,4 +518,64 @@ func TestCachedPreservesCapabilities(t *testing.T) {
 	if err != nil || st.Size != 4 {
 		t.Errorf("stat through symlink = %+v, %v (stale negative entry?)", st, err)
 	}
+}
+
+// TestReadFileBytesCopiesNothing pins the read path's copy count: a
+// ReadFileBytes through a cached stack delivers the store's (then the
+// page's) slice itself, on the miss and on every hit, so a read of a
+// 1 MiB file allocates only the front end's bookkeeping. ReadFile, the
+// control, allocates one file size for the Buffer its caller owns.
+func TestReadFileBytesCopiesNothing(t *testing.T) {
+	const size = 1 << 20
+	store := NewInMemory()
+	store.Sync("/big", make([]byte, size), func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	h := newHarness(t, browser.Chrome28, func(*browser.Window, *buffer.Factory) Backend {
+		return Stack(store, WithCache(CacheOptions{}))
+	})
+	allocated := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+
+	const reads = 16
+	perRead := allocated(func() {
+		for i := 0; i < reads; i++ {
+			h.run(func(done func()) {
+				h.fs.ReadFileBytes("/big", func(data []byte, err error) {
+					if err != nil || len(data) != size {
+						t.Errorf("ReadFileBytes: %d bytes, %v", len(data), err)
+					}
+					done()
+				})
+			})
+		}
+	}) / reads
+	if perRead >= 64<<10 {
+		t.Errorf("ReadFileBytes allocated %d B per read of a %d B file, want < 64 KiB", perRead, size)
+	}
+	if hits := h.fs.Root().(CacheStatser).CacheStats().Hits; hits != reads-1 {
+		t.Errorf("cache hits = %d, want %d (one miss, then hits)", hits, reads-1)
+	}
+
+	control := allocated(func() {
+		h.run(func(done func()) {
+			h.fs.ReadFile("/big", func(b *buffer.Buffer, err error) {
+				if err != nil || b.Len() != size {
+					t.Errorf("ReadFile: %v", err)
+				}
+				done()
+			})
+		})
+	})
+	if control < size || control >= 2*size {
+		t.Errorf("ReadFile allocated %d B, want one file size (%d B) for its Buffer", control, size)
+	}
+	t.Logf("per read: ReadFileBytes %d B, ReadFile %d B", perRead, control)
 }

@@ -81,13 +81,14 @@ func (c *CloudFS) Stat(p string, cb func(Stats, error)) {
 	})
 }
 
-// Open downloads the file's contents.
+// Open downloads the file's contents: the stored slice itself, which
+// Sync replaces rather than modifies.
 func (c *CloudFS) Open(p string, cb func([]byte, error)) {
 	c.store.call(c.loop, func() {
 		c.store.mu.Lock()
 		defer c.store.mu.Unlock()
 		if data, ok := c.store.files[p]; ok {
-			cb(append([]byte(nil), data...), nil)
+			cb(data, nil)
 			return
 		}
 		if c.store.dirs[p] {

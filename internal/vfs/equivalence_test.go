@@ -11,6 +11,52 @@ import (
 	"doppio/internal/vfs/retry"
 )
 
+// sealed is a test-only decorator that holds the slices Open delivers
+// to Backend.Open's read-only contract: it fingerprints each one, and
+// verify fails if any changed afterwards. It keeps the Flusher
+// capability; FS.Flush completes immediately for backends without
+// one, as it does here.
+type sealed struct {
+	Backend
+	reads []sealedRead
+}
+
+type sealedRead struct {
+	path string
+	data []byte // the slice Open delivered
+	want string // its contents at delivery
+}
+
+func seal(b Backend) *sealed { return &sealed{Backend: b} }
+
+func (s *sealed) Open(p string, cb func([]byte, error)) {
+	s.Backend.Open(p, func(data []byte, err error) {
+		if err == nil {
+			s.reads = append(s.reads, sealedRead{p, data, string(data)})
+		}
+		cb(data, err)
+	})
+}
+
+func (s *sealed) Flush(cb func(error)) {
+	if fl, ok := s.Backend.(Flusher); ok {
+		fl.Flush(cb)
+		return
+	}
+	cb(nil)
+}
+
+// verify fails t if any slice Open delivered has changed since.
+func (s *sealed) verify(t *testing.T) {
+	t.Helper()
+	for i, r := range s.reads {
+		if string(r.data) != r.want {
+			t.Errorf("Open #%d of %s delivered %q, which later changed to %q", i, r.path, r.want, r.data)
+			return
+		}
+	}
+}
+
 // TestBackendEquivalence drives the same pseudo-random operation
 // sequence against every writable backend and requires identical
 // observable outcomes — the §5.1 contract that the unified API gives
@@ -18,6 +64,9 @@ import (
 // mechanism underneath. Every backend also runs wrapped in the caching
 // decorator (write-through and, where meaningful, write-back with
 // periodic flushes): the cache must be observationally invisible.
+// Each variant runs sealed: the op stream mutates files through an FD,
+// AppendFile, Truncate and the Buffers ReadFile returns, and no slice
+// any Open delivered may change.
 func TestBackendEquivalence(t *testing.T) {
 	type opResult struct {
 		op   string
@@ -26,8 +75,13 @@ func TestBackendEquivalence(t *testing.T) {
 	}
 	// flushEvery > 0 inserts an unrecorded front-end Flush every that
 	// many steps, draining write-back queues mid-sequence.
-	runSequence := func(name string, flushEvery int, mk func(w *browser.Window, bufs *buffer.Factory) Backend) []opResult {
-		h := newHarness(t, browser.Chrome28, mk)
+	runSequence := func(t *testing.T, flushEvery int, mk func(w *browser.Window, bufs *buffer.Factory) Backend) []opResult {
+		var root *sealed
+		h := newHarness(t, browser.Chrome28, func(w *browser.Window, bufs *buffer.Factory) Backend {
+			root = seal(mk(w, bufs))
+			return root
+		})
+		defer root.verify(t)
 		var results []opResult
 		record := func(op string, data string, err error) {
 			r := opResult{op: op, data: data}
@@ -49,9 +103,9 @@ func TestBackendEquivalence(t *testing.T) {
 		paths := []string{"/a", "/b", "/dir/c", "/dir/d", "/dir/sub/e"}
 		h.mkdir("/dir")
 		h.mkdir("/dir/sub")
-		for i := 0; i < 120; i++ {
+		for i := 0; i < 160; i++ {
 			p := paths[next(len(paths))]
-			switch next(6) {
+			switch next(10) {
 			case 0:
 				err := h.writeFile(p, []byte(fmt.Sprintf("content-%d", i)))
 				record("write "+p, "", err)
@@ -71,6 +125,21 @@ func TestBackendEquivalence(t *testing.T) {
 				other := paths[next(len(paths))]
 				err := h.rename(p, other)
 				record("rename "+p+" "+other, "", err)
+			case 6:
+				err := h.overwrite(p, []byte(fmt.Sprintf("fd%d", i)))
+				record("fd write "+p, "", err)
+			case 7:
+				err := h.appendFile(p, []byte(fmt.Sprintf("+%d", i)))
+				record("append "+p, "", err)
+			case 8:
+				size := next(12)
+				err := h.truncate(p, size)
+				record(fmt.Sprintf("truncate %s %d", p, size), "", err)
+			case 9:
+				// Scribble over the returned Buffer: the stored file
+				// must not change.
+				data, err := h.readFileThen(p, func(b *buffer.Buffer) { b.Fill('#', 0, b.Len()) })
+				record("read+scribble "+p, string(data), err)
 			}
 			if flushEvery > 0 && i%flushEvery == flushEvery-1 {
 				h.run(func(done func()) { h.fs.Flush(func(error) { done() }) })
@@ -79,7 +148,7 @@ func TestBackendEquivalence(t *testing.T) {
 		return results
 	}
 
-	reference := runSequence("inmemory", 0, func(*browser.Window, *buffer.Factory) Backend {
+	reference := runSequence(t, 0, func(*browser.Window, *buffer.Factory) Backend {
 		return NewInMemory()
 	})
 
@@ -172,7 +241,7 @@ func TestBackendEquivalence(t *testing.T) {
 	for _, v := range variants {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
-			got := runSequence(v.name, v.flushEvery, v.mk)
+			got := runSequence(t, v.flushEvery, v.mk)
 			if len(got) != len(reference) {
 				t.Fatalf("%s: %d results vs %d", v.name, len(got), len(reference))
 			}
@@ -195,6 +264,7 @@ func TestReadOnlyBackendCacheEquivalence(t *testing.T) {
 		op, err, data string
 	}
 	runSequence := func(cached bool) []result {
+		var root *sealed
 		h := newHarness(t, browser.Chrome28, func(w *browser.Window, bufs *buffer.Factory) Backend {
 			w.Remote.Serve("assets/logo.png", []byte{1, 2, 3})
 			w.Remote.Serve("assets/maps/level1.json", []byte(`{"w":8}`))
@@ -203,8 +273,10 @@ func TestReadOnlyBackendCacheEquivalence(t *testing.T) {
 			if cached {
 				b = NewCached(b, CacheOptions{WriteBack: true}) // WriteBack must be ignored
 			}
-			return b
+			root = seal(b)
+			return root
 		})
+		defer root.verify(t)
 		var results []result
 		record := func(op, data string, err error) {
 			r := result{op: op, data: data}
@@ -219,7 +291,7 @@ func TestReadOnlyBackendCacheEquivalence(t *testing.T) {
 		}
 		for round := 0; round < 2; round++ {
 			for _, p := range []string{"/logo.png", "/maps/level1.json", "/maps/level2.json", "/missing.png"} {
-				data, err := h.readFile(p)
+				data, err := h.readFileThen(p, func(b *buffer.Buffer) { b.Fill('#', 0, b.Len()) })
 				record("read "+p, string(data), err)
 				st, err := h.stat(p)
 				record("stat "+p, fmt.Sprint(st.Size), err)

@@ -179,6 +179,8 @@ func (fs *FS) Open(path, flagStr string, cb func(*FD, error)) {
 					finish(nil, err)
 					return
 				}
+				// The FD's Buffer is the mutable copy of the
+				// backend's read-only slice.
 				fd := newFD(fs.bufs.FromBytes(data), false)
 				if flag.Has(FlagAppend) {
 					fd.pos = fd.data.Len()
@@ -337,8 +339,25 @@ func (fs *FS) FTruncate(fd *FD, size int, cb func(error)) {
 // --- whole-file and metadata convenience API (standardized in terms
 // of the nine core backend methods, as §5.1 describes) ---
 
-// ReadFile loads the entire file at path.
+// ReadFile loads the entire file at path into a fresh Buffer the
+// caller owns.
 func (fs *FS) ReadFile(path string, cb func(*buffer.Buffer, error)) {
+	fs.ReadFileBytes(path, func(data []byte, err error) {
+		if err != nil {
+			cb(nil, err)
+			return
+		}
+		cb(fs.bufs.FromBytes(data), nil)
+	})
+}
+
+// ReadFileBytes loads the entire file at path and delivers the
+// backend's slice without copying it. Like Backend.Open's, the slice
+// is read-only: it may alias stored contents or a cache page, so the
+// caller copies it to mutate or keep a private version. It is the
+// read path of consumers that copy into memory of their own (a guest
+// heap or array, a class parser).
+func (fs *FS) ReadFileBytes(path string, cb func([]byte, error)) {
 	p := fs.resolve(path)
 	fs.note("readFile", p)
 	fs.root.Stat(p, func(st Stats, err error) {
@@ -349,13 +368,10 @@ func (fs *FS) ReadFile(path string, cb func(*buffer.Buffer, error)) {
 			fs.deliver(func() { cb(nil, Err(EISDIR, "readFile", p)) })
 		default:
 			fs.root.Open(p, func(data []byte, err error) {
-				fs.deliver(func() {
-					if err != nil {
-						cb(nil, err)
-						return
-					}
-					cb(fs.bufs.FromBytes(data), nil)
-				})
+				if err != nil {
+					data = nil // never hand out a partial transfer
+				}
+				fs.deliver(func() { cb(data, err) })
 			})
 		}
 	})

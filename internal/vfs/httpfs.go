@@ -109,7 +109,7 @@ func (h *HTTPFS) Open(p string, cb func([]byte, error)) {
 		return
 	}
 	if data, ok := h.cache[p]; ok {
-		cb(append([]byte(nil), data...), nil)
+		cb(data, nil)
 		return
 	}
 	h.remote.XHRGetAsync(h.loop, h.remotePath(p), func(data []byte, err error) {
@@ -119,7 +119,7 @@ func (h *HTTPFS) Open(p string, cb func([]byte, error)) {
 		}
 		h.cache[p] = data
 		h.sizes[p] = len(data)
-		cb(append([]byte(nil), data...), nil)
+		cb(data, nil)
 	})
 }
 

@@ -307,7 +307,15 @@ func (f *FlatKV) Readdir(p string, cb func([]string, error)) {
 // descendants).
 func (f *FlatKV) Rename(oldPath, newPath string, cb func(error)) {
 	if oldPath == newPath {
-		cb(nil)
+		// Moving a node onto itself changes nothing, but the node must
+		// exist, as for every other backend.
+		f.statNode(oldPath, func(_ FileType, _ int, exists bool) {
+			if !exists {
+				cb(Err(ENOENT, "rename", oldPath))
+				return
+			}
+			cb(nil)
+		})
 		return
 	}
 	f.kv.get(fileKeyPrefix+oldPath, func(val string, ok bool) {

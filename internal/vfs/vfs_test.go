@@ -47,18 +47,63 @@ func (h *harness) writeFile(path string, data []byte) error {
 }
 
 func (h *harness) readFile(path string) ([]byte, error) {
+	return h.readFileThen(path, func(*buffer.Buffer) {})
+}
+
+// readFileThen reads path and hands the Buffer to then after taking
+// its contents.
+func (h *harness) readFileThen(path string, then func(*buffer.Buffer)) ([]byte, error) {
 	var data []byte
 	var out error
 	h.run(func(done func()) {
 		h.fs.ReadFile(path, func(b *buffer.Buffer, err error) {
 			if b != nil {
 				data = b.Bytes()
+				then(b)
 			}
 			out = err
 			done()
 		})
 	})
 	return data, out
+}
+
+// overwrite opens path "r+", writes data over its start through the
+// descriptor and closes it (sync-on-close).
+func (h *harness) overwrite(path string, data []byte) error {
+	var out error
+	h.run(func(done func()) {
+		h.fs.Open(path, "r+", func(fd *FD, err error) {
+			if err != nil {
+				out = err
+				done()
+				return
+			}
+			src := h.fs.BufferFactory().FromBytes(data)
+			h.fs.Write(fd, src, 0, src.Len(), 0, func(_ int, err error) {
+				out = err
+				h.fs.Close(fd, func(err error) {
+					if out == nil {
+						out = err
+					}
+					done()
+				})
+			})
+		})
+	})
+	return out
+}
+
+func (h *harness) appendFile(path string, data []byte) error {
+	var out error
+	h.run(func(done func()) { h.fs.AppendFile(path, data, func(err error) { out = err; done() }) })
+	return out
+}
+
+func (h *harness) truncate(path string, size int) error {
+	var out error
+	h.run(func(done func()) { h.fs.Truncate(path, size, func(err error) { out = err; done() }) })
+	return out
 }
 
 func (h *harness) mkdir(path string) error {
