@@ -23,17 +23,39 @@ func TestFig3Quick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure sweep is slow")
 	}
-	res, err := RunFig3(quickCfg())
-	if err != nil {
-		t.Fatal(err)
+	// One sample per side is at the mercy of a host hiccup: single
+	// sweeps have read 0.88x and 0.99x on cells whose margin is
+	// normally 1.26-1.88x. Each cell compares the fastest of three
+	// interleaved sweeps on either side instead.
+	const sweeps = 3
+	var res *Fig3Result
+	fastest := map[string]Fig3Cell{}
+	for i := 0; i < sweeps; i++ {
+		var err error
+		res, err = RunFig3(quickCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Cells) != len(Fig3Workloads) {
+			t.Fatalf("cells = %d", len(res.Cells))
+		}
+		for _, c := range res.Cells {
+			key := c.Workload + " on " + c.Browser
+			if f, ok := fastest[key]; ok {
+				if f.Doppio < c.Doppio {
+					c.Doppio = f.Doppio
+				}
+				if f.Native < c.Native {
+					c.Native = f.Native
+				}
+			}
+			fastest[key] = c
+		}
 	}
-	if len(res.Cells) != len(Fig3Workloads) {
-		t.Fatalf("cells = %d", len(res.Cells))
-	}
-	for _, c := range res.Cells {
-		if c.Slowdown <= 1.0 {
-			t.Errorf("%s on %s: slowdown %.2fx — DoppioJVM should never beat the native baseline",
-				c.Workload, c.Browser, c.Slowdown)
+	for key, c := range fastest {
+		if slowdown := float64(c.Doppio) / float64(c.Native); slowdown <= 1.0 {
+			t.Errorf("%s: slowdown %.2fx (fastest of %d sweeps: doppio %v, native %v) — DoppioJVM should never beat the native baseline",
+				key, slowdown, sweeps, c.Doppio, c.Native)
 		}
 	}
 	rendered := FormatFig3(res)

@@ -70,7 +70,7 @@ type DoppioVM struct {
 	// the per-VM adjacent-opcode attribution counters the fusion pass
 	// consumes, qstats the counters /debug/jvm reports.
 	quicken bool
-	pairs   *[65536]int64
+	pairs   *pairCounts
 	qstats  QuickStats
 
 	// prof is the guest profiler (nil when off); its SampleAlloc
@@ -176,7 +176,7 @@ func NewDoppioVM(win *browser.Window, opts DoppioOptions) *DoppioVM {
 	}
 	if opts.Quicken {
 		vm.quicken = true
-		vm.pairs = new([65536]int64)
+		vm.pairs = new(pairCounts)
 	}
 	vm.rt = core.NewRuntime(win.Loop, core.Config{
 		Timeslice:      opts.Timeslice,
@@ -539,17 +539,21 @@ func (vm *DoppioVM) MakeThrowable(class, msg string) *Object {
 	return ex
 }
 
-func (vm *DoppioVM) captureTrace() []string {
+// FillInStackTrace records the current thread's stack as o's trace.
+func (vm *DoppioVM) FillInStackTrace(o *Object) { o.Extra = vm.captureTrace() }
+
+// captureTrace copies the current thread's (method, pc) frames,
+// innermost first.
+func (vm *DoppioVM) captureTrace() stackTrace {
 	t := vm.cur
 	if t == nil {
 		return nil
 	}
-	var out []string
-	for i := len(t.frames) - 1; i >= 0; i-- {
-		f := t.frames[i]
-		out = append(out, fmt.Sprintf("%s.%s(pc=%d)", strings.ReplaceAll(f.m.Class.Name, "/", "."), f.m.Name, f.pc))
+	st := make(stackTrace, len(t.frames))
+	for i, f := range t.frames {
+		st[len(st)-1-i] = traceFrame{f.m, f.pc}
 	}
-	return out
+	return st
 }
 
 // ClassMirror returns (lazily) the Class mirror for c.

@@ -273,6 +273,158 @@ public class Main {
         System.out.println(c);
     }
 }`,
+	// The quick* programs warm each throwing quickened form past the
+	// fusion thresholds (64 loop iterations, 16 calls) before it
+	// faults, so the quickened run raises from the inner loop. The
+	// printed traces pin the faulting pc as well as the message.
+	"quickDivZero": `
+public class Main {
+    public static void main(String[] args) {
+        int acc = 0;
+        long lacc = 0L;
+        int min = -2147483648;
+        int neg = -1;
+        for (int i = 0; i < 300; i++) {
+            int d = i - 200;
+            long ld = (long) (i - 250);
+            try {
+                acc = acc + 1000000 / d;
+            } catch (ArithmeticException e) {
+                System.out.println("idiv " + i);
+                e.printStackTrace();
+            }
+            try {
+                acc = acc + 1000003 % d;
+            } catch (ArithmeticException e) {
+                System.out.println("irem " + i);
+                e.printStackTrace();
+            }
+            try {
+                lacc = lacc + 9000000000000L / ld;
+            } catch (ArithmeticException e) {
+                System.out.println("ldiv " + i);
+                e.printStackTrace();
+            }
+            try {
+                lacc = lacc + 9000000000007L % ld;
+            } catch (ArithmeticException e) {
+                System.out.println("lrem " + i);
+                e.printStackTrace();
+            }
+            acc = acc ^ (min / neg) ^ (min % neg);
+        }
+        System.out.println(acc + " " + lacc);
+    }
+}`,
+	"quickArrays": `
+public class Main {
+    static long ints(int[] a, int i, int w, int r) { a[w] = i * 7; return a[r]; }
+    static long longs(long[] a, int i, int w, int r) { a[w] = (long) i * 3000000000L; return a[r]; }
+    static long doubles(double[] a, int i, int w, int r) { a[w] = i * 0.5; return (long) a[r]; }
+    static long floats(float[] a, int i, int w, int r) { a[w] = i * 0.25f; return (long) a[r]; }
+    static long bytes(byte[] a, int i, int w, int r) { a[w] = (byte) i; return a[r]; }
+    static long chars(char[] a, int i, int w, int r) { a[w] = (char) (i + 65500); return a[r]; }
+    static long shorts(short[] a, int i, int w, int r) { a[w] = (short) (i * 300); return a[r]; }
+    static long strs(String[] a, int i, int w, int r) {
+        a[w] = "s" + i;
+        String s = a[r];
+        if (s == null) { return 0L; }
+        return (long) s.length();
+    }
+    static int len(int[] a) { return a.length; }
+    static int load(int[] a, int r) { return a[r]; }
+    static void store(int[] a, int w) { a[w] = 1; }
+    static void fault(String what, int i, RuntimeException e) {
+        System.out.println(what + " " + i);
+        e.printStackTrace();
+    }
+    public static void main(String[] args) {
+        int[] is = new int[4];
+        long[] ls = new long[4];
+        double[] ds = new double[4];
+        float[] fs = new float[4];
+        byte[] bs = new byte[4];
+        char[] cs = new char[4];
+        short[] ss = new short[4];
+        String[] os = new String[4];
+        long sum = 0L;
+        for (int i = 0; i < 200; i++) {
+            int w = i % 4;
+            int r = (i + 1) % 4;
+            if (i == 120) { w = 4; }
+            if (i == 130) { r = -1; }
+            try { sum = sum + ints(is, i, w, r); } catch (RuntimeException e) { fault("int", i, e); }
+            try { sum = sum + longs(ls, i, w, r); } catch (RuntimeException e) { fault("long", i, e); }
+            try { sum = sum + doubles(ds, i, w, r); } catch (RuntimeException e) { fault("double", i, e); }
+            try { sum = sum + floats(fs, i, w, r); } catch (RuntimeException e) { fault("float", i, e); }
+            try { sum = sum + bytes(bs, i, w, r); } catch (RuntimeException e) { fault("byte", i, e); }
+            try { sum = sum + chars(cs, i, w, r); } catch (RuntimeException e) { fault("char", i, e); }
+            try { sum = sum + shorts(ss, i, w, r); } catch (RuntimeException e) { fault("short", i, e); }
+            try { sum = sum + strs(os, i, w, r); } catch (RuntimeException e) { fault("string", i, e); }
+            int[] maybe = is;
+            if (i == 140) { maybe = null; }
+            try { sum = sum + len(maybe); } catch (RuntimeException e) { fault("length", i, e); }
+            try { sum = sum + load(maybe, r); } catch (RuntimeException e) { fault("load", i, e); }
+            try { store(maybe, w); sum = sum + 1L; } catch (RuntimeException e) { fault("store", i, e); }
+            try {
+                sum = sum + is[r] + maybe.length;
+            } catch (RuntimeException e) {
+                fault("inline", i, e);
+            }
+        }
+        System.out.println(sum);
+    }
+}`,
+	"quickCasts": `
+class Animal { int legs() { return 4; } }
+class Dog extends Animal { }
+class Bird extends Animal { int legs() { return 2; } }
+public class Main {
+    static int legsOf(Object o) {
+        Dog d = (Dog) o;
+        return d.legs();
+    }
+    static int kind(Object o) {
+        if (o instanceof Bird) { return 2; }
+        if (o instanceof Animal) { return 1; }
+        return 0;
+    }
+    static String tag() { return "tag"; }
+    public static void main(String[] args) {
+        Object dog = new Dog();
+        Object bird = new Bird();
+        int total = 0;
+        for (int i = 0; i < 200; i++) {
+            Object o = dog;
+            if (i >= 150 && i % 10 == 0) { o = bird; }
+            if (i == 175) { o = null; }
+            try {
+                total = total + legsOf(o) + 100000;
+            } catch (ClassCastException e) {
+                System.out.println("cce " + i);
+                e.printStackTrace();
+            } catch (NullPointerException e) {
+                System.out.println("npe " + i);
+            }
+        }
+        int kinds = 0;
+        for (int i = 0; i < 200; i++) {
+            Object o = dog;
+            if (i > 100 && i % 3 == 0) { o = bird; }
+            if (i > 100 && i % 3 == 1) { o = "str"; }
+            if (i == 150) { o = null; }
+            kinds = kinds * 3 + kind(o);
+        }
+        int same = 0;
+        for (int i = 0; i < 200; i++) {
+            if (tag() == tag()) { same++; }
+            String s = "lit";
+            if (s == "lit") { same++; }
+            if (s == tag()) { same = same + 1000; }
+        }
+        System.out.println(total + " " + kinds + " " + same);
+    }
+}`,
 }
 
 func TestDoppioMatchesNativeEngine(t *testing.T) {

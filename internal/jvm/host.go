@@ -74,6 +74,9 @@ type NativeHost interface {
 	// MakeThrowable builds an exception object of the given class
 	// with a message, without running user constructors.
 	MakeThrowable(class, msg string) *Object
+	// FillInStackTrace records the current thread's stack as o's
+	// trace (Throwable.fillInStackTrace).
+	FillInStackTrace(o *Object)
 
 	// ClassMirror returns the java/lang/Class instance for c.
 	ClassMirror(c *Class) *Object

@@ -3,6 +3,7 @@ package jvm
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"doppio/internal/classfile"
@@ -222,12 +223,7 @@ func (vm *DoppioVM) unwindD(d *DThread, ex *Object) {
 		f.span.End()
 		d.frames = d.frames[:len(d.frames)-1]
 	}
-	fmt.Fprintf(vm.stderr, "Exception in thread %d %s\n", d.id, vm.describeThrowable(ex))
-	if trace, ok := ex.Extra.([]string); ok {
-		for _, line := range trace {
-			fmt.Fprintf(vm.stderr, "\tat %s\n", line)
-		}
-	}
+	fmt.Fprintf(vm.stderr, "Exception in thread %d %s\n%s", d.id, vm.describeThrowable(ex), traceOf(ex))
 	if vm.Uncaught == nil {
 		vm.Uncaught = ex
 	}
@@ -329,7 +325,7 @@ func (d *DThread) Run(ct *core.Thread) core.RunResult {
 		if vm.pairs != nil && (qt == nil || !qt.fused) {
 			// Pair attribution only feeds the fusion pass; once a
 			// method is fused there is nothing left to decide.
-			vm.pairs[pairKey(d.prevOp, op)]++
+			vm.pairs.note(d.prevOp, op)
 			d.prevOp = op
 		}
 		npc := f.pc + classfile.InstrLen(code, f.pc)
@@ -391,6 +387,12 @@ func (d *DThread) Run(ct *core.Thread) core.RunResult {
 					continue
 				}
 				f.pushR(vm.ClassMirror(cls))
+			}
+			if vm.quicken && (rc.Tag == classfile.TagInteger || rc.Tag == classfile.TagFloat || rc.Tag == classfile.TagString) {
+				// An int, float or string constant never changes: the
+				// value just pushed (the interned string itself, so
+				// identity holds) becomes the site's QConst.
+				installDoppioQuick(f.m, f.pc, QuickOp{Kind: QConst, K: f.peek()}, &vm.qstats)
 			}
 
 		case classfile.OpIload, classfile.OpFload, classfile.OpAload:
@@ -1010,6 +1012,9 @@ func (d *DThread) Run(ct *core.Thread) core.RunResult {
 					continue
 				}
 			}
+			if vm.quicken && cls.State == StateInitialized {
+				installDoppioQuick(f.m, f.pc, QuickOp{Kind: QNew, Class: cls}, &vm.qstats)
+			}
 			if vm.prof != nil {
 				d.profAlloc(profObjBytes(cls))
 			}
@@ -1100,14 +1105,29 @@ func (d *DThread) Run(ct *core.Thread) core.RunResult {
 					o.Class.Name+" cannot be cast to "+target)
 				continue
 			}
+			if vm.quicken {
+				q := QuickOp{Kind: QCheckcast, Desc: target}
+				if o != nil {
+					q.ICClass = o.Class
+				}
+				installDoppioQuick(f.m, f.pc, q, &vm.qstats)
+			}
 		case classfile.OpInstanceof:
 			idx := u16(code, f.pc+1)
 			target := f.m.Class.CP[idx].Str
 			o := f.popR()
-			if o != nil && vm.assignableD(o.Class, target) {
+			yes := o != nil && vm.assignableD(o.Class, target)
+			if yes {
 				f.pushI(1)
 			} else {
 				f.pushI(0)
+			}
+			if vm.quicken {
+				q := QuickOp{Kind: QInstanceof, Desc: target}
+				if o != nil && instanceofFixed(o.Class, yes) {
+					q.ICClass, q.K = o.Class, f.peek()
+				}
+				installDoppioQuick(f.m, f.pc, q, &vm.qstats)
 			}
 
 		case classfile.OpMonitorenter:
@@ -1173,6 +1193,14 @@ func (d *DThread) Run(ct *core.Thread) core.RunResult {
 		default:
 			vm.throwD(d, "java/lang/Error", fmt.Sprintf("illegal opcode %#02x", op))
 			continue
+		}
+		if npc < f.pc && vm.quicken {
+			// A taken backward branch: a method that loops warms up
+			// mid-invocation, and the next dispatch of the loop body
+			// enters runQuickD on the same frame and pc.
+			if qt := f.m.quickTable(); qt.noteLoop() {
+				qt.fuse(f.m, vm.pairs, &vm.qstats, true)
+			}
 		}
 		f.pc = npc
 	}
@@ -1392,7 +1420,7 @@ rebind:
 		}
 		if pairs != nil {
 			op := byte(pk >> packOpShift)
-			pairs[pairKey(d.prevOp, op)]++
+			pairs.note(d.prevOp, op)
 			d.prevOp = op
 		}
 		switch kind {
@@ -1412,6 +1440,10 @@ rebind:
 		case QConst:
 			st[sp] = ops[pc].K
 			sp++
+		case QConst2:
+			st[sp] = ops[pc].K
+			st[sp+1] = nil
+			sp += 2
 		case QDup:
 			st[sp] = st[sp-1]
 			sp++
@@ -1444,8 +1476,137 @@ rebind:
 				r = a >> (uint(b) & 31)
 			case classfile.OpIushr:
 				r = int32(uint32(a) >> (uint(b) & 31))
+			case classfile.OpIdiv, classfile.OpIrem:
+				if b == 0 {
+					d.quickFlush(f, st, sp, pc, n, fused)
+					vm.throwD(d, "java/lang/ArithmeticException", divZeroMsg(byte(pk>>packOpShift)))
+					return runContinue
+				}
+				if byte(pk>>packOpShift) == classfile.OpIdiv {
+					r = int32(jsTruncDiv(float64(a), float64(b)))
+				} else {
+					r = int32(math.Mod(float64(a), float64(b)))
+				}
 			}
 			st[sp-1] = boxI(r)
+		case QLArith:
+			b := st[sp-2].(jlong.Long)
+			a := st[sp-4].(jlong.Long)
+			var r jlong.Long
+			switch op := byte(pk >> packOpShift); op {
+			case classfile.OpLadd:
+				r = a.Add(b)
+			case classfile.OpLsub:
+				r = a.Sub(b)
+			case classfile.OpLmul:
+				r = a.Mul(b)
+			case classfile.OpLand:
+				r = a.And(b)
+			case classfile.OpLor:
+				r = a.Or(b)
+			case classfile.OpLxor:
+				r = a.Xor(b)
+			case classfile.OpLdiv, classfile.OpLrem:
+				if b.IsZero() {
+					d.quickFlush(f, st, sp, pc, n, fused)
+					vm.throwD(d, "java/lang/ArithmeticException", divZeroMsg(op))
+					return runContinue
+				}
+				if op == classfile.OpLdiv {
+					r = a.Div(b)
+				} else {
+					r = a.Rem(b)
+				}
+			}
+			sp -= 2
+			st[sp-2] = r
+		case QI2L:
+			st[sp-1] = jlong.FromInt32(jsInt(st[sp-1]))
+			st[sp] = nil
+			sp++
+		case QL2I:
+			sp--
+			st[sp-1] = boxI(st[sp-1].(jlong.Long).Int32())
+		case QLcmp:
+			b := st[sp-2].(jlong.Long)
+			a := st[sp-4].(jlong.Long)
+			sp -= 3
+			st[sp-1] = boxI(int32(a.Cmp(b)))
+		case QArrayLoad:
+			idx := jsInt(st[sp-1])
+			arr, _ := st[sp-2].(*Object)
+			v, wide, ok := loadElemD(arr, idx)
+			if !ok {
+				d.quickFlush(f, st, sp, pc, n, fused)
+				vm.throwArrayD(d, arr, idx, "array load")
+				return runContinue
+			}
+			st[sp-2] = v
+			sp--
+			if wide {
+				st[sp] = nil
+				sp++
+			}
+		case QArrayStore:
+			vsp := sp - 1
+			if op := byte(pk >> packOpShift); op == classfile.OpLastore || op == classfile.OpDastore {
+				vsp--
+			}
+			idx := jsInt(st[vsp-1])
+			arr, _ := st[vsp-2].(*Object)
+			if !storeElemD(arr, idx, st[vsp]) {
+				d.quickFlush(f, st, sp, pc, n, fused)
+				vm.throwArrayD(d, arr, idx, "array store")
+				return runContinue
+			}
+			sp = vsp - 2
+		case QArrayLength:
+			arr, _ := st[sp-1].(*Object)
+			if arr == nil {
+				d.quickFlush(f, st, sp, pc, n, fused)
+				vm.throwD(d, "java/lang/NullPointerException", "arraylength")
+				return runContinue
+			}
+			st[sp-1] = boxI(int32(arr.ArrayLen()))
+		case QNew:
+			q := &ops[pc]
+			if vm.prof != nil {
+				// Sample at this pc, as the generic handler does.
+				f.pc = pc
+				d.profAlloc(profObjBytes(q.Class))
+			}
+			st[sp] = NewObject(q.Class)
+			sp++
+		case QCheckcast:
+			q := &ops[pc]
+			if o, _ := st[sp-1].(*Object); o != nil && o.Class != q.ICClass {
+				if !vm.assignableD(o.Class, q.Desc) {
+					d.quickFlush(f, st, sp, pc, n, fused)
+					vm.throwD(d, "java/lang/ClassCastException",
+						o.Class.Name+" cannot be cast to "+q.Desc)
+					return runContinue
+				}
+				q.ICClass = o.Class
+			}
+		case QInstanceof:
+			q := &ops[pc]
+			o, _ := st[sp-1].(*Object)
+			switch {
+			case o == nil:
+				st[sp-1] = boxI(0)
+			case o.Class == q.ICClass:
+				st[sp-1] = q.K
+			default:
+				yes := vm.assignableD(o.Class, q.Desc)
+				v := boxI(0)
+				if yes {
+					v = boxI(1)
+				}
+				if instanceofFixed(o.Class, yes) {
+					q.ICClass, q.K = o.Class, v
+				}
+				st[sp-1] = v
+			}
 		case QGoto:
 			pc = int(pk >> packAShift)
 			continue
@@ -1745,6 +1906,128 @@ func (d *DThread) invokeNativeD(ct *core.Thread, f *DFrame, m *Method, hasRecv b
 		return runContinue
 	}
 }
+
+// divZeroMsg is the ArithmeticException message of a division (or
+// remainder) opcode's zero divisor.
+func divZeroMsg(op byte) string {
+	if op == classfile.OpIrem || op == classfile.OpLrem {
+		return "% by zero"
+	}
+	return "/ by zero"
+}
+
+// throwArrayD raises the exception a failed array access throws: a
+// NullPointerException naming the access for a null array, otherwise
+// the out-of-bounds index.
+func (vm *DoppioVM) throwArrayD(d *DThread, arr *Object, idx int32, what string) {
+	if arr == nil {
+		vm.throwD(d, "java/lang/NullPointerException", what)
+		return
+	}
+	vm.throwD(d, "java/lang/ArrayIndexOutOfBoundsException", strconv.Itoa(int(idx)))
+}
+
+// loadElemD reads arr[i] as a JS value; wide marks a long or double
+// element (two stack slots). ok is false for a null array or an
+// out-of-bounds index.
+func loadElemD(arr *Object, i int32) (v interface{}, wide, ok bool) {
+	if arr == nil {
+		return nil, false, false
+	}
+	switch a := arr.Arr.(type) {
+	case []int32:
+		if ok = uint32(i) < uint32(len(a)); ok {
+			v = boxI(a[i])
+		}
+	case []int64:
+		if ok = uint32(i) < uint32(len(a)); ok {
+			v, wide = jlong.FromInt64(a[i]), true
+		}
+	case []float32:
+		if ok = uint32(i) < uint32(len(a)); ok {
+			v = float64(a[i])
+		}
+	case []float64:
+		if ok = uint32(i) < uint32(len(a)); ok {
+			v, wide = a[i], true
+		}
+	case []*Object:
+		if ok = uint32(i) < uint32(len(a)); ok && a[i] != nil {
+			v = a[i]
+		}
+	case []int8:
+		if ok = uint32(i) < uint32(len(a)); ok {
+			v = boxI(int32(a[i]))
+		}
+	case []uint16:
+		if ok = uint32(i) < uint32(len(a)); ok {
+			v = boxI(int32(a[i]))
+		}
+	case []int16:
+		if ok = uint32(i) < uint32(len(a)); ok {
+			v = boxI(int32(a[i]))
+		}
+	}
+	return v, wide, ok
+}
+
+// storeElemD writes the JS value v to arr[i], converting it to the
+// array's element type. It reports false, storing nothing, for a null
+// array or an out-of-bounds index.
+func storeElemD(arr *Object, i int32, v interface{}) bool {
+	if arr == nil {
+		return false
+	}
+	switch a := arr.Arr.(type) {
+	case []int32:
+		if uint32(i) < uint32(len(a)) {
+			a[i] = jsInt(v)
+			return true
+		}
+	case []int64:
+		if uint32(i) < uint32(len(a)) {
+			a[i] = v.(jlong.Long).Int64()
+			return true
+		}
+	case []float32:
+		if uint32(i) < uint32(len(a)) {
+			a[i] = float32(v.(float64))
+			return true
+		}
+	case []float64:
+		if uint32(i) < uint32(len(a)) {
+			a[i] = v.(float64)
+			return true
+		}
+	case []*Object:
+		if uint32(i) < uint32(len(a)) {
+			a[i], _ = v.(*Object)
+			return true
+		}
+	case []int8:
+		if uint32(i) < uint32(len(a)) {
+			a[i] = int8(jsInt(v))
+			return true
+		}
+	case []uint16:
+		if uint32(i) < uint32(len(a)) {
+			a[i] = uint16(jsInt(v))
+			return true
+		}
+	case []int16:
+		if uint32(i) < uint32(len(a)) {
+			a[i] = int16(jsInt(v))
+			return true
+		}
+	}
+	return false
+}
+
+// instanceofFixed reports whether an instanceof answer for class c may
+// be cached: a yes never changes, and neither does a no for a
+// non-array class, whose whole ancestry is already loaded. An array's
+// element classes may still load later and turn a no into a yes.
+func instanceofFixed(c *Class, yes bool) bool { return yes || !c.IsArray }
 
 // assignableD is classAssignable against loaded classes only.
 func (vm *DoppioVM) assignableD(c *Class, target string) bool {

@@ -394,7 +394,7 @@ func (vm *NativeVM) execute(t *NThread, quantum int) error {
 		vm.Instructions++
 		op := code[f.pc]
 		if vm.pairs != nil {
-			vm.pairs[pairKey(t.prevOp, op)]++
+			vm.pairs.note(t.prevOp, op)
 			t.prevOp = op
 		}
 		if vm.prof != nil {

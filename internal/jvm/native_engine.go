@@ -53,7 +53,7 @@ type NativeVM struct {
 	// adjacent-opcode attribution table driving superinstruction
 	// fusion, allocated only when quickening is on.
 	quicken bool
-	pairs   *[65536]int64
+	pairs   *pairCounts
 	qstats  QuickStats
 
 	// prof is the guest profiler (nil when off). The native engine
@@ -125,7 +125,7 @@ func NewNativeVM(provider SyncProvider, opts NativeOptions) *NativeVM {
 	}
 	if opts.Quicken {
 		vm.quicken = true
-		vm.pairs = new([65536]int64)
+		vm.pairs = new(pairCounts)
 	}
 	if opts.Profiler != nil {
 		vm.prof = opts.Profiler
@@ -391,12 +391,7 @@ func (vm *NativeVM) unwind(t *NThread, ex *Object) {
 		t.frames = t.frames[:len(t.frames)-1]
 	}
 	// Uncaught: thread dies.
-	fmt.Fprintf(vm.stderr, "Exception in thread %d %s\n", t.id, vm.describeThrowable(ex))
-	if trace, ok := ex.Extra.([]string); ok {
-		for _, line := range trace {
-			fmt.Fprintf(vm.stderr, "\tat %s\n", line)
-		}
-	}
+	fmt.Fprintf(vm.stderr, "Exception in thread %d %s\n%s", t.id, vm.describeThrowable(ex), traceOf(ex))
 	vm.killThread(t)
 	if vm.Uncaught == nil {
 		vm.Uncaught = ex
@@ -468,17 +463,21 @@ func (vm *NativeVM) MakeThrowable(class, msg string) *Object {
 	return ex
 }
 
-func (vm *NativeVM) captureTrace() []string {
+// FillInStackTrace records the current thread's stack as o's trace.
+func (vm *NativeVM) FillInStackTrace(o *Object) { o.Extra = vm.captureTrace() }
+
+// captureTrace copies the current thread's (method, pc) frames,
+// innermost first.
+func (vm *NativeVM) captureTrace() stackTrace {
 	t := vm.cur
 	if t == nil {
 		return nil
 	}
-	var out []string
-	for i := len(t.frames) - 1; i >= 0; i-- {
-		f := t.frames[i]
-		out = append(out, fmt.Sprintf("%s.%s(pc=%d)", strings.ReplaceAll(f.m.Class.Name, "/", "."), f.m.Name, f.pc))
+	st := make(stackTrace, len(t.frames))
+	for i, f := range t.frames {
+		st[len(st)-1-i] = traceFrame{f.m, f.pc}
 	}
-	return out
+	return st
 }
 
 // ClassMirror returns (creating lazily) the Class instance for c.

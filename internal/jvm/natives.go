@@ -71,20 +71,12 @@ func registerNatives() map[string]NativeFunc {
 	// --- java/lang/Throwable ---
 	n["java/lang/Throwable.fillInStackTrace()Ljava/lang/Throwable;"] = func(h NativeHost, recv *Object, _ []Value) NativeResult {
 		// Engines capture traces in MakeThrowable; user-thrown
-		// exceptions get a fresh capture here.
-		tmp := h.MakeThrowable(recv.Class.Name, "")
-		recv.Extra = tmp.Extra
+		// exceptions capture theirs here.
+		h.FillInStackTrace(recv)
 		return NativeResult{Value: recv}
 	}
 	n["java/lang/Throwable.stackTraceString()Ljava/lang/String;"] = func(h NativeHost, recv *Object, _ []Value) NativeResult {
-		trace, _ := recv.Extra.([]string)
-		var b strings.Builder
-		for _, line := range trace {
-			b.WriteString("\tat ")
-			b.WriteString(line)
-			b.WriteString("\n")
-		}
-		return NativeResult{Value: h.NewString(b.String())}
+		return NativeResult{Value: h.NewString(traceOf(recv).String())}
 	}
 
 	// --- java/lang/Thread ---

@@ -1,6 +1,9 @@
 package jvm
 
-import "doppio/internal/classfile"
+import (
+	"doppio/internal/classfile"
+	"doppio/internal/jlong"
+)
 
 // This file is the warm-up rewriter shared by both engines: bytecode
 // quickening, monomorphic inline caches, and superinstruction fusion
@@ -13,7 +16,8 @@ import "doppio/internal/classfile"
 // invoke* the executing engine installs a quickened form carrying the
 // direct field offset or resolved target, and every later visit to
 // that pc dispatches on the side-table entry instead of re-resolving
-// through the constant pool. Keeping the bytecode intact means the
+// through the constant pool (the Doppio engine does the same for ldc,
+// new, checkcast and instanceof). Keeping the bytecode intact means the
 // un-quickened paper-fidelity path (-jvm-quicken=false) executes the
 // byte-identical program, branch offsets and exception ranges stay
 // valid without relocation, and a deopted site simply falls back to
@@ -60,13 +64,34 @@ const (
 	QDup    // duplicate the top stack slot
 	QPop    // discard the top stack slot
 	QReturn // method return; Desc holds the return descriptor
+
+	// Pre-decoded long, conversion and array forms. The throwing ones
+	// (ldiv/lrem, array accesses, arraylength) flush the inner loop's
+	// state and raise at their own pc, exactly as the generic handler
+	// would.
+	QConst2      // push the preboxed long/double constant K plus a pad
+	QLArith      // pop two longs, combine per Op (ldiv/lrem throw on zero)
+	QI2L         // widen the top int to a long
+	QL2I         // narrow the top long to an int
+	QLcmp        // pop two longs, push their -1/0/1 comparison
+	QArrayLoad   // pop index and array, push the element (Op picks the width)
+	QArrayStore  // pop value, index and array, store the element
+	QArrayLength // pop an array, push its length
+
+	// Forms the Doppio engine's generic handlers install on their
+	// first successful execution.
+	QNew        // allocate an instance of the initialized class Class
+	QCheckcast  // checkcast to Desc; ICClass caches a class known to pass
+	QInstanceof // instanceof Desc; ICClass caches a class whose answer K cannot change
 )
 
-// qDeepFirst marks the start of the pre-decoded simple forms. The
-// kinds below it are installed lazily by both engines; the deep forms
-// are produced by predecode and executed only by the Doppio engine's
-// inner loop (the native engine's typed frames run those pcs through
-// the generic handlers).
+// qDeepFirst marks the start of the Doppio-only forms. The kinds below
+// it are installed lazily by both engines. The deep forms are produced
+// by predecode, except QConst at an ldc and QNew, QCheckcast and
+// QInstanceof, which the Doppio engine's generic handlers install; all
+// of them are executed only by the Doppio engine's inner loop (the
+// native engine's typed frames run those pcs through the generic
+// handlers).
 const qDeepFirst = QLoad
 
 // icMissLimit is how many inline-cache misses a virtual call site
@@ -78,9 +103,12 @@ const icMissLimit = 8
 // fusionWarmup is the per-method invocation count after which the
 // superinstruction fusion pass first runs, and fusionHot is how many
 // dynamic executions an adjacent opcode pair needs (per-VM attribution
-// counters) before it is considered worth fusing. A method whose first
-// pass ran before the pair counters warmed up gets one retry at
-// fusionRetry calls; only then does it stop feeding the counters.
+// counters) before it is considered worth fusing. A method that loops
+// runs its first pass after fusionHot taken backward branches instead,
+// if that comes first: by then the loop body's pairs are hot. A method
+// whose first pass ran before the pair counters warmed up gets one
+// retry at fusionRetry calls; only then does it stop feeding the
+// counters.
 const (
 	fusionWarmup = 16
 	fusionRetry  = 512
@@ -107,13 +135,17 @@ type QuickOp struct {
 	// stack with a second slot).
 	Wide bool
 	// Desc is the field descriptor (the Doppio engine's JS-value
-	// conversions key on it).
+	// conversions key on it), or the target class name of
+	// QCheckcast/QInstanceof.
 	Desc string
-	// K is the preboxed QConst value in the Doppio engine's JS value
-	// representation (nil for aconst_null).
+	// K is the preboxed QConst/QConst2 value in the Doppio engine's
+	// JS value representation (nil for aconst_null), or QInstanceof's
+	// cached 0/1 answer.
 	K interface{}
 	// Field is the resolved field, for statics and stats.
 	Field *Field
+	// Class is the resolved class QNew instantiates.
+	Class *Class
 	// Method is the resolved target: the direct target for
 	// invokestatic/invokespecial, the resolved declaration (name+desc
 	// holder) for invokevirtual/interface.
@@ -123,7 +155,8 @@ type QuickOp struct {
 	Len int32
 
 	// Monomorphic inline cache for QInvokeVirtual, keyed on the
-	// receiver's class pointer.
+	// receiver's class pointer. QCheckcast and QInstanceof cache one
+	// class in ICClass the same way.
 	ICClass  *Class
 	ICMethod *Method
 	// Misses counts IC misses at this site; past icMissLimit the
@@ -145,6 +178,7 @@ type QuickTable struct {
 	packed []uint64
 
 	calls  int32 // invocations since allocation, for fusion warm-up
+	loops  int32 // taken backward branches before the first pass
 	passes int8  // fusion passes run so far (two max)
 	fused  bool  // fusion finished; pair attribution stops feeding
 }
@@ -193,6 +227,19 @@ func (qt *QuickTable) noteCall() bool {
 		return qt.calls >= fusionWarmup
 	}
 	return qt.calls >= fusionRetry
+}
+
+// noteLoop counts a taken backward branch in a method that has not
+// had a fusion pass yet, and reports whether the first pass should run
+// now: after fusionHot iterations, mid-invocation. The generic loop
+// calls it, so the next dispatch of the loop body enters the
+// quickened tier without waiting for another call.
+func (qt *QuickTable) noteLoop() bool {
+	if qt.passes > 0 {
+		return false
+	}
+	qt.loops++
+	return qt.loops >= fusionHot
 }
 
 // QuickStats is one engine's quickening counters, surfaced through
@@ -288,6 +335,24 @@ func installInvokeQuick(m *Method, pc int, kind QuickKind, target *Method, st *Q
 	return true
 }
 
+// installDoppioQuick records a form only the Doppio engine's inner
+// loop executes (QConst for an ldc, QNew, QCheckcast, QInstanceof),
+// installed by its generic handler once the instruction has succeeded
+// there. q carries the kind-specific fields; the opcode and length
+// come from the bytecode.
+func installDoppioQuick(m *Method, pc int, q QuickOp, st *QuickStats) {
+	qt := m.quickTable()
+	if qt.Ops[pc].Kind != QNone {
+		return
+	}
+	code := m.Code.Bytecode
+	q.Op = code[pc]
+	q.Len = int32(classfile.InstrLen(code, pc))
+	qt.Ops[pc] = q
+	qt.pack(pc)
+	st.Sites++
+}
+
 // icLookup dispatches a quickened virtual call through the site's
 // monomorphic inline cache, repointing it on miss and freezing it
 // megamorphic after icMissLimit misses. Returns nil when the receiver
@@ -317,9 +382,32 @@ func icLookup(op *QuickOp, recv *Class, st *QuickStats) *Method {
 	return target
 }
 
-// pairKey packs two adjacent raw opcodes into an attribution-counter
-// index.
-func pairKey(prev, op byte) uint16 { return uint16(prev)<<8 | uint16(op) }
+// pairCounts is a VM's adjacent-opcode attribution table. fuse only
+// asks about pairs ending in getfield, ifeq, iadd or if_icmplt, so
+// those four successors are the only ones counted, each in a row
+// indexed by the preceding opcode; every other successor lands in the
+// discarded row 0.
+type pairCounts struct {
+	rows [5][256]int64
+}
+
+// pairRow maps a successor opcode to its pairCounts row.
+var pairRow = [256]uint8{
+	classfile.OpGetfield: 1,
+	classfile.OpIfeq:     2,
+	classfile.OpIadd:     3,
+	classfile.OpIfIcmplt: 4,
+}
+
+// note counts one dynamic execution of the pair (prev, op).
+func (p *pairCounts) note(prev, op byte) { p.rows[pairRow[op]][prev]++ }
+
+// hot reports whether the pair (prev, op) has run often enough to
+// fuse.
+func (p *pairCounts) hot(prev, op byte) bool {
+	r := pairRow[op]
+	return r != 0 && p.rows[r][prev] >= fusionHot
+}
 
 // aloadIndex decodes an aload/aload_N opcode's local index, or -1.
 func aloadIndex(code []byte, pc int) int {
@@ -363,7 +451,7 @@ func iloadIndex(code []byte, pc int) int {
 // left in place, so branches that land between the two halves still
 // execute the unfused form — fusion needs no branch-target analysis to
 // stay safe.
-func (qt *QuickTable) fuse(m *Method, pairs *[65536]int64, st *QuickStats, deep bool) {
+func (qt *QuickTable) fuse(m *Method, pairs *pairCounts, st *QuickStats, deep bool) {
 	qt.passes++
 	if qt.passes >= 2 || pairs == nil {
 		qt.fused = true
@@ -385,7 +473,7 @@ func (qt *QuickTable) fuse(m *Method, pairs *[65536]int64, st *QuickStats, deep 
 			// the push/pop round trip.
 			g := qt.Ops[pc]
 			if !g.Wide && code[pc2] == classfile.OpIfeq && intishDesc(g.Desc) &&
-				pairs[pairKey(code[pc], code[pc2])] >= fusionHot {
+				pairs.hot(code[pc], code[pc2]) {
 				qt.Ops[pc] = QuickOp{
 					Kind:   QGetfieldIfeq,
 					Op:     code[pc],
@@ -409,7 +497,7 @@ func (qt *QuickTable) fuse(m *Method, pairs *[65536]int64, st *QuickStats, deep 
 		}
 		if idx := aloadIndex(code, pc); idx >= 0 {
 			g := &qt.Ops[pc2]
-			if g.Kind == QGetfield && pairs[pairKey(code[pc], code[pc2])] >= fusionHot {
+			if g.Kind == QGetfield && pairs.hot(code[pc], code[pc2]) {
 				qt.Ops[pc] = QuickOp{
 					Kind:   QAloadGetfield,
 					Op:     code[pc],
@@ -424,7 +512,7 @@ func (qt *QuickTable) fuse(m *Method, pairs *[65536]int64, st *QuickStats, deep 
 				st.Fusions++
 			}
 		} else if idx := iloadIndex(code, pc); idx >= 0 {
-			if code[pc2] == classfile.OpIadd && pairs[pairKey(code[pc], code[pc2])] >= fusionHot {
+			if code[pc2] == classfile.OpIadd && pairs.hot(code[pc], code[pc2]) {
 				qt.Ops[pc] = QuickOp{
 					Kind: QIloadIadd,
 					Op:   code[pc],
@@ -433,7 +521,7 @@ func (qt *QuickTable) fuse(m *Method, pairs *[65536]int64, st *QuickStats, deep 
 				}
 				qt.pack(pc)
 				st.Fusions++
-			} else if code[pc2] == classfile.OpIfIcmplt && pairs[pairKey(code[pc], code[pc2])] >= fusionHot {
+			} else if code[pc2] == classfile.OpIfIcmplt && pairs.hot(code[pc], code[pc2]) {
 				// The classic counted-loop backedge: iload of the
 				// bound then if_icmplt. The branch target does not fit
 				// the packed immediate, so handlers read it from the
@@ -457,15 +545,18 @@ func (qt *QuickTable) fuse(m *Method, pairs *[65536]int64, st *QuickStats, deep 
 }
 
 // predecode walks a warm method's bytecode and installs pre-decoded
-// simple forms at every remaining generic pc whose opcode has one:
-// loads, stores, small constants, non-throwing int arithmetic,
-// branches, iinc, dup, pop and returns. With the hot field and call
-// sites already quickened lazily, a warm method then runs long
+// forms at every remaining generic pc whose opcode has one: loads,
+// stores, constants (ldc2_w included), int and long arithmetic
+// (divisions included), i2l/l2i/lcmp, branches, iinc, dup, pop,
+// array loads, stores and length, and returns. With the hot field and
+// call sites already quickened lazily, a warm method then runs long
 // stretches entirely out of the side table, which the Doppio engine
 // executes in a tight inner loop without the outer dispatch
-// bookkeeping. Throwing forms (idiv/irem, array accesses),
-// wide-prefixed forms, switches and ldc (which may trigger class
-// loading) stay generic on purpose.
+// bookkeeping. Forms that can throw raise from that loop at their own
+// pc. Wide-prefixed forms, switches and the rarer conversions stay
+// generic; ldc, new, checkcast and instanceof (which may need class
+// loading, initialization or interning first) are installed by their
+// generic handlers once they have succeeded.
 func (qt *QuickTable) predecode(m *Method) {
 	code := m.Code.Bytecode
 	for pc := 0; pc < len(code); {
@@ -525,10 +616,38 @@ func (qt *QuickTable) predecode(m *Method) {
 			q.Kind, q.A = QIfACmp, int32(pc+int(i16(code, pc+1)))
 		case op == classfile.OpIfnull || op == classfile.OpIfnonnull:
 			q.Kind, q.A = QIfNull, int32(pc+int(i16(code, pc+1)))
+		case op == classfile.OpLconst0 || op == classfile.OpLconst1:
+			q.Kind, q.K = QConst2, jlong.FromInt32(int32(op)-classfile.OpLconst0)
+		case op == classfile.OpDconst0 || op == classfile.OpDconst1:
+			q.Kind, q.K = QConst2, float64(op-classfile.OpDconst0)
+		case op == classfile.OpLdc2W:
+			switch rc := &m.Class.CP[u16(code, pc+1)]; rc.Tag {
+			case classfile.TagLong:
+				q.Kind, q.K = QConst2, jlong.FromInt64(rc.Long)
+			case classfile.TagDouble:
+				q.Kind, q.K = QConst2, rc.Double
+			}
 		case op == classfile.OpIadd || op == classfile.OpIsub || op == classfile.OpImul ||
+			op == classfile.OpIdiv || op == classfile.OpIrem ||
 			op == classfile.OpIand || op == classfile.OpIor || op == classfile.OpIxor ||
 			op == classfile.OpIshl || op == classfile.OpIshr || op == classfile.OpIushr:
 			q.Kind = QArith
+		case op == classfile.OpLadd || op == classfile.OpLsub || op == classfile.OpLmul ||
+			op == classfile.OpLdiv || op == classfile.OpLrem ||
+			op == classfile.OpLand || op == classfile.OpLor || op == classfile.OpLxor:
+			q.Kind = QLArith
+		case op == classfile.OpI2l:
+			q.Kind = QI2L
+		case op == classfile.OpL2i:
+			q.Kind = QL2I
+		case op == classfile.OpLcmp:
+			q.Kind = QLcmp
+		case op >= classfile.OpIaload && op <= classfile.OpSaload:
+			q.Kind = QArrayLoad
+		case op >= classfile.OpIastore && op <= classfile.OpSastore:
+			q.Kind = QArrayStore
+		case op == classfile.OpArraylength:
+			q.Kind = QArrayLength
 		case op == classfile.OpIinc:
 			q.Kind, q.A, q.Offset = QIinc, int32(code[pc+1]), int32(int8(code[pc+2]))
 		case op == classfile.OpDup:

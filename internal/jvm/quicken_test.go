@@ -2,6 +2,7 @@ package jvm_test
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -384,4 +385,74 @@ func TestQuickenShadowedFieldLayout(t *testing.T) {
 			t.Errorf("native quicken=%v: out = %q, want %q", quicken, nOut, want)
 		}
 	}
+}
+
+// loopProgram's hot code is one call to sum, whose loop runs 5000
+// times. Warm-up that counts only calls never reaches it; counting the
+// loop's backward branches fuses and predecodes sum mid-invocation,
+// and the rest of the loop runs in the quickened tier.
+const loopProgram = `
+public class Main {
+    static int sum(int n) {
+        int s = 0;
+        for (int i = 0; i < n; i++) {
+            s = s + i;
+        }
+        return s;
+    }
+    public static void main(String[] args) {
+        System.out.println(sum(5000));
+    }
+}`
+
+func TestQuickenLoopWarmup(t *testing.T) {
+	off, _, _ := runDoppioQuick(t, loopProgram, false, 2*time.Millisecond)
+	on, err, st := runDoppioQuick(t, loopProgram, true, 2*time.Millisecond)
+	if err != nil || on != off {
+		t.Fatalf("quickened run: err=%v out=%q, want %q", err, on, off)
+	}
+	// s + i is an iload;iadd pair: once fused, each later iteration
+	// executes it once.
+	if st.Fusions == 0 || st.FusedExec < 4000 {
+		t.Errorf("a once-called loop did not reach the fused tier early: %+v", st)
+	}
+}
+
+// TestQuickenedVMFootprint bounds what quickening adds to a fresh VM
+// of either engine. The fusion pass reads pair counts for four
+// successor opcodes only, so the per-VM counters are a few KiB (a full
+// 256x256 table of int64 counters would be 512 KiB).
+func TestQuickenedVMFootprint(t *testing.T) {
+	const n = 8
+	var keep []interface{}
+	perVM := func(build func() interface{}) int64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			keep = append(keep, build())
+		}
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc-before.TotalAlloc) / n
+	}
+	doppio := func(quicken bool) func() interface{} {
+		return func() interface{} {
+			return jvm.NewDoppioVM(browser.NewWindow(browser.Chrome28), jvm.DoppioOptions{
+				DisableEngineTax: true,
+				Quicken:          quicken,
+			})
+		}
+	}
+	native := func(quicken bool) func() interface{} {
+		return func() interface{} {
+			return jvm.NewNativeVM(jvm.MapProvider{}, jvm.NativeOptions{Quicken: quicken})
+		}
+	}
+	const limit = 64 << 10
+	if extra := perVM(doppio(true)) - perVM(doppio(false)); extra > limit {
+		t.Errorf("quickening adds %d bytes to a Doppio VM, want <= %d", extra, limit)
+	}
+	if extra := perVM(native(true)) - perVM(native(false)); extra > limit {
+		t.Errorf("quickening adds %d bytes to a native VM, want <= %d", extra, limit)
+	}
+	runtime.KeepAlive(keep)
 }
