@@ -6,7 +6,7 @@
 //	doppio-bench -resp                # §7.1.3 responsiveness report
 //	doppio-bench -metrics -trace t.json   # instrumented default pass
 //	doppio-bench -fig3 -ops :6060     # live ops endpoints while it runs
-//	doppio-bench -ops-bench           # flight-recorder overhead A/B
+//	doppio-bench -ab sched,fscache -out /tmp -check   # A/Bs, gated
 //
 // With -metrics and/or -trace but no figure selected, a default
 // telemetry pass runs: the disasm workload through DoppioJVM plus a
@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"syscall"
@@ -48,33 +50,15 @@ func main() {
 	noTax := flag.Bool("noenginetax", false, "disable the JS-engine speed model")
 	metrics := flag.Bool("metrics", false, "print the telemetry metrics snapshot on exit")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON file (open in chrome://tracing)")
-	fsCache := flag.Bool("fs-cache", false, "A/B-compare fstrace replay and class loading with the VFS cache on and off (and enable the cache for other passes)")
-	fsBackend := flag.String("fs-backend", "cloud", "backend for -fs-cache: inmemory, localstorage, indexeddb, or cloud")
-	fsWriteBack := flag.Bool("fs-writeback", false, "use write-back (buffered) mode for -fs-cache")
-	fsFaults := flag.Float64("fs-faults", 0, "fault-injection A/B: replay fstrace and class loading through the retry stack at this per-op fault rate (e.g. 0.1; 0 disables)")
-	faultSeed := flag.Int64("fault-seed", 42, "seed for the -fs-faults fault sequence and retry jitter")
-	schedBatch := flag.Bool("sched-batch", false, "slice-batching A/B on the multithreaded producer/consumer workload (suspension round trips, context switches, longest macrotask)")
-	schedPrio := flag.Bool("sched-prio", false, "priority run-queue A/B: four CPU-bound threads with and without Thread.setPriority")
-	schedOut := flag.String("sched-out", "BENCH_sched.json", "path for the -sched-batch/-sched-prio JSON report")
 	opsAddr := flag.String("ops", "", "serve the live ops endpoints (/metrics, /debug/threads, pprof, ...) on this address, e.g. :6060")
 	flightCap := flag.Int("flight", 0, "enable the flight recorder with this event capacity (0 disables; -ops enables it at the default capacity)")
 	traceCap := flag.Int("trace-cap", 0, "trace-event retention cap for -trace (0 = default 262144; negative = unlimited); overflow drops oldest events, counted in telemetry.trace_dropped")
-	opsBench := flag.Bool("ops-bench", false, "flight-recorder overhead A/B on a CPU-bound multithreaded workload")
-	opsOut := flag.String("ops-out", "BENCH_ops.json", "path for the -ops-bench JSON report")
 	profFlag := flag.Bool("prof", false, "attach the guest sampling profiler to every Doppio-engine run; prints the hot methods at exit")
 	profPath := flag.String("prof-out", "", "write the guest CPU profile here at exit (.pb.gz = pprof protobuf, .json = snapshot, else collapsed stacks); implies -prof")
-	profBench := flag.Bool("prof-bench", false, "guest-profiler overhead A/B: DeltaBlue with the sampling profiler attached vs detached")
-	profOut := flag.String("prof-bench-out", "BENCH_prof.json", "path for the -prof-bench JSON report")
-	profCheck := flag.Bool("prof-check", false, "fail unless the -prof-bench overhead is <= 5% and the hottest method is a DeltaBlue method (CI gate)")
-	fleetN := flag.Int("fleet", 0, "fleet hosting sweep: run the tenant counts from {16, 64, 256} up to N, single-shard vs multi-shard at equal work")
-	fleetShards := flag.Int("fleet-shards", 0, "multi-shard pool width for -fleet (default NumCPU)")
-	fleetWorkload := flag.String("fleet-workload", "mixed", "tenant mix for -fleet: minic, jvm, mixed, pipes, or sock")
-	fleetOut := flag.String("fleet-out", "BENCH_fleet.json", "path for the -fleet JSON report")
-	fleetCheck := flag.Bool("fleet-check", false, "fail unless the -fleet run saw zero evictions and every tenant's slice counter is nonzero (CI smoke gate)")
-	interp := flag.Bool("interp", false, "interpreter speed-tier A/B: DeltaBlue with quickening (inline caches, superinstructions) on vs off at equal timeslice")
-	interpIters := flag.Int("interp-iters", 5, "timed iterations per arm for -interp")
-	interpOut := flag.String("interp-out", "BENCH_interp.json", "path for the -interp JSON report")
-	interpCheck := flag.Bool("interp-check", false, "fail unless the -interp quickened arm is >= 2x faster at p50 with byte-identical output (CI smoke gate)")
+	abFlag := flag.String("ab", "", "run these A/Bs, comma-separated ("+strings.Join(abNames(), ", ")+"); each writes BENCH_<name>.json to -out")
+	outDir := flag.String("out", ".", "directory for the -ab reports")
+	check := flag.Bool("check", false, "exit nonzero if any check of an -ab report failed")
+	seed := flag.Int64("seed", 42, "-ab seed: picks the arm that leads the first pair and seeds fault sequences and retry jitter")
 	flag.Parse()
 
 	var hub *telemetry.Hub
@@ -92,13 +76,23 @@ func main() {
 			hub.EnableFlight(telemetry.DefaultFlightCapacity)
 		}
 	}
-	anyFigure := *fig3 || *fig45 || *fig6 || *table1 || *table2 || *resp || *all || *fsCache || *fsFaults > 0 || *schedBatch || *schedPrio || *opsBench || *profBench || *fleetN > 0 || *interp
+	var abs []string
+	if *abFlag != "" {
+		abs = strings.Split(*abFlag, ",")
+		for _, name := range abs {
+			if bench.ABs[name] == nil {
+				fmt.Fprintf(os.Stderr, "doppio-bench: unknown A/B %q (have %s)\n", name, strings.Join(abNames(), ", "))
+				os.Exit(2)
+			}
+		}
+	}
+	anyFigure := *fig3 || *fig45 || *fig6 || *table1 || *table2 || *resp || *all || len(abs) > 0
 	if !anyFigure && hub == nil && !*profFlag && *profPath == "" {
 		// -prof alone runs the instrumented default pass, like -metrics.
 		flag.Usage()
 		os.Exit(2)
 	}
-	cfg := bench.Config{Scale: *scale, DisableEngineTax: *noTax, Telemetry: hub, FSCache: *fsCache}
+	cfg := bench.Config{Scale: *scale, DisableEngineTax: *noTax, Telemetry: hub, Seed: *seed}
 	var guestProf *gprof.Profiler
 	if *profFlag || *profPath != "" {
 		guestProf = gprof.New(gprof.Options{})
@@ -226,178 +220,23 @@ func main() {
 		}
 		fmt.Println(bench.FormatResponsiveness(rows))
 	}
-	if *fsCache {
-		params := bench.FSCacheParams{
-			Backend:   *fsBackend,
-			WriteBack: *fsWriteBack,
-			Latency:   200 * time.Microsecond,
-			Trace: fstrace.GenerateParams{
-				Ops: 400 * *scale, UniqueFiles: 120 * *scale,
-				BytesRead: 600_000 * *scale, BytesWritten: 8_000 * *scale,
-			},
-		}
-		res, err := bench.RunFSCache(cfg, params)
+	for _, name := range abs {
+		rep, err := bench.ABs[name](cfg)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Println(bench.FormatFSCache(res))
-		cab, err := bench.RunClassloadFSCache(cfg, *fsBackend, *fsWriteBack, 200*time.Microsecond)
-		if err != nil {
+		fmt.Print(rep.Format())
+		path := filepath.Join(*outDir, "BENCH_"+name+".json")
+		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			fatal(err)
 		}
-		fmt.Println(bench.FormatClassloadAB(cab))
-	}
-	if *fsFaults > 0 {
-		params := bench.FSFaultsParams{
-			Backend: *fsBackend,
-			Rate:    *fsFaults,
-			Seed:    *faultSeed,
-			Latency: 200 * time.Microsecond,
-			Trace: fstrace.GenerateParams{
-				Ops: 400 * *scale, UniqueFiles: 120 * *scale,
-				BytesRead: 600_000 * *scale, BytesWritten: 8_000 * *scale,
-			},
-		}
-		res, err := bench.RunFSFaults(cfg, params)
-		if err != nil {
+		if err := rep.WriteFile(path); err != nil {
 			fatal(err)
 		}
-		fmt.Println(bench.FormatFSFaults(res))
-		if !res.BitIdentical() {
-			finishErr = fmt.Errorf("faulty replay diverged from fault-free run")
-		}
-		clf, err := bench.RunClassloadFaults(cfg, *fsBackend, *fsFaults, *faultSeed, 200*time.Microsecond)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(bench.FormatClassloadFaults(clf))
-		if clf.LoadErrors > 0 || clf.Mismatches > 0 {
-			finishErr = fmt.Errorf("class loading failed under faults")
-		}
-	}
-	if *schedBatch || *schedPrio {
-		var report bench.SchedReport
-		if *schedBatch {
-			res, err := bench.RunSchedBatch(cfg)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Println(bench.FormatSchedBatch(res))
-			report.Batch = res
-		}
-		if *schedPrio {
-			res, err := bench.RunSchedPrio(cfg)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Println(bench.FormatSchedPrio(res))
-			report.Prio = res
-		}
-		if err := bench.WriteSchedReport(*schedOut, report); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("scheduler report written to %s\n", *schedOut)
-	}
-	if *opsBench {
-		res, err := bench.RunOpsOverhead(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(bench.FormatOpsOverhead(res))
-		if err := bench.WriteOpsReport(*opsOut, res); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("ops overhead report written to %s\n", *opsOut)
-	}
-	if *profBench {
-		res, err := bench.RunProfOverhead(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(bench.FormatProfOverhead(res))
-		if err := bench.WriteProfReport(*profOut, res); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("profiler overhead report written to %s\n", *profOut)
-		if *profCheck {
-			switch {
-			case res.Overhead > 5:
-				finishErr = fmt.Errorf("prof check: profiler overhead %.2f%% exceeds the 5%% budget", res.Overhead)
-			case res.On.Samples == 0:
-				finishErr = fmt.Errorf("prof check: the on arm folded zero cpu samples")
-			case !strings.Contains(res.HotMethod, "."):
-				finishErr = fmt.Errorf("prof check: hottest method %q is not a guest method", res.HotMethod)
-			default:
-				fmt.Printf("prof check: ok (%+.2f%% cpu, %d samples, hottest %s)\n",
-					res.Overhead, res.On.Samples, res.HotMethod)
-			}
-		}
-	}
-	if *fleetN > 0 {
-		var counts []int
-		for _, n := range []int{16, 64, 256} {
-			if n <= *fleetN {
-				counts = append(counts, n)
-			}
-		}
-		if len(counts) == 0 {
-			counts = []int{*fleetN}
-		}
-		res, err := bench.RunFleet(bench.FleetParams{
-			Tenants:  counts,
-			Shards:   *fleetShards,
-			Workload: *fleetWorkload,
-			Scale:    *scale,
-			Ops:      opsSrv,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(bench.FormatFleet(res))
-		if err := bench.WriteFleetReport(*fleetOut, res); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("fleet report written to %s\n", *fleetOut)
-		if *fleetCheck {
-			for _, pt := range res.Points {
-				for _, arm := range []bench.FleetArm{pt.Single, pt.Multi} {
-					if arm.Evictions != 0 || arm.Failed != 0 {
-						finishErr = fmt.Errorf("fleet check: %d tenants on %d shards saw %d evictions, %d failures",
-							pt.Tenants, arm.Shards, arm.Evictions, arm.Failed)
-					}
-					if arm.MinTenantSlices <= 0 {
-						finishErr = fmt.Errorf("fleet check: %d tenants on %d shards: a tenant's slice counter stayed zero",
-							pt.Tenants, arm.Shards)
-					}
-				}
-			}
-			if finishErr == nil {
-				fmt.Println("fleet check: ok (zero evictions, every tenant counter nonzero)")
-			}
-		}
-	}
-	if *interp {
-		res, err := bench.RunInterp(bench.InterpParams{
-			Scale: *scale,
-			Iters: *interpIters,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(bench.FormatInterp(res))
-		if err := bench.WriteInterpReport(*interpOut, res); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("interp report written to %s\n", *interpOut)
-		if *interpCheck {
-			switch {
-			case !res.OutputMatch:
-				finishErr = fmt.Errorf("interp check: quickened output diverged from generic")
-			case res.SpeedupP50 < 2:
-				finishErr = fmt.Errorf("interp check: quickened arm only %.2fx faster at p50 (need >= 2x)", res.SpeedupP50)
-			default:
-				fmt.Printf("interp check: ok (%.2fx at p50, outputs identical)\n", res.SpeedupP50)
-			}
+		fmt.Printf("%s report written to %s\n\n", name, path)
+		if failed := rep.Failed(); *check && len(failed) > 0 {
+			finishErr = fmt.Errorf("%s: %d of %d checks failed", name, len(failed), len(rep.Checks))
+			fmt.Fprintln(os.Stderr, "doppio-bench:", finishErr)
 		}
 	}
 	if !anyFigure {
@@ -434,12 +273,7 @@ func runTelemetryPass(cfg bench.Config) error {
 		Ops: 400, UniqueFiles: 120, BytesRead: 600_000, BytesWritten: 8_000,
 	})
 	env := fleet.NewEnv(profile, cfg.Telemetry)
-	stackOpts := []vfs.StackOption{}
-	if cfg.FSCache {
-		stackOpts = append(stackOpts, vfs.WithCache(vfs.CacheOptions{Hub: cfg.Telemetry}))
-	}
-	root := vfs.Stack(vfs.Instrument(vfs.NewInMemory(), cfg.Telemetry), stackOpts...)
-	fs := env.NewFS(root)
+	fs := env.NewFS(vfs.Instrument(vfs.NewInMemory(), cfg.Telemetry))
 	var okOps int
 	if err := fleet.Drive(env.Win.Loop, "fstrace", func(done func(error)) {
 		fstrace.SeedVFS(fs, trace, func(err error) {
@@ -457,6 +291,16 @@ func runTelemetryPass(cfg bench.Config) error {
 	}
 	fmt.Printf("telemetry pass: fstrace replay completed %d/%d ops\n", okOps, len(trace.Ops))
 	return nil
+}
+
+// abNames lists the A/Bs -ab accepts.
+func abNames() []string {
+	names := make([]string, 0, len(bench.ABs))
+	for name := range bench.ABs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 func fatal(err error) {

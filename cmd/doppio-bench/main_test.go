@@ -1,7 +1,9 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -10,6 +12,57 @@ import (
 	"doppio/internal/browser"
 	"doppio/internal/telemetry"
 )
+
+// TestMain doubles as the doppio-bench binary when DOPPIO_BENCH_MAIN
+// is set, with one extra A/B whose only check always fails, so a test
+// can observe the real process exit status.
+func TestMain(m *testing.M) {
+	if os.Getenv("DOPPIO_BENCH_MAIN") != "" {
+		bench.ABs["failing"] = func(cfg bench.Config) (*bench.Report, error) {
+			return &bench.Report{Name: "failing", Seed: cfg.Seed,
+				Checks: []bench.Check{{Name: "impossible", Detail: "fails by construction"}}}, nil
+		}
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestABCheckExitStatus runs doppio-bench -ab on an A/B with a failed
+// check: the report is written either way, and -check turns the
+// failure into a nonzero exit.
+func TestABCheckExitStatus(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-ab", "failing"}, 0},
+		{[]string{"-ab", "failing", "-check"}, 1},
+		{[]string{"-ab", "nosuch", "-check"}, 2},
+	} {
+		dir := filepath.Join(t.TempDir(), "reports")
+		cmd := exec.Command(exe, append(c.args, "-out", dir)...)
+		cmd.Env = append(os.Environ(), "DOPPIO_BENCH_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		code := 0
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			code = exit.ExitCode()
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if code != c.want {
+			t.Errorf("doppio-bench %v: exit %d, want %d\n%s", c.args, code, c.want, out)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "BENCH_failing.json")); (err == nil) != (c.want != 2) {
+			t.Errorf("doppio-bench %v: report written = %v", c.args, err == nil)
+		}
+	}
+}
 
 // TestTelemetryPass drives the -trace/-metrics default pass and checks
 // the acceptance contract: the metrics table carries event-loop

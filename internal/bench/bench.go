@@ -9,6 +9,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"time"
@@ -42,19 +43,16 @@ type Config struct {
 	// cover only the measured workload (backend op histograms do
 	// include seeding traffic — it is genuine backend I/O).
 	Telemetry *telemetry.Hub
-	// FSCache wraps each run's VFS backend in the CachedBackend
-	// decorator (whole-file page cache + stat/readdir caches), so the
-	// JVM's class-load and host-FS traffic is served from cache after
-	// first touch. Cache counters land in Telemetry under
-	// "vfscache.<backend>".
-	FSCache bool
+	// Seed picks the arm that leads each A/B's first pair and seeds
+	// the fault sequence and retry jitter of the fsfaults A/B.
+	Seed int64
 	// Ops, when non-nil, has each Doppio run register itself as an
 	// inspectable source, so the live endpoints (/debug/threads,
 	// /debug/vfs, ...) can see the workload while it executes.
 	Ops *ops.Server
 	// Profiler, when non-nil, attaches the guest sampling profiler to
 	// every Doppio-engine run (figures and the telemetry pass fold into
-	// one profile; the -prof-bench A/B manages its own profilers).
+	// one profile; the prof A/B manages its own profilers).
 	Profiler *profile.Profiler
 }
 
@@ -201,13 +199,7 @@ func RunDoppio(spec WorkloadSpec, scale int, profile browser.Profile, cfg Config
 	}
 	env := fleet.NewEnv(profile, nil)
 	win := env.Win
-	// Keep Instrument innermost (as the Stack base) so "vfs.InMemory"
-	// ops keeps counting backend round trips even when the cache is on.
-	stackOpts := []vfs.StackOption{}
-	if cfg.FSCache {
-		stackOpts = append(stackOpts, vfs.WithCache(vfs.CacheOptions{Hub: cfg.Telemetry}))
-	}
-	root := vfs.Stack(vfs.Instrument(vfs.NewInMemory(), cfg.Telemetry), stackOpts...)
+	root := vfs.Instrument(vfs.NewInMemory(), cfg.Telemetry)
 	fs := env.NewFS(root)
 
 	// Seed the corpus before timing starts.
@@ -283,4 +275,34 @@ func RunDoppio(spec WorkloadSpec, scale int, profile browser.Profile, cfg Config
 		Instructions: vm.Instructions,
 		Output:       stdout.String(),
 	}, nil
+}
+
+// runJVM runs main once on a fresh VM in win. The sample carries wall
+// time, scheduler CPU time (thread execution only: where an
+// observer's cost lands, free of the timer jitter that dominates wall
+// on a timeslice-batched workload) and stdout as the output. A
+// *firstWrite stdout is timed from the same start as wall time.
+func runJVM(win *browser.Window, opts jvm.DoppioOptions, main string, args []string) (Sample, *jvm.DoppioVM, error) {
+	var stdout strings.Builder
+	fw, _ := opts.Stdout.(*firstWrite)
+	if opts.Stdout != nil {
+		opts.Stdout = io.MultiWriter(&stdout, opts.Stdout)
+	} else {
+		opts.Stdout = &stdout
+	}
+	vm := jvm.NewDoppioVM(win, opts)
+	start := time.Now()
+	if fw != nil {
+		fw.start = start
+	}
+	if err := vm.RunMain(main, args); err != nil {
+		return Sample{}, nil, fmt.Errorf("%s: %w\n%s", main, err, stdout.String())
+	}
+	return Sample{
+		Metrics: map[string]float64{
+			"wall_ns": float64(time.Since(start)),
+			"cpu_ns":  float64(vm.Runtime().Stats().CPUTime),
+		},
+		Output: stdout.String(),
+	}, vm, nil
 }

@@ -1,19 +1,16 @@
-// Fleet hosting benchmark: N tenants on a single-shard supervisor
-// versus the same N on a multi-shard pool, at equal work. The report
-// (BENCH_fleet.json) records throughput and tail latency
-// (p50/p95/p99/p999) per tenant count — the fleet layer's claim is
-// that sharding event loops across cores turns guest multiprocessing
-// into host parallelism, so the multi-shard arm must win wall-clock.
+// Fleet hosting A/B (BENCH_fleet.json): N tenants on a single-shard
+// supervisor versus the same N on a multi-shard pool, at equal work,
+// per tenant count. The fleet layer's claim is that sharding event
+// loops across cores turns guest multiprocessing into host
+// parallelism: on a multi-core host the multi-shard arm wins wall
+// clock, and even on one core tenants on a wide pool wait behind fewer
+// queue neighbors, so median tenant latency improves.
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
-	"os"
 	"runtime"
-	"sort"
-	"strings"
 	"time"
 
 	"doppio/internal/browser"
@@ -21,7 +18,6 @@ import (
 	"doppio/internal/fleet"
 	"doppio/internal/jvm"
 	"doppio/internal/minic"
-	"doppio/internal/ops"
 	"doppio/internal/proc"
 	"doppio/internal/sockets"
 	"doppio/internal/telemetry"
@@ -122,103 +118,32 @@ public class FleetEcho {
 // an IOException in the guest), low enough to bound a runaway loop.
 const fleetSockShedDepth = 256
 
-// FleetParams tunes the fleet benchmark.
-type FleetParams struct {
-	// Tenants is the sweep of tenant counts; default {16, 64, 256}.
-	Tenants []int
-	// Shards is the multi-shard arm's pool width; default NumCPU.
-	Shards int
-	// Workload picks the tenant mix: "minic", "jvm", "mixed"
-	// (alternating by index), "pipes" (a MiniC producer piped into a
-	// JVM consumer under a per-tenant process kernel), or "sock" (a
-	// JVM echo client whose socket rides a per-tenant mux Stack
-	// through a shared websockify gateway).
-	Workload string
-	// Timeslice for every tenant VM; default 2ms (short slices keep
-	// tail latency honest when hundreds of tenants share a shard).
-	Timeslice time.Duration
-	// Scale multiplies per-tenant work; default 1.
-	Scale int
-	// Ops, when non-nil, registers each arm's supervisor behind
-	// /debug/fleet while it runs.
-	Ops *ops.Server
-}
+// Fleet constants: the timeslice of every tenant VM (short slices keep
+// tail latency honest when hundreds of tenants share a shard) and the
+// A/B's pair count.
+const (
+	fleetTimeslice = 2 * time.Millisecond
+	fleetPairs     = 3
+)
 
-func (p FleetParams) withDefaults() FleetParams {
-	if len(p.Tenants) == 0 {
-		p.Tenants = []int{16, 64, 256}
+// fleetTenants is the sweep of tenant counts: 16 and 64 at scale 1,
+// adding 256 above it.
+func fleetTenants(scale int) []int {
+	if scale <= 1 {
+		return []int{16, 64}
 	}
-	if p.Shards <= 0 {
-		p.Shards = runtime.NumCPU()
-		if p.Shards < 2 {
-			// A 1-wide "multi" arm would compare a shard with itself.
-			p.Shards = 2
-		}
-	}
-	if p.Workload == "" {
-		p.Workload = "mixed"
-	}
-	if p.Timeslice == 0 {
-		p.Timeslice = 2 * time.Millisecond
-	}
-	if p.Scale <= 0 {
-		p.Scale = 1
-	}
-	return p
-}
-
-// FleetArm is one supervisor configuration's measurement.
-type FleetArm struct {
-	Shards int `json:"shards"`
-	// Wall is submit-of-first to done-of-last.
-	Wall       time.Duration `json:"wall_ns"`
-	Throughput float64       `json:"tenants_per_sec"`
-	// Latency percentiles over per-tenant submit→done times,
-	// nearest-rank on the raw sample (no interpolation).
-	P50  time.Duration `json:"p50_ns"`
-	P95  time.Duration `json:"p95_ns"`
-	P99  time.Duration `json:"p99_ns"`
-	P999 time.Duration `json:"p999_ns"`
-	// Evictions and Failed must be zero on a healthy run — the CI
-	// smoke gate asserts it.
-	Evictions int `json:"evictions"`
-	Failed    int `json:"failed"`
-	// MinTenantSlices is the smallest per-tenant slice counter the
-	// fleet telemetry recorded: nonzero proves every tenant's labeled
-	// series saw real scheduler work (the other CI smoke assertion).
-	MinTenantSlices int64 `json:"min_tenant_slices"`
-}
-
-// FleetPoint compares both arms at one tenant count.
-type FleetPoint struct {
-	Tenants int      `json:"tenants"`
-	Single  FleetArm `json:"single_shard"`
-	Multi   FleetArm `json:"multi_shard"`
-	// Speedup is single wall / multi wall — the parallelism win. It
-	// needs cores: on a single-CPU host (see Cores) the arms tie on
-	// wall and the sharding win shows up in P50Speedup instead.
-	Speedup float64 `json:"speedup"`
-	// P50Speedup is single p50 / multi p50: tenants on a wide pool
-	// wait behind fewer queue neighbors, so median latency improves
-	// even when wall-clock cannot.
-	P50Speedup float64 `json:"p50_speedup"`
-}
-
-// FleetResult is the full sweep (BENCH_fleet.json).
-type FleetResult struct {
-	Workload  string        `json:"workload"`
-	Shards    int           `json:"shards"`
-	Timeslice time.Duration `json:"timeslice_ns"`
-	Scale     int           `json:"scale"`
-	// Cores is the host's usable parallelism (GOMAXPROCS) when the
-	// sweep ran — the context every Speedup must be read in.
-	Cores  int          `json:"cores"`
-	Points []FleetPoint `json:"points"`
+	return []int{16, 64, 256}
 }
 
 // fleetAssets are the precompiled tenant programs, shared by every
 // arm so both arms run byte-identical work.
 type fleetAssets struct {
+	// mix picks the tenant programs: "minic", "jvm", "mixed"
+	// (alternating by index), "pipes" (a MiniC producer piped into a
+	// JVM consumer under a per-tenant process kernel), or "sock" (a
+	// JVM echo client whose socket rides a per-tenant mux Stack
+	// through a shared websockify gateway).
+	mix         string
 	burn        *minic.Program
 	burnClasses map[string][]byte
 	producer    *minic.Program
@@ -234,18 +159,18 @@ type fleetAssets struct {
 	sockAddr    string
 }
 
-func compileFleetAssets(p FleetParams) (*fleetAssets, error) {
-	a := &fleetAssets{}
+func compileFleetAssets(mix string) (*fleetAssets, error) {
+	a := &fleetAssets{mix: mix}
 	var err error
-	if a.burn, err = minic.CompileC(fmt.Sprintf(fleetMinicProgram, 20*p.Scale)); err != nil {
+	if a.burn, err = minic.CompileC(fmt.Sprintf(fleetMinicProgram, 20)); err != nil {
 		return nil, fmt.Errorf("fleet minic tenant: %w", err)
 	}
 	if a.burnClasses, err = workloadsCompile(map[string]string{
-		"FleetBurn.mj": fmt.Sprintf(fleetJVMProgram, 20_000*p.Scale),
+		"FleetBurn.mj": fmt.Sprintf(fleetJVMProgram, 20_000),
 	}); err != nil {
 		return nil, fmt.Errorf("fleet jvm tenant: %w", err)
 	}
-	if a.producer, err = minic.CompileC(fmt.Sprintf(fleetPipeProducer, 100*p.Scale)); err != nil {
+	if a.producer, err = minic.CompileC(fmt.Sprintf(fleetPipeProducer, 100)); err != nil {
 		return nil, fmt.Errorf("fleet pipe producer: %w", err)
 	}
 	if a.pipeClasses, err = workloadsCompile(map[string]string{
@@ -253,9 +178,9 @@ func compileFleetAssets(p FleetParams) (*fleetAssets, error) {
 	}); err != nil {
 		return nil, fmt.Errorf("fleet pipe consumer: %w", err)
 	}
-	if p.Workload == "sock" {
+	if mix == "sock" {
 		if a.sockClasses, err = workloadsCompile(map[string]string{
-			"FleetEcho.mj": fmt.Sprintf(fleetSockProgram, 8*p.Scale),
+			"FleetEcho.mj": fmt.Sprintf(fleetSockProgram, 8),
 		}); err != nil {
 			return nil, fmt.Errorf("fleet sock tenant: %w", err)
 		}
@@ -283,9 +208,9 @@ func (a *fleetAssets) close() {
 	}
 }
 
-// fleetTenant builds tenant i's spec for the chosen workload mix.
-func fleetTenant(p FleetParams, a *fleetAssets, i int) fleet.Tenant {
-	kind := p.Workload
+// fleetTenant builds tenant i's spec for the assets' mix.
+func fleetTenant(a *fleetAssets, i int) fleet.Tenant {
+	kind := a.mix
 	if kind == "mixed" {
 		if i%2 == 0 {
 			kind = "minic"
@@ -303,7 +228,7 @@ func fleetTenant(p FleetParams, a *fleetAssets, i int) fleet.Tenant {
 				FS:        fs,
 				HeapSize:  256 << 10,
 				StackSize: 32 << 10,
-				Timeslice: p.Timeslice,
+				Timeslice: fleetTimeslice,
 			})
 			if err != nil {
 				return nil, err
@@ -320,7 +245,7 @@ func fleetTenant(p FleetParams, a *fleetAssets, i int) fleet.Tenant {
 		t.Start = func(env *fleet.Env, done func(error)) (*fleet.Handle, error) {
 			vm := jvm.NewDoppioVM(env.Win, jvm.DoppioOptions{
 				Provider:         jvm.MapProvider(a.burnClasses),
-				Timeslice:        p.Timeslice,
+				Timeslice:        fleetTimeslice,
 				HeapSize:         512 << 10,
 				DisableEngineTax: true,
 			})
@@ -345,7 +270,7 @@ func fleetTenant(p FleetParams, a *fleetAssets, i int) fleet.Tenant {
 			)
 			vm := jvm.NewDoppioVM(env.Win, jvm.DoppioOptions{
 				Provider:         jvm.MapProvider(a.sockClasses),
-				Timeslice:        p.Timeslice,
+				Timeslice:        fleetTimeslice,
 				HeapSize:         512 << 10,
 				DisableEngineTax: true,
 				SocketDialer: func(_ *browser.Window, _ string, cb func(*sockets.Socket, error)) {
@@ -413,46 +338,44 @@ func fleetTenant(p FleetParams, a *fleetAssets, i int) fleet.Tenant {
 	return t
 }
 
-// RunFleet sweeps the tenant counts, running the single-shard and
-// multi-shard arm at each — equal work, fresh supervisor and
-// telemetry hub per arm.
-func RunFleet(p FleetParams) (*FleetResult, error) {
-	p = p.withDefaults()
-	assets, err := compileFleetAssets(p)
+// runFleet sweeps the tenant counts with the given mix, one
+// comparison per count: a fresh supervisor and telemetry hub per run,
+// and the same precompiled programs on both arms.
+func runFleet(cfg Config, mix string, tenants []int) (*Report, error) {
+	cfg = cfg.withDefaults()
+	assets, err := compileFleetAssets(mix)
 	if err != nil {
 		return nil, err
 	}
 	defer assets.close()
-	res := &FleetResult{
-		Workload: p.Workload, Shards: p.Shards,
-		Timeslice: p.Timeslice, Scale: p.Scale,
-		Cores: runtime.GOMAXPROCS(0),
-	}
-	for _, n := range p.Tenants {
-		single, err := runFleetArm(p, assets, n, 1)
+	// A 1-wide "multi" arm would compare a shard with itself.
+	shards := max(runtime.NumCPU(), 2)
+	rep := newReport("fleet", cfg, map[string]any{
+		"mix":       mix,
+		"shards":    shards,
+		"timeslice": fleetTimeslice.String(),
+	})
+	for _, n := range tenants {
+		arm := func(name string, width int) Arm {
+			return Arm{name, func() (Sample, error) { return runFleetArm(cfg, assets, n, width) }}
+		}
+		c, err := rep.compare(AB{Name: fmt.Sprintf("tenants=%d", n), Pairs: fleetPairs,
+			A: arm("single-shard", 1), B: arm("multi-shard", shards)})
 		if err != nil {
-			return nil, fmt.Errorf("fleet %d tenants, 1 shard: %w", n, err)
+			return nil, err
 		}
-		multi, err := runFleetArm(p, assets, n, p.Shards)
-		if err != nil {
-			return nil, fmt.Errorf("fleet %d tenants, %d shards: %w", n, p.Shards, err)
-		}
-		pt := FleetPoint{Tenants: n, Single: single, Multi: multi}
-		if multi.Wall > 0 {
-			pt.Speedup = float64(single.Wall) / float64(multi.Wall)
-		}
-		if multi.P50 > 0 {
-			pt.P50Speedup = float64(single.P50) / float64(multi.P50)
-		}
-		res.Points = append(res.Points, pt)
+		bad := maxMetric(c, "evictions") + maxMetric(c, "failed")
+		rep.check(c.Name+": zero evictions and failures", bad == 0, "%.0f evicted or failed in the worst run", bad)
+		slices := minMetric(c, "min_tenant_slices")
+		rep.check(c.Name+": every tenant's slice counter > 0", slices > 0, "fewest slices of any tenant: %.0f", slices)
 	}
-	return res, nil
+	return rep, nil
 }
 
 // runFleetArm hosts n tenants on a shards-wide supervisor and waits
-// them all out.
-func runFleetArm(p FleetParams, assets *fleetAssets, n, shards int) (FleetArm, error) {
-	arm := FleetArm{Shards: shards}
+// them all out; the sample's latencies are per-tenant submit-to-done
+// times, and its wall runs from the first submit to the last done.
+func runFleetArm(cfg Config, assets *fleetAssets, n, shards int) (Sample, error) {
 	hub := telemetry.NewHub()
 	// A 10ms heartbeat keeps the (per-shard) monitor timer from
 	// dominating the measurement on narrow hosts; both arms use it, so
@@ -462,57 +385,37 @@ func runFleetArm(p FleetParams, assets *fleetAssets, n, shards int) (FleetArm, e
 		MonitorInterval: 10 * time.Millisecond,
 	})
 	defer sup.Close()
-	if p.Ops != nil {
-		p.Ops.RegisterFleet(fmt.Sprintf("%s n=%d shards=%d", p.Workload, n, shards), sup)
+	if cfg.Ops != nil {
+		cfg.Ops.RegisterFleet(fmt.Sprintf("%s n=%d shards=%d", assets.mix, n, shards), sup)
 	}
 
 	start := time.Now()
 	refs := make([]*fleet.TenantRef, 0, n)
 	for i := 0; i < n; i++ {
-		ref, err := sup.Submit(fleetTenant(p, assets, i))
+		ref, err := sup.Submit(fleetTenant(assets, i))
 		if err != nil {
-			return arm, err
+			return Sample{}, err
 		}
 		refs = append(refs, ref)
 	}
-	latencies := make([]time.Duration, 0, n)
+	s := Sample{Latencies: make([]time.Duration, 0, n)}
 	for _, ref := range refs {
 		<-ref.Done()
 		if err := ref.Err(); err != nil {
-			return arm, fmt.Errorf("tenant %s: %w", ref.Label(), err)
+			return Sample{}, fmt.Errorf("tenant %s: %w", ref.Label(), err)
 		}
-		latencies = append(latencies, ref.Latency())
+		s.Latencies = append(s.Latencies, ref.Latency())
 	}
-	arm.Wall = time.Since(start)
-	if arm.Wall > 0 {
-		arm.Throughput = float64(n) / arm.Wall.Seconds()
-	}
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	arm.P50 = nearestRank(latencies, 0.50)
-	arm.P95 = nearestRank(latencies, 0.95)
-	arm.P99 = nearestRank(latencies, 0.99)
-	arm.P999 = nearestRank(latencies, 0.999)
-
+	wall := time.Since(start)
 	snap := sup.Snapshot()
-	arm.Evictions = snap.Evicted
-	arm.Failed = snap.Failed
-	arm.MinTenantSlices = minTenantSlices(hub, n)
-	return arm, nil
-}
-
-// nearestRank is the exact nearest-rank percentile of a sorted sample.
-func nearestRank(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
+	s.Metrics = map[string]float64{
+		"wall_ns":           float64(wall),
+		"tenants_per_sec":   float64(n) / wall.Seconds(),
+		"evictions":         float64(snap.Evicted),
+		"failed":            float64(snap.Failed),
+		"min_tenant_slices": float64(minTenantSlices(hub, n)),
 	}
-	rank := int(q*float64(len(sorted)) + 0.9999999)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
+	return s, nil
 }
 
 // minTenantSlices scans the hub for the per-tenant slice counters the
@@ -534,45 +437,4 @@ func minTenantSlices(hub *telemetry.Hub, n int) int64 {
 		return 0
 	}
 	return min
-}
-
-// FormatFleet renders the sweep as a table.
-func FormatFleet(r *FleetResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fleet hosting — %s tenants, %d-shard pool, %v timeslice, %d host cores\n",
-		r.Workload, r.Shards, r.Timeslice, r.Cores)
-	fmt.Fprintf(&b, "  %7s  %6s  %9s  %9s  %9s  %9s  %9s  %8s\n",
-		"tenants", "shards", "wall", "p50", "p95", "p99", "p999", "tput/s")
-	arm := func(n int, a FleetArm) {
-		fmt.Fprintf(&b, "  %7d  %6d  %9s  %9s  %9s  %9s  %9s  %8.1f\n",
-			n, a.Shards, a.Wall.Round(time.Millisecond),
-			a.P50.Round(time.Millisecond), a.P95.Round(time.Millisecond),
-			a.P99.Round(time.Millisecond), a.P999.Round(time.Millisecond),
-			a.Throughput)
-	}
-	for _, pt := range r.Points {
-		arm(pt.Tenants, pt.Single)
-		arm(pt.Tenants, pt.Multi)
-		fmt.Fprintf(&b, "  %7s  speedup ×%.2f (p50 ×%.2f)  evictions %d+%d  min tenant slices %d\n",
-			"", pt.Speedup, pt.P50Speedup, pt.Single.Evictions, pt.Multi.Evictions,
-			minInt64(pt.Single.MinTenantSlices, pt.Multi.MinTenantSlices))
-	}
-	return b.String()
-}
-
-func minInt64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// WriteFleetReport writes the sweep as indented JSON
-// (BENCH_fleet.json).
-func WriteFleetReport(path string, r *FleetResult) error {
-	data, err := json.MarshalIndent(r, "", " ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

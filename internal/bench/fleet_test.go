@@ -1,77 +1,39 @@
 package bench
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
-// TestRunFleetSmall runs a miniature sweep of the fleet benchmark:
-// every workload mix must complete cleanly (no failures, no
-// evictions) with every tenant's slice counter visibly nonzero.
+// TestRunFleetSmall runs a miniature sweep of the fleet A/B: every
+// tenant mix must complete cleanly (no failures, no evictions) with
+// every tenant's slice counter visibly nonzero.
 func TestRunFleetSmall(t *testing.T) {
-	for _, workload := range []string{"mixed", "pipes"} {
-		p := FleetParams{
-			Tenants:  []int{4},
-			Shards:   2,
-			Workload: workload,
-			Scale:    1,
-		}
-		res, err := RunFleet(p)
+	for _, mix := range []string{"mixed", "pipes", "sock"} {
+		rep, err := runFleet(Config{Scale: 1}, mix, []int{4})
 		if err != nil {
-			t.Fatalf("%s: %v", workload, err)
+			t.Fatalf("%s: %v", mix, err)
 		}
-		if len(res.Points) != 1 {
-			t.Fatalf("%s: %d points, want 1", workload, len(res.Points))
+		if len(rep.Comparisons) != 1 {
+			t.Fatalf("%s: %d comparisons, want 1", mix, len(rep.Comparisons))
 		}
-		pt := res.Points[0]
-		for _, arm := range []FleetArm{pt.Single, pt.Multi} {
-			if arm.Failed != 0 || arm.Evictions != 0 {
-				t.Errorf("%s shards=%d: failed=%d evictions=%d",
-					workload, arm.Shards, arm.Failed, arm.Evictions)
+		c := rep.Comparisons[0]
+		for _, arm := range []ArmReport{c.A, c.B} {
+			if f, e := arm.Metrics["failed"].Max, arm.Metrics["evictions"].Max; f != 0 || e != 0 {
+				t.Errorf("%s %s: failed=%v evictions=%v", mix, arm.Name, f, e)
 			}
-			if arm.Throughput <= 0 {
-				t.Errorf("%s shards=%d: throughput %v", workload, arm.Shards, arm.Throughput)
+			if tput := arm.Metrics["tenants_per_sec"].Min; tput <= 0 {
+				t.Errorf("%s %s: throughput %v", mix, arm.Name, tput)
 			}
-			if arm.P50 <= 0 || arm.P999 < arm.P50 {
-				t.Errorf("%s shards=%d: p50=%v p999=%v", workload, arm.Shards, arm.P50, arm.P999)
+			if l := arm.Latency; l == nil || l.P50 <= 0 || l.P999 < l.P50 {
+				t.Errorf("%s %s: latency %+v", mix, arm.Name, l)
 			}
-			if arm.MinTenantSlices <= 0 {
-				t.Errorf("%s shards=%d: min tenant slices %d, want > 0",
-					workload, arm.Shards, arm.MinTenantSlices)
+			if s := arm.Metrics["min_tenant_slices"].Min; s <= 0 {
+				t.Errorf("%s %s: min tenant slices %v, want > 0", mix, arm.Name, s)
 			}
 		}
-		if got := FormatFleet(res); got == "" {
-			t.Errorf("%s: empty format", workload)
+		if failed := rep.Failed(); len(failed) > 0 {
+			t.Errorf("%s: failed checks %+v", mix, failed)
 		}
-	}
-}
-
-// TestNearestRank pins the percentile convention: exact nearest-rank
-// over the raw sample, no interpolation.
-func TestNearestRank(t *testing.T) {
-	sample := make([]time.Duration, 100)
-	for i := range sample {
-		sample[i] = time.Duration(i+1) * time.Millisecond
-	}
-	cases := []struct {
-		q    float64
-		want time.Duration
-	}{
-		{0.50, 50 * time.Millisecond},
-		{0.95, 95 * time.Millisecond},
-		{0.99, 99 * time.Millisecond},
-		{0.999, 100 * time.Millisecond},
-	}
-	for _, c := range cases {
-		if got := nearestRank(sample, c.q); got != c.want {
-			t.Errorf("p%v = %v, want %v", c.q*100, got, c.want)
+		if rep.Format() == "" {
+			t.Errorf("%s: empty format", mix)
 		}
-	}
-	if nearestRank(nil, 0.5) != 0 {
-		t.Error("empty sample should yield 0")
-	}
-	one := []time.Duration{7 * time.Millisecond}
-	if got := nearestRank(one, 0.999); got != one[0] {
-		t.Errorf("singleton p999 = %v", got)
 	}
 }

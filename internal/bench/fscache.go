@@ -1,8 +1,12 @@
+// VFS A/Bs: the cache A/B here (BENCH_fscache.json) and the fault
+// A/B in fsfaults.go share one harness, vfsRig: an instrumented
+// decorator stack in a fresh window, an fstrace replay through it, and
+// the §6.4 class-load path through it.
 package bench
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -16,326 +20,293 @@ import (
 	"doppio/internal/vfs"
 )
 
-// FSCacheParams configures an fstrace A/B comparison of a backend with
-// and without the CachedBackend decorator.
-type FSCacheParams struct {
-	// Backend selects the storage mechanism: "inmemory",
-	// "localstorage", "indexeddb", or "cloud".
-	Backend string
-	// WriteBack enables buffered (write-back) mode for the cached pass.
-	WriteBack bool
-	// Latency is the simulated round trip for the cloud backend.
-	Latency time.Duration
-	// Trace shapes the generated workload.
-	Trace fstrace.GenerateParams
+// VFS A/B constants: the simulated cloud round trip and the pair
+// count (the gates read deterministic op counts; only walls vary).
+const (
+	fsLatency = 200 * time.Microsecond
+	fsPairs   = 2
+)
+
+// fsTrace shapes the generated replay workload.
+func fsTrace(scale int) fstrace.GenerateParams {
+	return fstrace.GenerateParams{
+		Ops: 400 * scale, UniqueFiles: 120 * scale,
+		BytesRead: 600_000 * scale, BytesWritten: 8_000 * scale,
+	}
 }
 
-// FSCachePhase is one measured replay pass.
-type FSCachePhase struct {
-	Name       string
-	BackendOps int64 // operations that reached the real backend
-	OkOps      int   // trace operations that succeeded
-	Wall       time.Duration
+// vfsRig is one backend in a fresh window with Instrument innermost,
+// so its ops counter keeps meaning "backend round trips" (retries
+// included) whatever decorators sit above: a cache hit is exactly an
+// operation that never reached it.
+type vfsRig struct {
+	cfg   Config
+	win   *browser.Window
+	bufs  *buffer.Factory
+	hub   *telemetry.Hub
+	ops   *telemetry.Counter
+	base  vfs.Backend
+	seed  *vfs.FS // the bare instrumented backend: seeding bypasses every decorator
+	stack vfs.Backend
+	fs    *vfs.FS // the stack under test
 }
 
-// FSCacheResult is the full A/B comparison: the same trace replayed
-// against the bare backend, then twice against the cached backend
-// (cold, then warm).
-type FSCacheResult struct {
-	Backend   string
-	WriteBack bool
-	TraceOps  int
-	Uncached  FSCachePhase
-	Cold      FSCachePhase
-	Warm      FSCachePhase
-	Cache     vfs.CacheStats
-}
-
-// NewFSCacheBackend constructs the named backend inside a window.
-func NewFSCacheBackend(name string, w *browser.Window, bufs *buffer.Factory, latency time.Duration) (vfs.Backend, error) {
-	switch name {
+// newVFSRig builds the named backend: "cloud" (at fsLatency) or
+// "inmemory".
+func newVFSRig(cfg Config, backend string) (*vfsRig, error) {
+	env := fleet.NewEnv(cfg.Browsers[0], nil)
+	r := &vfsRig{cfg: cfg, win: env.Win, bufs: env.Bufs, hub: cfg.Telemetry}
+	if cfg.Telemetry != nil {
+		// A -trace run of the A/B gets dispatch spans too.
+		r.win.EnableTelemetry(cfg.Telemetry)
+	} else {
+		r.hub = telemetry.NewHub()
+	}
+	var inner vfs.Backend
+	switch backend {
 	case "inmemory":
-		return vfs.NewInMemory(), nil
-	case "localstorage":
-		return vfs.NewLocalStorageFS(w.LocalStorage, bufs), nil
-	case "indexeddb":
-		return vfs.NewIndexedDBFS(w.IndexedDB, bufs), nil
+		inner = vfs.NewInMemory()
 	case "cloud":
-		return vfs.NewCloudFS(w.Loop, vfs.NewCloudStore(latency)), nil
+		inner = vfs.NewCloudFS(r.win.Loop, vfs.NewCloudStore(fsLatency))
+	default:
+		return nil, fmt.Errorf("unknown fs backend %q (want inmemory or cloud)", backend)
 	}
-	return nil, fmt.Errorf("unknown fs backend %q (want inmemory, localstorage, indexeddb, or cloud)", name)
+	r.ops = r.hub.Registry.Counter("vfs."+inner.Name(), "ops")
+	r.base = vfs.Instrument(inner, r.hub)
+	r.seed = vfs.New(r.win.Loop, r.bufs, r.base)
+	r.use()
+	return r, nil
 }
 
-func newWindowFS(profile browser.Profile) (*browser.Window, *buffer.Factory) {
-	env := fleet.NewEnv(profile, nil)
-	return env.Win, env.Bufs
+// use puts the given decorators over the instrumented backend.
+func (r *vfsRig) use(opts ...vfs.StackOption) {
+	r.stack = vfs.Stack(r.base, opts...)
+	r.fs = vfs.New(r.win.Loop, r.bufs, r.stack)
 }
 
-// RunFSCache replays the generated trace against the selected backend
-// bare and cached, counting backend round trips via the Instrument
-// decorator's per-backend ops counter (so a cache hit is exactly "an
-// operation that never reached the instrumented layer"). Seeding
-// always happens through an uncached front end, keeping the cached
-// pass honestly cold.
-func RunFSCache(cfg Config, p FSCacheParams) (*FSCacheResult, error) {
-	cfg = cfg.withDefaults()
-	profile := browser.Chrome28
-	if len(cfg.Browsers) > 0 {
-		profile = cfg.Browsers[0]
-	}
-	hub := cfg.Telemetry
-	if hub == nil {
-		// Backend-op counting rides on Instrument, which needs a hub.
-		hub = telemetry.NewHub()
-	}
-	trace := fstrace.Generate(p.Trace)
-	res := &FSCacheResult{Backend: p.Backend, WriteBack: p.WriteBack, TraceOps: len(trace.Ops)}
+// replayPass is one measured trace replay.
+type replayPass struct {
+	ops  int64 // backend round trips
+	ok   int   // trace operations that succeeded
+	wall time.Duration
+	log  string // one line per operation: kind, path, errno, data hash
+}
 
-	run := func(label string, cached bool, replays int) ([]FSCachePhase, vfs.CacheStats, error) {
-		win, bufs := newWindowFS(profile)
-		if cfg.Telemetry != nil {
-			// Attach the caller's hub to the event loop too, so a
-			// -trace run of the A/B harness gets dispatch spans.
-			win.EnableTelemetry(cfg.Telemetry)
-		}
-		inner, err := NewFSCacheBackend(p.Backend, win, bufs, p.Latency)
-		if err != nil {
-			return nil, vfs.CacheStats{}, err
-		}
-		// Instrument innermost (as the Stack base) so the ops counter
-		// keeps meaning "backend round trips": the A/B comparison is
-		// exactly the number of operations the cache absorbed.
-		instrumented := vfs.Instrument(inner, hub)
-		b := instrumented
-		if cached {
-			b = vfs.Stack(instrumented, vfs.WithCache(vfs.CacheOptions{WriteBack: p.WriteBack, Hub: hub}))
-		}
-		seedFS := vfs.New(win.Loop, bufs, instrumented)
-		fs := vfs.New(win.Loop, bufs, b)
-		ops := hub.Registry.Counter("vfs."+inner.Name(), "ops")
-		var phases []FSCachePhase
-		if err := fleet.Drive(win.Loop, "fscache", func(done func(error)) {
-			var step func(i int)
-			step = func(i int) {
-				if i == replays {
-					if fl, ok := b.(vfs.Flusher); ok {
-						fl.Flush(done)
-						return
-					}
-					done(nil)
+// replay seeds the trace through the bare backend, replays it passes
+// times through the stack, and flushes a write-back cache at the end.
+func (r *vfsRig) replay(trace *fstrace.Trace, passes int) ([]replayPass, error) {
+	var out []replayPass
+	err := fleet.Drive(r.win.Loop, "replay", func(done func(error)) {
+		var step func()
+		step = func() {
+			if len(out) == passes {
+				if fl, ok := r.stack.(vfs.Flusher); ok {
+					fl.Flush(done)
 					return
 				}
-				before := ops.Value()
-				start := time.Now()
-				fstrace.ReplayVFSWith(win.Loop, fs, trace, cfg.Telemetry, func(ok int, err error) {
-					if err != nil {
-						done(err)
-						return
-					}
-					phases = append(phases, FSCachePhase{
-						Name:       fmt.Sprintf("%s-%d", label, i),
-						BackendOps: ops.Value() - before,
-						OkOps:      ok,
-						Wall:       time.Since(start),
-					})
-					step(i + 1)
-				})
+				done(nil)
+				return
 			}
-			fstrace.SeedVFS(seedFS, trace, func(err error) {
+			before, start := r.ops.Value(), time.Now()
+			fstrace.ReplayVFSRecord(r.win.Loop, r.fs, trace, r.cfg.Telemetry, func(ok int, log []fstrace.OpResult, err error) {
 				if err != nil {
 					done(err)
 					return
 				}
-				step(0)
+				var lines strings.Builder
+				for _, res := range log {
+					fmt.Fprintln(&lines, res)
+				}
+				out = append(out, replayPass{r.ops.Value() - before, ok, time.Since(start), lines.String()})
+				step()
 			})
-		}); err != nil {
-			return nil, vfs.CacheStats{}, err
 		}
-		var cs vfs.CacheStats
-		if s, ok := b.(vfs.CacheStatser); ok {
-			cs = s.CacheStats()
-		}
-		return phases, cs, nil
-	}
-
-	uncached, _, err := run("uncached", false, 1)
-	if err != nil {
-		return nil, err
-	}
-	cachedPhases, cs, err := run("cached", true, 2)
-	if err != nil {
-		return nil, err
-	}
-	res.Uncached = uncached[0]
-	res.Cold, res.Warm = cachedPhases[0], cachedPhases[1]
-	res.Cache = cs
-	return res, nil
+		fstrace.SeedVFS(r.seed, trace, func(err error) {
+			if err != nil {
+				done(err)
+				return
+			}
+			step()
+		})
+	})
+	return out, err
 }
 
-// FormatFSCache renders the A/B comparison.
-func FormatFSCache(r *FSCacheResult) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "FS cache A/B: backend=%s writeback=%v trace=%d ops\n", r.Backend, r.WriteBack, r.TraceOps)
-	fmt.Fprintf(&sb, "  %-12s %12s %8s %12s\n", "pass", "backend-ops", "ok-ops", "wall")
-	for _, ph := range []FSCachePhase{r.Uncached, r.Cold, r.Warm} {
-		fmt.Fprintf(&sb, "  %-12s %12d %8d %12v\n", ph.Name, ph.BackendOps, ph.OkOps, ph.Wall.Round(time.Microsecond))
-	}
-	if r.Warm.BackendOps > 0 {
-		fmt.Fprintf(&sb, "  warm pass: %.1fx fewer backend ops than uncached\n",
-			float64(r.Uncached.BackendOps)/float64(r.Warm.BackendOps))
-	} else {
-		fmt.Fprintf(&sb, "  warm pass: fully served from cache (0 backend ops)\n")
-	}
-	c := r.Cache
-	fmt.Fprintf(&sb, "  cache: open %d/%d hit, stat %d/%d hit (%d negative), readdir %d/%d hit\n",
-		c.Hits, c.Hits+c.Misses, c.StatHits, c.StatHits+c.StatMisses, c.NegativeHits,
-		c.ReaddirHits, c.ReaddirHits+c.ReaddirMisses)
-	fmt.Fprintf(&sb, "  cache: %d evictions, %d B resident, write-back %d queued / %d flushed\n",
-		c.Evictions, c.BytesUsed, c.WritebackQueued, c.WritebackFlushed)
-	return sb.String()
+// loadRound is one pass of loading every workload class.
+type loadRound struct {
+	ops     int64 // backend round trips
+	classes int
+	failed  int // classes that failed to load or came back different
 }
 
-// ClassloadABResult compares JVM class-load probing (the §6.4
-// VFSClassProvider path: every load stats-and-misses each classpath
-// entry before the one that has the class) with and without the cache.
-type ClassloadABResult struct {
-	Backend     string
-	Classes     int
-	UncachedOps int64 // backend ops, second uncached round
-	ColdOps     int64 // backend ops, first cached round
-	WarmOps     int64 // backend ops, second cached round
-	Cache       vfs.CacheStats
-}
-
-// RunClassloadFSCache loads the compiled workload classes through a
-// VFSClassProvider whose classpath starts with an empty directory —
-// the layout that makes negative stat caching matter — against the
-// selected backend, bare and cached.
-func RunClassloadFSCache(cfg Config, backendName string, writeBack bool, latency time.Duration) (*ClassloadABResult, error) {
-	cfg = cfg.withDefaults()
-	profile := browser.Chrome28
-	if len(cfg.Browsers) > 0 {
-		profile = cfg.Browsers[0]
-	}
-	hub := cfg.Telemetry
-	if hub == nil {
-		hub = telemetry.NewHub()
-	}
+// classload seeds every workload class under /cp2 through the bare
+// backend, behind an empty /cp1 (so each load first probes and misses
+// /cp1: the layout that makes negative stat caching matter), then
+// loads them all rounds times through a VFSClassProvider over the
+// stack.
+func (r *vfsRig) classload(rounds int) ([]loadRound, error) {
 	classes, err := workloads.Classes()
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, 0, len(classes))
-	for n := range classes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-
-	run := func(cached bool) (rounds []int64, cs vfs.CacheStats, err error) {
-		win, bufs := newWindowFS(profile)
-		if cfg.Telemetry != nil {
-			win.EnableTelemetry(cfg.Telemetry)
-		}
-		inner, err := NewFSCacheBackend(backendName, win, bufs, latency)
-		if err != nil {
-			return nil, vfs.CacheStats{}, err
-		}
-		instrumented := vfs.Instrument(inner, hub)
-		b := instrumented
-		if cached {
-			b = vfs.Stack(instrumented, vfs.WithCache(vfs.CacheOptions{WriteBack: writeBack, Hub: hub}))
-		}
-		seedFS := vfs.New(win.Loop, bufs, instrumented)
-		fs := vfs.New(win.Loop, bufs, b)
-		ops := hub.Registry.Counter("vfs."+inner.Name(), "ops")
-		provider := &jvm.VFSClassProvider{FS: fs, Dirs: []string{"/cp1", "/cp2"}}
-
-		if err := fleet.Drive(win.Loop, "classload", func(done func(error)) {
-			var seed func(i int, then func())
-			seed = func(i int, then func()) {
-				if i == len(names) {
-					then()
-					return
-				}
-				p := "/cp2/" + names[i] + ".class"
-				dir := p[:strings.LastIndexByte(p, '/')]
-				seedFS.MkdirAll(dir, func(err error) {
-					if err != nil {
-						done(err)
-						return
-					}
-					seedFS.WriteFile(p, classes[names[i]], func(err error) {
-						if err != nil {
-							done(err)
-							return
-						}
-						seed(i+1, then)
-					})
-				})
+	names := sortedKeys(classes)
+	provider := &jvm.VFSClassProvider{FS: r.fs, Dirs: []string{"/cp1", "/cp2"}}
+	var out []loadRound
+	err = fleet.Drive(r.win.Loop, "classload", func(done func(error)) {
+		var cur loadRound
+		var before int64
+		var seed, load func(i int)
+		seed = func(i int) {
+			if i == len(names) {
+				load(0)
+				return
 			}
-			var load func(i int, then func())
-			load = func(i int, then func()) {
-				if i == len(names) {
-					then()
-					return
-				}
-				provider.BytesAsync(names[i], func(_ []byte, err error) {
-					if err != nil {
-						done(err)
-						return
-					}
-					load(i+1, then)
-				})
-			}
-			round := func(then func()) {
-				before := ops.Value()
-				load(0, func() {
-					rounds = append(rounds, ops.Value()-before)
-					then()
-				})
-			}
-			seedFS.MkdirAll("/cp1", func(err error) {
+			p := "/cp2/" + names[i] + ".class"
+			r.seed.MkdirAll(p[:strings.LastIndexByte(p, '/')], func(err error) {
 				if err != nil {
 					done(err)
 					return
 				}
-				seed(0, func() {
-					round(func() { round(func() { done(nil) }) })
+				r.seed.WriteFile(p, classes[names[i]], func(err error) {
+					if err != nil {
+						done(err)
+						return
+					}
+					seed(i + 1)
 				})
 			})
-		}); err != nil {
-			return nil, vfs.CacheStats{}, err
 		}
-		if s, ok := b.(vfs.CacheStatser); ok {
-			cs = s.CacheStats()
+		load = func(i int) {
+			if i == 0 {
+				cur, before = loadRound{classes: len(names)}, r.ops.Value()
+			}
+			if i == len(names) {
+				cur.ops = r.ops.Value() - before
+				if out = append(out, cur); len(out) == rounds {
+					done(nil)
+				} else {
+					load(0)
+				}
+				return
+			}
+			provider.BytesAsync(names[i], func(data []byte, err error) {
+				if err != nil || !bytes.Equal(data, classes[names[i]]) {
+					cur.failed++
+				}
+				load(i + 1)
+			})
 		}
-		return rounds, cs, nil
-	}
-
-	un, _, err := run(false)
-	if err != nil {
-		return nil, err
-	}
-	ca, cs, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	return &ClassloadABResult{
-		Backend:     backendName,
-		Classes:     len(names),
-		UncachedOps: un[1],
-		ColdOps:     ca[0],
-		WarmOps:     ca[1],
-		Cache:       cs,
-	}, nil
+		r.seed.MkdirAll("/cp1", func(err error) {
+			if err != nil {
+				done(err)
+				return
+			}
+			seed(0)
+		})
+	})
+	return out, err
 }
 
-// FormatClassloadAB renders the class-load comparison.
-func FormatClassloadAB(r *ClassloadABResult) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "class-load A/B: backend=%s classes=%d (classpath probes /cp1 then /cp2)\n", r.Backend, r.Classes)
-	fmt.Fprintf(&sb, "  uncached round: %d backend ops\n", r.UncachedOps)
-	fmt.Fprintf(&sb, "  cached cold:    %d backend ops\n", r.ColdOps)
-	fmt.Fprintf(&sb, "  cached warm:    %d backend ops (%d negative-stat hits absorbed)\n", r.WarmOps, r.Cache.NegativeHits)
-	return sb.String()
+// cacheStats reads the stack's cache counters (zero without a cache).
+func (r *vfsRig) cacheStats() vfs.CacheStats {
+	if cs, ok := vfs.Find[vfs.CacheStatser](r.stack); ok {
+		return cs.CacheStats()
+	}
+	return vfs.CacheStats{}
+}
+
+// runFSCache compares the backend bare (A) and under the cache
+// decorator (B). Each run makes two passes, replaying the trace or
+// loading every class; backend_ops is the second pass, so on the
+// cached arm it is the warm pass, and cold_backend_ops the first.
+func runFSCache(cfg Config, backend string, writeBack bool, tp fstrace.GenerateParams) (*Report, error) {
+	cfg = cfg.withDefaults()
+	trace := fstrace.Generate(tp)
+	rep := newReport("fscache", cfg, map[string]any{
+		"backend":    backend,
+		"write_back": writeBack,
+		"trace_ops":  len(trace.Ops),
+		"latency":    fsLatency.String(),
+	})
+	rig := func(cached bool) (*vfsRig, error) {
+		r, err := newVFSRig(cfg, backend)
+		if err == nil && cached {
+			r.use(vfs.WithCache(vfs.CacheOptions{WriteBack: writeBack, Hub: r.hub}))
+		}
+		return r, err
+	}
+	var cache vfs.CacheStats
+	replayArm := func(name string, cached bool) Arm {
+		return Arm{name, func() (Sample, error) {
+			r, err := rig(cached)
+			if err != nil {
+				return Sample{}, err
+			}
+			p, err := r.replay(trace, 2)
+			if err != nil {
+				return Sample{}, err
+			}
+			if cached {
+				cache = r.cacheStats()
+			}
+			return Sample{Metrics: map[string]float64{
+				"cold_backend_ops": float64(p[0].ops),
+				"backend_ops":      float64(p[1].ops),
+				"cold_ok_ops":      float64(p[0].ok),
+				"ok_ops":           float64(p[1].ok),
+				"wall_ns":          float64(p[1].wall),
+			}, Output: p[0].log + p[1].log}, nil
+		}}
+	}
+	c, err := rep.compare(AB{Name: "replay", Pairs: fsPairs, SameOutput: true,
+		A: replayArm("uncached", false), B: replayArm("cached", true)})
+	if err != nil {
+		return nil, err
+	}
+	rep.checkHalved(c)
+	rep.Detail["replay_cache"] = cache
+
+	loadArm := func(name string, cached bool) Arm {
+		return Arm{name, func() (Sample, error) {
+			r, err := rig(cached)
+			if err != nil {
+				return Sample{}, err
+			}
+			rounds, err := r.classload(2)
+			if err != nil {
+				return Sample{}, err
+			}
+			if cached {
+				cache = r.cacheStats()
+			}
+			return Sample{Metrics: map[string]float64{
+				"cold_backend_ops": float64(rounds[0].ops),
+				"backend_ops":      float64(rounds[1].ops),
+				"classes":          float64(rounds[0].classes),
+				"failed":           float64(rounds[0].failed + rounds[1].failed),
+			}}, nil
+		}}
+	}
+	if c, err = rep.compare(AB{Name: "classload", Pairs: fsPairs,
+		A: loadArm("uncached", false), B: loadArm("cached", true)}); err != nil {
+		return nil, err
+	}
+	rep.checkHalved(c)
+	rep.checkLoaded(c)
+	rep.Detail["classload_cache"] = cache
+	return rep, nil
+}
+
+// checkHalved gates the cache: the warm pass must need at most half
+// the backend round trips of the uncached one.
+func (r *Report) checkHalved(c Comparison) {
+	warm, bare := c.B.Metrics["backend_ops"].Max, c.A.Metrics["backend_ops"].Min
+	r.check(c.Name+": warm pass <= half the uncached backend ops", 2*warm <= bare,
+		"%.0f vs %.0f uncached", warm, bare)
+}
+
+// checkLoaded requires every class load on both arms to be byte-exact.
+func (r *Report) checkLoaded(c Comparison) {
+	failed := maxMetric(c, "failed")
+	r.check(c.Name+": every class loaded byte-exact", failed == 0, "%.0f failed in the worst run", failed)
 }

@@ -1,52 +1,26 @@
-// Interpreter speed-tier benchmark: the same workload on the Doppio
-// engine with the warm-up rewriter (quickened bytecodes, inline
-// caches, superinstructions) on and off, at equal timeslice, with the
-// engine-tax model disabled so the A/B isolates real dispatch work.
-// The report (BENCH_interp.json) records nearest-rank p50/p95/p99
-// wall times per arm, the quickening counters, and a "Not So Fast"-
-// style per-opcode attribution table from a separate instrumented
-// pass (telemetry itself costs a branch per bytecode, so the timed
-// iterations run without it).
+// Interpreter speed-tier A/B (BENCH_interp.json): the same workload on
+// the Doppio engine with the warm-up rewriter (quickened bytecodes,
+// inline caches, superinstructions) off and on, at equal timeslice,
+// with the engine-tax model disabled so the A/B isolates real dispatch
+// work. Besides the timed pairs, the report carries the quickening
+// counters and a "Not So Fast"-style per-opcode attribution table from
+// a separate instrumented pass per arm (telemetry itself costs a
+// branch per bytecode, so the timed runs go without it).
 package bench
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
 
 	"doppio/internal/bench/workloads"
-	"doppio/internal/browser"
 	"doppio/internal/fleet"
 	"doppio/internal/jvm"
 	"doppio/internal/telemetry"
 )
 
-// InterpParams tune the interpreter A/B run.
-type InterpParams struct {
-	// Scale is the workload scale (DeltaBlue iterations = 2*Scale).
-	Scale int
-	// Iters is the number of timed runs per arm (interleaved).
-	Iters int
-	// Timeslice applies to both arms equally.
-	Timeslice time.Duration
-}
-
-func (p InterpParams) withDefaults() InterpParams {
-	if p.Scale <= 0 {
-		p.Scale = 1
-	}
-	if p.Iters <= 0 {
-		p.Iters = 5
-	}
-	if p.Timeslice <= 0 {
-		p.Timeslice = 2 * time.Millisecond
-	}
-	return p
-}
+// interpPairs is the interpreter A/B's pair count.
+const interpPairs = 5
 
 // OpCount is one row of the per-opcode attribution table.
 type OpCount struct {
@@ -55,74 +29,75 @@ type OpCount struct {
 	Share float64 `json:"share"`
 }
 
-// InterpArm is one side of the A/B.
-type InterpArm struct {
-	Quicken bool `json:"quicken"`
-	// Nearest-rank percentiles over the per-iteration wall times.
-	P50 time.Duration `json:"p50_ns"`
-	P95 time.Duration `json:"p95_ns"`
-	P99 time.Duration `json:"p99_ns"`
-	// Instructions is the bytecode count of one iteration (identical
-	// across iterations — the workload is deterministic).
-	Instructions int64 `json:"instructions"`
-	// Stats are the engine's quickening counters after the last timed
-	// iteration (zero-valued with Enabled=false on the generic arm).
-	Stats jvm.QuickStats `json:"quick_stats"`
-	// TopOps is the attribution table from the instrumented pass:
-	// which opcodes dominate dynamic dispatch. On the quickened arm
-	// the counts are raw opcodes at dispatched pcs (a fused pair
-	// counts once, at its first opcode).
-	TopOps []OpCount `json:"top_ops"`
-}
-
-// InterpResult is the BENCH_interp.json payload.
-type InterpResult struct {
-	Workload  string        `json:"workload"`
-	Scale     int           `json:"scale"`
-	Iters     int           `json:"iters"`
-	Timeslice time.Duration `json:"timeslice_ns"`
-	// Cores is the host's usable parallelism (GOMAXPROCS) when the
-	// run happened — context for comparing reports across machines.
-	Cores     int       `json:"cores"`
-	Generic   InterpArm `json:"generic"`
-	Quickened InterpArm `json:"quickened"`
-	// SpeedupP50 is generic p50 / quickened p50 — the speed tier's
-	// headline number (the CI gate requires >= 2).
-	SpeedupP50 float64 `json:"speedup_p50"`
-	// OutputMatch records that every quickened iteration produced
-	// byte-identical stdout to the generic arm.
-	OutputMatch bool `json:"output_match"`
-}
-
-// runInterpOnce executes the workload once on a fresh window and VM.
-func runInterpOnce(spec WorkloadSpec, p InterpParams, quicken bool, hub *telemetry.Hub) (time.Duration, int64, jvm.QuickStats, string, error) {
+// runInterpAB runs DeltaBlue (field- and virtual-call-heavy) generic
+// vs quickened and gates the quickened p50 at 2x.
+func runInterpAB(cfg Config) (*Report, error) {
+	cfg = cfg.withDefaults()
+	if cfg.Timeslice == 0 {
+		cfg.Timeslice = 2 * time.Millisecond
+	}
 	classes, err := workloads.Classes()
 	if err != nil {
-		return 0, 0, jvm.QuickStats{}, "", err
-	}
-	env := fleet.NewEnv(browser.Chrome28, hub)
-	var stdout strings.Builder
-	vm := jvm.NewDoppioVM(env.Win, jvm.DoppioOptions{
-		Stdout:           &stdout,
-		Provider:         jvm.MapProvider(classes),
-		Timeslice:        p.Timeslice,
-		DisableEngineTax: true,
-		Quicken:          quicken,
-	})
-	start := time.Now()
-	if err := vm.RunMain(spec.Main, spec.Args(p.Scale)); err != nil {
-		return 0, 0, jvm.QuickStats{}, "", fmt.Errorf("interp %s quicken=%v: %w\n%s", spec.ID, quicken, err, stdout.String())
-	}
-	return time.Since(start), vm.Instructions, vm.QuickStats(), stdout.String(), nil
-}
-
-// attribution runs one instrumented pass and extracts the top-K
-// per-opcode execution counts the VM flushed into the hub registry.
-func attribution(spec WorkloadSpec, p InterpParams, quicken bool, k int) ([]OpCount, error) {
-	hub := telemetry.NewHub()
-	if _, _, _, _, err := runInterpOnce(spec, p, quicken, hub); err != nil {
 		return nil, err
 	}
+	spec, prof := MicroWorkloads[0], cfg.Browsers[0]
+	rep := newReport("interp", cfg, map[string]any{
+		"workload":   spec.ID,
+		"browser":    prof.Name,
+		"timeslice":  cfg.Timeslice.String(),
+		"engine_tax": false,
+	})
+	run := func(quicken bool, hub *telemetry.Hub) (Sample, *jvm.DoppioVM, error) {
+		s, vm, err := runJVM(fleet.NewEnv(prof, hub).Win, jvm.DoppioOptions{
+			Provider:         jvm.MapProvider(classes),
+			Timeslice:        cfg.Timeslice,
+			DisableEngineTax: true,
+			Quicken:          quicken,
+		}, spec.Main, spec.Args(cfg.Scale))
+		if err == nil {
+			// Identical across runs of an arm: the workload is
+			// deterministic, and a fused pair dispatches once.
+			s.Metrics["instructions"] = float64(vm.Instructions)
+		}
+		return s, vm, err
+	}
+	var quick jvm.QuickStats
+	arm := func(quicken bool) func() (Sample, error) {
+		return func() (Sample, error) {
+			s, vm, err := run(quicken, nil)
+			if err == nil && quicken {
+				quick = vm.QuickStats()
+			}
+			return s, err
+		}
+	}
+	c, err := rep.compare(AB{Name: "quicken", Pairs: interpPairs, SameOutput: true,
+		A: Arm{"generic", arm(false)}, B: Arm{"quickened", arm(true)}})
+	if err != nil {
+		return nil, err
+	}
+	speedup := c.A.Metrics["wall_ns"].P50 / c.B.Metrics["wall_ns"].P50
+	rep.check("quickened p50 >= 2x generic", speedup >= 2, "%.2fx", speedup)
+	rep.Detail["quick_stats"] = quick
+	// Attribution: which opcodes dominate dynamic dispatch. On the
+	// quickened arm the counts are raw opcodes at dispatched pcs (a
+	// fused pair counts once, at its first opcode).
+	for _, a := range []struct {
+		name    string
+		quicken bool
+	}{{"top_ops_generic", false}, {"top_ops_quickened", true}} {
+		hub := telemetry.NewHub()
+		if _, _, err := run(a.quicken, hub); err != nil {
+			return nil, err
+		}
+		rep.Detail[a.name] = topOps(hub, 12)
+	}
+	return rep, nil
+}
+
+// topOps extracts the k most executed opcodes from the per-opcode
+// counters a VM flushed into hub.
+func topOps(hub *telemetry.Hub, k int) []OpCount {
 	var rows []OpCount
 	var total int64
 	for _, c := range hub.Registry.Snapshot().Counters {
@@ -141,106 +116,5 @@ func attribution(spec WorkloadSpec, p InterpParams, quicken bool, k int) ([]OpCo
 			rows[i].Share = float64(rows[i].Count) / float64(total)
 		}
 	}
-	return rows, nil
-}
-
-// RunInterp runs the interleaved A/B and assembles the report.
-func RunInterp(p InterpParams) (*InterpResult, error) {
-	p = p.withDefaults()
-	spec := MicroWorkloads[0] // DeltaBlue: field- and virtual-call-heavy
-	res := &InterpResult{
-		Workload:    spec.ID,
-		Scale:       p.Scale,
-		Iters:       p.Iters,
-		Timeslice:   p.Timeslice,
-		Cores:       runtime.GOMAXPROCS(0),
-		OutputMatch: true,
-	}
-	// One warm-up per arm (class-file parsing touches the page cache
-	// and the Go runtime warms up); not timed.
-	if _, _, _, _, err := runInterpOnce(spec, p, false, nil); err != nil {
-		return nil, err
-	}
-	if _, _, _, _, err := runInterpOnce(spec, p, true, nil); err != nil {
-		return nil, err
-	}
-	var genTimes, qTimes []time.Duration
-	for i := 0; i < p.Iters; i++ {
-		gw, gi, _, gout, err := runInterpOnce(spec, p, false, nil)
-		if err != nil {
-			return nil, err
-		}
-		qw, qi, qst, qout, err := runInterpOnce(spec, p, true, nil)
-		if err != nil {
-			return nil, err
-		}
-		genTimes = append(genTimes, gw)
-		qTimes = append(qTimes, qw)
-		res.Generic.Instructions = gi
-		res.Quickened.Instructions = qi
-		res.Quickened.Stats = qst
-		if gout != qout {
-			res.OutputMatch = false
-		}
-	}
-	sort.Slice(genTimes, func(i, j int) bool { return genTimes[i] < genTimes[j] })
-	sort.Slice(qTimes, func(i, j int) bool { return qTimes[i] < qTimes[j] })
-	res.Generic.P50 = nearestRank(genTimes, 0.50)
-	res.Generic.P95 = nearestRank(genTimes, 0.95)
-	res.Generic.P99 = nearestRank(genTimes, 0.99)
-	res.Quickened.Quicken = true
-	res.Quickened.P50 = nearestRank(qTimes, 0.50)
-	res.Quickened.P95 = nearestRank(qTimes, 0.95)
-	res.Quickened.P99 = nearestRank(qTimes, 0.99)
-	if res.Quickened.P50 > 0 {
-		res.SpeedupP50 = float64(res.Generic.P50) / float64(res.Quickened.P50)
-	}
-	const topK = 12
-	var err error
-	if res.Generic.TopOps, err = attribution(spec, p, false, topK); err != nil {
-		return nil, err
-	}
-	if res.Quickened.TopOps, err = attribution(spec, p, true, topK); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// FormatInterp renders the A/B as a table.
-func FormatInterp(r *InterpResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Interpreter speed tier — %s scale %d, %d iters, %v timeslice, %d host cores, engine tax off\n",
-		r.Workload, r.Scale, r.Iters, r.Timeslice, r.Cores)
-	fmt.Fprintf(&b, "  %-9s  %10s  %10s  %10s  %12s\n", "arm", "p50", "p95", "p99", "bytecodes")
-	arm := func(name string, a InterpArm) {
-		fmt.Fprintf(&b, "  %-9s  %10s  %10s  %10s  %12d\n",
-			name, a.P50.Round(time.Microsecond), a.P95.Round(time.Microsecond),
-			a.P99.Round(time.Microsecond), a.Instructions)
-	}
-	arm("generic", r.Generic)
-	arm("quickened", r.Quickened)
-	st := r.Quickened.Stats
-	fmt.Fprintf(&b, "  quickening: sites=%d ic-hits=%d ic-misses=%d deopts=%d fusions=%d fused-exec=%d\n",
-		st.Sites, st.ICHits, st.ICMisses, st.Deopts, st.Fusions, st.FusedExec)
-	fmt.Fprintf(&b, "  speedup p50: %.2fx   output match: %v\n", r.SpeedupP50, r.OutputMatch)
-	b.WriteString("  attribution (generic arm, top dispatched opcodes):\n")
-	for _, row := range r.Generic.TopOps {
-		fmt.Fprintf(&b, "    %-16s %12d  %5.1f%%\n", row.Op, row.Count, 100*row.Share)
-	}
-	return b.String()
-}
-
-// WriteInterpReport writes the JSON report.
-func WriteInterpReport(path string, r *InterpResult) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(r); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return rows
 }

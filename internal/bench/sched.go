@@ -1,64 +1,27 @@
-// Scheduler A/B harness: quantifies the two scheduler-core features —
+// Scheduler A/B (BENCH_sched.json): the two scheduler-core features
+// on JVM workloads. "batch" compares one timeslice per macrotask with
 // macrotask slice batching (one §4.4 resumption round trip covering
-// many timeslices) and the priority run queue — on JVM workloads, and
-// writes the results to a JSON report (BENCH_sched.json).
+// many timeslices) on the examples/multithread producer/consumer, at
+// one timeslice and under one watchdog. "prio" compares four equal
+// CPU-bound threads with and without Thread.setPriority.
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"strings"
 	"time"
 
-	"doppio/internal/browser"
 	"doppio/internal/fleet"
 	"doppio/internal/jvm"
 )
 
-// SchedRun captures the scheduler-relevant counters of one arm of an
-// A/B comparison.
-type SchedRun struct {
-	Mode            string        `json:"mode"`
-	Wall            time.Duration `json:"wall_ns"`
-	Suspensions     int           `json:"suspensions"`
-	SuspendedTime   time.Duration `json:"suspended_ns"`
-	ContextSwitches int           `json:"context_switches"`
-	Slices          int           `json:"slices"`
-	Batches         int           `json:"batches"`
-	MaxBatchSlices  int           `json:"max_batch_slices"`
-	BudgetOverruns  int           `json:"budget_overruns"`
-	LongestTask     time.Duration `json:"longest_task_ns"`
-	FirstDone       time.Duration `json:"first_done_ns,omitempty"`
-	Order           []string      `json:"order,omitempty"`
-
-	output string
-}
-
-// SchedBatchResult is the slice-batching A/B: the same multithreaded
-// producer/consumer workload (examples/multithread) with batching
-// disabled (one timeslice per macrotask, the pre-batching scheduler)
-// versus enabled, at the same timeslice — i.e. equal responsiveness,
-// enforced by the watchdog on both arms.
-type SchedBatchResult struct {
-	Workload  string        `json:"workload"`
-	Browser   string        `json:"browser"`
-	Timeslice time.Duration `json:"timeslice_ns"`
-	Watchdog  time.Duration `json:"watchdog_ns"`
-	Unbatched SchedRun      `json:"unbatched"`
-	Batched   SchedRun      `json:"batched"`
-}
-
-// SuspensionRatio is how many times fewer §4.4 round trips the batched
-// arm paid.
-func (r *SchedBatchResult) SuspensionRatio() float64 {
-	if r.Batched.Suspensions == 0 {
-		return float64(r.Unbatched.Suspensions)
-	}
-	return float64(r.Unbatched.Suspensions) / float64(r.Batched.Suspensions)
-}
+// Pair counts: batching is judged on a few-percent wall difference and
+// needs many pairs; the priority check is behavioural and each of its
+// runs takes seconds.
+const (
+	schedBatchPairs = 10
+	schedPrioPairs  = 2
+)
 
 // schedBatchProgram is the examples/multithread producer/consumer
 // (Object.wait/notify + Thread.sleep) with the item count templated.
@@ -176,211 +139,136 @@ const schedPrioSetters = `        w1.setPriority(2);
         w4.setPriority(8);
 `
 
-// firstWriteWriter timestamps the first byte written through it — the
-// completion print of the first thread to finish.
-type firstWriteWriter struct {
-	w     io.Writer
+// firstWrite timestamps the first byte written to it: the completion
+// print of the first thread to finish. runJVM starts its clock with
+// the wall clock, after VM construction.
+type firstWrite struct {
 	start time.Time
 	first time.Duration
 }
 
-func (f *firstWriteWriter) Write(p []byte) (int, error) {
+func (f *firstWrite) Write(p []byte) (int, error) {
 	if f.first == 0 && len(p) > 0 {
 		f.first = time.Since(f.start)
 	}
-	return f.w.Write(p)
+	return len(p), nil
 }
 
-// runSchedProgram executes one compiled arm and collects the
-// scheduler counters.
-func runSchedProgram(cfg Config, mode, src string, batchBudget, watchdog time.Duration) (SchedRun, error) {
-	classes, err := workloadsCompile(map[string]string{"Sched.mj": src})
-	if err != nil {
-		return SchedRun{}, err
-	}
-	profile := browser.Chrome28
-	if len(cfg.Browsers) > 0 {
-		profile = cfg.Browsers[0]
-	}
-	profile.WatchdogLimit = watchdog
-	win := fleet.NewEnv(profile, cfg.Telemetry).Win
-	var stdout bytes.Buffer
-	fw := &firstWriteWriter{w: &stdout, start: time.Now()}
-	vm := jvm.NewDoppioVM(win, jvm.DoppioOptions{
+// runSched runs one compiled Sched program and samples the scheduler
+// counters.
+func runSched(cfg Config, classes map[string][]byte, batchBudget, watchdog time.Duration) (Sample, error) {
+	prof := cfg.Browsers[0]
+	prof.WatchdogLimit = watchdog
+	win := fleet.NewEnv(prof, cfg.Telemetry).Win
+	fw := &firstWrite{}
+	s, vm, err := runJVM(win, jvm.DoppioOptions{
 		Stdout:           fw,
 		Provider:         jvm.MapProvider(classes),
 		Timeslice:        cfg.Timeslice,
 		BatchBudget:      batchBudget,
 		DisableEngineTax: cfg.DisableEngineTax,
-	})
-	start := time.Now()
-	fw.start = start
-	if err := vm.RunMain("Sched", nil); err != nil {
-		return SchedRun{}, fmt.Errorf("%s arm: %w\n%s", mode, err, stdout.String())
+	}, "Sched", nil)
+	if err != nil {
+		return s, err
 	}
-	wall := time.Since(start)
 	st := vm.Runtime().Stats()
-	return SchedRun{
-		Mode:            mode,
-		Wall:            wall,
-		Suspensions:     st.Suspensions,
-		SuspendedTime:   st.SuspendedTime,
-		ContextSwitches: st.ContextSwitches,
-		Slices:          st.Slices,
-		Batches:         st.Batches,
-		MaxBatchSlices:  st.MaxBatchSlices,
-		BudgetOverruns:  st.BudgetOverruns,
-		LongestTask:     win.Loop.Stats().LongestTask,
-		FirstDone:       fw.first,
-		output:          stdout.String(),
-	}, nil
+	for name, v := range map[string]int{
+		"suspensions":      st.Suspensions,
+		"context_switches": st.ContextSwitches,
+		"slices":           st.Slices,
+		"batches":          st.Batches,
+		"max_batch_slices": st.MaxBatchSlices,
+		"budget_overruns":  st.BudgetOverruns,
+	} {
+		s.Metrics[name] = float64(v)
+	}
+	s.Metrics["suspended_ns"] = float64(st.SuspendedTime)
+	s.Metrics["longest_task_ns"] = float64(win.Loop.Stats().LongestTask)
+	s.Metrics["first_done_ns"] = float64(fw.first)
+	return s, nil
 }
 
-// RunSchedBatch runs the slice-batching A/B on the producer/consumer
-// workload. Both arms share one timeslice (the responsiveness bound);
-// only BatchBudget differs: -1 (one slice per macrotask) vs 0 (budget
-// = timeslice). A watchdog ~5x the timeslice guards both arms, so a
-// batch that outgrew its budget would fail the run, not just skew it.
-func RunSchedBatch(cfg Config) (*SchedBatchResult, error) {
+// runSchedAB runs both comparisons. batch: BatchBudget -1 (one slice
+// per macrotask) vs 0 (budget = timeslice), with a watchdog at 5x the
+// timeslice on both arms, so a batch that outgrew its budget fails
+// the run rather than skewing it. prio: the workers are spawned
+// lowest-priority first, so priority, not spawn order, must explain
+// the highest-priority worker finishing first.
+func runSchedAB(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Timeslice == 0 {
 		cfg.Timeslice = 10 * time.Millisecond
 	}
 	watchdog := 5 * cfg.Timeslice
-	items := 64 * cfg.Scale
-	src := fmt.Sprintf(schedBatchProgram, items)
-	res := &SchedBatchResult{
-		Workload:  fmt.Sprintf("producer-consumer n=%d", items),
-		Timeslice: cfg.Timeslice,
-		Watchdog:  watchdog,
+	items, iters := 64*cfg.Scale, 60_000*cfg.Scale
+	rep := newReport("sched", cfg, map[string]any{
+		"browser":        cfg.Browsers[0].Name,
+		"timeslice":      cfg.Timeslice.String(),
+		"watchdog":       watchdog.String(),
+		"engine_tax":     !cfg.DisableEngineTax,
+		"batch_workload": fmt.Sprintf("producer-consumer n=%d", items),
+		"prio_workload":  fmt.Sprintf("4 CPU-bound workers x %d iterations", iters),
+	})
+	compile := func(format string, args ...any) (map[string][]byte, error) {
+		return workloadsCompile(map[string]string{"Sched.mj": fmt.Sprintf(format, args...)})
 	}
-	profile := browser.Chrome28
-	if len(cfg.Browsers) > 0 {
-		profile = cfg.Browsers[0]
+	batchClasses, err := compile(schedBatchProgram, items)
+	if err != nil {
+		return nil, err
 	}
-	res.Browser = profile.Name
-
 	want := fmt.Sprintf("total %d\n", items*(items+1)/2)
-	unbatched, err := runSchedProgram(cfg, "unbatched", src, -1, watchdog)
-	if err != nil {
-		return nil, err
-	}
-	if unbatched.output != want {
-		return nil, fmt.Errorf("unbatched arm produced %q, want %q", unbatched.output, want)
-	}
-	batched, err := runSchedProgram(cfg, "batched", src, 0, watchdog)
-	if err != nil {
-		return nil, err
-	}
-	if batched.output != want {
-		return nil, fmt.Errorf("batched arm produced %q, want %q", batched.output, want)
-	}
-	res.Unbatched, res.Batched = unbatched, batched
-	return res, nil
-}
-
-// FormatSchedBatch renders the batching A/B.
-func FormatSchedBatch(r *SchedBatchResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Scheduler slice batching — %s on %s (timeslice %v, watchdog %v)\n",
-		r.Workload, r.Browser, r.Timeslice, r.Watchdog)
-	fmt.Fprintf(&b, "%-10s %10s %12s %10s %9s %8s %8s %12s\n",
-		"mode", "wall", "suspensions", "suspended", "ctxsw", "batches", "max/b", "longest-task")
-	for _, run := range []SchedRun{r.Unbatched, r.Batched} {
-		fmt.Fprintf(&b, "%-10s %10v %12d %10v %9d %8d %8d %12v\n",
-			run.Mode, run.Wall.Round(time.Millisecond), run.Suspensions,
-			run.SuspendedTime.Round(time.Millisecond), run.ContextSwitches,
-			run.Batches, run.MaxBatchSlices, run.LongestTask.Round(time.Millisecond))
-	}
-	fmt.Fprintf(&b, "suspension round trips reduced %.1fx\n", r.SuspensionRatio())
-	return b.String()
-}
-
-// SchedPrioResult is the priority A/B: four equal CPU-bound threads,
-// spawned lowest-priority first, with and without Thread.setPriority.
-type SchedPrioResult struct {
-	Browser     string        `json:"browser"`
-	Timeslice   time.Duration `json:"timeslice_ns"`
-	Equal       SchedRun      `json:"equal"`
-	Prioritized SchedRun      `json:"prioritized"`
-}
-
-// PriorityRespected reports whether the highest-priority worker (id 4,
-// spawned last) finished first in the prioritized arm.
-func (r *SchedPrioResult) PriorityRespected() bool {
-	return len(r.Prioritized.Order) > 0 && r.Prioritized.Order[0] == "done 4"
-}
-
-// RunSchedPrio runs the priority A/B.
-func RunSchedPrio(cfg Config) (*SchedPrioResult, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Timeslice == 0 {
-		cfg.Timeslice = 10 * time.Millisecond
-	}
-	iters := 60_000 * cfg.Scale
-	res := &SchedPrioResult{Timeslice: cfg.Timeslice}
-	profile := browser.Chrome28
-	if len(cfg.Browsers) > 0 {
-		profile = cfg.Browsers[0]
-	}
-	res.Browser = profile.Name
-
-	equalSrc := fmt.Sprintf(schedPrioProgram, iters, "")
-	prioSrc := fmt.Sprintf(schedPrioProgram, iters, schedPrioSetters)
-	equal, err := runSchedProgram(cfg, "equal", equalSrc, 0, 0)
-	if err != nil {
-		return nil, err
-	}
-	prio, err := runSchedProgram(cfg, "prioritized", prioSrc, 0, 0)
-	if err != nil {
-		return nil, err
-	}
-	equal.Order = doneOrder(equal.output)
-	prio.Order = doneOrder(prio.output)
-	res.Equal, res.Prioritized = equal, prio
-	return res, nil
-}
-
-func doneOrder(output string) []string {
-	var order []string
-	for _, line := range strings.Split(strings.TrimSpace(output), "\n") {
-		if strings.HasPrefix(line, "done ") {
-			order = append(order, line)
+	batch := func(budget time.Duration) func() (Sample, error) {
+		return func() (Sample, error) {
+			s, err := runSched(cfg, batchClasses, budget, watchdog)
+			if err == nil && s.Output != want {
+				err = fmt.Errorf("produced %q, want %q", s.Output, want)
+			}
+			return s, err
 		}
 	}
-	return order
-}
-
-// FormatSchedPrio renders the priority A/B.
-func FormatSchedPrio(r *SchedPrioResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Scheduler priority run queue — 4 CPU-bound workers on %s (timeslice %v)\n",
-		r.Browser, r.Timeslice)
-	fmt.Fprintf(&b, "%-12s %10s %12s %9s %-40s\n", "mode", "wall", "first-done", "ctxsw", "completion order")
-	for _, run := range []SchedRun{r.Equal, r.Prioritized} {
-		fmt.Fprintf(&b, "%-12s %10v %12v %9d %-40s\n",
-			run.Mode, run.Wall.Round(time.Millisecond), run.FirstDone.Round(time.Millisecond),
-			run.ContextSwitches, strings.Join(run.Order, ", "))
-	}
-	if r.PriorityRespected() {
-		fmt.Fprintf(&b, "highest-priority worker finished first (priority beats spawn order)\n")
-	} else {
-		fmt.Fprintf(&b, "WARNING: highest-priority worker did not finish first\n")
-	}
-	return b.String()
-}
-
-// SchedReport is the JSON document -sched-batch/-sched-prio write.
-type SchedReport struct {
-	Batch *SchedBatchResult `json:"batch,omitempty"`
-	Prio  *SchedPrioResult  `json:"prio,omitempty"`
-}
-
-// WriteSchedReport writes the report as indented JSON.
-func WriteSchedReport(path string, rep SchedReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
+	c, err := rep.compare(AB{Name: "batch", Pairs: schedBatchPairs, SameOutput: true,
+		A: Arm{"unbatched", batch(-1)}, B: Arm{"batched", batch(0)}})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	cut := 1 / c.Ratios["suspensions"]
+	rep.check("batch: >= 5x fewer suspensions", cut >= 5, "%.1fx fewer", cut)
+
+	equalClasses, err := compile(schedPrioProgram, iters, "")
+	if err != nil {
+		return nil, err
+	}
+	prioClasses, err := compile(schedPrioProgram, iters, schedPrioSetters)
+	if err != nil {
+		return nil, err
+	}
+	order := map[string][]string{}
+	prio := func(name string, classes map[string][]byte) Arm {
+		return Arm{name, func() (Sample, error) {
+			s, err := runSched(cfg, classes, 0, 0)
+			if err != nil {
+				return s, err
+			}
+			order[name] = nil
+			for _, line := range strings.Split(strings.TrimSpace(s.Output), "\n") {
+				if strings.HasPrefix(line, "done ") {
+					order[name] = append(order[name], line)
+				}
+			}
+			s.Metrics["top_priority_first"] = 0
+			if len(order[name]) > 0 && order[name][0] == "done 4" {
+				s.Metrics["top_priority_first"] = 1
+			}
+			return s, nil
+		}}
+	}
+	c, err = rep.compare(AB{Name: "prio", Pairs: schedPrioPairs,
+		A: prio("equal", equalClasses), B: prio("prioritized", prioClasses)})
+	if err != nil {
+		return nil, err
+	}
+	rep.check("prio: highest-priority worker finishes first", c.B.Metrics["top_priority_first"].Min == 1,
+		"last prioritized order: %s", strings.Join(order["prioritized"], ", "))
+	rep.Detail["prio_order"] = order
+	return rep, nil
 }
