@@ -101,6 +101,6 @@ func main() {
 	st := vm.Runtime().Stats()
 	fmt.Printf("three JVM threads interleaved over %d context switches in one %s event loop\n",
 		st.ContextSwitches, win.Profile.Name)
-	fmt.Printf("slice batching: %d timeslices packed into %d macrotasks (max %d per batch), %d suspension round trips\n",
-		st.Slices, st.Batches, st.MaxBatchSlices, st.Suspensions)
+	fmt.Printf("one timeslice per macrotask: %d timeslices, %d suspension round trips\n",
+		st.Slices, st.Suspensions)
 }

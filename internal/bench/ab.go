@@ -1,6 +1,6 @@
 // The A/B harness behind `doppio-bench -ab`: every paired comparison in
 // this package (observer overhead, interpreter quickening, scheduler
-// batching and priority, fleet sharding, the gateway mux, the VFS
+// priority, fleet sharding, the gateway mux, the VFS
 // cache and fault injection) runs through Report.compare, and every
 // A/B writes the same Report schema to BENCH_<name>.json.
 //

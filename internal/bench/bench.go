@@ -280,7 +280,7 @@ func RunDoppio(spec WorkloadSpec, scale int, profile browser.Profile, cfg Config
 // runJVM runs main once on a fresh VM in win. The sample carries wall
 // time, scheduler CPU time (thread execution only: where an
 // observer's cost lands, free of the timer jitter that dominates wall
-// on a timeslice-batched workload) and stdout as the output. A
+// on a workload that suspends often) and stdout as the output. A
 // *firstWrite stdout is timed from the same start as wall time.
 func runJVM(win *browser.Window, opts jvm.DoppioOptions, main string, args []string) (Sample, *jvm.DoppioVM, error) {
 	var stdout strings.Builder

@@ -19,7 +19,7 @@ import (
 
 // opsOverheadProgram keeps the scheduler busy: four CPU-bound workers
 // plus a producer/consumer pair, so the flight ring sees the full
-// event mix (spawns, batches, block/settle) while the wall clock is
+// event mix (spawns, slices, block/settle) while the wall clock is
 // dominated by bytecode execution.
 const opsOverheadProgram = `
 class Cell {

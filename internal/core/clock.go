@@ -22,7 +22,6 @@ type suspendClock struct {
 	avgPerMs   float64 // cumulative moving average of checks per ms
 	samples    int
 	sliceStart time.Time
-	sliceLimit time.Duration // this slice's target duration (≤ timeslice)
 
 	// probe, when set, fires on every counter expiry with the
 	// timestamp check() already read — the profiler's CPU sample
@@ -47,16 +46,8 @@ func newSuspendClock(timeslice time.Duration, fixed int) *suspendClock {
 	return c
 }
 
-// startSlice notes the beginning of a fresh timeslice. limit bounds
-// this slice's target duration — the scheduler passes the remaining
-// responsiveness budget so a batch's final slice lands near the budget
-// instead of overshooting by a full timeslice. Non-positive or
-// oversized limits fall back to the configured timeslice.
-func (c *suspendClock) startSlice(limit time.Duration) {
-	if limit <= 0 || limit > c.timeslice {
-		limit = c.timeslice
-	}
-	c.sliceLimit = limit
+// startSlice notes the beginning of a fresh timeslice.
+func (c *suspendClock) startSlice() {
 	c.sliceStart = time.Now()
 	c.resetAt = c.sliceStart
 	if c.fixed > 0 {
@@ -94,10 +85,10 @@ func (c *suspendClock) check() bool {
 	// Cumulative moving average of the program's check rate.
 	c.avgPerMs += (rate - c.avgPerMs) / float64(c.samples)
 
-	if since := now.Sub(c.sliceStart); since < c.sliceLimit {
+	if since := now.Sub(c.sliceStart); since < c.timeslice {
 		// The timeslice hasn't expired yet: re-arm the counter for the
-		// remaining budget and keep running.
-		remaining := c.sliceLimit - since
+		// rest of it and keep running.
+		remaining := c.timeslice - since
 		c.counter = clampCounter(int(c.avgPerMs * float64(remaining) / float64(time.Millisecond)))
 		c.initial = c.counter
 		c.resetAt = now
@@ -112,7 +103,7 @@ func (c *suspendClock) quantumFromAverage() int {
 	if c.samples == 0 {
 		return initialCounter
 	}
-	return clampCounter(int(c.avgPerMs * float64(c.sliceLimit) / float64(time.Millisecond)))
+	return clampCounter(int(c.avgPerMs * float64(c.timeslice) / float64(time.Millisecond)))
 }
 
 func clampCounter(n int) int {

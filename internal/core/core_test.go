@@ -175,7 +175,8 @@ func (y *yielder) Run(t *Thread) RunResult {
 func TestDeterministicRoundRobin(t *testing.T) {
 	// Same-priority threads must rotate in strict spawn order: the run
 	// queue is FIFO within a level.
-	loop, rt := newTestRuntime(chromeOpts(), Config{AgingThreshold: -1})
+	loop, rt := newTestRuntime(chromeOpts(), Config{})
+	rt.runq.agingThreshold = 0
 	var order []string
 	for _, tag := range []string{"a", "b", "c"} {
 		rt.Spawn(tag, &yielder{tag: tag, rounds: 3, order: &order})
@@ -193,7 +194,8 @@ func TestDeterministicRoundRobin(t *testing.T) {
 func TestPriorityOrdering(t *testing.T) {
 	// With aging disabled, a higher-priority thread runs to completion
 	// before a lower-priority one gets a single slice.
-	loop, rt := newTestRuntime(chromeOpts(), Config{AgingThreshold: -1})
+	loop, rt := newTestRuntime(chromeOpts(), Config{})
+	rt.runq.agingThreshold = 0
 	var order []string
 	lo := rt.Spawn("lo", &yielder{tag: "lo", rounds: 3, order: &order})
 	hi := rt.Spawn("hi", &yielder{tag: "hi", rounds: 3, order: &order})
@@ -227,9 +229,10 @@ func TestSetPriorityClamps(t *testing.T) {
 
 func TestStarvationAging(t *testing.T) {
 	// A low-priority thread waiting at its level's head must preempt
-	// the high-priority level after AgingThreshold scheduling decisions,
+	// the high-priority level after agingThreshold scheduling decisions,
 	// instead of starving until the high-priority thread exits.
-	loop, rt := newTestRuntime(chromeOpts(), Config{AgingThreshold: 4})
+	loop, rt := newTestRuntime(chromeOpts(), Config{})
+	rt.runq.agingThreshold = 4
 	var order []string
 	lo := rt.Spawn("lo", &yielder{tag: "lo", rounds: 2, order: &order})
 	rt.Spawn("hi", &yielder{tag: "hi", rounds: 40, order: &order}).SetPriority(MaxPriority)
@@ -254,9 +257,9 @@ func TestStarvationAging(t *testing.T) {
 }
 
 func TestKillMidBatch(t *testing.T) {
-	// A thread killed by another thread in the same batch must never
-	// run again, even though it was already queued.
-	loop, rt := newTestRuntime(chromeOpts(), Config{BatchBudget: 50 * time.Millisecond})
+	// A thread killed by another thread while it sits in the run queue
+	// must never run again.
+	loop, rt := newTestRuntime(chromeOpts(), Config{})
 	var victim *Thread
 	victimRan := false
 	rt.Spawn("killer", RunnableFunc(func(*Thread) RunResult {
@@ -279,64 +282,47 @@ func TestKillMidBatch(t *testing.T) {
 	}
 }
 
-func TestBatchingReducesSuspensions(t *testing.T) {
-	// The point of slice batching: many short timeslices share one §4.4
-	// round trip. Same workload, same responsiveness bound, batching on
-	// vs off.
-	run := func(budget time.Duration) Stats {
-		loop, rt := newTestRuntime(chromeOpts(), Config{
-			Timeslice:   time.Millisecond,
-			BatchBudget: budget,
-		})
-		for i := 0; i < 2; i++ {
-			rt.Spawn("w", &spinner{steps: 300, stepCost: 50 * time.Microsecond})
-		}
-		rt.Start()
-		if err := loop.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return rt.Stats()
-	}
-	unbatched := run(-1)                  // one slice per macrotask
-	batched := run(20 * time.Millisecond) // up to ~20 slices per macrotask
-	if unbatched.MaxBatchSlices != 1 {
-		t.Errorf("unbatched MaxBatchSlices = %d, want 1", unbatched.MaxBatchSlices)
-	}
-	if batched.MaxBatchSlices < 2 {
-		t.Errorf("batched MaxBatchSlices = %d, want > 1", batched.MaxBatchSlices)
-	}
-	if batched.Batches == 0 {
-		t.Error("Batches not accounted")
-	}
-	if unbatched.Suspensions < 4*batched.Suspensions {
-		t.Errorf("batching did not reduce suspensions: %d unbatched vs %d batched",
-			unbatched.Suspensions, batched.Suspensions)
-	}
-}
-
 func TestBatchRespectsBudget(t *testing.T) {
-	// Regression: a batch must stop near its responsiveness budget — a
-	// macrotask must never grow with the amount of pending work. The
-	// watchdog is the arbiter: 300 ms of CPU under a 50 ms limit with a
-	// 10 ms budget must survive.
+	// Regression: a macrotask must never grow with the amount of
+	// pending work. The watchdog is the arbiter: 300 ms of CPU across
+	// four threads under a 50 ms limit with a 2 ms timeslice must
+	// survive.
 	opts := chromeOpts()
 	opts.WatchdogLimit = 50 * time.Millisecond
-	loop, rt := newTestRuntime(opts, Config{
-		Timeslice:   2 * time.Millisecond,
-		BatchBudget: 10 * time.Millisecond,
-	})
+	loop, rt := newTestRuntime(opts, Config{Timeslice: 2 * time.Millisecond})
 	for i := 0; i < 4; i++ {
 		rt.Spawn("w", &spinner{steps: 750, stepCost: 100 * time.Microsecond})
 	}
 	rt.Start()
 	if err := loop.Run(); err != nil {
-		t.Fatalf("batch overran the responsiveness budget: %v", err)
+		t.Fatalf("a macrotask overran the watchdog: %v", err)
 	}
 	if lt := loop.Stats().LongestTask; lt > 40*time.Millisecond {
 		t.Errorf("LongestTask = %v, want well under the watchdog limit", lt)
 	}
-	if rt.Stats().Batches == 0 {
-		t.Error("no batches recorded")
+}
+
+func TestOneSlicePerMacrotask(t *testing.T) {
+	// The §4.1/§4.4 policy: every macrotask runs exactly one timeslice
+	// and pays one resumption round trip before the next, however
+	// short the slice and however many threads are ready. Only the
+	// first slice, posted by Start, skips the mechanism.
+	loop, rt := newTestRuntime(chromeOpts(), Config{Timeslice: time.Millisecond})
+	var order []string
+	for _, tag := range []string{"a", "b", "c"} {
+		rt.Spawn(tag, &yielder{tag: tag, rounds: 4, order: &order})
+	}
+	rt.Start()
+	if err := loop.Run(); err != nil {
+		t.Fatal(err)
+	}
+	st := rt.Stats()
+	if st.Slices != 12 {
+		t.Fatalf("Slices = %d, want 12", st.Slices)
+	}
+	if st.Suspensions != st.Slices-1 {
+		t.Errorf("Suspensions = %d over %d slices, want one round trip per slice after the first",
+			st.Suspensions, st.Slices)
 	}
 }
 
@@ -507,10 +493,9 @@ func TestKill(t *testing.T) {
 func TestIE8SetTimeoutSuspendIsSlow(t *testing.T) {
 	// On IE8 every suspension pays the 16 ms setTimeout clamp; the same
 	// workload on Chrome (postMessage) suspends nearly for free. This
-	// is the §4.4 motivation. Batching is disabled so each slice pays
-	// the mechanism.
+	// is the §4.4 motivation.
 	work := func(opts eventloop.Options) (time.Duration, Stats) {
-		loop, rt := newTestRuntime(opts, Config{Timeslice: 2 * time.Millisecond, BatchBudget: -1})
+		loop, rt := newTestRuntime(opts, Config{Timeslice: 2 * time.Millisecond})
 		rt.Spawn("main", &spinner{steps: 600, stepCost: 25 * time.Microsecond})
 		start := time.Now()
 		rt.Start()
@@ -573,7 +558,8 @@ func TestStarvationAgingAtFleetDepth(t *testing.T) {
 		hogRounds = 200
 		tenants   = 64
 	)
-	loop, rt := newTestRuntime(chromeOpts(), Config{AgingThreshold: 8})
+	loop, rt := newTestRuntime(chromeOpts(), Config{})
+	rt.runq.agingThreshold = 8
 	var order []string
 	for i := 0; i < hogs; i++ {
 		rt.Spawn(fmt.Sprintf("hog-%d", i),

@@ -25,10 +25,9 @@ type ThreadInfo struct {
 // counters. Collect it with Runtime.Dump on the event-loop goroutine
 // (or after the loop has drained).
 type SchedulerDump struct {
-	Mechanism   string        `json:"mechanism"`
-	Timeslice   time.Duration `json:"timeslice_ns"`
-	BatchBudget time.Duration `json:"batch_budget_ns"`
-	Threads     []ThreadInfo  `json:"threads"`
+	Mechanism string        `json:"mechanism"`
+	Timeslice time.Duration `json:"timeslice_ns"`
+	Threads   []ThreadInfo  `json:"threads"`
 	// RunQueueDepths is the queued-thread count per priority level;
 	// index 0 is priority 1, the least urgent.
 	RunQueueDepths []int `json:"runq_depths"`
@@ -42,7 +41,6 @@ func (rt *Runtime) Dump() SchedulerDump {
 	d := SchedulerDump{
 		Mechanism:      rt.mechanism,
 		Timeslice:      rt.cfg.Timeslice,
-		BatchBudget:    rt.batchBudget,
 		RunQueueDepths: rt.runq.levelDepths(),
 		Stats:          rt.stats,
 		Threads:        make([]ThreadInfo, 0, len(rt.threads)),
@@ -76,11 +74,9 @@ func (d SchedulerDump) Blocked() []ThreadInfo {
 func (d SchedulerDump) Format() string {
 	var b strings.Builder
 	b.WriteString("== thread dump ==\n")
-	fmt.Fprintf(&b, "scheduler: mechanism=%s timeslice=%s batch-budget=%s\n",
-		d.Mechanism, d.Timeslice, d.BatchBudget)
-	fmt.Fprintf(&b, "stats: slices=%d batches=%d max-batch=%d overruns=%d suspensions=%d ctx-switches=%d\n",
-		d.Stats.Slices, d.Stats.Batches, d.Stats.MaxBatchSlices,
-		d.Stats.BudgetOverruns, d.Stats.Suspensions, d.Stats.ContextSwitches)
+	fmt.Fprintf(&b, "scheduler: mechanism=%s timeslice=%s\n", d.Mechanism, d.Timeslice)
+	fmt.Fprintf(&b, "stats: slices=%d suspensions=%d ctx-switches=%d\n",
+		d.Stats.Slices, d.Stats.Suspensions, d.Stats.ContextSwitches)
 	depths := make([]string, len(d.RunQueueDepths))
 	for i, n := range d.RunQueueDepths {
 		depths[i] = fmt.Sprintf("p%d:%d", i+1, n)

@@ -49,7 +49,7 @@ func TestDumpAndFlightEvents(t *testing.T) {
 	}
 
 	// Flight ring must have seen: spawns, a block/settle pair labeled
-	// with the completion label, and at least one batch.
+	// with the completion label, and a slice of each thread.
 	got := map[string]bool{}
 	for _, ev := range hub.Flight.Events() {
 		got[ev.Cat+"/"+ev.Event+"/"+ev.Label] = true
@@ -59,7 +59,8 @@ func TestDumpAndFlightEvents(t *testing.T) {
 		"sched/spawn/main",
 		"comp/block/handoff:test",
 		"comp/settle/handoff:test",
-		"sched/batch/",
+		"sched/slice/worker",
+		"sched/slice/main",
 	} {
 		if !got[want] {
 			t.Fatalf("flight missing %q; recorded: %v", want, got)

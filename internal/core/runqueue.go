@@ -32,9 +32,6 @@ func newRunQueue(levels int, aging uint64) *runQueue {
 	return &runQueue{levels: make([]listHead, levels), agingThreshold: aging}
 }
 
-// numLevels returns the number of priority levels.
-func (q *runQueue) numLevels() int { return len(q.levels) }
-
 // clampPrio forces p into the valid 1..levels range.
 func (q *runQueue) clampPrio(p int) int {
 	if p < 1 {

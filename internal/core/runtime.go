@@ -12,10 +12,7 @@
 //     primitive,
 //   - cooperative multithreading over a pool of saved call stacks,
 //     scheduled by a priority run queue with starvation aging (§4.3),
-//   - slice batching: many timeslices run back-to-back inside one
-//     macrotask until a responsiveness budget expires, so the §4.4
-//     resumption round trip is paid once per batch instead of once per
-//     slice,
+//     one timeslice per macrotask,
 //   - per-browser selection of the fastest resumption mechanism:
 //     setImmediate, then postMessage, then setTimeout (§4.4).
 //
@@ -97,8 +94,7 @@ func (s ThreadState) String() string {
 }
 
 // Priority bounds, JVM-style: level 1 is the least urgent, 10 the
-// most, 5 the default. Config.PriorityLevels may widen or narrow the
-// range; these are the defaults.
+// most, 5 the level every thread starts at.
 const (
 	MinPriority      = 1
 	NormPriority     = 5
@@ -112,31 +108,6 @@ type Config struct {
 	// Timeslice is the preconfigured time slice duration (§4.1) after
 	// which a thread should suspend. Defaults to 10 ms.
 	Timeslice time.Duration
-
-	// BatchBudget is the responsiveness budget for one macrotask:
-	// ready threads keep running timeslices back-to-back until it
-	// expires, and only then is the §4.4 resumption round trip paid.
-	// Zero derives the budget from the adaptive suspend clock's
-	// timeslice (i.e. equal to Timeslice, ~10 ms by default); negative
-	// disables batching and runs exactly one slice per macrotask (the
-	// pre-batching behavior, kept for A/B comparison).
-	BatchBudget time.Duration
-
-	// PriorityLevels is the number of run-queue priority levels
-	// (threads use 1..PriorityLevels, larger = more urgent). Defaults
-	// to MaxPriority (10), matching the JVM's Thread priority range.
-	PriorityLevels int
-
-	// DefaultPriority is the level newly spawned threads start at.
-	// Defaults to the middle level (NormPriority for the default
-	// range).
-	DefaultPriority int
-
-	// AgingThreshold is the number of scheduling decisions a
-	// lower-priority thread may wait at the head of its level before
-	// it preempts higher-priority work once (starvation aging). Zero
-	// uses the default (16); negative disables aging entirely.
-	AgingThreshold int
 
 	// ForceMechanism, if non-empty, overrides the automatic resumption
 	// mechanism choice ("setImmediate", "postMessage" or "setTimeout")
@@ -155,8 +126,7 @@ type Config struct {
 type Stats struct {
 	// Suspensions counts suspend-and-resume round trips (§4.4): the
 	// number of times the runtime yielded the JavaScript thread and
-	// paid the resumption mechanism. With batching, one round trip may
-	// cover many timeslices.
+	// paid the resumption mechanism.
 	Suspensions int
 	// SuspendedTime is total time spent suspended — between yielding
 	// the JavaScript thread and the resumption callback firing.
@@ -165,16 +135,9 @@ type Stats struct {
 	CPUTime time.Duration
 	// ContextSwitches counts scheduler decisions that changed threads.
 	ContextSwitches int
-	// Slices counts executed timeslices across all threads.
+	// Slices counts executed timeslices across all threads, one per
+	// scheduler macrotask.
 	Slices int
-	// Batches counts scheduler macrotasks that ran at least one slice.
-	Batches int
-	// MaxBatchSlices is the most timeslices any single batch ran.
-	MaxBatchSlices int
-	// BudgetOverruns counts batches whose total execution exceeded the
-	// responsiveness budget (the last slice overshooting its clamped
-	// quantum estimate).
-	BudgetOverruns int
 }
 
 // Runtime is a Doppio execution environment bound to one event loop.
@@ -192,8 +155,6 @@ type Runtime struct {
 	current    *Thread
 	nextID     int
 	tickQueued bool
-
-	batchBudget time.Duration // 0 = one slice per macrotask
 
 	stats   Stats
 	lastRun *Thread
@@ -215,13 +176,11 @@ type Runtime struct {
 type rtTelemetry struct {
 	yieldLatency *telemetry.Histogram // suspend → resumption latency (§4.4)
 	sliceDur     *telemetry.Histogram // timeslice execution duration
-	batchSlices  *telemetry.Histogram // timeslices per scheduler macrotask
 	quantum      *telemetry.Gauge     // latest adaptive suspend-counter quantum (§4.1)
-	runqDepth    *telemetry.Gauge     // run-queue depth after the latest batch
+	runqDepth    *telemetry.Gauge     // run-queue depth after the latest slice
 	runqMax      *telemetry.Gauge     // high-watermark run-queue depth
 	suspensions  *telemetry.Counter
 	ctxSwitches  *telemetry.Counter
-	overruns     *telemetry.Counter // batches that exceeded the budget
 	tracer       *telemetry.Tracer
 	flight       *telemetry.FlightRecorder
 }
@@ -248,13 +207,11 @@ func (rt *Runtime) EnableTelemetry(h *telemetry.Hub) {
 	rt.tel = &rtTelemetry{
 		yieldLatency: h.Registry.Histogram("core", "yield_latency"),
 		sliceDur:     h.Registry.Histogram("core", "timeslice"),
-		batchSlices:  h.Registry.Histogram("core", "batch_slices"),
 		quantum:      h.Registry.Gauge("core", "suspend_quantum"),
 		runqDepth:    h.Registry.Gauge("core", "runq_depth"),
 		runqMax:      h.Registry.Gauge("core", "runq_depth_max"),
 		suspensions:  h.Registry.Counter("core", "suspensions"),
 		ctxSwitches:  h.Registry.Counter("core", "context_switches"),
-		overruns:     h.Registry.Counter("core", "batch_overruns"),
 		tracer:       h.Tracer,
 		flight:       h.Flight,
 	}
@@ -267,32 +224,12 @@ func NewRuntime(loop *eventloop.Loop, cfg Config) *Runtime {
 	if cfg.Timeslice == 0 {
 		cfg.Timeslice = defaultTimeslice
 	}
-	if cfg.PriorityLevels <= 0 {
-		cfg.PriorityLevels = MaxPriority
-	}
-	if cfg.DefaultPriority == 0 {
-		cfg.DefaultPriority = (cfg.PriorityLevels + 1) / 2
-	}
-	aging := uint64(defaultAging)
-	switch {
-	case cfg.AgingThreshold > 0:
-		aging = uint64(cfg.AgingThreshold)
-	case cfg.AgingThreshold < 0:
-		aging = 0
-	}
 	rt := &Runtime{
 		loop:   loop,
 		cfg:    cfg,
 		rtSeq:  atomic.AddUint64(&runtimeSeq, 1),
-		runq:   newRunQueue(cfg.PriorityLevels, aging),
+		runq:   newRunQueue(MaxPriority, defaultAging),
 		msgMap: make(map[string]func()),
-	}
-	rt.cfg.DefaultPriority = rt.runq.clampPrio(cfg.DefaultPriority)
-	switch {
-	case cfg.BatchBudget > 0:
-		rt.batchBudget = cfg.BatchBudget
-	case cfg.BatchBudget == 0:
-		rt.batchBudget = cfg.Timeslice
 	}
 	rt.mechanism = cfg.ForceMechanism
 	if rt.mechanism == "" {
@@ -330,10 +267,6 @@ func (rt *Runtime) Stats() Stats { return rt.stats }
 
 // Timeslice returns the configured time slice.
 func (rt *Runtime) Timeslice() time.Duration { return rt.cfg.Timeslice }
-
-// BatchBudget returns the effective responsiveness budget (0 when
-// batching is disabled).
-func (rt *Runtime) BatchBudget() time.Duration { return rt.batchBudget }
 
 func (rt *Runtime) onMessage(id string) {
 	cb, ok := rt.msgMap[id]
@@ -444,7 +377,7 @@ func (rt *Runtime) Spawn(name string, r Runnable) *Thread {
 		Name:     name,
 		runnable: r,
 		state:    ReadyState,
-		prio:     rt.cfg.DefaultPriority,
+		prio:     NormPriority,
 	}
 	t.clock = newSuspendClock(rt.cfg.Timeslice, rt.cfg.FixedCounter)
 	rt.armProbe(t)
@@ -481,52 +414,18 @@ func (rt *Runtime) queueTick(viaMechanism bool) {
 	}
 }
 
-// tick runs one scheduler batch: ready threads execute timeslices
-// back-to-back until the run queue drains or the responsiveness
-// budget expires, and only then is the next §4.4 resumption round
-// trip scheduled. With batching disabled (negative Config.BatchBudget)
-// exactly one slice runs per macrotask.
+// tick runs one scheduler macrotask (§4.1, §4.4): it pops the next
+// ready thread, runs one timeslice of it, and, if work remains, pays
+// the resumption round trip before the next slice, so the browser's
+// own events interleave with every slice.
 func (rt *Runtime) tick() {
-	if rt.runq.size == 0 {
+	t := rt.runq.pop()
+	if t == nil {
 		rt.maybeIdle()
 		return
 	}
-	budget := rt.batchBudget
-	batchStart := time.Now()
-	slices := 0
-	for {
-		t := rt.runq.pop()
-		limit := rt.cfg.Timeslice
-		if budget > 0 {
-			if remaining := budget - time.Since(batchStart); remaining < limit {
-				limit = remaining
-			}
-		}
-		rt.runSlice(t, limit)
-		slices++
-		if rt.runq.size == 0 || budget <= 0 || time.Since(batchStart) >= budget {
-			break
-		}
-	}
-	rt.stats.Batches++
-	if slices > rt.stats.MaxBatchSlices {
-		rt.stats.MaxBatchSlices = slices
-	}
-	overrun := budget > 0 && time.Since(batchStart) > budget
-	if overrun {
-		rt.stats.BudgetOverruns++
-	}
-	if tel := rt.tel; tel != nil {
-		tel.batchSlices.Observe(int64(slices))
-		if overrun {
-			tel.overruns.Inc()
-		}
-	}
-	note := ""
-	if overrun {
-		note = "overrun"
-	}
-	rt.flight().RecordNote("sched", "batch", "", note, int64(slices))
+	rt.runSlice(t)
+	rt.flight().Record("sched", "slice", t.Name, int64(t.ID))
 	rt.noteQueueDepth()
 	if rt.runq.size > 0 {
 		rt.queueTick(true)
@@ -535,9 +434,9 @@ func (rt *Runtime) tick() {
 	}
 }
 
-// runSlice executes one timeslice of t, bounded by limit, and applies
-// the thread's verdict to the scheduler state.
-func (rt *Runtime) runSlice(t *Thread, limit time.Duration) {
+// runSlice executes one timeslice of t and applies the thread's
+// verdict to the scheduler state.
+func (rt *Runtime) runSlice(t *Thread) {
 	if rt.lastRun != nil && rt.lastRun != t {
 		rt.stats.ContextSwitches++
 		if rt.tel != nil {
@@ -548,7 +447,7 @@ func (rt *Runtime) runSlice(t *Thread, limit time.Duration) {
 	rt.current = t
 	rt.stats.Slices++
 	t.state = RunningState
-	t.clock.startSlice(limit)
+	t.clock.startSlice()
 
 	var span telemetry.Span
 	if tel := rt.tel; tel != nil {

@@ -9,12 +9,9 @@ import (
 
 func TestRuntimeTelemetry(t *testing.T) {
 	hub := telemetry.NewHub().EnableTracing()
-	// Batching off so every yield pays (and therefore counts) a
-	// suspension round trip.
 	loop, rt := newTestRuntime(chromeOpts(), Config{
-		Timeslice:   time.Millisecond,
-		BatchBudget: -1,
-		Telemetry:   hub,
+		Timeslice: time.Millisecond,
+		Telemetry: hub,
 	})
 
 	const yields = 5
@@ -71,9 +68,8 @@ func TestRuntimeTelemetry(t *testing.T) {
 func TestRuntimeTelemetryBatching(t *testing.T) {
 	hub := telemetry.NewHub()
 	loop, rt := newTestRuntime(chromeOpts(), Config{
-		Timeslice:   time.Millisecond,
-		BatchBudget: 50 * time.Millisecond,
-		Telemetry:   hub,
+		Timeslice: time.Millisecond,
+		Telemetry: hub,
 	})
 	for i := 0; i < 3; i++ {
 		n := 0
@@ -90,15 +86,6 @@ func TestRuntimeTelemetryBatching(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := hub.Registry
-	batches := reg.Histogram("core", "batch_slices")
-	if batches.Count() == 0 {
-		t.Fatal("batch_slices never observed")
-	}
-	// 3 threads x 4 slices inside a 50 ms budget: the first batch packs
-	// everything, so the per-batch slice count must exceed 1.
-	if got := batches.Stats().Max; got < 2 {
-		t.Errorf("batch_slices max = %d, want > 1", got)
-	}
 	if got := reg.Gauge("core", "runq_depth_max").Value(); got < 2 {
 		t.Errorf("runq_depth_max = %d, want >= 2", got)
 	}

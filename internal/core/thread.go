@@ -49,8 +49,8 @@ func (t *Thread) Runtime() *Runtime { return t.rt }
 // Priority returns the thread's run-queue priority level (1 = lowest).
 func (t *Thread) Priority() int { return t.prio }
 
-// SetPriority moves the thread to priority level p (clamped to the
-// runtime's configured range). A queued thread is re-enqueued at the
+// SetPriority moves the thread to priority level p (clamped to
+// MinPriority..MaxPriority). A queued thread is re-enqueued at the
 // tail of its new level; a running or blocked thread re-enters the
 // queue at the new level when it next becomes ready.
 func (t *Thread) SetPriority(p int) {

@@ -54,14 +54,6 @@ type Budget struct {
 	// CPU is the cumulative execution-time allowance; a tenant whose
 	// scheduler has consumed more is evicted at the next monitor tick.
 	CPU time.Duration
-	// BatchBudget is the per-macrotask responsiveness budget the
-	// tenant's core.Runtime should run under (how long one scheduler
-	// batch may hog the shard's loop). The StartFunc passes it to the
-	// VM; the supervisor sizes it so hostile tenants cannot freeze a
-	// shard between monitor ticks.
-	BatchBudget time.Duration
-	// Priority is the run-queue level the tenant's threads start at.
-	Priority int
 	// HeapBytes sizes the tenant's unmanaged heap; admission counts it
 	// against the fleet's HeapCapacity.
 	HeapBytes int

@@ -50,7 +50,7 @@ type Config struct {
 	// over-budget streak, so counts above 1 effectively require a
 	// single macrotask to blow the budget StallCount times in a row
 	// without the heartbeat timer coming due — in practice, arm with
-	// StallCount 1 and size StallBudget well above the batch budget.
+	// StallCount 1 and size StallBudget well above the timeslice.
 	StallBudget time.Duration
 	StallCount  int
 

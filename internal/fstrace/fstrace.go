@@ -350,20 +350,6 @@ func replay(loop *eventloop.Loop, fs *vfs.FS, t *Trace, hub *telemetry.Hub, reco
 	step(0)
 }
 
-// DiffLogs compares two replay logs and reports the first divergence
-// ("" when bit-identical) — the A/B harness's verdict line.
-func DiffLogs(a, b []OpResult) string {
-	if len(a) != len(b) {
-		return fmt.Sprintf("length mismatch: %d vs %d ops", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return fmt.Sprintf("op %d diverges: %v vs %v", i, a[i], b[i])
-		}
-	}
-	return ""
-}
-
 // SeedOS materializes the trace's tree under root on the host file
 // system — the Figure 6 baseline substrate.
 func SeedOS(root string, t *Trace) error {

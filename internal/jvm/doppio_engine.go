@@ -97,11 +97,9 @@ type DoppioOptions struct {
 	// VFS of the same window.
 	FS         HostFS
 	Properties map[string]string
-	// Timeslice, BatchBudget and ForceMechanism pass through to the
-	// Doppio execution environment (negative BatchBudget disables
-	// slice batching — one timeslice per macrotask).
+	// Timeslice, ForceMechanism and FixedCounter pass through to the
+	// Doppio execution environment.
 	Timeslice      time.Duration
-	BatchBudget    time.Duration
 	ForceMechanism string
 	FixedCounter   int
 	HeapSize       int
@@ -180,7 +178,6 @@ func NewDoppioVM(win *browser.Window, opts DoppioOptions) *DoppioVM {
 	}
 	vm.rt = core.NewRuntime(win.Loop, core.Config{
 		Timeslice:      opts.Timeslice,
-		BatchBudget:    opts.BatchBudget,
 		ForceMechanism: opts.ForceMechanism,
 		FixedCounter:   opts.FixedCounter,
 		Telemetry:      win.Telemetry,

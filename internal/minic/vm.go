@@ -24,7 +24,7 @@ type VM struct {
 	heap  *umheap.Heap
 	win   *browser.Window
 	rt    *core.Runtime
-	rtCfg core.Config // kept so forked clones inherit the budgets
+	rtCfg core.Config // kept so forked clones inherit the timeslice
 	fs    *vfs.FS
 
 	stdout io.Writer
@@ -78,14 +78,8 @@ type VMOptions struct {
 	// OS is the process-syscall back end (fork/waitpid/kill/getpid);
 	// nil leaves those syscalls returning -1.
 	OS OS
-	// Timeslice and BatchBudget pass through to the Doppio execution
-	// environment (negative BatchBudget disables slice batching) — the
-	// per-tenant CPU-slice knobs the fleet supervisor sets.
-	Timeslice   time.Duration
-	BatchBudget time.Duration
-	// Priority is the run-queue level the VM's threads start at
-	// (core.Config.DefaultPriority); zero keeps the default.
-	Priority int
+	// Timeslice passes through to the Doppio execution environment.
+	Timeslice time.Duration
 	// Profiler, when non-nil, samples guest CPU time, allocation
 	// (the umheap malloc path), and blocked time into the given
 	// profiler. Stacks are keyed by MiniC function name.
@@ -113,10 +107,8 @@ func NewVM(win *browser.Window, prog *Program, opts VMOptions) (*VM, error) {
 	}
 	heap := umheap.New(opts.HeapSize, win.Profile.HasTypedArrays, win.NoteTypedArrayAlloc)
 	rtCfg := core.Config{
-		Timeslice:       opts.Timeslice,
-		BatchBudget:     opts.BatchBudget,
-		DefaultPriority: opts.Priority,
-		Telemetry:       win.Telemetry,
+		Timeslice: opts.Timeslice,
+		Telemetry: win.Telemetry,
 	}
 	vm := &VM{
 		prog:   prog,

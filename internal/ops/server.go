@@ -15,7 +15,7 @@ import (
 
 // collectTimeout bounds how long a live handler waits for the event
 // loop to run its collection task. A busy-but-healthy loop answers
-// within a batch budget (~10 ms); a loop that cannot answer in this
+// within a timeslice (~10 ms); a loop that cannot answer in this
 // long is wedged, and the handler reports that instead of blocking.
 const collectTimeout = 500 * time.Millisecond
 

@@ -28,7 +28,7 @@ type FlightEvent struct {
 	// Cat is the emitting subsystem: "sched", "comp", "loop", "vfs",
 	// "fault", "breaker", "sock".
 	Cat string `json:"cat"`
-	// Event names what happened within the category ("batch", "block",
+	// Event names what happened within the category ("slice", "block",
 	// "settle", "open", "inject", ...).
 	Event string `json:"event"`
 	// Label carries the operation's identity: a completion label, a

@@ -14,7 +14,7 @@ func TestFlightRecorderBasics(t *testing.T) {
 	base := time.Unix(0, 0)
 	f.setClock(func() time.Time { return base })
 
-	f.Record("sched", "batch", "", 3)
+	f.Record("sched", "slice", "main", 3)
 	f.RecordNote("vfs", "open", "/tmp/x", "ENOENT", 0)
 
 	if got := f.Total(); got != 2 {
@@ -27,7 +27,7 @@ func TestFlightRecorderBasics(t *testing.T) {
 	if len(evs) != 2 {
 		t.Fatalf("Events len = %d, want 2", len(evs))
 	}
-	if evs[0].Cat != "sched" || evs[0].Event != "batch" || evs[0].Arg != 3 {
+	if evs[0].Cat != "sched" || evs[0].Event != "slice" || evs[0].Arg != 3 {
 		t.Fatalf("first event mismatch: %+v", evs[0])
 	}
 	if evs[1].Label != "/tmp/x" || evs[1].Note != "ENOENT" {
@@ -41,7 +41,7 @@ func TestFlightRecorderBasics(t *testing.T) {
 func TestFlightRecorderRingWrap(t *testing.T) {
 	f := NewFlightRecorder(4)
 	for i := 0; i < 10; i++ {
-		f.Record("sched", "batch", "", int64(i))
+		f.Record("sched", "slice", "main", int64(i))
 	}
 	if got := f.Total(); got != 10 {
 		t.Fatalf("Total = %d, want 10", got)
