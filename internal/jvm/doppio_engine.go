@@ -892,50 +892,60 @@ func (vm *DoppioVM) EvalJS(snippet string) string {
 // --- VFS binding ---
 
 // VFSHostFS adapts the Doppio file system (internal/vfs) to the
-// native-method HostFS surface. Every operation is asynchronous; the
-// JVM natives wrap them with suspend-and-resume.
+// native-method HostFS surface. The JVM natives block the calling
+// thread on every operation, so each goes through vfs.FS.Blocking: an
+// answer the backend chain gives inline settles the native before the
+// thread would suspend, and a later one resumes it through the bridge.
 type VFSHostFS struct{ FS *vfs.FS }
 
 // ReadFile loads a whole file, delivering the VFS's read-only slice
 // (see HostFS.ReadFile).
 func (v *VFSHostFS) ReadFile(path string, cb func([]byte, error)) {
-	v.FS.ReadFileBytes(path, cb)
+	v.FS.Blocking(func() { v.FS.ReadFileBytes(path, cb) })
 }
 
 // WriteFile replaces a whole file.
 func (v *VFSHostFS) WriteFile(path string, data []byte, cb func(error)) {
-	v.FS.WriteFile(path, data, cb)
+	v.FS.Blocking(func() { v.FS.WriteFile(path, data, cb) })
 }
 
 // Append appends to a file.
 func (v *VFSHostFS) Append(path string, data []byte, cb func(error)) {
-	v.FS.AppendFile(path, data, cb)
+	v.FS.Blocking(func() { v.FS.AppendFile(path, data, cb) })
 }
 
 // Stat reports size and kind.
 func (v *VFSHostFS) Stat(path string, cb func(int64, bool, bool)) {
-	v.FS.Stat(path, func(st vfs.Stats, err error) {
-		if err != nil {
-			cb(0, false, false)
-			return
-		}
-		cb(st.Size, st.IsDirectory(), true)
+	v.FS.Blocking(func() {
+		v.FS.Stat(path, func(st vfs.Stats, err error) {
+			if err != nil {
+				cb(0, false, false)
+				return
+			}
+			cb(st.Size, st.IsDirectory(), true)
+		})
 	})
 }
 
 // List names a directory.
 func (v *VFSHostFS) List(path string, cb func([]string, error)) {
-	v.FS.Readdir(path, cb)
+	v.FS.Blocking(func() { v.FS.Readdir(path, cb) })
 }
 
 // Delete unlinks a file.
-func (v *VFSHostFS) Delete(path string, cb func(error)) { v.FS.Unlink(path, cb) }
+func (v *VFSHostFS) Delete(path string, cb func(error)) {
+	v.FS.Blocking(func() { v.FS.Unlink(path, cb) })
+}
 
 // Mkdir creates a directory.
-func (v *VFSHostFS) Mkdir(path string, cb func(error)) { v.FS.Mkdir(path, cb) }
+func (v *VFSHostFS) Mkdir(path string, cb func(error)) {
+	v.FS.Blocking(func() { v.FS.Mkdir(path, cb) })
+}
 
 // Rename moves a file.
-func (v *VFSHostFS) Rename(oldP, newP string, cb func(error)) { v.FS.Rename(oldP, newP, cb) }
+func (v *VFSHostFS) Rename(oldP, newP string, cb func(error)) {
+	v.FS.Blocking(func() { v.FS.Rename(oldP, newP, cb) })
+}
 
 // VFSClassProvider loads class files from directories of a Doppio
 // file system — the §6.4 class path. Classes download on demand
@@ -946,7 +956,9 @@ type VFSClassProvider struct {
 }
 
 // BytesAsync fetches <dir>/<name>.class from the first class path
-// entry that has it.
+// entry that has it. A class load blocks its thread, so each probe
+// goes through vfs.FS.Blocking, including the next entry's probe
+// issued from a miss's callback.
 func (p *VFSClassProvider) BytesAsync(name string, cb func([]byte, error)) {
 	var try func(i int)
 	try = func(i int) {
@@ -957,12 +969,14 @@ func (p *VFSClassProvider) BytesAsync(name string, cb func([]byte, error)) {
 		path := strings.TrimSuffix(p.Dirs[i], "/") + "/" + name + ".class"
 		// The class parser copies what it keeps, so the VFS's
 		// read-only slice goes straight to it.
-		p.FS.ReadFileBytes(path, func(data []byte, err error) {
-			if err != nil {
-				try(i + 1)
-				return
-			}
-			cb(data, nil)
+		p.FS.Blocking(func() {
+			p.FS.ReadFileBytes(path, func(data []byte, err error) {
+				if err != nil {
+					try(i + 1)
+					return
+				}
+				cb(data, nil)
+			})
 		})
 	}
 	try(0)

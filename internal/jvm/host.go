@@ -37,9 +37,11 @@ type AsyncWriter interface {
 }
 
 // HostFS is the file system surface natives program against. The
-// Doppio engine implements it over the Doppio VFS (asynchronously);
-// the native engine implements it over the host OS, invoking the
-// callbacks synchronously. All callbacks must eventually fire.
+// Doppio engine implements it over the Doppio VFS (VFSHostFS), which
+// invokes a callback inline when the backend chain answers inline and
+// on a later event-loop turn otherwise; the native engine implements
+// it over the host OS, invoking the callbacks synchronously. All
+// callbacks must eventually fire.
 type HostFS interface {
 	// ReadFile delivers a whole file. The slice is read-only: it may
 	// share the file system's stored contents (vfs.FS.ReadFileBytes),

@@ -2,6 +2,7 @@ package minic_test
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -203,6 +204,71 @@ int main() {
 			t.Errorf("stored file = %q, %v; want \"stored\"", data, err)
 		}
 	})
+}
+
+// fileOpsC writes, checks and reads back a file n times: 3n blocking
+// file syscalls.
+func fileOpsC(n int) string {
+	return fmt.Sprintf(`
+int main() {
+    int total = 0;
+    for (int i = 0; i < %d; i++) {
+        writefile("/data.txt", "payload", 7);
+        total += exists("/data.txt");
+        char *s = readfile("/data.txt");
+        total += strlen(s);
+        free(s);
+    }
+    putint(total); putchar('\n');
+    return 0;
+}`, n)
+}
+
+// TestFileSyscallsSettleInline pins vfs.FS.Blocking under MiniC's file
+// syscalls, with a timeslice too long to expire so that every
+// suspension is a bridge crossing. Over a cached InMemory stack every
+// syscall settles before the thread would suspend, so ten times the
+// syscalls cost no more suspensions; over the asynchronous OS backend
+// the same program prints the same output and suspends at least once
+// per syscall.
+func TestFileSyscallsSettleInline(t *testing.T) {
+	run := func(n int, backend func(*browser.Window) vfs.Backend) (string, int) {
+		t.Helper()
+		prog, err := minic.CompileC(fileOpsC(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		win := browser.NewWindow(browser.Chrome28)
+		fs := vfs.New(win.Loop, &buffer.Factory{Typed: true}, backend(win))
+		var stdout bytes.Buffer
+		vm, err := minic.NewVM(win, prog, minic.VMOptions{Stdout: &stdout, FS: fs, Timeslice: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := vm.Run(); err != nil {
+			t.Fatalf("run: %v\n%s", err, stdout.String())
+		}
+		return stdout.String(), vm.Runtime().Stats().Suspensions
+	}
+	inline := func(*browser.Window) vfs.Backend {
+		return vfs.Stack(vfs.NewInMemory(), vfs.WithCache(vfs.CacheOptions{}))
+	}
+	const few, many = 10, 100
+	_, fewSusp := run(few, inline)
+	want, manySusp := run(many, inline)
+	if manySusp != fewSusp {
+		t.Errorf("suspensions grow with file syscalls: %d for %d, %d for %d", fewSusp, 3*few, manySusp, 3*many)
+	}
+	got, asyncSusp := run(many, func(w *browser.Window) vfs.Backend {
+		return vfs.NewOSBackend(w.Loop, t.TempDir())
+	})
+	t.Logf("suspensions: %d and %d inline, %d over the OS backend", fewSusp, manySusp, asyncSusp)
+	if got != want || want != "800\n" {
+		t.Errorf("OS backend printed %q, cached InMemory %q, want \"800\\n\"", got, want)
+	}
+	if asyncSusp < 3*many {
+		t.Errorf("OS backend: %d suspensions for %d file syscalls; an asynchronous backend must still suspend", asyncSusp, 3*many)
+	}
 }
 
 func TestGetlineBlockingInput(t *testing.T) {

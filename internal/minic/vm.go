@@ -521,7 +521,7 @@ func (vm *VM) syscall(ct *core.Thread, n int32) bool {
 
 	case SysExists:
 		path := vm.cString(vm.pop())
-		return vm.blockOn(ct, "minic.exists("+path+")", func(done func(int32)) {
+		return vm.blockOnFS(ct, "minic.exists("+path+")", func(done func(int32)) {
 			vm.fs.Exists(path, func(ok bool) {
 				if ok {
 					done(1)
@@ -536,7 +536,7 @@ func (vm *VM) syscall(ct *core.Thread, n int32) bool {
 		// VFS's slice is read-only; WriteBytes into the heap is the
 		// read's one copy.
 		path := vm.cString(vm.pop())
-		return vm.blockOn(ct, "minic.readfile("+path+")", func(done func(int32)) {
+		return vm.blockOnFS(ct, "minic.readfile("+path+")", func(done func(int32)) {
 			vm.fs.ReadFileBytes(path, func(data []byte, err error) {
 				if err != nil {
 					done(0)
@@ -557,7 +557,7 @@ func (vm *VM) syscall(ct *core.Thread, n int32) bool {
 		dataAddr := vm.pop()
 		path := vm.cString(vm.pop())
 		data := vm.heap.ReadBytes(int(dataAddr), int(length))
-		return vm.blockOn(ct, "minic.writefile("+path+")", func(done func(int32)) {
+		return vm.blockOnFS(ct, "minic.writefile("+path+")", func(done func(int32)) {
 			vm.fs.WriteFile(path, data, func(err error) {
 				if err != nil {
 					done(-1)
@@ -675,6 +675,15 @@ func (vm *VM) writeOut(ct *core.Thread, s string) bool {
 			}
 			done(0)
 		})
+	})
+}
+
+// blockOnFS is blockOn for a file syscall: launch runs inside
+// vfs.FS.Blocking, so an answer the backend chain gives inline settles
+// the syscall without suspending the thread.
+func (vm *VM) blockOnFS(ct *core.Thread, label string, launch func(done func(int32))) bool {
+	return vm.blockOn(ct, label, func(done func(int32)) {
+		vm.fs.Blocking(func() { launch(done) })
 	})
 }
 

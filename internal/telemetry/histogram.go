@@ -67,8 +67,14 @@ func (h *Histogram) Observe(v int64) {
 // ObserveDuration records a duration.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
-// ObserveSince records the time elapsed since start.
-func (h *Histogram) ObserveSince(start time.Time) { h.Observe(int64(time.Since(start))) }
+// ObserveSince records the time elapsed since start. A nil histogram
+// reads no clock.
+func (h *Histogram) ObserveSince(start time.Time) {
+	if h == nil {
+		return
+	}
+	h.Observe(int64(time.Since(start)))
+}
 
 // Count returns the number of recorded values.
 func (h *Histogram) Count() int64 {

@@ -93,9 +93,9 @@ func (f Flag) Has(g Flag) bool { return f&g == g }
 //
 // All methods take mount-relative, normalized, absolute paths ("/" is
 // the backend root, which always exists and is a directory). Backends
-// may invoke callbacks synchronously or on a later event-loop turn;
-// the front end guarantees asynchronous delivery to its own callers
-// either way.
+// may invoke callbacks synchronously or on a later event-loop turn.
+// The front end posts the answer to its Node-style callers either way;
+// inside FS.Blocking it delivers an inline answer inline.
 type Backend interface {
 	// Name identifies the backend kind (e.g. "InMemory", "LocalStorage").
 	Name() string

@@ -352,13 +352,22 @@ func (c *Cached) invalidateSubtreeLocked(p string) {
 	}
 }
 
+// now reads the clock for the latency histograms, and only when they
+// are attached.
+func (c *Cached) now() time.Time {
+	if c.latStatHit == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
 // ---- mandatory Backend surface ----
 
 // Stat serves from the stat cache (including negative entries) and
 // populates it on miss. Only ENOENT is cached negatively; transient
 // errors are not remembered.
 func (c *Cached) Stat(p string, cb func(Stats, error)) {
-	start := time.Now()
+	start := c.now()
 	c.mu.Lock()
 	if e, ok := c.stats[p]; ok {
 		c.mu.Unlock()
@@ -395,7 +404,7 @@ func (c *Cached) Stat(p string, cb func(Stats, error)) {
 // the backend's read-only slices (or the cache's own copy of a Sync),
 // and a hit delivers the page itself, so Open copies nothing.
 func (c *Cached) Open(p string, cb func([]byte, error)) {
-	start := time.Now()
+	start := c.now()
 	c.mu.Lock()
 	if pg, ok := c.pages[p]; ok {
 		if pg.elem != nil {

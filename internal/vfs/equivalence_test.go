@@ -66,7 +66,10 @@ func (s *sealed) verify(t *testing.T) {
 // periodic flushes): the cache must be observationally invisible.
 // Each variant runs sealed: the op stream mutates files through an FD,
 // AppendFile, Truncate and the Buffers ReadFile returns, and no slice
-// any Open delivered may change.
+// any Open delivered may change. The blocking arm drives the same
+// stream through FS.Blocking, the guests' blocking entry point, on
+// every variant and the bare InMemory backend: delivering inline
+// answers inline must not change a single result.
 func TestBackendEquivalence(t *testing.T) {
 	type opResult struct {
 		op   string
@@ -75,12 +78,13 @@ func TestBackendEquivalence(t *testing.T) {
 	}
 	// flushEvery > 0 inserts an unrecorded front-end Flush every that
 	// many steps, draining write-back queues mid-sequence.
-	runSequence := func(t *testing.T, flushEvery int, mk func(w *browser.Window, bufs *buffer.Factory) Backend) []opResult {
+	runSequence := func(t *testing.T, flushEvery int, blocking bool, mk func(w *browser.Window, bufs *buffer.Factory) Backend) []opResult {
 		var root *sealed
 		h := newHarness(t, browser.Chrome28, func(w *browser.Window, bufs *buffer.Factory) Backend {
 			root = seal(mk(w, bufs))
 			return root
 		})
+		h.blocking = blocking
 		defer root.verify(t)
 		var results []opResult
 		record := func(op string, data string, err error) {
@@ -148,9 +152,22 @@ func TestBackendEquivalence(t *testing.T) {
 		return results
 	}
 
-	reference := runSequence(t, 0, func(*browser.Window, *buffer.Factory) Backend {
+	reference := runSequence(t, 0, false, func(*browser.Window, *buffer.Factory) Backend {
 		return NewInMemory()
 	})
+	compare := func(t *testing.T, name string, got []opResult) {
+		t.Helper()
+		if len(got) != len(reference) {
+			t.Fatalf("%s: %d results vs %d", name, len(got), len(reference))
+		}
+		for i := range got {
+			if got[i] != reference[i] {
+				t.Errorf("%s diverges at step %d (%s):\n  inmemory: %+v\n  %s: %+v",
+					name, i, got[i].op, reference[i], name, got[i])
+				break
+			}
+		}
+	}
 
 	// Base backend constructors; the cached variants below reuse them.
 	base := map[string]func(w *browser.Window, bufs *buffer.Factory) Backend{
@@ -241,17 +258,13 @@ func TestBackendEquivalence(t *testing.T) {
 	for _, v := range variants {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
-			got := runSequence(t, v.flushEvery, v.mk)
-			if len(got) != len(reference) {
-				t.Fatalf("%s: %d results vs %d", v.name, len(got), len(reference))
-			}
-			for i := range got {
-				if got[i] != reference[i] {
-					t.Errorf("%s diverges at step %d (%s):\n  inmemory: %+v\n  %s: %+v",
-						v.name, i, got[i].op, reference[i], v.name, got[i])
-					break
-				}
-			}
+			compare(t, v.name, runSequence(t, v.flushEvery, false, v.mk))
+		})
+	}
+	for _, v := range append([]variant{{"inmemory", 0, base["inmemory"]}}, variants...) {
+		v := v
+		t.Run("blocking-"+v.name, func(t *testing.T) {
+			compare(t, "blocking-"+v.name, runSequence(t, v.flushEvery, true, v.mk))
 		})
 	}
 }

@@ -7,10 +7,13 @@ import (
 )
 
 // FS is the unified, Node-compatible file system front end (§5.1).
-// Every operation is asynchronous: callbacks are delivered on the
-// event loop, never synchronously, matching the guarantee the paper
-// gives ("our emulated fs module only guarantees the availability of
-// the asynchronous interface for any given backend").
+// Its Node-style API is asynchronous: a callback is delivered as an
+// event-loop macrotask, never before the call that issued it returns,
+// matching the guarantee the paper gives ("our emulated fs module only
+// guarantees the availability of the asynchronous interface for any
+// given backend"). Blocking is the entry point for callers that block
+// a guest thread on the callback anyway: there an answer the backend
+// chain gives inline is delivered inline too.
 type FS struct {
 	loop *eventloop.Loop
 	bufs *buffer.Factory
@@ -22,12 +25,17 @@ type FS struct {
 
 	cwd string
 
-	// Ops counts completed file system operations (used by the
-	// Figure 6 trace benchmark).
+	// Ops counts file system operations as they are issued (used by
+	// the Figure 6 trace benchmark).
 	Ops int
 	// OnOp, if non-nil, observes each operation as it is issued —
 	// the hook the fstrace recorder attaches to.
 	OnOp func(op, path string)
+
+	// While Blocking runs its call, holding is set and deliver appends
+	// callbacks to held instead of posting them.
+	holding bool
+	held    []func()
 }
 
 // New creates a file system over root, delivering callbacks on loop
@@ -104,9 +112,43 @@ func (fs *FS) note(op, path string) {
 	}
 }
 
-// deliver schedules fn on the event loop, guaranteeing asynchronous
-// callback delivery.
-func (fs *FS) deliver(fn func()) { fs.loop.Post("fs-cb", fn) }
+// deliver hands a callback to the caller. Inside Blocking's call it is
+// held for Blocking to run once the call returns; otherwise it is
+// posted as an "fs-cb" macrotask, so a Node-style callback never runs
+// before its call returns.
+func (fs *FS) deliver(fn func()) {
+	if fs.holding {
+		fs.held = append(fs.held, fn)
+		return
+	}
+	fs.loop.Post("fs-cb", fn)
+}
+
+// Blocking runs call, which issues operations on fs, for a caller that
+// blocks a guest thread until their callbacks fire: a JVM file native,
+// a MiniC file syscall, a class load. While call runs, callbacks are
+// held instead of posted, and those the backend chain answered before
+// call returned run, in order, before Blocking returns. The caller's
+// Completion therefore settles before it awaits, and the thread does
+// not suspend (§4.2 without the §4.4 resumption). An answer that comes
+// later (an asynchronous backend, injected latency, a retry backoff) is
+// posted as usual, and the thread crosses the bridge. Held callbacks
+// run with the hold released, so a Node-style call they issue is still
+// posted; a Blocking call inside call shares the outer hold.
+func (fs *FS) Blocking(call func()) {
+	if fs.holding {
+		call()
+		return
+	}
+	fs.holding = true
+	call()
+	fs.holding = false
+	held := fs.held
+	fs.held = nil
+	for _, fn := range held {
+		fn()
+	}
+}
 
 func (fs *FS) deliverErr(cb func(error), err error) {
 	fs.deliver(func() { cb(err) })

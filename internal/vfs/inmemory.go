@@ -55,8 +55,10 @@ func (m *InMemory) walkDepth(p string, followLeaf bool, depth int) (*memNode, er
 	if p == "/" {
 		return node, nil
 	}
-	parts := strings.Split(strings.TrimPrefix(p, "/"), "/")
-	for i, part := range parts {
+	// Step through the components in place: rest starts with the
+	// component being looked up.
+	for rest := strings.TrimPrefix(p, "/"); ; {
+		part, tail, more := strings.Cut(rest, "/")
 		if node.typ != TypeDir {
 			return nil, Err(ENOTDIR, "walk", p)
 		}
@@ -64,11 +66,10 @@ func (m *InMemory) walkDepth(p string, followLeaf bool, depth int) (*memNode, er
 		if !ok {
 			return nil, Err(ENOENT, "walk", p)
 		}
-		last := i == len(parts)-1
-		if child.typ == TypeSymlink && (!last || followLeaf) {
+		if child.typ == TypeSymlink && (more || followLeaf) {
 			// Relative targets resolve against the link's directory —
 			// the same kernel resolution the front end applies to cwd.
-			linkDir := strings.TrimSuffix(p[:len(p)-len(part)], "/")
+			linkDir := strings.TrimSuffix(p[:len(p)-len(rest)], "/")
 			resolved, err := m.walkDepth(vkernel.Resolve(linkDir, child.target), true, depth+1)
 			if err != nil {
 				return nil, err
@@ -76,8 +77,11 @@ func (m *InMemory) walkDepth(p string, followLeaf bool, depth int) (*memNode, er
 			child = resolved
 		}
 		node = child
+		if !more {
+			return node, nil
+		}
+		rest = tail
 	}
-	return node, nil
 }
 
 func (m *InMemory) parentOf(p, op string) (*memNode, string, error) {

@@ -3,11 +3,13 @@ package vfs
 import (
 	"bytes"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"doppio/internal/browser"
 	"doppio/internal/buffer"
+	"doppio/internal/telemetry"
 )
 
 // harness drives the asynchronous FS API from linear test code: each
@@ -16,6 +18,9 @@ type harness struct {
 	t  *testing.T
 	w  *browser.Window
 	fs *FS
+	// blocking issues every front-end call through FS.Blocking, the
+	// entry point of the guests' blocking file calls.
+	blocking bool
 }
 
 func newHarness(t *testing.T, p browser.Profile, mkBackend func(w *browser.Window, bufs *buffer.Factory) Backend) *harness {
@@ -29,13 +34,22 @@ func newHarness(t *testing.T, p browser.Profile, mkBackend func(w *browser.Windo
 func (h *harness) run(fn func(done func())) {
 	h.t.Helper()
 	finished := false
-	h.w.Loop.Post("test", func() { fn(func() { finished = true }) })
+	h.w.Loop.Post("test", func() { h.issue(func() { fn(func() { finished = true }) }) })
 	if err := h.w.Loop.Run(); err != nil {
 		h.t.Fatal(err)
 	}
 	if !finished {
 		h.t.Fatal("async operation never completed")
 	}
+}
+
+// issue runs call, through FS.Blocking when h.blocking is set.
+func (h *harness) issue(call func()) {
+	if h.blocking {
+		h.fs.Blocking(call)
+		return
+	}
+	call()
 }
 
 func (h *harness) writeFile(path string, data []byte) error {
@@ -80,13 +94,17 @@ func (h *harness) overwrite(path string, data []byte) error {
 				return
 			}
 			src := h.fs.BufferFactory().FromBytes(data)
-			h.fs.Write(fd, src, 0, src.Len(), 0, func(_ int, err error) {
-				out = err
-				h.fs.Close(fd, func(err error) {
-					if out == nil {
-						out = err
-					}
-					done()
+			h.issue(func() {
+				h.fs.Write(fd, src, 0, src.Len(), 0, func(_ int, err error) {
+					out = err
+					h.issue(func() {
+						h.fs.Close(fd, func(err error) {
+							if out == nil {
+								out = err
+							}
+							done()
+						})
+					})
 				})
 			})
 		})
@@ -408,6 +426,114 @@ func TestCallbacksAreAsynchronous(t *testing.T) {
 	}
 }
 
+// TestBlockingSettlesInline pins FS.Blocking over a backend chain that
+// answers inline: the callback runs before Blocking returns, and so
+// does that of a blocking call issued from it, as the class-path probe
+// issues the next directory's read after a miss.
+func TestBlockingSettlesInline(t *testing.T) {
+	h := newHarness(t, browser.Chrome28, func(*browser.Window, *buffer.Factory) Backend {
+		return Stack(NewInMemory(), WithCache(CacheOptions{}))
+	})
+	if err := h.writeFile("/b", []byte("bb")); err != nil {
+		t.Fatal(err)
+	}
+	tasks := h.w.Loop.Stats().TasksRun
+	var order []string
+	h.run(func(done func()) {
+		h.fs.Blocking(func() {
+			h.fs.ReadFileBytes("/a", func(_ []byte, err error) {
+				order = append(order, "miss "+string(err.(*ApiError).Errno))
+				h.fs.Blocking(func() {
+					h.fs.ReadFileBytes("/b", func(data []byte, err error) {
+						order = append(order, "hit "+string(data))
+					})
+				})
+				order = append(order, "nested call returned")
+			})
+			order = append(order, "call returned")
+		})
+		order = append(order, "Blocking returned")
+		done()
+	})
+	want := "call returned, miss ENOENT, hit bb, nested call returned, Blocking returned"
+	if got := strings.Join(order, ", "); got != want {
+		t.Errorf("order = %s\nwant      %s", got, want)
+	}
+	if n := h.w.Loop.Stats().TasksRun - tasks; n != 1 {
+		t.Errorf("%d macrotasks ran; inline delivery needs only the test's own", n)
+	}
+}
+
+// TestBlockingLeavesNodeStyleAsync pins the hold's scope: Node-style
+// calls still pending while a blocking call completes inline, and one
+// issued from the blocking callback, get their callbacks from "fs-cb"
+// macrotasks, never before their own call returns. One pending call's
+// backend answered inline (its callback is already posted), the other's
+// answers later (an OSBackend mount).
+func TestBlockingLeavesNodeStyleAsync(t *testing.T) {
+	h := newHarness(t, browser.Chrome28, func(w *browser.Window, _ *buffer.Factory) Backend {
+		m := NewMountFS(NewInMemory())
+		m.Mount("/slow", NewOSBackend(w.Loop, t.TempDir()))
+		return m
+	})
+	if err := h.writeFile("/a", []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	hub := telemetry.NewHub().EnableTracing()
+	h.w.Loop.EnableTelemetry(hub)
+	var order []string
+	h.run(func(done func()) {
+		left := 3
+		nodeStyle := func(name, p string) {
+			returned := false
+			h.fs.Stat(p, func(_ Stats, err error) {
+				if !returned || err != nil {
+					t.Errorf("%s: callback before its call returned (%v), err %v", name, !returned, err)
+				}
+				hub.Tracer.Instant(telemetry.TIDEventLoop, "test", name)
+				order = append(order, name)
+				if left--; left == 0 {
+					done()
+				}
+			})
+			returned = true
+		}
+		nodeStyle("later", "/slow")
+		nodeStyle("posted", "/a")
+		h.fs.Blocking(func() {
+			h.fs.Stat("/a", func(Stats, error) {
+				order = append(order, "blocking")
+				nodeStyle("from blocking callback", "/a")
+			})
+		})
+		order = append(order, "Blocking returned")
+	})
+	if len(order) != 5 || order[0] != "blocking" || order[1] != "Blocking returned" {
+		t.Fatalf("order = %q: only the blocking call may complete inline", order)
+	}
+	// Each callback's instant sits inside the next macrotask span the
+	// trace records.
+	var open []string
+	checked := 0
+	for _, ev := range hub.Tracer.Events() {
+		switch {
+		case ev.Cat == "test":
+			open = append(open, ev.Name)
+		case ev.Ph == "X" && ev.TID == telemetry.TIDEventLoop:
+			for _, name := range open {
+				if ev.Name != "fs-cb" {
+					t.Errorf("%s: callback ran in macrotask %q, want fs-cb", name, ev.Name)
+				}
+			}
+			checked += len(open)
+			open = nil
+		}
+	}
+	if checked != 3 {
+		t.Errorf("found %d of 3 Node-style callbacks in the trace", checked)
+	}
+}
+
 func TestChdirAndRelativePaths(t *testing.T) {
 	h := newHarness(t, browser.Chrome28, func(*browser.Window, *buffer.Factory) Backend { return NewInMemory() })
 	if err := h.mkdir("/home"); err != nil {
@@ -533,6 +659,30 @@ func TestSymlinks(t *testing.T) {
 			done()
 		})
 	})
+	// A relative target resolves against the link's own directory,
+	// whether the link ends the path or sits in its middle.
+	for _, dir := range []string{"/d", "/d/sub"} {
+		if err := h.mkdir(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h.writeFile("/d/sub/f", []byte("sub data")); err != nil {
+		t.Fatal(err)
+	}
+	h.run(func(done func()) {
+		h.fs.Symlink("sub", "/d/rel", func(err error) {
+			if err != nil {
+				t.Error(err)
+			}
+			done()
+		})
+	})
+	if st, err := h.stat("/d/rel"); err != nil || !st.IsDirectory() {
+		t.Errorf("stat(/d/rel) = %+v, %v; want the directory /d/sub", st, err)
+	}
+	if got, err := h.readFile("/d/rel/f"); err != nil || string(got) != "sub data" {
+		t.Errorf("read(/d/rel/f) = %q, %v; want \"sub data\"", got, err)
+	}
 	// Backends without link support report ENOTSUP.
 	h2 := newHarness(t, browser.Chrome28, func(w *browser.Window, bufs *buffer.Factory) Backend {
 		return NewLocalStorageFS(w.LocalStorage, bufs)

@@ -11,7 +11,10 @@
 // the vpath Node-path emulation and the vfs kernel build on it.
 package vkernel
 
-import "strings"
+import (
+	"path"
+	"strings"
+)
 
 // Sep is the path separator.
 const Sep = "/"
@@ -22,36 +25,8 @@ func IsAbs(p string) bool { return strings.HasPrefix(p, Sep) }
 // Normalize cleans a path: collapses duplicate separators, resolves
 // "." and "..", and strips trailing slashes (except for the root).
 // Relative paths stay relative (leading ".." components survive); an
-// empty path normalizes to ".".
-func Normalize(p string) string {
-	if p == "" {
-		return "."
-	}
-	abs := IsAbs(p)
-	parts := strings.Split(p, Sep)
-	var out []string
-	for _, part := range parts {
-		switch part {
-		case "", ".":
-		case "..":
-			if len(out) > 0 && out[len(out)-1] != ".." {
-				out = out[:len(out)-1]
-			} else if !abs {
-				out = append(out, "..")
-			}
-		default:
-			out = append(out, part)
-		}
-	}
-	res := strings.Join(out, Sep)
-	if abs {
-		return Sep + res
-	}
-	if res == "" {
-		return "."
-	}
-	return res
-}
+// empty path normalizes to ".". These are path.Clean's rules.
+func Normalize(p string) string { return path.Clean(p) }
 
 // Clean normalizes p as an absolute path: relative input is rooted at
 // "/" and ".." never escapes the root.
