@@ -11,6 +11,7 @@ import (
 
 	"doppio/internal/core"
 	"doppio/internal/fleet"
+	"doppio/internal/minic"
 	"doppio/internal/telemetry"
 	"doppio/internal/vfs"
 )
@@ -409,5 +410,62 @@ func TestDrive(t *testing.T) {
 	err = fleet.Drive(env2.Win.Loop, "drive-wedge", func(done func(error)) {})
 	if err == nil || !strings.Contains(err.Error(), "drained before the workload completed") {
 		t.Fatalf("Drive on wedged workload: %v", err)
+	}
+}
+
+// minicTenant runs a MiniC program as a tenant.
+func minicTenant(t *testing.T, label, src string) fleet.Tenant {
+	prog, err := minic.CompileC(src)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	return fleet.Tenant{
+		Label: label,
+		Start: func(env *fleet.Env, done func(error)) (*fleet.Handle, error) {
+			fs := env.NewFS(env.Root)
+			vm, err := minic.NewVM(env.Win, prog, minic.VMOptions{FS: fs, HeapSize: 64 << 10, StackSize: 8 << 10})
+			if err != nil {
+				return nil, err
+			}
+			vm.Start(func(_ int32, err error) { done(err) })
+			return &fleet.Handle{Runtime: vm.Runtime(), Heap: vm.Heap(), FS: fs, Kill: vm.Kill}, nil
+		},
+	}
+}
+
+// TestGuestFaultFailsOnlyItsTenant: a MiniC tenant's wild pointer ends
+// that tenant with a segmentation fault; its neighbour on the same
+// shard (the same event loop) runs to completion.
+func TestGuestFaultFailsOnlyItsTenant(t *testing.T) {
+	sup := fleet.NewSupervisor(fleet.Config{Shards: 1})
+	defer sup.Close()
+	bad, err := sup.Submit(minicTenant(t, "wild", `
+int main() {
+    int *p = 0;
+    for (int i = 0; i < 1000; i++) { p = p + 1; }
+    p[-2000] = 5;
+    return 0;
+}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := sup.Submit(minicTenant(t, "neighbour", `
+int main() {
+    int acc = 0;
+    for (int i = 0; i < 50000; i++) { acc = acc + i % 7; }
+    return 0;
+}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup.Wait()
+	if bad.Shard() != good.Shard() {
+		t.Fatalf("tenants on shards %d and %d, want one shard", bad.Shard(), good.Shard())
+	}
+	if st := bad.State(); st != fleet.StateFailed || bad.Err() == nil || !strings.Contains(bad.Err().Error(), "segmentation fault") {
+		t.Errorf("faulting tenant: state %s, err %v; want failed with a segmentation fault", st, bad.Err())
+	}
+	if st := good.State(); st != fleet.StateDone {
+		t.Errorf("neighbour: state %s, err %v; want done", st, good.Err())
 	}
 }

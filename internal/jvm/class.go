@@ -59,7 +59,7 @@ type Class struct {
 	IsArray  bool
 	ElemDesc string // element type descriptor for array classes
 
-	methodCache map[string]*Method
+	methodCache map[methodKey]*Method
 
 	// mirror is the java/lang/Class instance for getClass().
 	mirror *Object
@@ -167,6 +167,24 @@ type Method struct {
 	// first quickenable site resolves). The original bytecode is
 	// never rewritten — see QuickTable.
 	quick *QuickTable
+
+	// native and nativeLabel are a native method's Go function and its
+	// jvm.native(...) block label, set by the first call.
+	native      NativeFunc
+	nativeLabel string
+}
+
+// resolveNative returns m's Go function, looking it up once: the
+// table is keyed Class.name+desc, and a native may be registered on a
+// superclass. Nil means the native is missing.
+func (m *Method) resolveNative(natives map[string]NativeFunc) NativeFunc {
+	if m.native == nil {
+		for k := m.Class; k != nil && m.native == nil; k = k.Super {
+			m.native = natives[k.Name+"."+m.Name+m.Desc]
+		}
+		m.nativeLabel = "jvm.native(" + m.String() + ")"
+	}
+	return m.native
 }
 
 // IsStatic reports the static flag.
@@ -228,7 +246,7 @@ func buildRuntime(cf *classfile.ClassFile) (*Class, error) {
 		File:        cf,
 		Flags:       cf.Flags,
 		Statics:     make(map[string]Slot),
-		methodCache: make(map[string]*Method),
+		methodCache: make(map[methodKey]*Method),
 	}
 	// Runtime constant pool.
 	c.CP = make([]RTConst, len(cf.ConstPool))
@@ -310,10 +328,13 @@ func buildRuntime(cf *classfile.ClassFile) (*Class, error) {
 	return c, nil
 }
 
+// methodKey keys Class.methodCache without building name+desc.
+type methodKey struct{ name, desc string }
+
 // FindMethod resolves name+desc against this class, walking
 // superclasses and then interfaces; results are cached.
 func (c *Class) FindMethod(name, desc string) *Method {
-	key := name + desc
+	key := methodKey{name, desc}
 	if m, ok := c.methodCache[key]; ok {
 		return m
 	}
@@ -337,7 +358,7 @@ func (c *Class) FindMethod(name, desc string) *Method {
 	}
 	m := find(c)
 	if c.methodCache == nil {
-		c.methodCache = make(map[string]*Method)
+		c.methodCache = make(map[methodKey]*Method)
 	}
 	c.methodCache[key] = m
 	return m

@@ -338,7 +338,7 @@ func (vm *DoppioVM) StartMain(mainClass string, args []string, done func(error))
 		"java/lang/ArrayIndexOutOfBoundsException",
 		"java/lang/NegativeArraySizeException",
 		"java/lang/IllegalMonitorStateException",
-		"java/lang/ClassNotFoundException",
+		"java/lang/ClassNotFoundException", "java/lang/InternalError",
 	}
 	var loadAll func(i int, then func())
 	loadAll = func(i int, then func()) {
@@ -625,11 +625,9 @@ func (vm *DoppioVM) ExitCode() int32 { return vm.exitCode }
 // FS returns the Doppio file system binding.
 func (vm *DoppioVM) FS() HostFS { return vm.fs }
 
-// UnsafeHeap exposes the unmanaged heap (§6.5).
-func (vm *DoppioVM) UnsafeHeap() *HeapBinding { return heapBinding(vm.heap) }
-
-// Heap exposes the raw unmanaged heap for diagnostics (free-list maps
-// in post-mortem reports and the ops server's /debug/heap).
+// Heap exposes the unmanaged heap: to the sun/misc/Unsafe natives
+// (§6.5) and to diagnostics (free-list maps in post-mortem reports and
+// the ops server's /debug/heap).
 func (vm *DoppioVM) Heap() *umheap.Heap { return vm.heap }
 
 // SocketConnect opens a Doppio socket (§5.3) through the window's

@@ -1,6 +1,10 @@
 package jvm
 
-import "io"
+import (
+	"io"
+
+	"doppio/internal/umheap"
+)
 
 // Value is a decoded JVM value as seen by native methods: one of nil,
 // int32 (int/short/char/byte/boolean), int64 (long), float32, float64,
@@ -97,7 +101,8 @@ type NativeHost interface {
 
 	// OS services.
 	FS() HostFS
-	UnsafeHeap() *HeapBinding
+	// Heap is the unmanaged heap under sun/misc/Unsafe (§6.5).
+	Heap() *umheap.Heap
 	SocketConnect(host string, port int32, cb func(handle int32, err error))
 	SocketRead(handle int32, n int32, cb func([]byte, error))
 	SocketWrite(handle int32, data []byte, cb func(error))
@@ -132,22 +137,4 @@ type NativeHost interface {
 	// coerced to a string. Engines without a JS host return an error
 	// message string.
 	EvalJS(snippet string) string
-}
-
-// HeapBinding exposes the unmanaged heap to sun/misc/Unsafe natives.
-type HeapBinding struct {
-	Malloc func(n int) (int, error)
-	Free   func(addr int) error
-	GetI8  func(addr int) int8
-	PutI8  func(addr int, v int8)
-	GetI16 func(addr int) int16
-	PutI16 func(addr int, v int16)
-	GetI32 func(addr int) int32
-	PutI32 func(addr int, v int32)
-	GetI64 func(addr int) int64
-	PutI64 func(addr int, v int64)
-	GetF32 func(addr int) float32
-	PutF32 func(addr int, v float32)
-	GetF64 func(addr int) float64
-	PutF64 func(addr int, v float64)
 }

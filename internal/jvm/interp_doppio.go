@@ -1846,15 +1846,9 @@ rebind:
 
 func (d *DThread) invokeNativeD(ct *core.Thread, f *DFrame, m *Method, hasRecv bool) runSignal {
 	vm := d.vm
-	key := m.Class.Name + "." + m.Name + m.Desc
-	fn := vm.natives[key]
+	fn := m.resolveNative(vm.natives)
 	if fn == nil {
-		for k := m.Class.Super; k != nil && fn == nil; k = k.Super {
-			fn = vm.natives[k.Name+"."+m.Name+m.Desc]
-		}
-	}
-	if fn == nil {
-		vm.throwD(d, "java/lang/Error", "UnsatisfiedLinkError: "+key)
+		vm.throwD(d, "java/lang/Error", "UnsatisfiedLinkError: "+m.String())
 		return runContinue
 	}
 	recv, args := decodeArgsD(m, f, hasRecv)
@@ -1878,7 +1872,7 @@ func (d *DThread) invokeNativeD(ct *core.Thread, f *DFrame, m *Method, hasRecv b
 		launch := d.pendingLaunch
 		d.pendingLaunch = nil
 		if launch == nil {
-			vm.throwD(d, "java/lang/Error", "async native without BlockAndCall: "+key)
+			vm.throwD(d, "java/lang/Error", "async native without BlockAndCall: "+m.String())
 			return runContinue
 		}
 		if tel != nil {
@@ -1893,7 +1887,7 @@ func (d *DThread) invokeNativeD(ct *core.Thread, f *DFrame, m *Method, hasRecv b
 				})
 			}
 		}
-		if d.blockOn(ct, "jvm.native("+key+")", launch) {
+		if d.blockOn(ct, m.nativeLabel, launch) {
 			return runBlock
 		}
 		d.applyDeposit()

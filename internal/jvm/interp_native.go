@@ -207,16 +207,9 @@ func (vm *NativeVM) invoke(t *NThread, caller *NFrame, m *Method, hasRecv bool) 
 }
 
 func (vm *NativeVM) invokeNative(t *NThread, caller *NFrame, m *Method, hasRecv bool) {
-	key := m.Class.Name + "." + m.Name + m.Desc
-	fn := vm.natives[key]
+	fn := m.resolveNative(vm.natives)
 	if fn == nil {
-		// Search superclasses (natives may be registered on a base).
-		for k := m.Class.Super; k != nil && fn == nil; k = k.Super {
-			fn = vm.natives[k.Name+"."+m.Name+m.Desc]
-		}
-	}
-	if fn == nil {
-		vm.throwByName(t, "java/lang/Error", "UnsatisfiedLinkError: "+key)
+		vm.throwByName(t, "java/lang/Error", "UnsatisfiedLinkError: "+m.String())
 		return
 	}
 	recv, args := decodeArgs(m, caller, hasRecv)

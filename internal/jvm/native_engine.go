@@ -9,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"doppio/internal/jlong"
 	"doppio/internal/profile"
 	"doppio/internal/umheap"
 )
@@ -549,8 +548,8 @@ func (vm *NativeVM) ExitCode() int32 { return vm.exitCode }
 // FS returns the host file system.
 func (vm *NativeVM) FS() HostFS { return vm.fs }
 
-// UnsafeHeap exposes the unmanaged heap.
-func (vm *NativeVM) UnsafeHeap() *HeapBinding { return heapBinding(vm.heap) }
+// Heap exposes the unmanaged heap under sun/misc/Unsafe.
+func (vm *NativeVM) Heap() *umheap.Heap { return vm.heap }
 
 // SocketConnect is unsupported on the native engine's default host.
 func (vm *NativeVM) SocketConnect(host string, port int32, cb func(int32, error)) {
@@ -796,26 +795,6 @@ func stringValue(o *Object) string {
 		b.WriteRune(rune(c))
 	}
 	return b.String()
-}
-
-// heapBinding adapts an umheap.Heap to the Unsafe natives.
-func heapBinding(h *umheap.Heap) *HeapBinding {
-	return &HeapBinding{
-		Malloc: h.Malloc,
-		Free:   h.Free,
-		GetI8:  h.LoadI8,
-		PutI8:  h.StoreI8,
-		GetI16: h.LoadI16,
-		PutI16: h.StoreI16,
-		GetI32: h.LoadI32,
-		PutI32: h.StoreI32,
-		GetI64: func(addr int) int64 { return h.LoadI64(addr).Int64() },
-		PutI64: func(addr int, v int64) { h.StoreI64(addr, jlong.FromInt64(v)) },
-		GetF32: h.LoadF32,
-		PutF32: h.StoreF32,
-		GetF64: h.LoadF64,
-		PutF64: h.StoreF64,
-	}
 }
 
 // OSHostFS adapts the host operating system to HostFS — what "Node JS

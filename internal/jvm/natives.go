@@ -6,6 +6,9 @@ import (
 	"strconv"
 	"strings"
 	"unsafe"
+
+	"doppio/internal/jlong"
+	"doppio/internal/umheap"
 )
 
 // registerNatives builds the native method table (§6.3): JVM
@@ -407,60 +410,66 @@ func boolVal(b bool) Value {
 func registerUnsafeNatives(n map[string]NativeFunc) {
 	const u = "sun/misc/Unsafe."
 	n[u+"allocateMemory(J)J"] = func(h NativeHost, _ *Object, args []Value) NativeResult {
-		addr, err := h.UnsafeHeap().Malloc(int(args[0].(int64)))
+		addr, err := h.Heap().Malloc(int(args[0].(int64)))
 		if err != nil {
 			return NativeResult{Thrown: h.MakeThrowable("java/lang/OutOfMemoryError", err.Error())}
 		}
 		return NativeResult{Value: int64(addr)}
 	}
 	n[u+"freeMemory(J)V"] = func(h NativeHost, _ *Object, args []Value) NativeResult {
-		if err := h.UnsafeHeap().Free(int(args[0].(int64))); err != nil {
+		if err := h.Heap().Free(int(args[0].(int64))); err != nil {
 			return NativeResult{Thrown: h.MakeThrowable("java/lang/IllegalArgumentException", err.Error())}
 		}
 		return NativeResult{}
 	}
-	n[u+"getByte(J)B"] = func(h NativeHost, _ *Object, args []Value) NativeResult {
-		return NativeResult{Value: int32(h.UnsafeHeap().GetI8(int(args[0].(int64))))}
+	// access binds one heap load or store at the address in args[0]. An
+	// address outside the heap throws java/lang/InternalError, as
+	// HotSpot does for a faulting unsafe access.
+	access := func(op func(hp *umheap.Heap, addr int, args []Value) Value) NativeFunc {
+		return func(h NativeHost, _ *Object, args []Value) (res NativeResult) {
+			defer func() {
+				if r := recover(); r != nil {
+					fault, ok := r.(*umheap.AccessError)
+					if !ok {
+						panic(r)
+					}
+					res = NativeResult{Thrown: h.MakeThrowable("java/lang/InternalError",
+						"a fault occurred in an unsafe memory access operation: "+fault.Error())}
+				}
+			}()
+			return NativeResult{Value: op(h.Heap(), int(args[0].(int64)), args)}
+		}
 	}
-	n[u+"putByte(JB)V"] = func(h NativeHost, _ *Object, args []Value) NativeResult {
-		h.UnsafeHeap().PutI8(int(args[0].(int64)), int8(args[1].(int32)))
-		return NativeResult{}
-	}
-	n[u+"getShort(J)S"] = func(h NativeHost, _ *Object, args []Value) NativeResult {
-		return NativeResult{Value: int32(h.UnsafeHeap().GetI16(int(args[0].(int64))))}
-	}
-	n[u+"putShort(JS)V"] = func(h NativeHost, _ *Object, args []Value) NativeResult {
-		h.UnsafeHeap().PutI16(int(args[0].(int64)), int16(args[1].(int32)))
-		return NativeResult{}
-	}
-	n[u+"getInt(J)I"] = func(h NativeHost, _ *Object, args []Value) NativeResult {
-		return NativeResult{Value: h.UnsafeHeap().GetI32(int(args[0].(int64)))}
-	}
-	n[u+"putInt(JI)V"] = func(h NativeHost, _ *Object, args []Value) NativeResult {
-		h.UnsafeHeap().PutI32(int(args[0].(int64)), args[1].(int32))
-		return NativeResult{}
-	}
-	n[u+"getLong(J)J"] = func(h NativeHost, _ *Object, args []Value) NativeResult {
-		return NativeResult{Value: h.UnsafeHeap().GetI64(int(args[0].(int64)))}
-	}
-	n[u+"putLong(JJ)V"] = func(h NativeHost, _ *Object, args []Value) NativeResult {
-		h.UnsafeHeap().PutI64(int(args[0].(int64)), args[1].(int64))
-		return NativeResult{}
-	}
-	n[u+"getFloat(J)F"] = func(h NativeHost, _ *Object, args []Value) NativeResult {
-		return NativeResult{Value: h.UnsafeHeap().GetF32(int(args[0].(int64)))}
-	}
-	n[u+"putFloat(JF)V"] = func(h NativeHost, _ *Object, args []Value) NativeResult {
-		h.UnsafeHeap().PutF32(int(args[0].(int64)), args[1].(float32))
-		return NativeResult{}
-	}
-	n[u+"getDouble(J)D"] = func(h NativeHost, _ *Object, args []Value) NativeResult {
-		return NativeResult{Value: h.UnsafeHeap().GetF64(int(args[0].(int64)))}
-	}
-	n[u+"putDouble(JD)V"] = func(h NativeHost, _ *Object, args []Value) NativeResult {
-		h.UnsafeHeap().PutF64(int(args[0].(int64)), args[1].(float64))
-		return NativeResult{}
-	}
+	n[u+"getByte(J)B"] = access(func(hp *umheap.Heap, a int, _ []Value) Value { return int32(hp.LoadI8(a)) })
+	n[u+"putByte(JB)V"] = access(func(hp *umheap.Heap, a int, args []Value) Value {
+		hp.StoreI8(a, int8(args[1].(int32)))
+		return nil
+	})
+	n[u+"getShort(J)S"] = access(func(hp *umheap.Heap, a int, _ []Value) Value { return int32(hp.LoadI16(a)) })
+	n[u+"putShort(JS)V"] = access(func(hp *umheap.Heap, a int, args []Value) Value {
+		hp.StoreI16(a, int16(args[1].(int32)))
+		return nil
+	})
+	n[u+"getInt(J)I"] = access(func(hp *umheap.Heap, a int, _ []Value) Value { return hp.LoadI32(a) })
+	n[u+"putInt(JI)V"] = access(func(hp *umheap.Heap, a int, args []Value) Value {
+		hp.StoreI32(a, args[1].(int32))
+		return nil
+	})
+	n[u+"getLong(J)J"] = access(func(hp *umheap.Heap, a int, _ []Value) Value { return hp.LoadI64(a).Int64() })
+	n[u+"putLong(JJ)V"] = access(func(hp *umheap.Heap, a int, args []Value) Value {
+		hp.StoreI64(a, jlong.FromInt64(args[1].(int64)))
+		return nil
+	})
+	n[u+"getFloat(J)F"] = access(func(hp *umheap.Heap, a int, _ []Value) Value { return hp.LoadF32(a) })
+	n[u+"putFloat(JF)V"] = access(func(hp *umheap.Heap, a int, args []Value) Value {
+		hp.StoreF32(a, args[1].(float32))
+		return nil
+	})
+	n[u+"getDouble(J)D"] = access(func(hp *umheap.Heap, a int, _ []Value) Value { return hp.LoadF64(a) })
+	n[u+"putDouble(JD)V"] = access(func(hp *umheap.Heap, a int, args []Value) Value {
+		hp.StoreF64(a, args[1].(float64))
+		return nil
+	})
 }
 
 func registerSocketNatives(n map[string]NativeFunc) {

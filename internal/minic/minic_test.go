@@ -44,8 +44,10 @@ int main() {
 	}
 }
 
-func TestArithControlFlow(t *testing.T) {
-	out, _ := runC(t, `
+// The programs of TestArithControlFlow, TestPointersAndArrays and
+// TestIncDecAndCompound; TestHeapBackingsAgree reruns them on both
+// heap backings.
+const arithSrc = `
 int fib(int n) {
     if (n < 2) return n;
     return fib(n - 1) + fib(n - 2);
@@ -70,15 +72,9 @@ int main() {
     putint(1 << 10); putchar('\n');
     putint(!0); putint(!5); putint(~0); putchar('\n');
     return 0;
-}`, minic.VMOptions{})
-	want := "285\n610\n1245\n-3-2\n1024\n10-1\n"
-	if out != want {
-		t.Errorf("out = %q, want %q", out, want)
-	}
-}
+}`
 
-func TestPointersAndArrays(t *testing.T) {
-	out, _ := runC(t, `
+const pointersSrc = `
 int g;
 int table[10];
 char name[16];
@@ -113,15 +109,9 @@ int main() {
     putint(sum); putchar('\n');
     free(arr);
     return 0;
-}`, minic.VMOptions{})
-	want := "12\n42\n99\n6\ndoppio\nDoppio\nheap!\n45\n"
-	if out != want {
-		t.Errorf("out = %q, want %q", out, want)
-	}
-}
+}`
 
-func TestIncDecAndCompound(t *testing.T) {
-	out, _ := runC(t, `
+const incDecSrc = `
 int main() {
     int i = 5;
     putint(i++); putint(i); putint(--i); putchar('\n');
@@ -134,7 +124,26 @@ int main() {
     x <<= 2;
     putint(x); putchar('\n');
     return 0;
-}`, minic.VMOptions{})
+}`
+
+func TestArithControlFlow(t *testing.T) {
+	out, _ := runC(t, arithSrc, minic.VMOptions{})
+	want := "285\n610\n1245\n-3-2\n1024\n10-1\n"
+	if out != want {
+		t.Errorf("out = %q, want %q", out, want)
+	}
+}
+
+func TestPointersAndArrays(t *testing.T) {
+	out, _ := runC(t, pointersSrc, minic.VMOptions{})
+	want := "12\n42\n99\n6\ndoppio\nDoppio\nheap!\n45\n"
+	if out != want {
+		t.Errorf("out = %q, want %q", out, want)
+	}
+}
+
+func TestIncDecAndCompound(t *testing.T) {
+	out, _ := runC(t, incDecSrc, minic.VMOptions{})
 	want := "565\n1011\n33\n28\n"
 	if out != want {
 		t.Errorf("out = %q, want %q", out, want)
@@ -462,5 +471,106 @@ int main() {
 }`, minic.VMOptions{})
 	if out != "8\n10\n1\n" {
 		t.Errorf("out = %q, want clamped priorities 8, 10, 1", out)
+	}
+}
+
+// runOn runs src in a window of the given browser profile and returns
+// its output, exit code, step count and Run's error.
+func runOn(t *testing.T, p browser.Profile, src string, opts minic.VMOptions) (string, int32, int64, error) {
+	t.Helper()
+	prog, err := minic.CompileC(src)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	win := browser.NewWindow(p)
+	if opts.Stdin != nil {
+		// A keyboard-style stdin needs the program's own event loop.
+		stdin := opts.Stdin
+		opts.Stdin = func(max int, cb func(string, bool)) {
+			win.Loop.AddPending()
+			win.Loop.InvokeExternal("keyboard", func() {
+				stdin(max, cb)
+				win.Loop.DonePending()
+			})
+		}
+	}
+	var stdout bytes.Buffer
+	opts.Stdout = &stdout
+	vm, err := minic.NewVM(win, prog, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exit, err := vm.Run()
+	return stdout.String(), exit, vm.Steps, err
+}
+
+// TestHeapBackingsAgree runs the same programs over the typed-array
+// heap (Chrome 28) and the §5.2 number-array fallback (IE 8): one
+// dispatch loop serves both, so output, exit code and step count must
+// be identical.
+func TestHeapBackingsAgree(t *testing.T) {
+	const loopsAndCalls = `
+int table[64];
+
+int mix(int a, int b) { return (a * 31 + b) % 1000003; }
+
+int walk(int n) {
+    if (n == 0) return 1;
+    return mix(walk(n - 1), n);
+}
+
+int main() {
+    char *buf = (char*) malloc(256);
+    int acc = 0;
+    for (int i = 0; i < 20000; i++) {
+        table[i % 64] = table[(i * 7) % 64] + i;
+        buf[i % 256] = i;
+        acc = mix(acc, table[i % 64] + buf[(i * 3) % 256]);
+    }
+    int *odd = (int*) (buf + 1);
+    *odd = 67305985;
+    putint(acc); putchar(' '); putint(walk(300)); putchar(' ');
+    putint(buf[1]); putint(buf[4]); putint(*odd); putchar('\n');
+    return acc % 7;
+}`
+	for name, src := range map[string]string{
+		"arith": arithSrc, "pointers": pointersSrc, "incdec": incDecSrc, "loops-and-calls": loopsAndCalls,
+	} {
+		out, exit, steps, err := runOn(t, browser.Chrome28, src, minic.VMOptions{})
+		nOut, nExit, nSteps, nErr := runOn(t, browser.IE8, src, minic.VMOptions{})
+		if err != nil || nErr != nil {
+			t.Fatalf("%s: typed err %v, number err %v", name, err, nErr)
+		}
+		if out != nOut || exit != nExit || steps != nSteps {
+			t.Errorf("%s: typed %q exit %d in %d steps; number array %q exit %d in %d steps",
+				name, out, exit, steps, nOut, nExit, nSteps)
+		}
+		if steps == 0 || out == "" {
+			t.Errorf("%s: ran %d steps, printed %q", name, steps, out)
+		}
+	}
+}
+
+// TestWildPointerEndsGuest: an access outside the heap, by an opcode or
+// inside a syscall, ends the program with a segmentation fault on both
+// backings; the host keeps running. getline's buffer is checked before
+// the thread blocks, since its stdin callback writes guest memory from
+// a later macrotask.
+func TestWildPointerEndsGuest(t *testing.T) {
+	faults := map[string]string{
+		"store":     `int main() { int *p = 0; p[-1] = 5; return 0; }`,
+		"load":      `int main() { int *p = 0; return p[-1]; }`,
+		"strlen":    `int main() { char *p = 0; return strlen(p - 1); }`,
+		"writefile": `int main() { char buf[8]; return writefile("/x", buf, -5); }`,
+		"getline":   `int main() { char *p = 0; return getline(p - 8, 16); }`,
+	}
+	stdin := func(max int, cb func(string, bool)) { cb("typed later", false) }
+	for _, p := range []browser.Profile{browser.Chrome28, browser.IE8} {
+		for name, src := range faults {
+			out, _, _, err := runOn(t, p, src, minic.VMOptions{Stdin: stdin})
+			if err == nil || !strings.Contains(err.Error(), "segmentation fault") {
+				t.Errorf("%s/%s: err %v, out %q; want a segmentation fault", p.Name, name, err, out)
+			}
+		}
 	}
 }

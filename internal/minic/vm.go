@@ -249,206 +249,205 @@ func (vm *VM) pop() int32 {
 	return v
 }
 
+func b2i(b bool) int32 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // run is the Doppio Runnable: it interprets IR until done, yield, or
-// block, checking for suspension at call boundaries and every
-// checkEvery instructions.
-func (vm *VM) run(ct *core.Thread) core.RunResult {
+// block, checking for suspension at calls, returns and loop back
+// edges. The top frame's code, pc and frame pointer, the operand stack
+// and the step count live in locals. They are written back to the VM
+// where code outside the loop may look at them: calls, returns,
+// syscalls, yields and the faults the loop detects. A memory fault
+// unwinds to catchFault and leaves Steps at its last write-back.
+func (vm *VM) run(ct *core.Thread) (res core.RunResult) {
+	defer vm.catchFault(&res)
 	if vm.depReady {
 		vm.depReady = false
 		vm.push(vm.depValue)
 	}
+	if vm.done || len(vm.frames) == 0 {
+		return core.Done
+	}
+	heap, funcs := vm.heap, vm.prog.Funcs
+	f := &vm.frames[len(vm.frames)-1]
+	code, pc, fp := f.fn.Code, f.pc, f.fp
+	ops, steps := vm.ops, vm.Steps
+	var err error
+loop:
 	for {
-		if vm.done || len(vm.frames) == 0 {
-			return core.Done
+		if pc >= len(code) {
+			err = fmt.Errorf("minic: fell off the end of %s", f.fn.Name)
+			break
 		}
-		f := &vm.frames[len(vm.frames)-1]
-		if f.pc >= len(f.fn.Code) {
-			vm.fail(fmt.Errorf("minic: fell off the end of %s", f.fn.Name))
-			return core.Done
-		}
-		ins := f.fn.Code[f.pc]
-		f.pc++
-		vm.Steps++
+		ins := code[pc]
+		pc++
+		steps++
+		n := len(ops)
 
 		switch ins.Op {
 		case IPush:
-			vm.push(ins.A)
+			ops = append(ops, ins.A)
 		case IAddrG:
-			vm.push(int32(vm.dataBase) + ins.A)
+			ops = append(ops, int32(vm.dataBase)+ins.A)
 		case IAddrL:
-			vm.push(int32(f.fp) + 4*ins.A)
+			ops = append(ops, int32(fp)+4*ins.A)
 		case ILoadW:
-			addr := vm.pop()
-			vm.push(vm.heap.LoadI32(int(addr)))
+			ops[n-1] = heap.LoadI32(int(ops[n-1]))
 		case IStoreW:
-			v := vm.pop()
-			addr := vm.pop()
-			vm.heap.StoreI32(int(addr), v)
-			vm.push(v)
+			heap.StoreI32(int(ops[n-2]), ops[n-1])
+			ops[n-2], ops = ops[n-1], ops[:n-1]
 		case ILoadB:
-			addr := vm.pop()
-			vm.push(int32(vm.heap.LoadU8(int(addr))))
+			ops[n-1] = int32(heap.LoadU8(int(ops[n-1])))
 		case IStoreB:
-			v := vm.pop()
-			addr := vm.pop()
-			vm.heap.StoreU8(int(addr), uint8(v))
-			vm.push(v)
+			heap.StoreU8(int(ops[n-2]), uint8(ops[n-1]))
+			ops[n-2], ops = ops[n-1], ops[:n-1]
 		case ILoadL:
-			vm.push(vm.heap.LoadI32(f.fp + 4*int(ins.A)))
+			ops = append(ops, heap.LoadI32(fp+4*int(ins.A)))
 		case IStoreL:
-			v := vm.pop()
-			vm.heap.StoreI32(f.fp+4*int(ins.A), v)
-			vm.push(v)
+			heap.StoreI32(fp+4*int(ins.A), ops[n-1])
 		case IPop:
-			vm.pop()
+			ops = ops[:n-1]
 		case IDup:
-			vm.push(vm.ops[len(vm.ops)-1])
+			ops = append(ops, ops[n-1])
 		case IAdd:
-			b := vm.pop()
-			a := vm.pop()
-			vm.push(a + b)
+			ops[n-2], ops = ops[n-2]+ops[n-1], ops[:n-1]
 		case ISub:
-			b := vm.pop()
-			a := vm.pop()
-			vm.push(a - b)
+			ops[n-2], ops = ops[n-2]-ops[n-1], ops[:n-1]
 		case IMul:
-			b := vm.pop()
-			a := vm.pop()
-			vm.push(a * b)
+			ops[n-2], ops = ops[n-2]*ops[n-1], ops[:n-1]
 		case IDiv:
-			b := vm.pop()
-			a := vm.pop()
-			if b == 0 {
-				vm.fail(fmt.Errorf("minic: division by zero in %s", f.fn.Name))
-				return core.Done
+			if ops[n-1] == 0 {
+				err = fmt.Errorf("minic: division by zero in %s", f.fn.Name)
+				break loop
 			}
-			vm.push(a / b)
+			ops[n-2], ops = ops[n-2]/ops[n-1], ops[:n-1]
 		case IRem:
-			b := vm.pop()
-			a := vm.pop()
-			if b == 0 {
-				vm.fail(fmt.Errorf("minic: modulo by zero in %s", f.fn.Name))
-				return core.Done
+			if ops[n-1] == 0 {
+				err = fmt.Errorf("minic: modulo by zero in %s", f.fn.Name)
+				break loop
 			}
-			vm.push(a % b)
+			ops[n-2], ops = ops[n-2]%ops[n-1], ops[:n-1]
 		case IAnd:
-			b := vm.pop()
-			a := vm.pop()
-			vm.push(a & b)
+			ops[n-2], ops = ops[n-2]&ops[n-1], ops[:n-1]
 		case IOr:
-			b := vm.pop()
-			a := vm.pop()
-			vm.push(a | b)
+			ops[n-2], ops = ops[n-2]|ops[n-1], ops[:n-1]
 		case IXor:
-			b := vm.pop()
-			a := vm.pop()
-			vm.push(a ^ b)
+			ops[n-2], ops = ops[n-2]^ops[n-1], ops[:n-1]
 		case IShl:
-			b := vm.pop()
-			a := vm.pop()
-			vm.push(a << (uint(b) & 31))
+			ops[n-2], ops = ops[n-2]<<(uint(ops[n-1])&31), ops[:n-1]
 		case IShr:
-			b := vm.pop()
-			a := vm.pop()
-			vm.push(a >> (uint(b) & 31))
+			ops[n-2], ops = ops[n-2]>>(uint(ops[n-1])&31), ops[:n-1]
 		case INeg:
-			vm.push(-vm.pop())
+			ops[n-1] = -ops[n-1]
 		case IBNot:
-			vm.push(^vm.pop())
+			ops[n-1] = ^ops[n-1]
 		case ILNot:
-			if vm.pop() == 0 {
-				vm.push(1)
-			} else {
-				vm.push(0)
+			ops[n-1] = b2i(ops[n-1] == 0)
+		case IEq:
+			ops[n-2], ops = b2i(ops[n-2] == ops[n-1]), ops[:n-1]
+		case INe:
+			ops[n-2], ops = b2i(ops[n-2] != ops[n-1]), ops[:n-1]
+		case ILt:
+			ops[n-2], ops = b2i(ops[n-2] < ops[n-1]), ops[:n-1]
+		case ILe:
+			ops[n-2], ops = b2i(ops[n-2] <= ops[n-1]), ops[:n-1]
+		case IGt:
+			ops[n-2], ops = b2i(ops[n-2] > ops[n-1]), ops[:n-1]
+		case IGe:
+			ops[n-2], ops = b2i(ops[n-2] >= ops[n-1]), ops[:n-1]
+		case IJz, IJnz:
+			v := ops[n-1]
+			if ops = ops[:n-1]; (v != 0) != (ins.Op == IJnz) {
+				continue
 			}
-		case IEq, INe, ILt, ILe, IGt, IGe:
-			b := vm.pop()
-			a := vm.pop()
-			var r bool
-			switch ins.Op {
-			case IEq:
-				r = a == b
-			case INe:
-				r = a != b
-			case ILt:
-				r = a < b
-			case ILe:
-				r = a <= b
-			case IGt:
-				r = a > b
-			case IGe:
-				r = a >= b
-			}
-			if r {
-				vm.push(1)
-			} else {
-				vm.push(0)
-			}
+			fallthrough
 		case IJmp:
-			backward := int(ins.A) < f.pc
-			f.pc = int(ins.A)
+			backward := int(ins.A) < pc
+			pc = int(ins.A)
 			// Loop back edges also check for suspension — the §6.1
 			// refinement ("it would be possible to instrument loop
 			// back edges to perform the same checks"), which
 			// Emscripten-style code needs since hot loops may make no
 			// calls at all.
 			if backward && ct.CheckSuspend() {
-				return core.Yield
-			}
-		case IJz:
-			if vm.pop() == 0 {
-				backward := int(ins.A) < f.pc
-				f.pc = int(ins.A)
-				if backward && ct.CheckSuspend() {
-					return core.Yield
-				}
-			}
-		case IJnz:
-			if vm.pop() != 0 {
-				backward := int(ins.A) < f.pc
-				f.pc = int(ins.A)
-				if backward && ct.CheckSuspend() {
-					return core.Yield
-				}
+				res = core.Yield
+				break loop
 			}
 		case ICall:
-			target := vm.prog.Funcs[ins.A]
-			args := make([]int32, target.NArgs)
-			for i := target.NArgs - 1; i >= 0; i-- {
-				args[i] = vm.pop()
+			// The arguments move from the operand stack straight into
+			// the callee's slots.
+			target := funcs[ins.A]
+			base := n - target.NArgs
+			f.pc, vm.ops, vm.Steps = pc, ops[:base], steps
+			if err = vm.pushFrame(target, ops[base:]); err != nil {
+				break loop
 			}
-			if err := vm.pushFrame(target, args); err != nil {
-				vm.fail(err)
-				return core.Done
-			}
+			f = &vm.frames[len(vm.frames)-1]
+			code, pc, fp, ops = target.Code, 0, f.fp, ops[:base]
 			// §4.1: check for suspension at call boundaries.
 			if ct.CheckSuspend() {
-				return core.Yield
+				res = core.Yield
+				break loop
 			}
 		case IRet:
-			ret := vm.pop()
-			fr := vm.frames[len(vm.frames)-1]
-			vm.sp = fr.fp - vm.stackBase
-			vm.ops = vm.ops[:fr.opsAt]
+			ret := ops[n-1]
+			vm.sp = fp - vm.stackBase
+			ops = ops[:f.opsAt]
 			vm.frames = vm.frames[:len(vm.frames)-1]
 			if len(vm.frames) == 0 {
-				vm.exitCode = ret
-				vm.done = true
-				return core.Done
+				vm.exitCode, vm.done = ret, true
+				res = core.Done
+				break loop
 			}
-			vm.push(ret)
+			ops = append(ops, ret)
+			f = &vm.frames[len(vm.frames)-1]
+			code, pc, fp = f.fn.Code, f.pc, f.fp
+			vm.Steps = steps
 			if ct.CheckSuspend() {
-				return core.Yield
+				res = core.Yield
+				break loop
 			}
 		case ISys:
+			f.pc, vm.ops, vm.Steps = pc, ops, steps
 			if blocked := vm.syscall(ct, ins.A); blocked {
 				return core.Block
 			}
+			if vm.done {
+				return core.Done
+			}
+			ops = vm.ops
 		default:
-			vm.fail(fmt.Errorf("minic: illegal opcode %d", ins.Op))
-			return core.Done
+			err = fmt.Errorf("minic: illegal opcode %d", ins.Op)
+			break loop
 		}
 	}
+	f.pc, vm.ops, vm.Steps = pc, ops, steps
+	if err != nil {
+		vm.fail(err)
+		return core.Done
+	}
+	return res
+}
+
+// catchFault is run's one recover: an opcode or a syscall that touched
+// memory outside the heap raised a *umheap.AccessError, which ends the
+// program with a segmentation fault, as a wild pointer ends a process
+// and not its host. Any other panic is a host bug and keeps unwinding.
+func (vm *VM) catchFault(res *core.RunResult) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	fault, ok := r.(*umheap.AccessError)
+	if !ok {
+		panic(r)
+	}
+	vm.fail(fmt.Errorf("minic: segmentation fault in %s: %v", vm.frames[len(vm.frames)-1].fn.Name, fault))
+	*res = core.Done
 }
 
 // cString reads a NUL-terminated string at addr.
@@ -478,7 +477,7 @@ func (vm *VM) syscall(ct *core.Thread, n int32) bool {
 		vm.heap.Free(int(vm.pop()))
 		vm.push(0)
 	case SysStrLen:
-		vm.push(int32(len(vm.cString(vm.pop()))))
+		vm.push(int32(vm.heap.StrLen(int(vm.pop()))))
 	case SysStrCmp:
 		b := vm.cString(vm.pop())
 		a := vm.cString(vm.pop())
@@ -522,13 +521,7 @@ func (vm *VM) syscall(ct *core.Thread, n int32) bool {
 	case SysExists:
 		path := vm.cString(vm.pop())
 		return vm.blockOnFS(ct, "minic.exists("+path+")", func(done func(int32)) {
-			vm.fs.Exists(path, func(ok bool) {
-				if ok {
-					done(1)
-				} else {
-					done(0)
-				}
-			})
+			vm.fs.Exists(path, func(ok bool) { done(b2i(ok)) })
 		})
 	case SysReadFile:
 		// The §7.2 payoff: synchronous dynamic file loading — the
@@ -569,10 +562,13 @@ func (vm *VM) syscall(ct *core.Thread, n int32) bool {
 	case SysGetLine:
 		max := vm.pop()
 		buf := vm.pop()
-		if vm.stdin == nil {
+		if vm.stdin == nil || max < 1 {
 			vm.push(-1)
 			return false
 		}
+		// The line arrives in a later macrotask, outside run's recover,
+		// so the buffer is checked now.
+		vm.heap.Check(int(buf), int(max))
 		return vm.blockOn(ct, "minic.getline", func(done func(int32)) {
 			vm.stdin(int(max), func(line string, eof bool) {
 				if eof {

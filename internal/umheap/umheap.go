@@ -13,45 +13,13 @@ package umheap
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"math/bits"
+	"slices"
 
 	"doppio/internal/jlong"
 )
-
-// WordStore is the raw storage: a fixed array of 32-bit words.
-type WordStore interface {
-	// Words returns the number of 32-bit words.
-	Words() int
-	// Get returns the word at index i.
-	Get(i int) int32
-	// Set writes the word at index i.
-	Set(i int, v int32)
-}
-
-// Int32Store backs the heap with a typed Int32Array.
-type Int32Store []int32
-
-// Words returns the word count.
-func (s Int32Store) Words() int { return len(s) }
-
-// Get returns word i.
-func (s Int32Store) Get(i int) int32 { return s[i] }
-
-// Set writes word i.
-func (s Int32Store) Set(i int, v int32) { s[i] = v }
-
-// NumberStore backs the heap with a plain JavaScript array of numbers
-// (one float64 per word), for browsers without typed arrays.
-type NumberStore []float64
-
-// Words returns the word count.
-func (s NumberStore) Words() int { return len(s) }
-
-// Get returns word i.
-func (s NumberStore) Get(i int) int32 { return int32(s[i]) }
-
-// Set writes word i.
-func (s NumberStore) Set(i int, v int32) { s[i] = float64(v) }
 
 // align is the allocation granularity; 8 keeps doubles aligned.
 const align = 8
@@ -59,8 +27,18 @@ const align = 8
 type block struct{ addr, size int }
 
 // Heap is a first-fit unmanaged heap. Address 0 is reserved as NULL.
+// Its words live in a typed Int32Array (i32) or, without typed arrays,
+// a plain array of numbers (f64), allocated by the first load or store.
 type Heap struct {
-	words  WordStore
+	size  int // capacity in bytes, a multiple of 4
+	typed bool
+	i32   []int32
+	f64   []float64
+
+	// onTypedAlloc observes the typed array when the first access
+	// allocates it (the Safari leak model); nil when unobserved.
+	onTypedAlloc func(int)
+
 	free   []block     // sorted by address, coalesced
 	allocs map[int]int // addr → size
 
@@ -77,64 +55,67 @@ func (h *Heap) SetAllocHook(hook func(n int)) { h.allocHook = hook }
 
 // New creates a heap of size bytes (rounded up to a word multiple),
 // backed by a typed array when typed is true. onTypedAlloc, if non-nil,
-// observes the backing allocation (for the Safari leak model).
+// observes the typed array when the first access allocates it (for
+// the Safari leak model).
 func New(size int, typed bool, onTypedAlloc func(int)) *Heap {
 	if size < align*2 {
 		size = align * 2
 	}
-	nwords := (size + 3) / 4
-	var ws WordStore
-	if typed {
-		ws = make(Int32Store, nwords)
-		if onTypedAlloc != nil {
-			onTypedAlloc(nwords * 4)
-		}
-	} else {
-		ws = make(NumberStore, nwords)
-	}
-	h := &Heap{words: ws, allocs: make(map[int]int)}
+	size = (size + 3) &^ 3
 	// Address 0 is NULL; the arena starts at the first aligned slot.
-	h.free = []block{{addr: align, size: nwords*4 - align}}
-	return h
+	return &Heap{size: size, typed: typed, onTypedAlloc: onTypedAlloc,
+		free: []block{{addr: align, size: size - align}}, allocs: make(map[int]int)}
 }
 
 // Size returns the heap capacity in bytes.
-func (h *Heap) Size() int { return h.words.Words() * 4 }
+func (h *Heap) Size() int { return h.size }
+
+// Touched reports whether a load or store has allocated the array.
+func (h *Heap) Touched() bool { return h.i32 != nil || h.f64 != nil }
+
+// word returns word i, allocating the backing array on first touch;
+// the caller has checked that i is in range.
+func (h *Heap) word(i int) int32 {
+	switch {
+	case h.i32 != nil:
+		return h.i32[i]
+	case h.f64 != nil:
+		return int32(h.f64[i])
+	case h.typed:
+		h.i32 = make([]int32, h.size/4)
+		if h.onTypedAlloc != nil {
+			h.onTypedAlloc(h.size)
+		}
+	default:
+		h.f64 = make([]float64, h.size/4)
+	}
+	return 0 // a fresh array reads zero
+}
+
+// setWord writes word i, allocating the backing array on first touch;
+// the caller has checked that i is in range.
+func (h *Heap) setWord(i int, v int32) {
+	if h.word(i); h.i32 != nil {
+		h.i32[i] = v
+	} else {
+		h.f64[i] = float64(v)
+	}
+}
 
 // Clone returns a deep copy of the heap — same contents, same free
 // list, same allocation map — over fresh backing storage, so writes
 // through the copy are invisible to the original. This is the address
 // space duplication behind the process layer's fork: the child VM
 // resumes on a byte-identical image. onTypedAlloc, if non-nil,
-// observes the new backing allocation exactly as New would.
+// observes the copy's typed array as New's would be observed: now if
+// the original's array exists, at first touch otherwise.
 func (h *Heap) Clone(onTypedAlloc func(int)) *Heap {
-	var ws WordStore
-	switch s := h.words.(type) {
-	case Int32Store:
-		c := make(Int32Store, len(s))
-		copy(c, s)
-		ws = c
-		if onTypedAlloc != nil {
-			onTypedAlloc(len(c) * 4)
-		}
-	case NumberStore:
-		c := make(NumberStore, len(s))
-		copy(c, s)
-		ws = c
-	default:
-		// An unknown store cannot be duplicated efficiently; fall back
-		// to a word-by-word copy into the plain representation.
-		c := make(NumberStore, h.words.Words())
-		for i := range c {
-			c.Set(i, h.words.Get(i))
-		}
-		ws = c
+	c := &Heap{size: h.size, typed: h.typed, i32: slices.Clone(h.i32), f64: slices.Clone(h.f64),
+		onTypedAlloc: onTypedAlloc, free: slices.Clone(h.free), allocs: maps.Clone(h.allocs)}
+	if c.i32 != nil && onTypedAlloc != nil {
+		onTypedAlloc(c.size)
 	}
-	clone := &Heap{words: ws, free: append([]block(nil), h.free...), allocs: make(map[int]int, len(h.allocs))}
-	for a, n := range h.allocs {
-		clone.allocs[a] = n
-	}
-	return clone
+	return c
 }
 
 // ErrOOM reports allocation failure.
@@ -231,14 +212,17 @@ func (h *Heap) FreeList() []Extent {
 	return out
 }
 
-func (h *Heap) check(addr, n int) {
-	if addr < 0 || addr+n > h.Size() {
-		panic(&AccessError{Addr: addr, N: n, Size: h.Size()})
+// Check panics with an *AccessError unless the n bytes at addr lie
+// inside the heap; a negative n never does.
+func (h *Heap) Check(addr, n int) {
+	if addr < 0 || n < 0 || n > h.size-addr {
+		panic(&AccessError{Addr: addr, N: n, Size: h.size})
 	}
 }
 
-// AccessError reports an out-of-bounds heap access; the JVM natives
-// map it onto the appropriate Java exception.
+// AccessError is the panic value of an access outside the heap: the
+// MiniC VM ends the program with a segmentation fault, and the
+// sun/misc/Unsafe natives throw java/lang/InternalError.
 type AccessError struct{ Addr, N, Size int }
 
 func (e *AccessError) Error() string {
@@ -246,22 +230,44 @@ func (e *AccessError) Error() string {
 }
 
 // --- byte-granularity little-endian accessors ---
+//
+// LoadU8, StoreU8, LoadI32 and StoreI32 inline: a byte or aligned word
+// of the typed array is a bounds compare and an index, and anything
+// else calls a slow method. The slow method is a parameter because Go
+// charges a call through one 17 of its inlining budget of 80, where a
+// direct call costs 57.
 
 // LoadU8 reads the byte at addr.
-func (h *Heap) LoadU8(addr int) uint8 {
-	h.check(addr, 1)
-	w := uint32(h.words.Get(addr >> 2))
-	return uint8(w >> uint((addr&3)*8))
+func (h *Heap) LoadU8(addr int) uint8 { return loadByte(h, addr, (*Heap).loadU8) }
+
+func loadByte(h *Heap, addr int, slow func(*Heap, int) uint8) uint8 {
+	if i := uint(addr) >> 2; i < uint(len(h.i32)) {
+		return uint8(h.i32[i] >> (addr & 3 * 8))
+	}
+	return slow(h, addr)
+}
+
+func (h *Heap) loadU8(addr int) uint8 {
+	h.Check(addr, 1)
+	return uint8(h.word(addr>>2) >> (addr & 3 * 8))
 }
 
 // StoreU8 writes the byte at addr.
-func (h *Heap) StoreU8(addr int, v uint8) {
-	h.check(addr, 1)
-	i := addr >> 2
-	shift := uint((addr & 3) * 8)
-	w := uint32(h.words.Get(i))
-	w = w&^(0xFF<<shift) | uint32(v)<<shift
-	h.words.Set(i, int32(w))
+func (h *Heap) StoreU8(addr int, v uint8) { storeByte(h, addr, v, (*Heap).storeU8) }
+
+func storeByte(h *Heap, addr int, v uint8, slow func(*Heap, int, uint8)) {
+	if i := uint(addr) >> 2; i < uint(len(h.i32)) {
+		s := addr & 3 * 8
+		h.i32[i] = h.i32[i]&^(0xFF<<s) | int32(v)<<s
+		return
+	}
+	slow(h, addr, v)
+}
+
+func (h *Heap) storeU8(addr int, v uint8) {
+	h.Check(addr, 1)
+	s := addr & 3 * 8
+	h.setWord(addr>>2, h.word(addr>>2)&^(0xFF<<s)|int32(v)<<s)
 }
 
 // LoadI8 reads the signed byte at addr.
@@ -288,23 +294,44 @@ func (h *Heap) LoadI16(addr int) int16 { return int16(h.LoadU16(addr)) }
 func (h *Heap) StoreI16(addr int, v int16) { h.StoreU16(addr, uint16(v)) }
 
 // LoadI32 reads a little-endian int32 at addr.
-func (h *Heap) LoadI32(addr int) int32 {
-	if addr&3 == 0 {
-		h.check(addr, 4)
-		return h.words.Get(addr >> 2)
+func (h *Heap) LoadI32(addr int) int32 { return loadWord(h, addr, (*Heap).loadI32) }
+
+// loadWord's rotate moves a misalignment into the top bits, so one
+// unsigned compare rejects unaligned, negative and too-high addresses.
+func loadWord(h *Heap, addr int, slow func(*Heap, int) int32) int32 {
+	if i := bits.RotateLeft(uint(addr), -2); i < uint(len(h.i32)) {
+		return h.i32[i]
 	}
-	return int32(uint32(h.LoadU16(addr)) | uint32(h.LoadU16(addr+2))<<16)
+	return slow(h, addr)
+}
+
+func (h *Heap) loadI32(addr int) int32 {
+	if addr&3 != 0 {
+		return int32(uint32(h.LoadU16(addr)) | uint32(h.LoadU16(addr+2))<<16)
+	}
+	h.Check(addr, 4)
+	return h.word(addr >> 2)
 }
 
 // StoreI32 writes a little-endian int32 at addr.
-func (h *Heap) StoreI32(addr int, v int32) {
-	if addr&3 == 0 {
-		h.check(addr, 4)
-		h.words.Set(addr>>2, v)
+func (h *Heap) StoreI32(addr int, v int32) { storeWord(h, addr, v, (*Heap).storeI32) }
+
+func storeWord(h *Heap, addr int, v int32, slow func(*Heap, int, int32)) {
+	if i := bits.RotateLeft(uint(addr), -2); i < uint(len(h.i32)) {
+		h.i32[i] = v
 		return
 	}
-	h.StoreU16(addr, uint16(uint32(v)))
-	h.StoreU16(addr+2, uint16(uint32(v)>>16))
+	slow(h, addr, v)
+}
+
+func (h *Heap) storeI32(addr int, v int32) {
+	if addr&3 != 0 {
+		h.StoreU16(addr, uint16(v))
+		h.StoreU16(addr+2, uint16(uint32(v)>>16))
+		return
+	}
+	h.Check(addr, 4)
+	h.setWord(addr>>2, v)
 }
 
 // LoadI64 reads a little-endian 64-bit integer at addr as a software
@@ -346,7 +373,7 @@ func (h *Heap) StoreF64(addr int, v float64) {
 
 // ReadBytes copies n bytes starting at addr out of the heap.
 func (h *Heap) ReadBytes(addr, n int) []byte {
-	h.check(addr, n)
+	h.Check(addr, n)
 	out := make([]byte, n)
 	for i := range out {
 		out[i] = h.LoadU8(addr + i)
@@ -356,7 +383,7 @@ func (h *Heap) ReadBytes(addr, n int) []byte {
 
 // WriteBytes copies b into the heap at addr.
 func (h *Heap) WriteBytes(addr int, b []byte) {
-	h.check(addr, len(b))
+	h.Check(addr, len(b))
 	for i, c := range b {
 		h.StoreU8(addr+i, c)
 	}
@@ -364,7 +391,7 @@ func (h *Heap) WriteBytes(addr int, b []byte) {
 
 // Memset fills n bytes at addr with v.
 func (h *Heap) Memset(addr int, v byte, n int) {
-	h.check(addr, n)
+	h.Check(addr, n)
 	for i := 0; i < n; i++ {
 		h.StoreU8(addr+i, v)
 	}
@@ -373,8 +400,8 @@ func (h *Heap) Memset(addr int, v byte, n int) {
 // Memcpy copies n bytes from src to dst within the heap, handling
 // overlap like memmove.
 func (h *Heap) Memcpy(dst, src, n int) {
-	h.check(dst, n)
-	h.check(src, n)
+	h.Check(dst, n)
+	h.Check(src, n)
 	if dst == src || n == 0 {
 		return
 	}
@@ -389,18 +416,17 @@ func (h *Heap) Memcpy(dst, src, n int) {
 	}
 }
 
-// CString reads a NUL-terminated string starting at addr.
-func (h *Heap) CString(addr int) string {
-	var out []byte
-	for {
-		b := h.LoadU8(addr)
-		if b == 0 {
-			return string(out)
-		}
-		out = append(out, b)
-		addr++
+// StrLen returns the length of the NUL-terminated string at addr.
+func (h *Heap) StrLen(addr int) int {
+	n := 0
+	for h.LoadU8(addr+n) != 0 {
+		n++
 	}
+	return n
 }
+
+// CString reads a NUL-terminated string starting at addr.
+func (h *Heap) CString(addr int) string { return string(h.ReadBytes(addr, h.StrLen(addr))) }
 
 // WriteCString writes s plus a NUL terminator at addr.
 func (h *Heap) WriteCString(addr int, s string) {

@@ -254,11 +254,17 @@ func TestOutOfBoundsPanics(t *testing.T) {
 
 func TestAllocHook(t *testing.T) {
 	var saw int
-	New(1024, true, func(n int) { saw = n })
-	if saw != 1024 {
-		t.Errorf("hook saw %d", saw)
+	h := New(1024, true, func(n int) { saw += n })
+	if _, err := h.Malloc(64); err != nil || saw != 0 || h.Touched() {
+		t.Fatalf("before the first access: hook saw %d, touched %v, malloc err %v", saw, h.Touched(), err)
 	}
-	New(1024, false, func(n int) { t.Error("number store reported typed alloc") })
+	h.LoadU8(8)
+	h.StoreI32(16, 1)
+	if saw != 1024 || !h.Touched() {
+		t.Errorf("hook saw %d after the first accesses, want 1024 once", saw)
+	}
+	num := New(1024, false, func(n int) { t.Error("number array reported typed alloc") })
+	num.StoreU8(8, 1)
 }
 
 func TestMallocFreeStress(t *testing.T) {
@@ -313,6 +319,49 @@ func BenchmarkNumberHeapI32(b *testing.B) {
 		h.StoreI32(off, int32(i))
 		if h.LoadI32(off) != int32(i) {
 			b.Fatal("mismatch")
+		}
+	}
+}
+
+func TestCheckRejectsNegativeLengthsAndWrap(t *testing.T) {
+	for name, h := range heaps() {
+		addr, _ := h.Malloc(16)
+		for _, fn := range []func(){
+			func() { h.ReadBytes(addr, -5) },
+			func() { h.Memset(addr, 0, -1) },
+			func() { h.Check(1<<62, 1<<62) },
+			func() { h.LoadI32(math.MaxInt - 1) },
+			func() { h.StoreU8(-1, 0) },
+			func() { h.StoreU8(h.Size()-1, 'x'); h.StrLen(h.Size() - 1) }, // no NUL before the end
+		} {
+			func() {
+				defer func() {
+					if _, ok := recover().(*AccessError); !ok {
+						t.Errorf("%s: expected AccessError panic", name)
+					}
+				}()
+				fn()
+			}()
+		}
+	}
+}
+
+func TestCloneCopiesAndDefersFirstTouch(t *testing.T) {
+	for name, h := range heaps() {
+		reported := 0
+		c := h.Clone(func(int) { reported++ })
+		if c.Touched() || reported != 0 {
+			t.Errorf("%s: clone of an untouched heap allocated its array (reported %d)", name, reported)
+		}
+		addr, _ := h.Malloc(8)
+		h.StoreI32(addr, 7)
+		c = h.Clone(func(int) { reported++ })
+		c.StoreI32(addr, 9)
+		if h.LoadI32(addr) != 7 || c.LoadI32(addr) != 9 || c.AllocCount() != 1 {
+			t.Errorf("%s: clone shares memory or lost the allocation map", name)
+		}
+		if want := map[string]int{"typed": 1, "number": 0}[name]; reported != want {
+			t.Errorf("%s: clone reported %d typed allocations, want %d", name, reported, want)
 		}
 	}
 }
