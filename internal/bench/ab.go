@@ -130,7 +130,7 @@ var ABs = map[string]func(Config) (*Report, error){
 	"sched":    runSchedAB,
 	"fleet":    func(cfg Config) (*Report, error) { return runFleet(cfg, "mixed", fleetTenants(cfg.Scale)) },
 	"sock":     func(cfg Config) (*Report, error) { return runSock(cfg, sockConns(cfg.Scale)) },
-	"fscache":  func(cfg Config) (*Report, error) { return runFSCache(cfg, "cloud", false, fsTrace(cfg.Scale)) },
+	"fscache":  func(cfg Config) (*Report, error) { return runFSCache(cfg, fsTrace(cfg.Scale)) },
 	"fsfaults": runFSFaultsAB,
 }
 

@@ -35,10 +35,10 @@ func fsTrace(scale int) fstrace.GenerateParams {
 	}
 }
 
-// vfsRig is one backend in a fresh window with Instrument innermost,
-// so its ops counter keeps meaning "backend round trips" (retries
-// included) whatever decorators sit above: a cache hit is exactly an
-// operation that never reached it.
+// vfsRig is a CloudFS at fsLatency in a fresh window, with Instrument
+// innermost, so its ops counter keeps meaning "backend round trips"
+// (retries included) whatever decorators sit above: a cache hit is
+// exactly an operation that never reached it.
 type vfsRig struct {
 	cfg   Config
 	win   *browser.Window
@@ -51,9 +51,8 @@ type vfsRig struct {
 	fs    *vfs.FS // the stack under test
 }
 
-// newVFSRig builds the named backend: "cloud" (at fsLatency) or
-// "inmemory".
-func newVFSRig(cfg Config, backend string) (*vfsRig, error) {
+// newVFSRig builds a rig with no decorators yet (see use).
+func newVFSRig(cfg Config) *vfsRig {
 	env := fleet.NewEnv(cfg.Browsers[0], nil)
 	r := &vfsRig{cfg: cfg, win: env.Win, bufs: env.Bufs, hub: cfg.Telemetry}
 	if cfg.Telemetry != nil {
@@ -62,20 +61,12 @@ func newVFSRig(cfg Config, backend string) (*vfsRig, error) {
 	} else {
 		r.hub = telemetry.NewHub()
 	}
-	var inner vfs.Backend
-	switch backend {
-	case "inmemory":
-		inner = vfs.NewInMemory()
-	case "cloud":
-		inner = vfs.NewCloudFS(r.win.Loop, vfs.NewCloudStore(fsLatency))
-	default:
-		return nil, fmt.Errorf("unknown fs backend %q (want inmemory or cloud)", backend)
-	}
+	inner := vfs.NewCloudFS(r.win.Loop, vfs.NewCloudStore(fsLatency))
 	r.ops = r.hub.Registry.Counter("vfs."+inner.Name(), "ops")
 	r.base = vfs.Instrument(inner, r.hub)
 	r.seed = vfs.New(r.win.Loop, r.bufs, r.base)
 	r.use()
-	return r, nil
+	return r
 }
 
 // use puts the given decorators over the instrumented backend.
@@ -92,18 +83,14 @@ type replayPass struct {
 	log  string // one line per operation: kind, path, errno, data hash
 }
 
-// replay seeds the trace through the bare backend, replays it passes
-// times through the stack, and flushes a write-back cache at the end.
+// replay seeds the trace through the bare backend and replays it
+// passes times through the stack.
 func (r *vfsRig) replay(trace *fstrace.Trace, passes int) ([]replayPass, error) {
 	var out []replayPass
 	err := fleet.Drive(r.win.Loop, "replay", func(done func(error)) {
 		var step func()
 		step = func() {
 			if len(out) == passes {
-				if fl, ok := r.stack.(vfs.Flusher); ok {
-					fl.Flush(done)
-					return
-				}
 				done(nil)
 				return
 			}
@@ -215,33 +202,29 @@ func (r *vfsRig) cacheStats() vfs.CacheStats {
 	return vfs.CacheStats{}
 }
 
-// runFSCache compares the backend bare (A) and under the cache
+// runFSCache compares the cloud backend bare (A) and under the cache
 // decorator (B). Each run makes two passes, replaying the trace or
 // loading every class; backend_ops is the second pass, so on the
 // cached arm it is the warm pass, and cold_backend_ops the first.
-func runFSCache(cfg Config, backend string, writeBack bool, tp fstrace.GenerateParams) (*Report, error) {
+func runFSCache(cfg Config, tp fstrace.GenerateParams) (*Report, error) {
 	cfg = cfg.withDefaults()
 	trace := fstrace.Generate(tp)
 	rep := newReport("fscache", cfg, map[string]any{
-		"backend":    backend,
-		"write_back": writeBack,
-		"trace_ops":  len(trace.Ops),
-		"latency":    fsLatency.String(),
+		"backend":   "cloud",
+		"trace_ops": len(trace.Ops),
+		"latency":   fsLatency.String(),
 	})
-	rig := func(cached bool) (*vfsRig, error) {
-		r, err := newVFSRig(cfg, backend)
-		if err == nil && cached {
-			r.use(vfs.WithCache(vfs.CacheOptions{WriteBack: writeBack, Hub: r.hub}))
+	rig := func(cached bool) *vfsRig {
+		r := newVFSRig(cfg)
+		if cached {
+			r.use(vfs.WithCache(vfs.CacheOptions{Hub: r.hub}))
 		}
-		return r, err
+		return r
 	}
 	var cache vfs.CacheStats
 	replayArm := func(name string, cached bool) Arm {
 		return Arm{name, func() (Sample, error) {
-			r, err := rig(cached)
-			if err != nil {
-				return Sample{}, err
-			}
+			r := rig(cached)
 			p, err := r.replay(trace, 2)
 			if err != nil {
 				return Sample{}, err
@@ -268,10 +251,7 @@ func runFSCache(cfg Config, backend string, writeBack bool, tp fstrace.GenerateP
 
 	loadArm := func(name string, cached bool) Arm {
 		return Arm{name, func() (Sample, error) {
-			r, err := rig(cached)
-			if err != nil {
-				return Sample{}, err
-			}
+			r := rig(cached)
 			rounds, err := r.classload(2)
 			if err != nil {
 				return Sample{}, err

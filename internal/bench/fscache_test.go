@@ -9,9 +9,9 @@ import (
 
 // fsCacheReport runs the cache A/B and returns the named comparison
 // and the cache counters the detail recorded for it.
-func fsCacheReport(t *testing.T, backend string, writeBack bool, tp fstrace.GenerateParams, name string) (*Report, Comparison, vfs.CacheStats) {
+func fsCacheReport(t *testing.T, tp fstrace.GenerateParams, name string) (*Report, Comparison, vfs.CacheStats) {
 	t.Helper()
-	rep, err := runFSCache(Config{Scale: 1}, backend, writeBack, tp)
+	rep, err := runFSCache(Config{Scale: 1}, tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func requireCheck(t *testing.T, rep *Report, name string) {
 }
 
 func TestFSCacheWarmHalvesBackendOps(t *testing.T) {
-	rep, c, cache := fsCacheReport(t, "cloud", false,
+	rep, c, cache := fsCacheReport(t,
 		fstrace.GenerateParams{Ops: 150, UniqueFiles: 40, BytesRead: 120_000, BytesWritten: 4_000}, "replay")
 	// The uncached pass and the cached cold pass, then the second
 	// uncached pass and the warm pass, produced identical op logs.
@@ -63,34 +63,8 @@ func TestFSCacheWarmHalvesBackendOps(t *testing.T) {
 	}
 }
 
-func TestFSCacheWriteBackAbsorbsWrites(t *testing.T) {
-	_, c, cache := fsCacheReport(t, "inmemory", true,
-		fstrace.GenerateParams{Ops: 400, UniqueFiles: 30, BytesRead: 60_000, BytesWritten: 6_000}, "replay")
-	if cache.WritebackQueued == 0 {
-		t.Errorf("write-back pass queued no writes: %+v", cache)
-	}
-	// Queued counts buffered Sync calls; re-dirtying a queued path
-	// dedups in the FIFO, so flushed <= queued — but the final flush
-	// must leave nothing dirty.
-	if cache.WritebackFlushed == 0 || cache.WritebackFlushed > cache.WritebackQueued {
-		t.Errorf("write-back flush accounting wrong: %+v", cache)
-	}
-	if cache.DirtyEntries != 0 {
-		t.Errorf("final flush left %d dirty entries", cache.DirtyEntries)
-	}
-	if warm, bare := c.B.Metrics["backend_ops"].Max, c.A.Metrics["backend_ops"].Min; warm*2 > bare {
-		t.Errorf("warm backend ops = %v, want <= half of uncached %v", warm, bare)
-	}
-}
-
-func TestFSCacheUnknownBackend(t *testing.T) {
-	if _, err := runFSCache(Config{Scale: 1}, "floppy", false, fstrace.GenerateParams{}); err == nil {
-		t.Fatal("want error for unknown backend")
-	}
-}
-
 func TestClassloadFSCache(t *testing.T) {
-	rep, c, cache := fsCacheReport(t, "cloud", false,
+	rep, c, cache := fsCacheReport(t,
 		fstrace.GenerateParams{Ops: 50, UniqueFiles: 20, BytesRead: 20_000, BytesWritten: 1_000}, "classload")
 	if c.B.Metrics["classes"].Min == 0 {
 		t.Fatal("no classes compiled")

@@ -56,11 +56,8 @@ func runFSFaultsAB(cfg Config) (*Report, error) {
 	var faults faultfs.Stats
 	var retries vfs.RetryStats
 	var cache vfs.CacheStats
-	rig := func(faulty bool) (*vfsRig, error) {
-		r, err := newVFSRig(cfg, "cloud")
-		if err != nil {
-			return nil, err
-		}
+	rig := func(faulty bool) *vfsRig {
+		r := newVFSRig(cfg)
 		opts := []vfs.StackOption{
 			vfs.WithRetry(vfs.RetryOptions{Policy: faultRetryPolicy(cfg.Seed), Loop: r.win.Loop, Hub: r.hub}),
 			vfs.WithCache(vfs.CacheOptions{Hub: r.hub}),
@@ -69,7 +66,7 @@ func runFSFaultsAB(cfg Config) (*Report, error) {
 			opts = append(opts, vfs.WithFaults(fsFaultPlan(cfg.Seed)))
 		}
 		r.use(opts...)
-		return r, nil
+		return r
 	}
 	// stats keeps the faulty arm's decorator counters from its last run.
 	stats := func(r *vfsRig, faulty bool) {
@@ -86,10 +83,7 @@ func runFSFaultsAB(cfg Config) (*Report, error) {
 	}
 	replayArm := func(name string, faulty bool) Arm {
 		return Arm{name, func() (Sample, error) {
-			r, err := rig(faulty)
-			if err != nil {
-				return Sample{}, err
-			}
+			r := rig(faulty)
 			p, err := r.replay(trace, 1)
 			if err != nil {
 				return Sample{}, err
@@ -110,10 +104,7 @@ func runFSFaultsAB(cfg Config) (*Report, error) {
 
 	loadArm := func(name string, faulty bool) Arm {
 		return Arm{name, func() (Sample, error) {
-			r, err := rig(faulty)
-			if err != nil {
-				return Sample{}, err
-			}
+			r := rig(faulty)
 			rounds, err := r.classload(1)
 			if err != nil {
 				return Sample{}, err

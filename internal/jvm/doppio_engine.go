@@ -328,7 +328,9 @@ func (vm *DoppioVM) StartMain(mainClass string, args []string, done func(error))
 		vm.mainDone = append(vm.mainDone, done)
 	}
 	// Preload the core classes every JVM needs before user code runs:
-	// Object, String, Class, and the VM-thrown exception hierarchy.
+	// Object, String, Class, and every exception class the interpreter
+	// or a native throws. MakeThrowable cannot load a class, so it
+	// builds a Throwable for any class missing from this list.
 	preload := []string{
 		"java/lang/Object", "java/lang/String", "java/lang/Class",
 		"java/lang/Throwable", "java/lang/Exception", "java/lang/Error",
@@ -339,6 +341,9 @@ func (vm *DoppioVM) StartMain(mainClass string, args []string, done func(error))
 		"java/lang/NegativeArraySizeException",
 		"java/lang/IllegalMonitorStateException",
 		"java/lang/ClassNotFoundException", "java/lang/InternalError",
+		"java/lang/IllegalArgumentException", "java/lang/NumberFormatException",
+		"java/lang/ArrayStoreException", "java/lang/OutOfMemoryError",
+		"java/io/IOException", "java/io/FileNotFoundException",
 	}
 	var loadAll func(i int, then func())
 	loadAll = func(i int, then func()) {

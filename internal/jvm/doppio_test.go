@@ -273,6 +273,71 @@ public class Main {
         System.out.println(c);
     }
 }`,
+	// Each native raises its exception, caught by a superclass: the
+	// Doppio engine must build the class the native names, not the
+	// Throwable it falls back to for a class that is not loaded.
+	"nativeThrows": `
+import java.io.FileInputStream;
+import java.io.IOException;
+import doppio.io.FileSystem;
+import sun.misc.Unsafe;
+public class Main {
+    static void caught(String site, Throwable t) {
+        System.out.println(site + ": " + t.getClass().getName());
+    }
+    static void fellThrough(String site, Throwable t) {
+        System.out.println(site + " fell through: " + t.getClass().getName());
+    }
+    public static void main(String[] args) {
+        Unsafe u = Unsafe.getUnsafe();
+        try {
+            FileInputStream in = new FileInputStream("/definitely/missing.txt");
+            System.out.println("readFile read " + in.available());
+        } catch (IOException e) {
+            caught("readFile", e);
+        } catch (Throwable t) {
+            fellThrough("readFile", t);
+        }
+        try {
+            FileSystem.writeFile("/", new byte[1]);
+            System.out.println("writeFile wrote /");
+        } catch (Exception e) {
+            caught("writeFile", e);
+        } catch (Throwable t) {
+            fellThrough("writeFile", t);
+        }
+        try {
+            System.out.println(Double.parseDouble("not-a-number"));
+        } catch (IllegalArgumentException e) {
+            caught("parseDouble", e);
+        } catch (Throwable t) {
+            fellThrough("parseDouble", t);
+        }
+        try {
+            System.out.println(u.allocateMemory(1L << 40));
+        } catch (Error e) {
+            caught("allocateMemory", e);
+        } catch (Throwable t) {
+            fellThrough("allocateMemory", t);
+        }
+        try {
+            u.freeMemory(12345L);
+            System.out.println("freeMemory returned");
+        } catch (RuntimeException e) {
+            caught("freeMemory", e);
+        } catch (Throwable t) {
+            fellThrough("freeMemory", t);
+        }
+        try {
+            System.arraycopy(new int[2], 0, new long[2], 0, 1);
+            System.out.println("arraycopy returned");
+        } catch (RuntimeException e) {
+            caught("arraycopy", e);
+        } catch (Throwable t) {
+            fellThrough("arraycopy", t);
+        }
+    }
+}`,
 	// The quick* programs warm each throwing quickened form past the
 	// fusion thresholds (64 loop iterations, 16 calls) before it
 	// faults, so the quickened run raises from the inner loop. The

@@ -225,8 +225,8 @@ func (r *Report) Text() string {
 	if r.VFS != nil {
 		fmt.Fprintf(&b, "== vfs (%s) ==\n", r.VFS.Backend)
 		if c := r.VFS.Cache; c != nil {
-			fmt.Fprintf(&b, "cache: hits=%d misses=%d stat-hits=%d negative-hits=%d degraded=%d bytes=%d dirty=%d\n",
-				c.Hits, c.Misses, c.StatHits, c.NegativeHits, c.DegradedServes, c.BytesUsed, c.DirtyEntries)
+			fmt.Fprintf(&b, "cache: hits=%d misses=%d stat-hits=%d negative-hits=%d degraded=%d bytes=%d\n",
+				c.Hits, c.Misses, c.StatHits, c.NegativeHits, c.DegradedServes, c.BytesUsed)
 		}
 		if rt := r.VFS.Retry; rt != nil {
 			fmt.Fprintf(&b, "retry: ops=%d attempts=%d retries=%d recovered=%d fastfails=%d breaker=%s\n",

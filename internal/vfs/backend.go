@@ -89,7 +89,9 @@ func (f Flag) Has(g Flag) bool { return f&g == g }
 // Backend is the §5.1 backend API. A backend stores whole files; the
 // kernel's file objects provide positional read/write over an
 // in-memory copy and write back via Sync on close (NFS-style
-// sync-on-close semantics).
+// sync-on-close semantics). That is the only write buffering in the
+// stack: a Sync's callback runs once the backend holds the data, and
+// no decorator defers it.
 //
 // All methods take mount-relative, normalized, absolute paths ("/" is
 // the backend root, which always exists and is a directory). Backends
@@ -118,7 +120,10 @@ type Backend interface {
 	Rmdir(path string, cb func(error))
 	// Mkdir creates a directory at path (parent must exist).
 	Mkdir(path string, cb func(error))
-	// Readdir lists the names in the directory at path.
+	// Readdir lists the names in the directory at path. The slice
+	// belongs to the caller, which may reorder and extend it (MountFS
+	// sorts it and appends its mount points), so a backend that keeps
+	// a listing hands out a copy.
 	Readdir(path string, cb func([]string, error))
 	// Rename moves old to new within the backend.
 	Rename(oldPath, newPath string, cb func(error))
@@ -136,13 +141,6 @@ type LinkBackend interface {
 type AttrBackend interface {
 	Chmod(path string, mode int, cb func(error))
 	Utimes(path string, atime, mtime time.Time, cb func(error))
-}
-
-// Flusher is the optional write-back surface: backends (or decorators
-// such as CachedBackend) that buffer writes expose Flush to push every
-// buffered write to durable storage, in the order it was issued.
-type Flusher interface {
-	Flush(cb func(error))
 }
 
 // splitDir returns the parent directory and base name of a normalized

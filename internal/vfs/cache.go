@@ -2,11 +2,13 @@ package vfs
 
 import (
 	"container/list"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"doppio/internal/telemetry"
+	"doppio/internal/vfs/retry"
 	"doppio/internal/vfs/vkernel"
 )
 
@@ -16,27 +18,13 @@ const DefaultCacheBudget = 8 << 20
 
 // CacheOptions configures NewCached.
 type CacheOptions struct {
-	// ByteBudget bounds the bytes held by the whole-file page cache
-	// (clean pages only — dirty write-back pages are pinned and may
-	// temporarily exceed the budget). Zero means DefaultCacheBudget.
+	// ByteBudget bounds the bytes held by the whole-file page cache.
+	// Zero means DefaultCacheBudget.
 	ByteBudget int
-	// WriteBack buffers Sync calls and uploads them on Flush (or before
-	// any namespace-mutating operation), instead of writing through.
-	// Ignored for read-only backends.
-	WriteBack bool
-	// Hub, when non-nil, receives hit/miss/eviction/write-back counters
-	// and cached-vs-uncached latency histograms under the subsystem
+	// Hub, when non-nil, receives hit/miss/eviction counters and
+	// cached-vs-uncached latency histograms under the subsystem
 	// "vfscache.<Name>".
 	Hub *telemetry.Hub
-	// Degraded, when non-nil, is consulted on every cache hit; while it
-	// reports true, each hit is additionally counted as a degraded
-	// serve — a read answered from clean cached state while the backend
-	// underneath is unreachable. Stack wires this to the retry layer's
-	// circuit breaker.
-	Degraded func() bool
-	// OnDegradedServe, when non-nil, is invoked once per degraded serve
-	// (in addition to the cache's own DegradedServes counter).
-	OnDegradedServe func()
 }
 
 // CacheStats is a point-in-time snapshot of a cache's counters.
@@ -45,10 +33,8 @@ type CacheStats struct {
 	StatHits, StatMisses, NegativeHits int64
 	ReaddirHits, ReaddirMisses         int64
 	Evictions                          int64
-	WritebackQueued, WritebackFlushed  int64
 	DegradedServes                     int64 // hits served while the backend was unreachable
 	BytesUsed                          int64
-	DirtyEntries                       int64
 }
 
 // CacheStatser is implemented by every backend returned from NewCached;
@@ -58,32 +44,35 @@ type CacheStatser interface {
 	CacheStats() CacheStats
 }
 
-// NewCached wraps b in a write-back/write-through caching decorator: a
+// NewCached wraps b in a write-through caching decorator: a
 // byte-budgeted LRU whole-file page cache, a stat cache that also
-// remembers negative (ENOENT) results, and a readdir cache. Like
-// Instrument, the wrapper preserves the backend's optional
-// capabilities, so type assertions against the result match the
-// wrapped backend. Wrapping a *MountFS registers an invalidation hook:
-// Mount/Unmount drop all clean cached state, since routing changed
-// underneath the cache.
+// remembers negative (ENOENT) results, and a readdir cache. Every Sync
+// and namespace mutation reaches the backend before its callback runs;
+// the cache buffers no writes, because §5.1's file objects already
+// batch a file's writes into one Sync on close. Like Instrument, the
+// wrapper preserves the backend's optional capabilities, so type
+// assertions against the result match the wrapped backend. Wrapping a
+// *MountFS registers an invalidation hook: Mount/Unmount drop all
+// cached state, since routing changed underneath the cache.
 //
 // The cache assumes it is the only writer to the backend (the standard
 // single-window assumption of §5.1's browser-local backends); external
 // mutation of shared stores (e.g. a CloudStore reached from another
 // window) is not observed until the relevant entries age out or are
 // invalidated by a local write.
-func NewCached(b Backend, opts CacheOptions) Backend {
+func NewCached(b Backend, opts CacheOptions) Backend { return newCached(b, opts, nil) }
+
+// newCached is NewCached over an optional retry layer's breaker, which
+// Stack passes when it puts the cache above one.
+func newCached(b Backend, opts CacheOptions, breaker breakerBackend) Backend {
 	c := &Cached{
-		b:          b,
-		budget:     opts.ByteBudget,
-		writeBack:  opts.WriteBack && !b.ReadOnly(),
-		degraded:   opts.Degraded,
-		onDegraded: opts.OnDegradedServe,
-		pages:      make(map[string]*cachePage),
-		lru:        list.New(),
-		stats:      make(map[string]cacheStat),
-		dirs:       make(map[string][]string),
-		dirtySet:   make(map[string]bool),
+		b:       b,
+		budget:  opts.ByteBudget,
+		breaker: breaker,
+		pages:   make(map[string]*cachePage),
+		lru:     list.New(),
+		stats:   make(map[string]cacheStat),
+		dirs:    make(map[string][]string),
 	}
 	if c.budget <= 0 {
 		c.budget = DefaultCacheBudget
@@ -99,8 +88,6 @@ func NewCached(b Backend, opts CacheOptions) Backend {
 		c.readdirHit = reg.Counter(sub, "readdir_hit")
 		c.readdirMiss = reg.Counter(sub, "readdir_miss")
 		c.eviction = reg.Counter(sub, "eviction")
-		c.wbQueued = reg.Counter(sub, "writeback_queued")
-		c.wbFlushed = reg.Counter(sub, "writeback_flushed")
 		c.degradedServes = reg.Counter(sub, "degraded_serves")
 		c.latOpenHit = reg.Histogram(sub, "open_hit_latency")
 		c.latOpenMiss = reg.Histogram(sub, "open_miss_latency")
@@ -115,8 +102,6 @@ func NewCached(b Backend, opts CacheOptions) Backend {
 		c.readdirHit = &telemetry.Counter{}
 		c.readdirMiss = &telemetry.Counter{}
 		c.eviction = &telemetry.Counter{}
-		c.wbQueued = &telemetry.Counter{}
-		c.wbFlushed = &telemetry.Counter{}
 		c.degradedServes = &telemetry.Counter{}
 	}
 	// Mount tables may sit under further decorators (faults, retry), so
@@ -147,31 +132,26 @@ type Cached struct {
 	lb LinkBackend
 	ab AttrBackend
 
-	mu         sync.Mutex
-	budget     int
-	used       int
-	writeBack  bool
-	degraded   func() bool // non-nil when stacked over a breaker
-	onDegraded func()
+	mu      sync.Mutex
+	budget  int
+	used    int
+	breaker breakerBackend // the retry layer below, when Stack put one there
 
-	pages    map[string]*cachePage
-	lru      *list.List // clean pages only; front = coldest
-	stats    map[string]cacheStat
-	dirs     map[string][]string
-	dirty    []string // write-back FIFO, in first-buffer order
-	dirtySet map[string]bool
+	pages map[string]*cachePage
+	lru   *list.List // front = coldest
+	stats map[string]cacheStat
+	dirs  map[string][]string
 
 	hit, miss, statHit, statMiss, negHit *telemetry.Counter
 	readdirHit, readdirMiss, eviction    *telemetry.Counter
-	wbQueued, wbFlushed, degradedServes  *telemetry.Counter
+	degradedServes                       *telemetry.Counter
 	latOpenHit, latOpenMiss              *telemetry.Histogram // nil-safe when no hub
 	latStatHit, latStatMiss              *telemetry.Histogram
 }
 
 type cachePage struct {
-	data  []byte
-	dirty bool
-	elem  *list.Element // non-nil iff clean and resident in the LRU
+	data []byte
+	elem *list.Element // the page's place in the LRU
 }
 
 // cacheStat remembers either a positive Stat result or the fact that
@@ -193,92 +173,64 @@ func (c *Cached) ReadOnly() bool { return c.b.ReadOnly() }
 // Unwrap exposes the wrapped backend for decorator-chain discovery.
 func (c *Cached) Unwrap() Backend { return c.b }
 
-// noteHit records a cache hit against the degraded-serve hook: a hit
-// delivered while the backend underneath is unreachable is the stack's
-// graceful-degradation path and is counted as such.
+// noteHit records a cache hit against the breaker underneath: a hit
+// delivered while the backend is unreachable is the stack's
+// graceful-degradation path and is counted as such, here and in the
+// retry layer's own counter.
 func (c *Cached) noteHit() {
-	if c.degraded != nil && c.degraded() {
+	if c.breaker != nil && c.breaker.BreakerState() == retry.Open {
 		c.degradedServes.Inc()
-		if c.onDegraded != nil {
-			c.onDegraded()
-		}
+		c.breaker.noteDegradedServe()
 	}
 }
 
 // CacheStats snapshots the cache counters.
 func (c *Cached) CacheStats() CacheStats {
 	c.mu.Lock()
-	used, dirty := int64(c.used), int64(len(c.dirty))
+	used := int64(c.used)
 	c.mu.Unlock()
 	return CacheStats{
 		Hits: c.hit.Value(), Misses: c.miss.Value(),
 		StatHits: c.statHit.Value(), StatMisses: c.statMiss.Value(),
 		NegativeHits: c.negHit.Value(),
 		ReaddirHits:  c.readdirHit.Value(), ReaddirMisses: c.readdirMiss.Value(),
-		Evictions:       c.eviction.Value(),
-		WritebackQueued: c.wbQueued.Value(), WritebackFlushed: c.wbFlushed.Value(),
+		Evictions:      c.eviction.Value(),
 		DegradedServes: c.degradedServes.Value(),
-		BytesUsed:      used, DirtyEntries: dirty,
+		BytesUsed:      used,
 	}
 }
 
-// InvalidateAll drops every clean cached entry. Dirty write-back pages
-// survive (their data exists nowhere else) along with their fabricated
-// stats, and will flush through whatever the backend routes to now.
+// InvalidateAll drops every cached entry.
 func (c *Cached) InvalidateAll() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for p, pg := range c.pages {
-		if !pg.dirty {
-			c.lru.Remove(pg.elem)
-			c.used -= len(pg.data)
-			delete(c.pages, p)
-		}
-	}
+	c.pages = make(map[string]*cachePage)
+	c.lru.Init()
+	c.used = 0
 	c.stats = make(map[string]cacheStat)
 	c.dirs = make(map[string][]string)
-	for p, pg := range c.pages {
-		c.stats[p] = cacheStat{st: Stats{Type: TypeFile, Size: int64(len(pg.data))}}
-	}
 }
 
 // ---- page cache internals (all *Locked methods hold c.mu) ----
 
-func (c *Cached) insertPageLocked(p string, data []byte, dirty bool) {
+func (c *Cached) insertPageLocked(p string, data []byte) {
 	c.dropPageLocked(p)
-	if !dirty && len(data) > c.budget {
+	if len(data) > c.budget {
 		return // larger than the whole cache: not worth caching
 	}
-	pg := &cachePage{data: data, dirty: dirty}
-	if !dirty {
-		pg.elem = c.lru.PushBack(p)
-	}
-	c.pages[p] = pg
+	c.pages[p] = &cachePage{data: data, elem: c.lru.PushBack(p)}
 	c.used += len(data)
-	c.evictLocked()
+	for c.used > c.budget {
+		c.dropPageLocked(c.lru.Front().Value.(string))
+		c.eviction.Inc()
+	}
 }
 
 func (c *Cached) dropPageLocked(p string) {
 	if pg, ok := c.pages[p]; ok {
-		if pg.elem != nil {
-			c.lru.Remove(pg.elem)
-		}
+		c.lru.Remove(pg.elem)
 		c.used -= len(pg.data)
 		delete(c.pages, p)
-	}
-}
-
-func (c *Cached) evictLocked() {
-	for c.used > c.budget {
-		front := c.lru.Front()
-		if front == nil {
-			return // only dirty (pinned) pages remain
-		}
-		p := front.Value.(string)
-		c.lru.Remove(front)
-		c.used -= len(c.pages[p].data)
-		delete(c.pages, p)
-		c.eviction.Inc()
 	}
 }
 
@@ -309,27 +261,6 @@ func (c *Cached) removeNameLocked(dir, base string) {
 		}
 	}
 	c.dirs[dir] = out
-}
-
-// mergeDirtyLocked folds buffered-but-unflushed children of dir into a
-// readdir listing, so write-back files are visible before Flush.
-func (c *Cached) mergeDirtyLocked(dir string, names []string) []string {
-	out := append([]string(nil), names...)
-	if len(c.dirty) == 0 {
-		return out
-	}
-	seen := make(map[string]bool, len(out))
-	for _, n := range out {
-		seen[n] = true
-	}
-	for _, dp := range c.dirty {
-		if name, ok := vkernel.ChildOf(dir, dp); ok && !seen[name] {
-			out = append(out, name)
-			seen[name] = true
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // invalidateSubtreeLocked forgets every cached entry at or under p
@@ -407,9 +338,7 @@ func (c *Cached) Open(p string, cb func([]byte, error)) {
 	start := c.now()
 	c.mu.Lock()
 	if pg, ok := c.pages[p]; ok {
-		if pg.elem != nil {
-			c.lru.MoveToBack(pg.elem)
-		}
+		c.lru.MoveToBack(pg.elem)
 		data := pg.data
 		c.mu.Unlock()
 		c.hit.Inc()
@@ -433,7 +362,7 @@ func (c *Cached) Open(p string, cb func([]byte, error)) {
 		if err == nil {
 			c.mu.Lock()
 			// The page shares the backend's read-only slice.
-			c.insertPageLocked(p, data, false)
+			c.insertPageLocked(p, data)
 			c.mu.Unlock()
 		}
 		c.latOpenMiss.ObserveSince(start)
@@ -441,19 +370,14 @@ func (c *Cached) Open(p string, cb func([]byte, error)) {
 	})
 }
 
-// Sync writes through (caching the new contents) or, in write-back
-// mode, buffers the write after validating it against cached metadata
-// with the same errno semantics a backend applies.
+// Sync writes through and, once the backend has accepted the write,
+// caches a copy of the new contents (the caller keeps data).
 func (c *Cached) Sync(p string, data []byte, cb func(error)) {
-	if c.writeBack {
-		c.syncBuffered(p, data, cb)
-		return
-	}
 	cp := append([]byte(nil), data...)
 	c.b.Sync(p, data, func(err error) {
 		if err == nil {
 			c.mu.Lock()
-			c.insertPageLocked(p, cp, false)
+			c.insertPageLocked(p, cp)
 			// Don't fabricate a stat: backends decorate Stats with
 			// modes/times the cache can't know. Refetch on demand.
 			delete(c.stats, p)
@@ -463,122 +387,6 @@ func (c *Cached) Sync(p string, data []byte, cb func(error)) {
 		}
 		cb(err)
 	})
-}
-
-func (c *Cached) syncBuffered(p string, data []byte, cb func(error)) {
-	dir, base := vkernel.SplitDir(p)
-	if base == "" {
-		cb(Err(EINVAL, "sync", p))
-		return
-	}
-	c.Stat(dir, func(dst Stats, derr error) {
-		if derr != nil {
-			cb(Err(ENOENT, "sync", p))
-			return
-		}
-		if !dst.IsDirectory() {
-			cb(Err(ENOTDIR, "sync", p))
-			return
-		}
-		c.Stat(p, func(st Stats, serr error) {
-			if serr == nil && st.IsDirectory() {
-				cb(Err(EISDIR, "sync", p))
-				return
-			}
-			if serr != nil && !IsErrno(serr, ENOENT) {
-				cb(serr)
-				return
-			}
-			cp := append([]byte(nil), data...)
-			c.mu.Lock()
-			c.insertPageLocked(p, cp, true)
-			if !c.dirtySet[p] {
-				c.dirtySet[p] = true
-				c.dirty = append(c.dirty, p)
-			}
-			// Dirty files exist only here, so the cache must answer
-			// Stat itself until the flush lands.
-			c.stats[p] = cacheStat{st: Stats{Type: TypeFile, Size: int64(len(cp))}}
-			c.addNameLocked(dir, base)
-			c.mu.Unlock()
-			c.wbQueued.Inc()
-			cb(nil)
-		})
-	})
-}
-
-// Flush uploads buffered writes to the backend in the order they were
-// first issued, stopping (and re-queueing the remainder) on the first
-// error. A cache with no dirty entries flushes trivially.
-func (c *Cached) Flush(cb func(error)) {
-	type flushItem struct {
-		path string
-		data []byte
-	}
-	c.mu.Lock()
-	if len(c.dirty) == 0 {
-		c.mu.Unlock()
-		cb(nil)
-		return
-	}
-	queue := c.dirty
-	c.dirty = nil
-	items := make([]flushItem, 0, len(queue))
-	for _, p := range queue {
-		delete(c.dirtySet, p)
-		if pg, ok := c.pages[p]; ok && pg.dirty {
-			items = append(items, flushItem{p, pg.data})
-		}
-	}
-	c.mu.Unlock()
-	var step func(i int)
-	step = func(i int) {
-		if i == len(items) {
-			cb(nil)
-			return
-		}
-		it := items[i]
-		c.b.Sync(it.path, it.data, func(err error) {
-			if err != nil {
-				// Re-queue this and the remaining entries (unless a
-				// concurrent Sync already re-dirtied them) so a later
-				// Flush retries in order.
-				c.mu.Lock()
-				for j := len(items) - 1; j >= i; j-- {
-					p := items[j].path
-					if pg, ok := c.pages[p]; ok && pg.dirty && !c.dirtySet[p] {
-						c.dirtySet[p] = true
-						c.dirty = append([]string{p}, c.dirty...)
-					}
-				}
-				c.mu.Unlock()
-				cb(err)
-				return
-			}
-			c.wbFlushed.Inc()
-			c.mu.Lock()
-			// Mark clean unless the entry was re-dirtied mid-flight.
-			if pg, ok := c.pages[it.path]; ok && pg.dirty && !c.dirtySet[it.path] {
-				pg.dirty = false
-				pg.elem = c.lru.PushBack(it.path)
-				c.evictLocked()
-			}
-			c.mu.Unlock()
-			step(i + 1)
-		})
-	}
-	step(0)
-}
-
-// flushThen drains the write-back queue before a namespace-mutating
-// operation, so the backend observes writes and mutations in program
-// order; in write-through mode it runs the continuation immediately.
-func (c *Cached) flushThen(then func(error)) {
-	if !c.writeBack {
-		then(nil)
-		return
-	}
-	c.Flush(then)
 }
 
 // Unlink removes a file, short-circuiting on a cached negative stat,
@@ -594,22 +402,16 @@ func (c *Cached) Unlink(p string, cb func(error)) {
 		return
 	}
 	c.mu.Unlock()
-	c.flushThen(func(ferr error) {
-		if ferr != nil {
-			cb(ferr)
-			return
+	c.b.Unlink(p, func(err error) {
+		if err == nil {
+			c.mu.Lock()
+			c.dropPageLocked(p)
+			c.stats[p] = cacheStat{neg: true}
+			dir, base := vkernel.SplitDir(p)
+			c.removeNameLocked(dir, base)
+			c.mu.Unlock()
 		}
-		c.b.Unlink(p, func(err error) {
-			if err == nil {
-				c.mu.Lock()
-				c.dropPageLocked(p)
-				c.stats[p] = cacheStat{neg: true}
-				dir, base := vkernel.SplitDir(p)
-				c.removeNameLocked(dir, base)
-				c.mu.Unlock()
-			}
-			cb(err)
-		})
+		cb(err)
 	})
 }
 
@@ -623,22 +425,16 @@ func (c *Cached) Rmdir(p string, cb func(error)) {
 		return
 	}
 	c.mu.Unlock()
-	c.flushThen(func(ferr error) {
-		if ferr != nil {
-			cb(ferr)
-			return
+	c.b.Rmdir(p, func(err error) {
+		if err == nil {
+			c.mu.Lock()
+			delete(c.dirs, p)
+			c.stats[p] = cacheStat{neg: true}
+			dir, base := vkernel.SplitDir(p)
+			c.removeNameLocked(dir, base)
+			c.mu.Unlock()
 		}
-		c.b.Rmdir(p, func(err error) {
-			if err == nil {
-				c.mu.Lock()
-				delete(c.dirs, p)
-				c.stats[p] = cacheStat{neg: true}
-				dir, base := vkernel.SplitDir(p)
-				c.removeNameLocked(dir, base)
-				c.mu.Unlock()
-			}
-			cb(err)
-		})
+		cb(err)
 	})
 }
 
@@ -657,12 +453,13 @@ func (c *Cached) Mkdir(p string, cb func(error)) {
 	})
 }
 
-// Readdir serves cached listings (merging in unflushed write-back
-// children) and caches backend listings on miss.
+// Readdir serves cached listings and caches backend listings on miss.
+// A hit hands the caller its own copy: the slice belongs to the caller
+// (see Backend.Readdir), and the cache edits its listing in place.
 func (c *Cached) Readdir(p string, cb func([]string, error)) {
 	c.mu.Lock()
 	if names, ok := c.dirs[p]; ok {
-		out := c.mergeDirtyLocked(p, names)
+		out := slices.Clone(names)
 		c.mu.Unlock()
 		c.readdirHit.Inc()
 		c.noteHit()
@@ -684,16 +481,15 @@ func (c *Cached) Readdir(p string, cb func([]string, error)) {
 			return
 		}
 		c.mu.Lock()
-		c.dirs[p] = append([]string(nil), names...)
-		out := c.mergeDirtyLocked(p, names)
+		c.dirs[p] = slices.Clone(names)
 		c.mu.Unlock()
-		cb(out, nil)
+		cb(names, nil)
 	})
 }
 
-// Rename moves a node, flushing buffered writes first and then
-// invalidating both affected subtrees (a directory rename moves every
-// descendant, so exact-path invalidation is not enough).
+// Rename moves a node, then invalidates both affected subtrees (a
+// directory rename moves every descendant, so exact-path invalidation
+// is not enough).
 func (c *Cached) Rename(oldPath, newPath string, cb func(error)) {
 	c.mu.Lock()
 	if e, ok := c.stats[oldPath]; ok && e.neg && !c.b.ReadOnly() {
@@ -703,27 +499,21 @@ func (c *Cached) Rename(oldPath, newPath string, cb func(error)) {
 		return
 	}
 	c.mu.Unlock()
-	c.flushThen(func(ferr error) {
-		if ferr != nil {
-			cb(ferr)
-			return
-		}
-		c.b.Rename(oldPath, newPath, func(err error) {
-			if err == nil {
-				c.mu.Lock()
-				c.invalidateSubtreeLocked(oldPath)
-				if oldPath != newPath {
-					c.invalidateSubtreeLocked(newPath)
-					c.stats[oldPath] = cacheStat{neg: true}
-					od, ob := vkernel.SplitDir(oldPath)
-					nd, nb := vkernel.SplitDir(newPath)
-					c.removeNameLocked(od, ob)
-					c.addNameLocked(nd, nb)
-				}
-				c.mu.Unlock()
+	c.b.Rename(oldPath, newPath, func(err error) {
+		if err == nil {
+			c.mu.Lock()
+			c.invalidateSubtreeLocked(oldPath)
+			if oldPath != newPath {
+				c.invalidateSubtreeLocked(newPath)
+				c.stats[oldPath] = cacheStat{neg: true}
+				od, ob := vkernel.SplitDir(oldPath)
+				nd, nb := vkernel.SplitDir(newPath)
+				c.removeNameLocked(od, ob)
+				c.addNameLocked(nd, nb)
 			}
-			cb(err)
-		})
+			c.mu.Unlock()
+		}
+		cb(err)
 	})
 }
 
@@ -731,21 +521,15 @@ func (c *Cached) Rename(oldPath, newPath string, cb func(error)) {
 // embedding variants below so type assertions stay truthful) ----
 
 func (c *Cached) symlink(target, p string, cb func(error)) {
-	c.flushThen(func(ferr error) {
-		if ferr != nil {
-			cb(ferr)
-			return
+	c.lb.Symlink(target, p, func(err error) {
+		if err == nil {
+			c.mu.Lock()
+			delete(c.stats, p)
+			dir, base := vkernel.SplitDir(p)
+			c.addNameLocked(dir, base)
+			c.mu.Unlock()
 		}
-		c.lb.Symlink(target, p, func(err error) {
-			if err == nil {
-				c.mu.Lock()
-				delete(c.stats, p)
-				dir, base := vkernel.SplitDir(p)
-				c.addNameLocked(dir, base)
-				c.mu.Unlock()
-			}
-			cb(err)
-		})
+		cb(err)
 	})
 }
 

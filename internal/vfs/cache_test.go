@@ -104,17 +104,6 @@ func bRename(b Backend, o, n string) error {
 	return out
 }
 
-func bFlush(t *testing.T, b Backend) error {
-	t.Helper()
-	fl, ok := b.(Flusher)
-	if !ok {
-		t.Fatal("cached backend does not implement Flusher")
-	}
-	var out error
-	fl.Flush(func(err error) { out = err })
-	return out
-}
-
 func cacheStatsOf(t *testing.T, b Backend) CacheStats {
 	t.Helper()
 	cs, ok := b.(CacheStatser)
@@ -226,160 +215,38 @@ func TestUnlinkOfCachedNegativePath(t *testing.T) {
 	}
 }
 
-func TestWriteBackFlushOrdering(t *testing.T) {
-	c, log := newLoggedCache(CacheOptions{WriteBack: true})
-	for _, p := range []string{"/a", "/b", "/c"} {
-		if err := bSync(c, p, []byte("v:"+p)); err != nil {
+// A rename across a mount boundary fails EXDEV and must leave the
+// cached view of the source intact (no spurious negative entry). The
+// cache is write-through, which the subtest name records.
+func TestCachedRenameAcrossMountBoundary(t *testing.T) {
+	t.Run("writeback=false", func(t *testing.T) {
+		m := NewMountFS(NewInMemory())
+		m.Mount("/mnt", NewInMemory())
+		c := NewCached(m, CacheOptions{})
+		if err := bSync(c, "/a", []byte("data")); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if n := countOps(*log, "sync"); n != 0 {
-		t.Fatalf("backend syncs before flush = %d, want 0", n)
-	}
-	// Buffered files are fully visible through the cache.
-	if data, err := bOpen(c, "/b"); err != nil || string(data) != "v:/b" {
-		t.Fatalf("open buffered = %q, %v", data, err)
-	}
-	if st, err := bStat(c, "/c"); err != nil || st.Size != int64(len("v:/c")) {
-		t.Fatalf("stat buffered = %+v, %v", st, err)
-	}
-	if names, err := bReaddir(c, "/"); err != nil || fmt.Sprint(names) != "[a b c]" {
-		t.Fatalf("readdir buffered = %v, %v", names, err)
-	}
-	if err := bFlush(t, c); err != nil {
-		t.Fatal(err)
-	}
-	var syncs []string
-	for _, e := range *log {
-		if strings.HasPrefix(e, "sync ") {
-			syncs = append(syncs, e)
+		if _, err := bStat(c, "/a"); err != nil {
+			t.Fatal(err)
 		}
-	}
-	want := []string{"sync /a", "sync /b", "sync /c"}
-	if fmt.Sprint(syncs) != fmt.Sprint(want) {
-		t.Fatalf("flush order = %v, want %v", syncs, want)
-	}
-	// Re-dirtying after a flush queues in new issue order.
-	if err := bSync(c, "/b", []byte("2")); err != nil {
-		t.Fatal(err)
-	}
-	if err := bSync(c, "/a", []byte("2")); err != nil {
-		t.Fatal(err)
-	}
-	if err := bFlush(t, c); err != nil {
-		t.Fatal(err)
-	}
-	syncs = nil
-	for _, e := range *log {
-		if strings.HasPrefix(e, "sync ") {
-			syncs = append(syncs, e)
+		if err := bRename(c, "/a", "/mnt/a"); !IsErrno(err, EXDEV) {
+			t.Fatalf("cross-mount rename = %v, want EXDEV", err)
 		}
-	}
-	if fmt.Sprint(syncs[len(want):]) != "[sync /b sync /a]" {
-		t.Fatalf("re-flush order = %v", syncs)
-	}
-	cs := cacheStatsOf(t, c)
-	if cs.WritebackQueued != 5 || cs.WritebackFlushed != 5 || cs.DirtyEntries != 0 {
-		t.Errorf("write-back stats = %+v", cs)
-	}
-}
-
-// Namespace mutations must observe buffered writes: the queue drains
-// before the backend sees the mutation.
-func TestWriteBackFlushesBeforeMutation(t *testing.T) {
-	c, log := newLoggedCache(CacheOptions{WriteBack: true})
-	if err := bSync(c, "/a", []byte("data")); err != nil {
-		t.Fatal(err)
-	}
-	if err := bRename(c, "/a", "/b"); err != nil {
-		t.Fatal(err)
-	}
-	var mutating []string
-	for _, e := range *log {
-		if strings.HasPrefix(e, "sync ") || strings.HasPrefix(e, "rename ") {
-			mutating = append(mutating, e)
+		st, err := bStat(c, "/a")
+		if err != nil || st.Size != 4 {
+			t.Errorf("stat after failed rename = %+v, %v", st, err)
 		}
-	}
-	if fmt.Sprint(mutating) != "[sync /a rename /a /b]" {
-		t.Fatalf("mutation order = %v, want sync before rename", mutating)
-	}
-	if data, err := bOpen(c, "/b"); err != nil || string(data) != "data" {
-		t.Errorf("open after rename = %q, %v", data, err)
-	}
-	if _, err := bStat(c, "/a"); !IsErrno(err, ENOENT) {
-		t.Errorf("stat old path = %v, want ENOENT", err)
-	}
-}
-
-// Sync-on-close through the front end buffers in write-back mode; the
-// FS-level Flush (and FSync re-sync) drain in issue order.
-func TestWriteBackSyncOnCloseOrdering(t *testing.T) {
-	var log []string
-	h := newHarness(t, browser.Chrome28, func(*browser.Window, *buffer.Factory) Backend {
-		return NewCached(&loggedBackend{b: NewInMemory(), log: &log}, CacheOptions{WriteBack: true})
+		if data, err := bOpen(c, "/a"); err != nil || string(data) != "data" {
+			t.Errorf("open after failed rename = %q, %v", data, err)
+		}
+		if _, err := bStat(c, "/mnt/a"); !IsErrno(err, ENOENT) {
+			t.Errorf("destination exists after failed rename: %v", err)
+		}
 	})
-	if err := h.writeFile("/f1", []byte("one")); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.writeFile("/f2", []byte("two")); err != nil {
-		t.Fatal(err)
-	}
-	if n := countOps(log, "sync"); n != 0 {
-		t.Fatalf("backend syncs before flush = %d, want 0", n)
-	}
-	// The buffered file reads back through a fresh descriptor.
-	if data, err := h.readFile("/f1"); err != nil || string(data) != "one" {
-		t.Fatalf("readFile buffered = %q, %v", data, err)
-	}
-	var flushErr error
-	h.run(func(done func()) { h.fs.Flush(func(err error) { flushErr = err; done() }) })
-	if flushErr != nil {
-		t.Fatal(flushErr)
-	}
-	var syncs []string
-	for _, e := range log {
-		if strings.HasPrefix(e, "sync ") {
-			syncs = append(syncs, e)
-		}
-	}
-	if fmt.Sprint(syncs) != "[sync /f1 sync /f2]" {
-		t.Fatalf("close-flush order = %v", syncs)
-	}
-}
-
-// A rename across a mount boundary fails EXDEV and must leave the
-// cached view of the source intact (no spurious negative entry).
-func TestCachedRenameAcrossMountBoundary(t *testing.T) {
-	for _, writeBack := range []bool{false, true} {
-		t.Run(fmt.Sprintf("writeback=%v", writeBack), func(t *testing.T) {
-			m := NewMountFS(NewInMemory())
-			m.Mount("/mnt", NewInMemory())
-			c := NewCached(m, CacheOptions{WriteBack: writeBack})
-			if err := bSync(c, "/a", []byte("data")); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := bStat(c, "/a"); err != nil {
-				t.Fatal(err)
-			}
-			if err := bRename(c, "/a", "/mnt/a"); !IsErrno(err, EXDEV) {
-				t.Fatalf("cross-mount rename = %v, want EXDEV", err)
-			}
-			st, err := bStat(c, "/a")
-			if err != nil || st.Size != 4 {
-				t.Errorf("stat after failed rename = %+v, %v", st, err)
-			}
-			if data, err := bOpen(c, "/a"); err != nil || string(data) != "data" {
-				t.Errorf("open after failed rename = %q, %v", data, err)
-			}
-			if _, err := bStat(c, "/mnt/a"); !IsErrno(err, ENOENT) {
-				t.Errorf("destination exists after failed rename: %v", err)
-			}
-		})
-	}
 }
 
 // Mount and Unmount reroute paths under the cache, so both must drop
-// clean cached state.
+// cached state.
 func TestCachedMountChangeInvalidation(t *testing.T) {
 	m := NewMountFS(NewInMemory())
 	c := NewCached(m, CacheOptions{})
@@ -434,25 +301,6 @@ func TestCachedEvictionRespectsBudget(t *testing.T) {
 	}
 	if countOps(*log, "open") != before+1 {
 		t.Errorf("open of evicted entry did not reach the backend")
-	}
-	// Dirty write-back pages are pinned: they never evict, even over
-	// budget, because the cache is their only copy.
-	cwb, _ := newLoggedCache(CacheOptions{ByteBudget: 50, WriteBack: true})
-	for i := 0; i < 4; i++ {
-		if err := bSync(cwb, fmt.Sprintf("/d%d", i), payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 4; i++ {
-		if data, err := bOpen(cwb, fmt.Sprintf("/d%d", i)); err != nil || len(data) != 40 {
-			t.Fatalf("pinned dirty page /d%d lost: %d bytes, %v", i, len(data), err)
-		}
-	}
-	if err := bFlush(t, cwb); err != nil {
-		t.Fatal(err)
-	}
-	if cs := cacheStatsOf(t, cwb); cs.BytesUsed > 50 {
-		t.Errorf("BytesUsed after flush = %d, want <= 50 (clean pages evict)", cs.BytesUsed)
 	}
 }
 

@@ -13,9 +13,7 @@ import (
 
 // sealed is a test-only decorator that holds the slices Open delivers
 // to Backend.Open's read-only contract: it fingerprints each one, and
-// verify fails if any changed afterwards. It keeps the Flusher
-// capability; FS.Flush completes immediately for backends without
-// one, as it does here.
+// verify fails if any changed afterwards.
 type sealed struct {
 	Backend
 	reads []sealedRead
@@ -38,14 +36,6 @@ func (s *sealed) Open(p string, cb func([]byte, error)) {
 	})
 }
 
-func (s *sealed) Flush(cb func(error)) {
-	if fl, ok := s.Backend.(Flusher); ok {
-		fl.Flush(cb)
-		return
-	}
-	cb(nil)
-}
-
 // verify fails t if any slice Open delivered has changed since.
 func (s *sealed) verify(t *testing.T) {
 	t.Helper()
@@ -62,23 +52,22 @@ func (s *sealed) verify(t *testing.T) {
 // observable outcomes — the §5.1 contract that the unified API gives
 // "full-featured read/write functionality" regardless of the storage
 // mechanism underneath. Every backend also runs wrapped in the caching
-// decorator (write-through and, where meaningful, write-back with
-// periodic flushes): the cache must be observationally invisible.
-// Each variant runs sealed: the op stream mutates files through an FD,
-// AppendFile, Truncate and the Buffers ReadFile returns, and no slice
-// any Open delivered may change. The blocking arm drives the same
-// stream through FS.Blocking, the guests' blocking entry point, on
-// every variant and the bare InMemory backend: delivering inline
-// answers inline must not change a single result.
+// decorator: the cache must be observationally invisible. Each variant
+// runs sealed: the op stream mutates files through an FD, AppendFile,
+// Truncate and the Buffers ReadFile returns, and no slice any Open
+// delivered may change. It also overwrites every Readdir result, which
+// belongs to its caller: a backend or decorator that hands out a
+// listing it keeps serves the scribbles back. The blocking arm drives
+// the same stream through FS.Blocking, the guests' blocking entry
+// point, on every variant and the bare InMemory backend: delivering
+// inline answers inline must not change a single result.
 func TestBackendEquivalence(t *testing.T) {
 	type opResult struct {
 		op   string
 		err  string
 		data string
 	}
-	// flushEvery > 0 inserts an unrecorded front-end Flush every that
-	// many steps, draining write-back queues mid-sequence.
-	runSequence := func(t *testing.T, flushEvery int, blocking bool, mk func(w *browser.Window, bufs *buffer.Factory) Backend) []opResult {
+	runSequence := func(t *testing.T, blocking bool, mk func(w *browser.Window, bufs *buffer.Factory) Backend) []opResult {
 		var root *sealed
 		h := newHarness(t, browser.Chrome28, func(w *browser.Window, bufs *buffer.Factory) Backend {
 			root = seal(mk(w, bufs))
@@ -125,6 +114,9 @@ func TestBackendEquivalence(t *testing.T) {
 			case 4:
 				names, err := h.readdir("/dir")
 				record("readdir", fmt.Sprint(names), err)
+				for j := range names {
+					names[j] = "#"
+				}
 			case 5:
 				other := paths[next(len(paths))]
 				err := h.rename(p, other)
@@ -145,14 +137,11 @@ func TestBackendEquivalence(t *testing.T) {
 				data, err := h.readFileThen(p, func(b *buffer.Buffer) { b.Fill('#', 0, b.Len()) })
 				record("read+scribble "+p, string(data), err)
 			}
-			if flushEvery > 0 && i%flushEvery == flushEvery-1 {
-				h.run(func(done func()) { h.fs.Flush(func(error) { done() }) })
-			}
 		}
 		return results
 	}
 
-	reference := runSequence(t, 0, false, func(*browser.Window, *buffer.Factory) Backend {
+	reference := runSequence(t, false, func(*browser.Window, *buffer.Factory) Backend {
 		return NewInMemory()
 	})
 	compare := func(t *testing.T, name string, got []opResult) {
@@ -193,27 +182,22 @@ func TestBackendEquivalence(t *testing.T) {
 	}
 
 	type variant struct {
-		name       string
-		flushEvery int
-		mk         func(w *browser.Window, bufs *buffer.Factory) Backend
+		name string
+		mk   func(w *browser.Window, bufs *buffer.Factory) Backend
 	}
 	var variants []variant
 	for name, mk := range base {
 		mk := mk
 		if name != "inmemory" {
-			variants = append(variants, variant{name, 0, mk})
+			variants = append(variants, variant{name, mk})
 		}
-		variants = append(variants, variant{"cached-" + name, 0,
+		variants = append(variants, variant{"cached-" + name,
 			func(w *browser.Window, bufs *buffer.Factory) Backend {
 				return NewCached(mk(w, bufs), CacheOptions{})
 			}})
-		variants = append(variants, variant{"cached-writeback-" + name, 25,
-			func(w *browser.Window, bufs *buffer.Factory) Backend {
-				return NewCached(mk(w, bufs), CacheOptions{WriteBack: true})
-			}})
 		// The decorator stack at fault rate 0: the fault and retry
 		// layers must be observationally invisible on a healthy backend.
-		variants = append(variants, variant{"stack-faults0-" + name, 0,
+		variants = append(variants, variant{"stack-faults0-" + name,
 			func(w *browser.Window, bufs *buffer.Factory) Backend {
 				return Stack(mk(w, bufs),
 					WithFaults(faultfs.Plan{Seed: 42, ErrRate: 0, ShortRate: 0}),
@@ -223,7 +207,7 @@ func TestBackendEquivalence(t *testing.T) {
 		// 10% injected faults (a quarter of them post-commit lost acks,
 		// plus short reads): the retry layer must absorb every one, so
 		// the op stream is bit-identical to the bare backend's.
-		variants = append(variants, variant{"stack-retry-faults10-" + name, 0,
+		variants = append(variants, variant{"stack-retry-faults10-" + name,
 			func(w *browser.Window, bufs *buffer.Factory) Backend {
 				return Stack(mk(w, bufs),
 					WithFaults(faultfs.Plan{Seed: 42, ErrRate: 0.1, PostFrac: 0.25, ShortRate: 0.05}),
@@ -235,7 +219,7 @@ func TestBackendEquivalence(t *testing.T) {
 				)
 			}})
 		// The full stack — faults, retry, and cache together.
-		variants = append(variants, variant{"stack-full-" + name, 0,
+		variants = append(variants, variant{"stack-full-" + name,
 			func(w *browser.Window, bufs *buffer.Factory) Backend {
 				return Stack(mk(w, bufs),
 					WithFaults(faultfs.Plan{Seed: 7, ErrRate: 0.1, PostFrac: 0.25, ShortRate: 0.05}),
@@ -250,7 +234,7 @@ func TestBackendEquivalence(t *testing.T) {
 	}
 	// A tight budget forces constant eviction; correctness must not
 	// depend on residency.
-	variants = append(variants, variant{"cached-tiny-budget", 0,
+	variants = append(variants, variant{"cached-tiny-budget",
 		func(*browser.Window, *buffer.Factory) Backend {
 			return NewCached(NewInMemory(), CacheOptions{ByteBudget: 16})
 		}})
@@ -258,13 +242,13 @@ func TestBackendEquivalence(t *testing.T) {
 	for _, v := range variants {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
-			compare(t, v.name, runSequence(t, v.flushEvery, false, v.mk))
+			compare(t, v.name, runSequence(t, false, v.mk))
 		})
 	}
-	for _, v := range append([]variant{{"inmemory", 0, base["inmemory"]}}, variants...) {
+	for _, v := range append([]variant{{"inmemory", base["inmemory"]}}, variants...) {
 		v := v
 		t.Run("blocking-"+v.name, func(t *testing.T) {
-			compare(t, "blocking-"+v.name, runSequence(t, v.flushEvery, true, v.mk))
+			compare(t, "blocking-"+v.name, runSequence(t, true, v.mk))
 		})
 	}
 }
@@ -284,7 +268,7 @@ func TestReadOnlyBackendCacheEquivalence(t *testing.T) {
 			w.Remote.Serve("assets/maps/level2.json", []byte(`{"w":9}`))
 			b := Backend(NewHTTPFS(w.Loop, w.Remote, "assets"))
 			if cached {
-				b = NewCached(b, CacheOptions{WriteBack: true}) // WriteBack must be ignored
+				b = NewCached(b, CacheOptions{})
 			}
 			root = seal(b)
 			return root

@@ -192,17 +192,6 @@ func (f *faulty) Rename(oldPath, newPath string, cb func(error)) {
 	f.errOp("rename", oldPath, func(cb2 func(error)) { f.b.Rename(oldPath, newPath, cb2) }, cb)
 }
 
-// Flush forwards to the wrapped backend's Flusher if present (faults
-// apply to the individual Sync calls a flush issues, not to the drain
-// itself), and succeeds trivially otherwise.
-func (f *faulty) Flush(cb func(error)) {
-	if fl, ok := f.b.(Flusher); ok {
-		fl.Flush(cb)
-		return
-	}
-	cb(nil)
-}
-
 // faultyLink adds the optional link capability.
 type faultyLink struct{ *faulty }
 

@@ -14,6 +14,11 @@ import (
 // given backend"). Blocking is the entry point for callers that block
 // a guest thread on the callback anyway: there an answer the backend
 // chain gives inline is delivered inline too.
+//
+// An open descriptor holds its whole file in a Buffer and writes it
+// back with one Sync on Close or FSync (§5.1's NFS-style
+// sync-on-close). That is the only write buffering between a caller
+// and the backend: every decorator below writes through.
 type FS struct {
 	loop *eventloop.Loop
 	bufs *buffer.Factory
@@ -618,19 +623,6 @@ func (fs *FS) Symlink(target, path string, cb func(error)) {
 		return
 	}
 	lb.Symlink(target, p, func(err error) { fs.deliverErr(cb, err) })
-}
-
-// Flush pushes any writes buffered below the front end (a write-back
-// CachedBackend, directly or under a MountFS) to durable storage, in
-// issue order. Backends without buffering complete immediately.
-func (fs *FS) Flush(cb func(error)) {
-	fs.note("flush", "/")
-	fl, ok := fs.root.(Flusher)
-	if !ok {
-		fs.deliverErr(cb, nil)
-		return
-	}
-	fl.Flush(func(err error) { fs.deliverErr(cb, err) })
 }
 
 // Readlink reads a symbolic link's target.

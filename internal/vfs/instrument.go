@@ -93,17 +93,6 @@ func (i *instrumented) ReadOnly() bool { return i.b.ReadOnly() }
 // Unwrap exposes the wrapped backend for decorator-chain discovery.
 func (i *instrumented) Unwrap() Backend { return i.b }
 
-// Flush forwards to the wrapped backend's Flusher if present; a
-// backend without one flushes trivially, matching fs.Flush's own
-// fallback, so the forwarding is observationally capability-neutral.
-func (i *instrumented) Flush(cb func(error)) {
-	if fl, ok := i.b.(Flusher); ok {
-		fl.Flush(cb)
-		return
-	}
-	cb(nil)
-}
-
 func (i *instrumented) Stat(path string, cb func(Stats, error)) {
 	start := time.Now()
 	i.b.Stat(path, func(s Stats, err error) { i.done(i.stat, start, "stat", path, err); cb(s, err) })

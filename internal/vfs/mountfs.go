@@ -19,8 +19,8 @@ type MountFS struct {
 	mounts []mountPoint // sorted longest prefix first
 
 	// onChange observes Mount/Unmount with the affected prefix; a
-	// CachedBackend wrapping this MountFS registers here so routing
-	// changes invalidate its cached state.
+	// Cached wrapping this MountFS registers here so routing changes
+	// invalidate its cached state.
 	onChange func(path string)
 }
 
@@ -200,34 +200,4 @@ func (m *MountFS) Rename(oldPath, newPath string, cb func(error)) {
 		return
 	}
 	ob.Rename(orel, nrel, cb)
-}
-
-// Flush forwards to the root backend and every mounted backend that
-// buffers writes (Flusher), so a write-back cache under any mount
-// drains when the front end flushes.
-func (m *MountFS) Flush(cb func(error)) {
-	targets := make([]Flusher, 0, len(m.mounts)+1)
-	if fl, ok := m.root.(Flusher); ok {
-		targets = append(targets, fl)
-	}
-	for _, mp := range m.mounts {
-		if fl, ok := mp.b.(Flusher); ok {
-			targets = append(targets, fl)
-		}
-	}
-	var step func(i int)
-	step = func(i int) {
-		if i == len(targets) {
-			cb(nil)
-			return
-		}
-		targets[i].Flush(func(err error) {
-			if err != nil {
-				cb(err)
-				return
-			}
-			step(i + 1)
-		})
-	}
-	step(0)
 }

@@ -539,18 +539,6 @@ func (r *retrying) Rename(oldPath, newPath string, cb func(error)) {
 		func(done func(error)) { r.b.Rename(oldPath, newPath, done) }, cb)
 }
 
-// Flush forwards to the wrapped backend's Flusher if present. The
-// individual Sync calls a flush issues pass through this decorator's
-// Sync only when the Flusher sits above it, so no retry loop wraps the
-// drain itself.
-func (r *retrying) Flush(cb func(error)) {
-	if fl, ok := r.b.(Flusher); ok {
-		fl.Flush(cb)
-		return
-	}
-	cb(nil)
-}
-
 // ---- optional capabilities ----
 
 func (r *retrying) symlink(target, p string, cb func(error)) {

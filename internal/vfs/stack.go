@@ -35,8 +35,8 @@ func Find[T any](b Backend) (T, bool) {
 	return zero, false
 }
 
-// breakerBackend is the slice of the retry decorator the Stack wires
-// into the cache's degraded-serve hook.
+// breakerBackend is the slice of the retry decorator the Stack hands
+// the cache for its degraded-serve count.
 type breakerBackend interface {
 	BreakerState() retry.State
 	noteDegradedServe()
@@ -103,10 +103,10 @@ func WithTelemetry(hub *telemetry.Hub) StackOption {
 //     the kernel experiences — including backoff waits and cache hits.
 //
 // Layers are optional; Stack(b) returns b unchanged. When both retry
-// and cache layers are present, Stack wires the breaker into the
-// cache's degraded-serve hook automatically (an explicit
-// CacheOptions.Degraded wins). Use Find to recover a layer's stats
-// from the returned backend.
+// and cache layers are present, Stack hands the cache the retry
+// layer's breaker, so hits served while it is open count as degraded
+// serves. Use Find to recover a layer's stats from the returned
+// backend.
 func Stack(backend Backend, opts ...StackOption) Backend {
 	var cfg stackConfig
 	for _, o := range opts {
@@ -141,13 +141,7 @@ func Stack(backend Backend, opts ...StackOption) Backend {
 		if co.Hub == nil {
 			co.Hub = cfg.hub
 		}
-		if co.Degraded == nil && brb != nil {
-			co.Degraded = func() bool { return brb.BreakerState() == retry.Open }
-			if co.OnDegradedServe == nil {
-				co.OnDegradedServe = brb.noteDegradedServe
-			}
-		}
-		b = NewCached(b, co)
+		b = newCached(b, co, brb)
 	}
 	if cfg.hub != nil {
 		b = Instrument(b, cfg.hub)
