@@ -32,7 +32,6 @@ import (
 	"doppio/internal/fleet"
 	"doppio/internal/fstrace"
 	"doppio/internal/ops"
-	gprof "doppio/internal/profile"
 	"doppio/internal/telemetry"
 	"doppio/internal/vfs"
 )
@@ -61,9 +60,13 @@ func main() {
 	seed := flag.Int64("seed", 42, "-ab seed: picks the arm that leads the first pair and seeds fault sequences and retry jitter")
 	flag.Parse()
 
+	profiling := *profFlag || *profPath != ""
 	var hub *telemetry.Hub
-	if *metrics || *tracePath != "" || *opsAddr != "" || *flightCap > 0 {
+	if *metrics || *tracePath != "" || *opsAddr != "" || *flightCap > 0 || profiling {
 		hub = telemetry.NewHub()
+		if profiling {
+			hub.EnableProfiling()
+		}
 		if *tracePath != "" {
 			hub.EnableTracing()
 			hub.Tracer.SetEventCap(*traceCap)
@@ -87,17 +90,12 @@ func main() {
 		}
 	}
 	anyFigure := *fig3 || *fig45 || *fig6 || *table1 || *table2 || *resp || *all || len(abs) > 0
-	if !anyFigure && hub == nil && !*profFlag && *profPath == "" {
+	if !anyFigure && hub == nil {
 		// -prof alone runs the instrumented default pass, like -metrics.
 		flag.Usage()
 		os.Exit(2)
 	}
 	cfg := bench.Config{Scale: *scale, DisableEngineTax: *noTax, Telemetry: hub, Seed: *seed}
-	var guestProf *gprof.Profiler
-	if *profFlag || *profPath != "" {
-		guestProf = gprof.New(gprof.Options{})
-		cfg.Profiler = guestProf
-	}
 	var opsSrv *ops.Server
 	if *opsAddr != "" {
 		opsSrv = ops.NewServer(hub)
@@ -126,21 +124,10 @@ func main() {
 	var finishErr error
 	finish := func() {
 		finishOnce.Do(func() {
-			if guestProf != nil {
-				if *profPath != "" {
-					if err := guestProf.Snapshot(gprof.CPU).WriteFile(*profPath, time.Since(benchStart)); err != nil {
-						fmt.Fprintln(os.Stderr, "doppio-bench: writing profile:", err)
-					} else {
-						fmt.Fprintf(os.Stderr, "doppio-bench: guest profile written to %s\n", *profPath)
-					}
-				} else {
-					fmt.Fprintf(os.Stderr, "doppio-bench: guest hot methods (%d cpu samples):\n%s",
-						guestProf.Samples(), gprof.FormatTop(guestProf.Snapshot(gprof.CPU), 10))
-				}
-			}
 			if hub == nil {
 				return
 			}
+			hub.Profiler.ReportAtExit(os.Stderr, "doppio-bench", *profPath, time.Since(benchStart))
 			if *metrics {
 				fmt.Print(hub.Registry.Snapshot().Format())
 			}

@@ -31,7 +31,6 @@ import (
 	"doppio/internal/jvm"
 	"doppio/internal/jvm/rt"
 	"doppio/internal/ops"
-	gprof "doppio/internal/profile"
 	"doppio/internal/telemetry"
 )
 
@@ -122,8 +121,9 @@ func main() {
 	}
 	win := browser.NewWindow(profile)
 	diagnosing := *opsAddr != "" || *flightCap > 0 || *postmortem != "" || *stallBudget > 0
+	profiling := *profFlag || *profOut != ""
 	var hub *telemetry.Hub
-	if *metrics || *tracePath != "" || diagnosing {
+	if *metrics || *tracePath != "" || diagnosing || profiling {
 		hub = telemetry.NewHub()
 		if *tracePath != "" {
 			hub.EnableTracing()
@@ -135,12 +135,11 @@ func main() {
 			// Every diagnostics path wants the black box.
 			hub.EnableFlight(telemetry.DefaultFlightCapacity)
 		}
+		if profiling {
+			hub.EnableProfiling()
+		}
 		hub.MethodSpans = *traceMethods
 		win.EnableTelemetry(hub)
-	}
-	var guestProf *gprof.Profiler
-	if *profFlag || *profOut != "" {
-		guestProf = gprof.New(gprof.Options{})
 	}
 	vm := jvm.NewDoppioVM(win, jvm.DoppioOptions{
 		Stdout:           os.Stdout,
@@ -149,10 +148,9 @@ func main() {
 		Timeslice:        *timeslice,
 		DisableEngineTax: !*tax,
 		Quicken:          *quicken,
-		Profiler:         guestProf,
 	})
 	src := ops.Source{Name: mainClass, Loop: win.Loop, Runtime: vm.Runtime(), Heap: vm.Heap(),
-		JVM: []ops.JVMEngine{{Engine: "doppio", Stats: vm}}, Prof: guestProf}
+		JVM: []ops.JVMEngine{{Engine: "doppio", Stats: vm}}}
 	emit := func(rep *ops.Report) {
 		fmt.Fprint(os.Stderr, rep.Text())
 		if *postmortem != "" {
@@ -212,19 +210,9 @@ func main() {
 	}
 	start := time.Now()
 	dumpProf := func(elapsed time.Duration) {
-		if guestProf == nil {
-			return
+		if hub != nil {
+			hub.Profiler.ReportAtExit(os.Stderr, "doppio-jvm", *profOut, elapsed)
 		}
-		if *profOut != "" {
-			if err := guestProf.Snapshot(gprof.CPU).WriteFile(*profOut, elapsed); err != nil {
-				fmt.Fprintln(os.Stderr, "doppio-jvm: writing profile:", err)
-			} else {
-				fmt.Fprintf(os.Stderr, "doppio-jvm: guest profile written to %s\n", *profOut)
-			}
-			return
-		}
-		fmt.Fprintf(os.Stderr, "doppio-jvm: guest hot methods (%d cpu samples):\n%s",
-			guestProf.Samples(), gprof.FormatTop(guestProf.Snapshot(gprof.CPU), 10))
 	}
 	if err := vm.RunMain(mainClass, args); err != nil {
 		// The loop has returned, so inline collection is safe here.

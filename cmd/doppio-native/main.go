@@ -15,7 +15,7 @@ import (
 
 	"doppio/internal/jvm"
 	"doppio/internal/jvm/rt"
-	"doppio/internal/profile"
+	"doppio/internal/telemetry"
 )
 
 func main() {
@@ -77,28 +77,19 @@ func main() {
 		}
 	}
 
-	var prof *profile.Profiler
+	var hub *telemetry.Hub
 	if *profFlag || *profOut != "" {
-		prof = profile.New(profile.Options{})
+		hub = telemetry.NewHub().EnableProfiling()
 	}
 	vm := jvm.NewNativeVM(jvm.MapProvider(classes), jvm.NativeOptions{
 		Stdout: os.Stdout, Stderr: os.Stderr, Stdin: os.Stdin,
-		Quicken:  *quicken,
-		Profiler: prof,
+		Quicken:   *quicken,
+		Telemetry: hub,
 	})
 	start := time.Now()
 	runErr := vm.RunMain(mainClass, args)
-	if prof != nil {
-		if *profOut != "" {
-			if err := prof.Snapshot(profile.CPU).WriteFile(*profOut, time.Since(start)); err != nil {
-				fmt.Fprintln(os.Stderr, "doppio-native: writing profile:", err)
-			} else {
-				fmt.Fprintf(os.Stderr, "doppio-native: guest profile written to %s\n", *profOut)
-			}
-		} else {
-			fmt.Fprintf(os.Stderr, "doppio-native: guest hot methods (%d cpu samples):\n%s",
-				prof.Samples(), profile.FormatTop(prof.Snapshot(profile.CPU), 10))
-		}
+	if hub != nil {
+		hub.Profiler.ReportAtExit(os.Stderr, "doppio-native", *profOut, time.Since(start))
 	}
 	if runErr != nil {
 		fatal(runErr)

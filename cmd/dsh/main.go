@@ -23,7 +23,6 @@ import (
 	"doppio/internal/fleet"
 	opspkg "doppio/internal/ops"
 	"doppio/internal/proc"
-	gprof "doppio/internal/profile"
 	"doppio/internal/shell"
 	"doppio/internal/telemetry"
 	"doppio/internal/vfs"
@@ -43,15 +42,14 @@ func main() {
 		os.Exit(2)
 	}
 	hub := telemetry.NewHub().EnableFlight(0)
-	win := fleet.NewEnv(profile, hub).Win
-	k := proc.NewKernel(win, vfs.NewInMemory())
-	var guestProf *gprof.Profiler
 	if *profFlag || *profOut != "" {
 		// One profiler for the whole process tree: every pipeline stage
-		// the kernel spawns — MiniC or JVM — folds into it.
-		guestProf = gprof.New(gprof.Options{})
-		k.SetProfiler(guestProf)
+		// the kernel spawns — MiniC or JVM — reports into the window's
+		// hub and folds into its profiler.
+		hub.EnableProfiling()
 	}
+	win := fleet.NewEnv(profile, hub).Win
+	k := proc.NewKernel(win, vfs.NewInMemory())
 	sh, err := shell.New(k, os.Stdout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -65,7 +63,6 @@ func main() {
 			Loop:    win.Loop,
 			Backend: k.Root(),
 			Proc:    k,
-			Prof:    guestProf,
 		})
 		addr, err := srv.Serve(*opsAddr)
 		if err != nil {
@@ -77,19 +74,7 @@ func main() {
 
 	start := time.Now()
 	dumpProf := func() {
-		if guestProf == nil {
-			return
-		}
-		if *profOut != "" {
-			if err := guestProf.Snapshot(gprof.CPU).WriteFile(*profOut, time.Since(start)); err != nil {
-				fmt.Fprintln(os.Stderr, "dsh: writing profile:", err)
-			} else {
-				fmt.Fprintf(os.Stderr, "dsh: guest profile written to %s\n", *profOut)
-			}
-			return
-		}
-		fmt.Fprintf(os.Stderr, "dsh: guest hot methods (%d cpu samples):\n%s",
-			guestProf.Samples(), gprof.FormatTop(guestProf.Snapshot(gprof.CPU), 10))
+		hub.Profiler.ReportAtExit(os.Stderr, "dsh", *profOut, time.Since(start))
 	}
 
 	var last int32

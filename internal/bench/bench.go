@@ -19,7 +19,6 @@ import (
 	"doppio/internal/fleet"
 	"doppio/internal/jvm"
 	"doppio/internal/ops"
-	"doppio/internal/profile"
 	"doppio/internal/telemetry"
 	"doppio/internal/vfs"
 )
@@ -38,10 +37,12 @@ type Config struct {
 	DisableEngineTax bool
 	// Telemetry, when non-nil, instruments every run: the window's
 	// event loop, the core runtime, the JVM, and the VFS backend all
-	// report into this hub. Corpus seeding happens before the hub is
-	// attached to the event loop, so dispatch/responsiveness metrics
-	// cover only the measured workload (backend op histograms do
-	// include seeding traffic — it is genuine backend I/O).
+	// report into this hub, and a hub with a Profiler folds every
+	// Doppio-engine run into that one profile. Corpus seeding happens
+	// before the hub is attached to the event loop, so
+	// dispatch/responsiveness metrics cover only the measured workload
+	// (backend op histograms do include seeding traffic — it is
+	// genuine backend I/O).
 	Telemetry *telemetry.Hub
 	// Seed picks the arm that leads each A/B's first pair and seeds
 	// the fault sequence and retry jitter of the fsfaults A/B.
@@ -50,10 +51,6 @@ type Config struct {
 	// inspectable source, so the live endpoints (/debug/threads,
 	// /debug/vfs, ...) can see the workload while it executes.
 	Ops *ops.Server
-	// Profiler, when non-nil, attaches the guest sampling profiler to
-	// every Doppio-engine run (figures and the telemetry pass fold into
-	// one profile; the prof A/B manages its own profilers).
-	Profiler *profile.Profiler
 }
 
 func (c Config) withDefaults() Config {
@@ -248,7 +245,6 @@ func RunDoppio(spec WorkloadSpec, scale int, profile browser.Profile, cfg Config
 		FS:               &jvm.VFSHostFS{FS: fs},
 		Timeslice:        cfg.Timeslice,
 		DisableEngineTax: cfg.DisableEngineTax,
-		Profiler:         cfg.Profiler,
 	})
 	if cfg.Ops != nil {
 		cfg.Ops.Register(ops.Source{
@@ -258,7 +254,6 @@ func RunDoppio(spec WorkloadSpec, scale int, profile browser.Profile, cfg Config
 			Backend: root,
 			Heap:    vm.Heap(),
 			JVM:     []ops.JVMEngine{{Engine: "doppio", Stats: vm}},
-			Prof:    cfg.Profiler,
 		})
 	}
 	start := time.Now()

@@ -138,7 +138,8 @@ func runOpsAB(cfg Config) (*Report, error) {
 
 // runProfAB runs the profiler A/B on DeltaBlue: field- and
 // virtual-call-heavy, so the CPU sampler's stack walks are as deep as
-// they get.
+// they get. Both arms run on a metrics hub; the on arm's hub also
+// carries the profiler, so the A/B isolates the profiler's own cost.
 func runProfAB(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Timeslice == 0 {
@@ -157,21 +158,21 @@ func runProfAB(cfg Config) (*Report, error) {
 	var hot string
 	arm := func(on bool) func() (Sample, error) {
 		return func() (Sample, error) {
-			var gp *profile.Profiler
+			hub := telemetry.NewHub()
 			if on {
-				gp = profile.New(profile.Options{})
+				hub.EnableProfiling()
 			}
-			s, _, err := runJVM(fleet.NewEnv(prof, nil).Win, jvm.DoppioOptions{
+			s, _, err := runJVM(fleet.NewEnv(prof, hub).Win, jvm.DoppioOptions{
 				Provider:         jvm.MapProvider(classes),
 				Timeslice:        cfg.Timeslice,
 				DisableEngineTax: true,
-				Profiler:         gp,
 			}, spec.Main, spec.Args(cfg.Scale))
 			if err != nil {
 				return s, err
 			}
-			s.Metrics["samples"] = float64(gp.Samples())
-			if top := gp.TopMethods(profile.CPU, 1); len(top) > 0 {
+			// Zero on the off arm: its profiler is nil, not idle.
+			s.Metrics["samples"] = float64(hub.Profiler.Samples())
+			if top := hub.Profiler.TopMethods(profile.CPU, 1); len(top) > 0 {
 				hot = top[0].Method
 			}
 			return s, nil

@@ -31,8 +31,9 @@ type Window struct {
 	Remote *RemoteServer
 
 	// Telemetry, when non-nil, is the observability hub every runtime
-	// layer hosted in this window (event loop, core, JVM, sockets)
-	// reports into. Set it with EnableTelemetry.
+	// layer hosted in this window (event loop, core, JVM, MiniC,
+	// sockets) reports into; its Profiler, when set, samples every
+	// guest VM built here. Set it with EnableTelemetry.
 	Telemetry *telemetry.Hub
 
 	leakedTypedBytes atomic.Int64
@@ -60,7 +61,7 @@ func NewWindow(p Profile) *Window {
 
 // EnableTelemetry attaches an observability hub to the window and wires
 // it into the event loop. Layers created afterwards (core runtimes, JVMs,
-// sockets) pick the hub up from w.Telemetry automatically.
+// MiniC VMs, sockets) pick the hub up from w.Telemetry automatically.
 func (w *Window) EnableTelemetry(h *telemetry.Hub) {
 	w.Telemetry = h
 	w.Loop.EnableTelemetry(h)

@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"doppio/internal/eventloop"
+	"doppio/internal/profile"
 	"doppio/internal/telemetry"
 )
 
@@ -118,8 +119,18 @@ type Config struct {
 	// check count instead — the DESIGN.md D2 ablation.
 	FixedCounter int
 
-	// Telemetry attaches the runtime to an observability hub.
+	// Telemetry attaches the runtime to an observability hub. When
+	// the hub carries a Profiler, the runtime samples its threads'
+	// guest stacks (see StackWalker).
 	Telemetry *telemetry.Hub
+}
+
+// StackWalker is implemented by a thread's Data when the language
+// implementation can name the thread's guest call stack: root-first
+// frame strings, the leaf last (package profile's convention). The
+// profiler samples only threads whose Data implements it.
+type StackWalker interface {
+	GuestStack() []string
 }
 
 // Stats captures runtime instrumentation for Figures 4 and 5.
@@ -161,11 +172,8 @@ type Runtime struct {
 
 	tel *rtTelemetry
 
-	// Guest-profiler hooks (see SetSampleHook / SetBlockHook). Both
-	// run on the loop goroutine; nil when profiling is off.
-	sampleHook  func(t *Thread, dt time.Duration)
-	sampleEvery time.Duration
-	blockHook   func(t *Thread, reason string, dt time.Duration)
+	// prof is the hub's guest profiler, nil when profiling is off.
+	prof *profile.Profiler
 
 	onIdle []func() // notified when no threads remain
 }
@@ -197,26 +205,6 @@ func (rt *Runtime) flight() *telemetry.FlightRecorder {
 // coreThreadTID maps a Doppio thread ID onto its trace track.
 func coreThreadTID(id int) int { return telemetry.TIDCoreThread(id) }
 
-// EnableTelemetry points the runtime at an observability hub (nil
-// detaches). NewRuntime calls this automatically with cfg.Telemetry.
-func (rt *Runtime) EnableTelemetry(h *telemetry.Hub) {
-	if h == nil {
-		rt.tel = nil
-		return
-	}
-	rt.tel = &rtTelemetry{
-		yieldLatency: h.Registry.Histogram("core", "yield_latency"),
-		sliceDur:     h.Registry.Histogram("core", "timeslice"),
-		quantum:      h.Registry.Gauge("core", "suspend_quantum"),
-		runqDepth:    h.Registry.Gauge("core", "runq_depth"),
-		runqMax:      h.Registry.Gauge("core", "runq_depth_max"),
-		suspensions:  h.Registry.Counter("core", "suspensions"),
-		ctxSwitches:  h.Registry.Counter("core", "context_switches"),
-		tracer:       h.Tracer,
-		flight:       h.Flight,
-	}
-}
-
 // NewRuntime creates a runtime driving threads on the given event
 // loop. The resumption mechanism is chosen from the loop's options
 // (§4.4) unless cfg.ForceMechanism overrides it.
@@ -238,7 +226,20 @@ func NewRuntime(loop *eventloop.Loop, cfg Config) *Runtime {
 	if rt.mechanism == "postMessage" {
 		loop.OnMessage(rt.onMessage)
 	}
-	rt.EnableTelemetry(cfg.Telemetry)
+	if h := cfg.Telemetry; h != nil {
+		rt.tel = &rtTelemetry{
+			yieldLatency: h.Registry.Histogram("core", "yield_latency"),
+			sliceDur:     h.Registry.Histogram("core", "timeslice"),
+			quantum:      h.Registry.Gauge("core", "suspend_quantum"),
+			runqDepth:    h.Registry.Gauge("core", "runq_depth"),
+			runqMax:      h.Registry.Gauge("core", "runq_depth_max"),
+			suspensions:  h.Registry.Counter("core", "suspensions"),
+			ctxSwitches:  h.Registry.Counter("core", "context_switches"),
+			tracer:       h.Tracer,
+			flight:       h.Flight,
+		}
+		rt.prof = h.Profiler
+	}
 	return rt
 }
 
@@ -310,60 +311,28 @@ func (rt *Runtime) scheduleResumption(fn func()) {
 	}
 }
 
-// SetSampleHook installs a CPU-sampling hook: it fires from the
-// suspend clock's counter-expiry path (where the current time has
-// already been read, so the fast path stays untouched) and at the end
-// of every timeslice, with the on-CPU time elapsed since the thread's
-// previous sample. interval is the minimum spacing between in-slice
-// samples (elapsed time accumulates until an eligible sample point,
-// then the whole window is attributed to the stack observed there —
-// classic sampling). A nil hook disables sampling.
-func (rt *Runtime) SetSampleHook(hook func(t *Thread, dt time.Duration), interval time.Duration) {
-	rt.sampleHook = hook
-	if interval <= 0 {
-		interval = time.Millisecond
-	}
-	rt.sampleEvery = interval
-	for _, t := range rt.threads {
-		rt.armProbe(t)
-	}
-}
-
-// SetBlockHook installs a contention hook: when a blocked thread is
-// resumed, the hook fires with the completion label it waited on and
-// the time it spent blocked. The guest stack is unchanged for the
-// whole blocked window, so walking it from the hook attributes the
-// wait to the blocking call site. A nil hook disables it.
-func (rt *Runtime) SetBlockHook(hook func(t *Thread, reason string, dt time.Duration)) {
-	rt.blockHook = hook
-}
-
-// armProbe points t's suspend clock at the runtime's sample hook.
-func (rt *Runtime) armProbe(t *Thread) {
-	if rt.sampleHook == nil {
-		t.clock.probe = nil
-		return
-	}
-	t.clock.probe = func(now time.Time) { rt.sample(t, now) }
-}
-
-// sample attributes the on-CPU window since t's previous sample to
-// the hook, if the minimum interval has elapsed.
+// sample is the suspend clock's probe, armed only while profiling:
+// once profile.CPUInterval has elapsed since t's previous sample, the
+// whole on-CPU window is attributed to the stack observed here —
+// classic sampling. The clock has already read now, so the counter's
+// fast path stays untouched.
 func (rt *Runtime) sample(t *Thread, now time.Time) {
-	hook := rt.sampleHook
-	if hook == nil {
-		return
-	}
-	if t.lastSampleAt.IsZero() {
-		t.lastSampleAt = now
-		return
-	}
 	dt := now.Sub(t.lastSampleAt)
-	if dt < rt.sampleEvery {
+	if dt < profile.CPUInterval {
 		return
 	}
 	t.lastSampleAt = now
-	hook(t, dt)
+	rt.sampleCPU(t, dt)
+}
+
+// sampleCPU folds dt of on-CPU time into the profile at t's guest
+// stack; a thread with no stack to walk is not sampled.
+func (rt *Runtime) sampleCPU(t *Thread, dt time.Duration) {
+	if w, ok := t.Data.(StackWalker); ok {
+		if st := w.GuestStack(); st != nil {
+			rt.prof.SampleCPU(st, dt)
+		}
+	}
 }
 
 // Spawn creates a new thread in the pool at the default priority,
@@ -380,7 +349,9 @@ func (rt *Runtime) Spawn(name string, r Runnable) *Thread {
 		prio:     NormPriority,
 	}
 	t.clock = newSuspendClock(rt.cfg.Timeslice, rt.cfg.FixedCounter)
-	rt.armProbe(t)
+	if rt.prof != nil {
+		t.clock.probe = func(now time.Time) { rt.sample(t, now) }
+	}
 	if tel := rt.tel; tel != nil && tel.tracer != nil {
 		tel.tracer.ThreadName(coreThreadTID(t.ID), fmt.Sprintf("doppio thread %d: %s", t.ID, name))
 	}
@@ -457,7 +428,7 @@ func (rt *Runtime) runSlice(t *Thread) {
 		}
 	}
 	start := time.Now()
-	if rt.sampleHook != nil {
+	if rt.prof != nil {
 		// On-CPU accounting starts fresh each slice: time spent off
 		// the CPU (queued, suspended) must not be attributed.
 		t.lastSampleAt = start
@@ -466,13 +437,11 @@ func (rt *Runtime) runSlice(t *Thread) {
 	elapsed := time.Since(start)
 	rt.stats.CPUTime += elapsed
 	t.CPUTime += elapsed
-	if hook := rt.sampleHook; hook != nil && res != Done {
+	if rt.prof != nil && res != Done {
 		// Close out the slice: attribute the tail window (below the
 		// in-slice interval gate) so sampled time tracks CPUTime.
 		// Finished threads have unwound their stack — skip them.
-		if dt := time.Since(t.lastSampleAt); dt > 0 {
-			hook(t, dt)
-		}
+		rt.sampleCPU(t, time.Since(t.lastSampleAt))
 	}
 	if tel := rt.tel; tel != nil {
 		span.End()

@@ -36,7 +36,8 @@ type Thread struct {
 	lastSampleAt time.Time
 
 	// Data lets the language implementation attach its per-thread
-	// state (e.g. the JVM thread object).
+	// state (e.g. the JVM thread object). The profiler walks it when
+	// it implements StackWalker.
 	Data interface{}
 }
 
@@ -91,7 +92,7 @@ func (t *Thread) Block(reason string) (resume func()) {
 	t.blockedOn = reason
 	t.rt.flight().Record("comp", "block", reason, int64(t.ID))
 	var blockedAt time.Time
-	if t.rt.blockHook != nil {
+	if t.rt.prof != nil {
 		blockedAt = time.Now()
 	}
 	fired := false
@@ -103,10 +104,13 @@ func (t *Thread) Block(reason string) (resume func()) {
 		if t.state != BlockedState {
 			return // terminated while blocked (e.g. runtime shutdown)
 		}
-		if hook := t.rt.blockHook; hook != nil && !blockedAt.IsZero() {
+		if !blockedAt.IsZero() {
 			// The guest stack has not moved since the block, so the
-			// contention profile attributes the wait to its call site.
-			hook(t, reason, time.Since(blockedAt))
+			// wait is attributed to its call site, with the completion
+			// label as the leaf frame: "call site → what it waited on".
+			if w, ok := t.Data.(StackWalker); ok {
+				t.rt.prof.SampleBlock(append(w.GuestStack(), reason), time.Since(blockedAt))
+			}
 		}
 		t.rt.flight().Record("comp", "settle", reason, int64(t.ID))
 		t.state = ReadyState

@@ -43,7 +43,6 @@ import (
 	"doppio/internal/buffer"
 	"doppio/internal/core"
 	"doppio/internal/eventloop"
-	"doppio/internal/profile"
 	"doppio/internal/telemetry"
 	"doppio/internal/umheap"
 	"doppio/internal/vfs"
@@ -119,13 +118,6 @@ type Env struct {
 	Shard  int
 	Root   vfs.Backend
 	Budget Budget
-
-	// Prof is the tenant's continuous guest profiler, set by the
-	// supervisor when the fleet runs with Config.Profiling. StartFuncs
-	// pass it to their VM's options (DoppioOptions/NativeOptions/
-	// minic.VMOptions all take a Profiler); nil means profiling off,
-	// which every profiler entry point treats as a no-op.
-	Prof *profile.Profiler
 }
 
 // DefaultProfile is the profile the fleet (and the shared harness

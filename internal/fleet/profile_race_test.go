@@ -2,7 +2,6 @@ package fleet_test
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +9,8 @@ import (
 	"doppio/internal/fleet"
 	"doppio/internal/jvm"
 	"doppio/internal/jvm/rt"
+	"doppio/internal/profile"
+	"doppio/internal/telemetry"
 )
 
 // profSpinSource is a tenant workload for the profiling tests: a hot
@@ -38,7 +39,8 @@ public class Main {
 }`
 
 // jvmSpinTenant builds a tenant running profSpinSource on a Doppio
-// JVM wired to the fleet's per-tenant profiler (Env.Prof).
+// JVM in its shard's window, which samples into the fleet hub's
+// profiler.
 func jvmSpinTenant(label string, classes map[string][]byte, budget time.Duration) fleet.Tenant {
 	return fleet.Tenant{
 		Label:  label,
@@ -49,7 +51,6 @@ func jvmSpinTenant(label string, classes map[string][]byte, budget time.Duration
 				Timeslice:        2 * time.Millisecond,
 				HeapSize:         512 << 10,
 				DisableEngineTax: true,
-				Profiler:         env.Prof,
 			})
 			vm.StartMain("Main", nil, done)
 			return &fleet.Handle{Runtime: vm.Runtime(), Heap: vm.Heap(),
@@ -58,39 +59,34 @@ func jvmSpinTenant(label string, classes map[string][]byte, budget time.Duration
 	}
 }
 
-// tenantHotWeight sums one tenant's sampled CPU nanoseconds in a
-// snapshot (0 if absent or unsampled).
-func tenantHotWeight(snap fleet.FleetSnapshot, label string) int64 {
-	for _, ti := range snap.Tenants {
-		if ti.Label != label {
-			continue
+// methodWeight sums the weight of kind whose leaf is one of methods
+// (0 if none was sampled).
+func methodWeight(p *profile.Profiler, kind profile.Kind, methods ...string) int64 {
+	var sum int64
+	for _, m := range p.TopMethods(kind, 0) {
+		for _, want := range methods {
+			if m.Method == want {
+				sum += m.Value
+			}
 		}
-		var sum int64
-		for _, m := range ti.HotMethods {
-			sum += m.Value
-		}
-		return sum
 	}
-	return 0
+	return sum
 }
 
 // TestProfilingFleetEviction samples a profiling fleet mid-eviction,
 // under -race in CI: a spinning JVM tenant is evicted on its CPU
-// budget while the test goroutine hammers Snapshot/Format (which read
-// the tenant's profiler cross-goroutine). After the eviction the dead
-// tenant's profile must stop growing — eviction killed the VM, which
-// was the only sample source — and the shard must keep running
-// tenants to completion (not wedged).
+// budget while the test goroutine hammers the fleet's shared profiler
+// and Snapshot/Format from other goroutines. After the eviction the
+// hog's methods must stop growing in the profile — eviction killed
+// the VM, which was their only sample source — and the shard must
+// keep running tenants to completion (not wedged).
 func TestProfilingFleetEviction(t *testing.T) {
 	classes, err := rt.CompileWith(map[string]string{"Main.mj": profSpinSource})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	sup := fleet.NewSupervisor(fleet.Config{
-		Shards:          2,
-		Profiling:       true,
-		ProfileInterval: 200 * time.Microsecond,
-	})
+	hub := telemetry.NewHub().EnableProfiling()
+	sup := fleet.NewSupervisor(fleet.Config{Shards: 2, Hub: hub})
 	defer sup.Close()
 
 	hog, err := sup.Submit(jvmSpinTenant("hog", classes, 15*time.Millisecond))
@@ -104,7 +100,7 @@ func TestProfilingFleetEviction(t *testing.T) {
 	}
 
 	// Concurrent readers: the race detector checks that reading the
-	// hog's profile while its VM samples into it is clean.
+	// profile while the hog's VM samples into it is clean.
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -117,8 +113,9 @@ func TestProfilingFleetEviction(t *testing.T) {
 					return
 				default:
 				}
-				snap := sup.Snapshot()
-				_ = snap.Format()
+				_ = hub.Profiler.Snapshot(profile.CPU)
+				_ = hub.Profiler.TopMethods(profile.Alloc, 5)
+				_ = sup.Snapshot().Format()
 			}
 		}()
 	}
@@ -132,32 +129,25 @@ func TestProfilingFleetEviction(t *testing.T) {
 		t.Fatalf("hog state %s, want evicted (err %v)", st, hog.Err())
 	}
 
-	// The evicted tenant's profile was populated while it lived...
-	after := sup.Snapshot()
-	weight := tenantHotWeight(after, "hog")
-	if weight == 0 {
-		t.Error("evicted tenant folded no CPU samples while alive")
-	}
-	sawGuest := false
-	for _, ti := range after.Tenants {
-		if ti.Label != "hog" {
-			continue
-		}
-		for _, m := range ti.HotMethods {
-			if strings.HasPrefix(m.Method, "Work.churn") || strings.HasPrefix(m.Method, "Main.main") {
-				sawGuest = true
-			}
-		}
-	}
-	if !sawGuest {
-		t.Errorf("hog hot methods carry no guest names: %+v", after.Tenants)
+	// The hog was sampled while it lived: CPU time at its guest
+	// methods (a call boundary leaves either on top, and the friendly
+	// tenants have no guest stack to sample) and Work.churn's
+	// allocations, one int[8] per call...
+	cpu := methodWeight(hub.Profiler, profile.CPU, "Main.main", "Work.churn")
+	churn := methodWeight(hub.Profiler, profile.Alloc, "Work.churn")
+	if cpu == 0 || churn == 0 {
+		t.Errorf("evicted tenant folded cpu %d ns at its methods, %d bytes at Work.churn while alive: cpu %+v alloc %+v",
+			cpu, churn, hub.Profiler.TopMethods(profile.CPU, 5), hub.Profiler.TopMethods(profile.Alloc, 5))
 	}
 
 	// ...and stops growing once the VM is dead: no samples are
 	// attributed to an evicted tenant.
 	time.Sleep(50 * time.Millisecond)
-	if again := tenantHotWeight(sup.Snapshot(), "hog"); again != weight {
-		t.Errorf("dead tenant's profile grew after eviction: %d -> %d", weight, again)
+	if again := methodWeight(hub.Profiler, profile.CPU, "Main.main", "Work.churn"); again != cpu {
+		t.Errorf("dead tenant's cpu profile grew after eviction: %d -> %d", cpu, again)
+	}
+	if again := methodWeight(hub.Profiler, profile.Alloc, "Work.churn"); again != churn {
+		t.Errorf("dead tenant's Work.churn allocations grew after eviction: %d -> %d", churn, again)
 	}
 
 	// The shard the hog occupied is not wedged: a fresh batch still

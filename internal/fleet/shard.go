@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"doppio/internal/eventloop"
-	"doppio/internal/profile"
 	"doppio/internal/telemetry"
 	"doppio/internal/vfs"
 )
@@ -99,7 +98,6 @@ func (sh *Shard) startTenant(t *tenant) {
 	env := &Env{
 		Win: sh.env.Win, Bufs: sh.env.Bufs, Hub: sh.env.Hub,
 		Label: t.spec.Label, Shard: sh.index, Root: t.root, Budget: t.spec.Budget,
-		Prof: t.prof,
 	}
 	sh.flight("start", t.spec.Label, int64(sh.index))
 	h, err := t.spec.Start(env, func(err error) {
@@ -290,13 +288,6 @@ type tenant struct {
 	sup   *Supervisor
 	shard *Shard
 	root  vfs.Backend
-	// prof is the tenant's continuous guest profiler (nil unless the
-	// fleet runs with Config.Profiling). Set at Submit, immutable
-	// after: Snapshot reads it from any goroutine, the tenant's VM
-	// feeds it from the shard loop, and the profiler's own lock
-	// mediates. Eviction kills the VM, which stops the only sample
-	// sources — a dead tenant can never accrue new samples.
-	prof *profile.Profiler
 
 	state       TenantState
 	err         error

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"doppio/internal/browser"
-	"doppio/internal/profile"
 	"doppio/internal/telemetry"
 	"doppio/internal/vfs"
 )
@@ -25,7 +24,9 @@ type Config struct {
 	// able to kill a whole shard. Default: Chrome 28.
 	Profile browser.Profile
 	// Hub receives fleet metrics, per-tenant labeled series, and
-	// flight events. Optional.
+	// flight events; every shard window reports into it, so a hub
+	// with a Profiler folds every tenant into that one profile.
+	// Optional.
 	Hub *telemetry.Hub
 
 	// MaxTenants caps live tenants fleet-wide; MaxTenantsPerShard caps
@@ -59,15 +60,6 @@ type Config struct {
 	// wrapped in a page cache when the tenant's budget asks for one.
 	// Default: vfs.NewInMemory.
 	NewRoot func() vfs.Backend
-
-	// Profiling gives every tenant its own continuous guest profiler
-	// (internal/profile), handed to the StartFunc via Env.Prof; the
-	// per-tenant top hot methods surface in /debug/fleet. The sampling
-	// interval is ProfileInterval (default 10ms — a continuous low
-	// rate, an order of magnitude coarser than the on-demand
-	// /debug/profile default).
-	Profiling       bool
-	ProfileInterval time.Duration
 }
 
 // Supervisor owns a pool of shards and the tenants placed on them.
@@ -160,15 +152,6 @@ func (s *Supervisor) Submit(spec Tenant) (*TenantRef, error) {
 	}
 	if spec.Budget.CacheBytes > 0 {
 		t.root = vfs.Stack(t.root, vfs.WithCache(vfs.CacheOptions{ByteBudget: spec.Budget.CacheBytes}))
-	}
-	if s.cfg.Profiling {
-		// Immutable on the tenant thereafter, so Snapshot can rank hot
-		// methods without touching the shard.
-		interval := s.cfg.ProfileInterval
-		if interval <= 0 {
-			interval = 10 * time.Millisecond
-		}
-		t.prof = profile.New(profile.Options{CPUInterval: interval})
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -368,10 +351,6 @@ type TenantInfo struct {
 	FDs        int64       `json:"fds"`
 	RunqDepth  int64       `json:"runq_depth"`
 	LatencyMs  int64       `json:"latency_ms,omitempty"`
-	// HotMethods is the tenant's top-5 CPU-profile methods (leaf
-	// attribution, Value in sampled nanoseconds); present only when
-	// the fleet runs with Config.Profiling.
-	HotMethods []profile.MethodWeight `json:"hot_methods,omitempty"`
 }
 
 // ShardInfo is one shard's row in a FleetSnapshot.
@@ -441,7 +420,6 @@ func (s *Supervisor) Snapshot() FleetSnapshot {
 		if !t.finishedAt.IsZero() {
 			info.LatencyMs = t.finishedAt.Sub(t.submittedAt).Milliseconds()
 		}
-		info.HotMethods = t.prof.TopMethods(profile.CPU, 5)
 		infos = append(infos, info)
 	}
 	s.mu.Unlock()
@@ -485,10 +463,6 @@ func (snap FleetSnapshot) Format() string {
 				t.Label, t.Shard, t.State, t.CPUMs, heap, t.FDs, t.RunqDepth)
 			if t.Detail != "" {
 				fmt.Fprintf(&b, "    %s\n", t.Detail)
-			}
-			for _, m := range t.HotMethods {
-				fmt.Fprintf(&b, "    hot %-40s %8.1fms\n",
-					m.Method, float64(m.Value)/1e6)
 			}
 		}
 	}

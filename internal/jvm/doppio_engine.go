@@ -73,8 +73,9 @@ type DoppioVM struct {
 	pairs   *pairCounts
 	qstats  QuickStats
 
-	// prof is the guest profiler (nil when off); its SampleAlloc
-	// gate is consulted at the allocation opcodes.
+	// prof is the window hub's guest profiler (nil when off); its
+	// SampleAlloc gate is consulted at the allocation opcodes and by
+	// the unmanaged heap's allocation observer.
 	prof *profile.Profiler
 
 	tel *vmTelemetry
@@ -118,13 +119,12 @@ type DoppioOptions struct {
 	// fusion. Off by default — the un-quickened path is the paper-
 	// fidelity baseline.
 	Quicken bool
-	// Profiler, when non-nil, samples guest CPU time, allocation
-	// sites, and blocked time into the given profiler (see
-	// internal/profile). Nil keeps every sampling hook uninstalled.
-	Profiler *profile.Profiler
 }
 
-// NewDoppioVM creates a DoppioJVM inside the browser window.
+// NewDoppioVM creates a DoppioJVM inside the browser window. The VM,
+// its runtime and its class loader report into the window's telemetry
+// hub; when the hub carries a Profiler, guest CPU time, allocation
+// sites and blocked time are sampled into it.
 func NewDoppioVM(win *browser.Window, opts DoppioOptions) *DoppioVM {
 	if opts.Stdout == nil {
 		opts.Stdout = io.Discard
@@ -182,11 +182,25 @@ func NewDoppioVM(win *browser.Window, opts DoppioOptions) *DoppioVM {
 		FixedCounter:   opts.FixedCounter,
 		Telemetry:      win.Telemetry,
 	})
-	if win.Telemetry != nil {
-		vm.EnableTelemetry(win.Telemetry)
+	if h := win.Telemetry; h != nil {
+		tel := &vmTelemetry{
+			reg:          h.Registry,
+			tracer:       h.Tracer,
+			methodSpans:  h.MethodSpans,
+			nativeCalls:  h.Registry.Counter("jvm", "native_calls"),
+			nativeLat:    h.Registry.Histogram("jvm", "native_call"),
+			classLoadLat: h.Registry.Histogram("jvm", "class_load"),
+			classLoads:   h.Registry.Counter("jvm", "class_loads"),
+		}
+		vm.tel = tel
+		vm.loader.Observe = func(name string, took time.Duration) {
+			tel.classLoadLat.ObserveDuration(took)
+			tel.classLoads.Inc()
+		}
+		vm.prof = h.Profiler
 	}
-	if opts.Profiler != nil {
-		vm.installProfiler(opts.Profiler)
+	if vm.prof != nil {
+		vm.heap.SetAllocHook(vm.profHeapAlloc)
 	}
 	return vm
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"doppio/internal/profile"
+	"doppio/internal/telemetry"
 	"doppio/internal/umheap"
 )
 
@@ -55,7 +56,7 @@ type NativeVM struct {
 	pairs   *pairCounts
 	qstats  QuickStats
 
-	// prof is the guest profiler (nil when off). The native engine
+	// prof is the hub's guest profiler (nil when off). The native engine
 	// has no core.Runtime, so its scheduler samples itself: profLast
 	// is the on-CPU cursor for the running quantum, profCheck the
 	// instruction countdown to the next clock read.
@@ -82,10 +83,12 @@ type NativeOptions struct {
 	// superinstruction fusion; off preserves the paper-fidelity
 	// generic interpreter.
 	Quicken bool
-	// Profiler, when non-nil, samples guest CPU time and allocation
-	// sites into the given profiler (contention is Doppio-only: the
-	// native engine's monitors block without Completions).
-	Profiler *profile.Profiler
+	// Telemetry attaches the engine to an observability hub. The
+	// native engine has no window and no core.Runtime, so it reads
+	// only the hub's Profiler: guest CPU time and allocation sites
+	// (contention is Doppio-only: the native engine's monitors block
+	// without Completions).
+	Telemetry *telemetry.Hub
 }
 
 // NewNativeVM creates a VM over the class provider.
@@ -126,18 +129,9 @@ func NewNativeVM(provider SyncProvider, opts NativeOptions) *NativeVM {
 		vm.quicken = true
 		vm.pairs = new(pairCounts)
 	}
-	if opts.Profiler != nil {
-		vm.prof = opts.Profiler
-		vm.heap.SetAllocHook(func(n int) {
-			if !vm.prof.AllocReady() {
-				return
-			}
-			if t := vm.cur; t != nil {
-				vm.prof.SampleAlloc(append(profStackN(t), "(umheap)"), int64(n))
-				return
-			}
-			vm.prof.SampleAlloc([]string{"(host)", "(umheap)"}, int64(n))
-		})
+	if opts.Telemetry != nil && opts.Telemetry.Profiler != nil {
+		vm.prof = opts.Telemetry.Profiler
+		vm.heap.SetAllocHook(vm.profHeapAlloc)
 	}
 	return vm
 }

@@ -12,11 +12,12 @@ import (
 	"doppio/internal/jvm"
 	"doppio/internal/jvm/rt"
 	"doppio/internal/profile"
+	"doppio/internal/telemetry"
 )
 
-// runDoppioProf runs source on the Doppio engine with a fresh guest
-// profiler attached, returning stdout, the run error, and the
-// profiler.
+// runDoppioProf runs source on the Doppio engine in a window whose
+// hub carries a fresh guest profiler, returning stdout, the run error,
+// and the profiler.
 func runDoppioProf(t *testing.T, source string, quicken bool, slice time.Duration) (string, error, *profile.Profiler) {
 	t.Helper()
 	classes, err := rt.CompileWith(map[string]string{"Main.mj": source})
@@ -24,7 +25,8 @@ func runDoppioProf(t *testing.T, source string, quicken bool, slice time.Duratio
 		t.Fatalf("compile: %v", err)
 	}
 	win := browser.NewWindow(browser.Chrome28)
-	prof := profile.New(profile.Options{})
+	hub := telemetry.NewHub().EnableProfiling()
+	win.EnableTelemetry(hub)
 	var stdout bytes.Buffer
 	vm := jvm.NewDoppioVM(win, jvm.DoppioOptions{
 		Stdout:           &stdout,
@@ -32,10 +34,9 @@ func runDoppioProf(t *testing.T, source string, quicken bool, slice time.Duratio
 		DisableEngineTax: true,
 		Timeslice:        slice,
 		Quicken:          quicken,
-		Profiler:         prof,
 	})
 	runErr := vm.RunMain("Main", nil)
-	return stdout.String(), runErr, prof
+	return stdout.String(), runErr, hub.Profiler
 }
 
 // runNativeProf is the native-engine counterpart of runDoppioProf.
@@ -45,16 +46,16 @@ func runNativeProf(t *testing.T, source string, quicken bool) (string, error, *p
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	prof := profile.New(profile.Options{})
+	hub := telemetry.NewHub().EnableProfiling()
 	var stdout bytes.Buffer
 	vm := jvm.NewNativeVM(jvm.MapProvider(classes), jvm.NativeOptions{
-		Stdout:   &stdout,
-		Stderr:   &stdout,
-		Quicken:  quicken,
-		Profiler: prof,
+		Stdout:    &stdout,
+		Stderr:    &stdout,
+		Quicken:   quicken,
+		Telemetry: hub,
 	})
 	runErr := vm.RunMain("Main", nil)
-	return stdout.String(), runErr, prof
+	return stdout.String(), runErr, hub.Profiler
 }
 
 // TestProfilerEquivalenceCorpus runs every conformance program on both

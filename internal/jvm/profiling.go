@@ -1,7 +1,9 @@
 // profiling.go wires the guest profiler (internal/profile) into both
 // JVM engines. The profiler needs three things from an engine: a
 // root-first stack walk over its explicit frames, CPU sample points,
-// and allocation-site hooks.
+// and allocation-site hooks. The Doppio engine takes the profiler from
+// its window's telemetry hub, the native engine from
+// NativeOptions.Telemetry.
 //
 // Frame strings are "Class.method" for caller frames and
 // "Class.method:pc" at the leaf — the pc is the *original* bytecode
@@ -12,10 +14,11 @@
 //
 // Sample points per engine:
 //
-//   - DoppioVM rides the core.Runtime hooks: the suspend clock's
+//   - DoppioVM is sampled by its core.Runtime, which walks each
+//     DThread through core.StackWalker: at the suspend clock's
 //     counter-expiry probe (§4.1 — a timestamp is already being read
-//     there) plus the end of every timeslice, and the core block hook
-//     folds labelled Completion waits into the contention profile.
+//     there), at the end of every timeslice, and when a labelled
+//     Completion wait ends (the contention profile).
 //   - NativeVM has no core.Runtime; its scheduler samples inside the
 //     execute() quantum loop on an instruction countdown, and at
 //     quantum boundaries. Its monitors block threads without
@@ -28,7 +31,6 @@ import (
 	"strings"
 	"time"
 
-	"doppio/internal/core"
 	"doppio/internal/profile"
 )
 
@@ -65,8 +67,9 @@ func profArrayBytes(elemDesc string, n int32) int64 {
 	return 16 + size*int64(n)
 }
 
-// profStack walks a Doppio thread's frames root-first.
-func (d *DThread) profStack() []string {
+// GuestStack walks a Doppio thread's frames root-first; the runtime's
+// sampler reaches it through core.StackWalker.
+func (d *DThread) GuestStack() []string {
 	n := len(d.frames)
 	if n == 0 {
 		return nil
@@ -85,48 +88,22 @@ func (d *DThread) profAlloc(bytes int64) {
 	if !p.AllocReady() {
 		return
 	}
-	p.SampleAlloc(d.profStack(), bytes)
+	p.SampleAlloc(d.GuestStack(), bytes)
 }
 
-// installProfiler attaches p to the Doppio engine: CPU samples via
-// the runtime's safepoint hook, contention via the block hook, and
-// unmanaged-heap allocations via the umheap observer. Guest-object
-// allocation opcodes consult vm.prof directly in the interpreter.
-func (vm *DoppioVM) installProfiler(p *profile.Profiler) {
-	vm.prof = p
-	vm.rt.SetSampleHook(func(t *core.Thread, dt time.Duration) {
-		d, ok := t.Data.(*DThread)
-		if !ok {
-			return
-		}
-		if st := d.profStack(); st != nil {
-			p.SampleCPU(st, dt)
-		}
-	}, p.CPUInterval())
-	vm.rt.SetBlockHook(func(t *core.Thread, reason string, dt time.Duration) {
-		d, ok := t.Data.(*DThread)
-		if !ok {
-			return
-		}
-		// The completion label becomes the leaf frame, so the
-		// contention profile reads "call site → what it waited on".
-		st := append(d.profStack(), reason)
-		p.SampleBlock(st, dt)
-	})
-	vm.heap.SetAllocHook(func(n int) {
-		if !p.AllocReady() {
-			return
-		}
-		if d := vm.cur; d != nil {
-			p.SampleAlloc(append(d.profStack(), "(umheap)"), int64(n))
-			return
-		}
-		p.SampleAlloc([]string{"(host)", "(umheap)"}, int64(n))
-	})
+// profHeapAlloc is the unmanaged heap's allocation observer while
+// profiling: it samples at the running thread's stack, or under
+// "(host)" for allocations made outside guest code.
+func (vm *DoppioVM) profHeapAlloc(n int) {
+	if !vm.prof.AllocReady() {
+		return
+	}
+	if d := vm.cur; d != nil {
+		vm.prof.SampleAlloc(append(d.GuestStack(), "(umheap)"), int64(n))
+		return
+	}
+	vm.prof.SampleAlloc([]string{"(host)", "(umheap)"}, int64(n))
 }
-
-// Profiler returns the engine's guest profiler (nil when off).
-func (vm *DoppioVM) Profiler() *profile.Profiler { return vm.prof }
 
 // --- native engine ---
 
@@ -145,6 +122,19 @@ func profStackN(t *NThread) []string {
 		out[i] = profFrame(f.m, f.pc, i == n-1)
 	}
 	return out
+}
+
+// profHeapAlloc is the native engine's unmanaged-heap allocation
+// observer while profiling.
+func (vm *NativeVM) profHeapAlloc(n int) {
+	if !vm.prof.AllocReady() {
+		return
+	}
+	if t := vm.cur; t != nil {
+		vm.prof.SampleAlloc(append(profStackN(t), "(umheap)"), int64(n))
+		return
+	}
+	vm.prof.SampleAlloc([]string{"(host)", "(umheap)"}, int64(n))
 }
 
 // profAllocN samples one native-engine allocation event.
@@ -170,7 +160,7 @@ func (vm *NativeVM) profTick(t *NThread) {
 	vm.profCheck = profCheckEvery
 	now := time.Now()
 	dt := now.Sub(vm.profLast)
-	if dt < vm.prof.CPUInterval() {
+	if dt < profile.CPUInterval {
 		return
 	}
 	vm.profLast = now
@@ -190,6 +180,3 @@ func (vm *NativeVM) profQuantumEnd(t *NThread) {
 		vm.prof.SampleCPU(st, dt)
 	}
 }
-
-// Profiler returns the engine's guest profiler (nil when off).
-func (vm *NativeVM) Profiler() *profile.Profiler { return vm.prof }

@@ -2,7 +2,6 @@ package jvm
 
 import (
 	"fmt"
-	"time"
 
 	"doppio/internal/classfile"
 	"doppio/internal/telemetry"
@@ -25,31 +24,6 @@ type vmTelemetry struct {
 	nativeLat    *telemetry.Histogram
 	classLoadLat *telemetry.Histogram
 	classLoads   *telemetry.Counter
-}
-
-// EnableTelemetry points the VM at an observability hub (nil
-// detaches). NewDoppioVM calls this automatically when the window has
-// one.
-func (vm *DoppioVM) EnableTelemetry(h *telemetry.Hub) {
-	if h == nil {
-		vm.tel = nil
-		vm.loader.Observe = nil
-		return
-	}
-	tel := &vmTelemetry{
-		reg:          h.Registry,
-		tracer:       h.Tracer,
-		methodSpans:  h.MethodSpans,
-		nativeCalls:  h.Registry.Counter("jvm", "native_calls"),
-		nativeLat:    h.Registry.Histogram("jvm", "native_call"),
-		classLoadLat: h.Registry.Histogram("jvm", "class_load"),
-		classLoads:   h.Registry.Counter("jvm", "class_loads"),
-	}
-	vm.tel = tel
-	vm.loader.Observe = func(name string, took time.Duration) {
-		tel.classLoadLat.ObserveDuration(took)
-		tel.classLoads.Inc()
-	}
 }
 
 // FlushTelemetry publishes the interpreter's accumulated per-opcode

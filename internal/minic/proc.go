@@ -96,11 +96,9 @@ func (vm *VM) Clone() *VM {
 		frames:    append([]cFrame(nil), vm.frames...),
 		ops:       append([]int32(nil), vm.ops...),
 	}
-	// The clone gets a fresh runtime and a cloned heap, so the parent's
-	// profiler hooks must be re-installed to keep sampling the child.
-	if vm.prof != nil {
-		c.installProfiler(vm.prof)
-	}
+	// The child's runtime samples from the same rtCfg hub; only the
+	// cloned heap's allocation observer must be bound to the child.
+	c.bindProfiler()
 	return c
 }
 
@@ -109,6 +107,7 @@ func (vm *VM) Clone() *VM {
 // fork syscall. done fires on the event loop when the program exits.
 func (vm *VM) StartForked(done func(exit int32, err error)) {
 	vm.thread = vm.rt.Spawn("minic-forked", core.RunnableFunc(vm.run))
+	vm.thread.Data = vm
 	vm.rt.OnIdle(func() { done(vm.exitCode, vm.runErr) })
 	vm.rt.Start()
 }

@@ -44,7 +44,8 @@ type VM struct {
 	// Steps counts executed IR instructions.
 	Steps int64
 
-	// prof is the guest profiler (nil when off).
+	// prof is the window hub's guest profiler (nil when off); the
+	// heap's allocation observer samples into it.
 	prof *profile.Profiler
 
 	exitCode int32
@@ -80,13 +81,12 @@ type VMOptions struct {
 	OS OS
 	// Timeslice passes through to the Doppio execution environment.
 	Timeslice time.Duration
-	// Profiler, when non-nil, samples guest CPU time, allocation
-	// (the umheap malloc path), and blocked time into the given
-	// profiler. Stacks are keyed by MiniC function name.
-	Profiler *profile.Profiler
 }
 
-// NewVM creates a VM for prog inside the browser window.
+// NewVM creates a VM for prog inside the browser window. When the
+// window's telemetry hub carries a Profiler, guest CPU time, blocked
+// time (both sampled by the runtime) and every malloc are folded into
+// it, keyed by MiniC function name.
 func NewVM(win *browser.Window, prog *Program, opts VMOptions) (*VM, error) {
 	if opts.Stdout == nil {
 		opts.Stdout = io.Discard
@@ -134,15 +134,14 @@ func NewVM(win *browser.Window, prog *Program, opts VMOptions) (*VM, error) {
 	}
 	vm.stackBase = stackBase
 	vm.stackTop = opts.StackSize
-	if opts.Profiler != nil {
-		vm.installProfiler(opts.Profiler)
-	}
+	vm.bindProfiler()
 	return vm, nil
 }
 
-// profStack walks the VM's frames root-first, keyed by function name
-// (MiniC profiles are function-granular).
-func (vm *VM) profStack() []string {
+// GuestStack walks the VM's frames root-first, keyed by function name
+// (MiniC profiles are function-granular). The VM is its thread's Data,
+// so the runtime's sampler reaches it through core.StackWalker.
+func (vm *VM) GuestStack() []string {
 	n := len(vm.frames)
 	if n == 0 {
 		return nil
@@ -154,34 +153,28 @@ func (vm *VM) profStack() []string {
 	return out
 }
 
-// installProfiler attaches p: CPU samples ride the runtime's suspend-
-// clock probe and slice boundaries, contention folds the labelled
-// Completion waits, and the heap observer covers every malloc (the
-// SysMalloc syscall and the VM's own arena allocations alike).
-func (vm *VM) installProfiler(p *profile.Profiler) {
-	vm.prof = p
-	vm.rt.SetSampleHook(func(_ *core.Thread, dt time.Duration) {
-		if st := vm.profStack(); st != nil {
-			p.SampleCPU(st, dt)
-		}
-	}, p.CPUInterval())
-	vm.rt.SetBlockHook(func(_ *core.Thread, reason string, dt time.Duration) {
-		p.SampleBlock(append(vm.profStack(), reason), dt)
-	})
-	vm.heap.SetAllocHook(func(n int) {
-		if !p.AllocReady() {
-			return
-		}
-		st := vm.profStack()
-		if st == nil {
-			st = []string{"(startup)"}
-		}
-		p.SampleAlloc(append(st, "(umheap)"), int64(n))
-	})
+// bindProfiler points the heap's allocation observer at the window
+// hub's profiler, if any. The observer covers every malloc: the
+// SysMalloc syscall and the VM's own arena allocations alike.
+func (vm *VM) bindProfiler() {
+	if h := vm.win.Telemetry; h != nil && h.Profiler != nil {
+		vm.prof = h.Profiler
+		vm.heap.SetAllocHook(vm.profHeapAlloc)
+	}
 }
 
-// Profiler returns the VM's guest profiler (nil when off).
-func (vm *VM) Profiler() *profile.Profiler { return vm.prof }
+// profHeapAlloc samples one heap allocation at the current stack,
+// subject to the profiler's 1-in-N gate.
+func (vm *VM) profHeapAlloc(n int) {
+	if !vm.prof.AllocReady() {
+		return
+	}
+	st := vm.GuestStack()
+	if st == nil {
+		st = []string{"(startup)"}
+	}
+	vm.prof.SampleAlloc(append(st, "(umheap)"), int64(n))
+}
 
 // FS returns the file system the program sees.
 func (vm *VM) FS() *vfs.FS { return vm.fs }
@@ -198,6 +191,7 @@ func (vm *VM) Start(done func(exit int32, err error)) {
 		return
 	}
 	vm.thread = vm.rt.Spawn("minic-main", core.RunnableFunc(vm.run))
+	vm.thread.Data = vm
 	vm.rt.OnIdle(func() {
 		done(vm.exitCode, vm.runErr)
 	})

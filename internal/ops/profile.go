@@ -1,13 +1,15 @@
-// Guest-profile endpoints: /debug/profile serves the sampling
-// profiler's folded stacks (collapsed-stack text by default — the
-// flamegraph.pl / speedscope interchange format — or JSON), and
+// Guest-profile endpoints: /debug/profile serves the folded stacks of
+// the server hub's sampling profiler (collapsed-stack text by default —
+// the flamegraph.pl / speedscope interchange format — or JSON), and
 // /debug/guest-pprof serves the same data as a gzipped pprof protobuf
 // so `go tool pprof` inspects guest code unmodified.
 //
-// Both endpoints window with ?sec=N by snapshot-delta: snapshot every
-// registered profiler, sleep the window, snapshot again, and serve
-// the difference merged across sources. ?sec=0 skips the wait and
-// serves the cumulative profile since the profiler was created.
+// Both endpoints window with ?sec=N by snapshot-delta: snapshot the
+// profiler, sleep the window, snapshot again, and serve the
+// difference. ?sec=0 skips the wait and serves the cumulative profile
+// since the profiler was created. Every source attached to the hub
+// folds into its one profiler, so the profile is served once however
+// many sources are registered.
 package ops
 
 import (
@@ -36,41 +38,24 @@ func parseProfileKind(q string) (profile.Kind, bool) {
 	return "", false
 }
 
-// profWindow captures the merged profile of every profiled source:
-// the delta over a sec-second window, or the cumulative profile when
-// sec is 0. The bool reports whether any source has a profiler at
-// all. The wait aborts early if the client goes away.
+// profWindow captures the hub profiler's profile: the delta over a
+// sec-second window, or the cumulative profile when sec is 0. The bool
+// reports whether the hub carries a profiler at all. The wait aborts
+// early if the client goes away.
 func (s *Server) profWindow(r *http.Request, kind profile.Kind, sec int) (profile.Snapshot, bool) {
-	srcs := s.snapshotSources()
-	profs := make([]*profile.Profiler, 0, len(srcs))
-	for _, src := range srcs {
-		if src.Prof != nil {
-			profs = append(profs, src.Prof)
-		}
-	}
-	if len(profs) == 0 {
+	if s.hub == nil || s.hub.Profiler == nil {
 		return profile.Snapshot{Kind: kind}, false
 	}
+	p := s.hub.Profiler
 	if sec <= 0 {
-		snaps := make([]profile.Snapshot, len(profs))
-		for i, p := range profs {
-			snaps[i] = p.Snapshot(kind)
-		}
-		return profile.Merge(snaps...), true
+		return p.Snapshot(kind), true
 	}
-	prev := make([]profile.Snapshot, len(profs))
-	for i, p := range profs {
-		prev[i] = p.Snapshot(kind)
-	}
+	prev := p.Snapshot(kind)
 	select {
 	case <-time.After(time.Duration(sec) * time.Second):
 	case <-r.Context().Done():
 	}
-	deltas := make([]profile.Snapshot, len(profs))
-	for i, p := range profs {
-		deltas[i] = profile.Delta(prev[i], p.Snapshot(kind))
-	}
-	return profile.Merge(deltas...), true
+	return profile.Delta(prev, p.Snapshot(kind)), true
 }
 
 // profileWindowSeconds parses ?sec= with a default and the shared cap.

@@ -14,8 +14,8 @@
 // Collect therefore must run either on that goroutine (the server's
 // handlers arrange this via Loop.Post with a timeout) or after
 // Loop.Run has returned (the post-mortem paths). The telemetry hub's
-// registry, tracer, and flight recorder are internally synchronized
-// and safe from any goroutine.
+// registry, tracer, flight recorder, and guest profiler are internally
+// synchronized and safe from any goroutine.
 package ops
 
 import (
@@ -60,12 +60,6 @@ type Source struct {
 	// JVM lists the source's bytecode engines for the quickening
 	// counters (/debug/jvm); empty when no JVM runs here.
 	JVM []JVMEngine
-	// Prof is the source's guest profiler, feeding /debug/profile,
-	// /debug/guest-pprof, and the post-mortem hot-stack section. Nil
-	// when the workload runs unprofiled. The profiler is internally
-	// synchronized, so (unlike the loop-affine fields above) it is
-	// safe to snapshot from any goroutine.
-	Prof *profile.Profiler
 }
 
 // JVMEngine names one bytecode engine exposing quickening counters.
@@ -122,9 +116,11 @@ type Report struct {
 	FlightDropped uint64 `json:"flight_dropped,omitempty"`
 }
 
-// Collect assembles a report from whatever the source has. It reads
-// scheduler, VFS, and heap state directly — call it on the event-loop
-// goroutine or after Loop.Run has returned (see the package comment).
+// Collect assembles a report from whatever the source has, plus the
+// hub's flight tail and guest hot stacks when those pillars are on.
+// It reads scheduler, VFS, and heap state directly — call it on the
+// event-loop goroutine or after Loop.Run has returned (see the package
+// comment).
 func Collect(hub *telemetry.Hub, src Source, reason, detail string) *Report {
 	r := &Report{Reason: reason, Detail: detail, Source: src.Name}
 	if src.Runtime != nil {
@@ -151,9 +147,9 @@ func Collect(hub *telemetry.Hub, src Source, reason, detail string) *Report {
 		}
 		r.JVM = append(r.JVM, JVMEngineState{Engine: e.Engine, QuickStats: e.Stats.QuickStats()})
 	}
-	if src.Prof != nil {
+	if hub != nil && hub.Profiler != nil {
 		const hotStackCount = 10
-		snap := src.Prof.Snapshot(profile.CPU)
+		snap := hub.Profiler.Snapshot(profile.CPU)
 		if len(snap.Entries) > hotStackCount {
 			snap.Entries = snap.Entries[:hotStackCount]
 		}

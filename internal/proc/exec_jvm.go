@@ -46,7 +46,6 @@ func (k *Kernel) SpawnJVM(mainClass string, classes map[string][]byte, spec Spaw
 		Stdin:    jvmStdin(p, spec.Stdin),
 		Provider: jvm.MapProvider(classes),
 		FS:       &jvm.VFSHostFS{FS: p.FS},
-		Profiler: k.prof,
 	})
 	p.rt = vm.Runtime()
 	// Force-kill = System.exit with the signal's wait status: Exit

@@ -143,12 +143,11 @@ func (k *Kernel) SpawnMinic(prog *minic.Program, spec SpawnSpec) (*Process, erro
 	}
 
 	vm, err := minic.NewVM(k.win, prog, minic.VMOptions{
-		Stdout:   &procWriter{p: p, w: spec.Stdout},
-		Stdin:    minicStdin(p, spec.Stdin),
-		FS:       p.FS,
-		Args:     append([]string{spec.Name}, spec.Args...),
-		OS:       &minicOS{k: k, p: p},
-		Profiler: k.prof,
+		Stdout: &procWriter{p: p, w: spec.Stdout},
+		Stdin:  minicStdin(p, spec.Stdin),
+		FS:     p.FS,
+		Args:   append([]string{spec.Name}, spec.Args...),
+		OS:     &minicOS{k: k, p: p},
 	})
 	if err != nil {
 		k.reapFailedSpawn(p)

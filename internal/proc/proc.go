@@ -21,7 +21,6 @@ import (
 	"doppio/internal/browser"
 	"doppio/internal/buffer"
 	"doppio/internal/core"
-	"doppio/internal/profile"
 	"doppio/internal/vfs"
 )
 
@@ -92,18 +91,15 @@ type Kernel struct {
 	bufs *buffer.Factory
 	root vfs.Backend
 
-	// prof, when non-nil, is handed to every VM the kernel spawns, so
-	// one profiler sees the whole process tree (a pipeline's stages
-	// fold into a single profile, frames keyed by class/function).
-	prof *profile.Profiler
-
 	procs   map[int32]*Process
 	nextPID int32
 	pipeSeq int
 }
 
 // NewKernel creates a process kernel over the window's event loop and
-// a shared VFS root backend (every process mounts the same tree).
+// a shared VFS root backend (every process mounts the same tree). Every
+// VM the kernel spawns reports into the window's telemetry hub, so a
+// hub with a Profiler folds the whole process tree into one profile.
 func NewKernel(win *browser.Window, root vfs.Backend) *Kernel {
 	return &Kernel{
 		win: win,
@@ -120,11 +116,6 @@ func NewKernel(win *browser.Window, root vfs.Backend) *Kernel {
 
 // Window exposes the kernel's browser window (its event loop).
 func (k *Kernel) Window() *browser.Window { return k.win }
-
-// SetProfiler installs a guest profiler: every process spawned after
-// this call samples into p. Call before the first spawn; processes
-// already running keep their original (nil) profiler.
-func (k *Kernel) SetProfiler(p *profile.Profiler) { k.prof = p }
 
 // Root exposes the shared mount-table backend (ops /debug/vfs).
 func (k *Kernel) Root() vfs.Backend { return k.root }

@@ -9,6 +9,7 @@ import (
 	"doppio/internal/browser"
 	"doppio/internal/minic"
 	"doppio/internal/proc"
+	"doppio/internal/profile"
 	"doppio/internal/telemetry"
 	"doppio/internal/vfs"
 )
@@ -189,6 +190,63 @@ int main() {
 	}
 	if p.ExitCode() != 42 {
 		t.Errorf("parent exit = %d, want 42", p.ExitCode())
+	}
+}
+
+// TestForkedChildKeepsSampling forks under a profiled hub: the child
+// gets a fresh runtime and a cloned heap, and both must keep folding
+// into the window's profiler — CPU time in the child's own helper, its
+// mallocs at the child's stack, and the parent's wait as blocked time.
+func TestForkedChildKeepsSampling(t *testing.T) {
+	win := browser.NewWindow(browser.Chrome28)
+	hub := telemetry.NewHub().EnableProfiling()
+	win.EnableTelemetry(hub)
+	k := proc.NewKernel(win, vfs.NewInMemory())
+	prog := compileC(t, `
+int childwork(int n) {
+    int acc = 0;
+    for (int i = 0; i < n; i++) { acc = (acc * 31 + i) % 1000003; }
+    return acc;
+}
+int childalloc(int n) {
+    int sum = 0;
+    for (int i = 0; i < n; i++) { int *q = malloc(8); q[0] = 1; sum = sum + q[0]; free(q); }
+    return sum;
+}
+int main() {
+    int pid = fork();
+    if (pid == 0) {
+        childwork(2000000);
+        exit(childalloc(5 * 61) % 256);
+    }
+    return waitpid(pid);
+}`)
+	p, err := k.SpawnMinic(prog, proc.SpawnSpec{Name: "forker"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := win.Loop.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.ExitCode(); got != 305%256 {
+		t.Fatalf("parent exit = %d, want the child's %d", got, 305%256)
+	}
+	has := func(kind profile.Kind, prefix string) bool {
+		for _, e := range hub.Profiler.Snapshot(kind).Entries {
+			if strings.HasPrefix(strings.Join(e.Stack, ";"), prefix) {
+				return true
+			}
+		}
+		return false
+	}
+	if !has(profile.CPU, "main;childwork") {
+		t.Errorf("no CPU sample in the child's childwork: %+v", hub.Profiler.Snapshot(profile.CPU).Entries)
+	}
+	if !has(profile.Alloc, "main;childalloc;(umheap)") {
+		t.Errorf("no alloc sample at the child's childalloc: %+v", hub.Profiler.Snapshot(profile.Alloc).Entries)
+	}
+	if !has(profile.Block, "main;minic.waitpid(") {
+		t.Errorf("the parent's waitpid folded no blocked time: %+v", hub.Profiler.Snapshot(profile.Block).Entries)
 	}
 }
 

@@ -211,7 +211,7 @@ func (s Snapshot) WritePprof(w io.Writer, duration time.Duration) error {
 	pt.tagVarint(valueTypeType, st.id(pairs[len(pairs)-1][0]))
 	pt.tagVarint(valueTypeUnit, st.id(pairs[len(pairs)-1][1]))
 	out.tagBytes(profPeriodType, pt.Bytes())
-	out.tagVarint(profPeriod, int64(DefaultCPUInterval))
+	out.tagVarint(profPeriod, int64(CPUInterval))
 
 	// string_table last is fine — field order is free in protobuf.
 	for _, str := range st.list {

@@ -51,24 +51,14 @@ const (
 // Kinds lists the valid profile kinds.
 func Kinds() []Kind { return []Kind{CPU, Alloc, Block} }
 
-// DefaultAllocRate samples one in this many allocation events.
-const DefaultAllocRate = 61
+// AllocRate samples one in this many allocation events.
+const AllocRate = 61
 
-// DefaultCPUInterval is the minimum spacing between CPU samples. The
+// CPUInterval is the minimum spacing between CPU samples. The
 // safepoint clock fires far more often than this; the engines skip
 // sample points until the interval has elapsed and then attribute the
 // whole elapsed window to the current stack — classic sampling.
-const DefaultCPUInterval = time.Millisecond
-
-// Options tunes a Profiler.
-type Options struct {
-	// AllocRate samples 1-in-N allocation events (default
-	// DefaultAllocRate). 1 samples every allocation.
-	AllocRate int
-	// CPUInterval is the minimum spacing between CPU samples
-	// (default DefaultCPUInterval).
-	CPUInterval time.Duration
-}
+const CPUInterval = time.Millisecond
 
 // Entry is one folded stack with its accumulated weight.
 type Entry struct {
@@ -92,43 +82,22 @@ type bucket struct {
 type Profiler struct {
 	mu    sync.Mutex
 	kinds map[Kind]map[string]*bucket
-	start time.Time
 
-	allocRate  int64
 	allocCred  atomic.Int64 // countdown to the next sampled alloc
-	cpuEvery   time.Duration
 	cpuSamples atomic.Int64 // cheap liveness signal for tests/smoke
 }
 
-// New builds a Profiler with the given options.
-func New(opts Options) *Profiler {
-	if opts.AllocRate <= 0 {
-		opts.AllocRate = DefaultAllocRate
-	}
-	if opts.CPUInterval <= 0 {
-		opts.CPUInterval = DefaultCPUInterval
-	}
+// New builds an empty Profiler.
+func New() *Profiler {
 	p := &Profiler{
 		kinds: map[Kind]map[string]*bucket{
 			CPU:   {},
 			Alloc: {},
 			Block: {},
 		},
-		start:     time.Now(),
-		allocRate: int64(opts.AllocRate),
-		cpuEvery:  opts.CPUInterval,
 	}
-	p.allocCred.Store(int64(opts.AllocRate))
+	p.allocCred.Store(AllocRate)
 	return p
-}
-
-// CPUInterval reports the minimum CPU-sample spacing. Safe on nil
-// (returns a large interval so callers sample never).
-func (p *Profiler) CPUInterval() time.Duration {
-	if p == nil {
-		return time.Hour
-	}
-	return p.cpuEvery
 }
 
 // Samples reports the number of CPU samples folded so far. Safe on
@@ -176,7 +145,7 @@ func (p *Profiler) AllocReady() bool {
 	if p.allocCred.Add(-1) > 0 {
 		return false
 	}
-	p.allocCred.Store(p.allocRate)
+	p.allocCred.Store(AllocRate)
 	return true
 }
 
@@ -187,7 +156,7 @@ func (p *Profiler) SampleAlloc(stack []string, bytes int64) {
 	if p == nil {
 		return
 	}
-	p.add(Alloc, stack, p.allocRate, bytes*p.allocRate)
+	p.add(Alloc, stack, AllocRate, bytes*AllocRate)
 }
 
 // SampleBlock attributes d of blocked time (one contention event) to
@@ -253,41 +222,6 @@ func Delta(prev, cur Snapshot) Snapshot {
 	return out
 }
 
-// Merge folds several snapshots of the same kind into one (used by
-// the ops server to aggregate across registered sources). Stacks are
-// merged as-is; callers wanting per-source attribution prefix the
-// stacks themselves.
-func Merge(snaps ...Snapshot) Snapshot {
-	out := Snapshot{}
-	acc := map[string]*Entry{}
-	var keys []string
-	for _, s := range snaps {
-		if out.Kind == "" {
-			out.Kind = s.Kind
-		}
-		if s.Taken.After(out.Taken) {
-			out.Taken = s.Taken
-		}
-		for _, e := range s.Entries {
-			key := strings.Join(e.Stack, ";")
-			if a, ok := acc[key]; ok {
-				a.Count += e.Count
-				a.Value += e.Value
-			} else {
-				cp := e
-				cp.Stack = append([]string(nil), e.Stack...)
-				acc[key] = &cp
-				keys = append(keys, key)
-			}
-		}
-	}
-	for _, k := range keys {
-		out.Entries = append(out.Entries, *acc[k])
-	}
-	sortEntries(out.Entries)
-	return out
-}
-
 // WriteCollapsed renders the snapshot in Brendan Gregg's collapsed
 // stack format ("frame;frame;frame weight"), one line per folded
 // stack, weighted by Value — ready for flamegraph.pl / speedscope.
@@ -303,8 +237,7 @@ func (s Snapshot) WriteCollapsed(w io.Writer) error {
 // WriteFile writes the snapshot to path, picking the format by
 // extension: ".pb.gz" gets the pprof protobuf (open with
 // `go tool pprof path`), ".json" the JSON snapshot, anything else the
-// collapsed-stack text. This is the shared exit path behind the cmd
-// drivers' -prof-out flag.
+// collapsed-stack text.
 func (s Snapshot) WriteFile(path string, duration time.Duration) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -322,6 +255,27 @@ func (s Snapshot) WriteFile(path string, duration time.Duration) error {
 		err = cerr
 	}
 	return err
+}
+
+// ReportAtExit is the cmd drivers' shared -prof/-prof-out exit path:
+// with a path it writes the CPU profile there (WriteFile, spanning
+// elapsed), otherwise it prints the ten hottest methods and the sample
+// count. Messages go to w, prefixed with the driver's name. Safe on
+// nil (prints nothing).
+func (p *Profiler) ReportAtExit(w io.Writer, tool, path string, elapsed time.Duration) {
+	if p == nil {
+		return
+	}
+	if path != "" {
+		if err := p.Snapshot(CPU).WriteFile(path, elapsed); err != nil {
+			fmt.Fprintf(w, "%s: writing profile: %v\n", tool, err)
+		} else {
+			fmt.Fprintf(w, "%s: guest profile written to %s\n", tool, path)
+		}
+		return
+	}
+	fmt.Fprintf(w, "%s: guest hot methods (%d cpu samples):\n%s",
+		tool, p.Samples(), formatTop(p.Snapshot(CPU), 10))
 }
 
 // WriteJSON renders the snapshot as indented JSON.
@@ -388,9 +342,8 @@ func TopMethods(s Snapshot, n int) []MethodWeight {
 	return out
 }
 
-// FormatTop renders the snapshot's top-n hot methods one per line —
-// the cmd drivers' exit summary when -prof runs without -prof-out.
-func FormatTop(s Snapshot, n int) string {
+// formatTop renders the snapshot's top-n hot methods one per line.
+func formatTop(s Snapshot, n int) string {
 	var b strings.Builder
 	for _, m := range TopMethods(s, n) {
 		fmt.Fprintf(&b, "  %10.1fms  %6d  %s\n", float64(m.Value)/1e6, m.Count, m.Method)

@@ -5,6 +5,8 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -12,7 +14,7 @@ import (
 )
 
 func TestFoldAndSnapshot(t *testing.T) {
-	p := New(Options{})
+	p := New()
 	stack := []string{"Main.main", "Main.work:12"}
 	p.SampleCPU(stack, 3*time.Millisecond)
 	p.SampleCPU(stack, 2*time.Millisecond)
@@ -51,30 +53,30 @@ func TestNilProfilerIsSafe(t *testing.T) {
 }
 
 func TestAllocGateAndScaling(t *testing.T) {
-	p := New(Options{AllocRate: 4})
+	p := New()
 	sampled := 0
-	for i := 0; i < 40; i++ {
+	for i := 0; i < 10*AllocRate; i++ {
 		if p.AllocReady() {
 			sampled++
 			p.SampleAlloc([]string{"Main.alloc:7"}, 16)
 		}
 	}
 	if sampled != 10 {
-		t.Fatalf("1-in-4 gate sampled %d of 40", sampled)
+		t.Fatalf("1-in-%d gate sampled %d of %d", AllocRate, sampled, 10*AllocRate)
 	}
 	s := p.Snapshot(Alloc)
 	if len(s.Entries) != 1 {
 		t.Fatalf("entries: %+v", s.Entries)
 	}
-	// Each sampled event scales by the rate: 10 samples * 4 = 40
-	// objects, 10 * 16 * 4 = 640 bytes.
-	if s.Entries[0].Count != 40 || s.Entries[0].Value != 640 {
+	// Each sampled event scales by the rate: 10 samples stand for
+	// 10*AllocRate objects of 16 bytes.
+	if s.Entries[0].Count != 10*AllocRate || s.Entries[0].Value != 10*16*AllocRate {
 		t.Fatalf("scaled alloc entry = %+v", s.Entries[0])
 	}
 }
 
 func TestDeltaWindow(t *testing.T) {
-	p := New(Options{})
+	p := New()
 	p.SampleCPU([]string{"a", "b:1"}, 10*time.Millisecond)
 	before := p.Snapshot(CPU)
 	p.SampleCPU([]string{"a", "b:1"}, 5*time.Millisecond)
@@ -88,23 +90,8 @@ func TestDeltaWindow(t *testing.T) {
 	}
 }
 
-func TestMergeAcrossProfilers(t *testing.T) {
-	a := New(Options{})
-	b := New(Options{})
-	a.SampleBlock([]string{"x", "y:1"}, time.Millisecond)
-	b.SampleBlock([]string{"x", "y:1"}, 2*time.Millisecond)
-	b.SampleBlock([]string{"z:9"}, time.Millisecond)
-	m := Merge(a.Snapshot(Block), b.Snapshot(Block))
-	if m.Kind != Block || len(m.Entries) != 2 {
-		t.Fatalf("merge = %+v", m)
-	}
-	if m.Entries[0].Value != int64(3*time.Millisecond) || m.Entries[0].Count != 2 {
-		t.Fatalf("merged top = %+v", m.Entries[0])
-	}
-}
-
 func TestTopMethodsStripsPC(t *testing.T) {
-	p := New(Options{})
+	p := New()
 	p.SampleCPU([]string{"Main.main", "Main.work:12"}, 2*time.Millisecond)
 	p.SampleCPU([]string{"Main.main", "Main.work:44"}, 3*time.Millisecond)
 	p.SampleCPU([]string{"Main.main", "Main.other:1"}, time.Millisecond)
@@ -117,8 +104,42 @@ func TestTopMethodsStripsPC(t *testing.T) {
 	}
 }
 
+// TestReportAtExit pins the drivers' -prof/-prof-out exit path: the
+// hot-method table with the sample count, or the snapshot written to
+// a file and named on w.
+func TestReportAtExit(t *testing.T) {
+	p := New()
+	p.SampleCPU([]string{"Main.main", "Main.work:12"}, 2*time.Millisecond)
+	var buf bytes.Buffer
+	p.ReportAtExit(&buf, "tool", "", time.Second)
+	if got := buf.String(); !strings.HasPrefix(got, "tool: guest hot methods (1 cpu samples):\n") ||
+		!strings.Contains(got, "2.0ms") || !strings.Contains(got, "Main.work\n") {
+		t.Fatalf("hot-method report = %q", got)
+	}
+
+	path := filepath.Join(t.TempDir(), "cpu.txt")
+	buf.Reset()
+	p.ReportAtExit(&buf, "tool", path, time.Second)
+	if got, want := buf.String(), "tool: guest profile written to "+path+"\n"; got != want {
+		t.Fatalf("file report = %q, want %q", got, want)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(data); got != "Main.main;Main.work:12 2000000\n" {
+		t.Fatalf("collapsed file = %q", got)
+	}
+
+	buf.Reset()
+	(*Profiler)(nil).ReportAtExit(&buf, "tool", path, time.Second)
+	if buf.Len() != 0 {
+		t.Fatalf("nil profiler reported %q", buf.String())
+	}
+}
+
 func TestCollapsedOutput(t *testing.T) {
-	p := New(Options{})
+	p := New()
 	p.SampleCPU([]string{"a", "b", "c:3"}, 7*time.Nanosecond)
 	var buf bytes.Buffer
 	if err := p.Snapshot(CPU).WriteCollapsed(&buf); err != nil {
@@ -130,7 +151,7 @@ func TestCollapsedOutput(t *testing.T) {
 }
 
 func TestConcurrentSampling(t *testing.T) {
-	p := New(Options{AllocRate: 2})
+	p := New()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -206,7 +227,7 @@ func pprofVarint(t *testing.T, data []byte) (uint64, int) {
 }
 
 func TestPprofEncoding(t *testing.T) {
-	p := New(Options{})
+	p := New()
 	p.SampleCPU([]string{"Main.main", "Main.work:12"}, 5*time.Millisecond)
 	p.SampleCPU([]string{"Main.main"}, time.Millisecond)
 	var buf bytes.Buffer
@@ -282,7 +303,7 @@ func TestPprofEncoding(t *testing.T) {
 // still scanned as protobuf but made `go tool pprof` reject the file;
 // only a schema-exact check catches that class of bug.
 func TestPprofSchemaFields(t *testing.T) {
-	p := New(Options{})
+	p := New()
 	p.SampleCPU([]string{"Main.main", "Main.work:12"}, time.Millisecond)
 	var buf bytes.Buffer
 	if err := p.Snapshot(CPU).WritePprof(&buf, time.Second); err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"doppio/internal/browser"
 	"doppio/internal/proc"
+	"doppio/internal/profile"
 	"doppio/internal/shell"
 	"doppio/internal/telemetry"
 	"doppio/internal/vfs"
@@ -66,6 +67,39 @@ func TestMinicPipelineSeqGrepWc(t *testing.T) {
 	}
 	if got := strings.TrimSpace(out.String()); got != "2 2 5" {
 		t.Errorf("wc = %q, want \"2 2 5\" (2 lines, 2 words, 5 bytes)", got)
+	}
+}
+
+// TestProfiledPipelineFoldsBothRuntimes runs dsh -prof's pipeline
+// shape under a profiled hub: the MiniC seq and wc stages and the JVM
+// jgrep stage all fold into the window's one profile.
+func TestProfiledPipelineFoldsBothRuntimes(t *testing.T) {
+	win := browser.NewWindow(browser.Chrome28)
+	hub := telemetry.NewHub().EnableProfiling()
+	win.EnableTelemetry(hub)
+	var out bytes.Buffer
+	sh, err := shell.New(proc.NewKernel(win, vfs.NewInMemory()), &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := run(t, sh, win, `seq 200 | jgrep 7 | wc`); code != 0 {
+		t.Fatalf("status = %d", code)
+	}
+	if got := strings.TrimSpace(out.String()); got != "38 38 132" {
+		t.Fatalf("wc = %q, want \"38 38 132\"", got)
+	}
+	sawJVM, sawMinic := false, false
+	for _, e := range hub.Profiler.Snapshot(profile.CPU).Entries {
+		switch root := e.Stack[0]; {
+		case strings.HasPrefix(root, "JGrep.main"):
+			sawJVM = true
+		case root == "main":
+			sawMinic = true
+		}
+	}
+	if !sawJVM || !sawMinic {
+		t.Errorf("CPU profile has JGrep frames %v, MiniC main frames %v; want both:\n%+v",
+			sawJVM, sawMinic, hub.Profiler.Snapshot(profile.CPU).Entries)
 	}
 }
 
