@@ -149,8 +149,7 @@ func main() {
 		DisableEngineTax: !*tax,
 		Quicken:          *quicken,
 	})
-	src := ops.Source{Name: mainClass, Loop: win.Loop, Runtime: vm.Runtime(), Heap: vm.Heap(),
-		JVM: []ops.JVMEngine{{Engine: "doppio", Stats: vm}}}
+	src := ops.Source{Name: mainClass, Loop: win.Loop, Runtime: vm.Runtime(), Heap: vm.Heap(), JVM: vm}
 	emit := func(rep *ops.Report) {
 		fmt.Fprint(os.Stderr, rep.Text())
 		if *postmortem != "" {

@@ -22,7 +22,6 @@ func main() {
 	srcFlag := flag.String("src", "", "comma-separated .mj sources to compile and run")
 	cpFlag := flag.String("cp", "", "comma-separated directories of .class files")
 	stats := flag.Bool("stats", false, "print statistics after execution")
-	quicken := flag.Bool("jvm-quicken", false, "enable the interpreter speed tier: quickened bytecodes, inline caches, superinstructions")
 	profFlag := flag.Bool("prof", false, "enable the guest sampling profiler; prints the hot methods at exit")
 	profOut := flag.String("prof-out", "", "write the guest CPU profile here at exit (.pb.gz = pprof protobuf, .json = snapshot, else collapsed stacks); implies -prof")
 	flag.Parse()
@@ -83,7 +82,6 @@ func main() {
 	}
 	vm := jvm.NewNativeVM(jvm.MapProvider(classes), jvm.NativeOptions{
 		Stdout: os.Stdout, Stderr: os.Stderr, Stdin: os.Stdin,
-		Quicken:   *quicken,
 		Telemetry: hub,
 	})
 	start := time.Now()

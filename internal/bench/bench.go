@@ -96,13 +96,6 @@ var MicroWorkloads = []WorkloadSpec{
 		Args: func(s int) []string { return []string{fmt.Sprint(40 * s)} }},
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // corpusFiles materializes a corpus as path→bytes. The class corpus
 // is capped proportionally to scale so quick runs stay quick; the
 // paper-scale run (scale ≥ 5) disassembles everything.
@@ -253,7 +246,7 @@ func RunDoppio(spec WorkloadSpec, scale int, profile browser.Profile, cfg Config
 			Runtime: vm.Runtime(),
 			Backend: root,
 			Heap:    vm.Heap(),
-			JVM:     []ops.JVMEngine{{Engine: "doppio", Stats: vm}},
+			JVM:     vm,
 		})
 	}
 	start := time.Now()

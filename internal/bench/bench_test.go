@@ -70,24 +70,44 @@ func TestFig45Quick(t *testing.T) {
 	}
 	cfg := quickCfg()
 	cfg.Browsers = []browser.Profile{browser.Chrome28, browser.IE10}
-	rows, err := RunFig45(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(MicroWorkloads)*2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.WallSlowdown < 1 {
-			t.Errorf("%s on %s: wall slowdown %.2f < 1", r.Workload, r.Browser, r.WallSlowdown)
+	// As in TestFig3Quick, the wall slowdown compares the fastest of
+	// three interleaved sweeps on either side: one cold sample each
+	// has read pidigits at 0.81x on a loaded 2-core host. The CPU and
+	// suspension checks hold for every sweep.
+	const sweeps = 3
+	var rows []MicroResult
+	fastest := map[string]MicroResult{}
+	for i := 0; i < sweeps; i++ {
+		var err error
+		rows, err = RunFig45(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.CPUSlowdown > r.WallSlowdown*1.05 {
-			t.Errorf("%s on %s: CPU slowdown %.2f exceeds wall %.2f", r.Workload, r.Browser, r.CPUSlowdown, r.WallSlowdown)
+		if len(rows) != len(MicroWorkloads)*2 {
+			t.Fatalf("rows = %d", len(rows))
 		}
-		// Figure 5's shape: suspension is a small fraction of runtime
-		// on fast-resumption browsers.
-		if r.Suspensions > 0 && r.SuspendPct > 50 {
-			t.Errorf("%s on %s: suspended %.1f%% of runtime", r.Workload, r.Browser, r.SuspendPct)
+		for _, r := range rows {
+			if r.CPUSlowdown > r.WallSlowdown*1.05 {
+				t.Errorf("sweep %d: %s on %s: CPU slowdown %.2f exceeds wall %.2f",
+					i, r.Workload, r.Browser, r.CPUSlowdown, r.WallSlowdown)
+			}
+			// Figure 5's shape: suspension is a small fraction of
+			// runtime on fast-resumption browsers.
+			if r.Suspensions > 0 && r.SuspendPct > 50 {
+				t.Errorf("sweep %d: %s on %s: suspended %.1f%% of runtime", i, r.Workload, r.Browser, r.SuspendPct)
+			}
+			key := r.Workload + " on " + r.Browser
+			if f, ok := fastest[key]; ok {
+				r.Wall = min(r.Wall, f.Wall)
+				r.Native = min(r.Native, f.Native)
+			}
+			fastest[key] = r
+		}
+	}
+	for key, r := range fastest {
+		if slowdown := float64(r.Wall) / float64(r.Native); slowdown < 1 {
+			t.Errorf("%s: wall slowdown %.2f < 1 (fastest of %d sweeps: doppio %v, native %v)",
+				key, slowdown, sweeps, r.Wall, r.Native)
 		}
 	}
 	out := FormatFig45(rows)

@@ -16,21 +16,16 @@ import (
 // asynchronous-only, which is precisely the restriction (§3.2) that
 // Doppio's sync-over-async machinery exists to hide.
 type RemoteServer struct {
-	mu      sync.RWMutex
-	files   map[string][]byte
-	latency time.Duration
+	mu    sync.RWMutex
+	files map[string][]byte
 }
 
-// NewRemoteServer creates an empty server with a small default latency.
+// remoteLatency is the simulated network round trip per request.
+const remoteLatency = 300 * time.Microsecond
+
+// NewRemoteServer creates an empty server.
 func NewRemoteServer() *RemoteServer {
-	return &RemoteServer{files: make(map[string][]byte), latency: 300 * time.Microsecond}
-}
-
-// SetLatency sets the simulated network round-trip per request.
-func (r *RemoteServer) SetLatency(d time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.latency = d
+	return &RemoteServer{files: make(map[string][]byte)}
 }
 
 func cleanRemotePath(p string) string {
@@ -81,9 +76,6 @@ func (r *RemoteServer) fetch(path string) ([]byte, error) {
 // XHRGetAsync downloads path and delivers the result on the event loop
 // after the simulated network latency.
 func (r *RemoteServer) XHRGetAsync(loop *eventloop.Loop, path string, cb func(data []byte, err error)) {
-	r.mu.RLock()
-	lat := r.latency
-	r.mu.RUnlock()
 	c := core.NewCompletion(loop, "browser.xhr")
 	c.Then(func(v interface{}, err error) {
 		data, _ := v.([]byte)
@@ -91,9 +83,7 @@ func (r *RemoteServer) XHRGetAsync(loop *eventloop.Loop, path string, cb func(da
 	})
 	resolve := c.Resolver()
 	go func() {
-		if lat > 0 {
-			time.Sleep(lat)
-		}
+		time.Sleep(remoteLatency)
 		data, err := r.fetch(path)
 		resolve(data, err)
 	}()

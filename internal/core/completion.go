@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"doppio/internal/eventloop"
-	"doppio/internal/vfs/retry"
 )
 
 // Completion is the runtime's single-fire carrier for the result of an
@@ -157,13 +156,6 @@ func (c *Completion) WithDeadline(d time.Duration) *Completion {
 		c.Resolve(nil, &DeadlineError{Label: c.label, After: d})
 	}, d)
 	return c
-}
-
-// WithPolicyDeadline arms WithDeadline from a retry policy's Deadline
-// field, tying completion expiry to the same budget the retry layer
-// enforces for backoff sequences.
-func (c *Completion) WithPolicyDeadline(pol retry.Policy) *Completion {
-	return c.WithDeadline(pol.Deadline)
 }
 
 // DeadlineError is the error a Completion settles with when its

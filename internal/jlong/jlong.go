@@ -52,11 +52,6 @@ func FromInt32(v int32) Long {
 	return Long{Hi: hi, Lo: uint32(v)}
 }
 
-// FromUint32 zero-extends a 32-bit pattern into a Long.
-func FromUint32(v uint32) Long {
-	return Long{Hi: 0, Lo: v}
-}
-
 // FromFloat64 converts a float64 to a Long using JVM d2l semantics:
 // NaN maps to 0, values beyond the representable range saturate.
 func FromFloat64(f float64) Long {
@@ -107,9 +102,6 @@ func (l Long) IsZero() bool { return l.Hi == 0 && l.Lo == 0 }
 
 // IsNeg reports whether the Long is negative.
 func (l Long) IsNeg() bool { return l.Hi&0x80000000 != 0 }
-
-// IsOdd reports whether the lowest bit is set.
-func (l Long) IsOdd() bool { return l.Lo&1 == 1 }
 
 // Neg returns the two's-complement negation.
 func (l Long) Neg() Long {

@@ -41,7 +41,6 @@ type DoppioVM struct {
 	fs             HostFS
 	heap           *umheap.Heap
 	bufs           *buffer.Factory
-	props          map[string]string
 	jsEval         func(string) string
 
 	socketSeq int32
@@ -96,8 +95,7 @@ type DoppioOptions struct {
 	Provider AsyncProvider
 	// FS is the file system the program sees; typically the Doppio
 	// VFS of the same window.
-	FS         HostFS
-	Properties map[string]string
+	FS HostFS
 	// Timeslice, ForceMechanism and FixedCounter pass through to the
 	// Doppio execution environment.
 	Timeslice      time.Duration
@@ -153,13 +151,9 @@ func NewDoppioVM(win *browser.Window, opts DoppioOptions) *DoppioVM {
 		fs:        opts.FS,
 		heap:      umheap.New(opts.HeapSize, win.Profile.HasTypedArrays, win.NoteTypedArrayAlloc),
 		bufs:      bufs,
-		props:     opts.Properties,
 		jsEval:    opts.JSEval,
 		socketsBy: make(map[int32]*sockets.Socket),
 		dialFn:    opts.SocketDialer,
-	}
-	if vm.props == nil {
-		vm.props = map[string]string{}
 	}
 	if opts.Provider == nil {
 		opts.Provider = MapProvider{}
@@ -220,7 +214,7 @@ func (vm *DoppioVM) Runtime() *core.Runtime { return vm.rt }
 // Window returns the hosting browser window.
 func (vm *DoppioVM) Window() *browser.Window { return vm.win }
 
-// QuickStats reports the quickening counters (QuickStatser).
+// QuickStats reports the quickening counters.
 func (vm *DoppioVM) QuickStats() QuickStats {
 	st := vm.qstats
 	st.Enabled = vm.quicken
@@ -615,9 +609,6 @@ func (vm *DoppioVM) StdinRead(n int, cb func([]byte, error)) {
 	}
 	vm.stdinFn(n, cb)
 }
-
-// Property reads a system property.
-func (vm *DoppioVM) Property(key string) string { return vm.props[key] }
 
 // CurrentTimeMillis returns wall-clock milliseconds.
 func (vm *DoppioVM) CurrentTimeMillis() int64 { return time.Now().UnixMilli() }

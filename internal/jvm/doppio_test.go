@@ -338,6 +338,14 @@ public class Main {
         }
     }
 }`,
+	// No system properties are defined, so every key reads null on
+	// both engines (TestGetPropertyReadsNull pins the value).
+	"properties": `
+public class Main {
+    public static void main(String[] args) {
+        System.out.println(System.getProperty("java.version") == null);
+    }
+}`,
 	// The quick* programs warm each throwing quickened form past the
 	// fusion thresholds (64 loop iterations, 16 calls) before it
 	// faults, so the quickened run raises from the inner loop. The
@@ -501,6 +509,16 @@ func TestDoppioMatchesNativeEngine(t *testing.T) {
 				t.Errorf("engines disagree:\nnative: %q\ndoppio: %q", nativeOut, doppioOut)
 			}
 		})
+	}
+}
+
+func TestGetPropertyReadsNull(t *testing.T) {
+	src := conformancePrograms["properties"]
+	if out := runNative(t, src); out != "true\n" {
+		t.Errorf("native: out = %q, want %q", out, "true\n")
+	}
+	if out := runDoppio(t, browser.Chrome28, src); out != "true\n" {
+		t.Errorf("doppio: out = %q, want %q", out, "true\n")
 	}
 }
 

@@ -94,7 +94,6 @@ type NativeHost interface {
 	Stdout() io.Writer
 	Stderr() io.Writer
 	StdinRead(n int, cb func([]byte, error)) // asynchronous console input
-	Property(key string) string
 	CurrentTimeMillis() int64
 	NanoTime() int64
 	Exit(code int32)

@@ -392,7 +392,7 @@ func (d *DThread) Run(ct *core.Thread) core.RunResult {
 				// An int, float or string constant never changes: the
 				// value just pushed (the interned string itself, so
 				// identity holds) becomes the site's QConst.
-				installDoppioQuick(f.m, f.pc, QuickOp{Kind: QConst, K: f.peek()}, &vm.qstats)
+				installResolvedQuick(f.m, f.pc, QuickOp{Kind: QConst, K: f.peek()}, &vm.qstats)
 			}
 
 		case classfile.OpIload, classfile.OpFload, classfile.OpAload:
@@ -1013,7 +1013,7 @@ func (d *DThread) Run(ct *core.Thread) core.RunResult {
 				}
 			}
 			if vm.quicken && cls.State == StateInitialized {
-				installDoppioQuick(f.m, f.pc, QuickOp{Kind: QNew, Class: cls}, &vm.qstats)
+				installResolvedQuick(f.m, f.pc, QuickOp{Kind: QNew, Class: cls}, &vm.qstats)
 			}
 			if vm.prof != nil {
 				d.profAlloc(profObjBytes(cls))
@@ -1110,7 +1110,7 @@ func (d *DThread) Run(ct *core.Thread) core.RunResult {
 				if o != nil {
 					q.ICClass = o.Class
 				}
-				installDoppioQuick(f.m, f.pc, q, &vm.qstats)
+				installResolvedQuick(f.m, f.pc, q, &vm.qstats)
 			}
 		case classfile.OpInstanceof:
 			idx := u16(code, f.pc+1)
@@ -1127,7 +1127,7 @@ func (d *DThread) Run(ct *core.Thread) core.RunResult {
 				if o != nil && instanceofFixed(o.Class, yes) {
 					q.ICClass, q.K = o.Class, f.peek()
 				}
-				installDoppioQuick(f.m, f.pc, q, &vm.qstats)
+				installResolvedQuick(f.m, f.pc, q, &vm.qstats)
 			}
 
 		case classfile.OpMonitorenter:
@@ -1199,7 +1199,7 @@ func (d *DThread) Run(ct *core.Thread) core.RunResult {
 			// mid-invocation, and the next dispatch of the loop body
 			// enters runQuickD on the same frame and pc.
 			if qt := f.m.quickTable(); qt.noteLoop() {
-				qt.fuse(f.m, vm.pairs, &vm.qstats, true)
+				qt.fuse(f.m, vm.pairs, &vm.qstats)
 			}
 		}
 		f.pc = npc
@@ -1331,7 +1331,7 @@ func (d *DThread) invokeResolved(ct *core.Thread, f *DFrame, m *Method, hasRecv 
 	d.frames = append(d.frames, nf)
 	if vm.quicken && m.Code != nil {
 		if qt := m.quickTable(); qt.noteCall() {
-			qt.fuse(m, vm.pairs, &vm.qstats, true)
+			qt.fuse(m, vm.pairs, &vm.qstats)
 		}
 	}
 	// §6.1: "DOPPIOJVM checks at each function call boundary whether

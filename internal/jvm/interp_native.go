@@ -199,11 +199,6 @@ func (vm *NativeVM) invoke(t *NThread, caller *NFrame, m *Method, hasRecv bool) 
 	copy(nf.locals, caller.stack[caller.sp-total:caller.sp])
 	caller.sp -= total
 	t.frames = append(t.frames, nf)
-	if vm.quicken {
-		if qt := m.quick; qt != nil && qt.noteCall() {
-			qt.fuse(m, vm.pairs, &vm.qstats, false)
-		}
-	}
 }
 
 func (vm *NativeVM) invokeNative(t *NThread, caller *NFrame, m *Method, hasRecv bool) {
@@ -230,110 +225,6 @@ func (vm *NativeVM) invokeNative(t *NThread, caller *NFrame, m *Method, hasRecv 
 	default:
 		encodePush(caller, m.RetDesc, res.Value)
 	}
-}
-
-// execQuick executes one quickened (or fused) instruction from the
-// method's side table, including its pc advance; throws land with
-// f.pc at the faulting instruction, exactly like the generic forms.
-func (vm *NativeVM) execQuick(t *NThread, f *NFrame, q *QuickOp) {
-	switch q.Kind {
-	case QGetfield:
-		o := f.popR()
-		if o == nil {
-			vm.throwByName(t, "java/lang/NullPointerException", q.Field.Name)
-			return
-		}
-		f.push(o.Slots[q.Offset])
-		if q.Wide {
-			f.push(Slot{})
-		}
-	case QPutfield:
-		if q.Wide {
-			f.pop()
-		}
-		v := f.pop()
-		o := f.popR()
-		if o == nil {
-			vm.throwByName(t, "java/lang/NullPointerException", q.Field.Name)
-			return
-		}
-		o.Slots[q.Offset] = v
-	case QGetstatic:
-		f.push(q.Field.Class.Statics[q.Field.Name])
-		if q.Wide {
-			f.push(Slot{})
-		}
-	case QPutstatic:
-		if q.Wide {
-			f.pop()
-		}
-		q.Field.Class.Statics[q.Field.Name] = f.pop()
-	case QInvokeStatic:
-		f.pc += int(q.Len)
-		vm.invoke(t, f, q.Method, false)
-		return
-	case QInvokeSpecial:
-		if f.stack[f.sp-q.Method.ArgSlots-1].R == nil {
-			vm.throwByName(t, "java/lang/NullPointerException", q.Method.Name)
-			return
-		}
-		f.pc += int(q.Len)
-		vm.invoke(t, f, q.Method, true)
-		return
-	case QInvokeVirtual:
-		recv := f.stack[f.sp-q.Method.ArgSlots-1].R
-		if recv == nil {
-			vm.throwByName(t, "java/lang/NullPointerException", q.Method.Name)
-			return
-		}
-		m := icLookup(q, recv.Class, &vm.qstats)
-		if m == nil {
-			vm.throwByName(t, "java/lang/Error", "no such method "+q.Method.String())
-			return
-		}
-		f.pc += int(q.Len)
-		vm.invoke(t, f, m, true)
-		return
-	case QAloadGetfield:
-		o := f.locals[q.A].R
-		if o == nil {
-			// Trap at the getfield half's pc so handler ranges that
-			// start between the fused halves still match.
-			f.pc += int(q.Len) - 3
-			vm.throwByName(t, "java/lang/NullPointerException", q.Field.Name)
-			return
-		}
-		f.push(o.Slots[q.Offset])
-		if q.Wide {
-			f.push(Slot{})
-		}
-		vm.qstats.FusedExec++
-	case QIloadIadd:
-		f.pushI(f.popI() + int32(f.locals[q.A].N))
-		vm.qstats.FusedExec++
-	case QGetfieldIfeq:
-		o := f.popR()
-		if o == nil {
-			vm.throwByName(t, "java/lang/NullPointerException", q.Field.Name)
-			return
-		}
-		vm.qstats.FusedExec++
-		if int32(o.Slots[q.Offset].N) == 0 {
-			f.pc = int(q.A)
-		} else {
-			f.pc += int(q.Len)
-		}
-		return
-	case QIloadIfIcmplt:
-		vm.qstats.FusedExec++
-		if f.popI() < int32(f.locals[q.A].N) {
-			f.pc = int(q.Offset)
-		} else {
-			f.pc += int(q.Len)
-		}
-		return
-	}
-	f.pc += int(q.Len)
 }
 
 // methodReturn pops the current frame, transferring the return value.
@@ -386,22 +277,9 @@ func (vm *NativeVM) execute(t *NThread, quantum int) error {
 		}
 		vm.Instructions++
 		op := code[f.pc]
-		if vm.pairs != nil {
-			vm.pairs.note(t.prevOp, op)
-			t.prevOp = op
-		}
 		if vm.prof != nil {
 			if vm.profCheck--; vm.profCheck <= 0 {
 				vm.profTick(t)
-			}
-		}
-		if qt := f.m.quick; qt != nil {
-			// The native engine executes only the lazily installed
-			// kinds; pre-decoded simple forms (qDeepFirst and up) fall
-			// back to the generic handlers below.
-			if q := &qt.Ops[f.pc]; q.Kind != QNone && q.Kind < qDeepFirst {
-				vm.execQuick(t, f, q)
-				continue
 			}
 		}
 		npc := f.pc + classfile.InstrLen(code, f.pc)
@@ -982,13 +860,6 @@ func (vm *NativeVM) execute(t *NThread, quantum int) error {
 				vm.ensureInit(t, fld.Class)
 				continue // re-execute after <clinit>
 			}
-			if vm.quicken {
-				kind := QGetstatic
-				if op == classfile.OpPutstatic {
-					kind = QPutstatic
-				}
-				installStaticQuick(f.m, f.pc, kind, fld, &vm.qstats)
-			}
 			wide := fld.Desc == "J" || fld.Desc == "D"
 			if op == classfile.OpGetstatic {
 				v := fld.Class.Statics[fld.Name]
@@ -1008,9 +879,6 @@ func (vm *NativeVM) execute(t *NThread, quantum int) error {
 			if err != nil {
 				vm.throwByName(t, "java/lang/ClassNotFoundException", err.Error())
 				continue
-			}
-			if vm.quicken {
-				installFieldQuick(f.m, f.pc, QGetfield, fld, &vm.qstats)
 			}
 			o := f.popR()
 			if o == nil {
@@ -1032,9 +900,6 @@ func (vm *NativeVM) execute(t *NThread, quantum int) error {
 			if err != nil {
 				vm.throwByName(t, "java/lang/ClassNotFoundException", err.Error())
 				continue
-			}
-			if vm.quicken {
-				installFieldQuick(f.m, f.pc, QPutfield, fld, &vm.qstats)
 			}
 			if fld.Desc == "J" || fld.Desc == "D" {
 				f.pop()
@@ -1062,9 +927,6 @@ func (vm *NativeVM) execute(t *NThread, quantum int) error {
 				vm.ensureInit(t, m.Class)
 				continue
 			}
-			if vm.quicken {
-				installInvokeQuick(f.m, f.pc, QInvokeStatic, m, &vm.qstats)
-			}
 			f.pc = npc
 			vm.invoke(t, f, m, false)
 			continue
@@ -1074,9 +936,6 @@ func (vm *NativeVM) execute(t *NThread, quantum int) error {
 			if err != nil {
 				vm.throwByName(t, "java/lang/ClassNotFoundException", err.Error())
 				continue
-			}
-			if vm.quicken {
-				installInvokeQuick(f.m, f.pc, QInvokeSpecial, m, &vm.qstats)
 			}
 			recvIdx := f.sp - m.ArgSlots - 1
 			if f.stack[recvIdx].R == nil {
@@ -1092,9 +951,6 @@ func (vm *NativeVM) execute(t *NThread, quantum int) error {
 			if err != nil {
 				vm.throwByName(t, "java/lang/ClassNotFoundException", err.Error())
 				continue
-			}
-			if vm.quicken {
-				installInvokeQuick(f.m, f.pc, QInvokeVirtual, rm, &vm.qstats)
 			}
 			recvIdx := f.sp - rm.ArgSlots - 1
 			recv := f.stack[recvIdx].R

@@ -69,15 +69,6 @@ func (r *Registry) Get(name string) *Class {
 // Loaded returns the number of loaded classes.
 func (r *Registry) Loaded() int { return len(r.classes) }
 
-// LoadedNames returns the names of all loaded classes.
-func (r *Registry) LoadedNames() []string {
-	out := make([]string, 0, len(r.classes))
-	for n := range r.classes {
-		out = append(out, n)
-	}
-	return out
-}
-
 // arrayClass synthesizes (or returns the cached) runtime class for an
 // array type name such as "[I" or "[Ljava/lang/String;".
 func (r *Registry) arrayClass(name string) (*Class, error) {

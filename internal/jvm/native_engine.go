@@ -31,7 +31,6 @@ type NativeVM struct {
 	stdin          io.Reader
 	fs             HostFS
 	heap           *umheap.Heap
-	props          map[string]string
 
 	threads  []*NThread
 	cur      *NThread
@@ -48,13 +47,6 @@ type NativeVM struct {
 
 	// Uncaught records the first uncaught exception, if any.
 	Uncaught *Object
-
-	// quicken enables the warm-up rewriter (quicken.go); pairs is the
-	// adjacent-opcode attribution table driving superinstruction
-	// fusion, allocated only when quickening is on.
-	quicken bool
-	pairs   *pairCounts
-	qstats  QuickStats
 
 	// prof is the hub's guest profiler (nil when off). The native engine
 	// has no core.Runtime, so its scheduler samples itself: profLast
@@ -76,13 +68,8 @@ type NativeOptions struct {
 	Stdout, Stderr io.Writer
 	Stdin          io.Reader
 	FS             HostFS // defaults to the host OS file system
-	Properties     map[string]string
 	HeapSize       int
 
-	// Quicken turns on bytecode quickening, inline caches, and
-	// superinstruction fusion; off preserves the paper-fidelity
-	// generic interpreter.
-	Quicken bool
 	// Telemetry attaches the engine to an observability hub. The
 	// native engine has no window and no core.Runtime, so it reads
 	// only the hub's Profiler: guest CPU time and allocation sites
@@ -120,27 +107,12 @@ func NewNativeVM(provider SyncProvider, opts NativeOptions) *NativeVM {
 		stdin:   opts.Stdin,
 		fs:      opts.FS,
 		heap:    umheap.New(opts.HeapSize, true, nil),
-		props:   opts.Properties,
-	}
-	if vm.props == nil {
-		vm.props = map[string]string{}
-	}
-	if opts.Quicken {
-		vm.quicken = true
-		vm.pairs = new(pairCounts)
 	}
 	if opts.Telemetry != nil && opts.Telemetry.Profiler != nil {
 		vm.prof = opts.Telemetry.Profiler
 		vm.heap.SetAllocHook(vm.profHeapAlloc)
 	}
 	return vm
-}
-
-// QuickStats returns the engine's quickening counters (QuickStatser).
-func (vm *NativeVM) QuickStats() QuickStats {
-	s := vm.qstats
-	s.Enabled = vm.quicken
-	return s
 }
 
 // NThread is one green thread of the native engine.
@@ -158,9 +130,6 @@ type NThread struct {
 	depRet    string // return descriptor of the completed native
 
 	joiners []func()
-
-	// prevOp feeds the adjacent-pair attribution counters.
-	prevOp byte
 }
 
 type nthreadState int
@@ -517,9 +486,6 @@ func (vm *NativeVM) StdinRead(n int, cb func([]byte, error)) {
 	}
 	cb(nil, err)
 }
-
-// Property reads a system property.
-func (vm *NativeVM) Property(key string) string { return vm.props[key] }
 
 // CurrentTimeMillis returns wall-clock milliseconds.
 func (vm *NativeVM) CurrentTimeMillis() int64 { return time.Now().UnixMilli() }

@@ -56,13 +56,9 @@ func registerNatives() map[string]NativeFunc {
 		}
 		return NativeResult{Value: h.IdentityHash(o)}
 	}
-	n["java/lang/System.getProperty(Ljava/lang/String;)Ljava/lang/String;"] = func(h NativeHost, _ *Object, args []Value) NativeResult {
-		key := h.GoString(args[0].(*Object))
-		v := h.Property(key)
-		if v == "" {
-			return NativeResult{Value: nil}
-		}
-		return NativeResult{Value: h.Intern(v)}
+	// No system properties are defined: every key reads null.
+	n["java/lang/System.getProperty(Ljava/lang/String;)Ljava/lang/String;"] = func(NativeHost, *Object, []Value) NativeResult {
+		return NativeResult{}
 	}
 	n["java/lang/System.arraycopy(Ljava/lang/Object;ILjava/lang/Object;II)V"] = nativeArraycopy
 

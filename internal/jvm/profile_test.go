@@ -40,7 +40,7 @@ func runDoppioProf(t *testing.T, source string, quicken bool, slice time.Duratio
 }
 
 // runNativeProf is the native-engine counterpart of runDoppioProf.
-func runNativeProf(t *testing.T, source string, quicken bool) (string, error, *profile.Profiler) {
+func runNativeProf(t *testing.T, source string) (string, error, *profile.Profiler) {
 	t.Helper()
 	classes, err := rt.CompileWith(map[string]string{"Main.mj": source})
 	if err != nil {
@@ -51,7 +51,6 @@ func runNativeProf(t *testing.T, source string, quicken bool) (string, error, *p
 	vm := jvm.NewNativeVM(jvm.MapProvider(classes), jvm.NativeOptions{
 		Stdout:    &stdout,
 		Stderr:    &stdout,
-		Quicken:   quicken,
 		Telemetry: hub,
 	})
 	runErr := vm.RunMain("Main", nil)
@@ -65,8 +64,8 @@ func runNativeProf(t *testing.T, source string, quicken bool) (string, error, *p
 func TestProfilerEquivalenceCorpus(t *testing.T) {
 	for name, src := range conformancePrograms {
 		t.Run(name, func(t *testing.T) {
-			nOff, nOffErr, _ := runNativeQuick(t, src, false)
-			nOn, nOnErr, _ := runNativeProf(t, src, false)
+			nOff, nOffErr := runNativeErr(t, src)
+			nOn, nOnErr, _ := runNativeProf(t, src)
 			dOff, dOffErr, _ := runDoppioQuick(t, src, false, 2*time.Millisecond)
 			dOn, dOnErr, _ := runDoppioProf(t, src, false, 2*time.Millisecond)
 			if (nOffErr == nil) != (nOnErr == nil) || (dOffErr == nil) != (dOnErr == nil) {
@@ -106,24 +105,6 @@ func TestProfilerQuickenPCMapping(t *testing.T) {
 	t.Run("doppio", func(t *testing.T) {
 		out0, err0, p0 := runDoppioProf(t, hotProgram, false, 2*time.Millisecond)
 		out1, err1, p1 := runDoppioProf(t, hotProgram, true, 2*time.Millisecond)
-		if err0 != nil || err1 != nil {
-			t.Fatalf("run errors: %v / %v", err0, err1)
-		}
-		if out0 != out1 {
-			t.Fatalf("output diverged: %q vs %q", out0, out1)
-		}
-		a0, a1 := allocStacks(p0), allocStacks(p1)
-		if len(a0) == 0 {
-			t.Fatal("no allocation samples folded")
-		}
-		if strings.Join(a0, "\n") != strings.Join(a1, "\n") {
-			t.Errorf("alloc attribution diverged under quickening:\ngeneric:\n%s\nquickened:\n%s",
-				strings.Join(a0, "\n"), strings.Join(a1, "\n"))
-		}
-	})
-	t.Run("native", func(t *testing.T) {
-		out0, err0, p0 := runNativeProf(t, hotProgram, false)
-		out1, err1, p1 := runNativeProf(t, hotProgram, true)
 		if err0 != nil || err1 != nil {
 			t.Fatalf("run errors: %v / %v", err0, err1)
 		}
@@ -179,7 +160,7 @@ func TestProfilerCPUSamples(t *testing.T) {
 		check(t, p)
 	})
 	t.Run("native", func(t *testing.T) {
-		_, err, p := runNativeProf(t, hotProgram, true)
+		_, err, p := runNativeProf(t, hotProgram)
 		if err != nil {
 			t.Fatal(err)
 		}

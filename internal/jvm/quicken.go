@@ -5,23 +5,23 @@ import (
 	"doppio/internal/jlong"
 )
 
-// This file is the warm-up rewriter shared by both engines: bytecode
+// This file is the Doppio engine's warm-up rewriter: bytecode
 // quickening, monomorphic inline caches, and superinstruction fusion
-// (ROADMAP item 2, following the "Not So Fast" attribution
-// methodology).
+// (ROADMAP item 1, following the "Not So Fast" attribution
+// methodology). The native baseline engine has no speed tier.
 //
 // The original bytecode is never mutated. Each method instead grows a
 // side-table of QuickOps indexed by pc: on the first successful
 // generic resolution of a getfield/putfield/getstatic/putstatic/
-// invoke* the executing engine installs a quickened form carrying the
-// direct field offset or resolved target, and every later visit to
-// that pc dispatches on the side-table entry instead of re-resolving
-// through the constant pool (the Doppio engine does the same for ldc,
-// new, checkcast and instanceof). Keeping the bytecode intact means the
-// un-quickened paper-fidelity path (-jvm-quicken=false) executes the
-// byte-identical program, branch offsets and exception ranges stay
-// valid without relocation, and a deopted site simply falls back to
-// the generic handler that is still there.
+// invoke*/ldc/new/checkcast/instanceof the generic handler installs a
+// quickened form carrying the direct field offset or resolved target,
+// and every later visit to that pc dispatches on the side-table entry
+// instead of re-resolving through the constant pool. Keeping the
+// bytecode intact means the un-quickened paper-fidelity path
+// (-jvm-quicken=false) executes the byte-identical program, branch
+// offsets and exception ranges stay valid without relocation, and a
+// deopted site simply falls back to the generic handler that is still
+// there.
 
 // QuickKind enumerates the quickened instruction forms.
 type QuickKind uint8
@@ -78,21 +78,12 @@ const (
 	QArrayStore  // pop value, index and array, store the element
 	QArrayLength // pop an array, push its length
 
-	// Forms the Doppio engine's generic handlers install on their
-	// first successful execution.
+	// Forms the generic handlers install on their first successful
+	// execution.
 	QNew        // allocate an instance of the initialized class Class
 	QCheckcast  // checkcast to Desc; ICClass caches a class known to pass
 	QInstanceof // instanceof Desc; ICClass caches a class whose answer K cannot change
 )
-
-// qDeepFirst marks the start of the Doppio-only forms. The kinds below
-// it are installed lazily by both engines. The deep forms are produced
-// by predecode, except QConst at an ldc and QNew, QCheckcast and
-// QInstanceof, which the Doppio engine's generic handlers install; all
-// of them are executed only by the Doppio engine's inner loop (the
-// native engine's typed frames run those pcs through the generic
-// handlers).
-const qDeepFirst = QLoad
 
 // icMissLimit is how many inline-cache misses a virtual call site
 // absorbs before it is declared megamorphic and stops updating its
@@ -131,8 +122,8 @@ type QuickOp struct {
 	// AloadGetfield} — inheritance-stable thanks to the superclass-
 	// prefix field layout.
 	Offset int32
-	// Wide marks long/double fields (the engines pad the operand
-	// stack with a second slot).
+	// Wide marks long/double fields (the operand stack pads them with
+	// a second slot).
 	Wide bool
 	// Desc is the field descriptor (the Doppio engine's JS-value
 	// conversions key on it), or the target class name of
@@ -242,8 +233,8 @@ func (qt *QuickTable) noteLoop() bool {
 	return qt.loops >= fusionHot
 }
 
-// QuickStats is one engine's quickening counters, surfaced through
-// /debug/jvm and the post-mortem report.
+// QuickStats holds the Doppio engine's quickening counters, surfaced
+// through /debug/jvm and the post-mortem report.
 type QuickStats struct {
 	Enabled   bool  `json:"enabled"`
 	Sites     int64 `json:"sites"`      // quickened sites installed
@@ -252,12 +243,6 @@ type QuickStats struct {
 	Deopts    int64 `json:"deopts"`     // sites gone megamorphic
 	Fusions   int64 `json:"fusions"`    // fused superinstruction sites
 	FusedExec int64 `json:"fused_exec"` // fused-form executions
-}
-
-// QuickStatser is implemented by engines that expose quickening
-// counters (the ops layer feeds them into /debug/jvm).
-type QuickStatser interface {
-	QuickStats() QuickStats
 }
 
 // installFieldQuick records a quickened instance-field access at pc.
@@ -335,12 +320,11 @@ func installInvokeQuick(m *Method, pc int, kind QuickKind, target *Method, st *Q
 	return true
 }
 
-// installDoppioQuick records a form only the Doppio engine's inner
-// loop executes (QConst for an ldc, QNew, QCheckcast, QInstanceof),
-// installed by its generic handler once the instruction has succeeded
-// there. q carries the kind-specific fields; the opcode and length
-// come from the bytecode.
-func installDoppioQuick(m *Method, pc int, q QuickOp, st *QuickStats) {
+// installResolvedQuick records a QConst for an ldc, or a QNew,
+// QCheckcast or QInstanceof, installed by the generic handler once the
+// instruction has succeeded there. q carries the kind-specific fields;
+// the opcode and length come from the bytecode.
+func installResolvedQuick(m *Method, pc int, q QuickOp, st *QuickStats) {
 	qt := m.quickTable()
 	if qt.Ops[pc].Kind != QNone {
 		return
@@ -446,18 +430,17 @@ func iloadIndex(code []byte, pc int) int {
 // fuse runs the warm-up rewrite over one method: the superinstruction
 // pass (adjacent pairs that the VM's dynamic attribution counters show
 // to be hot, and whose semantics we have a fused form for, collapse
-// into a single side-table entry at the first instruction's pc), then,
-// when deep is set, the predecode pass. A fused entry's second pc is
-// left in place, so branches that land between the two halves still
-// execute the unfused form — fusion needs no branch-target analysis to
-// stay safe.
-func (qt *QuickTable) fuse(m *Method, pairs *pairCounts, st *QuickStats, deep bool) {
+// into a single side-table entry at the first instruction's pc), then
+// the predecode pass. A fused entry's second pc is left in place, so
+// branches that land between the two halves still execute the unfused
+// form — fusion needs no branch-target analysis to stay safe.
+func (qt *QuickTable) fuse(m *Method, pairs *pairCounts, st *QuickStats) {
 	qt.passes++
-	if qt.passes >= 2 || pairs == nil {
+	if qt.passes >= 2 {
 		qt.fused = true
 	}
 	code := m.Code.Bytecode
-	for pc := 0; pairs != nil && pc < len(code); {
+	for pc := 0; pc < len(code); {
 		ln := classfile.InstrLen(code, pc)
 		pc2 := pc + ln
 		if pc2 >= len(code) {
@@ -539,9 +522,7 @@ func (qt *QuickTable) fuse(m *Method, pairs *pairCounts, st *QuickStats, deep bo
 		}
 		pc = pc2
 	}
-	if deep {
-		qt.predecode(m)
-	}
+	qt.predecode(m)
 }
 
 // predecode walks a warm method's bytecode and installs pre-decoded

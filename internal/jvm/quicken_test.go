@@ -3,6 +3,7 @@ package jvm_test
 import (
 	"bytes"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -32,46 +33,25 @@ func runDoppioQuick(t *testing.T, source string, quicken bool, slice time.Durati
 	return stdout.String(), runErr, vm.QuickStats()
 }
 
-// runNativeQuick is the native-engine counterpart of runDoppioQuick.
-func runNativeQuick(t *testing.T, source string, quicken bool) (string, error, jvm.QuickStats) {
-	t.Helper()
-	classes, err := rt.CompileWith(map[string]string{"Main.mj": source})
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	var stdout bytes.Buffer
-	vm := jvm.NewNativeVM(jvm.MapProvider(classes), jvm.NativeOptions{
-		Stdout:  &stdout,
-		Stderr:  &stdout,
-		Quicken: quicken,
-	})
-	runErr := vm.RunMain("Main", nil)
-	return stdout.String(), runErr, vm.QuickStats()
-}
-
-// TestQuickenEquivalenceCorpus runs every conformance program through
-// both engines with quickening on and off. The speed tier is a pure
-// optimization: all four configurations must produce byte-identical
-// output and agree on the error outcome.
+// TestQuickenEquivalenceCorpus runs every conformance program on the
+// Doppio engine with quickening on and off, against the native
+// engine's run as the reference. The speed tier is a pure
+// optimization: all three runs must produce byte-identical output and
+// agree on the error outcome.
 func TestQuickenEquivalenceCorpus(t *testing.T) {
 	for name, src := range conformancePrograms {
 		t.Run(name, func(t *testing.T) {
-			nOff, nOffErr, _ := runNativeQuick(t, src, false)
-			nOn, nOnErr, _ := runNativeQuick(t, src, true)
+			nOut, nErr := runNativeErr(t, src)
 			dOff, dOffErr, _ := runDoppioQuick(t, src, false, 2*time.Millisecond)
 			dOn, dOnErr, _ := runDoppioQuick(t, src, true, 2*time.Millisecond)
-			if (nOffErr == nil) != (nOnErr == nil) || (dOffErr == nil) != (dOnErr == nil) {
-				t.Fatalf("error outcome changed under quickening: native %v/%v doppio %v/%v",
-					nOffErr, nOnErr, dOffErr, dOnErr)
-			}
-			if nOn != nOff {
-				t.Errorf("native quickened output diverged:\noff: %q\non:  %q", nOff, nOn)
+			if (nErr == nil) != (dOffErr == nil) || (dOffErr == nil) != (dOnErr == nil) {
+				t.Fatalf("error outcomes differ: native %v, doppio %v/%v", nErr, dOffErr, dOnErr)
 			}
 			if dOn != dOff {
 				t.Errorf("doppio quickened output diverged:\noff: %q\non:  %q", dOff, dOn)
 			}
-			if dOn != nOn {
-				t.Errorf("engines disagree under quickening:\nnative: %q\ndoppio: %q", nOn, dOn)
+			if dOn != nOut {
+				t.Errorf("engines disagree under quickening:\nnative: %q\ndoppio: %q", nOut, dOn)
 			}
 		})
 	}
@@ -123,14 +103,8 @@ func TestQuickenHotLoopEquivalence(t *testing.T) {
 	if st.Fusions == 0 || st.FusedExec == 0 {
 		t.Errorf("hot loop did not reach the fusion tier: %+v", st)
 	}
-	nOff, _, _ := runNativeQuick(t, hotProgram, false)
-	nOn, nst := "", jvm.QuickStats{}
-	nOn, _, nst = runNativeQuick(t, hotProgram, true)
-	if nOn != nOff {
-		t.Fatalf("native hot loop output diverged:\noff: %q\non:  %q", nOff, nOn)
-	}
-	if nst.Sites == 0 {
-		t.Errorf("native hot loop did not quicken: %+v", nst)
+	if nOut := runNative(t, hotProgram); dOn != nOut {
+		t.Errorf("engines disagree on the hot loop:\nnative: %q\ndoppio: %q", nOut, dOn)
 	}
 }
 
@@ -196,9 +170,9 @@ public class Main {
 
 // TestQuickenFusedBranchPairs checks the branch-fused
 // superinstructions (getfield;ifeq and iload;if_icmplt) for output
-// and error-outcome equivalence against the generic interpreter on
-// both engines, and that each program actually reaches the fused
-// tier.
+// and error-outcome equivalence against the Doppio engine's generic
+// interpreter and the native engine, and that each program actually
+// reaches the fused tier.
 func TestQuickenFusedBranchPairs(t *testing.T) {
 	for name, src := range map[string]string{"gate": gateProgram, "bound": boundProgram} {
 		t.Run(name, func(t *testing.T) {
@@ -213,21 +187,15 @@ func TestQuickenFusedBranchPairs(t *testing.T) {
 			if st.Fusions == 0 || st.FusedExec == 0 {
 				t.Errorf("doppio run did not reach the fused tier: %+v", st)
 			}
-			nOff, nOffErr, _ := runNativeQuick(t, src, false)
-			nOn, nOnErr, nst := runNativeQuick(t, src, true)
-			if nOn != nOff {
-				t.Errorf("native output diverged:\noff: %q\non:  %q", nOff, nOn)
+			nOut, nErr := runNativeErr(t, src)
+			if (nErr == nil) != (dOnErr == nil) {
+				t.Errorf("engines' error outcomes differ: native=%v doppio=%v", nErr, dOnErr)
 			}
-			if (nOffErr == nil) != (nOnErr == nil) {
-				t.Errorf("native error outcome changed: off=%v on=%v", nOffErr, nOnErr)
-			}
-			if nst.Fusions == 0 || nst.FusedExec == 0 {
-				t.Errorf("native run did not reach the fused tier: %+v", nst)
-			}
-			// Uncaught-exception banners embed engine-specific thread
-			// ids, so cross-engine output only compares on clean runs.
-			if dOnErr == nil && nOnErr == nil && dOn != nOn {
-				t.Errorf("engines disagree under fusion:\nnative: %q\ndoppio: %q", nOn, dOn)
+			// An uncaught-exception banner names the engine's own
+			// main thread id (native 0, Doppio 1); the rest must match.
+			nOut = strings.Replace(nOut, "Exception in thread 0 ", "Exception in thread 1 ", 1)
+			if dOn != nOut {
+				t.Errorf("engines disagree under fusion:\nnative: %q\ndoppio: %q", nOut, dOn)
 			}
 		})
 	}
@@ -268,12 +236,8 @@ func TestQuickenICMissFallback(t *testing.T) {
 	if st.Deopts == 0 {
 		t.Errorf("expected the megamorphic site to deopt to generic dispatch: %+v", st)
 	}
-	ngot, _, nst := runNativeQuick(t, polyProgram, true)
-	if ngot != want {
-		t.Fatalf("native polymorphic output diverged:\noff: %q\non:  %q", want, ngot)
-	}
-	if nst.ICMisses == 0 || nst.Deopts == 0 {
-		t.Errorf("native engine: expected misses and a deopt: %+v", nst)
+	if nOut := runNative(t, polyProgram); got != nOut {
+		t.Errorf("engines disagree on the polymorphic site:\nnative: %q\ndoppio: %q", nOut, got)
 	}
 }
 
@@ -380,10 +344,9 @@ func TestQuickenShadowedFieldLayout(t *testing.T) {
 		if dOut != want {
 			t.Errorf("doppio quicken=%v: out = %q, want %q", quicken, dOut, want)
 		}
-		nOut, _, _ := runNativeQuick(t, shadowProgram, quicken)
-		if nOut != want {
-			t.Errorf("native quicken=%v: out = %q, want %q", quicken, nOut, want)
-		}
+	}
+	if nOut := runNative(t, shadowProgram); nOut != want {
+		t.Errorf("native: out = %q, want %q", nOut, want)
 	}
 }
 
@@ -418,8 +381,8 @@ func TestQuickenLoopWarmup(t *testing.T) {
 	}
 }
 
-// TestQuickenedVMFootprint bounds what quickening adds to a fresh VM
-// of either engine. The fusion pass reads pair counts for four
+// TestQuickenedVMFootprint bounds what quickening adds to a fresh
+// Doppio VM. The fusion pass reads pair counts for four
 // successor opcodes only, so the per-VM counters are a few KiB (a full
 // 256x256 table of int64 counters would be 512 KiB).
 func TestQuickenedVMFootprint(t *testing.T) {
@@ -442,17 +405,9 @@ func TestQuickenedVMFootprint(t *testing.T) {
 			})
 		}
 	}
-	native := func(quicken bool) func() interface{} {
-		return func() interface{} {
-			return jvm.NewNativeVM(jvm.MapProvider{}, jvm.NativeOptions{Quicken: quicken})
-		}
-	}
 	const limit = 64 << 10
 	if extra := perVM(doppio(true)) - perVM(doppio(false)); extra > limit {
 		t.Errorf("quickening adds %d bytes to a Doppio VM, want <= %d", extra, limit)
-	}
-	if extra := perVM(native(true)) - perVM(native(false)); extra > limit {
-		t.Errorf("quickening adds %d bytes to a native VM, want <= %d", extra, limit)
 	}
 	runtime.KeepAlive(keep)
 }

@@ -112,9 +112,9 @@ func TestStackTraceGolden(t *testing.T) {
 	for _, quicken := range []bool{false, true} {
 		out, err, _ := runDoppioQuick(t, goldenTraceProgram, quicken, 2*time.Millisecond)
 		checkGoldenTrace(t, fmt.Sprintf("doppio quicken=%v", quicken), out, err, 1)
-		out, err, _ = runNativeQuick(t, goldenTraceProgram, quicken)
-		checkGoldenTrace(t, fmt.Sprintf("native quicken=%v", quicken), out, err, 0)
 	}
+	out, err := runNativeErr(t, goldenTraceProgram)
+	checkGoldenTrace(t, "native", out, err, 0)
 }
 
 func checkGoldenTrace(t *testing.T, name, out string, err error, thread int) {

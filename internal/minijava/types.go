@@ -177,16 +177,6 @@ func (c *ClassSym) Type() *Type {
 	return c.typ
 }
 
-// IsSubclassOf walks the superclass chain (classes only).
-func (c *ClassSym) IsSubclassOf(o *ClassSym) bool {
-	for k := c; k != nil; k = k.Super {
-		if k == o {
-			return true
-		}
-	}
-	return false
-}
-
 // Implements reports whether c (transitively) implements iface.
 func (c *ClassSym) Implements(iface *ClassSym) bool {
 	for k := c; k != nil; k = k.Super {

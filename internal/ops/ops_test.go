@@ -189,6 +189,63 @@ func TestCollectVFSSection(t *testing.T) {
 	}
 }
 
+// TestCollectJVMSection pins the report's jvm section: one
+// QuickStats for the source's DoppioJVM, an object under "jvm" in the
+// JSON form, and text lines without an engine prefix.
+func TestCollectJVMSection(t *testing.T) {
+	classes, err := rt.CompileWith(map[string]string{"Main.mj": `
+public class Main {
+    static int get(int[] xs, int i) { return xs[i]; }
+    public static void main(String[] args) {
+        int[] xs = new int[4];
+        int s = 0;
+        for (int i = 0; i < 100; i++) { s = s + get(xs, i % 4); }
+        System.out.println(s);
+    }
+}`})
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	for _, quicken := range []bool{false, true} {
+		vm := jvm.NewDoppioVM(browser.NewWindow(browser.Chrome28), jvm.DoppioOptions{
+			Provider:         jvm.MapProvider(classes),
+			DisableEngineTax: true,
+			Quicken:          quicken,
+		})
+		if err := vm.RunMain("Main", nil); err != nil {
+			t.Fatal(err)
+		}
+		rep := ops.Collect(nil, ops.Source{Name: "jvm", JVM: vm}, "jvm", "")
+		if rep.JVM == nil || rep.JVM.Enabled != quicken || (quicken && rep.JVM.Sites == 0) {
+			t.Fatalf("quicken=%v: jvm section = %+v", quicken, rep.JVM)
+		}
+		want := "== jvm quickening ==\nquickening off\n"
+		if quicken {
+			want = fmt.Sprintf("== jvm quickening ==\nsites=%d ic-hits=%d ", rep.JVM.Sites, rep.JVM.ICHits)
+		}
+		if text := rep.Text(); !strings.Contains(text, want) {
+			t.Errorf("quicken=%v: text missing %q:\n%s", quicken, want, text)
+		}
+		var buf bytes.Buffer
+		if err := rep.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var decoded struct {
+			JVM *jvm.QuickStats `json:"jvm"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
+			t.Fatalf("report JSON invalid: %v", err)
+		}
+		if decoded.JVM == nil || *decoded.JVM != *rep.JVM {
+			t.Errorf("quicken=%v: JSON jvm = %+v, want %+v", quicken, decoded.JVM, rep.JVM)
+		}
+	}
+	if rep := ops.Collect(nil, ops.Source{Name: "none"}, "jvm", ""); rep.JVM != nil ||
+		strings.Contains(rep.Text(), "quickening") {
+		t.Errorf("a source without a JVM reports one: %+v", rep.JVM)
+	}
+}
+
 // liveServer builds an ops server over a running event loop and
 // returns the test HTTP server plus a shutdown func.
 func liveServer(t *testing.T, hub *telemetry.Hub) (*httptest.Server, *eventloop.Loop, func()) {

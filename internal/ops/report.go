@@ -57,22 +57,9 @@ type Source struct {
 	// Proc is the process kernel, for the ps-style table
 	// (/debug/proc). Nil when the source runs no process layer.
 	Proc *proc.Kernel
-	// JVM lists the source's bytecode engines for the quickening
-	// counters (/debug/jvm); empty when no JVM runs here.
-	JVM []JVMEngine
-}
-
-// JVMEngine names one bytecode engine exposing quickening counters.
-type JVMEngine struct {
-	// Engine distinguishes the interpreters ("doppio", "native").
-	Engine string
-	Stats  jvm.QuickStatser
-}
-
-// JVMEngineState is one engine's quickening slice of a report.
-type JVMEngineState struct {
-	Engine string `json:"engine"`
-	jvm.QuickStats
+	// JVM is the source's DoppioJVM, for the quickening counters
+	// (/debug/jvm). Nil when no JVM runs here.
+	JVM *jvm.DoppioVM
 }
 
 // VFSState is the VFS slice of a report.
@@ -105,7 +92,7 @@ type Report struct {
 	VFS       *VFSState           `json:"vfs,omitempty"`
 	Heap      *HeapState          `json:"heap,omitempty"`
 	Procs     []proc.ProcInfo     `json:"procs,omitempty"`
-	JVM       []JVMEngineState    `json:"jvm,omitempty"`
+	JVM       *jvm.QuickStats     `json:"jvm,omitempty"`
 	// HotStacks is the head of the guest CPU profile at capture time
 	// (collapsed stacks, Value in sampled nanoseconds) — where the
 	// workload was spending its guest time when it died.
@@ -141,11 +128,9 @@ func Collect(hub *telemetry.Hub, src Source, reason, detail string) *Report {
 	if src.Proc != nil {
 		r.Procs = src.Proc.Snapshot()
 	}
-	for _, e := range src.JVM {
-		if e.Stats == nil {
-			continue
-		}
-		r.JVM = append(r.JVM, JVMEngineState{Engine: e.Engine, QuickStats: e.Stats.QuickStats()})
+	if src.JVM != nil {
+		q := src.JVM.QuickStats()
+		r.JVM = &q
 	}
 	if hub != nil && hub.Profiler != nil {
 		const hotStackCount = 10
@@ -236,15 +221,13 @@ func (r *Report) Text() string {
 	if len(r.Procs) > 0 {
 		b.WriteString(FormatProcs(r.Procs))
 	}
-	if len(r.JVM) > 0 {
+	if q := r.JVM; q != nil {
 		b.WriteString("== jvm quickening ==\n")
-		for _, e := range r.JVM {
-			if !e.Enabled {
-				fmt.Fprintf(&b, "%s: quickening off\n", e.Engine)
-				continue
-			}
-			fmt.Fprintf(&b, "%s: sites=%d ic-hits=%d ic-misses=%d deopts=%d fusions=%d fused-exec=%d\n",
-				e.Engine, e.Sites, e.ICHits, e.ICMisses, e.Deopts, e.Fusions, e.FusedExec)
+		if q.Enabled {
+			fmt.Fprintf(&b, "sites=%d ic-hits=%d ic-misses=%d deopts=%d fusions=%d fused-exec=%d\n",
+				q.Sites, q.ICHits, q.ICMisses, q.Deopts, q.Fusions, q.FusedExec)
+		} else {
+			b.WriteString("quickening off\n")
 		}
 	}
 	if r.Heap != nil {

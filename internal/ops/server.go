@@ -115,7 +115,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "  /debug/vfs          cache / retry / breaker / fault state")
 	fmt.Fprintln(w, "  /debug/heap         unmanaged-heap free-list map")
 	fmt.Fprintln(w, "  /debug/proc         ps-style process table (pid, state, blocked-on)")
-	fmt.Fprintln(w, "  /debug/jvm          per-engine quickening counters: sites, IC hits/misses, fusions, deopts (?format=json)")
+	fmt.Fprintln(w, "  /debug/jvm          DoppioJVM quickening counters: sites, IC hits/misses, fusions, deopts (?format=json)")
 	fmt.Fprintln(w, "  /debug/fleet        fleet supervisor: shards, tenants, evictions (?format=json)")
 	fmt.Fprintln(w, "  /debug/sock         websockify gateway: stream windows, shed/reset counters (?format=json)")
 	fmt.Fprintln(w, "  /debug/profile      guest profile, collapsed stacks (?sec=N&kind=cpu|alloc|block&format=json)")
@@ -229,8 +229,8 @@ func (s *Server) handleHeap(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleJVM(w http.ResponseWriter, r *http.Request) {
 	writeReports(w, r, s.collectAll("jvm"), func(rep *Report) string {
-		if len(rep.JVM) == 0 {
-			return fmt.Sprintf("== %s ==\n(no jvm engines registered: %s)\n", rep.Source, rep.Detail)
+		if rep.JVM == nil {
+			return fmt.Sprintf("== %s ==\n(no jvm registered: %s)\n", rep.Source, rep.Detail)
 		}
 		stub := &Report{Source: rep.Source, JVM: rep.JVM}
 		return stub.Text()

@@ -48,9 +48,6 @@ const (
 	Block Kind = "block"
 )
 
-// Kinds lists the valid profile kinds.
-func Kinds() []Kind { return []Kind{CPU, Alloc, Block} }
-
 // AllocRate samples one in this many allocation events.
 const AllocRate = 61
 

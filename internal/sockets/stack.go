@@ -318,7 +318,6 @@ type Conn struct {
 	waitOpen  []func() // dials queued before the link opened
 	plainUsed bool
 	plain     *plainStream
-	shedLocal int64
 }
 
 // sessionToken names a resumable mux session to the gateway.
@@ -432,9 +431,6 @@ func (c *Conn) Link() Link { return c.link }
 // the connection opens).
 func (c *Conn) Mux() *Mux { return c.mux }
 
-// ShedCount reports dials refused locally by WithShed.
-func (c *Conn) ShedCount() int64 { return c.shedLocal }
-
 func (c *Conn) onOpen(reconnected bool) {
 	if c.closed {
 		return
@@ -518,7 +514,6 @@ func (c *Conn) Dial(cb func(*Socket, error)) {
 		return
 	}
 	if c.cfg.shedFn != nil && c.cfg.shedDepth > 0 && c.cfg.shedFn() > c.cfg.shedDepth {
-		c.shedLocal++
 		cb(nil, &StreamError{Code: vfs.EAGAIN})
 		return
 	}

@@ -62,15 +62,6 @@ func (m *MountFS) notifyChange(path string) {
 	}
 }
 
-// MountPoints returns the mounted prefixes, longest first.
-func (m *MountFS) MountPoints() []string {
-	out := make([]string, len(m.mounts))
-	for i, mp := range m.mounts {
-		out[i] = mp.at
-	}
-	return out
-}
-
 // route finds the backend owning p and translates p into that
 // backend's namespace.
 func (m *MountFS) route(p string) (Backend, string) {
