@@ -40,7 +40,6 @@ func main() {
 	faultSeed := flag.Int64("fault-seed", 42, "seed for the -fault-rate fault sequence")
 	opsAddr := flag.String("ops", "", "serve the live ops endpoints (/metrics, /debug/sock, /debug/flight, pprof, ...) on this address, e.g. :6060")
 	flightCap := flag.Int("flight", 0, "enable the flight recorder (connection/frame/fault events) with this event capacity (0 disables; -ops enables it at the default capacity)")
-	mux := flag.Bool("mux", true, "accept multiplexed sessions on "+sockets.MuxPath+" (false serves every path in plain one-stream-per-connection mode)")
 	window := flag.Int("window", 0, "per-stream flow-control window in bytes for mux sessions (0 = 64 KiB default)")
 	maxStreams := flag.Int("max-streams", 0, "per-session stream cap for mux sessions; SYNs beyond it are shed (0 = 1024 default)")
 	shedDepth := flag.Int("shed-depth", 0, "pause credit and shed new streams while live mux streams exceed this count (0 disables)")
@@ -61,7 +60,6 @@ func main() {
 	opts := sockets.GatewayOptions{
 		Window:     *window,
 		MaxStreams: *maxStreams,
-		DisableMux: !*mux,
 		Hub:        hub,
 	}
 	// Standalone the gateway has no tenant run queue to watch, so the

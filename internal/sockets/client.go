@@ -17,12 +17,12 @@ import (
 )
 
 // DialError reports why an outgoing WebSocket connection never reached
-// the open state, distinguishing the two failures a caller must treat
-// differently: a *refused* connection (the dial was actively rejected —
-// nothing is listening, so retrying immediately is pointless) versus a
-// *dropped* one (the transport connected, or was lost mid-handshake —
-// the server exists and a backoff-retry is worthwhile). Reconnecting
-// clients branch on Refused instead of string-matching error text.
+// the open state, distinguishing a *refused* connection (the dial was
+// actively rejected: nothing is listening) from a *dropped* one (the
+// transport connected, or was lost mid-handshake: the server exists).
+// Errno carries the split to vfs.Classify. A redialing Conn retries
+// both kinds alike within its attempt budget, since a gateway that is
+// restarting refuses dials until it listens again.
 type DialError struct {
 	Addr    string
 	Refused bool
@@ -41,22 +41,15 @@ func (e *DialError) Error() string {
 func (e *DialError) Unwrap() error { return e.Err }
 
 // Errno classifies the dial failure for vfs.Classify: a refused dial
-// is final (ECONNREFUSED — nothing is listening), a dropped one is
-// transient (ECONNRESET — the server exists, redial). This is the
-// same split Refused already encodes, exported as an errno so
-// retry.Policy treats socket dials consistently with VFS errors.
+// is ECONNREFUSED (final: nothing is listening), a dropped one is
+// ECONNRESET (transient: the server exists). This is the same split
+// Refused encodes, exported as an errno so socket dials classify like
+// VFS errors.
 func (e *DialError) Errno() vfs.Errno {
 	if e.Refused {
 		return vfs.ECONNREFUSED
 	}
 	return vfs.ECONNRESET
-}
-
-// IsRefused reports whether err is a DialError for a refused
-// connection.
-func IsRefused(err error) bool {
-	var de *DialError
-	return errors.As(err, &de) && de.Refused
 }
 
 // WebSocket is the asynchronous browser-side WebSocket API: events are

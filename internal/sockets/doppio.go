@@ -22,8 +22,8 @@ import (
 // Incoming bytes accumulate in a receive buffer; Read drains it,
 // waiting for data when it is empty, which restores TCP's byte-stream
 // semantics over the message-oriented transport. A Socket is backed
-// by either a whole WebSocket (plain mode / legacy Connect) or one
-// mux stream of a gateway session (Stack + WithMux).
+// by either a whole WebSocket (Connect) or one mux stream of a
+// gateway session (Stack).
 type Socket struct {
 	loop *eventloop.Loop
 	fd   int32
@@ -178,7 +178,7 @@ func (s *Socket) Buffered() int { return s.bs.buffered() }
 
 // ---- plain (one WebSocket per socket) transport ----
 
-// plainStream adapts a single WebSocket-or-link message flow to the
+// plainStream adapts a single WebSocket's message flow to the
 // byteStream interface: messages append to a receive buffer, writes
 // pass through, EOF surfaces when the connection closes.
 type plainStream struct {
@@ -296,10 +296,10 @@ func (m muxByteStream) setReadable(fn func())                 { m.st.SetReadable
 func (m muxByteStream) closeStream() error                    { return m.st.Close() }
 func (m muxByteStream) buffered() int                         { return m.st.Buffered() }
 
-// Connect opens a plain (one WebSocket) socket to addr via the
-// browser's WebSocket support — the legacy single-connection path —
-// and calls cb on the event loop once the connection is established
-// or fails. Gateway-aware callers use Stack instead.
+// Connect opens a plain socket to addr: one whole WebSocket per
+// socket, the paper's path (§5.3) and the JVM's default dialer. It
+// calls cb on the event loop once the connection is established or
+// fails. Callers that share one connection across sockets use Stack.
 func Connect(w *browser.Window, addr string, cb func(*Socket, error)) {
 	ws := DialWebSocket(w, addr)
 	ps := &plainStream{send: ws.Send, closeFn: ws.Close}

@@ -1238,13 +1238,6 @@ func (m *Mux) fail(err error) {
 // done). Idempotent.
 func (m *Mux) CloseSession(err error) { m.fail(err) }
 
-// Dead reports whether the session has failed/closed.
-func (m *Mux) Dead() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.dead
-}
-
 // StreamSnapshot is one stream's state for /debug/sock.
 type StreamSnapshot struct {
 	ID           uint32 `json:"id"`

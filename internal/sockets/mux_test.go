@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"doppio/internal/browser"
+	"doppio/internal/telemetry"
 	"doppio/internal/vfs"
 	"doppio/internal/vfs/faultfs"
 	"doppio/internal/vfs/retry"
@@ -108,16 +109,14 @@ func TestMuxEquivalence(t *testing.T) {
 	var plain [][]byte
 	{
 		w := browser.NewWindow(browser.Chrome28)
-		conns := make([]*Conn, nStreams)
 		w.Loop.Post("main", func() {
-			// One plain Conn per stream (a plain Conn carries one Dial).
+			// One plain socket, a whole WebSocket, per stream.
 			results := make([][]byte, nStreams)
 			finished := 0
 			for i := 0; i < nStreams; i++ {
 				i := i
-				conns[i] = Stack(w, plainGW.Addr())
 				want := streamPattern(i, total)
-				conns[i].Dial(func(s *Socket, err error) {
+				Connect(w, plainGW.Addr(), func(s *Socket, err error) {
 					if err != nil {
 						t.Errorf("plain %d: dial: %v", i, err)
 						return
@@ -180,8 +179,7 @@ func TestMuxEquivalence(t *testing.T) {
 			got := make([][]byte, nStreams)
 			finished := false
 			w.Loop.Post("main", func() {
-				conn := Stack(w, muxGW.Addr(),
-					WithReconnect(retry.Defaults()), WithMux(0), WithWindow(4<<10))
+				conn := Stack(w, muxGW.Addr(), WithReconnect(retry.Defaults()), WithWindow(4<<10))
 				echoOverStack(t, conn, got, total, chunk, func() {
 					finished = true
 					conn.Close()
@@ -398,7 +396,7 @@ func TestMuxShedStream(t *testing.T) {
 	w := browser.NewWindow(browser.Chrome28)
 	var dialErr error
 	w.Loop.Post("main", func() {
-		conn := Stack(w, gw.Addr(), WithMux(0))
+		conn := Stack(w, gw.Addr())
 		conn.Dial(func(s *Socket, err error) {
 			dialErr = err
 			if s != nil {
@@ -482,7 +480,7 @@ func TestMuxRefusedTarget(t *testing.T) {
 	w := browser.NewWindow(browser.Chrome28)
 	var dialErr error
 	w.Loop.Post("main", func() {
-		conn := Stack(w, gw.Addr(), WithMux(0))
+		conn := Stack(w, gw.Addr())
 		conn.Dial(func(s *Socket, err error) {
 			dialErr = err
 			conn.Close()
@@ -498,14 +496,15 @@ func TestMuxRefusedTarget(t *testing.T) {
 }
 
 // TestMuxHeartbeatConcurrentWriters pins write serialization on both
-// ends of a mux session: heartbeat pings fire on the event loop while
-// the mux session's writer goroutine sends data frames on the same
+// ends of a Stack session: heartbeat pings fire on the event loop
+// while the session's writer goroutine sends data frames on the same
 // WebSocket, and the gateway's reader answers those pings while its
 // session writer streams data back. Before the conn writers were
 // serialized, a ping or pong could land mid-data-frame (net.Conn.Write
 // splits frames across syscalls under backpressure) and desync the WS
-// framing layer; the client's transport handle was also read off-loop
-// without synchronization, which -race trips on here.
+// framing layer. The session's writer sends through a closure bound to
+// its transport at open; -race checks that those sends share no
+// unsynchronized state with the loop's pings.
 //
 // The streams echo rounds of the pattern until the client has sent
 // minHeartbeats pings, so the pings overlap the data frames however
@@ -526,108 +525,93 @@ func TestMuxHeartbeatConcurrentWriters(t *testing.T) {
 		chunk         = 512
 		minHeartbeats = 3
 		// maxTransfer ends the rounds if the heartbeat never fires;
-		// the Heartbeats check below then fails.
+		// the heartbeats check below then fails.
 		maxTransfer = 10 * time.Second
 	)
+	hub := telemetry.NewHub()
 	w := browser.NewWindow(browser.Chrome28)
-	var rws *ReconnectingWS
+	w.EnableTelemetry(hub)
+	heartbeats := hub.Registry.Counter("sockretry", "heartbeats")
 	w.Loop.Post("main", func() {
-		rws = NewReconnectingWS(w, gw.Addr(), ReconnectOptions{
-			HeartbeatInterval: time.Millisecond,
-			HeartbeatTimeout:  10 * time.Second, // never declare the conn dead mid-test
-			Path:              MuxPath,
-		})
-		var m *Mux
-		rws.OnMessage = func(data []byte) {
-			if m != nil {
-				m.HandleFrame(data)
-			}
-		}
-		rws.OnOpen = func(bool) {
-			// The small window keeps credit and data frames flowing for
-			// the whole transfer, maximizing overlap with the pings.
-			m = NewMux(MuxConfig{
-				Window: 1 << 10,
-				Send:   func(hdr, payload []byte) error { return rws.SendParts(hdr, payload) },
-			})
-			go func() {
-				start := time.Now()
-				var wg sync.WaitGroup
-				for i := 0; i < nStreams; i++ {
-					wg.Add(1)
-					go func(i int) {
-						defer wg.Done()
-						st, err := m.Open()
-						if err != nil {
-							t.Errorf("stream %d: open: %v", i, err)
-							return
-						}
-						if err := st.WaitOpen(); err != nil {
-							t.Errorf("stream %d: wait open: %v", i, err)
-							return
-						}
-						want := streamPattern(i, round)
-						// After each round the writer says on more
-						// whether another one follows. Its one slot
-						// lets the writer start the next round while
-						// the reader still drains this one.
-						more := make(chan bool, 1)
-						go func() {
-							// A write error means the stream died; the
-							// reader below sees the same error and reports.
-							defer close(more)
-							for {
-								for off := 0; off < round; off += chunk {
-									if st.WriteBlocking(want[off:off+chunk]) != nil {
-										return
-									}
-								}
-								again := rws.Stats().Heartbeats < minHeartbeats &&
-									time.Since(start) < maxTransfer
-								more <- again
-								if !again {
-									return
-								}
-							}
-						}()
-						buf := make([]byte, 4096)
-						for r := 0; ; r++ {
-							got := make([]byte, 0, round)
-							for len(got) < round {
-								n, err := st.ReadBlocking(buf[:min(len(buf), round-len(got))])
-								if err != nil {
-									t.Errorf("stream %d: round %d: read after %d bytes: %v", i, r, len(got), err)
-									return
-								}
-								got = append(got, buf[:n]...)
-							}
-							if !bytes.Equal(got, want) {
-								t.Errorf("stream %d: round %d: transcript corrupted", i, r)
-							}
-							if !<-more {
-								break
-							}
-						}
-					}(i)
+		// The small window keeps credit and data frames flowing for
+		// the whole transfer, maximizing overlap with the pings.
+		conn := Stack(w, gw.Addr(), WithWindow(1<<10), WithHeartbeat(time.Millisecond))
+		conn.hbTimeout = 10 * time.Second // never declare the conn dead mid-test
+		start := time.Now()
+		var wg sync.WaitGroup
+		wg.Add(nStreams)
+		for i := 0; i < nStreams; i++ {
+			i := i
+			conn.Dial(func(s *Socket, err error) {
+				if err != nil {
+					t.Errorf("stream %d: dial: %v", i, err)
+					wg.Done()
+					return
 				}
-				wg.Wait()
-				w.Loop.InvokeExternal("test-shutdown", func() {
-					m.CloseSession(nil)
-					rws.Close()
-				})
-			}()
+				// The stream's blocking API lets plain goroutines
+				// drive it, off the loop the pings fire on.
+				st := s.bs.(muxByteStream).st
+				go func() {
+					defer wg.Done()
+					want := streamPattern(i, round)
+					// After each round the writer says on more
+					// whether another one follows. Its one slot lets
+					// the writer start the next round while the
+					// reader still drains this one.
+					more := make(chan bool, 1)
+					go func() {
+						// A write error means the stream died; the
+						// reader below sees the same error and reports.
+						defer close(more)
+						for {
+							for off := 0; off < round; off += chunk {
+								if st.WriteBlocking(want[off:off+chunk]) != nil {
+									return
+								}
+							}
+							again := heartbeats.Value() < minHeartbeats &&
+								time.Since(start) < maxTransfer
+							more <- again
+							if !again {
+								return
+							}
+						}
+					}()
+					buf := make([]byte, 4096)
+					for r := 0; ; r++ {
+						got := make([]byte, 0, round)
+						for len(got) < round {
+							n, err := st.ReadBlocking(buf[:min(len(buf), round-len(got))])
+							if err != nil {
+								t.Errorf("stream %d: round %d: read after %d bytes: %v", i, r, len(got), err)
+								return
+							}
+							got = append(got, buf[:n]...)
+						}
+						if !bytes.Equal(got, want) {
+							t.Errorf("stream %d: round %d: transcript corrupted", i, r)
+						}
+						if !<-more {
+							break
+						}
+					}
+				}()
+			})
 		}
+		go func() {
+			wg.Wait()
+			w.Loop.InvokeExternal("test-shutdown", func() { conn.Close() })
+		}()
 	})
 	if err := w.Loop.Run(); err != nil {
 		t.Fatal(err)
 	}
-	stats := rws.Stats()
-	if stats.Heartbeats < minHeartbeats {
+	if beats := heartbeats.Value(); beats < minHeartbeats {
 		t.Errorf("%d heartbeats fired during the transfer, want >= %d — ping and mux writes barely overlapped",
-			stats.Heartbeats, minHeartbeats)
+			beats, minHeartbeats)
 	}
-	if stats.HeartbeatTimeouts != 0 {
-		t.Errorf("%d heartbeat timeouts — pongs were lost or corrupted", stats.HeartbeatTimeouts)
+	if timeouts := hub.Registry.Counter("sockretry", "heartbeat_timeouts").Value(); timeouts != 0 {
+		t.Errorf("%d heartbeat timeouts — pongs were lost or corrupted", timeouts)
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"doppio/internal/browser"
+	"doppio/internal/telemetry"
+	"doppio/internal/vfs"
 	"doppio/internal/vfs/faultfs"
 	"doppio/internal/vfs/retry"
 )
@@ -34,7 +36,7 @@ func TestDialErrorRefused(t *testing.T) {
 	if err := w.Loop.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !IsRefused(gotErr) {
+	if !vfs.IsErrno(gotErr, vfs.ECONNREFUSED) {
 		t.Errorf("dial to closed port: err = %v, want refused DialError", gotErr)
 	}
 }
@@ -69,71 +71,95 @@ func TestDialErrorDroppedDuringHandshake(t *testing.T) {
 	if gotErr == nil {
 		t.Fatal("handshake against hang-up listener succeeded")
 	}
-	if IsRefused(gotErr) {
+	if vfs.IsErrno(gotErr, vfs.ECONNREFUSED) {
 		t.Errorf("mid-handshake hang-up classified as refused: %v", gotErr)
 	}
 }
 
-// TestReconnectAfterReset drives the full outage cycle: the proxy is
-// armed to reset the bridge on the first data frame, the client loses
-// the connection, redials with backoff, and completes the exchange on
-// a clean second connection. A post-commit fault forwards "first" to
-// the echo server before the reset, so its echo may still reach the
-// first connection; only messages after a reconnect count.
+// retryCounter reads one of a Stack connection's "sockretry"
+// counters from its window's hub.
+func retryCounter(hub *telemetry.Hub, name string) int64 {
+	return hub.Registry.Counter("sockretry", name).Value()
+}
+
+// echoOnce dials one stream over conn, writes msg, and calls done with
+// the echo once all of it has arrived (or with what arrived before a
+// read failed).
+func echoOnce(t *testing.T, conn *Conn, msg string, done func(got []byte)) {
+	t.Helper()
+	conn.Dial(func(s *Socket, err error) {
+		if err != nil {
+			t.Errorf("dial: %v", err)
+			done(nil)
+			return
+		}
+		s.Write([]byte(msg)).Then(func(_ interface{}, err error) {
+			if err != nil {
+				t.Errorf("write: %v", err)
+			}
+		})
+		var got []byte
+		var pump func()
+		pump = func() {
+			s.Read(64).Then(func(v interface{}, err error) {
+				data, _ := v.([]byte)
+				if err != nil || data == nil {
+					t.Errorf("read after %d bytes: %v", len(got), err)
+					done(got)
+					return
+				}
+				if got = append(got, data...); len(got) < len(msg) {
+					pump()
+					return
+				}
+				s.Close()
+				done(got)
+			})
+		}
+		pump()
+	})
+}
+
+// TestReconnectAfterReset drives the full outage cycle: the gateway
+// resets the connection after every data frame it carries (ErrPost:
+// the frame is delivered, then the transport dies), so the message
+// and its echo each cost the client its WebSocket. The client redials
+// with backoff and resumes the session, and the echo arrives whole.
 func TestReconnectAfterReset(t *testing.T) {
 	echoAddr, stopEcho := startEchoServer(t)
 	defer stopEcho()
-	proxy, err := NewWebsockify("127.0.0.1:0", echoAddr)
+	gw, err := NewGateway("127.0.0.1:0", echoAddr, GatewayOptions{
+		Faults: faultfs.Plan{Seed: 1, ErrRate: 1, PostFrac: 1},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer proxy.Close()
-	// Every frame commits and then resets the bridge (ErrPost).
-	proxy.SetFaults(faultfs.Plan{Seed: 1, ErrRate: 1, PostFrac: 1})
+	defer gw.Close()
 
+	const msg = "echo across a reset"
+	hub := telemetry.NewHub()
 	w := browser.NewWindow(browser.Chrome28)
+	w.EnableTelemetry(hub)
 	var got []byte
-	downs := 0
-	var r *ReconnectingWS
 	w.Loop.Post("main", func() {
-		r = NewReconnectingWS(w, proxy.Addr(), ReconnectOptions{Policy: fastPolicy(6)})
-		r.OnOpen = func(reconnected bool) {
-			if !reconnected {
-				if err := r.Send([]byte("first")); err != nil {
-					t.Errorf("Send on first open: %v", err)
-				}
-				return
-			}
-			// Second connection: heal the proxy and retry the exchange.
-			if err := r.Send([]byte("second")); err != nil {
-				t.Errorf("Send on reconnect: %v", err)
-			}
-		}
-		r.OnDown = func(error) {
-			downs++
-			proxy.SetFaults(faultfs.Plan{}) // future connections are clean
-		}
-		r.OnMessage = func(data []byte) {
-			if r.Stats().Reconnects == 0 {
-				return // the first connection's echo, raced past the reset
-			}
-			got = data
-			r.Close()
-		}
-		r.OnGiveUp = func(err error) { t.Errorf("gave up: %v", err) }
+		conn := Stack(w, gw.Addr(), WithReconnect(fastPolicy(6)))
+		echoOnce(t, conn, msg, func(b []byte) {
+			got = b
+			conn.Close()
+		})
 	})
 	if err := w.Loop.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != "second" {
-		t.Errorf("echo after reconnect = %q", got)
+	if string(got) != msg {
+		t.Errorf("echo after reconnect = %q, want %q", got, msg)
 	}
-	if downs == 0 {
-		t.Error("connection was never lost despite reset injection")
+	if fs := gw.FaultStats(); fs.ErrsPost == 0 {
+		t.Errorf("fault stats = %+v, want >= 1 post-commit reset", fs)
 	}
-	st := r.Stats()
-	if st.Reconnects < 1 || st.Dials < 2 || st.Opens < 2 {
-		t.Errorf("stats = %+v, want ≥1 reconnect over ≥2 dials", st)
+	dials, opens, reconnects := retryCounter(hub, "dials"), retryCounter(hub, "opens"), retryCounter(hub, "reconnects")
+	if reconnects < 1 || dials < 2 || opens < 2 {
+		t.Errorf("dials %d, opens %d, reconnects %d; want >= 1 reconnect over >= 2 dials", dials, opens, reconnects)
 	}
 }
 
@@ -145,25 +171,27 @@ func TestReconnectGiveUp(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close() // nothing listens: every dial is refused
 
+	hub := telemetry.NewHub()
 	w := browser.NewWindow(browser.Chrome28)
-	var gaveUp error
-	var r *ReconnectingWS
+	w.EnableTelemetry(hub)
+	answered := false
+	var dialErr error
 	w.Loop.Post("main", func() {
-		r = NewReconnectingWS(w, addr, ReconnectOptions{Policy: fastPolicy(3)})
-		r.OnGiveUp = func(err error) { gaveUp = err }
+		conn := Stack(w, addr, WithReconnect(fastPolicy(3)))
+		conn.Dial(func(_ *Socket, err error) { answered, dialErr = true, err })
 	})
 	if err := w.Loop.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if gaveUp == nil {
-		t.Fatal("redial budget never exhausted")
+	if !answered {
+		t.Fatal("dial never answered after the redial budget ran out")
 	}
-	if !IsRefused(gaveUp) {
-		t.Errorf("give-up error = %v, want refused DialError", gaveUp)
+	if !vfs.IsErrno(dialErr, vfs.ECONNREFUSED) {
+		t.Errorf("give-up error = %v, want refused DialError", dialErr)
 	}
-	st := r.Stats()
-	if st.Dials != 3 || st.GaveUp != 1 || st.BackoffNanos <= 0 {
-		t.Errorf("stats = %+v, want 3 dials, 1 give-up, nonzero backoff", st)
+	dials, gaveUp, backoff := retryCounter(hub, "dials"), retryCounter(hub, "gave_up"), retryCounter(hub, "backoff_ns")
+	if dials != 3 || gaveUp != 1 || backoff <= 0 {
+		t.Errorf("dials %d, gave_up %d, backoff_ns %d; want 3 dials, 1 give-up, nonzero backoff", dials, gaveUp, backoff)
 	}
 }
 
@@ -199,63 +227,72 @@ func startDeafServer(t *testing.T) (addr string, stop func()) {
 	return ln.Addr().String(), func() { ln.Close() }
 }
 
+// TestHeartbeatTimeoutDetectsDeadPeer runs a connection built with
+// WithHeartbeat alone against a peer that never answers a ping. The
+// missed pong drops the transport, and the redial that follows pins
+// that a heartbeat implies WithReconnect.
 func TestHeartbeatTimeoutDetectsDeadPeer(t *testing.T) {
 	addr, stop := startDeafServer(t)
 	defer stop()
 
+	hub := telemetry.NewHub()
 	w := browser.NewWindow(browser.Chrome28)
-	var r *ReconnectingWS
+	w.EnableTelemetry(hub)
 	w.Loop.Post("main", func() {
-		r = NewReconnectingWS(w, addr, ReconnectOptions{
-			Policy:            fastPolicy(2),
-			HeartbeatInterval: 10 * time.Millisecond,
-			HeartbeatTimeout:  10 * time.Millisecond,
-		})
-		r.OnDown = func(error) { r.Close() } // one detection is enough
+		conn := Stack(w, addr, WithHeartbeat(10*time.Millisecond))
+		deadline := time.Now().Add(10 * time.Second)
+		var poll func()
+		poll = func() {
+			if retryCounter(hub, "reconnects") > 0 || time.Now().After(deadline) {
+				conn.Close()
+				return
+			}
+			w.Loop.SetTimeout(poll, 5*time.Millisecond)
+		}
+		poll()
 	})
 	if err := w.Loop.Run(); err != nil {
 		t.Fatal(err)
 	}
-	st := r.Stats()
-	if st.Heartbeats < 1 || st.HeartbeatTimeouts < 1 {
-		t.Errorf("stats = %+v, want ≥1 heartbeat and ≥1 timeout", st)
+	beats, timeouts, reconnects := retryCounter(hub, "heartbeats"), retryCounter(hub, "heartbeat_timeouts"), retryCounter(hub, "reconnects")
+	if beats < 1 || timeouts < 1 || reconnects < 1 {
+		t.Errorf("heartbeats %d, timeouts %d, reconnects %d; want each >= 1", beats, timeouts, reconnects)
 	}
 }
 
 func TestHeartbeatPongKeepsConnectionAlive(t *testing.T) {
-	// The echo path answers pings (Websockify pongs them itself), so a
-	// heartbeating client must see pongs, not timeouts.
+	// The gateway answers pings itself, so a heartbeating client must
+	// see pongs, not timeouts.
 	echoAddr, stopEcho := startEchoServer(t)
 	defer stopEcho()
-	proxy, err := NewWebsockify("127.0.0.1:0", echoAddr)
+	gw, err := NewWebsockify("127.0.0.1:0", echoAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer proxy.Close()
+	defer gw.Close()
 
+	hub := telemetry.NewHub()
 	w := browser.NewWindow(browser.Chrome28)
-	var r *ReconnectingWS
+	w.EnableTelemetry(hub)
 	w.Loop.Post("main", func() {
-		r = NewReconnectingWS(w, proxy.Addr(), ReconnectOptions{
-			Policy:            fastPolicy(2),
-			HeartbeatInterval: 10 * time.Millisecond,
-			HeartbeatTimeout:  200 * time.Millisecond,
-		})
-		r.OnOpen = func(bool) {
+		conn := Stack(w, gw.Addr(), WithReconnect(fastPolicy(2)), WithHeartbeat(10*time.Millisecond))
+		conn.hbTimeout = 200 * time.Millisecond
+		echoOnce(t, conn, "alive", func([]byte) {
 			// Let a few heartbeat cycles run, then shut down.
-			w.Loop.SetTimeout(func() { r.Close() }, 60*time.Millisecond)
-		}
-		r.OnDown = func(err error) { t.Errorf("connection dropped: %v", err) }
+			w.Loop.SetTimeout(func() { conn.Close() }, 60*time.Millisecond)
+		})
 	})
 	if err := w.Loop.Run(); err != nil {
 		t.Fatal(err)
 	}
-	st := r.Stats()
-	if st.Heartbeats < 2 {
-		t.Errorf("heartbeats = %d, want ≥2", st.Heartbeats)
+	if beats := retryCounter(hub, "heartbeats"); beats < 2 {
+		t.Errorf("heartbeats = %d, want >= 2", beats)
 	}
-	if st.HeartbeatTimeouts != 0 {
-		t.Errorf("heartbeat timeouts = %d on a live path", st.HeartbeatTimeouts)
+	if timeouts := retryCounter(hub, "heartbeat_timeouts"); timeouts != 0 {
+		t.Errorf("heartbeat timeouts = %d on a live path", timeouts)
+	}
+	if dials := retryCounter(hub, "dials"); dials != 1 {
+		t.Errorf("dials = %d, want 1: the live connection was dropped", dials)
 	}
 }
 

@@ -3,138 +3,67 @@ package sockets
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"fmt"
+	"errors"
 	"time"
 
 	"doppio/internal/browser"
+	"doppio/internal/core"
 	"doppio/internal/eventloop"
 	"doppio/internal/telemetry"
 	"doppio/internal/vfs"
-	"doppio/internal/vfs/faultfs"
 	"doppio/internal/vfs/retry"
 )
 
-// The client-side construction story, redesigned: instead of the
-// ad-hoc trio (raw WebSocket + ReconnectingWS + post-hoc mutators), a
-// connection is assembled by Stack with the same enforced-decorator-
-// order discipline as vfs.Stack:
-//
-//	transport (ws | reconnecting ws) → faults → telemetry (outermost),
-//	with the mux session — when enabled — consuming the whole chain.
-//
-// The ordering is load-bearing: faults sit directly on the transport
-// so they model the network (in mux mode a fault resets the
-// connection, which the reconnecting transport and session resume
-// above them must absorb, as VFS retry absorbs faultfs); telemetry
-// sits outermost so its counters see what the application sees.
-// Options are order-independent; Find walks the chain.
+// errHeartbeatTimeout is the cause recorded when a pong misses its
+// deadline.
+var errHeartbeatTimeout = errors.New("sockets: heartbeat timed out")
 
-// Link is one layer of the client transport chain: it sends one
-// message (the concatenation of parts, zero-copy where the transport
-// allows) and is torn down by Close. Events flow up the chain through
-// the LinkEvents bound at assembly.
-type Link interface {
-	Send(parts ...[]byte) error
-	Close() error
-}
-
-// LinkUnwrapper is implemented by every decorating link; it exposes
-// the wrapped layer so callers can walk the chain.
-type LinkUnwrapper interface {
-	Unwrap() Link
-}
-
-// Find walks a link chain outermost-in (via Unwrap) and returns the
-// first layer satisfying T — a concrete type like *FaultLink, or a
-// capability interface.
-func Find[T any](l Link) (T, bool) {
-	for l != nil {
-		if t, ok := any(l).(T); ok {
-			return t, true
-		}
-		u, ok := l.(LinkUnwrapper)
-		if !ok {
-			break
-		}
-		l = u.Unwrap()
-	}
-	var zero T
-	return zero, false
-}
-
-// linkEvents is the upward event flow of a link chain.
-type linkEvents struct {
-	onOpen    func(reconnected bool)
-	onMessage func(data []byte)
-	onClosed  func(err error) // terminal: no further events
-}
-
-// Option selects and configures one layer of a socket stack.
+// Option configures a connection built by Stack.
 type Option func(*stackConfig)
 
 type stackConfig struct {
 	reconnect *retry.Policy
 	heartbeat time.Duration
-	mux       bool
 	maxStream int
 	window    int
-	plan      *faultfs.Plan
-	inj       *faultfs.Injector
-	hub       *telemetry.Hub
 	shedFn    func() int
 	shedDepth int
 }
 
-// WithReconnect adds the reconnecting transport: connection drops
-// redial with the policy's exponential backoff (a zero Policy gets
-// retry.Defaults()). With WithMux, the stack also presents a session
-// token on its handshake, so a redial resumes the gateway session —
-// every stream picks up where the dead transport left it.
+// WithReconnect redials a lost connection with the policy's
+// exponential backoff (a zero Policy gets retry.Defaults()).
+// Policy.MaxAttempts bounds consecutive failed dials within one
+// outage, refused ones included; a successful open resets the count.
+// The connection presents a session token on its handshake, so a
+// redial resumes the gateway session — every stream picks up where
+// the dead transport left it.
 func WithReconnect(policy retry.Policy) Option {
+	if policy == (retry.Policy{}) {
+		policy = retry.Defaults()
+	}
 	return func(c *stackConfig) { c.reconnect = &policy }
 }
 
-// WithHeartbeat enables ping/pong liveness probing at the given
-// period. Heartbeats live in the reconnecting transport, so this
-// implies WithReconnect (with default policy) if it was not given.
+// WithHeartbeat pings the gateway at the given period while the
+// connection is open, catching half-dead connections that TCP alone
+// would let linger: a pong that misses its deadline (one period)
+// drops the transport. Only a redial can act on that, so this implies
+// WithReconnect (default policy) if it was not given.
 func WithHeartbeat(d time.Duration) Option {
 	return func(c *stackConfig) { c.heartbeat = d }
 }
 
-// WithMux multiplexes up to n concurrent logical streams over the one
-// connection (n <= 0 means the gateway default, 1024). Each Dial
-// opens one flow-controlled stream, and a Dial past n live streams
-// fails with a shed StreamError (EAGAIN); without WithMux, a Conn
-// carries exactly one Dial.
+// WithMux caps the connection at n concurrent streams (n <= 0 means
+// the gateway default, 1024): a Dial past n live streams fails with a
+// shed StreamError (EAGAIN).
 func WithMux(n int) Option {
-	return func(c *stackConfig) { c.mux = true; c.maxStream = n }
+	return func(c *stackConfig) { c.maxStream = n }
 }
 
 // WithWindow sets the per-stream receive window (bytes) advertised to
-// the gateway; 0 means 64 KiB. Only meaningful with WithMux.
+// the gateway; 0 means 64 KiB.
 func WithWindow(bytes int) Option {
 	return func(c *stackConfig) { c.window = bytes }
-}
-
-// WithFaults adds the fault-injection layer directly above the
-// transport. In mux mode decisions are drawn per DATA frame and every
-// fault resets the connection without a close frame (resumed with
-// WithReconnect); in plain mode they hit whole messages.
-func WithFaults(plan faultfs.Plan) Option {
-	return func(c *stackConfig) { c.plan = &plan }
-}
-
-// WithInjector is WithFaults with a caller-owned injector, for tests
-// that share one decision sequence across stacks.
-func WithInjector(inj *faultfs.Injector) Option {
-	return func(c *stackConfig) { c.inj = inj }
-}
-
-// WithTelemetry instruments the stack (outermost): frame/byte
-// counters under "sockstack", plus the hub flows into the transport
-// ("sockretry") and mux ("sockmux") layers.
-func WithTelemetry(hub *telemetry.Hub) Option {
-	return func(c *stackConfig) { c.hub = hub }
 }
 
 // WithShed adds client-side load shedding: when depthFn (typically
@@ -146,178 +75,46 @@ func WithShed(depthFn func() int, maxDepth int) Option {
 	return func(c *stackConfig) { c.shedFn = depthFn; c.shedDepth = maxDepth }
 }
 
-// ---- link layers ----
-
-// wsLink is the base transport over a single WebSocket.
-type wsLink struct {
-	ws  *WebSocket
-	mux bool
-}
-
-func (l *wsLink) Send(parts ...[]byte) error {
-	if l.mux {
-		return l.ws.SendParts(parts...)
-	}
-	return l.ws.Send(concat(parts))
-}
-
-func (l *wsLink) Close() error { return l.ws.Close() }
-
-func (l *wsLink) abort() { l.ws.abort() }
-
-// rwsLink is the base transport over a reconnecting WebSocket.
-type rwsLink struct {
-	rws *ReconnectingWS
-	mux bool
-}
-
-func (l *rwsLink) Send(parts ...[]byte) error {
-	if l.mux {
-		return l.rws.SendParts(parts...)
-	}
-	return l.rws.Send(concat(parts))
-}
-
-func (l *rwsLink) Close() error { return l.rws.Close() }
-
-func (l *rwsLink) abort() { l.rws.abort() }
-
-// aborter is a base transport that can drop its connection without a
-// close frame, the way a reset TCP connection ends. Safe from any
-// goroutine.
-type aborter interface{ abort() }
-
-func concat(parts [][]byte) []byte {
-	if len(parts) == 1 {
-		return parts[0]
-	}
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	out := make([]byte, 0, n)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
-}
-
-// FaultLink injects deterministic faults on the client side of the
-// data path — the peer of the gateway's injector. Recover it from a
-// Conn with Find[*FaultLink] to read its Stats.
-type FaultLink struct {
-	inner Link
-	inj   *faultfs.Injector
-	mux   bool
-	// severed records that an incoming fault reset the current
-	// transport: what it still delivers is dropped, since a reset
-	// connection delivers nothing past the fault. Loop thread only.
-	severed bool
-}
-
-// Unwrap exposes the wrapped layer.
-func (l *FaultLink) Unwrap() Link { return l.inner }
-
-// Stats snapshots the injector's decision counters.
-func (l *FaultLink) Stats() faultfs.Stats { return l.inj.Stats() }
-
-func (l *FaultLink) Send(parts ...[]byte) error {
-	if l.mux {
-		deliver, reset := muxFault(l.inj, "out", parts[0])
-		err := errInjectedReset
-		if deliver {
-			err = l.inner.Send(parts...)
-		}
-		if reset {
-			l.abort()
-		}
-		return err
-	}
-	payload, forward, _ := applyFault(l.inj, "out", concat(parts))
-	if !forward {
-		return nil
-	}
-	return l.inner.Send(payload)
-}
-
-func (l *FaultLink) Close() error { return l.inner.Close() }
-
-// abort resets the transport under the link.
-func (l *FaultLink) abort() {
-	if a, ok := Find[aborter](l.inner); ok {
-		a.abort()
-	}
-}
-
-// recv transforms one incoming message (dropping it returns nil, false).
-func (l *FaultLink) recv(data []byte) ([]byte, bool) {
-	if l.mux {
-		if l.severed {
-			return nil, false
-		}
-		deliver, reset := muxFault(l.inj, "in", data)
-		if reset {
-			l.severed = true
-			l.abort()
-		}
-		return data, deliver
-	}
-	out, forward, _ := applyFault(l.inj, "in", data)
-	return out, forward
-}
-
-// TelLink counts frames and bytes through the stack under the
-// "sockstack" subsystem — the outermost layer, so it measures what
-// the application sees.
-type TelLink struct {
-	inner               Link
-	framesIn, framesOut *telemetry.Counter
-	bytesIn, bytesOut   *telemetry.Counter
-}
-
-// Unwrap exposes the wrapped layer.
-func (l *TelLink) Unwrap() Link { return l.inner }
-
-func (l *TelLink) Send(parts ...[]byte) error {
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	l.framesOut.Inc()
-	l.bytesOut.Add(int64(n))
-	return l.inner.Send(parts...)
-}
-
-func (l *TelLink) Close() error { return l.inner.Close() }
-
-func (l *TelLink) recv(data []byte) {
-	l.framesIn.Inc()
-	l.bytesIn.Add(int64(len(data)))
-}
-
-// ---- the assembled connection ----
-
-// Conn is an assembled client connection: the link chain plus, in mux
-// mode, the session. All methods and callbacks run on the window's
-// event loop (sessions additionally run internal goroutines, but
-// their callbacks are routed loop-safely through completions).
+// Conn is a client connection to the gateway: one multiplexed session
+// (MuxPath) over one WebSocket, with a flow-controlled stream per
+// Dial. It owns its transport's reliability too: built WithReconnect,
+// it parks the session when the WebSocket dies, redials with backoff
+// and resumes the session on the new transport — the socket layer's
+// analogue of the VFS retry decorator, keeping a long-lived browser
+// connection (§5.3) alive over a flaky network. It reports to the
+// window's hub: "sockets" from the WebSocket, "sockmux" from the
+// session, and its dial, redial and heartbeat counters as "sockretry".
+//
+// All methods and callbacks run on the window's event loop. The
+// session's writer goroutine sends through a closure bound to the
+// transport it was handed at open, so it never reads Conn's fields.
 type Conn struct {
 	win  *browser.Window
 	loop *eventloop.Loop
 	addr string
+	path string
 	cfg  stackConfig
+	rnd  func() float64
 
-	link Link
-	tel  *TelLink
-	flt  *FaultLink
+	ws       *WebSocket // the current transport
+	mux      *Mux       // nil until the first open and once the connection ends
+	open     bool
+	closed   bool
+	err      error    // why the connection ended; nil while it lives
+	waitOpen []func() // dials waiting for the transport to open
+	attempt  int      // failed dials in the current outage
+	lastErr  error
 
-	mux       *Mux
-	open      bool
-	closed    bool
-	err       error
-	waitOpen  []func() // dials queued before the link opened
-	plainUsed bool
-	plain     *plainStream
+	// hbTimeout is how long a pong may take: the heartbeat period
+	// unless a test changes it before the first open.
+	hbTimeout         time.Duration
+	hbPing, hbWatch   eventloop.TimerID
+	hasPing, hasWatch bool
+	pongPending       bool
+
+	// Nil without a window hub; telemetry.Counter is nil-safe.
+	dials, opens, reconnects, gaveUp *telemetry.Counter
+	heartbeats, hbExpired, backoffNs *telemetry.Counter
 }
 
 // sessionToken names a resumable mux session to the gateway.
@@ -327,10 +124,9 @@ func sessionToken() string {
 	return hex.EncodeToString(b)
 }
 
-// Stack assembles a client connection to addr from the window's event
-// loop, in the one layer order that is correct regardless of option
-// order (see the package comment above). The zero-option stack is a
-// plain single-stream WebSocket connection.
+// Stack opens a client connection to the gateway at addr from the
+// window's event loop. The first dial starts at once; Dials issued
+// before it opens wait for it.
 func Stack(w *browser.Window, addr string, opts ...Option) *Conn {
 	var cfg stackConfig
 	for _, o := range opts {
@@ -340,149 +136,122 @@ func Stack(w *browser.Window, addr string, opts ...Option) *Conn {
 		p := retry.Defaults()
 		cfg.reconnect = &p
 	}
-	if cfg.inj == nil && cfg.plan != nil && cfg.plan.Enabled() {
-		cfg.inj = faultfs.New(*cfg.plan)
-	}
-	c := &Conn{win: w, loop: w.Loop, addr: addr, cfg: cfg}
-
-	path := "/"
-	if cfg.mux {
-		path = MuxPath
-		if cfg.reconnect != nil {
-			path += "?session=" + sessionToken()
-		}
-	}
-
-	// Incoming events route through the chain top-down: telemetry
-	// counts, faults may drop/truncate, then the Conn dispatches.
-	deliver := func(data []byte) {
-		if c.tel != nil {
-			c.tel.recv(data)
-		}
-		if c.flt != nil {
-			var ok bool
-			if data, ok = c.flt.recv(data); !ok {
-				return
-			}
-		}
-		c.dispatch(data)
-	}
-
-	// Base transport.
-	var base Link
+	c := &Conn{win: w, loop: w.Loop, addr: addr, path: MuxPath, cfg: cfg, hbTimeout: cfg.heartbeat}
 	if cfg.reconnect != nil {
-		rws := NewReconnectingWS(w, addr, ReconnectOptions{
-			Policy:            *cfg.reconnect,
-			HeartbeatInterval: cfg.heartbeat,
-			Hub:               cfg.hub,
-			Path:              path,
-		})
-		rws.OnOpen = func(reconnected bool) { c.onOpen(reconnected) }
-		rws.OnMessage = deliver
-		rws.OnDown = func(err error) { c.onDown(err) }
-		rws.OnGiveUp = func(err error) { c.onClosed(err) }
-		base = &rwsLink{rws: rws, mux: cfg.mux}
-	} else {
-		ws := DialWebSocketPath(w, addr, path)
-		var lastErr error
-		ws.OnOpen = func() { c.onOpen(false) }
-		ws.OnMessage = deliver
-		ws.OnError = func(err error) { lastErr = err }
-		ws.OnClose = func() { c.onClosed(lastErr) }
-		base = &wsLink{ws: ws, mux: cfg.mux}
+		c.rnd = cfg.reconnect.Rand()
+		c.path += "?session=" + sessionToken()
 	}
-
-	// Faults directly above the transport.
-	link := base
-	if cfg.inj != nil {
-		c.flt = &FaultLink{inner: link, inj: cfg.inj, mux: cfg.mux}
-		link = c.flt
+	if h := w.Telemetry; h != nil {
+		reg := h.Registry
+		c.dials = reg.Counter("sockretry", "dials")
+		c.opens = reg.Counter("sockretry", "opens")
+		c.reconnects = reg.Counter("sockretry", "reconnects")
+		c.gaveUp = reg.Counter("sockretry", "gave_up")
+		c.heartbeats = reg.Counter("sockretry", "heartbeats")
+		c.hbExpired = reg.Counter("sockretry", "heartbeat_timeouts")
+		c.backoffNs = reg.Counter("sockretry", "backoff_ns")
 	}
-	// Telemetry outermost.
-	if cfg.hub != nil {
-		reg := cfg.hub.Registry
-		c.tel = &TelLink{
-			inner:     link,
-			framesIn:  reg.Counter("sockstack", "frames_in"),
-			framesOut: reg.Counter("sockstack", "frames_out"),
-			bytesIn:   reg.Counter("sockstack", "bytes_in"),
-			bytesOut:  reg.Counter("sockstack", "bytes_out"),
-		}
-		link = c.tel
-	}
-	c.link = link
-	if !cfg.mux {
-		// The plain stream exists from the start so messages arriving
-		// before Dial (a server that talks first) are buffered, not
-		// dropped. Closing the socket closes the connection: in plain
-		// mode they are the same thing.
-		c.plain = &plainStream{
-			send:    func(b []byte) error { return c.link.Send(b) },
-			closeFn: func() error { return c.Close() },
-		}
-	}
+	c.dial()
 	return c
 }
 
-// Link returns the top of the link chain (walk it with Find).
-func (c *Conn) Link() Link { return c.link }
+// dial starts one connection attempt.
+func (c *Conn) dial() {
+	c.dials.Inc()
+	ws := DialWebSocketPath(c.win, c.addr, c.path)
+	c.ws = ws
+	ws.OnOpen = func() { c.onOpen(ws) }
+	ws.OnMessage = func(data []byte) {
+		if c.mux != nil {
+			c.mux.HandleFrame(data)
+		}
+	}
+	ws.OnError = func(err error) { c.lastErr = err }
+	ws.OnPong = func([]byte) { c.pongPending = false }
+	ws.OnClose = c.onTransportClosed
+}
 
-// Mux returns the current mux session (nil in plain mode or before
-// the connection opens).
-func (c *Conn) Mux() *Mux { return c.mux }
+func (c *Conn) onOpen(ws *WebSocket) {
+	c.open = true
+	c.attempt = 0
+	c.opens.Inc()
+	send := func(hdr, payload []byte) error { return ws.SendParts(hdr, payload) }
+	if c.mux == nil {
+		c.mux = NewMux(MuxConfig{
+			Window:     c.cfg.window,
+			MaxStreams: c.cfg.maxStream,
+			Hub:        c.win.Telemetry,
+			Send:       send,
+		})
+	} else {
+		// A redial: the gateway parked the session when the old
+		// transport died, so pick it up where it stopped.
+		c.reconnects.Inc()
+		c.mux.Resume(send)
+	}
+	c.startHeartbeat()
+	c.runWaiters()
+}
 
-func (c *Conn) onOpen(reconnected bool) {
+// onTransportClosed handles the end of the current WebSocket, whether
+// its dial failed or an open connection was lost.
+func (c *Conn) onTransportClosed() {
+	c.stopHeartbeat()
+	wasOpen := c.open
+	c.open = false
 	if c.closed {
 		return
 	}
-	if c.flt != nil {
-		c.flt.severed = false
+	if c.cfg.reconnect == nil {
+		c.end(c.lastErr)
+		return
 	}
-	if c.cfg.mux {
-		send := func(hdr, payload []byte) error { return c.link.Send(hdr, payload) }
-		if c.mux == nil {
-			c.mux = NewMux(MuxConfig{
-				Window:     c.cfg.window,
-				MaxStreams: c.cfg.maxStream,
-				Hub:        c.cfg.hub,
-				Send:       send,
-			})
-		} else {
-			// A redial: the gateway parked the session when the old
-			// transport died, so pick it up where it stopped.
-			c.mux.Resume(send)
-		}
-	}
-	c.open = true
-	waiters := c.waitOpen
-	c.waitOpen = nil
-	for _, fn := range waiters {
-		fn()
-	}
-}
-
-func (c *Conn) onDown(err error) {
-	// Reconnecting transport lost the link; a redial is in flight, and
-	// the session waits for it with every stream intact.
-	c.open = false
-	if c.mux != nil {
+	if wasOpen {
+		// The session waits for the redial with every stream intact.
 		c.mux.Park()
 	}
-	if c.plain != nil {
-		c.plain.finish(err)
-	}
+	c.scheduleRedial()
 }
 
-func (c *Conn) onClosed(err error) {
-	c.open = false
+// scheduleRedial books the next dial after the policy's backoff, or
+// ends the connection when the outage has used up its attempts.
+func (c *Conn) scheduleRedial() {
+	p := c.cfg.reconnect
+	c.attempt++
+	if c.attempt >= p.Attempts() {
+		c.gaveUp.Inc()
+		c.end(c.lastErr)
+		return
+	}
+	d := p.Backoff(c.attempt, c.rnd)
+	c.backoffNs.Add(int64(d))
+	// Same scheme as the VFS retry decorator: core.After's completion
+	// holds a pending slot across the wait, and the redial lands on
+	// the loop thread as an external event.
+	core.After(c.loop, "ws-redial", d, func() {
+		if !c.closed {
+			c.dial()
+		}
+	})
+}
+
+// end finishes the connection for good: the session's streams fail,
+// and so do waiting and later Dials. A transport lost without an
+// error (the peer closed it) ends with the transient reset the
+// session's streams get.
+func (c *Conn) end(err error) {
+	if err == nil {
+		err = &StreamError{Code: vfs.ECONNRESET}
+	}
+	c.err = err
 	if c.mux != nil {
 		c.mux.CloseSession(err)
 		c.mux = nil
 	}
-	if c.plain != nil {
-		c.plain.finish(err)
-	}
-	c.err = err
+	c.runWaiters()
+}
+
+func (c *Conn) runWaiters() {
 	waiters := c.waitOpen
 	c.waitOpen = nil
 	for _, fn := range waiters {
@@ -490,24 +259,12 @@ func (c *Conn) onClosed(err error) {
 	}
 }
 
-func (c *Conn) dispatch(data []byte) {
-	if c.cfg.mux {
-		if c.mux != nil {
-			c.mux.HandleFrame(data)
-		}
-		return
-	}
-	if c.plain != nil {
-		c.plain.deliver(data)
-	}
-}
-
-// Dial opens one logical stream and calls cb on the event loop with
-// its Socket. In mux mode every Dial is a new flow-controlled stream
-// over the shared connection; in plain mode the Conn carries exactly
-// one Dial (the whole connection is the stream) and a second Dial
-// fails. A WithShed stack refuses the dial locally (EAGAIN) when the
-// owning loop is over its depth threshold.
+// Dial opens one stream and calls cb on the event loop with its
+// Socket. A Dial issued before the connection opens, or during a
+// redial, waits for the transport. A WithShed stack refuses the dial
+// locally (EAGAIN) when the owning loop is over its depth threshold,
+// and a connection that has ended fails it with the error that ended
+// it.
 func (c *Conn) Dial(cb func(*Socket, error)) {
 	if c.closed {
 		cb(nil, ErrSocketClosed)
@@ -517,53 +274,110 @@ func (c *Conn) Dial(cb func(*Socket, error)) {
 		cb(nil, &StreamError{Code: vfs.EAGAIN})
 		return
 	}
+	if c.err != nil {
+		cb(nil, c.err)
+		return
+	}
 	if !c.open {
-		if c.err != nil {
-			cb(nil, c.err)
-			return
-		}
 		c.waitOpen = append(c.waitOpen, func() { c.Dial(cb) })
 		return
 	}
-	if c.cfg.mux {
-		st, err := c.mux.Open()
-		if err != nil {
-			cb(nil, err)
-			return
-		}
-		st.SetOpened(func(err error) {
-			// May fire on a session goroutine; marshal to the loop.
-			c.loop.InvokeExternal("sock-dial", func() {
-				if err != nil {
-					cb(nil, err)
-					return
-				}
-				cb(newSocket(c.loop, muxByteStream{st: st}), nil)
-			})
+	st, err := c.mux.Open()
+	if err != nil {
+		cb(nil, err)
+		return
+	}
+	st.SetOpened(func(err error) {
+		// May fire on a session goroutine; marshal to the loop.
+		c.loop.InvokeExternal("sock-dial", func() {
+			if err != nil {
+				cb(nil, err)
+				return
+			}
+			cb(newSocket(c.loop, muxByteStream{st: st}), nil)
 		})
-		return
-	}
-	if c.plainUsed {
-		cb(nil, fmt.Errorf("sockets: plain connection already dialed (use WithMux for multiple streams)"))
-		return
-	}
-	c.plainUsed = true
-	cb(newSocket(c.loop, c.plain), nil)
+	})
 }
 
-// Close tears the whole connection down: the session (if any), then
-// the link chain.
+// Close tears the connection down for good: the session, the
+// heartbeat and any pending redial. Dials still waiting for the
+// transport fail with ErrSocketClosed.
 func (c *Conn) Close() error {
 	if c.closed {
 		return nil
 	}
 	c.closed = true
+	c.stopHeartbeat()
 	if c.mux != nil {
 		c.mux.CloseSession(nil)
 		c.mux = nil
 	}
-	if c.plain != nil {
-		c.plain.finish(nil)
+	c.runWaiters()
+	// Safe even mid-handshake: WebSocket.Close finishes the teardown
+	// once the dial settles.
+	return c.ws.Close()
+}
+
+// ---- heartbeat ----
+
+func (c *Conn) startHeartbeat() {
+	if c.cfg.heartbeat <= 0 {
+		return
 	}
-	return c.link.Close()
+	c.hbPing = c.loop.SetTimeout(c.heartbeat, c.cfg.heartbeat)
+	c.hasPing = true
+}
+
+func (c *Conn) stopHeartbeat() {
+	if c.hasPing {
+		c.loop.ClearTimeout(c.hbPing)
+		c.hasPing = false
+	}
+	if c.hasWatch {
+		c.loop.ClearTimeout(c.hbWatch)
+		c.hasWatch = false
+	}
+	c.pongPending = false
+}
+
+// heartbeat sends one ping, arms the pong watchdog, and books the next
+// beat.
+func (c *Conn) heartbeat() {
+	c.hasPing = false
+	if c.closed || !c.open {
+		return
+	}
+	c.heartbeats.Inc()
+	c.pongPending = true
+	if err := c.ws.Ping(nil); err != nil {
+		c.dropDead(err)
+		return
+	}
+	// One watchdog outstanding at a time: arming a fresh one per ping
+	// would pile up a live timer per beat whenever the timeout exceeds
+	// the period (keeping the loop busy for a full timeout after
+	// Close, since stopHeartbeat can only clear the latest), and a
+	// missed pong is still caught within period+timeout by the next
+	// arm.
+	if !c.hasWatch {
+		c.hbWatch = c.loop.SetTimeout(func() {
+			c.hasWatch = false
+			if c.pongPending && c.open && !c.closed {
+				c.hbExpired.Inc()
+				c.dropDead(errHeartbeatTimeout)
+			}
+		}, c.hbTimeout)
+		c.hasWatch = true
+	}
+	c.startHeartbeat()
+}
+
+// dropDead tears down a connection the heartbeat has declared dead;
+// the WebSocket's close event then drives the redial. No close frame
+// is sent: the peer is presumed gone, and to a gateway a close frame
+// would mean the client is done with its session.
+func (c *Conn) dropDead(err error) {
+	c.lastErr = err
+	c.stopHeartbeat()
+	c.ws.abort()
 }

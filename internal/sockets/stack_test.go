@@ -2,7 +2,9 @@ package sockets
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,60 +15,10 @@ import (
 	"doppio/internal/vfs/retry"
 )
 
-// TestStackLayerOrder pins the builder's enforced order — telemetry
-// outermost, faults directly on the transport — independent of the
-// order options are passed, mirroring vfs.Stack's contract.
-func TestStackLayerOrder(t *testing.T) {
-	echoAddr, stopEcho := startEchoServer(t)
-	defer stopEcho()
-	gw, err := NewWebsockify("127.0.0.1:0", echoAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gw.Close()
-
-	plan := faultfs.Plan{Seed: 1, ErrRate: 0.01}
-	hub := telemetry.NewHub()
-	orders := [][]Option{
-		{WithFaults(plan), WithTelemetry(hub)},
-		{WithTelemetry(hub), WithFaults(plan)},
-	}
-	for i, opts := range orders {
-		w := browser.NewWindow(browser.Chrome28)
-		var conn *Conn
-		w.Loop.Post("main", func() {
-			conn = Stack(w, gw.Addr(), opts...)
-			defer conn.Close()
-
-			// Outermost must be telemetry regardless of option order.
-			tel, ok := conn.Link().(*TelLink)
-			if !ok {
-				t.Errorf("order %d: outermost layer is %T, want *TelLink", i, conn.Link())
-				return
-			}
-			if _, ok := tel.Unwrap().(*FaultLink); !ok {
-				t.Errorf("order %d: under telemetry is %T, want *FaultLink", i, tel.Unwrap())
-			}
-			// Find walks the chain from the top.
-			if _, ok := Find[*FaultLink](conn.Link()); !ok {
-				t.Errorf("order %d: Find[*FaultLink] failed", i)
-			}
-			if _, ok := Find[*TelLink](conn.Link()); !ok {
-				t.Errorf("order %d: Find[*TelLink] failed", i)
-			}
-			if _, ok := Find[*wsLink](conn.Link()); !ok {
-				t.Errorf("order %d: Find[*wsLink] failed", i)
-			}
-		})
-		if err := w.Loop.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestStackHeartbeatImpliesReconnect pins the option dependency: a
-// heartbeat needs somewhere to live, so WithHeartbeat pulls in the
-// reconnecting transport with the default policy.
+// heartbeat can only act on a missed pong by redialing, so
+// WithHeartbeat alone gives the connection the default redial policy
+// and a session token that lets the redial resume its session.
 func TestStackHeartbeatImpliesReconnect(t *testing.T) {
 	echoAddr, stopEcho := startEchoServer(t)
 	defer stopEcho()
@@ -80,8 +32,11 @@ func TestStackHeartbeatImpliesReconnect(t *testing.T) {
 	w.Loop.Post("main", func() {
 		conn := Stack(w, gw.Addr(), WithHeartbeat(time.Minute))
 		defer conn.Close()
-		if _, ok := Find[*rwsLink](conn.Link()); !ok {
-			t.Errorf("WithHeartbeat did not add the reconnecting transport (got %T)", conn.Link())
+		if conn.cfg.reconnect == nil || *conn.cfg.reconnect != retry.Defaults() {
+			t.Errorf("WithHeartbeat redial policy = %v, want retry.Defaults()", conn.cfg.reconnect)
+		}
+		if !strings.HasPrefix(conn.path, MuxPath+"?session=") {
+			t.Errorf("WithHeartbeat dial path = %q, want a session token on %s", conn.path, MuxPath)
 		}
 	})
 	if err := w.Loop.Run(); err != nil {
@@ -89,14 +44,16 @@ func TestStackHeartbeatImpliesReconnect(t *testing.T) {
 	}
 }
 
-// TestStackMuxEcho exercises the full option set together: reconnect
-// policy, mux, telemetry, and a fault plan whose data-frame faults
-// reset the connection. The session must resume across the resets and
-// deliver every echo byte-exact.
+// TestStackMuxEcho exercises the options together — reconnect policy,
+// stream cap and window, telemetry through the window's hub — against
+// a gateway whose data-frame faults reset the connection. The session
+// must resume across the resets and deliver every echo byte-exact.
 func TestStackMuxEcho(t *testing.T) {
 	echoAddr, stopEcho := startEchoServer(t)
 	defer stopEcho()
-	gw, err := NewWebsockify("127.0.0.1:0", echoAddr)
+	gw, err := NewGateway("127.0.0.1:0", echoAddr, GatewayOptions{
+		Faults: faultfs.Plan{Seed: 3, ErrRate: 0.05, ShortRate: 0.05},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,15 +66,10 @@ func TestStackMuxEcho(t *testing.T) {
 	}
 	hub := telemetry.NewHub()
 	w := browser.NewWindow(browser.Chrome28)
+	w.EnableTelemetry(hub)
 	var got []byte
 	w.Loop.Post("main", func() {
-		conn := Stack(w, gw.Addr(),
-			WithReconnect(retry.Defaults()),
-			WithMux(8),
-			WithWindow(2048),
-			WithFaults(faultfs.Plan{Seed: 3, ErrRate: 0.05, ShortRate: 0.05}),
-			WithTelemetry(hub),
-		)
+		conn := Stack(w, gw.Addr(), WithReconnect(retry.Defaults()), WithMux(8), WithWindow(2048))
 		conn.Dial(func(s *Socket, err error) {
 			if err != nil {
 				t.Errorf("dial: %v", err)
@@ -168,10 +120,10 @@ func TestStackMuxEcho(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("echo transcript = %q\nwant %q", got, want)
 	}
-	// Telemetry flowed through every layer that was asked to report,
-	// and at least one injected reset was ridden out by a resume.
+	// Every client layer reported to the window's hub, and at least
+	// one injected reset was ridden out by a resume.
 	for _, m := range []struct{ sub, name string }{
-		{"sockstack", "frames_out"},
+		{"sockets", "frames_out"},
 		{"sockmux", "streams"},
 		{"sockmux", "resumes"},
 		{"sockretry", "reconnects"},
@@ -225,5 +177,85 @@ func TestStackMuxStreamCap(t *testing.T) {
 	}
 	if opened != n || shed != 1 || other != nil {
 		t.Fatalf("dials: %d opened, %d shed, other error %v; want %d opened, 1 shed", opened, shed, other, n)
+	}
+}
+
+// TestDialAfterTransportLoss pins the end of a connection that cannot
+// redial: when the gateway goes away, the open stream fails with
+// ECONNRESET, and a later Dial fails the same way instead of waiting
+// for a transport that will never open.
+func TestDialAfterTransportLoss(t *testing.T) {
+	echoAddr, stopEcho := startEchoServer(t)
+	defer stopEcho()
+	gw, err := NewWebsockify("127.0.0.1:0", echoAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gwClosed := make(chan struct{})
+
+	w := browser.NewWindow(browser.Chrome28)
+	var readErr, dialErr error
+	answered := false
+	w.Loop.Post("main", func() {
+		conn := Stack(w, gw.Addr(), WithMux(4))
+		conn.Dial(func(s *Socket, err error) {
+			if err != nil {
+				t.Errorf("dial: %v", err)
+				conn.Close()
+				close(gwClosed)
+				return
+			}
+			// Close waits for the gateway's connection handlers, so it
+			// runs off the loop.
+			go func() {
+				gw.Close()
+				close(gwClosed)
+			}()
+			s.Read(64).Then(func(_ interface{}, err error) {
+				readErr = err
+				w.Loop.SetTimeout(func() {
+					conn.Dial(func(_ *Socket, err error) {
+						answered, dialErr = true, err
+						conn.Close()
+					})
+				}, 20*time.Millisecond)
+			})
+		})
+	})
+	if err := w.Loop.Run(); err != nil {
+		t.Fatal(err)
+	}
+	<-gwClosed
+	if !vfs.IsErrno(readErr, vfs.ECONNRESET) {
+		t.Errorf("read on the lost connection = %v, want ECONNRESET", readErr)
+	}
+	if !answered {
+		t.Fatal("Dial after the transport was lost never called back")
+	}
+	if !vfs.IsErrno(dialErr, vfs.ECONNRESET) {
+		t.Errorf("Dial after the transport was lost = %v, want ECONNRESET", dialErr)
+	}
+}
+
+// TestCloseAnswersWaitingDials pins Close on a connection whose
+// transport has not opened: a Dial waiting for it fails with
+// ErrSocketClosed instead of never being answered.
+func TestCloseAnswersWaitingDials(t *testing.T) {
+	addr, stop := startDeafServer(t)
+	defer stop()
+
+	w := browser.NewWindow(browser.Chrome28)
+	answered := false
+	var dialErr error
+	w.Loop.Post("main", func() {
+		conn := Stack(w, addr)
+		conn.Dial(func(_ *Socket, err error) { answered, dialErr = true, err })
+		conn.Close()
+	})
+	if err := w.Loop.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !answered || !errors.Is(dialErr, ErrSocketClosed) {
+		t.Fatalf("waiting Dial after Close: answered %v, err %v; want ErrSocketClosed", answered, dialErr)
 	}
 }

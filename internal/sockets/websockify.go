@@ -95,10 +95,6 @@ type GatewayOptions struct {
 	// depth (core.Runtime.QueueDepth is safe cross-goroutine). Nil
 	// disables depth-based shedding.
 	QueueDepth func() int
-	// DisableMux serves every path in plain one-stream-per-connection
-	// mode, MuxPath included — the -mux=false escape hatch for
-	// debugging against clients that cannot speak the framing.
-	DisableMux bool
 	// Hub, when non-nil, receives gateway counters ("websockify") and
 	// mux counters ("sockmux").
 	Hub *telemetry.Hub
@@ -179,12 +175,12 @@ func NewWebsockify(listenAddr, target string) (*Websockify, error) {
 }
 
 // SetFaults toggles deterministic fault injection on the data path at
-// runtime (a plan that cannot inject disarms it) — the chaos lever the
-// reconnect tests flip mid-run. Faults apply per data frame, in both
-// directions, reusing the VFS fault model's kinds. In plain mode:
+// runtime (a plan that cannot inject disarms it) — the chaos lever
+// tests flip mid-run. Faults apply per data frame, in both directions,
+// reusing the VFS fault model's kinds. In plain mode:
 //
-//   - ErrPre drops the frame on the floor — it is never forwarded, the
-//     silent loss a reconnecting client's heartbeat must catch.
+//   - ErrPre drops the frame on the floor — it is never forwarded, a
+//     silent loss.
 //   - ErrPost forwards the frame and then resets the bridge, tearing
 //     down both the WebSocket and TCP sides abruptly.
 //   - Short truncates the frame's payload to Keep of its bytes.
@@ -463,7 +459,7 @@ func (w *Websockify) serve(wsConn net.Conn) {
 		tel.flight.Record("sock", "conn", peer, 0)
 	}
 	cw := &connWriter{conn: wsConn}
-	if p, query, _ := strings.Cut(path, "?"); p == MuxPath && !w.opts.DisableMux {
+	if p, query, _ := strings.Cut(path, "?"); p == MuxPath {
 		q, _ := url.ParseQuery(query)
 		w.serveMux(wsConn, cw, br, inj, q.Get("session"))
 		return

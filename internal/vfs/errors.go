@@ -109,9 +109,11 @@ func Classify(err error) (Errno, bool) {
 	}
 	// Any other error carrying an errno — the socket layer's DialError
 	// and StreamError implement this — classifies through the same
-	// switchboard, so retry.Policy treats a shed stream (EAGAIN) or a
-	// reset transport (ECONNRESET) as transient and a refused dial or
-	// protocol violation as final without importing sockets here.
+	// switchboard without importing sockets here: a shed stream
+	// (EAGAIN) or a reset transport (ECONNRESET) is transient, a
+	// refused dial or protocol violation final. The socket client's
+	// own redial does not consult it; it retries every failed dial
+	// within its attempt budget, refused ones included.
 	var ec interface{ Errno() Errno }
 	if errors.As(err, &ec) {
 		return ec.Errno(), true
