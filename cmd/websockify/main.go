@@ -8,10 +8,11 @@
 // shutting down.
 //
 // With -fault-rate, the proxy deterministically injects faults at the
-// given per-frame rate — a chaos mode for exercising reconnecting
-// clients against a flaky bridge. Plain connections see frame drops,
-// resets and truncations; on a mux session every fault on a DATA frame
-// resets the connection, which a reconnecting client resumes.
+// given per-frame rate — a chaos mode for exercising clients against a
+// flaky bridge. Plain connections see frame drops, resets and
+// truncations; on a mux session every fault on a DATA frame resets the
+// connection, which ends the session and fails its streams with
+// ECONNRESET.
 //
 // With -ops, a live ops server exposes /metrics (Prometheus text),
 // /debug/flight (recent connections, frames, and injected faults), and
@@ -36,7 +37,7 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:8081", "WebSocket listen address")
 	target := flag.String("target", "", "TCP target address (host:port)")
 	metrics := flag.Bool("metrics", false, "print a telemetry metrics snapshot on shutdown")
-	faultRate := flag.Float64("fault-rate", 0, "per-frame fault injection rate (0 disables): plain connections see drops and resets at this rate and truncations at half of it; mux sessions see a connection reset per faulted DATA frame")
+	faultRate := flag.Float64("fault-rate", 0, "per-frame fault injection rate (0 disables): plain connections see drops and resets at this rate and truncations at half of it; on mux sessions each faulted DATA frame resets the connection and ends the session")
 	faultSeed := flag.Int64("fault-seed", 42, "seed for the -fault-rate fault sequence")
 	opsAddr := flag.String("ops", "", "serve the live ops endpoints (/metrics, /debug/sock, /debug/flight, pprof, ...) on this address, e.g. :6060")
 	flightCap := flag.Int("flight", 0, "enable the flight recorder (connection/frame/fault events) with this event capacity (0 disables; -ops enables it at the default capacity)")

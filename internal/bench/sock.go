@@ -251,19 +251,19 @@ func dialMuxSession(fab *sockFabric) (*sockets.Mux, func(), error) {
 		for {
 			f, err := sockets.ReadFrame(br)
 			if err != nil {
-				m.CloseSession(err)
+				m.CloseSession()
 				return
 			}
 			if f.Op == sockets.OpBinary {
 				m.HandleFrame(f.Payload)
 			} else if f.Op == sockets.OpClose {
-				m.CloseSession(nil)
+				m.CloseSession()
 				return
 			}
 		}
 	}()
 	return m, func() {
-		m.CloseSession(nil)
+		m.CloseSession()
 		conn.Close()
 	}, nil
 }

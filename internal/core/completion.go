@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -20,15 +19,11 @@ import (
 //     exit while the operation is in flight, and delivers the eventual
 //     result as a macrotask labelled with the completion's label.
 //   - Resolve settles the completion exactly once; later resolutions
-//     (a late I/O result racing a deadline, a duplicate close event)
-//     are ignored rather than panicking.
+//     (racing resolvers, a duplicate close event) are ignored rather
+//     than panicking.
 //   - Await parks the calling thread with the completion's label, so
 //     blocked-thread accounting and deadlock reports name the
 //     operation a thread is stuck on.
-//   - WithDeadline arms a timer that settles the completion with a
-//     *DeadlineError, which vfs.Classify maps to ETIMEDOUT — a
-//     transient errno under the retry.Policy classification, so
-//     deadline expiry is retryable where genuine failures are final.
 //
 // A Completion must be created and settled on the event-loop
 // goroutine; only the function returned by Resolver may be called from
@@ -43,9 +38,6 @@ type Completion struct {
 
 	cbs    []func(v interface{}, err error)
 	resume func()
-
-	timerArmed bool
-	timer      eventloop.TimerID
 }
 
 // NewCompletion creates an unsettled completion. The label names the
@@ -77,10 +69,6 @@ func (c *Completion) Resolve(v interface{}, err error) bool {
 	}
 	c.settled = true
 	c.value, c.err = v, err
-	if c.timerArmed {
-		c.timerArmed = false
-		c.loop.ClearTimeout(c.timer)
-	}
 	cbs := c.cbs
 	c.cbs = nil
 	for _, cb := range cbs {
@@ -141,48 +129,12 @@ func (c *Completion) Await(t *Thread) bool {
 	return true
 }
 
-// WithDeadline arms a timer (subject to the browser's minimum-delay
-// clamp) that settles the completion with a *DeadlineError after d. A
-// real result arriving first clears the timer; the deadline firing
-// first wins the single-fire race and the late result is dropped.
-// Non-positive d is a no-op. Returns c for chaining.
-func (c *Completion) WithDeadline(d time.Duration) *Completion {
-	if c.settled || d <= 0 {
-		return c
-	}
-	c.timerArmed = true
-	c.timer = c.loop.SetTimeout(func() {
-		c.timerArmed = false
-		c.Resolve(nil, &DeadlineError{Label: c.label, After: d})
-	}, d)
-	return c
-}
-
-// DeadlineError is the error a Completion settles with when its
-// deadline fires first. It implements Timeout/Temporary so transport
-// code — and vfs.Classify, which maps it to ETIMEDOUT — treats expiry
-// as transient under the retry classification rather than final.
-type DeadlineError struct {
-	Label string
-	After time.Duration
-}
-
-func (e *DeadlineError) Error() string {
-	return fmt.Sprintf("core: completion %q deadline expired after %v", e.Label, e.After)
-}
-
-// Timeout marks the error as a timeout (net.Error convention).
-func (e *DeadlineError) Timeout() bool { return true }
-
-// Temporary marks the error as retryable.
-func (e *DeadlineError) Temporary() bool { return true }
-
 // After runs fn on the event loop after at least d of real time,
 // holding the loop's pending slot for the duration — the scheduling
-// primitive behind retry backoff and reconnect redial delays. Unlike
-// loop.SetTimeout it uses a wall-clock timer off the loop, so the
-// delay is not subject to the browser's minimum-delay clamp. The
-// returned completion settles just before fn runs.
+// primitive behind retry backoff. Unlike loop.SetTimeout it uses a
+// wall-clock timer off the loop, so the delay is not subject to the
+// browser's minimum-delay clamp. The returned completion settles just
+// before fn runs.
 func After(loop *eventloop.Loop, label string, d time.Duration, fn func()) *Completion {
 	c := NewCompletion(loop, label)
 	c.Then(func(interface{}, error) { fn() })

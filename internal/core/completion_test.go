@@ -127,51 +127,6 @@ func TestCompletionResolverFromGoroutines(t *testing.T) {
 	}
 }
 
-func TestCompletionWithDeadline(t *testing.T) {
-	loop, rt := newTestRuntime(chromeOpts(), Config{})
-	var got error
-	phase := 0
-	rt.Spawn("main", RunnableFunc(func(th *Thread) RunResult {
-		if phase == 0 {
-			phase = 1
-			c := NewCompletion(loop, "slow-op").WithDeadline(5 * time.Millisecond)
-			c.Then(func(_ interface{}, err error) { got = err })
-			// The "result" never arrives; the deadline must fire.
-			c.Await(th)
-			return Block
-		}
-		return Done
-	}))
-	rt.Start()
-	if err := loop.Run(); err != nil {
-		t.Fatal(err)
-	}
-	var de *DeadlineError
-	if !errors.As(got, &de) {
-		t.Fatalf("err = %v, want *DeadlineError", got)
-	}
-	if de.Label != "slow-op" || !de.Timeout() || !de.Temporary() {
-		t.Errorf("DeadlineError = %+v", de)
-	}
-}
-
-func TestCompletionResultBeatsDeadline(t *testing.T) {
-	loop := eventloop.New(chromeOpts())
-	c := NewCompletion(loop, "fast-op").WithDeadline(time.Hour)
-	var got error = errors.New("sentinel")
-	c.Then(func(_ interface{}, err error) { got = err })
-	loop.Post("result", func() { c.Resolve("data", nil) })
-	if err := loop.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got != nil {
-		t.Errorf("err = %v, want nil (result before deadline)", got)
-	}
-	if c.Value() != "data" {
-		t.Errorf("Value = %v", c.Value())
-	}
-}
-
 func TestAfterRunsOnLoop(t *testing.T) {
 	loop := eventloop.New(chromeOpts())
 	start := time.Now()

@@ -541,12 +541,12 @@ func TestDebugSockEndpoint(t *testing.T) {
 			return sockets.WriteBinaryFrame(conn, hdr, payload)
 		},
 	})
-	defer m.CloseSession(nil)
+	defer m.CloseSession()
 	go func() {
 		for {
 			f, err := sockets.ReadFrame(br)
 			if err != nil {
-				m.CloseSession(err)
+				m.CloseSession()
 				return
 			}
 			if f.Op == sockets.OpBinary {

@@ -31,9 +31,8 @@ func (s *Server) snapshotGateways() []sockets.GatewaySnapshot {
 }
 
 // handleSock serves the gateway view: per-session stream windows,
-// credit state, the shed/reset counters that tell an operator whether
-// backpressure is engaging, and the parked sessions and resumes that
-// tell whether clients are riding out dropped connections.
+// credit state, and the shed/reset counters that tell an operator
+// whether backpressure is engaging.
 func (s *Server) handleSock(w http.ResponseWriter, r *http.Request) {
 	snaps := s.snapshotGateways()
 	if r.URL.Query().Get("format") == "json" {
@@ -48,11 +47,11 @@ func (s *Server) handleSock(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, g := range snaps {
 		fmt.Fprintf(w, "== gateway -> %s ==\n", g.Target)
-		fmt.Fprintf(w, "conns: plain=%d mux=%d parked=%d  shedding=%v (pauses=%d)\n",
-			g.PlainConns, g.MuxConns, g.Parked, g.Paused, g.Pauses)
+		fmt.Fprintf(w, "conns: plain=%d mux=%d  shedding=%v (pauses=%d)\n",
+			g.PlainConns, g.MuxConns, g.Paused, g.Pauses)
 		st := g.Stats
-		fmt.Fprintf(w, "streams: opened=%d accepted=%d shed=%d resets=%d resumes=%d\n",
-			st.Opened, st.Accepted, st.Shed, st.Resets, st.Resumes)
+		fmt.Fprintf(w, "streams: opened=%d accepted=%d shed=%d resets=%d\n",
+			st.Opened, st.Accepted, st.Shed, st.Resets)
 		fmt.Fprintf(w, "data: in=%d frames/%d B  out=%d frames/%d B  credits=%d\n",
 			st.DataIn, st.BytesIn, st.DataOut, st.BytesOut, st.Credits)
 		if g.Faults.Ops > 0 {
@@ -61,7 +60,7 @@ func (s *Server) handleSock(w http.ResponseWriter, r *http.Request) {
 				f.Ops, f.ErrsPre, f.ErrsPost, f.Shorts, f.Delays)
 		}
 		for i, sess := range g.Sessions {
-			fmt.Fprintf(w, "session %d: streams=%d dead=%v parked=%v\n", i, len(sess.Streams), sess.Dead, sess.Parked)
+			fmt.Fprintf(w, "session %d: streams=%d dead=%v\n", i, len(sess.Streams), sess.Dead)
 			for _, str := range sess.Streams {
 				fmt.Fprintf(w, "  stream %d: %s  swnd=%d queued=%d rbuf=%d paused=%v\n",
 					str.ID, str.State, str.SendWindow, str.SendQueued,

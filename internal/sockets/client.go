@@ -20,9 +20,7 @@ import (
 // the open state, distinguishing a *refused* connection (the dial was
 // actively rejected: nothing is listening) from a *dropped* one (the
 // transport connected, or was lost mid-handshake: the server exists).
-// Errno carries the split to vfs.Classify. A redialing Conn retries
-// both kinds alike within its attempt budget, since a gateway that is
-// restarting refuses dials until it listens again.
+// Errno carries the split to vfs.Classify.
 type DialError struct {
 	Addr    string
 	Refused bool
@@ -66,29 +64,29 @@ type WebSocket struct {
 
 	// connMu guards conn's assignment: the connect goroutine installs
 	// it mid-handshake, and Close may read it at any time (including
-	// before the open event). Post-open readers (Send, Ping, the
+	// before the open event). Post-open readers (Send, SendParts, the
 	// reader pump) are ordered after the assignment by the open
 	// event's delivery and need no lock.
 	connMu sync.Mutex
 	conn   net.Conn
+	// shutOnce closes conn once: the reader pump closes it when the
+	// transport ends, and a later Close finds nothing left to close.
+	shutOnce sync.Once
 
 	// wmu serializes every frame written to conn. Writers live on
-	// different goroutines — Send/Ping on the event loop, SendParts on
-	// the mux session's writer, the auto-pong on the reader pump — and
-	// net.Conn.Write may split one frame across several syscalls under
-	// backpressure, so unserialized writers could interleave mid-frame
-	// and desync the WS byte stream.
+	// different goroutines — Send and Close on the event loop,
+	// SendParts on the mux session's writer, the auto-pong on the
+	// reader pump — and net.Conn.Write may split one frame across
+	// several syscalls under backpressure, so unserialized writers
+	// could interleave mid-frame and desync the WS byte stream.
 	wmu sync.Mutex
 
 	// OnOpen, OnMessage, OnError and OnClose are the DOM event
 	// handlers; assign them before Dial completes the handshake.
-	// OnPong receives the payload of pong frames answering Ping —
-	// the hook heartbeat monitors use to detect a dead peer.
 	OnOpen    func()
 	OnMessage func(data []byte)
 	OnError   func(err error)
 	OnClose   func()
-	OnPong    func(data []byte)
 
 	tel *wsTelemetry
 
@@ -217,30 +215,20 @@ func (ws *WebSocket) connect(addr string) {
 	// Reader pump: every incoming frame becomes a message event.
 	for {
 		f, err := ReadFrame(br)
-		if err != nil {
+		if err != nil || f.Op == OpClose {
 			// Release any writer still blocked on the dead connection.
-			conn.Close()
+			ws.shut(conn)
 			ws.closeEvent()
 			return
 		}
 		switch f.Op {
-		case OpClose:
-			ws.conn.Close()
-			ws.closeEvent()
-			return
 		case OpPing:
+			// RFC 6455 requires the pong; script never sees either.
 			pong := &Frame{Fin: true, Op: OpPong, Masked: true, Payload: f.Payload}
 			rand.Read(pong.MaskKey[:])
 			ws.wmu.Lock()
 			WriteFrame(ws.conn, pong)
 			ws.wmu.Unlock()
-		case OpPong:
-			data := f.Payload
-			ws.emit("ws-pong", func() {
-				if ws.OnPong != nil {
-					ws.OnPong(data)
-				}
-			})
 		case OpBinary, OpText:
 			data := f.Payload
 			if tel := ws.tel; tel != nil {
@@ -261,6 +249,13 @@ func (ws *WebSocket) connect(addr string) {
 
 func (ws *WebSocket) fail(err error) { ws.settle(nil, err) }
 func (ws *WebSocket) closeEvent()    { ws.settle(nil, nil) }
+
+// shut closes the open transport conn once; only the call that closes
+// it can report an error.
+func (ws *WebSocket) shut(conn net.Conn) (err error) {
+	ws.shutOnce.Do(func() { err = conn.Close() })
+	return err
+}
 
 // Send transmits data as one masked binary frame (client frames must
 // be masked per RFC 6455).
@@ -303,36 +298,9 @@ func (ws *WebSocket) SendParts(parts ...[]byte) error {
 	return WriteBinaryFrame(ws.conn, parts...)
 }
 
-// Ping sends a masked ping frame; the peer's pong is delivered to
-// OnPong. Heartbeat monitors pair the two to detect half-dead
-// connections that TCP alone would let linger.
-func (ws *WebSocket) Ping(payload []byte) error {
-	if ws.conn == nil {
-		return ErrSocketClosed
-	}
-	f := &Frame{Fin: true, Op: OpPing, Masked: true, Payload: payload}
-	if _, err := rand.Read(f.MaskKey[:]); err != nil {
-		return err
-	}
-	ws.wmu.Lock()
-	defer ws.wmu.Unlock()
-	return WriteFrame(ws.conn, f)
-}
-
-// abort drops the connection without a close frame, the way a reset
-// TCP connection ends: the reader pump fails and delivers the close
-// event. Safe from any goroutine.
-func (ws *WebSocket) abort() {
-	ws.connMu.Lock()
-	conn := ws.conn
-	ws.connMu.Unlock()
-	if conn != nil {
-		conn.Close()
-	}
-}
-
 // Close sends a close frame and tears down the connection. Closing
-// before the handshake finishes is honored once it does.
+// before the handshake finishes is honored once it does, and closing
+// a connection whose transport is already gone reports no error.
 func (ws *WebSocket) Close() error {
 	ws.closeRequested = true
 	ws.connMu.Lock()
@@ -342,7 +310,7 @@ func (ws *WebSocket) Close() error {
 		return nil
 	}
 	// TryLock: if another writer is wedged mid-frame on a dead peer,
-	// skip the courtesy close frame — the conn.Close below is what
+	// skip the courtesy close frame — closing conn below is what
 	// unblocks that writer, and waiting for it here would deadlock.
 	if ws.wmu.TryLock() {
 		f := &Frame{Fin: true, Op: OpClose, Masked: true}
@@ -350,5 +318,5 @@ func (ws *WebSocket) Close() error {
 		WriteFrame(conn, f)
 		ws.wmu.Unlock()
 	}
-	return conn.Close()
+	return ws.shut(conn)
 }

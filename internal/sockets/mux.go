@@ -22,26 +22,20 @@ import (
 //
 // arg is the kind's argument: the advertised receive window (SYN,
 // SYNACK), the stream offset of the payload's first byte (DATA), the
-// receiver's consumed edge (CREDIT), the bytes received through the
-// peer's FIN (ACK), the stream's final length (FIN), a reset code
-// (RST), or the highest stream id the sender has seen the peer open
-// (RESUME). dlen is the declared payload length.
+// receiver's consumed edge (CREDIT), the stream's final length (FIN),
+// or a reset code (RST). dlen is the declared payload length.
 //
 // The mux adds no reliability of its own. WebSocket rides TCP, so a
 // frame is lost only when the whole connection dies, and a DATA frame
 // gets no reply: its offset and length are an invariant check — a
 // frame off the next expected offset or short of its dlen resets the
-// stream with EPROTO. A receiver reports how far it has received at
-// three points only: the CREDIT grants flow control already sends,
-// the end-of-stream ACK, and the resume handshake. A sender keeps each
-// byte until one of those reports covers it, about one window.
+// stream with EPROTO. CREDIT is the only receive report, and a sender
+// keeps no copy of the bytes it has handed to the transport.
 //
-// Losing the connection loses whatever frames it carried. An owner
-// that can redial parks the session (Park) and picks it up on the new
-// transport (Resume): both ends send a RESUME frame listing each
-// stream's received offset, each sender replays its tail from the
-// peer's offset, and lost SYN, SYNACK, FIN, CREDIT and RST frames are
-// reconciled by re-sending current state.
+// A session lives exactly as long as the WebSocket that carries it.
+// When the transport dies, its owner ends the session (CloseSession)
+// and every open stream fails with ECONNRESET, as a TCP connection's
+// would.
 //
 // Offsets are uint32 and do not wrap: a stream carries at most ~4 GiB
 // and is reset with EPROTO past that — a documented limit, not a
@@ -52,8 +46,7 @@ const MuxHeaderLen = 13
 
 // MuxPath is the handshake request path that selects multiplexed mode
 // on the gateway; any other path proxies one TCP stream per
-// connection, the classic websockify behavior. A client that can
-// resume its session adds a token: MuxPath + "?session=" + token.
+// connection, the classic websockify behavior.
 const MuxPath = "/mux"
 
 // The mux frame kinds.
@@ -61,17 +54,13 @@ const (
 	muxData   byte = 0x0
 	muxSyn    byte = 0x1
 	muxSynAck byte = 0x2
-	muxAck    byte = 0x3
 	muxCredit byte = 0x4
 	muxFin    byte = 0x5
 	muxRst    byte = 0x6
-	muxResume byte = 0x7
 )
 
 // The RST reason codes carried in arg, mapped to errnos so stream
-// failures classify through vfs.Classify like every other error. An
-// RST on stream id 0 (never a stream) answers a RESUME for a session
-// this endpoint does not have.
+// failures classify through vfs.Classify like every other error.
 const (
 	rstShed    uint32 = 1 // receiver refused the stream under load
 	rstRefused uint32 = 2 // the gateway's TCP dial was refused
@@ -153,25 +142,13 @@ const (
 	maxStreamBytes = 1<<32 - 1 - (64 << 20)
 )
 
-// A RESUME payload is one record per live stream:
-//
-//	[stream id u32][flags u8][received u32][consumed edge u32]
-const resumeRecLen = 13
-
-// RESUME record flags.
-const (
-	resumeOpen    byte = 1 << 0 // the handshake completed on the sender's side
-	resumeFinRecv byte = 1 << 1 // the sender holds every byte through the peer's FIN
-)
-
 // MuxConfig configures one mux session endpoint.
 type MuxConfig struct {
 	// Send transmits one mux frame (header + payload) on the
 	// transport; it is called from the session's writer goroutine,
 	// never with the session lock held. The two slices must be sent as
 	// one WebSocket binary frame — WriteBinaryFrame does it with a
-	// single writev and no copy. A Send error stops the session from
-	// writing until Resume attaches a new transport.
+	// single writev and no copy. A Send error ends the session.
 	Send func(hdr, payload []byte) error
 	// Window is the receive window advertised per stream (bytes);
 	// 0 means 64 KiB.
@@ -184,9 +161,6 @@ type MuxConfig struct {
 	// role). The handler must call st.Accept or st.Reject. A session
 	// without it rejects all SYNs with ECONNREFUSED.
 	AcceptStream func(st *MuxStream)
-	// OnClose fires once when the session dies (CloseSession, or a
-	// malformed frame); err is nil for an orderly local close.
-	OnClose func(err error)
 	// Hub, when non-nil, mirrors session counters under "sockmux".
 	Hub *telemetry.Hub
 }
@@ -194,28 +168,23 @@ type MuxConfig struct {
 type muxFrame struct {
 	hdr     []byte
 	payload []byte
-	gen     uint32 // the transport generation it was queued for
 }
 
+// muxTel mirrors MuxStats into a hub. Without one the counters are nil
+// (telemetry.Counter is nil-safe): MuxStats is the counted source.
 type muxTel struct {
-	streams, shed, resets, resumes *telemetry.Counter
-	dataIn, dataOut                *telemetry.Counter
+	streams, shed, resets, dataIn, dataOut *telemetry.Counter
 }
 
 func newMuxTel(h *telemetry.Hub) muxTel {
 	if h == nil {
-		return muxTel{
-			streams: &telemetry.Counter{}, shed: &telemetry.Counter{},
-			resets: &telemetry.Counter{}, resumes: &telemetry.Counter{},
-			dataIn: &telemetry.Counter{}, dataOut: &telemetry.Counter{},
-		}
+		return muxTel{}
 	}
 	reg := h.Registry
 	return muxTel{
 		streams: reg.Counter("sockmux", "streams"),
 		shed:    reg.Counter("sockmux", "shed"),
 		resets:  reg.Counter("sockmux", "resets"),
-		resumes: reg.Counter("sockmux", "resumes"),
 		dataIn:  reg.Counter("sockmux", "data_frames_in"),
 		dataOut: reg.Counter("sockmux", "data_frames_out"),
 	}
@@ -228,9 +197,8 @@ type MuxStats struct {
 	Accepted int64 // streams accepted from the peer
 	Shed     int64 // SYNs refused for load (cap or handler reject)
 	Resets   int64 // RST frames sent or received
-	Resumes  int64 // resume handshakes completed on a new transport
 	DataIn   int64 // DATA frames received
-	DataOut  int64 // DATA frames sent (resume replays included)
+	DataOut  int64 // DATA frames sent
 	BytesIn  int64
 	BytesOut int64
 	Credits  int64 // CREDIT frames sent
@@ -246,28 +214,18 @@ type Mux struct {
 	tel muxTel
 
 	mu      sync.Mutex
-	outCond *sync.Cond // signals the writer goroutine; Park waits on it
+	outCond *sync.Cond // signals the writer goroutine
 	outQ    []muxFrame
-	send    func(hdr, payload []byte) error // the current transport
-	gen     uint32                          // bumped whenever a transport is let go
-	writing bool                            // the writer is sending a batch unlocked
 	streams map[uint32]*MuxStream
 	nextID  uint32
-	peerMax uint32 // highest stream id the peer has opened (SYN seen)
-	// parked: no transport — frames are dropped and writes wait, but
-	// stream state is kept. resuming: a new transport carries our
-	// RESUME; everything else waits for the peer's.
-	parked   bool
-	resuming bool
-	dead     bool
-	deadErr  error
-	stats    MuxStats
+	dead    bool
+	stats   MuxStats
 }
 
 // NewMux starts a session endpoint over the given transport send
 // function. The caller feeds incoming WS binary payloads to
-// HandleFrame and, when the transport dies, either parks the session
-// for a Resume or ends it with CloseSession.
+// HandleFrame and ends the session with CloseSession when the
+// transport dies.
 func NewMux(cfg MuxConfig) *Mux {
 	if cfg.Window <= 0 {
 		cfg.Window = defaultWindow
@@ -278,7 +236,6 @@ func NewMux(cfg MuxConfig) *Mux {
 	m := &Mux{
 		cfg:     cfg,
 		tel:     newMuxTel(cfg.Hub),
-		send:    cfg.Send,
 		streams: make(map[uint32]*MuxStream),
 		nextID:  1,
 	}
@@ -319,20 +276,15 @@ type MuxStream struct {
 	// of every stream on each frame.
 	cond *sync.Cond
 
-	// Sender: sendBuf holds written bytes the peer has not reported
-	// received; sendBase is the stream offset of sendBuf[0]; the first
-	// sentLen bytes of sendBuf have been transmitted on the current
-	// transport (a resume rewinds it to the peer's offset); the rest
-	// await window. DATA payloads alias sendBuf — the single copy of
-	// user data is the append into sendBuf, everything downstream
-	// (resume replays included) is a re-slice.
+	// Sender: sendBuf holds written bytes not yet handed to the
+	// transport, waiting for window; sendBase is the stream offset of
+	// sendBuf[0], so every byte below it has been sent. DATA payloads
+	// alias sendBuf — the single copy of user data is the append into
+	// sendBuf, everything downstream is a re-slice.
 	sw         sendWindow
 	sendBuf    []byte
 	sendBase   uint32
-	sentLen    int
 	finSent    bool
-	finAt      uint32
-	finAcked   bool // the peer holds every byte through finAt
 	writeWaits []writeWait
 	admitWait  int // WriteBlocking callers waiting for window
 
@@ -356,159 +308,74 @@ type writeWait struct {
 // ID returns the stream's session-unique id (immutable after open).
 func (st *MuxStream) ID() uint32 { return st.id }
 
-// online reports whether frames may be queued: a live transport whose
-// resume handshake, if any, has completed. Lock held.
-func (m *Mux) online() bool { return !m.dead && !m.parked && !m.resuming }
-
-// enqueue appends a frame for the writer goroutine; offline, the frame
-// is dropped and a resume re-sends whatever state it carried. Lock
-// held.
+// enqueue appends a frame for the writer goroutine; a dead session
+// sends nothing. Lock held.
 func (m *Mux) enqueue(hdr, payload []byte) {
-	if m.online() {
-		m.push(hdr, payload)
+	if m.dead {
+		return
 	}
-}
-
-func (m *Mux) push(hdr, payload []byte) {
-	m.outQ = append(m.outQ, muxFrame{hdr: hdr, payload: payload, gen: m.gen})
+	m.outQ = append(m.outQ, muxFrame{hdr: hdr, payload: payload})
 	m.outCond.Signal()
 }
 
 // writeLoop is the session's single writer: it drains outQ in order,
 // calling the transport's send without the lock so a backpressured
-// transport never wedges frame processing.
+// transport never wedges frame processing. A send error means the
+// transport is gone, which ends the session.
 func (m *Mux) writeLoop() {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	for {
 		for len(m.outQ) == 0 && !m.dead {
 			m.outCond.Wait()
 		}
 		if m.dead {
+			m.mu.Unlock()
 			return
 		}
 		batch := m.outQ
 		m.outQ = nil
-		send, gen := m.send, m.gen
-		m.writing = true
+		m.mu.Unlock()
 		for _, f := range batch {
-			// Re-check per frame: once the transport is let go, an
-			// already-dequeued batch must stop — its frames belong to
-			// the old transport, and the owner may already be dialing
-			// the new one.
-			if m.dead || f.gen != m.gen {
-				break
-			}
-			m.mu.Unlock()
-			err := send(f.hdr, f.payload)
-			m.mu.Lock()
-			if err != nil {
-				if f.gen == m.gen {
-					m.detachLocked()
-				}
-				break
+			if err := m.cfg.Send(f.hdr, f.payload); err != nil {
+				m.CloseSession()
+				return
 			}
 		}
-		m.writing = false
-		if gen != m.gen {
-			m.outCond.Broadcast() // Park waits for this batch
-		}
+		m.mu.Lock()
 	}
 }
 
-// detachLocked lets go of the current transport: queued frames are
-// dropped and nothing more is queued until Resume. Lock held.
-func (m *Mux) detachLocked() {
-	m.parked = true
-	m.resuming = false
-	m.gen++
-	m.outQ = nil
-}
-
-// Park detaches the session from a transport that died abruptly.
-// Streams keep their state and their unreported tail; writes stop
-// being admitted and reads wait until Resume attaches a new transport
-// or CloseSession ends the session. Park returns once no frame meant
-// for the old transport can still be written. Idempotent.
-func (m *Mux) Park() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.dead {
-		return
-	}
-	if !m.parked {
-		m.detachLocked()
-	}
-	for m.writing {
-		m.outCond.Wait()
-	}
-}
-
-// Resume attaches a parked session to a new transport and starts the
-// resume handshake: it sends a RESUME frame describing every stream,
-// and holds all other traffic until the peer's RESUME arrives (see
-// handleResume). A peer that started a fresh session instead, or no
-// longer has this one, makes the session drop its streams with
-// ECONNRESET and carry on empty.
-func (m *Mux) Resume(send func(hdr, payload []byte) error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.dead || !m.parked {
-		return
-	}
-	m.send = send
-	m.parked = false
-	m.resuming = true
-	payload := make([]byte, 0, len(m.streams)*resumeRecLen)
-	for id, st := range m.streams {
-		var flags byte
-		if st.state == stOpen {
-			flags |= resumeOpen
-		}
-		if st.recvDone() {
-			flags |= resumeFinRecv
-		}
-		payload = binary.BigEndian.AppendUint32(payload, id)
-		payload = append(payload, flags)
-		payload = binary.BigEndian.AppendUint32(payload, st.recvNext)
-		payload = binary.BigEndian.AppendUint32(payload, st.rw.granted)
-	}
-	m.push(muxHeader(0, muxResume, m.peerMax, uint32(len(payload))), payload)
-}
-
-// pump transmits whatever the window permits and fires Write
-// completions whose bytes are fully admitted. Lock held; returns
+// pump hands the transport whatever the window permits and fires
+// Write completions whose bytes are fully admitted. Lock held; returns
 // callbacks to run after unlock.
 func (m *Mux) pump(st *MuxStream) []func() {
-	if !m.online() || (st.state != stOpen && st.state != stSynSent) {
+	if m.dead || (st.state != stOpen && st.state != stSynSent) {
 		return nil
 	}
 	moved := false
-	for st.sentLen < len(st.sendBuf) {
-		next := st.sendBase + uint32(st.sentLen)
-		n := st.sw.avail(next)
+	for len(st.sendBuf) > 0 {
+		n := st.sw.avail(st.sendBase)
 		if n == 0 {
 			break
 		}
-		if want := len(st.sendBuf) - st.sentLen; n > want {
-			n = want
+		if n > len(st.sendBuf) {
+			n = len(st.sendBuf)
 		}
 		if n > maxDataChunk {
 			n = maxDataChunk
 		}
-		chunk := st.sendBuf[st.sentLen : st.sentLen+n]
-		m.enqueue(muxHeader(st.id, muxData, next, uint32(n)), chunk)
-		st.sentLen += n
+		m.enqueue(muxHeader(st.id, muxData, st.sendBase, uint32(n)), st.sendBuf[:n])
+		st.sendBuf = st.sendBuf[n:]
+		st.sendBase += uint32(n)
 		m.stats.DataOut++
 		m.stats.BytesOut += int64(n)
 		m.tel.dataOut.Inc()
 		moved = true
 	}
-	admitted := st.sendBase + uint32(st.sentLen)
 	var fire []func()
 	kept := st.writeWaits[:0]
 	for _, w := range st.writeWaits {
-		if w.at <= admitted {
+		if w.at <= st.sendBase {
 			done := w.done
 			fire = append(fire, func() { done(nil) })
 		} else {
@@ -516,26 +383,13 @@ func (m *Mux) pump(st *MuxStream) []func() {
 		}
 	}
 	st.writeWaits = kept
-	if moved && st.admitWait > 0 {
-		st.cond.Broadcast()
+	if moved {
+		if st.admitWait > 0 {
+			st.cond.Broadcast()
+		}
+		m.maybeReapLocked(st)
 	}
 	return fire
-}
-
-// release drops the sent bytes below offset upTo, which the peer has
-// reported received. Lock held; the caller has checked
-// sendBase <= upTo <= sendBase+sentLen.
-func (st *MuxStream) release(upTo uint32) {
-	drop := int(upTo - st.sendBase)
-	st.sendBuf = st.sendBuf[drop:]
-	st.sentLen -= drop
-	st.sendBase = upTo
-}
-
-// reported checks an offset the peer says it has received: it cannot
-// be below what it reported before or beyond what was sent.
-func (st *MuxStream) reported(off uint32) bool {
-	return off >= st.sendBase && off <= st.sendBase+uint32(st.sentLen)
 }
 
 // recvDone reports whether every byte through the peer's FIN is here.
@@ -666,8 +520,7 @@ func (st *MuxStream) Reject(code vfs.Errno) {
 // Write queues p for transmission and calls done(nil) once every byte
 // has been admitted to the flow-control window (queued for the
 // transport). A zero-window stream holds the completion until the
-// peer grants credit — the backpressure the tests pin down — and a
-// parked session holds it until the session resumes. done(err)
+// peer grants credit — the backpressure the tests pin down. done(err)
 // reports a reset stream.
 func (st *MuxStream) Write(p []byte, done func(error)) {
 	m := st.m
@@ -732,11 +585,13 @@ func (st *MuxStream) WriteBlocking(p []byte) error {
 		if st.err != nil {
 			return st.err
 		}
+		// Checked before the closed state: the pump that hands a
+		// finished stream's last bytes to the transport also reaps it.
+		if st.sendBase >= target {
+			return nil
+		}
 		if st.state == stClosed {
 			return ErrSocketClosed
-		}
-		if st.sendBase+uint32(st.sentLen) >= target || target <= st.sendBase {
-			return nil
 		}
 		st.admitWait++
 		st.cond.Wait()
@@ -838,10 +693,9 @@ func (m *Mux) consumedLocked(st *MuxStream, n int) {
 }
 
 // grantLocked advertises the consumed edge once a quarter window has
-// drained. Offline, the grant waits: the RESUME frame carries the edge
-// last granted and the handshake re-evaluates. Lock held.
+// drained. Lock held.
 func (m *Mux) grantLocked(st *MuxStream) {
-	if !m.online() || st.state != stOpen || !st.rw.due() {
+	if m.dead || st.state != stOpen || !st.rw.due() {
 		return
 	}
 	st.rw.granted = st.rw.consumed
@@ -869,7 +723,8 @@ func (st *MuxStream) ResumeCredit() {
 }
 
 // Close half-closes the stream for writing: a FIN carrying the final
-// offset tells the peer where the byte stream ends. Reads continue
+// offset tells the peer where the byte stream ends. Bytes still
+// waiting for window are sent as credit arrives, and reads continue
 // until the peer's own FIN.
 func (st *MuxStream) Close() error {
 	m := st.m
@@ -879,8 +734,8 @@ func (st *MuxStream) Close() error {
 		return nil
 	}
 	st.finSent = true
-	st.finAt = st.sendBase + uint32(len(st.sendBuf))
-	m.enqueue(muxHeader(st.id, muxFin, st.finAt, 0), nil)
+	m.enqueue(muxHeader(st.id, muxFin, st.sendBase+uint32(len(st.sendBuf)), 0), nil)
+	m.maybeReapLocked(st)
 	m.mu.Unlock()
 	return nil
 }
@@ -929,11 +784,12 @@ func (m *Mux) killLocked(st *MuxStream, code vfs.Errno) []func() {
 }
 
 // maybeReapLocked removes a stream once both directions are finished
-// — the peer holds everything through our FIN, and we hold everything
-// through theirs — so the session map does not grow without bound.
-// Bytes the consumer has not drained stay readable from the stream.
+// — every byte through our FIN has been handed to the transport, and
+// every byte through the peer's FIN has arrived — so the session map
+// does not grow without bound. Bytes the consumer has not drained stay
+// readable from the stream.
 func (m *Mux) maybeReapLocked(st *MuxStream) {
-	if st.finAcked && st.recvDone() && st.state != stClosed {
+	if st.finSent && len(st.sendBuf) == 0 && st.recvDone() && st.state != stClosed {
 		st.state = stClosed
 		delete(m.streams, st.id)
 		st.cond.Broadcast()
@@ -945,7 +801,7 @@ func (m *Mux) maybeReapLocked(st *MuxStream) {
 // gateway's connection goroutine).
 func (m *Mux) HandleFrame(b []byte) {
 	if len(b) < MuxHeaderLen {
-		m.fail(&StreamError{Code: vfs.EPROTO})
+		m.CloseSession()
 		return
 	}
 	id := binary.BigEndian.Uint32(b[0:4])
@@ -955,42 +811,20 @@ func (m *Mux) HandleFrame(b []byte) {
 	payload := b[MuxHeaderLen:]
 
 	m.mu.Lock()
-	if m.dead || m.parked {
+	if m.dead {
 		m.mu.Unlock()
 		return
 	}
 	var fns []func()
-	if m.resuming {
-		if kind == muxResume {
-			if len(payload)%resumeRecLen != 0 {
-				m.mu.Unlock()
-				m.fail(&StreamError{Code: vfs.EPROTO})
-				return
-			}
-			fns = m.handleResume(arg, payload)
-			m.mu.Unlock()
-			run(fns)
-			return
-		}
-		// The first frame on a resumed transport is the peer's RESUME
-		// unless the peer no longer has the session (RST on stream 0,
-		// which names no stream) or started a fresh one: either way,
-		// what we kept is gone.
-		fns = m.forgetLocked()
-	}
 	st := m.streams[id]
 	switch kind {
-	case muxResume:
-		// The peer is resuming a session this endpoint does not have.
-		m.enqueue(muxHeader(0, muxRst, rstReset, 0), nil)
 	case muxSyn:
-		fns = append(fns, m.handleSyn(id, arg)...)
+		fns = m.handleSyn(id, arg)
 	case muxSynAck:
 		if st != nil && st.state == stSynSent {
 			st.state = stOpen
 			st.sw.open(int(arg))
-			fns = append(fns, st.settleOpen(nil)...)
-			fns = append(fns, m.pump(st)...)
+			fns = append(st.settleOpen(nil), m.pump(st)...)
 		}
 	case muxData:
 		if st == nil {
@@ -998,29 +832,24 @@ func (m *Mux) HandleFrame(b []byte) {
 			m.enqueue(muxHeader(id, muxRst, rstReset, 0), nil)
 			break
 		}
-		fns = append(fns, m.handleData(st, arg, dlen, payload)...)
-	case muxAck:
-		if st != nil {
-			fns = append(fns, m.handleAck(st, arg)...)
-		}
+		fns = m.handleData(st, arg, dlen, payload)
 	case muxCredit:
 		if st != nil {
-			fns = append(fns, m.handleCredit(st, arg)...)
+			fns = m.handleCredit(st, arg)
 		}
 	case muxFin:
 		if st != nil && !st.finRecv {
-			fns = append(fns, m.handleFin(st, arg)...)
+			fns = m.handleFin(st, arg)
 		}
 	case muxRst:
 		if st != nil {
 			m.stats.Resets++
 			m.tel.resets.Inc()
-			fns = append(fns, m.killLocked(st, rstErrno(arg))...)
+			fns = m.killLocked(st, rstErrno(arg))
 		}
 	default:
 		m.mu.Unlock()
-		run(fns)
-		m.fail(&StreamError{StreamID: id, Code: vfs.EPROTO})
+		m.CloseSession()
 		return
 	}
 	m.mu.Unlock()
@@ -1041,9 +870,6 @@ func (m *Mux) handleSyn(id uint32, window uint32) []func() {
 		m.stats.Resets++
 		m.tel.resets.Inc()
 		return nil
-	}
-	if id > m.peerMax {
-		m.peerMax = id
 	}
 	if m.cfg.AcceptStream == nil {
 		m.enqueue(muxHeader(id, muxRst, rstRefused, 0), nil)
@@ -1094,14 +920,9 @@ func (m *Mux) handleFin(st *MuxStream, finAt uint32) []func() {
 	return m.receivedLocked(st)
 }
 
-// receivedLocked wakes the reader after new data or a FIN; once
-// everything through the peer's FIN is here it sends the end-of-stream
-// ACK, the only receive report outside CREDIT and RESUME. Lock held.
+// receivedLocked wakes the reader after new data or a FIN. Lock held.
 func (m *Mux) receivedLocked(st *MuxStream) []func() {
-	if st.recvDone() {
-		m.enqueue(muxHeader(st.id, muxAck, st.recvNext, 0), nil)
-		m.maybeReapLocked(st)
-	}
+	m.maybeReapLocked(st)
 	st.cond.Broadcast()
 	if st.readable != nil {
 		return []func(){st.readable}
@@ -1109,118 +930,26 @@ func (m *Mux) receivedLocked(st *MuxStream) []func() {
 	return nil
 }
 
-// handleCredit applies a consumed edge: bytes below it are released
-// and the window extends past it. Lock held.
+// handleCredit applies a consumed edge: the window extends past it.
+// The peer cannot have consumed more than was sent. Lock held.
 func (m *Mux) handleCredit(st *MuxStream, edge uint32) []func() {
 	if edge > st.sendBase {
-		if !st.reported(edge) {
-			return m.resetLocked(st, vfs.EPROTO, true)
-		}
-		st.release(edge)
+		return m.resetLocked(st, vfs.EPROTO, true)
 	}
 	st.sw.credit(edge)
 	return m.pump(st)
 }
 
-// handleAck takes the peer's end-of-stream report: it holds every byte
-// through our FIN. Lock held.
-func (m *Mux) handleAck(st *MuxStream, recv uint32) []func() {
-	if !st.finSent || recv != st.finAt || !st.reported(recv) {
-		return m.resetLocked(st, vfs.EPROTO, true)
-	}
-	st.release(recv)
-	st.finAcked = true
-	m.maybeReapLocked(st)
-	return nil
-}
-
-// handleResume completes the resume handshake from the peer's RESUME:
-// peerMax is the highest stream id it has seen us open, and the
-// records give each stream it still holds. Every stream is brought up
-// to date by re-sending current state. Lock held.
-func (m *Mux) handleResume(peerMax uint32, recs []byte) []func() {
-	m.resuming = false
-	m.stats.Resumes++
-	m.tel.resumes.Inc()
-	type rec struct {
-		flags      byte
-		recv, edge uint32
-	}
-	peer := make(map[uint32]rec, len(recs)/resumeRecLen)
-	for ; len(recs) > 0; recs = recs[resumeRecLen:] {
-		peer[binary.BigEndian.Uint32(recs[0:4])] = rec{
-			flags: recs[4],
-			recv:  binary.BigEndian.Uint32(recs[5:9]),
-			edge:  binary.BigEndian.Uint32(recs[9:13]),
-		}
-	}
-	var fns []func()
-	for id, st := range m.streams {
-		r, ok := peer[id]
-		if !ok {
-			switch {
-			case !st.remote && id > peerMax:
-				// Our SYN died with the old transport.
-				m.enqueue(muxHeader(id, muxSyn, uint32(st.rw.window), 0), nil)
-			case st.finSent && st.recvDone():
-				// Both directions were done and the peer reaped the
-				// stream; only its end-of-stream ACK was lost.
-				st.finAcked = true
-				m.maybeReapLocked(st)
-			default:
-				// The peer reset the stream and the RST was lost.
-				fns = append(fns, m.killLocked(st, vfs.ECONNRESET)...)
-			}
-			continue
-		}
-		// The peer holds everything below r.recv: replay the rest.
-		if !st.reported(r.recv) {
-			fns = append(fns, m.resetLocked(st, vfs.EPROTO, true)...)
-			continue
-		}
-		st.release(r.recv)
-		st.sentLen = 0
-		if st.state != stSynSent {
-			st.sw.credit(r.edge)
-		}
-		if st.finSent && r.flags&resumeFinRecv != 0 {
-			st.finAcked = true
-		}
-		if st.remote && st.state == stOpen && r.flags&resumeOpen == 0 {
-			m.enqueue(muxHeader(id, muxSynAck, uint32(st.rw.window), 0), nil)
-		}
-		if st.finSent && r.flags&resumeFinRecv == 0 {
-			m.enqueue(muxHeader(id, muxFin, st.finAt, 0), nil)
-		}
-		fns = append(fns, m.pump(st)...)
-		m.grantLocked(st)
-		m.maybeReapLocked(st)
-	}
-	return fns
-}
-
-// forgetLocked drops every stream of a session the peer no longer
-// has; the session carries on empty. Lock held.
-func (m *Mux) forgetLocked() []func() {
-	m.resuming = false
-	m.peerMax = 0
-	var fns []func()
-	for _, st := range m.streams {
-		fns = append(fns, m.killLocked(st, vfs.ECONNRESET)...)
-	}
-	return fns
-}
-
-// fail kills the whole session: every stream errors with ECONNRESET
-// (transient — redial-worthy), blocked I/O wakes, OnClose fires once.
-func (m *Mux) fail(err error) {
+// CloseSession ends the session — its transport died, or its owner is
+// done: every stream fails with ECONNRESET and blocked I/O wakes.
+// Idempotent.
+func (m *Mux) CloseSession() {
 	m.mu.Lock()
 	if m.dead {
 		m.mu.Unlock()
 		return
 	}
 	m.dead = true
-	m.deadErr = err
 	var fns []func()
 	for _, st := range m.streams {
 		fns = append(fns, m.killLocked(st, vfs.ECONNRESET)...)
@@ -1229,21 +958,14 @@ func (m *Mux) fail(err error) {
 	m.outCond.Broadcast()
 	m.mu.Unlock()
 	run(fns)
-	if m.cfg.OnClose != nil {
-		m.cfg.OnClose(err)
-	}
 }
-
-// CloseSession shuts the endpoint down (transport died or owner is
-// done). Idempotent.
-func (m *Mux) CloseSession(err error) { m.fail(err) }
 
 // StreamSnapshot is one stream's state for /debug/sock.
 type StreamSnapshot struct {
 	ID           uint32 `json:"id"`
 	State        string `json:"state"`
 	SendWindow   int    `json:"send_window"`   // unspent credit
-	SendQueued   int    `json:"send_queued"`   // bytes unreported or awaiting window
+	SendQueued   int    `json:"send_queued"`   // bytes awaiting window
 	RecvBuffered int    `json:"recv_buffered"` // bytes awaiting the consumer
 	Paused       bool   `json:"paused"`        // credit withheld (shedding)
 }
@@ -1251,7 +973,6 @@ type StreamSnapshot struct {
 // MuxSnapshot is the session state for /debug/sock.
 type MuxSnapshot struct {
 	Dead    bool             `json:"dead"`
-	Parked  bool             `json:"parked"` // no transport, waiting to resume
 	Stats   MuxStats         `json:"stats"`
 	Streams []StreamSnapshot `json:"streams"`
 }
@@ -1260,12 +981,12 @@ type MuxSnapshot struct {
 func (m *Mux) Snapshot() MuxSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	snap := MuxSnapshot{Dead: m.dead, Parked: m.parked, Stats: m.stats}
+	snap := MuxSnapshot{Dead: m.dead, Stats: m.stats}
 	for _, st := range m.streams {
 		snap.Streams = append(snap.Streams, StreamSnapshot{
 			ID:           st.id,
 			State:        stateName(st.state),
-			SendWindow:   st.sw.avail(st.sendBase + uint32(st.sentLen)),
+			SendWindow:   st.sw.avail(st.sendBase),
 			SendQueued:   len(st.sendBuf),
 			RecvBuffered: len(st.recvBuf),
 			Paused:       st.rw.paused,
@@ -1287,7 +1008,6 @@ func (s *MuxStats) Add(b MuxStats) {
 	s.Accepted += b.Accepted
 	s.Shed += b.Shed
 	s.Resets += b.Resets
-	s.Resumes += b.Resumes
 	s.DataIn += b.DataIn
 	s.DataOut += b.DataOut
 	s.BytesIn += b.BytesIn

@@ -11,10 +11,7 @@ import (
 	"time"
 
 	"doppio/internal/browser"
-	"doppio/internal/telemetry"
 	"doppio/internal/vfs"
-	"doppio/internal/vfs/faultfs"
-	"doppio/internal/vfs/retry"
 )
 
 // streamPattern builds the deterministic byte sequence stream i sends.
@@ -86,10 +83,7 @@ func echoOverStack(t *testing.T, conn *Conn, got [][]byte, total, chunkSize int,
 
 // TestMuxEquivalence pins the gateway redesign's core claim: N
 // logical streams multiplexed over one WebSocket are byte-identical
-// to N plain one-connection-per-stream sockets — including when the
-// fault injector resets the connection on about one data frame in
-// five (10% errno plus 10% short decisions), which the reconnecting
-// stack must ride out by resuming the session.
+// to N plain one-connection-per-stream sockets.
 func TestMuxEquivalence(t *testing.T) {
 	echoAddr, stopEcho := startEchoServer(t)
 	defer stopEcho()
@@ -158,57 +152,37 @@ func TestMuxEquivalence(t *testing.T) {
 		t.Fatal("plain arm did not finish")
 	}
 
-	for _, tc := range []struct {
-		name string
-		plan faultfs.Plan
-	}{
-		{"clean", faultfs.Plan{}},
-		{"faults10pct", faultfs.Plan{Seed: 7, ErrRate: 0.10, PostFrac: 0.5, ShortRate: 0.10}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			muxGW, err := NewGateway("127.0.0.1:0", echoAddr, GatewayOptions{
-				Window: 4 << 10,
-				Faults: tc.plan,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer muxGW.Close()
+	t.Run("clean", func(t *testing.T) {
+		muxGW, err := NewGateway("127.0.0.1:0", echoAddr, GatewayOptions{Window: 4 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer muxGW.Close()
 
-			w := browser.NewWindow(browser.Chrome28)
-			got := make([][]byte, nStreams)
-			finished := false
-			w.Loop.Post("main", func() {
-				conn := Stack(w, muxGW.Addr(), WithReconnect(retry.Defaults()), WithWindow(4<<10))
-				echoOverStack(t, conn, got, total, chunk, func() {
-					finished = true
-					conn.Close()
-				})
+		w := browser.NewWindow(browser.Chrome28)
+		got := make([][]byte, nStreams)
+		finished := false
+		w.Loop.Post("main", func() {
+			conn := Stack(w, muxGW.Addr())
+			conn.cfg.window = 4 << 10
+			echoOverStack(t, conn, got, total, chunk, func() {
+				finished = true
+				conn.Close()
 			})
-			if err := w.Loop.Run(); err != nil {
-				t.Fatal(err)
-			}
-			if !finished {
-				t.Fatal("mux arm did not finish")
-			}
-			for i := range got {
-				if !bytes.Equal(got[i], plain[i]) {
-					t.Fatalf("stream %d: mux transcript (%d bytes) != plain transcript (%d bytes)",
-						i, len(got[i]), len(plain[i]))
-				}
-			}
-			snap := muxGW.Snapshot()
-			if tc.plan.Enabled() {
-				if snap.Faults.ErrsPre+snap.Faults.ErrsPost+snap.Faults.Shorts == 0 {
-					t.Error("fault plan enabled but no faults were injected")
-				}
-				if snap.Stats.Resumes == 0 {
-					t.Error("faults injected but no session was resumed")
-				}
-				t.Logf("faults %+v, resumes %d", snap.Faults, snap.Stats.Resumes)
-			}
 		})
-	}
+		if err := w.Loop.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if !finished {
+			t.Fatal("mux arm did not finish")
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], plain[i]) {
+				t.Fatalf("stream %d: mux transcript (%d bytes) != plain transcript (%d bytes)",
+					i, len(got[i]), len(plain[i]))
+			}
+		}
+	})
 }
 
 // wirePair builds two directly-wired mux endpoints: every frame one
@@ -248,7 +222,8 @@ func tappedPair(window int, accept func(st *MuxStream), tap func(fromClient bool
 
 // TestMuxZeroWindowBackpressure pins the flow-control contract: a
 // writer that exhausts the peer's receive window parks until the
-// reader drains and credit flows back.
+// reader drains and credit flows back, and a writer that closes while
+// its bytes still wait for credit still delivers every one of them.
 func TestMuxZeroWindowBackpressure(t *testing.T) {
 	const window = 1024
 	acceptCh := make(chan *MuxStream, 1)
@@ -256,8 +231,8 @@ func TestMuxZeroWindowBackpressure(t *testing.T) {
 		st.Accept()
 		acceptCh <- st
 	})
-	defer client.CloseSession(nil)
-	defer server.CloseSession(nil)
+	defer client.CloseSession()
+	defer server.CloseSession()
 
 	st, err := client.Open()
 	if err != nil {
@@ -313,6 +288,44 @@ func TestMuxZeroWindowBackpressure(t *testing.T) {
 	if client.Stats().Credits+server.Stats().Credits == 0 {
 		t.Error("no CREDIT frames recorded")
 	}
+
+	// The peer finishes its side first, so only the writer's unsent
+	// bytes keep the stream alive once the writer closes.
+	peer.Close()
+	waitFor(t, "the peer's FIN", func() bool {
+		_, err := st.TryRead(1)
+		return err == io.EOF
+	})
+	third := streamPattern(3, 2*window)
+	st.Write(third, nil)
+	st.Close()
+	want := append([]byte("overflow"), third...)
+	var got []byte
+	readDone := make(chan error, 1)
+	go func() {
+		for {
+			k, err := peer.ReadBlocking(buf)
+			got = append(got, buf[:k]...)
+			if err != nil {
+				readDone <- err
+				return
+			}
+		}
+	}()
+	select {
+	case err := <-readDone:
+		if err != io.EOF {
+			t.Fatalf("peer read after %d bytes: %v", len(got), err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("peer read stalled: the closed writer's unsent bytes never came")
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("peer read %d bytes, want %d byte-exact", len(got), len(want))
+	}
+	waitFor(t, "both session maps empty", func() bool {
+		return client.StreamCount() == 0 && server.StreamCount() == 0
+	})
 }
 
 // TestMuxPauseCreditSheds pins the gateway's backpressure lever:
@@ -325,8 +338,8 @@ func TestMuxPauseCreditSheds(t *testing.T) {
 		st.Accept()
 		acceptCh <- st
 	})
-	defer client.CloseSession(nil)
-	defer server.CloseSession(nil)
+	defer client.CloseSession()
+	defer server.CloseSession()
 
 	st, err := client.Open()
 	if err != nil {
@@ -496,20 +509,16 @@ func TestMuxRefusedTarget(t *testing.T) {
 }
 
 // TestMuxHeartbeatConcurrentWriters pins write serialization on both
-// ends of a Stack session: heartbeat pings fire on the event loop
-// while the session's writer goroutine sends data frames on the same
-// WebSocket, and the gateway's reader answers those pings while its
-// session writer streams data back. Before the conn writers were
-// serialized, a ping or pong could land mid-data-frame (net.Conn.Write
-// splits frames across syscalls under backpressure) and desync the WS
-// framing layer. The session's writer sends through a closure bound to
-// its transport at open; -race checks that those sends share no
-// unsynchronized state with the loop's pings.
+// ends of a gateway session: a raw mux client sends pings through the
+// same lock as its session writer's data frames, and the gateway's
+// reader answers each ping while its session writer streams data back.
+// Before the conn writers were serialized, a ping or pong could land
+// mid-data-frame (net.Conn.Write splits frames across syscalls under
+// backpressure) and desync the WS framing layer.
 //
-// The streams echo rounds of the pattern until the client has sent
-// minHeartbeats pings, so the pings overlap the data frames however
-// fast the host moves the bytes (the 1 ms interval is clamped to the
-// browser's 4 ms timer floor, and one round can take less than that).
+// The streams echo rounds of the pattern until minPongs pongs have
+// come back, so the pings overlap the data frames however fast the
+// host moves the bytes.
 func TestMuxHeartbeatConcurrentWriters(t *testing.T) {
 	echoAddr, stopEcho := startEchoServer(t)
 	defer stopEcho()
@@ -520,99 +529,100 @@ func TestMuxHeartbeatConcurrentWriters(t *testing.T) {
 	defer gw.Close()
 
 	const (
-		nStreams      = 4
-		round         = 16 << 10
-		chunk         = 512
-		minHeartbeats = 3
-		// maxTransfer ends the rounds if the heartbeat never fires;
-		// the heartbeats check below then fails.
+		nStreams = 4
+		round    = 16 << 10
+		chunk    = 512
+		minPongs = 3
+		// maxTransfer ends the rounds if no pong comes back; the pongs
+		// check below then fails.
 		maxTransfer = 10 * time.Second
 	)
-	hub := telemetry.NewHub()
-	w := browser.NewWindow(browser.Chrome28)
-	w.EnableTelemetry(hub)
-	heartbeats := hub.Registry.Counter("sockretry", "heartbeats")
-	w.Loop.Post("main", func() {
-		// The small window keeps credit and data frames flowing for
-		// the whole transfer, maximizing overlap with the pings.
-		conn := Stack(w, gw.Addr(), WithWindow(1<<10), WithHeartbeat(time.Millisecond))
-		conn.hbTimeout = 10 * time.Second // never declare the conn dead mid-test
-		start := time.Now()
-		var wg sync.WaitGroup
-		wg.Add(nStreams)
-		for i := 0; i < nStreams; i++ {
-			i := i
-			conn.Dial(func(s *Socket, err error) {
-				if err != nil {
-					t.Errorf("stream %d: dial: %v", i, err)
-					wg.Done()
+	// The small window keeps credit and data frames flowing for the
+	// whole transfer, maximizing overlap with the pings.
+	c := rawMuxClient(t, gw.Addr(), 1<<10)
+	stop := make(chan struct{})
+	pinged := make(chan int64, 1)
+	go func() {
+		var n int64
+		defer func() { pinged <- n }()
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				if c.ping() != nil {
 					return
 				}
-				// The stream's blocking API lets plain goroutines
-				// drive it, off the loop the pings fire on.
-				st := s.bs.(muxByteStream).st
-				go func() {
-					defer wg.Done()
-					want := streamPattern(i, round)
-					// After each round the writer says on more
-					// whether another one follows. Its one slot lets
-					// the writer start the next round while the
-					// reader still drains this one.
-					more := make(chan bool, 1)
-					go func() {
-						// A write error means the stream died; the
-						// reader below sees the same error and reports.
-						defer close(more)
-						for {
-							for off := 0; off < round; off += chunk {
-								if st.WriteBlocking(want[off:off+chunk]) != nil {
-									return
-								}
-							}
-							again := heartbeats.Value() < minHeartbeats &&
-								time.Since(start) < maxTransfer
-							more <- again
-							if !again {
-								return
-							}
-						}
-					}()
-					buf := make([]byte, 4096)
-					for r := 0; ; r++ {
-						got := make([]byte, 0, round)
-						for len(got) < round {
-							n, err := st.ReadBlocking(buf[:min(len(buf), round-len(got))])
-							if err != nil {
-								t.Errorf("stream %d: round %d: read after %d bytes: %v", i, r, len(got), err)
-								return
-							}
-							got = append(got, buf[:n]...)
-						}
-						if !bytes.Equal(got, want) {
-							t.Errorf("stream %d: round %d: transcript corrupted", i, r)
-						}
-						if !<-more {
-							break
+				n++
+			}
+		}
+	}()
+	start := time.Now()
+	var wg sync.WaitGroup
+	for i := 0; i < nStreams; i++ {
+		st, err := c.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if err := st.WaitOpen(); err != nil {
+				t.Errorf("stream %d: open: %v", i, err)
+				return
+			}
+			want := streamPattern(i, round)
+			// After each round the writer says on more whether another
+			// one follows. Its one slot lets the writer start the next
+			// round while the reader still drains this one.
+			more := make(chan bool, 1)
+			go func() {
+				// A write error means the stream died; the reader below
+				// sees the same error and reports.
+				defer close(more)
+				for {
+					for off := 0; off < round; off += chunk {
+						if st.WriteBlocking(want[off:off+chunk]) != nil {
+							return
 						}
 					}
-				}()
-			})
-		}
-		go func() {
-			wg.Wait()
-			w.Loop.InvokeExternal("test-shutdown", func() { conn.Close() })
-		}()
-	})
-	if err := w.Loop.Run(); err != nil {
-		t.Fatal(err)
+					again := c.pongs.Load() < minPongs && time.Since(start) < maxTransfer
+					more <- again
+					if !again {
+						return
+					}
+				}
+			}()
+			buf := make([]byte, 4096)
+			for r := 0; ; r++ {
+				got := make([]byte, 0, round)
+				for len(got) < round {
+					n, err := st.ReadBlocking(buf[:min(len(buf), round-len(got))])
+					if err != nil {
+						t.Errorf("stream %d: round %d: read after %d bytes: %v", i, r, len(got), err)
+						return
+					}
+					got = append(got, buf[:n]...)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("stream %d: round %d: transcript corrupted", i, r)
+				}
+				if !<-more {
+					break
+				}
+			}
+		}(i)
 	}
-	if beats := heartbeats.Value(); beats < minHeartbeats {
-		t.Errorf("%d heartbeats fired during the transfer, want >= %d — ping and mux writes barely overlapped",
-			beats, minHeartbeats)
+	wg.Wait()
+	close(stop)
+	pings := <-pinged
+	if pongs := c.pongs.Load(); pongs < minPongs {
+		t.Errorf("%d pongs came back during the transfer, want >= %d — ping and mux writes barely overlapped",
+			pongs, minPongs)
 	}
-	if timeouts := hub.Registry.Counter("sockretry", "heartbeat_timeouts").Value(); timeouts != 0 {
-		t.Errorf("%d heartbeat timeouts — pongs were lost or corrupted", timeouts)
-	}
+	waitFor(t, "a pong for every ping", func() bool { return c.pongs.Load() == pings })
 }
 
 // TestMuxSynCollision pins the symmetric-API id-space guards: Open
@@ -644,8 +654,8 @@ func TestMuxSynCollision(t *testing.T) {
 			return nil
 		},
 	})
-	defer cl.CloseSession(nil)
-	defer sv.CloseSession(nil)
+	defer cl.CloseSession()
+	defer sv.CloseSession()
 
 	// Client opens stream 1; once WaitOpen returns, the server has a
 	// peer-opened stream 1 in its map.
@@ -767,8 +777,8 @@ func TestGatewaySelfDepthNoDeadlock(t *testing.T) {
 
 // TestMuxFrameCount pins the ACK-free data path: a clean echo of N
 // small messages puts exactly N DATA frames on each direction, at most
-// ⌈bytes/(window/4)⌉ CREDIT frames, and otherwise only the open and
-// end-of-stream handshakes — no per-DATA reply frames.
+// ⌈bytes/(window/4)⌉ CREDIT frames, and otherwise only the open
+// handshake and the FIN — no per-DATA reply and no end-of-stream ACK.
 func TestMuxFrameCount(t *testing.T) {
 	const (
 		window = 4 << 10
@@ -786,8 +796,8 @@ func TestMuxFrameCount(t *testing.T) {
 		counts[fromClient][hdr[4]]++
 		mu.Unlock()
 	})
-	defer client.CloseSession(nil)
-	defer server.CloseSession(nil)
+	defer client.CloseSession()
+	defer server.CloseSession()
 
 	st, err := client.Open()
 	if err != nil {
@@ -859,15 +869,14 @@ func TestMuxFrameCount(t *testing.T) {
 		if c[muxCredit] > maxCredits {
 			t.Errorf("%s: %d CREDIT frames, want at most %d", dir.name, c[muxCredit], maxCredits)
 		}
-		if c[dir.open] != 1 || c[muxFin] != 1 || c[muxAck] != 1 {
-			t.Errorf("%s: open/FIN/ACK frames = %d/%d/%d, want 1 each",
-				dir.name, c[dir.open], c[muxFin], c[muxAck])
+		if c[dir.open] != 1 || c[muxFin] != 1 {
+			t.Errorf("%s: open/FIN frames = %d/%d, want 1 each", dir.name, c[dir.open], c[muxFin])
 		}
 		total := 0
 		for _, k := range c {
 			total += k
 		}
-		if extra := total - c[muxData] - c[muxCredit] - c[dir.open] - c[muxFin] - c[muxAck]; extra != 0 {
+		if extra := total - c[muxData] - c[muxCredit] - c[dir.open] - c[muxFin]; extra != 0 {
 			t.Errorf("%s: %d unexpected frames: %v", dir.name, extra, c)
 		}
 	}
@@ -882,8 +891,8 @@ func TestMuxReapWithoutDrain(t *testing.T) {
 		st.Accept()
 		acceptCh <- st
 	})
-	defer client.CloseSession(nil)
-	defer server.CloseSession(nil)
+	defer client.CloseSession()
+	defer server.CloseSession()
 
 	st, err := client.Open()
 	if err != nil {

@@ -4,56 +4,22 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
 	"doppio/internal/browser"
 	"doppio/internal/telemetry"
 	"doppio/internal/vfs"
-	"doppio/internal/vfs/faultfs"
-	"doppio/internal/vfs/retry"
 )
 
-// TestStackHeartbeatImpliesReconnect pins the option dependency: a
-// heartbeat can only act on a missed pong by redialing, so
-// WithHeartbeat alone gives the connection the default redial policy
-// and a session token that lets the redial resume its session.
-func TestStackHeartbeatImpliesReconnect(t *testing.T) {
-	echoAddr, stopEcho := startEchoServer(t)
-	defer stopEcho()
-	gw, err := NewWebsockify("127.0.0.1:0", echoAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gw.Close()
-
-	w := browser.NewWindow(browser.Chrome28)
-	w.Loop.Post("main", func() {
-		conn := Stack(w, gw.Addr(), WithHeartbeat(time.Minute))
-		defer conn.Close()
-		if conn.cfg.reconnect == nil || *conn.cfg.reconnect != retry.Defaults() {
-			t.Errorf("WithHeartbeat redial policy = %v, want retry.Defaults()", conn.cfg.reconnect)
-		}
-		if !strings.HasPrefix(conn.path, MuxPath+"?session=") {
-			t.Errorf("WithHeartbeat dial path = %q, want a session token on %s", conn.path, MuxPath)
-		}
-	})
-	if err := w.Loop.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestStackMuxEcho exercises the options together — reconnect policy,
-// stream cap and window, telemetry through the window's hub — against
-// a gateway whose data-frame faults reset the connection. The session
-// must resume across the resets and deliver every echo byte-exact.
+// TestStackMuxEcho exercises a Stack connection's settings together —
+// stream cap, a small receive window, telemetry through the window's
+// hub — over one echoed stream, which must deliver every echo
+// byte-exact.
 func TestStackMuxEcho(t *testing.T) {
 	echoAddr, stopEcho := startEchoServer(t)
 	defer stopEcho()
-	gw, err := NewGateway("127.0.0.1:0", echoAddr, GatewayOptions{
-		Faults: faultfs.Plan{Seed: 3, ErrRate: 0.05, ShortRate: 0.05},
-	})
+	gw, err := NewWebsockify("127.0.0.1:0", echoAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +35,8 @@ func TestStackMuxEcho(t *testing.T) {
 	w.EnableTelemetry(hub)
 	var got []byte
 	w.Loop.Post("main", func() {
-		conn := Stack(w, gw.Addr(), WithReconnect(retry.Defaults()), WithMux(8), WithWindow(2048))
+		conn := Stack(w, gw.Addr(), WithMux(8))
+		conn.cfg.window = 2048
 		conn.Dial(func(s *Socket, err error) {
 			if err != nil {
 				t.Errorf("dial: %v", err)
@@ -120,13 +87,10 @@ func TestStackMuxEcho(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("echo transcript = %q\nwant %q", got, want)
 	}
-	// Every client layer reported to the window's hub, and at least
-	// one injected reset was ridden out by a resume.
+	// Both client layers reported to the window's hub.
 	for _, m := range []struct{ sub, name string }{
 		{"sockets", "frames_out"},
 		{"sockmux", "streams"},
-		{"sockmux", "resumes"},
-		{"sockretry", "reconnects"},
 	} {
 		if hub.Registry.Counter(m.sub, m.name).Value() == 0 {
 			t.Errorf("%s/%s is zero", m.sub, m.name)
@@ -180,10 +144,10 @@ func TestStackMuxStreamCap(t *testing.T) {
 	}
 }
 
-// TestDialAfterTransportLoss pins the end of a connection that cannot
-// redial: when the gateway goes away, the open stream fails with
-// ECONNRESET, and a later Dial fails the same way instead of waiting
-// for a transport that will never open.
+// TestDialAfterTransportLoss pins the end of a connection: when the
+// gateway goes away, the open stream fails with ECONNRESET, and a
+// later Dial fails the same way instead of waiting for a transport
+// that will never open.
 func TestDialAfterTransportLoss(t *testing.T) {
 	echoAddr, stopEcho := startEchoServer(t)
 	defer stopEcho()
@@ -234,6 +198,66 @@ func TestDialAfterTransportLoss(t *testing.T) {
 	}
 	if !vfs.IsErrno(dialErr, vfs.ECONNRESET) {
 		t.Errorf("Dial after the transport was lost = %v, want ECONNRESET", dialErr)
+	}
+}
+
+// TestCloseAfterTransportLoss pins Close on both clients once the
+// gateway has dropped their transports: a muxed Conn and a plain
+// Socket from Connect each close what is left without an error.
+func TestCloseAfterTransportLoss(t *testing.T) {
+	echoAddr, stopEcho := startEchoServer(t)
+	defer stopEcho()
+	gw, err := NewWebsockify("127.0.0.1:0", echoAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gwClosed := make(chan struct{})
+
+	w := browser.NewWindow(browser.Chrome28)
+	connErr, plainErr := errors.New("not closed"), errors.New("not closed")
+	w.Loop.Post("main", func() {
+		conn := Stack(w, gw.Addr(), WithMux(4))
+		conn.Dial(func(ms *Socket, err error) {
+			if err != nil {
+				t.Errorf("mux dial: %v", err)
+				conn.Close()
+				close(gwClosed)
+				return
+			}
+			Connect(w, gw.Addr(), func(ps *Socket, err error) {
+				if err != nil {
+					t.Errorf("plain dial: %v", err)
+					conn.Close()
+					close(gwClosed)
+					return
+				}
+				// Close waits for the gateway's connection handlers, so
+				// it runs off the loop.
+				go func() {
+					gw.Close()
+					close(gwClosed)
+				}()
+				lost := 0
+				for _, s := range []*Socket{ms, ps} {
+					s.Read(64).Then(func(interface{}, error) {
+						if lost++; lost < 2 {
+							return
+						}
+						connErr, plainErr = conn.Close(), ps.Close()
+					})
+				}
+			})
+		})
+	})
+	if err := w.Loop.Run(); err != nil {
+		t.Fatal(err)
+	}
+	<-gwClosed
+	if connErr != nil {
+		t.Errorf("Conn.Close after the transport was lost = %v, want nil", connErr)
+	}
+	if plainErr != nil {
+		t.Errorf("plain Socket.Close after the transport was lost = %v, want nil", plainErr)
 	}
 }
 

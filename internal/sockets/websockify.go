@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"net/url"
 	"strings"
 	"sync"
 	"time"
@@ -28,11 +27,9 @@ import (
 //     over the one WebSocket, each with its own credit window, shed
 //     with RST(EAGAIN) when the owning tenant's event loop falls
 //     behind (GatewayOptions.QueueDepth over ShedDepth) or the
-//     session hits MaxStreams. A client that presents a session token
-//     (MuxPath + "?session=" + token) can resume the session on a new
-//     connection: when its transport dies without a close frame, the
-//     session is parked, streams and target connections intact, for
-//     ParkGrace.
+//     session hits MaxStreams. The session ends with its connection,
+//     orderly or not: its streams fail with ECONNRESET and their
+//     bridges close the target connections.
 type Websockify struct {
 	listener net.Listener
 	target   string
@@ -43,34 +40,13 @@ type Websockify struct {
 	closed     bool
 	inj        *faultfs.Injector
 	plainConns int64
-	muxConns   int64
-	parked     int
-	grace      time.Duration // ParkGrace; tests shorten it
 	paused     bool
 	pauses     int64
-	retired    MuxStats // counters of closed mux sessions
-	sessions   map[*Mux]*gwSession
-	tokens     map[string]*gwSession // resumable sessions by client token
+	retired    MuxStats              // counters of closed mux sessions
+	sessions   map[*Mux]struct{}     // one per live mux connection
 	conns      map[net.Conn]struct{} // live accepted conns, closed by Close
 
 	tel *proxyTelemetry
-}
-
-// ParkGrace is how long the gateway keeps a resumable session whose
-// transport died abruptly — its streams and their bridged target
-// connections — waiting for the client to redial. It comfortably
-// outlasts the default redial budget: retry.Defaults spends about
-// 31 ms of backoff over its six attempts.
-const ParkGrace = 3 * time.Second
-
-// gwSession is one mux session and the transport carrying it.
-type gwSession struct {
-	m     *Mux
-	token string        // "" for a client that cannot resume
-	conn  net.Conn      // the carrying transport; nil while parked
-	freed chan struct{} // closed once conn's handler has let go
-	parks int           // parks so far; a grace timer expires only its own
-	timer *time.Timer   // grace expiry while parked
 }
 
 // errInjectedReset is the send error of a mux frame whose injected
@@ -152,9 +128,7 @@ func NewGateway(listenAddr, target string, opts GatewayOptions) (*Websockify, er
 		target:   target,
 		opts:     opts,
 		tel:      newProxyTelemetry(opts.Hub),
-		grace:    ParkGrace,
-		sessions: make(map[*Mux]*gwSession),
-		tokens:   make(map[string]*gwSession),
+		sessions: make(map[*Mux]struct{}),
 		conns:    make(map[net.Conn]struct{}),
 	}
 	if opts.Faults.Enabled() {
@@ -189,10 +163,9 @@ func NewWebsockify(listenAddr, target string) (*Websockify, error) {
 // In mux mode decisions are drawn per DATA frame, and every fault
 // resets the connection without a close frame — WebSocket rides TCP,
 // which loses connections, never single frames. ErrPost delivers the
-// frame first; ErrPre and Short reset before it. A resumable client
-// redials and its parked session picks up where it stopped; any other
-// session's streams fail with ECONNRESET. Connections already past
-// their handshake keep their previous injector.
+// frame first; ErrPre and Short reset before it. The reset ends the
+// session, and its streams fail with ECONNRESET. Connections already
+// past their handshake keep their previous injector.
 func (w *Websockify) SetFaults(plan faultfs.Plan) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -234,42 +207,26 @@ func (w *Websockify) LiveStreams() int {
 	return n
 }
 
-// Close stops accepting, tears down the listener, all sessions, and
-// all live connections, and waits for every per-connection handler to
-// exit — no serve goroutine is still mutating gateway state when it
-// returns.
+// Close stops accepting, tears down the listener and all live
+// connections — and with them their sessions — and waits for every
+// per-connection handler to exit, so no serve goroutine is still
+// mutating gateway state when it returns.
 func (w *Websockify) Close() error {
 	w.mu.Lock()
 	w.closed = true
-	sessions := make([]*gwSession, 0, len(w.sessions))
-	for _, s := range w.sessions {
-		sessions = append(sessions, s)
-	}
 	conns := make([]net.Conn, 0, len(w.conns))
 	for c := range w.conns {
 		conns = append(conns, c)
 	}
 	w.mu.Unlock()
 	err := w.listener.Close()
-	for _, s := range sessions {
-		s.m.CloseSession(nil)
-	}
-	// Closing the conns unblocks handlers parked in ReadFrame so the
-	// Wait below cannot hang on an idle client.
+	// Closing the conns unblocks handlers waiting in ReadFrame so the
+	// Wait below cannot hang on an idle client; each retires its
+	// session as it exits.
 	for _, c := range conns {
 		c.Close()
 	}
 	w.wg.Wait()
-	// Parked sessions have no handler to retire them.
-	w.mu.Lock()
-	for _, s := range w.sessions {
-		if s.conn == nil {
-			s.timer.Stop()
-			w.parked--
-			w.retireLocked(s)
-		}
-	}
-	w.mu.Unlock()
 	return err
 }
 
@@ -459,9 +416,8 @@ func (w *Websockify) serve(wsConn net.Conn) {
 		tel.flight.Record("sock", "conn", peer, 0)
 	}
 	cw := &connWriter{conn: wsConn}
-	if p, query, _ := strings.Cut(path, "?"); p == MuxPath {
-		q, _ := url.ParseQuery(query)
-		w.serveMux(wsConn, cw, br, inj, q.Get("session"))
+	if p, _, _ := strings.Cut(path, "?"); p == MuxPath {
+		w.serveMux(wsConn, cw, br, inj)
 		return
 	}
 	w.servePlain(wsConn, cw, br, tel, inj)
@@ -469,7 +425,7 @@ func (w *Websockify) serve(wsConn net.Conn) {
 
 // ---- mux mode ----
 
-func (w *Websockify) serveMux(wsConn net.Conn, cw *connWriter, br io.Reader, inj *faultfs.Injector, token string) {
+func (w *Websockify) serveMux(wsConn net.Conn, cw *connWriter, br io.Reader, inj *faultfs.Injector) {
 	send := func(hdr, payload []byte) error {
 		deliver, reset := muxFault(inj, "tcp2ws", hdr)
 		if !deliver {
@@ -479,16 +435,21 @@ func (w *Websockify) serveMux(wsConn net.Conn, cw *connWriter, br io.Reader, inj
 		err := cw.writeBinary(hdr, payload)
 		if err != nil || reset {
 			// The transport is gone: closing it ends the reader below,
-			// which parks or retires the session.
+			// which retires the session.
 			wsConn.Close()
 		}
 		return err
 	}
-	s := w.attach(token, wsConn, send)
-	if s == nil {
-		return
-	}
-	orderly := false
+	m := NewMux(MuxConfig{
+		Window:       w.opts.Window,
+		MaxStreams:   w.opts.MaxStreams,
+		Hub:          w.opts.Hub,
+		Send:         send,
+		AcceptStream: w.acceptStream,
+	})
+	w.mu.Lock()
+	w.sessions[m] = struct{}{}
+	w.mu.Unlock()
 loop:
 	for {
 		f, err := ReadFrame(br)
@@ -498,14 +459,13 @@ loop:
 		switch f.Op {
 		case OpClose:
 			cw.writeFrame(&Frame{Fin: true, Op: OpClose})
-			orderly = true
 			break loop
 		case OpPing:
 			cw.writeFrame(&Frame{Fin: true, Op: OpPong, Payload: f.Payload})
 		case OpBinary:
 			deliver, reset := muxFault(inj, "ws2tcp", f.Payload)
 			if deliver {
-				s.m.HandleFrame(f.Payload)
+				m.HandleFrame(f.Payload)
 			}
 			if reset {
 				break loop
@@ -513,52 +473,13 @@ loop:
 		}
 	}
 	wsConn.Close()
-	w.detach(s, orderly)
-}
-
-// attach binds a new mux connection to its session: the parked
-// session its token names, one still held by a previous transport that
-// has not yet noticed it died (that transport is closed and its
-// handler waited for), or else a new session.
-func (w *Websockify) attach(token string, conn net.Conn, send func(hdr, payload []byte) error) *gwSession {
-	for {
-		w.mu.Lock()
-		if w.closed {
-			w.mu.Unlock()
-			return nil
-		}
-		s := w.tokens[token]
-		switch {
-		case s == nil:
-			s = &gwSession{token: token, conn: conn, freed: make(chan struct{})}
-			s.m = NewMux(MuxConfig{
-				Window:       w.opts.Window,
-				MaxStreams:   w.opts.MaxStreams,
-				Hub:          w.opts.Hub,
-				Send:         send,
-				AcceptStream: w.acceptStream,
-			})
-			w.sessions[s.m] = s
-			if token != "" {
-				w.tokens[token] = s
-			}
-			w.muxConns++
-			w.mu.Unlock()
-			return s
-		case s.conn == nil:
-			s.timer.Stop()
-			s.conn, s.freed = conn, make(chan struct{})
-			w.parked--
-			w.muxConns++
-			w.mu.Unlock()
-			s.m.Resume(send)
-			return s
-		}
-		old, freed := s.conn, s.freed
-		w.mu.Unlock()
-		old.Close()
-		<-freed
-	}
+	// The session ends with its transport: its streams fail with
+	// ECONNRESET and the bridges close their target connections.
+	m.CloseSession()
+	w.mu.Lock()
+	delete(w.sessions, m)
+	w.retired.Add(m.Stats())
+	w.mu.Unlock()
 }
 
 // acceptStream is admission control: a tenant past the shed threshold
@@ -570,55 +491,6 @@ func (w *Websockify) acceptStream(st *MuxStream) {
 		return
 	}
 	go w.bridgeStream(st)
-}
-
-// detach lets go of a session whose transport ended. An orderly close,
-// a client without a token, or a closing gateway retires it at once;
-// otherwise it is parked for the grace period, streams and target
-// connections intact, waiting for the client to redial.
-func (w *Websockify) detach(s *gwSession, orderly bool) {
-	park := !orderly && s.token != ""
-	if park {
-		s.m.Park()
-	}
-	w.mu.Lock()
-	s.conn = nil
-	close(s.freed)
-	w.muxConns--
-	if park && !w.closed {
-		w.parked++
-		s.parks++
-		parks := s.parks
-		s.timer = time.AfterFunc(w.grace, func() { w.expire(s, parks) })
-		w.mu.Unlock()
-		return
-	}
-	w.retireLocked(s)
-	w.mu.Unlock()
-}
-
-// expire retires a session still parked when its grace period ends:
-// its streams fail with ECONNRESET and the bridges close their target
-// connections.
-func (w *Websockify) expire(s *gwSession, parks int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if s.conn != nil || s.parks != parks || w.sessions[s.m] != s {
-		return // resumed, parked again, or already retired
-	}
-	w.parked--
-	w.retireLocked(s)
-}
-
-// retireLocked ends a session for good. w.mu held; CloseSession takes
-// only the session's own lock and runs no gateway callbacks.
-func (w *Websockify) retireLocked(s *gwSession) {
-	s.m.CloseSession(nil)
-	delete(w.sessions, s.m)
-	if w.tokens[s.token] == s {
-		delete(w.tokens, s.token)
-	}
-	w.retired.Add(s.m.Stats())
 }
 
 // bridgeStream connects one accepted mux stream to the TCP target and
@@ -797,10 +669,9 @@ type GatewaySnapshot struct {
 	Target     string        `json:"target"`
 	PlainConns int64         `json:"plain_conns"`
 	MuxConns   int64         `json:"mux_conns"`
-	Parked     int           `json:"parked_sessions"` // waiting for their client to redial
-	Paused     bool          `json:"paused"`          // shedding backpressure right now
-	Pauses     int64         `json:"pauses"`          // times the gateway entered pause
-	Stats      MuxStats      `json:"stats"`           // live + retired sessions
+	Paused     bool          `json:"paused"` // shedding backpressure right now
+	Pauses     int64         `json:"pauses"` // times the gateway entered pause
+	Stats      MuxStats      `json:"stats"`  // live + retired sessions
 	Sessions   []MuxSnapshot `json:"sessions"`
 	Faults     faultfs.Stats `json:"faults"`
 }
@@ -812,8 +683,7 @@ func (w *Websockify) Snapshot() GatewaySnapshot {
 	snap := GatewaySnapshot{
 		Target:     w.target,
 		PlainConns: w.plainConns,
-		MuxConns:   w.muxConns,
-		Parked:     w.parked,
+		MuxConns:   int64(len(w.sessions)),
 		Paused:     w.paused,
 		Pauses:     w.pauses,
 		Stats:      w.retired,

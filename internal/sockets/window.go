@@ -2,8 +2,8 @@ package sockets
 
 // Per-stream flow control is credit-based, the scheme the mux frames
 // carry in their arg field (§15 of DESIGN.md). Every quantity is an
-// absolute stream offset, so any grant can be re-sent safely — which
-// is what lets a resumed session reconcile credit by restating it:
+// absolute stream offset, so a stale or repeated grant changes
+// nothing:
 //
 //   - At stream open, SYN/SYNACK advertise each side's receive window:
 //     the number of payload bytes the peer may send beyond what the
@@ -14,8 +14,7 @@ package sockets
 //     has drained, so a byte-at-a-time consumer does not generate a
 //     credit frame per byte.
 //   - A sender may transmit up to the last edge it heard plus the
-//     window; the edge also tells it which bytes the peer holds, so
-//     the same frame releases the sender's retained tail.
+//     window.
 //
 // A writer that exhausts the window parks (its Write completion stays
 // pending) until credit arrives — the "zero-window writer blocks,

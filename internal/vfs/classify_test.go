@@ -3,35 +3,7 @@ package vfs
 import (
 	"fmt"
 	"testing"
-	"time"
-
-	"doppio/internal/core"
 )
-
-func TestClassifyDeadlineError(t *testing.T) {
-	// A completion deadline expiring must classify as a transient
-	// ETIMEDOUT so the retry layer redials instead of giving up.
-	de := &core.DeadlineError{Label: "cloud-read", After: 50 * time.Millisecond}
-	errno, ok := Classify(de)
-	if !ok || errno != ETIMEDOUT {
-		t.Fatalf("Classify(DeadlineError) = %v, %v; want ETIMEDOUT", errno, ok)
-	}
-	if !IsTransient(de) {
-		t.Error("DeadlineError not transient")
-	}
-	// Wrapped deadline errors classify too.
-	wrapped := fmt.Errorf("read /f: %w", de)
-	if errno, ok := Classify(wrapped); !ok || errno != ETIMEDOUT {
-		t.Fatalf("Classify(wrapped) = %v, %v", errno, ok)
-	}
-	// ApiError still wins its own classification.
-	if errno, ok := Classify(Err(ENOENT, "stat", "/f")); !ok || errno != ENOENT {
-		t.Fatalf("Classify(ApiError) = %v, %v", errno, ok)
-	}
-	if _, ok := Classify(fmt.Errorf("plain")); ok {
-		t.Error("plain error classified")
-	}
-}
 
 func TestProcessErrnoClassification(t *testing.T) {
 	// The process-layer errnos: EINTR is retryable (the interrupted
@@ -56,5 +28,12 @@ func TestProcessErrnoClassification(t *testing.T) {
 	}
 	if IsTransient(Err(EPIPE, "write", "pipe:1")) {
 		t.Error("EPIPE classified transient; writers would spin on a closed pipe")
+	}
+	// Classify finds the errno through wrapping; a plain error has none.
+	if errno, ok := Classify(fmt.Errorf("read /f: %w", Err(ENOENT, "stat", "/f"))); !ok || errno != ENOENT {
+		t.Errorf("Classify(wrapped ApiError) = %v, %v", errno, ok)
+	}
+	if _, ok := Classify(fmt.Errorf("plain")); ok {
+		t.Error("plain error classified")
 	}
 }

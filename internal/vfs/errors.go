@@ -22,8 +22,6 @@ package vfs
 import (
 	"errors"
 	"fmt"
-
-	"doppio/internal/core"
 )
 
 // Errno is a Unix-style error number.
@@ -100,20 +98,11 @@ func Classify(err error) (Errno, bool) {
 	if errors.As(err, &ae) {
 		return ae.Errno, true
 	}
-	// A completion deadline expiring classifies as ETIMEDOUT — a
-	// transient errno, so the retry layer treats it like any other
-	// timed-out transport call.
-	var de *core.DeadlineError
-	if errors.As(err, &de) {
-		return ETIMEDOUT, true
-	}
 	// Any other error carrying an errno — the socket layer's DialError
 	// and StreamError implement this — classifies through the same
 	// switchboard without importing sockets here: a shed stream
 	// (EAGAIN) or a reset transport (ECONNRESET) is transient, a
-	// refused dial or protocol violation final. The socket client's
-	// own redial does not consult it; it retries every failed dial
-	// within its attempt budget, refused ones included.
+	// refused dial or protocol violation final.
 	var ec interface{ Errno() Errno }
 	if errors.As(err, &ec) {
 		return ec.Errno(), true

@@ -1,10 +1,8 @@
 // Package retry holds the policy side of the runtime's fault model:
 // exponential backoff with jitter, per-operation deadlines, and a
-// circuit breaker. Like its sibling faultfs, it is transport-agnostic
-// — the same Policy drives the VFS RetryBackend's re-issued backend
-// calls (§5.1's cloud and HTTP backends) and the socket layer's
-// reconnect-with-backoff (§5.4's WebSocket clients). Decorators own
-// the scheduling (event-loop timers, goroutine timers); this package
+// circuit breaker. Like its sibling faultfs, it is transport-agnostic;
+// its Policy drives the VFS RetryBackend's re-issued backend calls
+// (§5.1's cloud and HTTP backends). Decorators own the scheduling (event-loop timers, goroutine timers); this package
 // owns the arithmetic and the breaker state machine.
 package retry
 
