@@ -4,7 +4,8 @@
 // injected under the retry layer. The claim is behavioural, not
 // statistical: the faulty arm must produce a bit-identical op log and
 // load every class byte-exact, proving the retry layer absorbed every
-// injected fault.
+// injected fault, and it must have injected errno faults and short
+// transfers and retried them, or the first two checks prove nothing.
 package bench
 
 import (
@@ -36,7 +37,6 @@ func faultRetryPolicy(seed int64) retry.Policy {
 		MaxAttempts: 8,
 		BaseDelay:   200 * time.Microsecond,
 		MaxDelay:    4 * time.Millisecond,
-		Multiplier:  2,
 		Jitter:      0.2,
 		Seed:        seed,
 	}
@@ -73,6 +73,7 @@ func runFSFaultsAB(cfg Config) (*Report, error) {
 		if !faulty {
 			return
 		}
+		faults, retries = faultfs.Stats{}, vfs.RetryStats{}
 		if fs, ok := vfs.Find[vfs.FaultStatser](r.stack); ok {
 			faults = fs.FaultStats()
 		}
@@ -100,6 +101,7 @@ func runFSFaultsAB(cfg Config) (*Report, error) {
 		A: replayArm("clean", false), B: replayArm("faulty", true)}); err != nil {
 		return nil, err
 	}
+	rep.checkInjected("replay", faults, retries)
 	rep.Detail["replay_faults"], rep.Detail["replay_retry"], rep.Detail["replay_cache"] = faults, retries, cache
 
 	loadArm := func(name string, faulty bool) Arm {
@@ -123,6 +125,17 @@ func runFSFaultsAB(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	rep.checkLoaded(c)
+	rep.checkInjected(c.Name, faults, retries)
 	rep.Detail["classload_faults"], rep.Detail["classload_retry"] = faults, retries
 	return rep, nil
+}
+
+// checkInjected requires the faulty arm's last run to have met faults
+// of both kinds and retried: an arm that injected nothing matches the
+// clean one trivially.
+func (r *Report) checkInjected(name string, f faultfs.Stats, rt vfs.RetryStats) {
+	r.check(name+": faulty arm injected and retried",
+		f.ErrsPre+f.ErrsPost > 0 && f.Shorts > 0 && rt.Retries > 0,
+		"%d errno faults (%d post-commit), %d short transfers, %d retries",
+		f.ErrsPre+f.ErrsPost, f.ErrsPost, f.Shorts, rt.Retries)
 }

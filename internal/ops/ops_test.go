@@ -184,7 +184,7 @@ func TestCollectVFSSection(t *testing.T) {
 		t.Errorf("retry layer saw no ops")
 	}
 	text := rep.Text()
-	if !strings.Contains(text, "== vfs (") || !strings.Contains(text, "breaker=") {
+	if !strings.Contains(text, "== vfs (") || !strings.Contains(text, "retry: ops=") {
 		t.Errorf("text missing vfs section:\n%s", text)
 	}
 }

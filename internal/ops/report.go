@@ -49,8 +49,8 @@ type Source struct {
 	// Runtime is the Doppio scheduler, for thread dumps.
 	Runtime *core.Runtime
 	// Backend is the outermost layer of the VFS decorator stack; cache,
-	// retry/breaker, and fault-injector state are discovered by walking
-	// its Unwrap chain.
+	// retry, and fault-injector state are discovered by walking its
+	// Unwrap chain.
 	Backend vfs.Backend
 	// Heap is the JVM's unmanaged heap, for the free-list map.
 	Heap *umheap.Heap
@@ -206,16 +206,16 @@ func (r *Report) Text() string {
 	if r.VFS != nil {
 		fmt.Fprintf(&b, "== vfs (%s) ==\n", r.VFS.Backend)
 		if c := r.VFS.Cache; c != nil {
-			fmt.Fprintf(&b, "cache: hits=%d misses=%d stat-hits=%d negative-hits=%d degraded=%d bytes=%d\n",
-				c.Hits, c.Misses, c.StatHits, c.NegativeHits, c.DegradedServes, c.BytesUsed)
+			fmt.Fprintf(&b, "cache: hits=%d misses=%d stat-hits=%d negative-hits=%d bytes=%d\n",
+				c.Hits, c.Misses, c.StatHits, c.NegativeHits, c.BytesUsed)
 		}
 		if rt := r.VFS.Retry; rt != nil {
-			fmt.Fprintf(&b, "retry: ops=%d attempts=%d retries=%d recovered=%d fastfails=%d breaker=%s\n",
-				rt.Ops, rt.Attempts, rt.Retries, rt.Recovered, rt.FastFails, rt.BreakerState)
+			fmt.Fprintf(&b, "retry: ops=%d attempts=%d retries=%d recovered=%d\n",
+				rt.Ops, rt.Attempts, rt.Retries, rt.Recovered)
 		}
 		if f := r.VFS.Faults; f != nil {
-			fmt.Fprintf(&b, "faults: ops=%d err-pre=%d err-post=%d shorts=%d delays=%d\n",
-				f.Ops, f.ErrsPre, f.ErrsPost, f.Shorts, f.Delays)
+			fmt.Fprintf(&b, "faults: ops=%d err-pre=%d err-post=%d shorts=%d\n",
+				f.Ops, f.ErrsPre, f.ErrsPost, f.Shorts)
 		}
 	}
 	if len(r.Procs) > 0 {

@@ -112,7 +112,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "  /debug/threads      jstack-style thread dump (?format=json)")
 	fmt.Fprintln(w, "  /debug/flight       flight-recorder tail (?n=100&format=json)")
 	fmt.Fprintln(w, "  /debug/trace?sec=N  windowed Chrome-trace capture")
-	fmt.Fprintln(w, "  /debug/vfs          cache / retry / breaker / fault state")
+	fmt.Fprintln(w, "  /debug/vfs          cache / retry / fault state")
 	fmt.Fprintln(w, "  /debug/heap         unmanaged-heap free-list map")
 	fmt.Fprintln(w, "  /debug/proc         ps-style process table (pid, state, blocked-on)")
 	fmt.Fprintln(w, "  /debug/jvm          DoppioJVM quickening counters: sites, IC hits/misses, fusions, deopts (?format=json)")

@@ -56,8 +56,8 @@ func (s *Server) handleSock(w http.ResponseWriter, r *http.Request) {
 			st.DataIn, st.BytesIn, st.DataOut, st.BytesOut, st.Credits)
 		if g.Faults.Ops > 0 {
 			f := g.Faults
-			fmt.Fprintf(w, "faults: ops=%d drops=%d resets=%d shorts=%d delays=%d\n",
-				f.Ops, f.ErrsPre, f.ErrsPost, f.Shorts, f.Delays)
+			fmt.Fprintf(w, "faults: ops=%d drops=%d resets=%d shorts=%d\n",
+				f.Ops, f.ErrsPre, f.ErrsPost, f.Shorts)
 		}
 		for i, sess := range g.Sessions {
 			fmt.Fprintf(w, "session %d: streams=%d dead=%v\n", i, len(sess.Streams), sess.Dead)

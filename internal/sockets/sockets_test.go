@@ -2,8 +2,11 @@ package sockets
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -289,5 +292,77 @@ func TestServerHandshakeRejectsPlainHTTP(t *testing.T) {
 	}()
 	if _, _, err := ServerHandshake(server); err == nil || !strings.Contains(err.Error(), "upgrade") {
 		t.Errorf("plain HTTP accepted: %v", err)
+	}
+}
+
+// TestConnWriterKeepsFramesWhole pins connWriter's locks. Over TCP one
+// Write holds the descriptor's lock for a whole frame, so frames from
+// two goroutines never interleave there. Over MemPipe a frame takes
+// several Writes (net.Buffers falls back to one Write per buffer), and
+// a payload larger than the pipe's buffer parks its writer mid-frame
+// until the reader drains it. Without the locks, a pong written while
+// a data frame is parked lands inside that frame.
+func TestConnWriterKeepsFramesWhole(t *testing.T) {
+	a, b := MemPipe()
+	cw := &connWriter{conn: a}
+	const frames, size = 16, memConnBuf + memConnBuf/2
+	pong := []byte("pong-42")
+
+	var pongs atomic.Int64
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := 0; i < frames; i++ {
+			hdr := []byte{byte(i), 0xAB, 0xCD}
+			if cw.writeBinary(hdr, bytes.Repeat([]byte{byte(i)}, size)) != nil {
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if cw.writeFrame(&Frame{Fin: true, Op: OpPong, Payload: pong}) != nil {
+				return
+			}
+			pongs.Add(1)
+		}
+	}()
+	go func() {
+		wg.Wait()
+		a.CloseWrite()
+	}()
+	// Any failure closes the reader's end, which unparks the writers.
+	defer b.Close()
+
+	data, got := 0, 0
+	for {
+		f, err := ReadFrame(b)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("frame %d: %v", data+got, err)
+		}
+		switch {
+		case f.Op == OpPong && bytes.Equal(f.Payload, pong):
+			got++
+		case f.Op == OpBinary && len(f.Payload) == 3+size && f.Payload[0] == byte(data) &&
+			bytes.Count(f.Payload[3:], []byte{byte(data)}) == size:
+			data++
+		default:
+			t.Fatalf("frame %d is torn: op %v, %d payload bytes", data+got, f.Op, len(f.Payload))
+		}
+	}
+	if data != frames || int64(got) != pongs.Load() {
+		t.Fatalf("read %d data frames and %d pongs, want %d and %d", data, got, frames, pongs.Load())
 	}
 }

@@ -158,7 +158,6 @@ func NewWebsockify(listenAddr, target string) (*Websockify, error) {
 //   - ErrPost forwards the frame and then resets the bridge, tearing
 //     down both the WebSocket and TCP sides abruptly.
 //   - Short truncates the frame's payload to Keep of its bytes.
-//   - A latency spike stalls the pump before forwarding.
 //
 // In mux mode decisions are drawn per DATA frame, and every fault
 // resets the connection without a close frame — WebSocket rides TCP,
@@ -333,9 +332,6 @@ func applyFault(inj *faultfs.Injector, op string, payload []byte) (out []byte, f
 		return payload, true, false
 	}
 	ft := inj.Next(op)
-	if ft.Delay > 0 {
-		time.Sleep(ft.Delay)
-	}
 	switch ft.Kind {
 	case faultfs.ErrPre:
 		return nil, false, false
@@ -351,17 +347,12 @@ func applyFault(inj *faultfs.Injector, op string, payload []byte) (out []byte, f
 // header. Only DATA frames draw. Every fault resets the transport:
 // WebSocket rides TCP, which can lose a connection but never a single
 // frame, nor deliver one short. ErrPost delivers the frame and then
-// resets; ErrPre and Short reset before it. A latency spike stalls the
-// frame and delivers it.
+// resets; ErrPre and Short reset before it.
 func muxFault(inj *faultfs.Injector, op string, hdr []byte) (deliver, reset bool) {
 	if inj == nil || !MuxIsData(hdr) {
 		return true, false
 	}
-	ft := inj.Next(op)
-	if ft.Delay > 0 {
-		time.Sleep(ft.Delay)
-	}
-	switch ft.Kind {
+	switch inj.Next(op).Kind {
 	case faultfs.ErrPre, faultfs.Short:
 		return false, true
 	case faultfs.ErrPost:

@@ -26,7 +26,7 @@ type FlightEvent struct {
 	// TS is the wall-clock capture time.
 	TS time.Time `json:"ts"`
 	// Cat is the emitting subsystem: "sched", "comp", "loop", "vfs",
-	// "fault", "breaker", "sock".
+	// "fault", "sock".
 	Cat string `json:"cat"`
 	// Event names what happened within the category ("slice", "block",
 	// "settle", "open", "inject", ...).

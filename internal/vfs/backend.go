@@ -137,12 +137,6 @@ type LinkBackend interface {
 	Readlink(path string, cb func(string, error))
 }
 
-// AttrBackend is the optional attribute support.
-type AttrBackend interface {
-	Chmod(path string, mode int, cb func(error))
-	Utimes(path string, atime, mtime time.Time, cb func(error))
-}
-
 // splitDir returns the parent directory and base name of a normalized
 // absolute path. It is the kernel's vkernel.SplitDir, re-exported for
 // the backends in this package.

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"doppio/internal/telemetry"
-	"doppio/internal/vfs/retry"
 	"doppio/internal/vfs/vkernel"
 )
 
@@ -33,7 +32,6 @@ type CacheStats struct {
 	StatHits, StatMisses, NegativeHits int64
 	ReaddirHits, ReaddirMisses         int64
 	Evictions                          int64
-	DegradedServes                     int64 // hits served while the backend was unreachable
 	BytesUsed                          int64
 }
 
@@ -50,8 +48,8 @@ type CacheStatser interface {
 // and namespace mutation reaches the backend before its callback runs;
 // the cache buffers no writes, because §5.1's file objects already
 // batch a file's writes into one Sync on close. Like Instrument, the
-// wrapper preserves the backend's optional capabilities, so type
-// assertions against the result match the wrapped backend. Wrapping a
+// wrapper preserves the backend's optional link capability, so a type
+// assertion against the result matches the wrapped backend. Wrapping a
 // *MountFS registers an invalidation hook: Mount/Unmount drop all
 // cached state, since routing changed underneath the cache.
 //
@@ -60,19 +58,14 @@ type CacheStatser interface {
 // mutation of shared stores (e.g. a CloudStore reached from another
 // window) is not observed until the relevant entries age out or are
 // invalidated by a local write.
-func NewCached(b Backend, opts CacheOptions) Backend { return newCached(b, opts, nil) }
-
-// newCached is NewCached over an optional retry layer's breaker, which
-// Stack passes when it puts the cache above one.
-func newCached(b Backend, opts CacheOptions, breaker breakerBackend) Backend {
+func NewCached(b Backend, opts CacheOptions) Backend {
 	c := &Cached{
-		b:       b,
-		budget:  opts.ByteBudget,
-		breaker: breaker,
-		pages:   make(map[string]*cachePage),
-		lru:     list.New(),
-		stats:   make(map[string]cacheStat),
-		dirs:    make(map[string][]string),
+		b:      b,
+		budget: opts.ByteBudget,
+		pages:  make(map[string]*cachePage),
+		lru:    list.New(),
+		stats:  make(map[string]cacheStat),
+		dirs:   make(map[string][]string),
 	}
 	if c.budget <= 0 {
 		c.budget = DefaultCacheBudget
@@ -88,7 +81,6 @@ func newCached(b Backend, opts CacheOptions, breaker breakerBackend) Backend {
 		c.readdirHit = reg.Counter(sub, "readdir_hit")
 		c.readdirMiss = reg.Counter(sub, "readdir_miss")
 		c.eviction = reg.Counter(sub, "eviction")
-		c.degradedServes = reg.Counter(sub, "degraded_serves")
 		c.latOpenHit = reg.Histogram(sub, "open_hit_latency")
 		c.latOpenMiss = reg.Histogram(sub, "open_miss_latency")
 		c.latStatHit = reg.Histogram(sub, "stat_hit_latency")
@@ -102,40 +94,29 @@ func newCached(b Backend, opts CacheOptions, breaker breakerBackend) Backend {
 		c.readdirHit = &telemetry.Counter{}
 		c.readdirMiss = &telemetry.Counter{}
 		c.eviction = &telemetry.Counter{}
-		c.degradedServes = &telemetry.Counter{}
 	}
 	// Mount tables may sit under further decorators (faults, retry), so
 	// walk the chain instead of asserting on b directly.
 	if m, ok := Find[*MountFS](b); ok {
 		m.onChange = func(string) { c.InvalidateAll() }
 	}
-	lb, hasLink := b.(LinkBackend)
-	ab, hasAttr := b.(AttrBackend)
-	c.lb, c.ab = lb, ab
-	// The capability variants embed *Cached (not Cached by value, which
-	// would copy the mutex).
-	switch {
-	case hasLink && hasAttr:
-		return &cachedLinkAttr{cachedLink{c}}
-	case hasLink:
+	// The link variant embeds *Cached (not Cached by value, which would
+	// copy the mutex).
+	if lb, ok := b.(LinkBackend); ok {
+		c.lb = lb
 		return &cachedLink{c}
-	case hasAttr:
-		return &cachedAttr{c}
-	default:
-		return c
 	}
+	return c
 }
 
 // Cached is the caching decorator state; construct it with NewCached.
 type Cached struct {
 	b  Backend
 	lb LinkBackend
-	ab AttrBackend
 
-	mu      sync.Mutex
-	budget  int
-	used    int
-	breaker breakerBackend // the retry layer below, when Stack put one there
+	mu     sync.Mutex
+	budget int
+	used   int
 
 	pages map[string]*cachePage
 	lru   *list.List // front = coldest
@@ -144,7 +125,6 @@ type Cached struct {
 
 	hit, miss, statHit, statMiss, negHit *telemetry.Counter
 	readdirHit, readdirMiss, eviction    *telemetry.Counter
-	degradedServes                       *telemetry.Counter
 	latOpenHit, latOpenMiss              *telemetry.Histogram // nil-safe when no hub
 	latStatHit, latStatMiss              *telemetry.Histogram
 }
@@ -173,17 +153,6 @@ func (c *Cached) ReadOnly() bool { return c.b.ReadOnly() }
 // Unwrap exposes the wrapped backend for decorator-chain discovery.
 func (c *Cached) Unwrap() Backend { return c.b }
 
-// noteHit records a cache hit against the breaker underneath: a hit
-// delivered while the backend is unreachable is the stack's
-// graceful-degradation path and is counted as such, here and in the
-// retry layer's own counter.
-func (c *Cached) noteHit() {
-	if c.breaker != nil && c.breaker.BreakerState() == retry.Open {
-		c.degradedServes.Inc()
-		c.breaker.noteDegradedServe()
-	}
-}
-
 // CacheStats snapshots the cache counters.
 func (c *Cached) CacheStats() CacheStats {
 	c.mu.Lock()
@@ -194,9 +163,8 @@ func (c *Cached) CacheStats() CacheStats {
 		StatHits: c.statHit.Value(), StatMisses: c.statMiss.Value(),
 		NegativeHits: c.negHit.Value(),
 		ReaddirHits:  c.readdirHit.Value(), ReaddirMisses: c.readdirMiss.Value(),
-		Evictions:      c.eviction.Value(),
-		DegradedServes: c.degradedServes.Value(),
-		BytesUsed:      used,
+		Evictions: c.eviction.Value(),
+		BytesUsed: used,
 	}
 }
 
@@ -303,7 +271,6 @@ func (c *Cached) Stat(p string, cb func(Stats, error)) {
 	if e, ok := c.stats[p]; ok {
 		c.mu.Unlock()
 		c.statHit.Inc()
-		c.noteHit()
 		if e.neg {
 			c.negHit.Inc()
 			c.latStatHit.ObserveSince(start)
@@ -342,7 +309,6 @@ func (c *Cached) Open(p string, cb func([]byte, error)) {
 		data := pg.data
 		c.mu.Unlock()
 		c.hit.Inc()
-		c.noteHit()
 		c.latOpenHit.ObserveSince(start)
 		cb(data, nil)
 		return
@@ -351,7 +317,6 @@ func (c *Cached) Open(p string, cb func([]byte, error)) {
 		c.mu.Unlock()
 		c.hit.Inc()
 		c.negHit.Inc()
-		c.noteHit()
 		c.latOpenHit.ObserveSince(start)
 		cb(nil, Err(ENOENT, "open", p))
 		return
@@ -462,7 +427,6 @@ func (c *Cached) Readdir(p string, cb func([]string, error)) {
 		out := slices.Clone(names)
 		c.mu.Unlock()
 		c.readdirHit.Inc()
-		c.noteHit()
 		cb(out, nil)
 		return
 	}
@@ -517,10 +481,12 @@ func (c *Cached) Rename(oldPath, newPath string, cb func(error)) {
 	})
 }
 
-// ---- optional capabilities (on unexported methods; exposed by the
-// embedding variants below so type assertions stay truthful) ----
+// ---- optional link capability ----
 
-func (c *Cached) symlink(target, p string, cb func(error)) {
+// cachedLink adds the optional link capability.
+type cachedLink struct{ *Cached }
+
+func (c *cachedLink) Symlink(target, p string, cb func(error)) {
 	c.lb.Symlink(target, p, func(err error) {
 		if err == nil {
 			c.mu.Lock()
@@ -533,52 +499,4 @@ func (c *Cached) symlink(target, p string, cb func(error)) {
 	})
 }
 
-func (c *Cached) readlink(p string, cb func(string, error)) {
-	c.lb.Readlink(p, cb)
-}
-
-func (c *Cached) chmod(p string, mode int, cb func(error)) {
-	c.ab.Chmod(p, mode, func(err error) {
-		if err == nil {
-			c.mu.Lock()
-			delete(c.stats, p)
-			c.mu.Unlock()
-		}
-		cb(err)
-	})
-}
-
-func (c *Cached) utimes(p string, atime, mtime time.Time, cb func(error)) {
-	c.ab.Utimes(p, atime, mtime, func(err error) {
-		if err == nil {
-			c.mu.Lock()
-			delete(c.stats, p)
-			c.mu.Unlock()
-		}
-		cb(err)
-	})
-}
-
-// cachedLink adds the optional link capability.
-type cachedLink struct{ *Cached }
-
-func (c *cachedLink) Symlink(target, path string, cb func(error)) { c.symlink(target, path, cb) }
-func (c *cachedLink) Readlink(path string, cb func(string, error)) {
-	c.readlink(path, cb)
-}
-
-// cachedAttr adds the optional attribute capability.
-type cachedAttr struct{ *Cached }
-
-func (c *cachedAttr) Chmod(path string, mode int, cb func(error)) { c.chmod(path, mode, cb) }
-func (c *cachedAttr) Utimes(path string, atime, mtime time.Time, cb func(error)) {
-	c.utimes(path, atime, mtime, cb)
-}
-
-// cachedLinkAttr has both optional capabilities.
-type cachedLinkAttr struct{ cachedLink }
-
-func (c *cachedLinkAttr) Chmod(path string, mode int, cb func(error)) { c.chmod(path, mode, cb) }
-func (c *cachedLinkAttr) Utimes(path string, atime, mtime time.Time, cb func(error)) {
-	c.utimes(path, atime, mtime, cb)
-}
+func (c *cachedLink) Readlink(p string, cb func(string, error)) { c.lb.Readlink(p, cb) }

@@ -332,9 +332,9 @@ func TestCachedReaddirTracksMutations(t *testing.T) {
 	}
 }
 
-// The decorator preserves optional capabilities, exactly like
-// Instrument: wrapping InMemory keeps links and attributes working,
-// and symlink creation invalidates the affected stat entries.
+// The decorator preserves the optional link capability, exactly like
+// Instrument: wrapping InMemory keeps links working, and symlink
+// creation invalidates the affected stat entries.
 func TestCachedPreservesCapabilities(t *testing.T) {
 	// Wrap InMemory directly: loggedBackend intentionally exposes only
 	// the mandatory surface, but capability preservation is about what
@@ -342,9 +342,6 @@ func TestCachedPreservesCapabilities(t *testing.T) {
 	c := NewCached(NewInMemory(), CacheOptions{})
 	if _, ok := c.(LinkBackend); !ok {
 		t.Fatal("cached InMemory lost LinkBackend")
-	}
-	if _, ok := c.(AttrBackend); !ok {
-		t.Fatal("cached InMemory lost AttrBackend")
 	}
 	kv := NewCached(NewLocalStorageFS(browser.NewLocalStorage(1<<20), &buffer.Factory{}), CacheOptions{})
 	if _, ok := kv.(LinkBackend); ok {

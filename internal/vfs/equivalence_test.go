@@ -213,8 +213,7 @@ func TestBackendEquivalence(t *testing.T) {
 					WithFaults(faultfs.Plan{Seed: 42, ErrRate: 0.1, PostFrac: 0.25, ShortRate: 0.05}),
 					WithRetry(RetryOptions{Policy: retry.Policy{
 						MaxAttempts: 8, BaseDelay: 50 * time.Microsecond,
-						MaxDelay: 500 * time.Microsecond, Multiplier: 2,
-						Jitter: 0.2, Seed: 42,
+						MaxDelay: 500 * time.Microsecond, Jitter: 0.2, Seed: 42,
 					}, Loop: w.Loop}),
 				)
 			}})
@@ -225,8 +224,7 @@ func TestBackendEquivalence(t *testing.T) {
 					WithFaults(faultfs.Plan{Seed: 7, ErrRate: 0.1, PostFrac: 0.25, ShortRate: 0.05}),
 					WithRetry(RetryOptions{Policy: retry.Policy{
 						MaxAttempts: 8, BaseDelay: 50 * time.Microsecond,
-						MaxDelay: 500 * time.Microsecond, Multiplier: 2,
-						Jitter: 0.2, Seed: 7,
+						MaxDelay: 500 * time.Microsecond, Jitter: 0.2, Seed: 7,
 					}, Loop: w.Loop}),
 					WithCache(CacheOptions{}),
 				)

@@ -89,10 +89,10 @@ func (e Errno) Transient() bool {
 
 // Classify extracts the errno from an error. The second result
 // reports whether the error carried one: any *ApiError anywhere in the
-// Unwrap chain classifies; a nil or foreign error does not. Retry and
-// breaker decisions go through Classify so that backends that forget
-// to wrap a failure degrade to "unclassified" (treated as final)
-// instead of being string-matched.
+// Unwrap chain classifies; a nil or foreign error does not. Retry
+// decisions go through Classify so that backends that forget to wrap a
+// failure degrade to "unclassified" (treated as final) instead of
+// being string-matched.
 func Classify(err error) (Errno, bool) {
 	var ae *ApiError
 	if errors.As(err, &ae) {

@@ -1,16 +1,16 @@
 // Package faultfs is the deterministic fault-injection engine behind
 // the runtime's network fault model. Browsix-style browser "system
 // services" must survive flaky async transports; this package supplies
-// the flakiness on demand, reproducibly, so the retry/backoff layers
-// above the remote VFS backends (§5.1) and the WebSocket proxy (§5.4)
-// can be *proved* to absorb it.
+// the flakiness on demand, reproducibly. Under the remote VFS backends
+// (§5.1) the retry layer above it can be *proved* to absorb it; in the
+// WebSocket gateway (§5.3) a fault ends the mux session, whose streams
+// then fail with ECONNRESET.
 //
 // The engine is transport-agnostic: it knows nothing about the vfs
 // Backend API or the socket frame format. A decorator (vfs.NewFaulty,
 // the Websockify fault hook) asks the Injector for a decision per
-// operation and applies it to its own transport — returning an errno,
-// delaying a callback, truncating a read, dropping a frame, or
-// resetting a connection.
+// operation and applies it to its own transport — returning EIO,
+// truncating a read, dropping a frame, or resetting a connection.
 //
 // Determinism is the load-bearing property: an Injector seeded with
 // the same Plan issues the identical decision sequence on every run,
@@ -26,14 +26,13 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Kind classifies one injected fault.
 type Kind int
 
 const (
-	// None injects nothing (possibly still a latency spike).
+	// None injects nothing.
 	None Kind = iota
 	// ErrPre fails the operation before it reaches the transport: the
 	// request is lost on the way out.
@@ -63,23 +62,17 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Fault is one decision: what to do to the current operation. Delay
-// may accompany any kind, including None (a latency spike on an
-// otherwise healthy call).
+// Fault is one decision: what to do to the current operation. The
+// consumer decides what an errno fault (ErrPre, ErrPost) means on its
+// transport: EIO in the VFS, a dropped frame or a reset in the gateway.
 type Fault struct {
 	Kind Kind
-	// Errno is the errno string to surface for ErrPre/ErrPost ("EIO",
-	// "ETIMEDOUT", ...). The consumer maps it onto its error type.
-	Errno string
-	// Delay is a latency spike to apply before completing.
-	Delay time.Duration
 	// Keep is the fraction of the transfer to deliver for Short,
 	// in (0, 1).
 	Keep float64
 }
 
-// Faulty reports whether the fault alters the operation's outcome
-// (latency-only decisions return false).
+// Faulty reports whether the fault alters the operation's outcome.
 func (f Fault) Faulty() bool { return f.Kind != None }
 
 // Plan configures an Injector. The zero Plan injects nothing.
@@ -93,23 +86,13 @@ type Plan struct {
 	// PostFrac is the fraction of errno faults delivered post-commit
 	// (ErrPost). Zero means every errno fault is ErrPre.
 	PostFrac float64
-	// Errnos are the errno strings to inject, chosen uniformly.
-	// Empty defaults to {"EIO"} — the transient I/O error.
-	Errnos []string
 	// ShortRate is the per-operation probability of a truncated
 	// transfer (applied by consumers only to data-carrying ops).
 	ShortRate float64
-	// LatencyRate is the per-operation probability of a latency spike.
-	LatencyRate float64
-	// Latency is the maximum spike; the actual delay is uniform in
-	// (0, Latency].
-	Latency time.Duration
 }
 
 // Enabled reports whether the plan can inject anything at all.
-func (p Plan) Enabled() bool {
-	return p.ErrRate > 0 || p.ShortRate > 0 || (p.LatencyRate > 0 && p.Latency > 0)
-}
+func (p Plan) Enabled() bool { return p.ErrRate > 0 || p.ShortRate > 0 }
 
 // Stats counts the injector's decisions so far. Counters are atomic;
 // read them from any goroutine.
@@ -118,7 +101,6 @@ type Stats struct {
 	ErrsPre  int64
 	ErrsPost int64
 	Shorts   int64
-	Delays   int64
 }
 
 // Injector produces the deterministic fault sequence for one Plan.
@@ -134,14 +116,14 @@ type Injector struct {
 	// so attaching an observer cannot shift the fault sequence.
 	observe func(op string, f Fault)
 
-	ops, errsPre, errsPost, shorts, delays atomic.Int64
+	ops, errsPre, errsPost, shorts atomic.Int64
 }
 
 // Observe registers fn to be called for every faulty decision (None
-// decisions, including latency-only ones, are not reported). The hook
-// runs outside the injector's PRNG critical section and consumes no
-// draws, preserving decision-sequence determinism. The flight
-// recorder attaches here via vfs.Stack.
+// decisions are not reported). The hook runs outside the injector's
+// PRNG critical section and consumes no draws, preserving
+// decision-sequence determinism. The flight recorder attaches here via
+// vfs.Stack.
 func (in *Injector) Observe(fn func(op string, f Fault)) {
 	in.mu.Lock()
 	in.observe = fn
@@ -150,9 +132,6 @@ func (in *Injector) Observe(fn func(op string, f Fault)) {
 
 // New builds an injector for the plan.
 func New(plan Plan) *Injector {
-	if len(plan.Errnos) == 0 {
-		plan.Errnos = []string{"EIO"}
-	}
 	return &Injector{rng: rand.New(rand.NewSource(plan.Seed)), plan: plan}
 }
 
@@ -166,30 +145,24 @@ func (in *Injector) Plan() Plan { return in.plan }
 func (in *Injector) Next(op string) Fault {
 	_ = op
 	in.mu.Lock()
-	// Fixed draw schedule: err?, post?, errno-pick, short?, keep,
-	// latency?, delay. Seven draws per call, always.
+	// Fixed draw schedule, seven draws per call, always: err?, post?,
+	// a retired errno pick, short?, keep, and two retired latency
+	// draws. The retired draws decide nothing; consuming them keeps
+	// every recorded seed's decision sequence.
 	dErr := in.rng.Float64()
 	dPost := in.rng.Float64()
-	dPick := in.rng.Intn(len(in.plan.Errnos))
+	in.rng.Int63() // retired: errno pick
 	dShort := in.rng.Float64()
 	dKeep := in.rng.Float64()
-	dLat := in.rng.Float64()
-	dDelay := in.rng.Float64()
+	in.rng.Float64() // retired: latency spike?
+	in.rng.Float64() // retired: spike length
 	observe := in.observe
 	in.mu.Unlock()
 
 	in.ops.Add(1)
 	var f Fault
-	if in.plan.LatencyRate > 0 && dLat < in.plan.LatencyRate && in.plan.Latency > 0 {
-		f.Delay = time.Duration(dDelay * float64(in.plan.Latency))
-		if f.Delay <= 0 {
-			f.Delay = time.Nanosecond
-		}
-		in.delays.Add(1)
-	}
 	switch {
 	case in.plan.ErrRate > 0 && dErr < in.plan.ErrRate:
-		f.Errno = in.plan.Errnos[dPick]
 		if dPost < in.plan.PostFrac {
 			f.Kind = ErrPost
 			in.errsPost.Add(1)
@@ -216,6 +189,5 @@ func (in *Injector) Stats() Stats {
 		ErrsPre:  in.errsPre.Load(),
 		ErrsPost: in.errsPost.Load(),
 		Shorts:   in.shorts.Load(),
-		Delays:   in.delays.Load(),
 	}
 }

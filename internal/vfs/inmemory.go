@@ -11,7 +11,7 @@ import (
 // InMemory is the temporary in-memory storage backend (§5.1, Figure 2:
 // "one provides temporary in-memory storage") — the analog of /tmp.
 // It keeps a real directory tree and additionally supports the
-// optional symlink and attribute operations.
+// optional symlink operations (LinkBackend).
 type InMemory struct {
 	root *memNode
 }
@@ -283,26 +283,4 @@ func (m *InMemory) Readlink(p string, cb func(string, error)) {
 	default:
 		cb(node.target, nil)
 	}
-}
-
-// Chmod sets a node's mode bits.
-func (m *InMemory) Chmod(p string, mode int, cb func(error)) {
-	node, err := m.walk(p, true)
-	if err != nil {
-		cb(Err(ENOENT, "chmod", p))
-		return
-	}
-	node.mode = mode
-	cb(nil)
-}
-
-// Utimes sets a node's access and modification times.
-func (m *InMemory) Utimes(p string, atime, mtime time.Time, cb func(error)) {
-	node, err := m.walk(p, true)
-	if err != nil {
-		cb(Err(ENOENT, "utimes", p))
-		return
-	}
-	node.atime, node.mtime = atime, mtime
-	cb(nil)
 }

@@ -9,9 +9,9 @@ import (
 // Instrument wraps a backend so every operation's latency is recorded
 // into per-backend histograms in the hub's registry (subsystem
 // "vfs.<Name>", one histogram per op) plus an "ops" counter. The
-// wrapper preserves the backend's optional capabilities: the result
-// implements LinkBackend or AttrBackend exactly when the wrapped
-// backend does, so the kernel's feature detection is unaffected.
+// wrapper preserves the backend's optional link capability: the result
+// implements LinkBackend exactly when the wrapped backend does, so the
+// kernel's feature detection is unaffected.
 // A nil hub returns the backend unchanged.
 func Instrument(b Backend, h *telemetry.Hub) Backend {
 	if b == nil || h == nil {
@@ -32,43 +32,27 @@ func Instrument(b Backend, h *telemetry.Hub) Backend {
 		readdir: reg.Histogram(sub, "readdir"),
 		rename:  reg.Histogram(sub, "rename"),
 	}
-	lb, hasLink := b.(LinkBackend)
-	ab, hasAttr := b.(AttrBackend)
-	if hasLink {
+	if lb, ok := b.(LinkBackend); ok {
 		base.lb = lb
 		base.symlink = reg.Histogram(sub, "symlink")
 		base.readlink = reg.Histogram(sub, "readlink")
-	}
-	if hasAttr {
-		base.ab = ab
-		base.chmod = reg.Histogram(sub, "chmod")
-		base.utimes = reg.Histogram(sub, "utimes")
-	}
-	switch {
-	case hasLink && hasAttr:
-		return &instrumentedLinkAttr{instrumentedLink{*base}}
-	case hasLink:
 		return &instrumentedLink{*base}
-	case hasAttr:
-		return &instrumentedAttr{*base}
-	default:
-		return base
 	}
+	return base
 }
 
-// instrumented decorates the mandatory Backend surface. Optional
-// capability methods live on the embedding variants below so that type
+// instrumented decorates the mandatory Backend surface. The optional
+// link methods live on the embedding variant below so that type
 // assertions against the wrapper match the wrapped backend.
 type instrumented struct {
 	b  Backend
 	lb LinkBackend
-	ab AttrBackend
 
 	ops    *telemetry.Counter
 	flight *telemetry.FlightRecorder
 
 	stat, open, sync, unlink, rmdir, mkdir, readdir, rename *telemetry.Histogram
-	symlink, readlink, chmod, utimes                        *telemetry.Histogram
+	symlink, readlink                                       *telemetry.Histogram
 }
 
 func (i *instrumented) done(h *telemetry.Histogram, start time.Time, op, path string, err error) {
@@ -144,30 +128,4 @@ func (i *instrumentedLink) Symlink(target, path string, cb func(error)) {
 func (i *instrumentedLink) Readlink(path string, cb func(string, error)) {
 	start := time.Now()
 	i.lb.Readlink(path, func(target string, err error) { i.done(i.readlink, start, "readlink", path, err); cb(target, err) })
-}
-
-// instrumentedAttr adds the optional attribute capability.
-type instrumentedAttr struct{ instrumented }
-
-func (i *instrumentedAttr) Chmod(path string, mode int, cb func(error)) {
-	start := time.Now()
-	i.ab.Chmod(path, mode, func(err error) { i.done(i.chmod, start, "chmod", path, err); cb(err) })
-}
-
-func (i *instrumentedAttr) Utimes(path string, atime, mtime time.Time, cb func(error)) {
-	start := time.Now()
-	i.ab.Utimes(path, atime, mtime, func(err error) { i.done(i.utimes, start, "utimes", path, err); cb(err) })
-}
-
-// instrumentedLinkAttr has both optional capabilities.
-type instrumentedLinkAttr struct{ instrumentedLink }
-
-func (i *instrumentedLinkAttr) Chmod(path string, mode int, cb func(error)) {
-	start := time.Now()
-	i.ab.Chmod(path, mode, func(err error) { i.done(i.chmod, start, "chmod", path, err); cb(err) })
-}
-
-func (i *instrumentedLinkAttr) Utimes(path string, atime, mtime time.Time, cb func(error)) {
-	start := time.Now()
-	i.ab.Utimes(path, atime, mtime, func(err error) { i.done(i.utimes, start, "utimes", path, err); cb(err) })
 }

@@ -58,14 +58,11 @@ func TestInstrumentRecordsPerOpLatency(t *testing.T) {
 func TestInstrumentPreservesOptionalCapabilities(t *testing.T) {
 	hub := telemetry.NewHub()
 
-	// InMemory supports links and attrs; the wrapper must too.
+	// InMemory supports links; the wrapper must too.
 	mem := Instrument(NewInMemory(), hub)
 	lb, ok := mem.(LinkBackend)
 	if !ok {
 		t.Fatal("instrumented InMemory lost LinkBackend")
-	}
-	if _, ok := mem.(AttrBackend); !ok {
-		t.Fatal("instrumented InMemory lost AttrBackend")
 	}
 	done := make(chan struct{})
 	lb.Symlink("/target", "/link", func(err error) {
@@ -79,13 +76,10 @@ func TestInstrumentPreservesOptionalCapabilities(t *testing.T) {
 		t.Errorf("symlink count = %d, want 1", got)
 	}
 
-	// FlatKV supports neither; the wrapper must not invent them.
+	// FlatKV does not; the wrapper must not invent it.
 	kv := Instrument(newFlatKVForTest(), hub)
 	if _, ok := kv.(LinkBackend); ok {
 		t.Fatal("instrumented FlatKV gained LinkBackend")
-	}
-	if _, ok := kv.(AttrBackend); ok {
-		t.Fatal("instrumented FlatKV gained AttrBackend")
 	}
 }
 

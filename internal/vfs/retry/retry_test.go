@@ -6,7 +6,7 @@ import (
 )
 
 func TestBackoffSchedule(t *testing.T) {
-	p := Policy{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: 8 * time.Millisecond, Multiplier: 2}
+	p := Policy{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: 8 * time.Millisecond}
 	want := []time.Duration{
 		time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond,
 		8 * time.Millisecond, 8 * time.Millisecond, // capped
@@ -22,7 +22,7 @@ func TestBackoffSchedule(t *testing.T) {
 }
 
 func TestBackoffJitterBounds(t *testing.T) {
-	p := Policy{BaseDelay: 10 * time.Millisecond, Multiplier: 1.5, Jitter: 0.3, Seed: 11}
+	p := Policy{BaseDelay: 10 * time.Millisecond, Jitter: 0.3, Seed: 11}
 	rnd := p.Rand()
 	for retry := 1; retry <= 20; retry++ {
 		raw := p.Backoff(retry, nil)
@@ -49,107 +49,5 @@ func TestPolicyDefaults(t *testing.T) {
 	}
 	if (Policy{}).Attempts() != 1 {
 		t.Error("zero policy should allow exactly one attempt")
-	}
-}
-
-// TestBreakerCycle walks the full open → half-open → closed cycle with
-// a fake clock — the acceptance-criteria state machine check.
-func TestBreakerCycle(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	var transitions []string
-	b := NewBreaker(BreakerConfig{Threshold: 3, Cooldown: time.Second, Now: clock})
-	b.OnTransition = func(from, to State) {
-		transitions = append(transitions, from.String()+"->"+to.String())
-	}
-
-	if b.State() != Closed {
-		t.Fatalf("initial state = %v", b.State())
-	}
-	// Two failures: still closed; a success resets the count.
-	b.Record(false)
-	b.Record(false)
-	b.Record(true)
-	b.Record(false)
-	b.Record(false)
-	if b.State() != Closed {
-		t.Fatalf("state after interleaved failures = %v", b.State())
-	}
-	// Third consecutive failure trips it.
-	b.Record(false)
-	if b.State() != Open {
-		t.Fatalf("state after threshold = %v", b.State())
-	}
-	if b.Allow() {
-		t.Fatal("open breaker allowed an operation")
-	}
-	// Cooldown elapses → half-open, one probe admitted.
-	now = now.Add(time.Second)
-	if b.State() != HalfOpen {
-		t.Fatalf("state after cooldown = %v", b.State())
-	}
-	if !b.Allow() {
-		t.Fatal("half-open breaker refused the probe")
-	}
-	if b.Allow() {
-		t.Fatal("half-open breaker admitted a second concurrent probe")
-	}
-	// Probe fails → open again.
-	b.Record(false)
-	if b.State() != Open {
-		t.Fatalf("state after failed probe = %v", b.State())
-	}
-	// Second cooldown, successful probe → closed.
-	now = now.Add(time.Second)
-	if !b.Allow() {
-		t.Fatal("half-open breaker refused the second probe")
-	}
-	b.Record(true)
-	if b.State() != Closed {
-		t.Fatalf("state after successful probe = %v", b.State())
-	}
-	if b.Allow() != true {
-		t.Fatal("closed breaker refused traffic")
-	}
-
-	want := []string{
-		"closed->open", "open->half-open", "half-open->open",
-		"open->half-open", "half-open->closed",
-	}
-	if len(transitions) != len(want) {
-		t.Fatalf("transitions = %v, want %v", transitions, want)
-	}
-	for i := range want {
-		if transitions[i] != want[i] {
-			t.Fatalf("transition %d = %q, want %q (all: %v)", i, transitions[i], want[i], transitions)
-		}
-	}
-}
-
-func TestBreakerCancelReleasesProbe(t *testing.T) {
-	now := time.Unix(0, 0)
-	b := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: time.Second, Now: func() time.Time { return now }})
-	b.Record(false)
-	now = now.Add(time.Second)
-	if !b.Allow() {
-		t.Fatal("probe refused")
-	}
-	b.Cancel()
-	if !b.Allow() {
-		t.Fatal("probe slot not released by Cancel")
-	}
-}
-
-func TestBreakerDefaults(t *testing.T) {
-	b := NewBreaker(BreakerConfig{})
-	for i := 0; i < 4; i++ {
-		b.Record(false)
-	}
-	if b.State() != Closed {
-		t.Fatalf("state before default threshold = %v", b.State())
-	}
-	b.Record(false)
-	if b.State() != Open {
-		t.Fatalf("state at default threshold = %v", b.State())
 	}
 }

@@ -1,7 +1,6 @@
 package vfs
 
 import (
-	"errors"
 	"sync"
 	"time"
 
@@ -11,37 +10,28 @@ import (
 	"doppio/internal/vfs/retry"
 )
 
-// errBreakerOpen is the cause attached to breaker fast-fails.
-var errBreakerOpen = errors.New("circuit breaker open")
-
 // RetryOptions configures NewRetry.
 type RetryOptions struct {
 	// Policy shapes the retry loop. A zero Policy gets retry.Defaults().
 	Policy retry.Policy
-	// Breaker tunes the circuit breaker (zero value = defaults: 5
-	// consecutive exhausted ops open it for 1s).
-	Breaker retry.BreakerConfig
 	// Loop, when non-nil, schedules backoff waits as external events so
 	// the event loop stays alive and retries are delivered on the loop
 	// thread (required for backends that are not goroutine-safe). With
 	// a nil Loop, retries happen immediately with no wait.
 	Loop *eventloop.Loop
-	// Hub, when non-nil, receives attempt/backoff/breaker counters
-	// under the subsystem "vfsretry.<Name>".
+	// Hub, when non-nil, receives attempt/backoff counters under the
+	// subsystem "vfsretry.<Name>".
 	Hub *telemetry.Hub
 }
 
 // RetryStats is a point-in-time snapshot of a RetryBackend's counters.
 type RetryStats struct {
-	Ops              int64 // operations entering the decorator
-	Attempts         int64 // backend calls issued (≥ Ops)
-	Retries          int64 // re-issued calls after a transient failure
-	Recovered        int64 // lost-ack mutations proven committed by a verify probe
-	VerifyProbes     int64 // verification reads issued for lost-ack candidates
-	FastFails        int64 // operations rejected because the breaker was open
-	DeadlineExceeded int64 // operations abandoned at the per-op deadline
-	BackoffNanos     int64 // total time spent waiting between attempts
-	BreakerState     retry.State
+	Ops          int64 // operations entering the decorator
+	Attempts     int64 // backend calls issued (≥ Ops)
+	Retries      int64 // re-issued calls after a transient failure
+	Recovered    int64 // lost-ack mutations proven committed by a verify probe
+	VerifyProbes int64 // verification reads issued for lost-ack candidates
+	BackoffNanos int64 // total time spent waiting between attempts
 }
 
 // RetryStatser is implemented by every backend returned from NewRetry.
@@ -55,8 +45,8 @@ type RetryStatser interface {
 //
 //   - Transient failures (vfs.Classify → Errno.Transient: EIO, EAGAIN,
 //     ETIMEDOUT) are retried with exponential backoff and jitter, up
-//     to the policy's attempt bound and per-op deadline (exceeding the
-//     deadline surfaces ETIMEDOUT wrapping the last error).
+//     to the policy's attempt bound; the last attempt's error is the
+//     operation's.
 //   - Non-idempotent mutations (mkdir, unlink, rmdir, rename, symlink)
 //     are never blindly re-issued after a transient failure: the reply
 //     may have been lost *after* the backend committed. Before the
@@ -74,14 +64,9 @@ type RetryStatser interface {
 //     absent, mkdir over an existing node), the mutation is retried
 //     directly: the backend's final errno is the correct answer. Reads
 //     and whole-file Sync are idempotent and always retried directly.
-//   - A circuit breaker counts consecutive exhausted operations; when
-//     open, operations fail fast with EAGAIN instead of queueing more
-//     traffic onto a dead transport, and after a cooldown a half-open
-//     probe decides whether to close it. Responses that prove the
-//     service is alive (success or a final errno like ENOENT) reset it.
 //
-// The wrapper preserves the backend's optional capabilities, exposes
-// RetryStats, and reports into hub under "vfsretry.<Name>".
+// The wrapper preserves the backend's optional link capability,
+// exposes RetryStats, and reports into hub under "vfsretry.<Name>".
 func NewRetry(b Backend, o RetryOptions) Backend {
 	if b == nil {
 		return nil
@@ -94,7 +79,6 @@ func NewRetry(b Backend, o RetryOptions) Backend {
 		b:    b,
 		pol:  pol,
 		rnd:  pol.Rand(),
-		br:   retry.NewBreaker(o.Breaker),
 		loop: o.Loop,
 	}
 	if o.Hub != nil {
@@ -105,13 +89,7 @@ func NewRetry(b Backend, o RetryOptions) Backend {
 		r.retries = reg.Counter(sub, "retries")
 		r.recovered = reg.Counter(sub, "recovered")
 		r.verifies = reg.Counter(sub, "verify_probes")
-		r.fastfail = reg.Counter(sub, "breaker_fastfail")
-		r.deadline = reg.Counter(sub, "deadline_exceeded")
 		r.backoffNs = reg.Counter(sub, "backoff_ns")
-		r.brOpen = reg.Counter(sub, "breaker_open")
-		r.brHalfOpen = reg.Counter(sub, "breaker_half_open")
-		r.brClosed = reg.Counter(sub, "breaker_closed")
-		r.degraded = reg.Counter(sub, "degraded_serves")
 		r.backoffHist = reg.Histogram(sub, "backoff")
 	} else {
 		r.ops = &telemetry.Counter{}
@@ -119,63 +97,29 @@ func NewRetry(b Backend, o RetryOptions) Backend {
 		r.retries = &telemetry.Counter{}
 		r.recovered = &telemetry.Counter{}
 		r.verifies = &telemetry.Counter{}
-		r.fastfail = &telemetry.Counter{}
-		r.deadline = &telemetry.Counter{}
 		r.backoffNs = &telemetry.Counter{}
-		r.brOpen = &telemetry.Counter{}
-		r.brHalfOpen = &telemetry.Counter{}
-		r.brClosed = &telemetry.Counter{}
-		r.degraded = &telemetry.Counter{}
 	}
-	var flight *telemetry.FlightRecorder
-	if o.Hub != nil {
-		flight = o.Hub.Flight
-	}
-	backendName := b.Name()
-	r.br.OnTransition = func(from, to retry.State) {
-		flight.RecordNote("breaker", to.String(), backendName, from.String(), 0)
-		switch to {
-		case retry.Open:
-			r.brOpen.Inc()
-		case retry.HalfOpen:
-			r.brHalfOpen.Inc()
-		case retry.Closed:
-			r.brClosed.Inc()
-		}
-	}
-	lb, hasLink := b.(LinkBackend)
-	ab, hasAttr := b.(AttrBackend)
-	r.lb, r.ab = lb, ab
-	switch {
-	case hasLink && hasAttr:
-		return &retryingLinkAttr{retryingLink{r}}
-	case hasLink:
+	if lb, ok := b.(LinkBackend); ok {
+		r.lb = lb
 		return &retryingLink{r}
-	case hasAttr:
-		return &retryingAttr{r}
-	default:
-		return r
 	}
+	return r
 }
 
-// retrying decorates the mandatory Backend surface; capability
-// variants embed it.
+// retrying decorates the mandatory Backend surface; the link variant
+// embeds it.
 type retrying struct {
 	b  Backend
 	lb LinkBackend
-	ab AttrBackend
 
 	pol  retry.Policy
-	br   *retry.Breaker
 	loop *eventloop.Loop
 
 	mu  sync.Mutex // guards rnd
 	rnd func() float64
 
-	ops, attempts, retries, recovered, verifies *telemetry.Counter
-	fastfail, deadline, backoffNs               *telemetry.Counter
-	brOpen, brHalfOpen, brClosed, degraded      *telemetry.Counter
-	backoffHist                                 *telemetry.Histogram // nil-safe
+	ops, attempts, retries, recovered, verifies, backoffNs *telemetry.Counter
+	backoffHist                                            *telemetry.Histogram // nil-safe
 }
 
 func (r *retrying) Name() string   { return r.b.Name() }
@@ -184,26 +128,15 @@ func (r *retrying) ReadOnly() bool { return r.b.ReadOnly() }
 // Unwrap exposes the wrapped backend for decorator-chain discovery.
 func (r *retrying) Unwrap() Backend { return r.b }
 
-// BreakerState reports the breaker's current state; the Stack uses it
-// to count cache hits served while the backend is unreachable.
-func (r *retrying) BreakerState() retry.State { return r.br.State() }
-
-// noteDegradedServe counts a cache hit served while the breaker is
-// open (wired by Stack).
-func (r *retrying) noteDegradedServe() { r.degraded.Inc() }
-
 // RetryStats snapshots the counters.
 func (r *retrying) RetryStats() RetryStats {
 	return RetryStats{
-		Ops:              r.ops.Value(),
-		Attempts:         r.attempts.Value(),
-		Retries:          r.retries.Value(),
-		Recovered:        r.recovered.Value(),
-		VerifyProbes:     r.verifies.Value(),
-		FastFails:        r.fastfail.Value(),
-		DeadlineExceeded: r.deadline.Value(),
-		BackoffNanos:     r.backoffNs.Value(),
-		BreakerState:     r.br.State(),
+		Ops:          r.ops.Value(),
+		Attempts:     r.attempts.Value(),
+		Retries:      r.retries.Value(),
+		Recovered:    r.recovered.Value(),
+		VerifyProbes: r.verifies.Value(),
+		BackoffNanos: r.backoffNs.Value(),
 	}
 }
 
@@ -240,14 +173,9 @@ type verifyFn func(cb func(committed bool, err error))
 // run is the shared retry loop for idempotent operations. attemptFn
 // issues one backend call and reports its error; done receives the
 // final outcome.
-func (r *retrying) run(op, path string, attemptFn func(done func(error)), verify verifyFn, done func(error)) {
+func (r *retrying) run(attemptFn func(done func(error)), done func(error)) {
 	r.ops.Inc()
-	if !r.br.Allow() {
-		r.fastfail.Inc()
-		done(ErrWithCause(EAGAIN, op, path, errBreakerOpen))
-		return
-	}
-	r.attemptLoop(op, path, attemptFn, verify, done)
+	r.attemptLoop(attemptFn, nil, done)
 }
 
 // runMutation is the retry loop for non-idempotent mutations: it takes
@@ -257,22 +185,16 @@ func (r *retrying) run(op, path string, attemptFn func(done func(error)), verify
 // back to plain retries — for the overwhelmingly common lost-request
 // case that is correct, and the vanishing remainder surfaces as a final
 // errno rather than silent data corruption.
-func (r *retrying) runMutation(op, path string,
-	pre func(cb func(existed bool, err error)),
+func (r *retrying) runMutation(pre func(cb func(existed bool, err error)),
 	mkVerify func(existed bool) verifyFn,
 	attemptFn func(done func(error)), done func(error)) {
 	r.ops.Inc()
-	if !r.br.Allow() {
-		r.fastfail.Inc()
-		done(ErrWithCause(EAGAIN, op, path, errBreakerOpen))
-		return
-	}
 	r.preState(pre, func(existed, ok bool) {
 		var verify verifyFn
 		if ok {
 			verify = mkVerify(existed)
 		}
-		r.attemptLoop(op, path, attemptFn, verify, done)
+		r.attemptLoop(attemptFn, verify, done)
 	})
 }
 
@@ -298,27 +220,14 @@ func (r *retrying) preState(pre func(cb func(existed bool, err error)), done fun
 	probe()
 }
 
-// attemptLoop drives the attempts for one operation; the breaker slot
-// is already held and the pre-state (if any) resolved.
-func (r *retrying) attemptLoop(op, path string, attemptFn func(done func(error)), verify verifyFn, done func(error)) {
-	start := time.Now()
+// attemptLoop drives the attempts for one operation once its
+// pre-state (if any) is resolved.
+func (r *retrying) attemptLoop(attemptFn func(done func(error)), verify verifyFn, done func(error)) {
 	attemptNo := 0
 	var attempt func()
-	finish := func(err error) {
-		// The breaker tracks transport health: a success or a final
-		// errno proves the backend answered; only transient exhaustion
-		// counts against it.
-		r.br.Record(err == nil || !IsTransient(err))
-		done(err)
-	}
 	maybeRetry := func(err error) {
 		if attemptNo >= r.pol.Attempts() {
-			finish(err)
-			return
-		}
-		if r.pol.Deadline > 0 && time.Since(start) >= r.pol.Deadline {
-			r.deadline.Inc()
-			finish(ErrWithCause(ETIMEDOUT, op, path, err))
+			done(err)
 			return
 		}
 		r.retries.Inc()
@@ -329,7 +238,7 @@ func (r *retrying) attemptLoop(op, path string, attemptFn func(done func(error))
 		r.attempts.Inc()
 		attemptFn(func(err error) {
 			if err == nil || !IsTransient(err) {
-				finish(err)
+				done(err)
 				return
 			}
 			if verify == nil {
@@ -339,7 +248,7 @@ func (r *retrying) attemptLoop(op, path string, attemptFn func(done func(error))
 			r.runVerify(verify, func(committed bool) {
 				if committed {
 					r.recovered.Inc()
-					finish(nil)
+					done(nil)
 					return
 				}
 				maybeRetry(err)
@@ -379,9 +288,9 @@ func (r *retrying) runVerify(verify verifyFn, done func(bool)) {
 
 func (r *retrying) Stat(p string, cb func(Stats, error)) {
 	var st Stats
-	r.run("stat", p, func(done func(error)) {
+	r.run(func(done func(error)) {
 		r.b.Stat(p, func(s Stats, err error) { st = s; done(err) })
-	}, nil, func(err error) {
+	}, func(err error) {
 		if err != nil {
 			st = Stats{}
 		}
@@ -391,9 +300,9 @@ func (r *retrying) Stat(p string, cb func(Stats, error)) {
 
 func (r *retrying) Open(p string, cb func([]byte, error)) {
 	var data []byte
-	r.run("open", p, func(done func(error)) {
+	r.run(func(done func(error)) {
 		r.b.Open(p, func(d []byte, err error) { data = d; done(err) })
-	}, nil, func(err error) {
+	}, func(err error) {
 		if err != nil {
 			// A failed attempt may have delivered partial data (short
 			// read); never leak it past the retry boundary.
@@ -406,7 +315,7 @@ func (r *retrying) Open(p string, cb func([]byte, error)) {
 // Sync re-uploads the same whole-file contents on retry, so it is
 // idempotent by construction.
 func (r *retrying) Sync(p string, data []byte, cb func(error)) {
-	r.run("sync", p, func(done func(error)) { r.b.Sync(p, data, done) }, nil, cb)
+	r.run(func(done func(error)) { r.b.Sync(p, data, done) }, cb)
 }
 
 // statPre is the standard pre-flight probe: does the path exist?
@@ -451,7 +360,7 @@ func (r *retrying) Unlink(p string, cb func(error)) {
 		}
 		return r.removalVerify(p)
 	}
-	r.runMutation("unlink", p, r.statPre(p), mkVerify,
+	r.runMutation(r.statPre(p), mkVerify,
 		func(done func(error)) { r.b.Unlink(p, done) }, cb)
 }
 
@@ -462,7 +371,7 @@ func (r *retrying) Rmdir(p string, cb func(error)) {
 		}
 		return r.removalVerify(p)
 	}
-	r.runMutation("rmdir", p, r.statPre(p), mkVerify,
+	r.runMutation(r.statPre(p), mkVerify,
 		func(done func(error)) { r.b.Rmdir(p, done) }, cb)
 }
 
@@ -488,15 +397,15 @@ func (r *retrying) Mkdir(p string, cb func(error)) {
 			})
 		}
 	}
-	r.runMutation("mkdir", p, r.statPre(p), mkVerify,
+	r.runMutation(r.statPre(p), mkVerify,
 		func(done func(error)) { r.b.Mkdir(p, done) }, cb)
 }
 
 func (r *retrying) Readdir(p string, cb func([]string, error)) {
 	var names []string
-	r.run("readdir", p, func(done func(error)) {
+	r.run(func(done func(error)) {
 		r.b.Readdir(p, func(n []string, err error) { names = n; done(err) })
-	}, nil, func(err error) {
+	}, func(err error) {
 		if err != nil {
 			names = nil
 		}
@@ -535,13 +444,16 @@ func (r *retrying) Rename(oldPath, newPath string, cb func(error)) {
 			})
 		}
 	}
-	r.runMutation("rename", oldPath, r.statPre(oldPath), mkVerify,
+	r.runMutation(r.statPre(oldPath), mkVerify,
 		func(done func(error)) { r.b.Rename(oldPath, newPath, done) }, cb)
 }
 
-// ---- optional capabilities ----
+// ---- optional link capability ----
 
-func (r *retrying) symlink(target, p string, cb func(error)) {
+// retryingLink adds the optional link capability.
+type retryingLink struct{ *retrying }
+
+func (r *retryingLink) Symlink(target, p string, cb func(error)) {
 	// The pre-flight probe must not follow symlinks, so it uses
 	// Readlink: EINVAL means a non-link node occupies the path.
 	pre := func(cb func(bool, error)) {
@@ -576,50 +488,18 @@ func (r *retrying) symlink(target, p string, cb func(error)) {
 			})
 		}
 	}
-	r.runMutation("symlink", p, pre, mkVerify,
+	r.runMutation(pre, mkVerify,
 		func(done func(error)) { r.lb.Symlink(target, p, done) }, cb)
 }
 
-func (r *retrying) readlink(p string, cb func(string, error)) {
+func (r *retryingLink) Readlink(p string, cb func(string, error)) {
 	var target string
-	r.run("readlink", p, func(done func(error)) {
+	r.run(func(done func(error)) {
 		r.lb.Readlink(p, func(t string, err error) { target = t; done(err) })
-	}, nil, func(err error) {
+	}, func(err error) {
 		if err != nil {
 			target = ""
 		}
 		cb(target, err)
 	})
-}
-
-func (r *retrying) chmod(p string, mode int, cb func(error)) {
-	r.run("chmod", p, func(done func(error)) { r.ab.Chmod(p, mode, done) }, nil, cb)
-}
-
-func (r *retrying) utimes(p string, atime, mtime time.Time, cb func(error)) {
-	r.run("utimes", p, func(done func(error)) { r.ab.Utimes(p, atime, mtime, done) }, nil, cb)
-}
-
-// retryingLink adds the optional link capability.
-type retryingLink struct{ *retrying }
-
-func (r *retryingLink) Symlink(target, path string, cb func(error)) { r.symlink(target, path, cb) }
-func (r *retryingLink) Readlink(path string, cb func(string, error)) {
-	r.readlink(path, cb)
-}
-
-// retryingAttr adds the optional attribute capability.
-type retryingAttr struct{ *retrying }
-
-func (r *retryingAttr) Chmod(path string, mode int, cb func(error)) { r.chmod(path, mode, cb) }
-func (r *retryingAttr) Utimes(path string, atime, mtime time.Time, cb func(error)) {
-	r.utimes(path, atime, mtime, cb)
-}
-
-// retryingLinkAttr has both optional capabilities.
-type retryingLinkAttr struct{ retryingLink }
-
-func (r *retryingLinkAttr) Chmod(path string, mode int, cb func(error)) { r.chmod(path, mode, cb) }
-func (r *retryingLinkAttr) Utimes(path string, atime, mtime time.Time, cb func(error)) {
-	r.utimes(path, atime, mtime, cb)
 }

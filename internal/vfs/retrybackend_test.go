@@ -3,9 +3,7 @@ package vfs
 import (
 	"sync"
 	"testing"
-	"time"
 
-	"doppio/internal/browser"
 	"doppio/internal/vfs/retry"
 )
 
@@ -328,112 +326,13 @@ func TestRetryShortReadNeverLeaksPartialData(t *testing.T) {
 	}
 }
 
-func TestRetryDeadline(t *testing.T) {
-	s := newScripted(NewInMemory())
-	for i := 0; i < 50; i++ {
-		s.fail("stat", EIO, false)
-	}
-	// Real backoff waits on a real event loop, so the per-op deadline
-	// fires long before the attempt bound does.
-	w := browser.NewWindow(browser.Chrome28)
-	pol := retry.Policy{MaxAttempts: 50, BaseDelay: 2 * time.Millisecond, Deadline: 5 * time.Millisecond}
-	b := NewRetry(s, RetryOptions{Policy: pol, Loop: w.Loop})
-	rs, _ := Find[RetryStatser](b)
-
-	var gotErr error
-	w.Loop.Post("stat", func() {
-		b.Stat("/x", func(_ Stats, err error) { gotErr = err })
-	})
-	if err := w.Loop.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !IsErrno(gotErr, ETIMEDOUT) {
-		t.Fatalf("err = %v, want ETIMEDOUT", gotErr)
-	}
-	st := rs.RetryStats()
-	if st.DeadlineExceeded != 1 {
-		t.Fatalf("stats = %+v, want DeadlineExceeded 1", st)
-	}
-	if st.Attempts >= 50 {
-		t.Fatalf("deadline did not bound attempts: %+v", st)
-	}
-	if st.BackoffNanos <= 0 {
-		t.Fatalf("stats = %+v, want nonzero backoff time", st)
-	}
-}
-
-// TestRetryBreakerCycleThroughBackend drives the breaker through its
-// full closed → open → half-open → closed cycle using real backend
-// operations (the retry_test.go sibling covers the state machine in
-// isolation).
-func TestRetryBreakerCycleThroughBackend(t *testing.T) {
-	s := newScripted(NewInMemory())
-	s.Backend.Sync("/ok", []byte("x"), func(err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	b := NewRetry(s, RetryOptions{
-		Policy:  fastRetry(1),
-		Breaker: retry.BreakerConfig{Threshold: 2, Cooldown: time.Second, Now: clock},
-	})
-	rs, _ := Find[RetryStatser](b)
-	brb := b.(interface{ BreakerState() retry.State })
-
-	// Two exhausted ops trip the breaker.
-	for i := 0; i < 2; i++ {
-		s.fail("stat", EIO, false)
-		b.Stat("/ok", func(_ Stats, err error) {
-			if !IsErrno(err, EIO) {
-				t.Fatalf("op %d: err = %v, want EIO", i, err)
-			}
-		})
-	}
-	if st := brb.BreakerState(); st != retry.Open {
-		t.Fatalf("breaker = %v, want open", st)
-	}
-
-	// While open: fast-fail with EAGAIN, no backend traffic.
-	before := s.count("stat")
-	var gotErr error
-	b.Stat("/ok", func(_ Stats, err error) { gotErr = err })
-	if !IsErrno(gotErr, EAGAIN) {
-		t.Fatalf("fast-fail err = %v, want EAGAIN", gotErr)
-	}
-	if s.count("stat") != before {
-		t.Fatal("open breaker let traffic through")
-	}
-	if st := rs.RetryStats(); st.FastFails != 1 {
-		t.Fatalf("stats = %+v, want FastFails 1", st)
-	}
-
-	// After the cooldown the half-open probe succeeds and closes it.
-	now = now.Add(2 * time.Second)
-	if st := brb.BreakerState(); st != retry.HalfOpen {
-		t.Fatalf("breaker = %v, want half-open after cooldown", st)
-	}
-	b.Stat("/ok", func(_ Stats, err error) { gotErr = err })
-	if gotErr != nil {
-		t.Fatalf("half-open probe: %v", gotErr)
-	}
-	if st := brb.BreakerState(); st != retry.Closed {
-		t.Fatalf("breaker = %v, want closed after successful probe", st)
-	}
-}
-
-// TestRetryPreservesCapabilities: wrapping a backend with optional
-// capabilities must preserve them (and wrapping one without must not
-// invent them).
+// TestRetryPreservesCapabilities: wrapping a backend with the optional
+// link capability must preserve it.
 func TestRetryPreservesCapabilities(t *testing.T) {
-	full := NewInMemory() // has Symlink/Readlink and Chmod/Utimes
+	full := NewInMemory() // has Symlink/Readlink
 	wrapped := NewRetry(full, RetryOptions{})
 	if _, ok := wrapped.(LinkBackend); !ok {
 		t.Error("retry wrapper dropped LinkBackend")
-	}
-	if _, ok := wrapped.(AttrBackend); !ok {
-		t.Error("retry wrapper dropped AttrBackend")
 	}
 	if _, ok := wrapped.(RetryStatser); !ok {
 		t.Error("retry wrapper has no RetryStats")

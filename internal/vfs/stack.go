@@ -3,7 +3,6 @@ package vfs
 import (
 	"doppio/internal/telemetry"
 	"doppio/internal/vfs/faultfs"
-	"doppio/internal/vfs/retry"
 )
 
 // Unwrapper is implemented by every decorator in this package; it
@@ -35,13 +34,6 @@ func Find[T any](b Backend) (T, bool) {
 	return zero, false
 }
 
-// breakerBackend is the slice of the retry decorator the Stack hands
-// the cache for its degraded-serve count.
-type breakerBackend interface {
-	BreakerState() retry.State
-	noteDegradedServe()
-}
-
 // StackOption selects and configures one layer of a backend stack.
 type StackOption func(*stackConfig)
 
@@ -49,7 +41,6 @@ type stackConfig struct {
 	cache *CacheOptions
 	retry *RetryOptions
 	plan  *faultfs.Plan
-	inj   *faultfs.Injector
 	hub   *telemetry.Hub
 }
 
@@ -58,7 +49,7 @@ func WithCache(opts CacheOptions) StackOption {
 	return func(c *stackConfig) { c.cache = &opts }
 }
 
-// WithRetry adds the retry/breaker layer (NewRetry) to the stack.
+// WithRetry adds the retry layer (NewRetry) to the stack.
 func WithRetry(opts RetryOptions) StackOption {
 	return func(c *stackConfig) { c.retry = &opts }
 }
@@ -67,13 +58,6 @@ func WithRetry(opts RetryOptions) StackOption {
 // A plan that cannot inject (Plan.Enabled() == false) adds nothing.
 func WithFaults(plan faultfs.Plan) StackOption {
 	return func(c *stackConfig) { c.plan = &plan }
-}
-
-// WithInjector is WithFaults with a caller-owned injector, for tests
-// and harnesses that want to share one decision sequence (or read its
-// Stats) across stacks.
-func WithInjector(inj *faultfs.Injector) StackOption {
-	return func(c *stackConfig) { c.inj = inj }
 }
 
 // WithTelemetry instruments the stack: the outermost layer gets
@@ -96,52 +80,44 @@ func WithTelemetry(hub *telemetry.Hub) StackOption {
 //     retried against the backend itself — retrying above the cache
 //     would re-serve cached state instead of re-contacting the store.
 //   - Cache sits above retry so that hits cost nothing even while the
-//     transport is flaky, and so the stack degrades gracefully: when
-//     retry's circuit breaker is open, reads still served from clean
-//     cached state are counted as degraded serves.
+//     transport is flaky: a warm read never reaches the store, so it
+//     neither waits out a backoff nor fails when the store does.
 //   - Instrument sits outermost so its latency histograms measure what
 //     the kernel experiences — including backoff waits and cache hits.
 //
-// Layers are optional; Stack(b) returns b unchanged. When both retry
-// and cache layers are present, Stack hands the cache the retry
-// layer's breaker, so hits served while it is open count as degraded
-// serves. Use Find to recover a layer's stats from the returned
-// backend.
+// Layers are optional; Stack(b) returns b unchanged. Use Find to
+// recover a layer's stats from the returned backend.
 func Stack(backend Backend, opts ...StackOption) Backend {
 	var cfg stackConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
 	b := backend
-	if cfg.inj == nil && cfg.plan != nil && cfg.plan.Enabled() {
-		cfg.inj = faultfs.New(*cfg.plan)
-	}
-	if cfg.inj != nil {
+	if cfg.plan != nil && cfg.plan.Enabled() {
+		inj := faultfs.New(*cfg.plan)
 		if cfg.hub != nil && cfg.hub.Flight != nil {
 			// The observer sits outside the injector's PRNG draw
 			// schedule, so recording faults cannot shift the sequence.
 			flight := cfg.hub.Flight
-			cfg.inj.Observe(func(op string, f faultfs.Fault) {
-				flight.RecordNote("fault", "inject", op, f.Kind.String(), f.Delay.Microseconds())
+			inj.Observe(func(op string, f faultfs.Fault) {
+				flight.RecordNote("fault", "inject", op, f.Kind.String(), 0)
 			})
 		}
-		b = NewFaulty(b, cfg.inj)
+		b = NewFaulty(b, inj)
 	}
-	var brb breakerBackend
 	if cfg.retry != nil {
 		ro := *cfg.retry
 		if ro.Hub == nil {
 			ro.Hub = cfg.hub
 		}
 		b = NewRetry(b, ro)
-		brb, _ = b.(breakerBackend)
 	}
 	if cfg.cache != nil {
 		co := *cfg.cache
 		if co.Hub == nil {
 			co.Hub = cfg.hub
 		}
-		b = newCached(b, co, brb)
+		b = NewCached(b, co)
 	}
 	if cfg.hub != nil {
 		b = Instrument(b, cfg.hub)

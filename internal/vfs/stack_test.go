@@ -73,10 +73,11 @@ func TestStackEmptyAndDisabledLayers(t *testing.T) {
 	}
 }
 
-// TestStackDegradedServe: with retry and cache stacked, an open
-// breaker turns cache hits into counted degraded serves — the graceful
-// degradation the stack order exists for.
-func TestStackDegradedServe(t *testing.T) {
+// TestStackCacheServesWhileBackendFails: with retry stacked under the
+// cache, a warm stat is answered from the cache while every backend
+// stat fails, and a cold one surfaces the backend's EIO once retry
+// gives up — the reason the cache sits above retry.
+func TestStackCacheServesWhileBackendFails(t *testing.T) {
 	s := newScripted(NewInMemory())
 	s.Backend.Sync("/warm", []byte("cached"), func(err error) {
 		if err != nil {
@@ -84,14 +85,9 @@ func TestStackDegradedServe(t *testing.T) {
 		}
 	})
 	b := Stack(s,
-		WithRetry(RetryOptions{
-			Policy:  retry.Policy{MaxAttempts: 1},
-			Breaker: retry.BreakerConfig{Threshold: 1},
-		}),
+		WithRetry(RetryOptions{Policy: retry.Policy{MaxAttempts: 1}}),
 		WithCache(CacheOptions{}),
 	)
-	cs, _ := Find[CacheStatser](b)
-	rs, _ := Find[RetryStatser](b)
 
 	// Warm the stat cache through a healthy backend.
 	b.Stat("/warm", func(_ Stats, err error) {
@@ -99,33 +95,45 @@ func TestStackDegradedServe(t *testing.T) {
 			t.Fatalf("warm stat: %v", err)
 		}
 	})
-	// One exhausted miss trips the breaker.
-	s.fail("stat", EIO, false)
-	b.Stat("/other", func(_ Stats, err error) {
-		if !IsErrno(err, EIO) {
-			t.Fatalf("tripping stat: %v, want EIO", err)
-		}
-	})
-	if st := rs.RetryStats(); st.BreakerState != retry.Open {
-		t.Fatalf("breaker = %v, want open", st.BreakerState)
+	// From here on every backend stat fails.
+	for i := 0; i < 3; i++ {
+		s.fail("stat", EIO, false)
 	}
-	// The cached path is still served — and counted as degraded.
+	before := s.count("stat")
 	b.Stat("/warm", func(st Stats, err error) {
 		if err != nil || st.Size != 6 {
-			t.Fatalf("degraded stat: size %d err %v", st.Size, err)
+			t.Fatalf("cached stat: size %d err %v", st.Size, err)
 		}
 	})
-	if st := cs.CacheStats(); st.DegradedServes < 1 {
-		t.Fatalf("cache stats = %+v, want ≥1 degraded serve", st)
+	if n := s.count("stat"); n != before {
+		t.Fatalf("cached stat reached the backend (%d stats, want %d)", n, before)
 	}
-	// An uncached path fast-fails instead of hanging on a dead backend.
 	b.Stat("/cold", func(_ Stats, err error) {
-		if !IsErrno(err, EAGAIN) {
-			t.Fatalf("cold stat err = %v, want EAGAIN fast-fail", err)
+		if !IsErrno(err, EIO) {
+			t.Fatalf("cold stat err = %v, want EIO", err)
 		}
 	})
-	if st := rs.RetryStats(); st.FastFails < 1 {
-		t.Fatalf("retry stats = %+v, want ≥1 fast fail", st)
+	if n := s.count("stat"); n != before+1 {
+		t.Fatalf("cold stat made %d backend stats, want 1", n-before)
+	}
+}
+
+// TestFaultyPreservesLinkCapability: like the other decorators, the
+// fault injector implements LinkBackend exactly when the backend it
+// wraps does, and the link calls draw from the injector.
+func TestFaultyPreservesLinkCapability(t *testing.T) {
+	inj := faultfs.New(faultfs.Plan{Seed: 1, ErrRate: 0.5})
+	lb, ok := NewFaulty(NewInMemory(), inj).(LinkBackend)
+	if !ok {
+		t.Fatal("faulty InMemory lost LinkBackend")
+	}
+	if _, ok := NewFaulty(newFlatKVForTest(), inj).(LinkBackend); ok {
+		t.Fatal("faulty FlatKV gained LinkBackend")
+	}
+	lb.Symlink("/target", "/link", func(error) {})
+	lb.Readlink("/link", func(string, error) {})
+	if st := inj.Stats(); st.Ops != 2 {
+		t.Fatalf("injector saw %d ops, want 2 (symlink, readlink)", st.Ops)
 	}
 }
 
@@ -185,17 +193,17 @@ func TestRetryNeverDuplicatesMutations(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			dup := &dupDetect{Backend: NewInMemory()}
-			inj := faultfs.New(faultfs.Plan{
-				Seed:      seed,
-				ErrRate:   0.3,
-				PostFrac:  0.5, // half lost-ack, half lost-request
-				ShortRate: 0.1,
-			})
 			b := Stack(dup,
-				WithInjector(inj),
+				WithFaults(faultfs.Plan{
+					Seed:      seed,
+					ErrRate:   0.3,
+					PostFrac:  0.5, // half lost-ack, half lost-request
+					ShortRate: 0.1,
+				}),
 				WithRetry(RetryOptions{Policy: retry.Policy{MaxAttempts: 8}}),
 			)
 			rs, _ := Find[RetryStatser](b)
+			fs, _ := Find[FaultStatser](b)
 
 			must := func(op string, err error) {
 				if err != nil {
@@ -216,7 +224,7 @@ func TestRetryNeverDuplicatesMutations(t *testing.T) {
 			}
 			// The run must actually have exercised the lost-ack path.
 			st := rs.RetryStats()
-			fst := inj.Stats()
+			fst := fs.FaultStats()
 			if fst.ErrsPost == 0 || st.Recovered == 0 {
 				t.Fatalf("fault plan too weak: injector %+v, retry %+v", fst, st)
 			}
