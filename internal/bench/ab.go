@@ -411,12 +411,25 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// minMetric is the smallest value a metric took on either arm.
+// minMetric is the smallest value a metric took on either arm, and
+// NaN if either arm never recorded it: every comparison against NaN is
+// false, so a check over a missing metric fails instead of reading 0.
 func minMetric(c Comparison, metric string) float64 {
-	return math.Min(c.A.Metrics[metric].Min, c.B.Metrics[metric].Min)
+	a, okA := c.A.Metrics[metric]
+	b, okB := c.B.Metrics[metric]
+	if !okA || !okB {
+		return math.NaN()
+	}
+	return math.Min(a.Min, b.Min)
 }
 
-// maxMetric is the largest value a metric took on either arm.
+// maxMetric is the largest value a metric took on either arm, and NaN
+// if either arm never recorded it.
 func maxMetric(c Comparison, metric string) float64 {
-	return math.Max(c.A.Metrics[metric].Max, c.B.Metrics[metric].Max)
+	a, okA := c.A.Metrics[metric]
+	b, okB := c.B.Metrics[metric]
+	if !okA || !okB {
+		return math.NaN()
+	}
+	return math.Max(a.Max, b.Max)
 }

@@ -82,6 +82,31 @@ func TestABOutputMismatchFailsCheck(t *testing.T) {
 	}
 }
 
+// TestMissingMetricFailsCheck: a check over a metric that no run
+// recorded fails rather than reading the missing metric as 0, while a
+// recorded 0 still passes.
+func TestMissingMetricFailsCheck(t *testing.T) {
+	var log []string
+	rep := &Report{}
+	c, err := rep.compare(AB{Name: "nofail", Pairs: 2,
+		A: fakeArm("a", &log, 1, "x"), B: fakeArm("b", &log, 1, "x")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := maxMetric(c, "failed")
+	rep.check(c.Name+": zero failures", failed == 0, "%.0f failed in the worst run", failed)
+	slices := minMetric(c, "slices")
+	rep.check(c.Name+": slices > 0", slices > 0, "fewest slices: %.0f", slices)
+	zero := maxMetric(c, "zero")
+	rep.check(c.Name+": recorded zero", zero == 0, "%.0f", zero)
+	rep.checkHalved(c)
+	got := rep.Failed()
+	if len(got) != 3 || got[0].Name != "nofail: zero failures" || got[1].Name != "nofail: slices > 0" ||
+		got[2].Name != "nofail: warm pass <= half the uncached backend ops" {
+		t.Errorf("failed checks = %+v, want the three over missing metrics", got)
+	}
+}
+
 // TestTrimmedMean pins the ratio reduction: the mean of the middle half
 // of the sorted per-pair ratios, so outlier pairs at either end drop.
 func TestTrimmedMean(t *testing.T) {
@@ -177,8 +202,8 @@ func TestReportJSONRoundTrip(t *testing.T) {
 }
 
 // TestCommittedBenchReports decodes every committed BENCH file
-// strictly: schema drift, a missing host or seed, a comparison without
-// pairs, or a recorded failed check fails.
+// strictly: schema drift, a missing host or seed, a -race build, a
+// comparison without pairs, or a recorded failed check fails.
 func TestCommittedBenchReports(t *testing.T) {
 	for _, name := range []string{"ops", "prof", "interp", "sched", "fleet", "sock"} {
 		data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_"+name+".json"))
@@ -201,6 +226,9 @@ func TestCommittedBenchReports(t *testing.T) {
 		}
 		if rep.Name != name || rep.Host.NumCPU == 0 || rep.Host.GoVersion == "" || rep.Host.GOOS == "" {
 			t.Errorf("BENCH_%s.json: name %q, host %+v", name, rep.Name, rep.Host)
+		}
+		if rep.Host.Race {
+			t.Errorf("BENCH_%s.json: measured on a -race build, which slows guest code several-fold; regenerate it without -race", name)
 		}
 		if len(rep.Comparisons) == 0 {
 			t.Errorf("BENCH_%s.json: no comparisons", name)

@@ -3,7 +3,7 @@ package bench
 import "testing"
 
 // TestRunFleetSmall runs a miniature sweep of the fleet A/B: every
-// tenant mix must complete cleanly (no failures, no evictions) with
+// tenant mix must complete cleanly (a recorded zero failures) with
 // every tenant's slice counter visibly nonzero.
 func TestRunFleetSmall(t *testing.T) {
 	for _, mix := range []string{"mixed", "pipes", "sock"} {
@@ -16,8 +16,8 @@ func TestRunFleetSmall(t *testing.T) {
 		}
 		c := rep.Comparisons[0]
 		for _, arm := range []ArmReport{c.A, c.B} {
-			if f, e := arm.Metrics["failed"].Max, arm.Metrics["evictions"].Max; f != 0 || e != 0 {
-				t.Errorf("%s %s: failed=%v evictions=%v", mix, arm.Name, f, e)
+			if f, ok := arm.Metrics["failed"]; !ok || f.Max != 0 {
+				t.Errorf("%s %s: failed=%+v (recorded %v)", mix, arm.Name, f, ok)
 			}
 			if tput := arm.Metrics["tenants_per_sec"].Min; tput <= 0 {
 				t.Errorf("%s %s: throughput %v", mix, arm.Name, tput)

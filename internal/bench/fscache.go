@@ -280,9 +280,10 @@ func runFSCache(cfg Config, tp fstrace.GenerateParams) (*Report, error) {
 // checkHalved gates the cache: the warm pass must need at most half
 // the backend round trips of the uncached one.
 func (r *Report) checkHalved(c Comparison) {
-	warm, bare := c.B.Metrics["backend_ops"].Max, c.A.Metrics["backend_ops"].Min
-	r.check(c.Name+": warm pass <= half the uncached backend ops", 2*warm <= bare,
-		"%.0f vs %.0f uncached", warm, bare)
+	warm, okB := c.B.Metrics["backend_ops"]
+	bare, okA := c.A.Metrics["backend_ops"]
+	r.check(c.Name+": warm pass <= half the uncached backend ops", okA && okB && 2*warm.Max <= bare.Min,
+		"%.0f vs %.0f uncached", warm.Max, bare.Min)
 }
 
 // checkLoaded requires every class load on both arms to be byte-exact.

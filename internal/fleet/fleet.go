@@ -1,24 +1,30 @@
 // Package fleet is the multi-tenant hosting layer: it runs many
-// isolated Doppio tenants — JVM or MiniC VMs, or whole proc pipelines
-// — across a pool of shards, one eventloop.Loop per shard pinned to
-// its own goroutine.
+// Doppio tenants — JVM or MiniC VMs, or whole proc pipelines — across
+// a pool of shards, one eventloop.Loop per shard pinned to its own
+// goroutine.
 //
 // The paper's runtime is browser-shaped: one event loop, driven
 // serially, one VM at a time. Serving many users means carving that
-// shape into parallel isolated units (the Servo experience report's
-// lesson) without giving up the single-threaded semantics each VM
-// depends on. The fleet keeps both properties: within a shard
-// everything is still one goroutine of run-to-completion macrotasks,
-// so VMs need no locks; across shards the loops run genuinely in
-// parallel.
+// shape into parallel units (the Servo experience report's lesson)
+// without giving up the single-threaded semantics each VM depends on.
+// The fleet keeps both properties: within a shard everything is still
+// one goroutine of run-to-completion macrotasks, so VMs need no locks;
+// across shards the loops run genuinely in parallel.
+//
+// Isolation between the tenants of one shard is the paper's own
+// mechanism: each runtime runs one timeslice per macrotask (§4.1) and
+// the loop runs macrotasks in FIFO order (§4.4), so every runnable
+// tenant gets one slice per round. Nothing in the fleet can preempt a
+// tenant that never reaches a suspend check: such a macrotask holds
+// its shard until it returns.
 //
 // The pieces:
 //
 //   - Env is the tenant-construction environment: a browser window,
 //     buffer factory, telemetry hub, and (under a supervisor) the
-//     tenant's label, shard, root backend, and budget. NewEnv is also
-//     the shared harness constructor — bench and the cmd binaries
-//     build their single windows with it.
+//     tenant's root backend. NewEnv is also the shared harness
+//     constructor — bench and the cmd binaries build their single
+//     windows with it.
 //   - Drive is the shared runner: post a workload onto a loop, run the
 //     loop to completion, and distinguish "finished", "watchdog
 //     killed", and "loop drained before the workload completed".
@@ -27,11 +33,9 @@
 //     a MiniC VM, a dsh pipeline — can be a tenant.
 //   - Shard hosts tenants on one loop: a repeating monitor tick
 //     publishes per-tenant observables (CPU, heap, fds, run-queue
-//     depth), enforces CPU budgets, and feeds the placement signal.
-//   - Supervisor owns the shards: admission control against fleet
-//     capacities, least-loaded placement keyed off run-queue depth,
-//     graceful eviction with SIGKILL-style teardown (kill the VM,
-//     drop its fds, invalidate its cache pages), and the /debug/fleet
+//     depth) and feeds the placement signal.
+//   - Supervisor owns the shards: least-loaded placement keyed off
+//     run-queue depth, Submit/Wait/Close, and the /debug/fleet
 //     snapshot.
 package fleet
 
@@ -48,40 +52,18 @@ import (
 	"doppio/internal/vfs"
 )
 
-// Budget is a tenant's resource allowance. Zero fields are unlimited.
-type Budget struct {
-	// CPU is the cumulative execution-time allowance; a tenant whose
-	// scheduler has consumed more is evicted at the next monitor tick.
-	CPU time.Duration
-	// HeapBytes sizes the tenant's unmanaged heap; admission counts it
-	// against the fleet's HeapCapacity.
-	HeapBytes int
-	// MaxFDs caps simultaneously open descriptors on the tenant's FS
-	// front end (EMFILE past it); admission counts it against
-	// FDCapacity.
-	MaxFDs int
-	// CacheBytes is the byte budget for the tenant's private VFS page
-	// cache; zero mounts the root uncached.
-	CacheBytes int
-}
-
 // Handle is what a started tenant exposes to its shard's monitor:
-// the pieces the supervisor observes (budget consumption, run-queue
-// depth) and controls (teardown). Any field may be nil — a tenant is
-// monitored only as far as it is observable.
+// the observables /debug/fleet and the metrics publish. Any field may
+// be nil — a tenant is monitored only as far as it is observable.
 type Handle struct {
-	// Runtime is the tenant's scheduler (CPU time, run-queue depth).
-	// Pipeline tenants with several runtimes report their primary one.
+	// Runtime is the tenant's scheduler (CPU time, slices, run-queue
+	// depth). Pipeline tenants with several runtimes report their
+	// primary one.
 	Runtime *core.Runtime
-	// Heap is the tenant's unmanaged heap (budget consumption).
+	// Heap is the tenant's unmanaged heap (bytes in use).
 	Heap *umheap.Heap
-	// FS is the tenant's file-system front end; eviction reclaims its
-	// descriptors with CloseAll.
+	// FS is the tenant's file-system front end (open descriptors).
 	FS *vfs.FS
-	// Kill force-terminates the tenant — the SIGKILL. After Kill the
-	// tenant's done callback may never fire; the supervisor finishes
-	// the bookkeeping itself.
-	Kill func()
 }
 
 // StartFunc launches a tenant's workload on env's event loop. It is
@@ -93,11 +75,10 @@ type StartFunc func(env *Env, done func(error)) (*Handle, error)
 
 // Tenant describes one workload to host.
 type Tenant struct {
-	// Label names the tenant in telemetry, flight events, the
-	// eviction log, and /debug/fleet.
-	Label  string
-	Budget Budget
-	Start  StartFunc
+	// Label names the tenant in telemetry, flight events, and
+	// /debug/fleet.
+	Label string
+	Start StartFunc
 }
 
 // Env is the tenant-construction environment: everything a StartFunc
@@ -110,19 +91,15 @@ type Env struct {
 	Bufs *buffer.Factory
 	Hub  *telemetry.Hub
 
-	// Label, Shard, Root, and Budget are set by the supervisor for
-	// tenant starts: the tenant's name, its shard index, its private
-	// root backend (already cache-wrapped per Budget.CacheBytes), and
-	// its allowance.
-	Label  string
-	Shard  int
-	Root   vfs.Backend
-	Budget Budget
+	// Root is set by the supervisor for tenant starts: the tenant's
+	// private in-memory root backend.
+	Root vfs.Backend
 }
 
-// DefaultProfile is the profile the fleet (and the shared harness
-// environments built on NewEnv) runs under when the caller does not
-// pick one: Chrome 28, the paper's primary evaluation target.
+// DefaultProfile is the profile every fleet shard runs under (with
+// its watchdog off), and the one the shared harness environments
+// built on NewEnv take when the caller does not pick one: Chrome 28,
+// the paper's primary evaluation target.
 func DefaultProfile() browser.Profile {
 	p, _ := browser.ByName("Chrome 28")
 	return p
@@ -161,14 +138,14 @@ func (e *Env) NewFS(root vfs.Backend) *vfs.FS {
 // hand-roll around every win.Loop.Run() call.
 func Drive(loop *eventloop.Loop, label string, start func(done func(error))) error {
 	finished := false
-	var runErr error
+	var outcome error
 	loop.Post(label, func() {
 		start(func(err error) {
 			if finished {
 				return
 			}
 			finished = true
-			runErr = err
+			outcome = err
 		})
 	})
 	if err := loop.Run(); err != nil {
@@ -177,14 +154,14 @@ func Drive(loop *eventloop.Loop, label string, start func(done func(error))) err
 	if !finished {
 		return fmt.Errorf("fleet: %s: event loop drained before the workload completed", label)
 	}
-	return runErr
+	return outcome
 }
 
 // TenantState is a tenant's lifecycle state.
 type TenantState string
 
 const (
-	// StatePending is admitted but not yet started on its shard.
+	// StatePending is submitted but not yet started on its shard.
 	StatePending TenantState = "pending"
 	// StateRunning is live on a shard.
 	StateRunning TenantState = "running"
@@ -192,30 +169,7 @@ const (
 	StateDone TenantState = "done"
 	// StateFailed completed with an error (or failed to start).
 	StateFailed TenantState = "failed"
-	// StateEvicted was torn down by the supervisor for exceeding its
-	// budget or stalling its shard.
-	StateEvicted TenantState = "evicted"
 )
-
-// AdmissionError reports a Submit the supervisor refused.
-type AdmissionError struct {
-	Label  string
-	Reason string
-}
-
-func (e *AdmissionError) Error() string {
-	return fmt.Sprintf("fleet: tenant %q refused admission: %s", e.Label, e.Reason)
-}
-
-// EvictionError is the error an evicted tenant's waiters observe.
-type EvictionError struct {
-	Label  string
-	Reason string
-}
-
-func (e *EvictionError) Error() string {
-	return fmt.Sprintf("fleet: tenant %q evicted: %s", e.Label, e.Reason)
-}
 
 // TenantRef is the caller's view of a submitted tenant.
 type TenantRef struct {
@@ -232,8 +186,7 @@ func (r *TenantRef) Shard() int { return r.t.shard.index }
 func (r *TenantRef) Done() <-chan struct{} { return r.t.doneCh }
 
 // Err returns the tenant's outcome: nil for StateDone, the workload
-// error for StateFailed, an *EvictionError for StateEvicted. Valid
-// once Done is closed.
+// error for StateFailed. Valid once Done is closed.
 func (r *TenantRef) Err() error { return r.t.err }
 
 // State returns the tenant's current lifecycle state.

@@ -1,9 +1,7 @@
 package fleet_test
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -13,7 +11,6 @@ import (
 	"doppio/internal/fleet"
 	"doppio/internal/minic"
 	"doppio/internal/telemetry"
-	"doppio/internal/vfs"
 )
 
 // yieldTenant builds a friendly tenant: a scheduler thread that
@@ -25,7 +22,7 @@ func yieldTenant(label string, slices int) fleet.Tenant {
 		Start: func(env *fleet.Env, done func(error)) (*fleet.Handle, error) {
 			rt := core.NewRuntime(env.Win.Loop, core.Config{Telemetry: env.Hub})
 			n := 0
-			th := rt.Spawn(label, core.RunnableFunc(func(t *core.Thread) core.RunResult {
+			rt.Spawn(label, core.RunnableFunc(func(t *core.Thread) core.RunResult {
 				n++
 				if n >= slices {
 					return core.Done
@@ -34,27 +31,32 @@ func yieldTenant(label string, slices int) fleet.Tenant {
 			}))
 			rt.OnIdle(func() { done(nil) })
 			rt.Start()
-			return &fleet.Handle{Runtime: rt, Kill: th.Kill}, nil
+			return &fleet.Handle{Runtime: rt}, nil
 		},
 	}
 }
 
-// hogTenant builds a misbehaving tenant: every slice burns real CPU
-// for `burn` and never finishes. Only eviction stops it.
-func hogTenant(label string, burn time.Duration) fleet.Tenant {
+// hogTenant builds a CPU hog: every slice burns real CPU for `burn`,
+// for `slices` slices. It yields between slices like any guest
+// thread, so it shares its shard one slice per round.
+func hogTenant(label string, burn time.Duration, slices int) fleet.Tenant {
 	return fleet.Tenant{
 		Label: label,
 		Start: func(env *fleet.Env, done func(error)) (*fleet.Handle, error) {
 			rt := core.NewRuntime(env.Win.Loop, core.Config{Telemetry: env.Hub})
-			th := rt.Spawn(label, core.RunnableFunc(func(t *core.Thread) core.RunResult {
+			n := 0
+			rt.Spawn(label, core.RunnableFunc(func(t *core.Thread) core.RunResult {
 				deadline := time.Now().Add(burn)
 				for time.Now().Before(deadline) {
+				}
+				if n++; n >= slices {
+					return core.Done
 				}
 				return core.Yield
 			}))
 			rt.OnIdle(func() { done(nil) })
 			rt.Start()
-			return &fleet.Handle{Runtime: rt, Kill: th.Kill}, nil
+			return &fleet.Handle{Runtime: rt}, nil
 		},
 	}
 }
@@ -100,208 +102,85 @@ func TestSupervisorRunsTenantsToCompletion(t *testing.T) {
 	}
 }
 
-func TestAdmissionControl(t *testing.T) {
-	block := make(chan struct{})
-	slow := fleet.Tenant{
-		Label:  "slow",
-		Budget: fleet.Budget{HeapBytes: 1 << 20, MaxFDs: 8, CacheBytes: 1 << 16},
-		Start: func(env *fleet.Env, done func(error)) (*fleet.Handle, error) {
-			env.Win.Loop.AddPending()
-			go func() {
-				<-block
-				env.Win.Loop.InvokeExternal("slow-finish", func() {
-					env.Win.Loop.DonePending()
-					done(nil)
-				})
-			}()
-			return nil, nil
-		},
-	}
-	sup := fleet.NewSupervisor(fleet.Config{
-		Shards:        1,
-		MaxTenants:    1,
-		HeapCapacity:  1 << 20,
-		FDCapacity:    8,
-		CacheCapacity: 1 << 16,
-	})
+// TestRoundRobinIsolation pins the isolation a shard gives its
+// tenants, in counts rather than wall time: each runtime runs one
+// slice per macrotask and the loop runs macrotasks in FIFO order, so
+// while a friendly tenant lives, a CPU hog on its shard runs at most
+// one slice per slice of the friendly's own (plus the round the
+// friendly started in).
+func TestRoundRobinIsolation(t *testing.T) {
+	sup := fleet.NewSupervisor(fleet.Config{Shards: 1})
 	defer sup.Close()
 
-	if _, err := sup.Submit(slow); err != nil {
-		t.Fatalf("first submit: %v", err)
+	// The hog's start holds the loop until every friendly is
+	// submitted, so all the friendlies start before the hog's first
+	// slice and their lives overlap its whole run. A test that fails
+	// before releasing the loop still releases it for Close.
+	submitted := make(chan struct{})
+	defer func() {
+		select {
+		case <-submitted:
+		default:
+			close(submitted)
+		}
+	}()
+	var hogRT *core.Runtime
+	hog := hogTenant("hog", 2*time.Millisecond, 400)
+	startHog := hog.Start
+	hog.Start = func(env *fleet.Env, done func(error)) (*fleet.Handle, error) {
+		<-submitted
+		h, err := startHog(env, done)
+		if h != nil {
+			hogRT = h.Runtime
+		}
+		return h, err
 	}
-	_, err := sup.Submit(slow)
-	var adm *fleet.AdmissionError
-	if !errors.As(err, &adm) {
-		t.Fatalf("second submit: got %v, want AdmissionError", err)
+	hogRef, err := sup.Submit(hog)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(adm.Reason, "fleet full") {
-		t.Errorf("reason %q", adm.Reason)
-	}
-	close(block)
-	sup.Wait()
 
-	// Capacity released: the same budgets are admissible again.
-	block = make(chan struct{})
-	close(block)
-	if _, err := sup.Submit(slow); err != nil {
-		t.Fatalf("submit after release: %v", err)
-	}
-	sup.Wait()
-	snap := sup.Snapshot()
-	if snap.Rejected != 1 || snap.Completed != 2 {
-		t.Errorf("rejected %d completed %d, want 1, 2", snap.Rejected, snap.Completed)
-	}
-}
-
-// TestEvictionIsolation is the acceptance test for the misbehaving-
-// tenant story: a CPU hog placed among friendly tenants is evicted by
-// its budget while the friendly tenants all complete, and their tail
-// latency stays within an order-of-magnitude bound of a hog-free run.
-func TestEvictionIsolation(t *testing.T) {
-	latencies := func(withHog bool) ([]time.Duration, *fleet.TenantRef) {
-		hub := telemetry.NewHub().EnableFlight(256)
-		sup := fleet.NewSupervisor(fleet.Config{Shards: 2, Hub: hub})
-		defer sup.Close()
-		var hog *fleet.TenantRef
-		if withHog {
-			spec := hogTenant("hog", 2*time.Millisecond)
-			spec.Budget.CPU = 10 * time.Millisecond
+	// Per friendly, read on the loop goroutine: the hog's slice count
+	// at the friendly's start and at its finish, and the friendly's
+	// own slices.
+	type span struct{ start, end, own int }
+	const friendlies = 8
+	spans := make([]span, friendlies)
+	refs := make([]*fleet.TenantRef, 0, friendlies)
+	for i := 0; i < friendlies; i++ {
+		spec := yieldTenant(fmt.Sprintf("friendly%d", i), 100)
+		startFriendly := spec.Start
+		spec.Start = func(env *fleet.Env, done func(error)) (*fleet.Handle, error) {
+			spans[i].start = hogRT.Stats().Slices
+			var h *fleet.Handle
 			var err error
-			hog, err = sup.Submit(spec)
-			if err != nil {
-				t.Fatalf("submit hog: %v", err)
-			}
-		}
-		refs := make([]*fleet.TenantRef, 0, 16)
-		for i := 0; i < 16; i++ {
-			ref, err := sup.Submit(yieldTenant(fmt.Sprintf("friendly%02d", i), 100))
-			if err != nil {
-				t.Fatalf("submit friendly %d: %v", i, err)
-			}
-			refs = append(refs, ref)
-		}
-		sup.Wait()
-		out := make([]time.Duration, 0, len(refs))
-		for _, ref := range refs {
-			if st := ref.State(); st != fleet.StateDone {
-				t.Errorf("%s: state %s, err %v", ref.Label(), st, ref.Err())
-			}
-			out = append(out, ref.Latency())
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return out, hog
-	}
-
-	base, _ := latencies(false)
-	got, hog := latencies(true)
-
-	if st := hog.State(); st != fleet.StateEvicted {
-		t.Fatalf("hog state %s, want evicted (err %v)", st, hog.Err())
-	}
-	var evictErr *fleet.EvictionError
-	if !errors.As(hog.Err(), &evictErr) {
-		t.Fatalf("hog err %v, want EvictionError", hog.Err())
-	}
-	p99base := base[len(base)*99/100]
-	p99got := got[len(got)*99/100]
-	// Generous bound: the hog must not wreck the friendly tail. It
-	// shares one shard until eviction, so some interference is
-	// expected; an unbounded hog would push p99 out by seconds.
-	limit := p99base*10 + 100*time.Millisecond
-	if p99got > limit {
-		t.Errorf("friendly p99 %v with hog vs %v without (limit %v)", p99got, p99base, limit)
-	}
-}
-
-func TestStallEviction(t *testing.T) {
-	sup := fleet.NewSupervisor(fleet.Config{
-		Shards:      1,
-		StallBudget: 2 * time.Millisecond,
-		StallCount:  1,
-	})
-	defer sup.Close()
-
-	// Burns 5ms per slice — every macrotask blows the 2ms stall
-	// budget, so the stall monitor fires on the first over-budget
-	// task even though no CPU budget is set.
-	ref, err := sup.Submit(hogTenant("staller", 5*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-ref.Done():
-	case <-time.After(10 * time.Second):
-		t.Fatal("staller never evicted")
-	}
-	if st := ref.State(); st != fleet.StateEvicted {
-		t.Fatalf("state %s, want evicted (err %v)", st, ref.Err())
-	}
-	if !strings.Contains(ref.Err().Error(), "stalled") {
-		t.Errorf("err %v, want stall reason", ref.Err())
-	}
-	snap := sup.Snapshot()
-	if len(snap.Evictions) != 1 || snap.Evictions[0].Label != "staller" {
-		t.Errorf("eviction log %+v", snap.Evictions)
-	}
-}
-
-// TestEvictionReclaimsResources proves SIGKILL-style teardown: the
-// evicted tenant's fds are closed and its labeled metric series are
-// dropped from the registry.
-func TestEvictionReclaimsResources(t *testing.T) {
-	hub := telemetry.NewHub().EnableFlight(256)
-	sup := fleet.NewSupervisor(fleet.Config{Shards: 1, Hub: hub})
-	defer sup.Close()
-
-	var leakyFS *vfs.FS
-	spec := fleet.Tenant{
-		Label:  "leaky",
-		Budget: fleet.Budget{CPU: 10 * time.Millisecond, MaxFDs: 16, CacheBytes: 1 << 16},
-		Start: func(env *fleet.Env, done func(error)) (*fleet.Handle, error) {
-			fs := env.NewFS(env.Root)
-			leakyFS = fs
-			fs.Open("/leak.txt", "w", func(fd *vfs.FD, err error) {
-				if err != nil {
-					t.Errorf("open: %v", err)
-				}
+			h, err = startFriendly(env, func(err error) {
+				spans[i].end = hogRT.Stats().Slices
+				spans[i].own = h.Runtime.Stats().Slices
+				done(err)
 			})
-			rt := core.NewRuntime(env.Win.Loop, core.Config{Telemetry: env.Hub})
-			th := rt.Spawn("leaky", core.RunnableFunc(func(t *core.Thread) core.RunResult {
-				deadline := time.Now().Add(2 * time.Millisecond)
-				for time.Now().Before(deadline) {
-				}
-				return core.Yield
-			}))
-			rt.OnIdle(func() { done(nil) })
-			rt.Start()
-			return &fleet.Handle{Runtime: rt, FS: fs, Kill: th.Kill}, nil
-		},
-	}
-	ref, err := sup.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-ref.Done():
-	case <-time.After(10 * time.Second):
-		t.Fatal("leaky never evicted")
-	}
-	if st := ref.State(); st != fleet.StateEvicted {
-		t.Fatalf("state %s, want evicted (err %v)", st, ref.Err())
-	}
-	sup.Close() // joins the shard loops — safe to inspect FS after
-
-	if n := leakyFS.OpenFDs(); n != 0 {
-		t.Errorf("%d fds still open after eviction", n)
-	}
-	for _, c := range hub.Registry.Snapshot().Counters {
-		if c.Label == "leaky" {
-			t.Errorf("labeled counter %s/%s survived eviction", c.Subsystem, c.Name)
+			return h, err
 		}
+		ref, err := sup.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs = append(refs, ref)
 	}
-	for _, g := range hub.Registry.Snapshot().Gauges {
-		if g.Label == "leaky" {
-			t.Errorf("labeled gauge %s/%s survived eviction", g.Subsystem, g.Name)
+	close(submitted)
+	sup.Wait()
+
+	if st := hogRef.State(); st != fleet.StateDone {
+		t.Errorf("hog: state %s, err %v", st, hogRef.Err())
+	}
+	for i, ref := range refs {
+		if st := ref.State(); st != fleet.StateDone {
+			t.Errorf("%s: state %s, err %v", ref.Label(), st, ref.Err())
+		}
+		sp := spans[i]
+		if hogSlices := sp.end - sp.start; hogSlices > sp.own+1 {
+			t.Errorf("%s: the hog ran %d slices during its life of %d slices, want at most %d",
+				ref.Label(), hogSlices, sp.own, sp.own+1)
 		}
 	}
 }
@@ -339,10 +218,7 @@ func TestConcurrentSubmitRace(t *testing.T) {
 // drove the counters negative — visibly in /debug/fleet and, worse,
 // in the placement signal.
 func TestShardCountersSettleToZero(t *testing.T) {
-	sup := fleet.NewSupervisor(fleet.Config{
-		Shards:          2,
-		MonitorInterval: 2 * time.Millisecond,
-	})
+	sup := fleet.NewSupervisor(fleet.Config{Shards: 2})
 	defer sup.Close()
 
 	for round := 0; round < 4; round++ {
@@ -428,7 +304,7 @@ func minicTenant(t *testing.T, label, src string) fleet.Tenant {
 				return nil, err
 			}
 			vm.Start(func(_ int32, err error) { done(err) })
-			return &fleet.Handle{Runtime: vm.Runtime(), Heap: vm.Heap(), FS: fs, Kill: vm.Kill}, nil
+			return &fleet.Handle{Runtime: vm.Runtime(), Heap: vm.Heap(), FS: fs}, nil
 		},
 	}
 }

@@ -13,11 +13,12 @@ import (
 	"doppio/internal/telemetry"
 )
 
-// profSpinSource is a tenant workload for the profiling tests: a hot
-// loop through named methods with steady allocation, so the CPU and
-// alloc profiles both have something to attribute — and it never
-// exits, so only eviction stops it.
-const profSpinSource = `
+// profChurnSource is the tenant workload for the profiling test: a
+// bounded loop of calls to a named method with steady allocation, so
+// the CPU and alloc profiles both have something to attribute. The
+// calls are DoppioJVM's suspend checks, so the tenant yields between
+// slices and finishes on its own.
+const profChurnSource = `
 class Work {
     int acc;
     int churn(int i) {
@@ -30,21 +31,18 @@ class Work {
 public class Main {
     public static void main(String[] args) {
         Work w = new Work();
-        int i = 0;
-        while (true) {
+        for (int i = 0; i < 20000; i++) {
             w.churn(i);
-            i++;
         }
     }
 }`
 
-// jvmSpinTenant builds a tenant running profSpinSource on a Doppio
+// jvmChurnTenant builds a tenant running profChurnSource on a Doppio
 // JVM in its shard's window, which samples into the fleet hub's
 // profiler.
-func jvmSpinTenant(label string, classes map[string][]byte, budget time.Duration) fleet.Tenant {
+func jvmChurnTenant(label string, classes map[string][]byte) fleet.Tenant {
 	return fleet.Tenant{
-		Label:  label,
-		Budget: fleet.Budget{CPU: budget},
+		Label: label,
 		Start: func(env *fleet.Env, done func(error)) (*fleet.Handle, error) {
 			vm := jvm.NewDoppioVM(env.Win, jvm.DoppioOptions{
 				Provider:         jvm.MapProvider(classes),
@@ -53,8 +51,7 @@ func jvmSpinTenant(label string, classes map[string][]byte, budget time.Duration
 				DisableEngineTax: true,
 			})
 			vm.StartMain("Main", nil, done)
-			return &fleet.Handle{Runtime: vm.Runtime(), Heap: vm.Heap(),
-				Kill: func() { vm.Exit(137) }}, nil
+			return &fleet.Handle{Runtime: vm.Runtime(), Heap: vm.Heap()}, nil
 		},
 	}
 }
@@ -73,15 +70,14 @@ func methodWeight(p *profile.Profiler, kind profile.Kind, methods ...string) int
 	return sum
 }
 
-// TestProfilingFleetEviction samples a profiling fleet mid-eviction,
-// under -race in CI: a spinning JVM tenant is evicted on its CPU
-// budget while the test goroutine hammers the fleet's shared profiler
-// and Snapshot/Format from other goroutines. After the eviction the
-// hog's methods must stop growing in the profile — eviction killed
-// the VM, which was their only sample source — and the shard must
-// keep running tenants to completion (not wedged).
-func TestProfilingFleetEviction(t *testing.T) {
-	classes, err := rt.CompileWith(map[string]string{"Main.mj": profSpinSource})
+// TestProfilingFleetChurn samples a profiling fleet, under -race in
+// CI: a JVM tenant churns through calls while the test goroutine
+// hammers the fleet's shared profiler and Snapshot/Format from other
+// goroutines. Once the tenant is done its methods must stop growing in
+// the profile — its VM was their only sample source — and the shards
+// must keep running tenants to completion.
+func TestProfilingFleetChurn(t *testing.T) {
+	classes, err := rt.CompileWith(map[string]string{"Main.mj": profChurnSource})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -89,9 +85,9 @@ func TestProfilingFleetEviction(t *testing.T) {
 	sup := fleet.NewSupervisor(fleet.Config{Shards: 2, Hub: hub})
 	defer sup.Close()
 
-	hog, err := sup.Submit(jvmSpinTenant("hog", classes, 15*time.Millisecond))
+	churner, err := sup.Submit(jvmChurnTenant("churner", classes))
 	if err != nil {
-		t.Fatalf("submit hog: %v", err)
+		t.Fatalf("submit churner: %v", err)
 	}
 	for i := 0; i < 8; i++ {
 		if _, err := sup.Submit(yieldTenant(fmt.Sprintf("friendly%02d", i), 200)); err != nil {
@@ -100,7 +96,7 @@ func TestProfilingFleetEviction(t *testing.T) {
 	}
 
 	// Concurrent readers: the race detector checks that reading the
-	// profile while the hog's VM samples into it is clean.
+	// profile while the churner's VM samples into it is clean.
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -121,37 +117,36 @@ func TestProfilingFleetEviction(t *testing.T) {
 	}
 
 	select {
-	case <-hog.Done():
-	case <-time.After(30 * time.Second):
-		t.Fatal("hog never evicted")
+	case <-churner.Done():
+	case <-time.After(60 * time.Second):
+		t.Fatal("churner never finished")
 	}
-	if st := hog.State(); st != fleet.StateEvicted {
-		t.Fatalf("hog state %s, want evicted (err %v)", st, hog.Err())
+	if st := churner.State(); st != fleet.StateDone {
+		t.Fatalf("churner state %s, want done (err %v)", st, churner.Err())
 	}
 
-	// The hog was sampled while it lived: CPU time at its guest
+	// The churner was sampled while it lived: CPU time at its guest
 	// methods (a call boundary leaves either on top, and the friendly
 	// tenants have no guest stack to sample) and Work.churn's
 	// allocations, one int[8] per call...
 	cpu := methodWeight(hub.Profiler, profile.CPU, "Main.main", "Work.churn")
 	churn := methodWeight(hub.Profiler, profile.Alloc, "Work.churn")
 	if cpu == 0 || churn == 0 {
-		t.Errorf("evicted tenant folded cpu %d ns at its methods, %d bytes at Work.churn while alive: cpu %+v alloc %+v",
+		t.Errorf("tenant folded cpu %d ns at its methods, %d bytes at Work.churn while alive: cpu %+v alloc %+v",
 			cpu, churn, hub.Profiler.TopMethods(profile.CPU, 5), hub.Profiler.TopMethods(profile.Alloc, 5))
 	}
 
-	// ...and stops growing once the VM is dead: no samples are
-	// attributed to an evicted tenant.
+	// ...and stops growing once its VM is done: no samples are
+	// attributed to a finished tenant.
 	time.Sleep(50 * time.Millisecond)
 	if again := methodWeight(hub.Profiler, profile.CPU, "Main.main", "Work.churn"); again != cpu {
-		t.Errorf("dead tenant's cpu profile grew after eviction: %d -> %d", cpu, again)
+		t.Errorf("finished tenant's cpu profile grew: %d -> %d", cpu, again)
 	}
 	if again := methodWeight(hub.Profiler, profile.Alloc, "Work.churn"); again != churn {
-		t.Errorf("dead tenant's Work.churn allocations grew after eviction: %d -> %d", churn, again)
+		t.Errorf("finished tenant's Work.churn allocations grew: %d -> %d", churn, again)
 	}
 
-	// The shard the hog occupied is not wedged: a fresh batch still
-	// runs to completion.
+	// The shards still run a fresh batch to completion.
 	refs := make([]*fleet.TenantRef, 0, 4)
 	for i := 0; i < 4; i++ {
 		ref, err := sup.Submit(yieldTenant(fmt.Sprintf("late%02d", i), 50))

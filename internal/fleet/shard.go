@@ -10,12 +10,16 @@ import (
 	"doppio/internal/vfs"
 )
 
+// heartbeat is the shard monitor's period: how often per-tenant
+// observables and the placement signal are republished.
+const heartbeat = 10 * time.Millisecond
+
 // Shard hosts tenants on one event loop pinned to one goroutine.
-// Everything tenant-facing — starts, monitor ticks, budget
-// enforcement, eviction — executes as macrotasks on that loop, so a
-// shard's tenants share state with the same no-locks guarantee a
-// single browser window gives. Only the published observables (load,
-// depth, tenant counters) cross goroutines, as atomics.
+// Everything tenant-facing — starts and monitor ticks — executes as
+// macrotasks on that loop, so a shard's tenants share state with the
+// same no-locks guarantee a single browser window gives. Only the
+// published observables (load, depth, tenant counters) cross
+// goroutines, as atomics.
 type Shard struct {
 	index int
 	sup   *Supervisor
@@ -38,19 +42,16 @@ type Shard struct {
 	timer    eventloop.TimerID
 	stopping bool
 
-	runErr atomic.Value // error, set if the loop died
 	joined chan struct{}
 }
 
 // newShard builds a shard and starts its loop goroutine. The shard's
-// window always runs with the watchdog disabled: a hosted tenant must
-// never be able to take the whole shard down, and long macrotasks are
-// the stall monitor's and CPU budget's business instead.
+// window runs DefaultProfile with the watchdog disabled: a hosted
+// tenant must never be able to take the whole shard down.
 func newShard(sup *Supervisor, index int) *Shard {
-	profile := sup.cfg.Profile
+	profile := DefaultProfile()
 	profile.WatchdogLimit = 0
 	env := NewEnv(profile, sup.hub)
-	env.Shard = index
 	sh := &Shard{
 		index:  index,
 		sup:    sup,
@@ -58,17 +59,13 @@ func newShard(sup *Supervisor, index int) *Shard {
 		loop:   env.Win.Loop,
 		joined: make(chan struct{}),
 	}
-	if sup.cfg.StallBudget > 0 {
-		sh.loop.SetStallMonitor(sup.cfg.StallBudget, sup.cfg.StallCount, sh.onStall)
-	}
 	// The pending slot keeps Run alive while the fleet is up, even
 	// with no tenants; the monitor timer re-arms itself from the loop.
 	sh.loop.AddPending()
 	sh.loop.Post("fleet-monitor", sh.monitorTick)
 	go func() {
-		if err := sh.loop.Run(); err != nil {
-			sh.runErr.Store(err)
-		}
+		// With the watchdog off Run returns no error.
+		sh.loop.Run()
 		close(sh.joined)
 	}()
 	return sh
@@ -81,25 +78,19 @@ func (sh *Shard) loadSignal() int64 {
 	return sh.live.Load() + sh.depth.Load() + sh.pending.Load()
 }
 
-// startTenant launches an admitted tenant. Loop goroutine.
+// startTenant launches a submitted tenant. Loop goroutine.
 func (sh *Shard) startTenant(t *tenant) {
 	// The admit has landed: from here the tenant is either in
 	// sh.tenants (counted by the next tick's live) or terminal.
 	sh.pending.Add(-1)
 	sh.sup.mu.Lock()
-	if t.state != StatePending {
-		sh.sup.mu.Unlock()
-		return
-	}
 	t.state = StateRunning
-	t.startedAt = time.Now()
 	sh.sup.mu.Unlock()
 
-	env := &Env{
-		Win: sh.env.Win, Bufs: sh.env.Bufs, Hub: sh.env.Hub,
-		Label: t.spec.Label, Shard: sh.index, Root: t.root, Budget: t.spec.Budget,
+	env := &Env{Win: sh.env.Win, Bufs: sh.env.Bufs, Hub: sh.env.Hub, Root: t.root}
+	if hub := sh.sup.hub; hub != nil && hub.Flight != nil {
+		hub.Flight.Record("fleet", "start", t.spec.Label, int64(sh.index))
 	}
-	sh.flight("start", t.spec.Label, int64(sh.index))
 	h, err := t.spec.Start(env, func(err error) {
 		// Final observable flush before the terminal transition: a
 		// tenant that finishes between monitor ticks still reports its
@@ -115,9 +106,6 @@ func (sh *Shard) startTenant(t *tenant) {
 	if h == nil {
 		h = &Handle{}
 	}
-	if h.FS != nil && t.spec.Budget.MaxFDs > 0 {
-		h.FS.SetMaxFDs(t.spec.Budget.MaxFDs)
-	}
 	t.handle = h
 	if hub := sh.sup.hub; hub != nil {
 		t.mCPU = hub.Registry.LabeledGauge("fleet", "tenant_cpu_us", t.spec.Label)
@@ -129,26 +117,21 @@ func (sh *Shard) startTenant(t *tenant) {
 }
 
 // monitorTick is the shard's heartbeat: publish per-tenant
-// observables, enforce CPU budgets, refresh the placement load, and
-// re-arm. Loop goroutine; the tick interval is the granularity of
-// runtime budget enforcement.
+// observables, refresh the placement load, and re-arm. It runs
+// between macrotasks like any other task, so a tenant slice that
+// never returns delays it too. Loop goroutine.
 func (sh *Shard) monitorTick() {
 	if sh.stopping {
 		return
 	}
 	live := sh.tenants[:0]
 	depth := 0
-	var evictions []*tenant
 	for _, t := range sh.tenants {
 		if t.terminal() {
 			continue
 		}
 		live = append(live, t)
-		cpu, d := sh.publish(t)
-		depth += d
-		if t.spec.Budget.CPU > 0 && cpu > t.spec.Budget.CPU {
-			evictions = append(evictions, t)
-		}
+		depth += sh.publish(t)
 	}
 	// Clear the tail so dropped tenants are not retained.
 	for i := len(live); i < len(sh.tenants); i++ {
@@ -157,28 +140,23 @@ func (sh *Shard) monitorTick() {
 	sh.tenants = live
 	sh.depth.Store(int64(depth))
 	sh.live.Store(int64(len(live)))
-	for _, t := range evictions {
-		sh.evict(t, fmt.Sprintf("cpu budget exceeded: %v > %v",
-			time.Duration(t.cpu.Load()).Round(time.Millisecond), t.spec.Budget.CPU))
-	}
-	sh.timer = sh.loop.SetTimeout(sh.monitorTick, sh.sup.cfg.MonitorInterval)
+	sh.timer = sh.loop.SetTimeout(sh.monitorTick, heartbeat)
 }
 
 // publish refreshes one tenant's observables — atomics for Snapshot,
-// labeled series for /metrics — and returns its cumulative CPU time
-// and current run-queue depth. Loop goroutine.
-func (sh *Shard) publish(t *tenant) (cpu time.Duration, depth int) {
+// labeled series for /metrics — and returns its current run-queue
+// depth. Loop goroutine.
+func (sh *Shard) publish(t *tenant) (depth int) {
 	h := t.handle
 	if h == nil {
-		return 0, 0
+		return 0
 	}
 	if h.Runtime != nil {
 		st := h.Runtime.Stats()
-		cpu = st.CPUTime
 		depth = h.Runtime.QueueDepth()
-		t.cpu.Store(int64(cpu))
+		t.cpu.Store(int64(st.CPUTime))
 		if t.mCPU != nil {
-			t.mCPU.Set(cpu.Microseconds())
+			t.mCPU.Set(st.CPUTime.Microseconds())
 		}
 		if delta := int64(st.Slices) - t.lastSlices; delta > 0 {
 			if t.mSlices != nil {
@@ -201,64 +179,7 @@ func (sh *Shard) publish(t *tenant) (cpu time.Duration, depth int) {
 	if t.mDepth != nil {
 		t.mDepth.Set(int64(depth))
 	}
-	return cpu, depth
-}
-
-// onStall fires when macrotask latency has exceeded the stall budget
-// for N consecutive tasks — some tenant is freezing the shard. The
-// monitor's last published CPU readings date from before the stall,
-// so the tenant with the largest CPU growth since then is the
-// offender; evict it. Loop goroutine.
-func (sh *Shard) onStall(ev eventloop.StallEvent) {
-	var worst *tenant
-	var worstDelta time.Duration
-	for _, t := range sh.tenants {
-		if t.terminal() || t.handle == nil || t.handle.Runtime == nil {
-			continue
-		}
-		delta := t.handle.Runtime.Stats().CPUTime - time.Duration(t.cpu.Load())
-		if worst == nil || delta > worstDelta {
-			worst, worstDelta = t, delta
-		}
-	}
-	if worst == nil {
-		return
-	}
-	sh.evict(worst, fmt.Sprintf("stalled shard %d: %d consecutive tasks over %v (last %q ran %v)",
-		sh.index, ev.Consecutive, ev.Budget, ev.Label, ev.Elapsed.Round(time.Millisecond)))
-}
-
-// evict tears a tenant down SIGKILL-style: mark it terminal (so its
-// own done callback becomes a no-op), kill the VM, reclaim its file
-// descriptors and cache pages, drop its per-tenant metric series, and
-// log the eviction. Loop goroutine.
-func (sh *Shard) evict(t *tenant, reason string) {
-	evictErr := &EvictionError{Label: t.spec.Label, Reason: reason}
-	if !sh.sup.terminate(t, StateEvicted, evictErr) {
-		return
-	}
-	h := t.handle
-	if h != nil && h.Kill != nil {
-		h.Kill()
-	}
-	reclaimedFDs := 0
-	if h != nil && h.FS != nil {
-		reclaimedFDs = h.FS.CloseAll()
-	}
-	if t.root != nil {
-		if cached, ok := vfs.Find[*vfs.Cached](t.root); ok {
-			cached.InvalidateAll()
-		}
-	}
-	if hub := sh.sup.hub; hub != nil {
-		hub.Registry.Unregister(t.spec.Label)
-	}
-	sh.flight("evict", t.spec.Label, int64(reclaimedFDs))
-	sh.sup.logEviction(Eviction{
-		Label: t.spec.Label, Shard: sh.index, Reason: reason,
-		CPUMs: time.Duration(t.cpu.Load()).Milliseconds(), At: time.Now(),
-	})
-	sh.sup.release(t)
+	return depth
 }
 
 // shutdown stops the monitor and releases the pending slot; posted by
@@ -271,12 +192,6 @@ func (sh *Shard) shutdown() {
 	sh.loop.ClearTimeout(sh.timer)
 	sh.loop.DonePending()
 	sh.loop.Stop()
-}
-
-func (sh *Shard) flight(event, label string, arg int64) {
-	if hub := sh.sup.hub; hub != nil && hub.Flight != nil {
-		hub.Flight.Record("fleet", event, label, arg)
-	}
 }
 
 // tenant is the supervisor's record of one hosted workload. Lifecycle
@@ -292,7 +207,6 @@ type tenant struct {
 	state       TenantState
 	err         error
 	submittedAt time.Time
-	startedAt   time.Time
 	finishedAt  time.Time
 
 	handle *Handle // loop-goroutine only
@@ -316,5 +230,5 @@ type tenant struct {
 func (t *tenant) terminal() bool {
 	t.sup.mu.Lock()
 	defer t.sup.mu.Unlock()
-	return t.state == StateDone || t.state == StateFailed || t.state == StateEvicted
+	return t.state == StateDone || t.state == StateFailed
 }

@@ -436,7 +436,7 @@ func TestTraceWindow(t *testing.T) {
 // lock-free with respect to shard loops, so the endpoint answers even
 // while tenants run.
 func TestDebugFleetEndpoint(t *testing.T) {
-	sup := fleet.NewSupervisor(fleet.Config{Shards: 2, Profile: fleet.DefaultProfile()})
+	sup := fleet.NewSupervisor(fleet.Config{Shards: 2})
 	defer sup.Close()
 	ref, err := sup.Submit(fleet.Tenant{
 		Label: "probe",

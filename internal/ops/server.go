@@ -116,7 +116,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "  /debug/heap         unmanaged-heap free-list map")
 	fmt.Fprintln(w, "  /debug/proc         ps-style process table (pid, state, blocked-on)")
 	fmt.Fprintln(w, "  /debug/jvm          DoppioJVM quickening counters: sites, IC hits/misses, fusions, deopts (?format=json)")
-	fmt.Fprintln(w, "  /debug/fleet        fleet supervisor: shards, tenants, evictions (?format=json)")
+	fmt.Fprintln(w, "  /debug/fleet        fleet supervisor: shards and tenants (?format=json)")
 	fmt.Fprintln(w, "  /debug/sock         websockify gateway: stream windows, shed/reset counters (?format=json)")
 	fmt.Fprintln(w, "  /debug/profile      guest profile, collapsed stacks (?sec=N&kind=cpu|alloc|block&format=json)")
 	fmt.Fprintln(w, "  /debug/guest-pprof  guest profile as pprof protobuf, for `go tool pprof` (?kind=&sec=)")

@@ -171,32 +171,6 @@ func (r *Registry) LabeledHistogram(subsystem, name, label string) *Histogram {
 	return h
 }
 
-// Unregister removes every metric attributed to label (metrics with
-// an empty label are never removed). Fleet eviction reclaims a dead
-// tenant's per-tenant series with it.
-func (r *Registry) Unregister(label string) {
-	if label == "" {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for k := range r.counters {
-		if k.label == label {
-			delete(r.counters, k)
-		}
-	}
-	for k := range r.gauges {
-		if k.label == label {
-			delete(r.gauges, k)
-		}
-	}
-	for k := range r.histograms {
-		if k.label == label {
-			delete(r.histograms, k)
-		}
-	}
-}
-
 // Reset zeroes every registered metric (the metrics stay registered).
 func (r *Registry) Reset() {
 	r.mu.Lock()

@@ -48,7 +48,6 @@ const (
 	ECHILD    Errno = "ECHILD"
 	EINTR     Errno = "EINTR"
 	ESRCH     Errno = "ESRCH"
-	EMFILE    Errno = "EMFILE"
 
 	// The connection errnos carried by the socket layer (§5.3): a
 	// refused dial, a reset transport, and a peer that violated the
@@ -176,8 +175,6 @@ func errnoText(e Errno) string {
 		return "interrupted system call"
 	case ESRCH:
 		return "no such process"
-	case EMFILE:
-		return "too many open files"
 	case ECONNREFUSED:
 		return "connection refused"
 	case ECONNRESET:

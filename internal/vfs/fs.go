@@ -26,7 +26,6 @@ type FS struct {
 
 	fds    map[int]*FD
 	nextFD int
-	maxFDs int // 0 = unlimited; Open fails with EMFILE at the cap
 
 	cwd string
 
@@ -82,31 +81,8 @@ func (fs *FS) Chdir(path string, cb func(error)) {
 // parent's cwd first.
 func (fs *FS) SetCwd(path string) { fs.cwd = vkernel.Resolve(fs.cwd, path) }
 
-// SetMaxFDs caps the number of simultaneously open descriptors (the
-// per-tenant fd budget); Open fails with EMFILE at the cap. Zero or
-// negative removes the cap.
-func (fs *FS) SetMaxFDs(n int) {
-	if n < 0 {
-		n = 0
-	}
-	fs.maxFDs = n
-}
-
 // OpenFDs reports the number of descriptors currently open.
 func (fs *FS) OpenFDs() int { return len(fs.fds) }
-
-// CloseAll force-closes every open descriptor without syncing dirty
-// contents — the SIGKILL-style teardown path: an evicted tenant's
-// buffered writes die with it, and its descriptor table is reclaimed.
-// It returns the number of descriptors dropped.
-func (fs *FS) CloseAll() int {
-	n := len(fs.fds)
-	for id, fd := range fs.fds {
-		fd.closed = true
-		delete(fs.fds, id)
-	}
-	return n
-}
 
 func (fs *FS) resolve(p string) string { return vkernel.Resolve(fs.cwd, p) }
 
@@ -195,10 +171,6 @@ func (fs *FS) Open(path, flagStr string, cb func(*FD, error)) {
 	}
 	if fs.root.ReadOnly() && flag.Has(FlagWrite) {
 		fs.deliver(func() { cb(nil, Err(EROFS, "open", p)) })
-		return
-	}
-	if fs.maxFDs > 0 && len(fs.fds) >= fs.maxFDs {
-		fs.deliver(func() { cb(nil, Err(EMFILE, "open", p)) })
 		return
 	}
 	finish := func(fd *FD, err error) { fs.deliver(func() { cb(fd, err) }) }
