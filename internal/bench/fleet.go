@@ -223,9 +223,8 @@ func fleetTenant(a *fleetAssets, i int) fleet.Tenant {
 	switch kind {
 	case "minic":
 		t.Start = func(env *fleet.Env, done func(error)) (*fleet.Handle, error) {
-			fs := env.NewFS(env.Root)
 			vm, err := minic.NewVM(env.Win, a.burn, minic.VMOptions{
-				FS:        fs,
+				FS:        env.NewFS(env.Root),
 				HeapSize:  256 << 10,
 				StackSize: 32 << 10,
 				Timeslice: fleetTimeslice,
@@ -239,7 +238,7 @@ func fleetTenant(a *fleetAssets, i int) fleet.Tenant {
 				}
 				done(err)
 			})
-			return &fleet.Handle{Runtime: vm.Runtime(), Heap: vm.Heap(), FS: fs}, nil
+			return &fleet.Handle{Runtime: vm.Runtime(), Heap: vm.Heap()}, nil
 		}
 	case "jvm":
 		t.Start = func(env *fleet.Env, done func(error)) (*fleet.Handle, error) {
@@ -324,7 +323,7 @@ func fleetTenant(a *fleetAssets, i int) fleet.Tenant {
 			reap(label+"/consumer", cons.PID)
 			// The observables follow the consumer (the JVM does the
 			// lion's share of the work).
-			return &fleet.Handle{Runtime: cons.Runtime(), FS: cons.FS}, nil
+			return &fleet.Handle{Runtime: cons.Runtime()}, nil
 		}
 	}
 	return t

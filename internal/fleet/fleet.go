@@ -32,8 +32,8 @@
 //     never imports a VM, so anything that can run on a loop — a JVM,
 //     a MiniC VM, a dsh pipeline — can be a tenant.
 //   - Shard hosts tenants on one loop: a repeating monitor tick
-//     publishes per-tenant observables (CPU, heap, fds, run-queue
-//     depth) and feeds the placement signal.
+//     publishes per-tenant observables (CPU, heap, run-queue depth)
+//     and feeds the placement signal.
 //   - Supervisor owns the shards: least-loaded placement keyed off
 //     run-queue depth, Submit/Wait/Close, and the /debug/fleet
 //     snapshot.
@@ -62,8 +62,6 @@ type Handle struct {
 	Runtime *core.Runtime
 	// Heap is the tenant's unmanaged heap (bytes in use).
 	Heap *umheap.Heap
-	// FS is the tenant's file-system front end (open descriptors).
-	FS *vfs.FS
 }
 
 // StartFunc launches a tenant's workload on env's event loop. It is

@@ -298,13 +298,12 @@ func minicTenant(t *testing.T, label, src string) fleet.Tenant {
 	return fleet.Tenant{
 		Label: label,
 		Start: func(env *fleet.Env, done func(error)) (*fleet.Handle, error) {
-			fs := env.NewFS(env.Root)
-			vm, err := minic.NewVM(env.Win, prog, minic.VMOptions{FS: fs, HeapSize: 64 << 10, StackSize: 8 << 10})
+			vm, err := minic.NewVM(env.Win, prog, minic.VMOptions{FS: env.NewFS(env.Root), HeapSize: 64 << 10, StackSize: 8 << 10})
 			if err != nil {
 				return nil, err
 			}
 			vm.Start(func(_ int32, err error) { done(err) })
-			return &fleet.Handle{Runtime: vm.Runtime(), Heap: vm.Heap(), FS: fs}, nil
+			return &fleet.Handle{Runtime: vm.Runtime(), Heap: vm.Heap()}, nil
 		},
 	}
 }

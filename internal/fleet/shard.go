@@ -172,9 +172,6 @@ func (sh *Shard) publish(t *tenant) (depth int) {
 			t.mHeap.Set(used)
 		}
 	}
-	if h.FS != nil {
-		t.fds.Store(int64(h.FS.OpenFDs()))
-	}
 	t.depth.Store(int64(depth))
 	if t.mDepth != nil {
 		t.mDepth.Set(int64(depth))
@@ -213,7 +210,6 @@ type tenant struct {
 
 	cpu      atomic.Int64 // nanoseconds of scheduler CPU time
 	heapUsed atomic.Int64
-	fds      atomic.Int64
 	depth    atomic.Int64
 
 	lastSlices int64 // loop-goroutine only; feeds the slices counter

@@ -197,7 +197,6 @@ type TenantInfo struct {
 	Detail    string      `json:"detail,omitempty"`
 	CPUMs     int64       `json:"cpu_ms"`
 	HeapUsed  int64       `json:"heap_used"`
-	FDs       int64       `json:"fds"`
 	RunqDepth int64       `json:"runq_depth"`
 	LatencyMs int64       `json:"latency_ms,omitempty"`
 }
@@ -244,7 +243,6 @@ func (s *Supervisor) Snapshot() FleetSnapshot {
 			State:     t.state,
 			CPUMs:     time.Duration(t.cpu.Load()).Milliseconds(),
 			HeapUsed:  t.heapUsed.Load(),
-			FDs:       t.fds.Load(),
 			RunqDepth: t.depth.Load(),
 		}
 		if t.err != nil {
@@ -284,12 +282,12 @@ func (snap FleetSnapshot) Format() string {
 			sh.Index, sh.Live, sh.Load, sh.RunqDepth, sh.TasksRun, sh.BusyMs)
 	}
 	if len(snap.Tenants) > 0 {
-		b.WriteString("\ntenant                shard  state     cpu       heap        fds  runq\n")
+		b.WriteString("\ntenant                shard  state     cpu       heap        runq\n")
 		tenants := append([]TenantInfo(nil), snap.Tenants...)
 		sort.Slice(tenants, func(i, j int) bool { return tenants[i].Label < tenants[j].Label })
 		for _, t := range tenants {
-			fmt.Fprintf(&b, "%-20s  %5d  %-8s  %6dms  %-10d  %3d  %4d\n",
-				t.Label, t.Shard, t.State, t.CPUMs, t.HeapUsed, t.FDs, t.RunqDepth)
+			fmt.Fprintf(&b, "%-20s  %5d  %-8s  %6dms  %-10d  %4d\n",
+				t.Label, t.Shard, t.State, t.CPUMs, t.HeapUsed, t.RunqDepth)
 			if t.Detail != "" {
 				fmt.Fprintf(&b, "    %s\n", t.Detail)
 			}

@@ -1,7 +1,9 @@
-// Package fstrace records and replays file system call traces — the
+// Package fstrace generates and replays file system call traces — the
 // methodology of the paper's Figure 6, which replays "recorded file
 // system calls from DOPPIOJVM's javac benchmark" against the Doppio
-// file system and against Node JS on the native file system.
+// file system and against Node JS on the native file system. The
+// trace is generated to the recorded trace's published profile
+// (PaperParams), not recorded from a run.
 package fstrace
 
 import (
@@ -396,33 +398,4 @@ func ReplayOS(root string, t *Trace) (okOps int, err error) {
 		}
 	}
 	return ok, nil
-}
-
-// Recorder captures the operations a live vfs.FS performs — attach it
-// with fs.OnOp to record a real workload's trace, as the paper did
-// with javac.
-type Recorder struct {
-	Ops []Op
-}
-
-// Attach hooks the recorder into the file system.
-func (r *Recorder) Attach(fs *vfs.FS) {
-	fs.OnOp = func(op, path string) {
-		var kind OpKind
-		switch op {
-		case "stat", "fstat":
-			kind = OpStat
-		case "readFile", "read", "open":
-			kind = OpRead
-		case "writeFile", "write", "appendFile":
-			kind = OpWrite
-		case "readdir":
-			kind = OpReaddir
-		case "exists":
-			kind = OpExists
-		default:
-			return
-		}
-		r.Ops = append(r.Ops, Op{Kind: kind, Path: path})
-	}
 }

@@ -86,30 +86,6 @@ func TestReplayOS(t *testing.T) {
 	}
 }
 
-func TestRecorder(t *testing.T) {
-	win := browser.NewWindow(browser.Chrome28)
-	bufs := &buffer.Factory{Typed: true}
-	fs := vfs.New(win.Loop, bufs, vfs.NewInMemory())
-	var rec Recorder
-	rec.Attach(fs)
-	win.Loop.Post("ops", func() {
-		fs.WriteFile("/a.txt", []byte("hi"), func(error) {
-			fs.ReadFile("/a.txt", func(b *buffer.Buffer, err error) {
-				fs.Stat("/a.txt", func(vfs.Stats, error) {})
-			})
-		})
-	})
-	if err := win.Loop.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Ops) != 3 {
-		t.Fatalf("recorded %d ops: %+v", len(rec.Ops), rec.Ops)
-	}
-	if rec.Ops[0].Kind != OpWrite || rec.Ops[1].Kind != OpRead || rec.Ops[2].Kind != OpStat {
-		t.Errorf("ops = %+v", rec.Ops)
-	}
-}
-
 func TestReplayVFSWithTelemetry(t *testing.T) {
 	tr := Generate(GenerateParams{Ops: 120, UniqueFiles: 12, BytesRead: 12 * 128, BytesWritten: 256})
 	hub := telemetry.NewHub()

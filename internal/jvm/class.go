@@ -202,6 +202,44 @@ func (m *Method) Key() string { return m.Name + m.Desc }
 // String renders Class.method(desc).
 func (m *Method) String() string { return m.Class.Name + "." + m.Name + m.Desc }
 
+// handler finds the entry of m's exception table that catches ex in a
+// frame of m and returns its handler pc. Both engines' unwinders share
+// it. A frame matches at the pc of its instruction in progress: the
+// instruction that raised, or the one that triggered the <clinit> the
+// frame is parked on; or, when calling is set, the invoke the frame
+// waits on. A waiting frame's pc has already moved past the invoke to
+// its return pc. Ranges start and end on instruction boundaries, so
+// pc-1, the invoke's last byte, matches exactly the ranges the
+// invoke's own pc does. catchClass resolves a catch type by name; a
+// nil class never matches.
+func (m *Method) handler(pc int, calling bool, ex *Object, catchClass func(name string) *Class) (int, bool) {
+	if m.Code == nil {
+		return 0, false
+	}
+	if calling {
+		pc--
+	}
+	for _, e := range m.Code.Exceptions {
+		if pc < int(e.StartPC) || pc >= int(e.EndPC) {
+			continue
+		}
+		if e.CatchType != 0 {
+			cc := catchClass(m.Class.CP[e.CatchType].Str)
+			if cc == nil || !ex.Class.SubclassOf(cc) {
+				continue
+			}
+		}
+		return int(e.HandlerPC), true
+	}
+	return 0, false
+}
+
+// callerWaits reports whether the frame under a frame of m waits on it
+// as its callee. Every frame but a <clinit> is pushed by an invoke; a
+// <clinit> is pushed for the frame under it by an instruction that
+// re-executes once the initializer returns.
+func (m *Method) callerWaits() bool { return m.Name != "<clinit>" }
+
 // Field is a runtime field.
 type Field struct {
 	Class      *Class

@@ -940,9 +940,20 @@ func (v *VFSHostFS) List(path string, cb func([]string, error)) {
 	v.FS.Blocking(func() { v.FS.Readdir(path, cb) })
 }
 
-// Delete unlinks a file.
+// Delete removes a file, or an empty directory as java.io.File.delete
+// does. A directory answers Unlink with EISDIR, and the Rmdir that
+// follows is issued from the held callback under its own Blocking, so
+// an inline answer still settles inline.
 func (v *VFSHostFS) Delete(path string, cb func(error)) {
-	v.FS.Blocking(func() { v.FS.Unlink(path, cb) })
+	v.FS.Blocking(func() {
+		v.FS.Unlink(path, func(err error) {
+			if !vfs.IsErrno(err, vfs.EISDIR) {
+				cb(err)
+				return
+			}
+			v.FS.Blocking(func() { v.FS.Rmdir(path, cb) })
+		})
+	})
 }
 
 // Mkdir creates a directory.

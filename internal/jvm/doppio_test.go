@@ -448,6 +448,95 @@ public class Main {
         System.out.println(sum);
     }
 }`,
+	// The three try-range shapes: a call that ends its range, a call
+	// just before a range, and a class initializer triggered at a
+	// range's start. Each runs in a loop long enough for the quickened
+	// invoke forms to run; TestTryRangeOutput pins their text.
+	"tryRangeEscape": `
+public class Main {
+    static void thrower() {
+        throw new RuntimeException("boom");
+    }
+    public static void main(String[] args) {
+        int caught = 0;
+        int nativeCaught = 0;
+        String msg = "";
+        int[] src = new int[2];
+        int[] dst = new int[2];
+        for (int i = 0; i < 200; i++) {
+            try {
+                thrower();
+            } catch (RuntimeException e) {
+                caught++;
+                msg = e.getMessage();
+            }
+            try {
+                System.arraycopy(src, 0, dst, 1, 2);
+            } catch (RuntimeException e) {
+                nativeCaught++;
+            }
+        }
+        if (caught == 200 && nativeCaught == 200) {
+            System.out.println("caught " + msg);
+        }
+        System.out.println("done");
+    }
+}`,
+	"tryRangeWrongHandler": `
+public class Main {
+    static int fHandled = 0;
+    static void thrower() {
+        throw new RuntimeException("wrong");
+    }
+    static void f() {
+        thrower();
+        try {
+            System.out.println("in try");
+        } catch (RuntimeException e) {
+            fHandled++;
+        }
+    }
+    public static void main(String[] args) {
+        int mainHandled = 0;
+        for (int i = 0; i < 200; i++) {
+            try {
+                f();
+            } catch (RuntimeException e) {
+                mainHandled++;
+            }
+        }
+        if (fHandled > 0) {
+            System.out.println("f handler");
+        }
+        if (mainHandled == 200) {
+            System.out.println("main handler");
+        }
+    }
+}`,
+	"tryRangeClinit": `
+class Boom {
+    static int x = Boom.init();
+    static int init() {
+        throw new RuntimeException("clinit");
+    }
+}
+public class Main {
+    public static void main(String[] args) {
+        int sum = 0;
+        for (int i = 0; i < 200; i++) {
+            sum = sum + i;
+            if (i == 150) {
+                try {
+                    int y = Boom.x;
+                    sum = sum + y;
+                } catch (Throwable e) {
+                    System.out.println("caught");
+                }
+            }
+        }
+        System.out.println("done");
+    }
+}`,
 	"quickCasts": `
 class Animal { int legs() { return 4; } }
 class Dog extends Animal { }
@@ -509,6 +598,29 @@ func TestDoppioMatchesNativeEngine(t *testing.T) {
 				t.Errorf("engines disagree:\nnative: %q\ndoppio: %q", nativeOut, doppioOut)
 			}
 		})
+	}
+}
+
+// TestTryRangeOutput pins the try-range shapes' output on the native
+// engine and on the Doppio engine, quicken on and off: each frame
+// matches its handler ranges at the instruction in progress, the
+// invoke for a frame waiting on its callee and the triggering
+// instruction for a frame parked on a class initializer.
+func TestTryRangeOutput(t *testing.T) {
+	for name, want := range map[string]string{
+		"tryRangeEscape":       "caught boom\ndone\n",
+		"tryRangeWrongHandler": "main handler\n",
+		"tryRangeClinit":       "caught\ndone\n",
+	} {
+		src := conformancePrograms[name]
+		if out, err := runNativeErr(t, src); out != want || err != nil {
+			t.Errorf("%s native: %q, %v; want %q", name, out, err, want)
+		}
+		for _, quicken := range []bool{false, true} {
+			if out, err, _ := runDoppioQuick(t, src, quicken, 2*time.Millisecond); out != want || err != nil {
+				t.Errorf("%s doppio quicken=%v: %q, %v; want %q", name, quicken, out, err, want)
+			}
+		}
 	}
 }
 

@@ -126,3 +126,70 @@ func TestClassPathProbeSettlesInline(t *testing.T) {
 		t.Errorf("BytesAsync = %x, %v", got, gotErr)
 	}
 }
+
+// TestFileDeleteRemovesEmptyDirectory pins java.io.File.delete on a
+// directory: like Java's, it removes an empty one and refuses a
+// non-empty one, on the native engine over the host file system and on
+// the Doppio engine over the VFS, quicken on and off.
+func TestFileDeleteRemovesEmptyDirectory(t *testing.T) {
+	classes, err := rt.CompileWith(map[string]string{"Main.mj": `
+import java.io.File;
+import java.io.FileOutputStream;
+
+public class Main {
+    public static void main(String[] args) {
+        File d = new File("/d");
+        System.out.println("mkdir " + d.mkdir());
+        System.out.println("delete " + d.delete());
+        System.out.println("exists " + d.exists());
+        File e = new File("/e");
+        e.mkdir();
+        FileOutputStream w = new FileOutputStream("/e/f");
+        w.writeString("x");
+        w.close();
+        System.out.println("non-empty delete " + e.delete());
+        System.out.println("exists " + e.exists());
+    }
+}`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "mkdir true\ndelete true\nexists false\nnon-empty delete false\nexists true\n"
+	var native bytes.Buffer
+	vm := jvm.NewNativeVM(jvm.MapProvider(classes), jvm.NativeOptions{
+		Stdout: &native, Stderr: &native, FS: jvm.OSHostFS{Root: t.TempDir()},
+	})
+	if err := vm.RunMain("Main", nil); err != nil {
+		t.Fatalf("native: %v\n%s", err, native.String())
+	}
+	if native.String() != want {
+		t.Errorf("native printed %q, want %q", native.String(), want)
+	}
+	for _, quicken := range []bool{false, true} {
+		got, _ := runFileOps(t, classes, quicken, func(*browser.Window) vfs.Backend { return vfs.NewInMemory() })
+		if got != want {
+			t.Errorf("doppio quicken=%v printed %q, want %q", quicken, got, want)
+		}
+	}
+
+	// The Rmdir that follows Unlink's EISDIR still settles inline.
+	win := browser.NewWindow(browser.Chrome28)
+	store := vfs.NewInMemory()
+	store.Mkdir("/d", func(error) {})
+	host := &jvm.VFSHostFS{FS: vfs.New(win.Loop, &buffer.Factory{Typed: true}, store)}
+	delivered := false
+	win.Loop.Post("delete", func() {
+		host.Delete("/d", func(err error) {
+			if err != nil {
+				t.Errorf("delete /d: %v", err)
+			}
+			delivered = true
+		})
+		if !delivered {
+			t.Error("directory delete not settled before Delete returned")
+		}
+	})
+	if err := win.Loop.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

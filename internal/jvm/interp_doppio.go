@@ -175,7 +175,7 @@ func (d *DThread) applyDeposit() {
 	if d.depThrown != nil {
 		ex := d.depThrown
 		d.depValue, d.depThrown = nil, nil
-		d.vm.unwindD(d, ex)
+		d.vm.unwindD(d, ex, true)
 		return
 	}
 	if len(d.frames) == 0 {
@@ -186,42 +186,39 @@ func (d *DThread) applyDeposit() {
 	d.depValue = nil
 }
 
-// throwD constructs and unwinds a VM-generated exception.
+// throwD constructs a VM-generated exception raised by the top frame's
+// own instruction and unwinds with it.
 func (vm *DoppioVM) throwD(d *DThread, class, msg string) {
-	vm.unwindD(d, vm.MakeThrowable(class, msg))
+	vm.unwindD(d, vm.MakeThrowable(class, msg), false)
+}
+
+// throwInCallD constructs a VM-generated exception raised by the call
+// the top frame is making, and unwinds with it.
+func (vm *DoppioVM) throwInCallD(d *DThread, class, msg string) {
+	vm.unwindD(d, vm.MakeThrowable(class, msg), true)
 }
 
 // unwindD walks the explicit frame array for a handler (§6.6:
 // "DOPPIOJVM emulates JVM exception handling semantics by iterating
 // through its virtual stack representation until it finds a stack
 // frame with an applicable exception handler, or until it empties the
-// stack and exits with an error").
-func (vm *DoppioVM) unwindD(d *DThread, ex *Object) {
+// stack and exits with an error"). calling reports that the top frame
+// waits on a call (a native or an abstract method raised after its pc
+// moved past the invoke).
+func (vm *DoppioVM) unwindD(d *DThread, ex *Object, calling bool) {
 	for len(d.frames) > 0 {
 		f := d.frames[len(d.frames)-1]
-		if f.m.Code != nil {
-			for _, e := range f.m.Code.Exceptions {
-				if f.pc < int(e.StartPC) || f.pc >= int(e.EndPC) {
-					continue
-				}
-				if e.CatchType != 0 {
-					catchName := f.m.Class.CP[e.CatchType].Str
-					// A class that was never loaded can have no
-					// instances, so an unloaded catch type never
-					// matches.
-					cc := vm.Reg.Get(catchName)
-					if cc == nil || !ex.Class.SubclassOf(cc) {
-						continue
-					}
-				}
-				f.pc = int(e.HandlerPC)
-				f.stack = f.stack[:0]
-				f.pushR(ex)
-				return
-			}
+		// A class that was never loaded can have no instances, so an
+		// unloaded catch type never matches.
+		if hpc, ok := f.m.handler(f.pc, calling, ex, vm.Reg.Get); ok {
+			f.pc = hpc
+			f.stack = f.stack[:0]
+			f.pushR(ex)
+			return
 		}
 		f.span.End()
 		d.frames = d.frames[:len(d.frames)-1]
+		calling = f.m.callerWaits()
 	}
 	fmt.Fprintf(vm.stderr, "Exception in thread %d %s\n%s", d.id, vm.describeThrowable(ex), traceOf(ex))
 	if vm.Uncaught == nil {
@@ -1093,7 +1090,7 @@ func (d *DThread) Run(ct *core.Thread) core.RunResult {
 				vm.throwD(d, "java/lang/NullPointerException", "athrow")
 				continue
 			}
-			vm.unwindD(d, ex)
+			vm.unwindD(d, ex, false)
 			continue
 
 		case classfile.OpCheckcast:
@@ -1313,7 +1310,7 @@ func (d *DThread) invokeResolved(ct *core.Thread, f *DFrame, m *Method, hasRecv 
 		return d.invokeNativeD(ct, f, m, hasRecv)
 	}
 	if m.Code == nil {
-		vm.throwD(d, "java/lang/Error", "abstract method invoked: "+m.String())
+		vm.throwInCallD(d, "java/lang/Error", "abstract method invoked: "+m.String())
 		return runContinue
 	}
 	nf := d.frameFor(m)
@@ -1848,12 +1845,12 @@ func (d *DThread) invokeNativeD(ct *core.Thread, f *DFrame, m *Method, hasRecv b
 	vm := d.vm
 	fn := m.resolveNative(vm.natives)
 	if fn == nil {
-		vm.throwD(d, "java/lang/Error", "UnsatisfiedLinkError: "+m.String())
+		vm.throwInCallD(d, "java/lang/Error", "UnsatisfiedLinkError: "+m.String())
 		return runContinue
 	}
 	recv, args := decodeArgsD(m, f, hasRecv)
 	if hasRecv && recv == nil {
-		vm.throwD(d, "java/lang/NullPointerException", m.Name)
+		vm.throwInCallD(d, "java/lang/NullPointerException", m.Name)
 		return runContinue
 	}
 	d.depRet = m.RetDesc
@@ -1872,7 +1869,7 @@ func (d *DThread) invokeNativeD(ct *core.Thread, f *DFrame, m *Method, hasRecv b
 		launch := d.pendingLaunch
 		d.pendingLaunch = nil
 		if launch == nil {
-			vm.throwD(d, "java/lang/Error", "async native without BlockAndCall: "+m.String())
+			vm.throwInCallD(d, "java/lang/Error", "async native without BlockAndCall: "+m.String())
 			return runContinue
 		}
 		if tel != nil {
@@ -1893,7 +1890,7 @@ func (d *DThread) invokeNativeD(ct *core.Thread, f *DFrame, m *Method, hasRecv b
 		d.applyDeposit()
 		return runContinue
 	case res.Thrown != nil:
-		vm.unwindD(d, res.Thrown)
+		vm.unwindD(d, res.Thrown, true)
 		return runContinue
 	default:
 		encodePushD(f, m.RetDesc, res.Value)

@@ -108,7 +108,7 @@ func (vm *NativeVM) applyDeposit(t *NThread) {
 	if t.depThrown != nil {
 		ex := t.depThrown
 		t.depValue, t.depThrown = nil, nil
-		vm.unwind(t, ex)
+		vm.unwind(t, ex, true)
 		return
 	}
 	if len(t.frames) == 0 {
@@ -188,7 +188,7 @@ func (vm *NativeVM) invoke(t *NThread, caller *NFrame, m *Method, hasRecv bool) 
 		return
 	}
 	if m.Code == nil {
-		vm.throwByName(t, "java/lang/Error", "abstract method invoked: "+m.String())
+		vm.throwInCall(t, "java/lang/Error", "abstract method invoked: "+m.String())
 		return
 	}
 	nf := newNFrame(m)
@@ -204,12 +204,12 @@ func (vm *NativeVM) invoke(t *NThread, caller *NFrame, m *Method, hasRecv bool) 
 func (vm *NativeVM) invokeNative(t *NThread, caller *NFrame, m *Method, hasRecv bool) {
 	fn := m.resolveNative(vm.natives)
 	if fn == nil {
-		vm.throwByName(t, "java/lang/Error", "UnsatisfiedLinkError: "+m.String())
+		vm.throwInCall(t, "java/lang/Error", "UnsatisfiedLinkError: "+m.String())
 		return
 	}
 	recv, args := decodeArgs(m, caller, hasRecv)
 	if hasRecv && recv == nil {
-		vm.throwByName(t, "java/lang/NullPointerException", m.Name)
+		vm.throwInCall(t, "java/lang/NullPointerException", m.Name)
 		return
 	}
 	t.depRet = m.RetDesc
@@ -221,7 +221,7 @@ func (vm *NativeVM) invokeNative(t *NThread, caller *NFrame, m *Method, hasRecv 
 		}
 		// Otherwise the thread blocked; resume applies the deposit.
 	case res.Thrown != nil:
-		vm.unwind(t, res.Thrown)
+		vm.unwind(t, res.Thrown, true)
 	default:
 		encodePush(caller, m.RetDesc, res.Value)
 	}
@@ -1063,7 +1063,7 @@ func (vm *NativeVM) execute(t *NThread, quantum int) error {
 				vm.throwByName(t, "java/lang/NullPointerException", "athrow")
 				continue
 			}
-			vm.unwind(t, ex)
+			vm.unwind(t, ex, false)
 			continue
 
 		case classfile.OpCheckcast:

@@ -322,35 +322,32 @@ func (vm *NativeVM) ensureInit(t *NThread, c *Class) error {
 	return nil
 }
 
-// throwByName constructs and unwinds with a VM-generated exception.
+// throwByName constructs a VM-generated exception raised by the top
+// frame's own instruction and unwinds with it.
 func (vm *NativeVM) throwByName(t *NThread, class, msg string) {
-	ex := vm.MakeThrowable(class, msg)
-	vm.unwind(t, ex)
+	vm.unwind(t, vm.MakeThrowable(class, msg), false)
+}
+
+// throwInCall constructs a VM-generated exception raised by the call
+// the top frame is making, and unwinds with it.
+func (vm *NativeVM) throwInCall(t *NThread, class, msg string) {
+	vm.unwind(t, vm.MakeThrowable(class, msg), true)
 }
 
 // unwind implements §6.6: walk the virtual stack for a handler.
-func (vm *NativeVM) unwind(t *NThread, ex *Object) {
+// calling reports that the top frame waits on a call (a native or an
+// abstract method raised after its pc moved past the invoke).
+func (vm *NativeVM) unwind(t *NThread, ex *Object, calling bool) {
 	for len(t.frames) > 0 {
 		f := t.frames[len(t.frames)-1]
-		if f.m.Code != nil {
-			for _, e := range f.m.Code.Exceptions {
-				if f.pc < int(e.StartPC) || f.pc >= int(e.EndPC) {
-					continue
-				}
-				if e.CatchType != 0 {
-					catchName := f.m.Class.CP[e.CatchType].Str
-					cc, err := vm.loader.Load(catchName)
-					if err != nil || !ex.Class.SubclassOf(cc) {
-						continue
-					}
-				}
-				f.pc = int(e.HandlerPC)
-				f.sp = 0
-				f.pushR(ex)
-				return
-			}
+		if hpc, ok := f.m.handler(f.pc, calling, ex, vm.catchClass); ok {
+			f.pc = hpc
+			f.sp = 0
+			f.pushR(ex)
+			return
 		}
 		t.frames = t.frames[:len(t.frames)-1]
+		calling = f.m.callerWaits()
 	}
 	// Uncaught: thread dies.
 	fmt.Fprintf(vm.stderr, "Exception in thread %d %s\n%s", t.id, vm.describeThrowable(ex), traceOf(ex))
@@ -358,6 +355,16 @@ func (vm *NativeVM) unwind(t *NThread, ex *Object) {
 	if vm.Uncaught == nil {
 		vm.Uncaught = ex
 	}
+}
+
+// catchClass loads a catch type; a class that fails to load catches
+// nothing.
+func (vm *NativeVM) catchClass(name string) *Class {
+	c, err := vm.loader.Load(name)
+	if err != nil {
+		return nil
+	}
+	return c
 }
 
 func (vm *NativeVM) killThread(t *NThread) {

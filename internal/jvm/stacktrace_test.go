@@ -46,7 +46,6 @@ public class Main {
         made.printStackTrace();
         try {
             thrower(2);
-            sink++; // a call that ends a try range escapes it (ROADMAP item 5)
         } catch (IllegalStateException e) {
             e.printStackTrace();
         }
@@ -92,9 +91,9 @@ java.lang.IllegalStateException: thrown deep
 	at Main.main(pc=44)
 java.lang.ArithmeticException: / by zero
 	at Main.divide(pc=2)
-	at Main.main(pc=66)
+	at Main.main(pc=63)
 java.lang.ArrayIndexOutOfBoundsException: 1000
-	at Main.main(pc=90)
+	at Main.main(pc=87)
 1000
 Exception in thread %d Boom: made deep
 	at java.lang.Throwable.<init>(pc=13)

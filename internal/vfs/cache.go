@@ -46,12 +46,11 @@ type CacheStatser interface {
 // byte-budgeted LRU whole-file page cache, a stat cache that also
 // remembers negative (ENOENT) results, and a readdir cache. Every Sync
 // and namespace mutation reaches the backend before its callback runs;
-// the cache buffers no writes, because §5.1's file objects already
-// batch a file's writes into one Sync on close. Like Instrument, the
-// wrapper preserves the backend's optional link capability, so a type
-// assertion against the result matches the wrapped backend. Wrapping a
-// *MountFS registers an invalidation hook: Mount/Unmount drop all
-// cached state, since routing changed underneath the cache.
+// the cache buffers no writes, because its callers already write whole
+// files (DoppioJVM's FileOutputStream batches a file's writes into one
+// writeFile on close). Wrapping a *MountFS registers an invalidation
+// hook: Mount drops all cached state, since routing changed underneath
+// the cache.
 //
 // The cache assumes it is the only writer to the backend (the standard
 // single-window assumption of §5.1's browser-local backends); external
@@ -100,19 +99,12 @@ func NewCached(b Backend, opts CacheOptions) Backend {
 	if m, ok := Find[*MountFS](b); ok {
 		m.onChange = func(string) { c.InvalidateAll() }
 	}
-	// The link variant embeds *Cached (not Cached by value, which would
-	// copy the mutex).
-	if lb, ok := b.(LinkBackend); ok {
-		c.lb = lb
-		return &cachedLink{c}
-	}
 	return c
 }
 
 // Cached is the caching decorator state; construct it with NewCached.
 type Cached struct {
-	b  Backend
-	lb LinkBackend
+	b Backend
 
 	mu     sync.Mutex
 	budget int
@@ -260,8 +252,6 @@ func (c *Cached) now() time.Time {
 	return time.Now()
 }
 
-// ---- mandatory Backend surface ----
-
 // Stat serves from the stat cache (including negative entries) and
 // populates it on miss. Only ENOENT is cached negatively; transient
 // errors are not remembered.
@@ -343,8 +333,8 @@ func (c *Cached) Sync(p string, data []byte, cb func(error)) {
 		if err == nil {
 			c.mu.Lock()
 			c.insertPageLocked(p, cp)
-			// Don't fabricate a stat: backends decorate Stats with
-			// modes/times the cache can't know. Refetch on demand.
+			// Don't fabricate a stat: a stat entry holds what the
+			// backend answered. Refetch on demand.
 			delete(c.stats, p)
 			dir, base := vkernel.SplitDir(p)
 			c.addNameLocked(dir, base)
@@ -480,23 +470,3 @@ func (c *Cached) Rename(oldPath, newPath string, cb func(error)) {
 		cb(err)
 	})
 }
-
-// ---- optional link capability ----
-
-// cachedLink adds the optional link capability.
-type cachedLink struct{ *Cached }
-
-func (c *cachedLink) Symlink(target, p string, cb func(error)) {
-	c.lb.Symlink(target, p, func(err error) {
-		if err == nil {
-			c.mu.Lock()
-			delete(c.stats, p)
-			dir, base := vkernel.SplitDir(p)
-			c.addNameLocked(dir, base)
-			c.mu.Unlock()
-		}
-		cb(err)
-	})
-}
-
-func (c *cachedLink) Readlink(p string, cb func(string, error)) { c.lb.Readlink(p, cb) }

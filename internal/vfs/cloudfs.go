@@ -228,27 +228,69 @@ func (c *CloudFS) Readdir(p string, cb func([]string, error)) {
 	})
 }
 
-// Rename moves a file within the account.
+// Rename moves a file, or a directory with its subtree, within the
+// account. The target follows InMemory's rules: its parent must be a
+// directory, a directory target must be empty, and a file cannot
+// replace a directory.
 func (c *CloudFS) Rename(oldPath, newPath string, cb func(error)) {
 	c.store.call(c.loop, func() {
 		c.store.mu.Lock()
 		defer c.store.mu.Unlock()
-		data, ok := c.store.files[oldPath]
-		if !ok {
-			cb(Err(ENOENT, "rename", oldPath))
-			return
-		}
-		if c.store.dirs[newPath] {
-			cb(Err(EISDIR, "rename", newPath))
-			return
-		}
-		dir, _ := splitDir(newPath)
-		if !c.store.dirs[dir] {
-			cb(Err(ENOENT, "rename", newPath))
-			return
-		}
-		delete(c.store.files, oldPath)
-		c.store.files[newPath] = data
-		cb(nil)
+		cb(c.store.renameLocked(oldPath, newPath))
 	})
+}
+
+func (c *CloudStore) renameLocked(oldPath, newPath string) error {
+	data, isFile := c.files[oldPath]
+	switch {
+	case !isFile && !c.dirs[oldPath]:
+		return Err(ENOENT, "rename", oldPath)
+	case oldPath == newPath:
+		return nil
+	}
+	dir, _ := splitDir(newPath)
+	if !c.dirs[dir] {
+		if _, ok := c.files[dir]; ok {
+			return Err(ENOTDIR, "rename", newPath)
+		}
+		return Err(ENOENT, "rename", newPath)
+	}
+	if c.dirs[newPath] {
+		if len(c.childrenLocked(newPath)) > 0 {
+			return Err(ENOTEMPTY, "rename", newPath)
+		}
+		if isFile {
+			return Err(EISDIR, "rename", newPath)
+		}
+	}
+	if isFile {
+		delete(c.files, oldPath)
+		c.files[newPath] = data
+		return nil
+	}
+	// A directory replaces the target, then its subtree moves under
+	// the new name.
+	delete(c.files, newPath)
+	moved := func(p string) string { return newPath + p[len(oldPath):] }
+	files := make(map[string][]byte)
+	for p, d := range c.files {
+		if vkernel.Under(p, oldPath) {
+			files[moved(p)] = d
+			delete(c.files, p)
+		}
+	}
+	var dirs []string
+	for p := range c.dirs {
+		if vkernel.Under(p, oldPath) {
+			dirs = append(dirs, moved(p))
+			delete(c.dirs, p)
+		}
+	}
+	for p, d := range files {
+		c.files[p] = d
+	}
+	for _, p := range dirs {
+		c.dirs[p] = true
+	}
+	return nil
 }

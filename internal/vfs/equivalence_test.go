@@ -52,12 +52,13 @@ func (s *sealed) verify(t *testing.T) {
 // observable outcomes — the §5.1 contract that the unified API gives
 // "full-featured read/write functionality" regardless of the storage
 // mechanism underneath. Every backend also runs wrapped in the caching
-// decorator: the cache must be observationally invisible. Each variant
-// runs sealed: the op stream mutates files through an FD, AppendFile,
-// Truncate and the Buffers ReadFile returns, and no slice any Open
-// delivered may change. It also overwrites every Readdir result, which
-// belongs to its caller: a backend or decorator that hands out a
-// listing it keeps serves the scribbles back. The blocking arm drives
+// decorator: the cache must be observationally invisible. The stream
+// mixes file writes with mkdir, rmdir, unlink and rename of files and
+// directories alike. Each variant runs sealed: the op stream mutates
+// files through AppendFile and the Buffers ReadFile returns, and no
+// slice any Open delivered may change. It also overwrites every
+// Readdir result, which belongs to its caller: a backend or decorator
+// that hands out a listing it keeps serves the scribbles back. The blocking arm drives
 // the same stream through FS.Blocking, the guests' blocking entry
 // point, on every variant and the bare InMemory backend: delivering
 // inline answers inline must not change a single result.
@@ -122,15 +123,12 @@ func TestBackendEquivalence(t *testing.T) {
 				err := h.rename(p, other)
 				record("rename "+p+" "+other, "", err)
 			case 6:
-				err := h.overwrite(p, []byte(fmt.Sprintf("fd%d", i)))
-				record("fd write "+p, "", err)
+				record("mkdir "+p, "", h.mkdir(p))
 			case 7:
 				err := h.appendFile(p, []byte(fmt.Sprintf("+%d", i)))
 				record("append "+p, "", err)
 			case 8:
-				size := next(12)
-				err := h.truncate(p, size)
-				record(fmt.Sprintf("truncate %s %d", p, size), "", err)
+				record("rmdir "+p, "", h.rmdir(p))
 			case 9:
 				// Scribble over the returned Buffer: the stored file
 				// must not change.

@@ -10,13 +10,14 @@
 // suspend-and-resume to expose synchronous file APIs to programs
 // (§4.2, §6.3).
 //
-// Backends implement the nine-method API of §5.1 ("Backend API"):
-// rename, stat, open, unlink, rmdir, mkdir, readdir, close, sync —
-// close and sync appear here as the kernel's sync-on-close file
-// objects and the backend Sync method. The kernel standardizes
-// arguments, resolves relative paths, raises the appropriate errno
-// errors, and supplies the shared whole-file-in-memory file
-// implementation, so each backend stays small.
+// Backends implement the backend API of §5.1 ("Backend API"):
+// rename, stat, open, unlink, rmdir, mkdir, readdir and sync, which
+// store and load whole files. The kernel standardizes arguments,
+// resolves relative paths and raises the appropriate errno errors, so
+// each backend stays small. §5.1's file descriptors, symlinks and
+// Node path module are left out: every guest here reads and writes
+// whole files, and DoppioJVM's FileOutputStream keeps its own
+// sync-on-close buffer.
 package vfs
 
 import (
@@ -34,13 +35,11 @@ const (
 	EISDIR    Errno = "EISDIR"
 	ENOTDIR   Errno = "ENOTDIR"
 	ENOTEMPTY Errno = "ENOTEMPTY"
-	EBADF     Errno = "EBADF"
 	EINVAL    Errno = "EINVAL"
 	EPERM     Errno = "EPERM"
 	EROFS     Errno = "EROFS"
 	ENOSPC    Errno = "ENOSPC"
 	EXDEV     Errno = "EXDEV"
-	ENOTSUP   Errno = "ENOTSUP"
 	EIO       Errno = "EIO"
 	EAGAIN    Errno = "EAGAIN"
 	ETIMEDOUT Errno = "ETIMEDOUT"
@@ -147,8 +146,6 @@ func errnoText(e Errno) string {
 		return "not a directory"
 	case ENOTEMPTY:
 		return "directory not empty"
-	case EBADF:
-		return "bad file descriptor"
 	case EINVAL:
 		return "invalid argument"
 	case EPERM:
@@ -159,8 +156,6 @@ func errnoText(e Errno) string {
 		return "no space left on device"
 	case EXDEV:
 		return "cross-device link"
-	case ENOTSUP:
-		return "operation not supported"
 	case EIO:
 		return "input/output error"
 	case EAGAIN:

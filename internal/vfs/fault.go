@@ -21,26 +21,18 @@ import "doppio/internal/vfs/faultfs"
 //     error; Sync commits a prefix to the backend and reports a
 //     transient error. Ops that carry no payload treat Short as ErrPre.
 //
-// Like Instrument and NewCached, the wrapper preserves the backend's
-// optional link capability. A nil injector (or a plan that cannot
-// inject) returns the backend unchanged.
+// A nil injector (or a plan that cannot inject) returns the backend
+// unchanged.
 func NewFaulty(b Backend, inj *faultfs.Injector) Backend {
 	if b == nil || inj == nil || !inj.Plan().Enabled() {
 		return b
 	}
-	base := &faulty{b: b, inj: inj}
-	if lb, ok := b.(LinkBackend); ok {
-		base.lb = lb
-		return &faultyLink{base}
-	}
-	return base
+	return &faulty{b: b, inj: inj}
 }
 
-// faulty decorates the mandatory Backend surface; the link variant
-// embeds it, mirroring instrument.go.
+// faulty is the fault-injecting decorator.
 type faulty struct {
 	b   Backend
-	lb  LinkBackend
 	inj *faultfs.Injector
 }
 
@@ -149,22 +141,4 @@ func (f *faulty) Readdir(p string, cb func([]string, error)) {
 
 func (f *faulty) Rename(oldPath, newPath string, cb func(error)) {
 	f.errOp("rename", oldPath, func(cb2 func(error)) { f.b.Rename(oldPath, newPath, cb2) }, cb)
-}
-
-// faultyLink adds the optional link capability.
-type faultyLink struct{ *faulty }
-
-func (f *faultyLink) Symlink(target, path string, cb func(error)) {
-	f.errOp("symlink", path, func(cb2 func(error)) { f.lb.Symlink(target, path, cb2) }, cb)
-}
-
-func (f *faultyLink) Readlink(path string, cb func(string, error)) {
-	switch f.inj.Next("readlink").Kind {
-	case faultfs.ErrPre, faultfs.Short:
-		cb("", Err(EIO, "readlink", path))
-	case faultfs.ErrPost:
-		f.lb.Readlink(path, func(string, error) { cb("", Err(EIO, "readlink", path)) })
-	default:
-		f.lb.Readlink(path, cb)
-	}
 }

@@ -15,25 +15,20 @@ import (
 // a guest thread on the callback anyway: there an answer the backend
 // chain gives inline is delivered inline too.
 //
-// An open descriptor holds its whole file in a Buffer and writes it
-// back with one Sync on Close or FSync (§5.1's NFS-style
-// sync-on-close). That is the only write buffering between a caller
-// and the backend: every decorator below writes through.
+// Every call works on whole files, as the backends store them: a read
+// loads the file, a write replaces it with one Sync. Nothing between a
+// caller and the backend buffers writes; a guest that wants §5.1's
+// sync-on-close batches its own (DoppioJVM's FileOutputStream issues
+// one writeFile on close).
 type FS struct {
 	loop *eventloop.Loop
 	bufs *buffer.Factory
 	root Backend
 
-	fds    map[int]*FD
-	nextFD int
-
 	cwd string
 
-	// Ops counts file system operations as they are issued (used by
-	// the Figure 6 trace benchmark).
-	Ops int
 	// OnOp, if non-nil, observes each operation as it is issued —
-	// the hook the fstrace recorder attaches to.
+	// the hook perfbench's fs workload counts guest operations with.
 	OnOp func(op, path string)
 
 	// While Blocking runs its call, holding is set and deliver appends
@@ -46,7 +41,7 @@ type FS struct {
 // and allocating file buffers from bufs. The initial working
 // directory is "/".
 func New(loop *eventloop.Loop, bufs *buffer.Factory, root Backend) *FS {
-	return &FS{loop: loop, bufs: bufs, root: root, fds: make(map[int]*FD), cwd: "/"}
+	return &FS{loop: loop, bufs: bufs, root: root, cwd: "/"}
 }
 
 // Root returns the root backend.
@@ -81,13 +76,9 @@ func (fs *FS) Chdir(path string, cb func(error)) {
 // parent's cwd first.
 func (fs *FS) SetCwd(path string) { fs.cwd = vkernel.Resolve(fs.cwd, path) }
 
-// OpenFDs reports the number of descriptors currently open.
-func (fs *FS) OpenFDs() int { return len(fs.fds) }
-
 func (fs *FS) resolve(p string) string { return vkernel.Resolve(fs.cwd, p) }
 
 func (fs *FS) note(op, path string) {
-	fs.Ops++
 	if fs.OnOp != nil {
 		fs.OnOp(op, path)
 	}
@@ -135,228 +126,8 @@ func (fs *FS) deliverErr(cb func(error), err error) {
 	fs.deliver(func() { cb(err) })
 }
 
-// --- file descriptors ---
-
-// FD is a file descriptor object. Unlike Unix integer descriptors,
-// Doppio file descriptors are objects (§5.1): they hold the file's
-// entire contents in memory and implement NFS-style sync-on-close.
-type FD struct {
-	fs     *FS
-	id     int
-	path   string
-	flag   Flag
-	data   *buffer.Buffer
-	pos    int
-	dirty  bool
-	closed bool
-}
-
-// Path returns the file's absolute path.
-func (fd *FD) Path() string { return fd.path }
-
-// ID returns the numeric descriptor id (for display only).
-func (fd *FD) ID() int { return fd.id }
-
-// Size returns the current in-memory file size.
-func (fd *FD) Size() int { return fd.data.Len() }
-
-// Open opens path with a Node flag string ("r", "w", "a+", ...).
-func (fs *FS) Open(path, flagStr string, cb func(*FD, error)) {
-	p := fs.resolve(path)
-	fs.note("open", p)
-	flag, err := ParseFlag(flagStr)
-	if err != nil {
-		fs.deliver(func() { cb(nil, err) })
-		return
-	}
-	if fs.root.ReadOnly() && flag.Has(FlagWrite) {
-		fs.deliver(func() { cb(nil, Err(EROFS, "open", p)) })
-		return
-	}
-	finish := func(fd *FD, err error) { fs.deliver(func() { cb(fd, err) }) }
-	newFD := func(data *buffer.Buffer, dirty bool) *FD {
-		fs.nextFD++
-		fd := &FD{fs: fs, id: fs.nextFD, path: p, flag: flag, data: data, dirty: dirty}
-		fs.fds[fd.id] = fd
-		return fd
-	}
-	fs.root.Stat(p, func(st Stats, statErr error) {
-		switch {
-		case statErr == nil && st.IsDirectory():
-			finish(nil, Err(EISDIR, "open", p))
-		case statErr == nil:
-			if flag.Has(FlagExclusive) {
-				finish(nil, Err(EEXIST, "open", p))
-				return
-			}
-			if flag.Has(FlagTruncate) {
-				finish(newFD(fs.bufs.New(0), true), nil)
-				return
-			}
-			fs.root.Open(p, func(data []byte, err error) {
-				if err != nil {
-					finish(nil, err)
-					return
-				}
-				// The FD's Buffer is the mutable copy of the
-				// backend's read-only slice.
-				fd := newFD(fs.bufs.FromBytes(data), false)
-				if flag.Has(FlagAppend) {
-					fd.pos = fd.data.Len()
-				}
-				finish(fd, nil)
-			})
-		case IsErrno(statErr, ENOENT) && flag.Has(FlagCreate):
-			// Creating: the parent directory must exist.
-			dir, _ := splitDir(p)
-			fs.root.Stat(dir, func(dst Stats, derr error) {
-				switch {
-				case derr != nil:
-					finish(nil, Err(ENOENT, "open", p))
-				case !dst.IsDirectory():
-					finish(nil, Err(ENOTDIR, "open", p))
-				default:
-					finish(newFD(fs.bufs.New(0), true), nil)
-				}
-			})
-		default:
-			finish(nil, statErr)
-		}
-	})
-}
-
-// Close closes the descriptor, syncing dirty contents back to the
-// backend (sync-on-close).
-func (fs *FS) Close(fd *FD, cb func(error)) {
-	fs.note("close", fd.path)
-	if fd.closed {
-		fs.deliverErr(cb, Err(EBADF, "close", fd.path))
-		return
-	}
-	fd.closed = true
-	delete(fs.fds, fd.id)
-	if !fd.dirty {
-		fs.deliverErr(cb, nil)
-		return
-	}
-	fs.root.Sync(fd.path, fd.data.Bytes(), func(err error) {
-		fs.deliverErr(cb, err)
-	})
-}
-
-// FSync flushes dirty contents without closing.
-func (fs *FS) FSync(fd *FD, cb func(error)) {
-	fs.note("fsync", fd.path)
-	if fd.closed {
-		fs.deliverErr(cb, Err(EBADF, "fsync", fd.path))
-		return
-	}
-	if !fd.dirty {
-		fs.deliverErr(cb, nil)
-		return
-	}
-	fs.root.Sync(fd.path, fd.data.Bytes(), func(err error) {
-		if err == nil {
-			fd.dirty = false
-		}
-		fs.deliverErr(cb, err)
-	})
-}
-
-// Read copies up to length bytes from the file at position pos
-// (or the current position when pos < 0) into dst at dstOff and
-// advances the position. It reports 0 bytes at EOF.
-func (fs *FS) Read(fd *FD, dst *buffer.Buffer, dstOff, length, pos int, cb func(n int, err error)) {
-	fs.note("read", fd.path)
-	fs.deliver(func() {
-		if fd.closed || !fd.flag.Has(FlagRead) {
-			cb(0, Err(EBADF, "read", fd.path))
-			return
-		}
-		p := pos
-		if p < 0 {
-			p = fd.pos
-		}
-		n := length
-		if rem := fd.data.Len() - p; n > rem {
-			n = rem
-		}
-		if n <= 0 {
-			cb(0, nil)
-			return
-		}
-		fd.data.Copy(dst, dstOff, p, p+n)
-		if pos < 0 {
-			fd.pos = p + n
-		}
-		cb(n, nil)
-	})
-}
-
-// Write copies length bytes from src at srcOff into the file at
-// position pos (current position when pos < 0; end of file under the
-// append flag), growing the file as needed.
-func (fs *FS) Write(fd *FD, src *buffer.Buffer, srcOff, length, pos int, cb func(n int, err error)) {
-	fs.note("write", fd.path)
-	fs.deliver(func() {
-		if fd.closed || !fd.flag.Has(FlagWrite) {
-			cb(0, Err(EBADF, "write", fd.path))
-			return
-		}
-		p := pos
-		if fd.flag.Has(FlagAppend) {
-			p = fd.data.Len()
-		} else if p < 0 {
-			p = fd.pos
-		}
-		if end := p + length; end > fd.data.Len() {
-			grown := fs.bufs.New(end)
-			fd.data.Copy(grown, 0, 0, fd.data.Len())
-			fd.data = grown
-		}
-		src.Copy(fd.data, p, srcOff, srcOff+length)
-		fd.dirty = true
-		if pos < 0 || fd.flag.Has(FlagAppend) {
-			fd.pos = p + length
-		}
-		cb(length, nil)
-	})
-}
-
-// FStat describes an open file.
-func (fs *FS) FStat(fd *FD, cb func(Stats, error)) {
-	fs.note("fstat", fd.path)
-	fs.deliver(func() {
-		if fd.closed {
-			cb(Stats{}, Err(EBADF, "fstat", fd.path))
-			return
-		}
-		cb(Stats{Type: TypeFile, Size: int64(fd.data.Len())}, nil)
-	})
-}
-
-// FTruncate resizes an open file.
-func (fs *FS) FTruncate(fd *FD, size int, cb func(error)) {
-	fs.note("ftruncate", fd.path)
-	fs.deliver(func() {
-		if fd.closed || !fd.flag.Has(FlagWrite) {
-			cb(Err(EBADF, "ftruncate", fd.path))
-			return
-		}
-		resized := fs.bufs.New(size)
-		n := fd.data.Len()
-		if n > size {
-			n = size
-		}
-		fd.data.Copy(resized, 0, 0, n)
-		fd.data = resized
-		fd.dirty = true
-		cb(nil)
-	})
-}
-
-// --- whole-file and metadata convenience API (standardized in terms
-// of the nine core backend methods, as §5.1 describes) ---
+// --- the whole-file and metadata API (standardized in terms of the
+// core backend methods, as §5.1 describes) ---
 
 // ReadFile loads the entire file at path into a fresh Buffer the
 // caller owns.
@@ -517,7 +288,7 @@ func (fs *FS) Mkdir(path string, cb func(error)) {
 
 // MkdirAll creates path and any missing parents (not part of Node's
 // fs, but simulated here in terms of Mkdir as the §5.1 kernel
-// simulates redundant APIs in terms of the core nine).
+// simulates redundant APIs in terms of the core backend methods).
 func (fs *FS) MkdirAll(path string, cb func(error)) {
 	p := fs.resolve(path)
 	var make func(string, func(error))
@@ -564,49 +335,4 @@ func (fs *FS) Rename(oldPath, newPath string, cb func(error)) {
 		return
 	}
 	fs.root.Rename(op, np, func(err error) { fs.deliverErr(cb, err) })
-}
-
-// Truncate resizes the file at path.
-func (fs *FS) Truncate(path string, size int, cb func(error)) {
-	p := fs.resolve(path)
-	fs.note("truncate", p)
-	if fs.root.ReadOnly() {
-		fs.deliverErr(cb, Err(EROFS, "truncate", p))
-		return
-	}
-	fs.root.Open(p, func(data []byte, err error) {
-		if err != nil {
-			fs.deliverErr(cb, err)
-			return
-		}
-		resized := make([]byte, size)
-		copy(resized, data)
-		fs.root.Sync(p, resized, func(err error) { fs.deliverErr(cb, err) })
-	})
-}
-
-// Symlink creates a symbolic link (optional backend feature).
-func (fs *FS) Symlink(target, path string, cb func(error)) {
-	p := fs.resolve(path)
-	fs.note("symlink", p)
-	lb, ok := fs.root.(LinkBackend)
-	if !ok {
-		fs.deliverErr(cb, Err(ENOTSUP, "symlink", p))
-		return
-	}
-	lb.Symlink(target, p, func(err error) { fs.deliverErr(cb, err) })
-}
-
-// Readlink reads a symbolic link's target.
-func (fs *FS) Readlink(path string, cb func(string, error)) {
-	p := fs.resolve(path)
-	fs.note("readlink", p)
-	lb, ok := fs.root.(LinkBackend)
-	if !ok {
-		fs.deliver(func() { cb("", Err(ENOTSUP, "readlink", p)) })
-		return
-	}
-	lb.Readlink(p, func(target string, err error) {
-		fs.deliver(func() { cb(target, err) })
-	})
 }

@@ -3,15 +3,11 @@ package vfs
 import (
 	"sort"
 	"strings"
-	"time"
-
-	"doppio/internal/vfs/vkernel"
 )
 
 // InMemory is the temporary in-memory storage backend (§5.1, Figure 2:
 // "one provides temporary in-memory storage") — the analog of /tmp.
-// It keeps a real directory tree and additionally supports the
-// optional symlink operations (LinkBackend).
+// It keeps a real directory tree.
 type InMemory struct {
 	root *memNode
 }
@@ -20,10 +16,6 @@ type memNode struct {
 	typ      FileType
 	data     []byte
 	children map[string]*memNode
-	target   string // symlink target
-	mode     int
-	mtime    time.Time
-	atime    time.Time
 }
 
 // NewInMemory creates an empty in-memory file system.
@@ -32,7 +24,7 @@ func NewInMemory() *InMemory {
 }
 
 func newDirNode() *memNode {
-	return &memNode{typ: TypeDir, children: make(map[string]*memNode), mode: 0o777, mtime: time.Now()}
+	return &memNode{typ: TypeDir, children: make(map[string]*memNode)}
 }
 
 // Name identifies the backend.
@@ -41,16 +33,8 @@ func (m *InMemory) Name() string { return "InMemory" }
 // ReadOnly reports false: the backend is writable.
 func (m *InMemory) ReadOnly() bool { return false }
 
-// walk resolves a normalized absolute path to a node, following
-// symlinks in intermediate components (bounded depth).
-func (m *InMemory) walk(p string, followLeaf bool) (*memNode, error) {
-	return m.walkDepth(p, followLeaf, 0)
-}
-
-func (m *InMemory) walkDepth(p string, followLeaf bool, depth int) (*memNode, error) {
-	if depth > 16 {
-		return nil, Err(EINVAL, "walk", p)
-	}
+// walk resolves a normalized absolute path to a node.
+func (m *InMemory) walk(p string) (*memNode, error) {
 	node := m.root
 	if p == "/" {
 		return node, nil
@@ -66,16 +50,6 @@ func (m *InMemory) walkDepth(p string, followLeaf bool, depth int) (*memNode, er
 		if !ok {
 			return nil, Err(ENOENT, "walk", p)
 		}
-		if child.typ == TypeSymlink && (more || followLeaf) {
-			// Relative targets resolve against the link's directory —
-			// the same kernel resolution the front end applies to cwd.
-			linkDir := strings.TrimSuffix(p[:len(p)-len(rest)], "/")
-			resolved, err := m.walkDepth(vkernel.Resolve(linkDir, child.target), true, depth+1)
-			if err != nil {
-				return nil, err
-			}
-			child = resolved
-		}
 		node = child
 		if !more {
 			return node, nil
@@ -89,7 +63,7 @@ func (m *InMemory) parentOf(p, op string) (*memNode, string, error) {
 	if base == "" {
 		return nil, "", Err(EINVAL, op, p)
 	}
-	node, err := m.walk(dir, true)
+	node, err := m.walk(dir)
 	if err != nil {
 		return nil, "", Err(ENOENT, op, p)
 	}
@@ -99,34 +73,26 @@ func (m *InMemory) parentOf(p, op string) (*memNode, string, error) {
 	return node, base, nil
 }
 
-// Stat describes the node at path (following symlinks).
+// Stat describes the node at path.
 func (m *InMemory) Stat(p string, cb func(Stats, error)) {
-	node, err := m.walk(p, true)
+	node, err := m.walk(p)
 	if err != nil {
 		cb(Stats{}, Err(ENOENT, "stat", p))
 		return
 	}
-	cb(statOf(node), nil)
-}
-
-func statOf(n *memNode) Stats {
-	return Stats{
-		Type: n.typ, Size: int64(len(n.data)), Mode: n.mode,
-		Mtime: n.mtime, Atime: n.atime, Ctime: n.mtime,
-	}
+	cb(Stats{Type: node.typ, Size: int64(len(node.data))}, nil)
 }
 
 // Open delivers the file's stored contents without copying (see
 // Backend.Open).
 func (m *InMemory) Open(p string, cb func([]byte, error)) {
-	node, err := m.walk(p, true)
+	node, err := m.walk(p)
 	switch {
 	case err != nil:
 		cb(nil, Err(ENOENT, "open", p))
 	case node.typ == TypeDir:
 		cb(nil, Err(EISDIR, "open", p))
 	default:
-		node.atime = time.Now()
 		cb(node.data, nil)
 	}
 }
@@ -144,15 +110,14 @@ func (m *InMemory) Sync(p string, data []byte, cb func(error)) {
 		return
 	}
 	if !ok {
-		node = &memNode{typ: TypeFile, mode: 0o644}
+		node = &memNode{typ: TypeFile}
 		parent.children[base] = node
 	}
 	node.data = append([]byte(nil), data...)
-	node.mtime = time.Now()
 	cb(nil)
 }
 
-// Unlink removes a file or symlink.
+// Unlink removes a file.
 func (m *InMemory) Unlink(p string, cb func(error)) {
 	parent, base, err := m.parentOf(p, "unlink")
 	if err != nil {
@@ -209,7 +174,7 @@ func (m *InMemory) Mkdir(p string, cb func(error)) {
 
 // Readdir lists a directory's names, sorted.
 func (m *InMemory) Readdir(p string, cb func([]string, error)) {
-	node, err := m.walk(p, true)
+	node, err := m.walk(p)
 	switch {
 	case err != nil:
 		cb(nil, Err(ENOENT, "readdir", p))
@@ -255,32 +220,4 @@ func (m *InMemory) Rename(oldPath, newPath string, cb func(error)) {
 	delete(op.children, ob)
 	np.children[nb] = node
 	cb(nil)
-}
-
-// Symlink creates a symbolic link at path pointing at target.
-func (m *InMemory) Symlink(target, p string, cb func(error)) {
-	parent, base, err := m.parentOf(p, "symlink")
-	if err != nil {
-		cb(err)
-		return
-	}
-	if _, ok := parent.children[base]; ok {
-		cb(Err(EEXIST, "symlink", p))
-		return
-	}
-	parent.children[base] = &memNode{typ: TypeSymlink, target: target, mode: 0o777, mtime: time.Now()}
-	cb(nil)
-}
-
-// Readlink returns a symlink's target.
-func (m *InMemory) Readlink(p string, cb func(string, error)) {
-	node, err := m.walk(p, false)
-	switch {
-	case err != nil:
-		cb("", Err(ENOENT, "readlink", p))
-	case node.typ != TypeSymlink:
-		cb("", Err(EINVAL, "readlink", p))
-	default:
-		cb(node.target, nil)
-	}
 }

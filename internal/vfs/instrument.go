@@ -8,10 +8,7 @@ import (
 
 // Instrument wraps a backend so every operation's latency is recorded
 // into per-backend histograms in the hub's registry (subsystem
-// "vfs.<Name>", one histogram per op) plus an "ops" counter. The
-// wrapper preserves the backend's optional link capability: the result
-// implements LinkBackend exactly when the wrapped backend does, so the
-// kernel's feature detection is unaffected.
+// "vfs.<Name>", one histogram per op) plus an "ops" counter.
 // A nil hub returns the backend unchanged.
 func Instrument(b Backend, h *telemetry.Hub) Backend {
 	if b == nil || h == nil {
@@ -19,7 +16,7 @@ func Instrument(b Backend, h *telemetry.Hub) Backend {
 	}
 	sub := "vfs." + b.Name()
 	reg := h.Registry
-	base := &instrumented{
+	return &instrumented{
 		b:       b,
 		flight:  h.Flight,
 		ops:     reg.Counter(sub, "ops"),
@@ -32,27 +29,16 @@ func Instrument(b Backend, h *telemetry.Hub) Backend {
 		readdir: reg.Histogram(sub, "readdir"),
 		rename:  reg.Histogram(sub, "rename"),
 	}
-	if lb, ok := b.(LinkBackend); ok {
-		base.lb = lb
-		base.symlink = reg.Histogram(sub, "symlink")
-		base.readlink = reg.Histogram(sub, "readlink")
-		return &instrumentedLink{*base}
-	}
-	return base
 }
 
-// instrumented decorates the mandatory Backend surface. The optional
-// link methods live on the embedding variant below so that type
-// assertions against the wrapper match the wrapped backend.
+// instrumented is the latency-recording decorator.
 type instrumented struct {
-	b  Backend
-	lb LinkBackend
+	b Backend
 
 	ops    *telemetry.Counter
 	flight *telemetry.FlightRecorder
 
 	stat, open, sync, unlink, rmdir, mkdir, readdir, rename *telemetry.Histogram
-	symlink, readlink                                       *telemetry.Histogram
 }
 
 func (i *instrumented) done(h *telemetry.Histogram, start time.Time, op, path string, err error) {
@@ -115,17 +101,4 @@ func (i *instrumented) Readdir(path string, cb func([]string, error)) {
 func (i *instrumented) Rename(oldPath, newPath string, cb func(error)) {
 	start := time.Now()
 	i.b.Rename(oldPath, newPath, func(err error) { i.done(i.rename, start, "rename", oldPath+" -> "+newPath, err); cb(err) })
-}
-
-// instrumentedLink adds the optional link capability.
-type instrumentedLink struct{ instrumented }
-
-func (i *instrumentedLink) Symlink(target, path string, cb func(error)) {
-	start := time.Now()
-	i.lb.Symlink(target, path, func(err error) { i.done(i.symlink, start, "symlink", path, err); cb(err) })
-}
-
-func (i *instrumentedLink) Readlink(path string, cb func(string, error)) {
-	start := time.Now()
-	i.lb.Readlink(path, func(target string, err error) { i.done(i.readlink, start, "readlink", path, err); cb(target, err) })
 }

@@ -3,15 +3,8 @@ package vfs
 import (
 	"testing"
 
-	"doppio/internal/browser"
-	"doppio/internal/buffer"
 	"doppio/internal/telemetry"
 )
-
-func newFlatKVForTest() *FlatKV {
-	w := browser.NewWindow(browser.Chrome28)
-	return NewLocalStorageFS(w.LocalStorage, &buffer.Factory{})
-}
 
 func TestInstrumentRecordsPerOpLatency(t *testing.T) {
 	hub := telemetry.NewHub()
@@ -52,34 +45,6 @@ func TestInstrumentRecordsPerOpLatency(t *testing.T) {
 	}
 	if got := reg.Counter("vfs.InMemory", "ops").Value(); got != 4 {
 		t.Errorf("ops = %d, want 4", got)
-	}
-}
-
-func TestInstrumentPreservesOptionalCapabilities(t *testing.T) {
-	hub := telemetry.NewHub()
-
-	// InMemory supports links; the wrapper must too.
-	mem := Instrument(NewInMemory(), hub)
-	lb, ok := mem.(LinkBackend)
-	if !ok {
-		t.Fatal("instrumented InMemory lost LinkBackend")
-	}
-	done := make(chan struct{})
-	lb.Symlink("/target", "/link", func(err error) {
-		if err != nil {
-			t.Errorf("symlink: %v", err)
-		}
-		close(done)
-	})
-	<-done
-	if got := hub.Registry.Histogram("vfs.InMemory", "symlink").Count(); got != 1 {
-		t.Errorf("symlink count = %d, want 1", got)
-	}
-
-	// FlatKV does not; the wrapper must not invent it.
-	kv := Instrument(newFlatKVForTest(), hub)
-	if _, ok := kv.(LinkBackend); ok {
-		t.Fatal("instrumented FlatKV gained LinkBackend")
 	}
 }
 

@@ -304,7 +304,9 @@ func (f *FlatKV) Readdir(p string, cb func([]string, error)) {
 }
 
 // Rename moves a file (directory renames move the marker and all
-// descendants).
+// descendants). The target follows InMemory's rules: its parent must be
+// a directory, a directory target must be empty, a file cannot replace
+// a directory, and whatever the source replaces is cleared first.
 func (f *FlatKV) Rename(oldPath, newPath string, cb func(error)) {
 	if oldPath == newPath {
 		// Moving a node onto itself changes nothing, but the node must
@@ -320,12 +322,18 @@ func (f *FlatKV) Rename(oldPath, newPath string, cb func(error)) {
 	}
 	f.kv.get(fileKeyPrefix+oldPath, func(val string, ok bool) {
 		if ok {
-			f.kv.put(fileKeyPrefix+newPath, val, func(err error) {
+			f.clearTarget(newPath, false, func(err error) {
 				if err != nil {
-					cb(kvErr(err, "rename", newPath))
+					cb(err)
 					return
 				}
-				f.kv.del(fileKeyPrefix+oldPath, func() { cb(nil) })
+				f.kv.put(fileKeyPrefix+newPath, val, func(err error) {
+					if err != nil {
+						cb(kvErr(err, "rename", newPath))
+						return
+					}
+					f.kv.del(fileKeyPrefix+oldPath, func() { cb(nil) })
+				})
 			})
 			return
 		}
@@ -334,39 +342,88 @@ func (f *FlatKV) Rename(oldPath, newPath string, cb func(error)) {
 				cb(Err(ENOENT, "rename", oldPath))
 				return
 			}
-			// Move the directory marker and every descendant key.
-			f.kv.keys(func(keys []string) {
-				moves := [][2]string{{dirKeyPrefix + oldPath, dirKeyPrefix + newPath}}
-				for _, key := range keys {
-					for _, prefix := range []string{fileKeyPrefix, dirKeyPrefix} {
-						if strings.HasPrefix(key, prefix+oldPath+"/") {
-							moves = append(moves, [2]string{key, prefix + newPath + key[len(prefix+oldPath):]})
-						}
-					}
+			f.clearTarget(newPath, true, func(err error) {
+				if err != nil {
+					cb(err)
+					return
 				}
-				var step func(i int)
-				step = func(i int) {
-					if i == len(moves) {
-						cb(nil)
-						return
-					}
-					from, to := moves[i][0], moves[i][1]
-					f.kv.get(from, func(val string, ok bool) {
-						if !ok {
-							step(i + 1)
-							return
-						}
-						f.kv.put(to, val, func(err error) {
-							if err != nil {
-								cb(kvErr(err, "rename", newPath))
-								return
-							}
-							f.kv.del(from, func() { step(i + 1) })
-						})
-					})
-				}
-				step(0)
+				f.moveTree(oldPath, newPath, cb)
 			})
 		})
+	})
+}
+
+// clearTarget checks a rename's target as InMemory does and clears
+// what the source replaces. Only a directory source replacing a file
+// needs a delete: a file source's put overwrites a file's key, and a
+// directory source rewrites an empty directory's marker.
+func (f *FlatKV) clearTarget(newPath string, srcDir bool, cb func(error)) {
+	dir, _ := splitDir(newPath)
+	f.statNode(dir, func(typ FileType, _ int, exists bool) {
+		switch {
+		case !exists:
+			cb(Err(ENOENT, "rename", newPath))
+			return
+		case typ != TypeDir:
+			cb(Err(ENOTDIR, "rename", newPath))
+			return
+		}
+		f.kv.get(dirKeyPrefix+newPath, func(_ string, isDir bool) {
+			if !isDir {
+				if srcDir {
+					f.kv.del(fileKeyPrefix+newPath, func() { cb(nil) })
+					return
+				}
+				cb(nil) // the put replaces a file target
+				return
+			}
+			f.kv.keys(func(keys []string) {
+				switch {
+				case len(childNames(keys, newPath)) > 0:
+					cb(Err(ENOTEMPTY, "rename", newPath))
+				case !srcDir:
+					cb(Err(EISDIR, "rename", newPath))
+				default:
+					cb(nil)
+				}
+			})
+		})
+	})
+}
+
+// moveTree moves the directory marker at oldPath and every descendant
+// key to newPath.
+func (f *FlatKV) moveTree(oldPath, newPath string, cb func(error)) {
+	f.kv.keys(func(keys []string) {
+		moves := [][2]string{{dirKeyPrefix + oldPath, dirKeyPrefix + newPath}}
+		for _, key := range keys {
+			for _, prefix := range []string{fileKeyPrefix, dirKeyPrefix} {
+				if strings.HasPrefix(key, prefix+oldPath+"/") {
+					moves = append(moves, [2]string{key, prefix + newPath + key[len(prefix+oldPath):]})
+				}
+			}
+		}
+		var step func(i int)
+		step = func(i int) {
+			if i == len(moves) {
+				cb(nil)
+				return
+			}
+			from, to := moves[i][0], moves[i][1]
+			f.kv.get(from, func(val string, ok bool) {
+				if !ok {
+					step(i + 1)
+					return
+				}
+				f.kv.put(to, val, func(err error) {
+					if err != nil {
+						cb(kvErr(err, "rename", newPath))
+						return
+					}
+					f.kv.del(from, func() { step(i + 1) })
+				})
+			})
+		}
+		step(0)
 	})
 }

@@ -18,8 +18,8 @@ type MountFS struct {
 	root   Backend
 	mounts []mountPoint // sorted longest prefix first
 
-	// onChange observes Mount/Unmount with the affected prefix; a
-	// Cached wrapping this MountFS registers here so routing changes
+	// onChange observes Mount with the affected prefix; a Cached
+	// wrapping this MountFS registers here so routing changes
 	// invalidate its cached state.
 	onChange func(path string)
 }
@@ -41,19 +41,6 @@ func (m *MountFS) Mount(path string, b Backend) {
 	m.mounts = append(m.mounts, mountPoint{at: path, b: b})
 	sort.Slice(m.mounts, func(i, j int) bool { return len(m.mounts[i].at) > len(m.mounts[j].at) })
 	m.notifyChange(path)
-}
-
-// Unmount detaches the backend at path, reporting whether one existed.
-func (m *MountFS) Unmount(path string) bool {
-	path = vkernel.Clean(strings.TrimSuffix(path, "/"))
-	for i, mp := range m.mounts {
-		if mp.at == path {
-			m.mounts = append(m.mounts[:i], m.mounts[i+1:]...)
-			m.notifyChange(path)
-			return true
-		}
-	}
-	return false
 }
 
 func (m *MountFS) notifyChange(path string) {

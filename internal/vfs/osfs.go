@@ -54,7 +54,7 @@ func (o *OSBackend) Stat(p string, cb func(Stats, error)) {
 		if err != nil {
 			return func() { cb(Stats{}, Err(ENOENT, "stat", p)) }
 		}
-		st := Stats{Type: TypeFile, Size: fi.Size(), Mtime: fi.ModTime()}
+		st := Stats{Type: TypeFile, Size: fi.Size()}
 		if fi.IsDir() {
 			st.Type = TypeDir
 		}

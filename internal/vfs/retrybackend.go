@@ -47,7 +47,7 @@ type RetryStatser interface {
 //     ETIMEDOUT) are retried with exponential backoff and jitter, up
 //     to the policy's attempt bound; the last attempt's error is the
 //     operation's.
-//   - Non-idempotent mutations (mkdir, unlink, rmdir, rename, symlink)
+//   - Non-idempotent mutations (mkdir, unlink, rmdir, rename)
 //     are never blindly re-issued after a transient failure: the reply
 //     may have been lost *after* the backend committed. Before the
 //     first attempt the decorator takes a pre-flight existence probe —
@@ -65,8 +65,8 @@ type RetryStatser interface {
 //     directly: the backend's final errno is the correct answer. Reads
 //     and whole-file Sync are idempotent and always retried directly.
 //
-// The wrapper preserves the backend's optional link capability,
-// exposes RetryStats, and reports into hub under "vfsretry.<Name>".
+// The wrapper exposes RetryStats and reports into hub under
+// "vfsretry.<Name>".
 func NewRetry(b Backend, o RetryOptions) Backend {
 	if b == nil {
 		return nil
@@ -99,18 +99,12 @@ func NewRetry(b Backend, o RetryOptions) Backend {
 		r.verifies = &telemetry.Counter{}
 		r.backoffNs = &telemetry.Counter{}
 	}
-	if lb, ok := b.(LinkBackend); ok {
-		r.lb = lb
-		return &retryingLink{r}
-	}
 	return r
 }
 
-// retrying decorates the mandatory Backend surface; the link variant
-// embeds it.
+// retrying is the retry decorator.
 type retrying struct {
-	b  Backend
-	lb LinkBackend
+	b Backend
 
 	pol  retry.Policy
 	loop *eventloop.Loop
@@ -284,8 +278,6 @@ func (r *retrying) runVerify(verify verifyFn, done func(bool)) {
 	probe()
 }
 
-// ---- mandatory Backend surface ----
-
 func (r *retrying) Stat(p string, cb func(Stats, error)) {
 	var st Stats
 	r.run(func(done func(error)) {
@@ -446,60 +438,4 @@ func (r *retrying) Rename(oldPath, newPath string, cb func(error)) {
 	}
 	r.runMutation(r.statPre(oldPath), mkVerify,
 		func(done func(error)) { r.b.Rename(oldPath, newPath, done) }, cb)
-}
-
-// ---- optional link capability ----
-
-// retryingLink adds the optional link capability.
-type retryingLink struct{ *retrying }
-
-func (r *retryingLink) Symlink(target, p string, cb func(error)) {
-	// The pre-flight probe must not follow symlinks, so it uses
-	// Readlink: EINVAL means a non-link node occupies the path.
-	pre := func(cb func(bool, error)) {
-		r.lb.Readlink(p, func(_ string, err error) {
-			switch {
-			case err == nil, IsErrno(err, EINVAL):
-				cb(true, nil)
-			case IsErrno(err, ENOENT):
-				cb(false, nil)
-			default:
-				cb(false, err)
-			}
-		})
-	}
-	mkVerify := func(existed bool) verifyFn {
-		if existed {
-			// The path was occupied — the attempt cannot commit; plain
-			// retries preserve the backend's final EEXIST.
-			return nil
-		}
-		return func(cb func(bool, error)) {
-			// Committed iff the link now resolves to our target.
-			r.lb.Readlink(p, func(got string, err error) {
-				switch {
-				case err == nil:
-					cb(got == target, nil)
-				case IsErrno(err, ENOENT), IsErrno(err, EINVAL):
-					cb(false, nil)
-				default:
-					cb(false, err)
-				}
-			})
-		}
-	}
-	r.runMutation(pre, mkVerify,
-		func(done func(error)) { r.lb.Symlink(target, p, done) }, cb)
-}
-
-func (r *retryingLink) Readlink(p string, cb func(string, error)) {
-	var target string
-	r.run(func(done func(error)) {
-		r.lb.Readlink(p, func(t string, err error) { target = t; done(err) })
-	}, func(err error) {
-		if err != nil {
-			target = ""
-		}
-		cb(target, err)
-	})
 }

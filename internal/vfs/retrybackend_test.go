@@ -326,14 +326,11 @@ func TestRetryShortReadNeverLeaksPartialData(t *testing.T) {
 	}
 }
 
-// TestRetryPreservesCapabilities: wrapping a backend with the optional
-// link capability must preserve it.
+// TestRetryPreservesCapabilities: the retry wrapper exposes its
+// counters and unwraps to the backend it wraps.
 func TestRetryPreservesCapabilities(t *testing.T) {
-	full := NewInMemory() // has Symlink/Readlink
+	full := NewInMemory()
 	wrapped := NewRetry(full, RetryOptions{})
-	if _, ok := wrapped.(LinkBackend); !ok {
-		t.Error("retry wrapper dropped LinkBackend")
-	}
 	if _, ok := wrapped.(RetryStatser); !ok {
 		t.Error("retry wrapper has no RetryStats")
 	}

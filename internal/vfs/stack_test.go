@@ -118,25 +118,6 @@ func TestStackCacheServesWhileBackendFails(t *testing.T) {
 	}
 }
 
-// TestFaultyPreservesLinkCapability: like the other decorators, the
-// fault injector implements LinkBackend exactly when the backend it
-// wraps does, and the link calls draw from the injector.
-func TestFaultyPreservesLinkCapability(t *testing.T) {
-	inj := faultfs.New(faultfs.Plan{Seed: 1, ErrRate: 0.5})
-	lb, ok := NewFaulty(NewInMemory(), inj).(LinkBackend)
-	if !ok {
-		t.Fatal("faulty InMemory lost LinkBackend")
-	}
-	if _, ok := NewFaulty(newFlatKVForTest(), inj).(LinkBackend); ok {
-		t.Fatal("faulty FlatKV gained LinkBackend")
-	}
-	lb.Symlink("/target", "/link", func(error) {})
-	lb.Readlink("/link", func(string, error) {})
-	if st := inj.Stats(); st.Ops != 2 {
-		t.Fatalf("injector saw %d ops, want 2 (symlink, readlink)", st.Ops)
-	}
-}
-
 // dupDetect sits under the fault injector and records "duplicate
 // symptoms": errors that can only arise when a committed non-idempotent
 // mutation is re-issued. The workload above performs each mutation on a

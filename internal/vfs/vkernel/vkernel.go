@@ -7,8 +7,8 @@
 // composition, and the individual backends — resolves, routes, and
 // prefix-matches through these helpers, so normalization and
 // prefix-matching behave identically everywhere instead of being
-// re-implemented per layer. The package has no dependencies; both
-// the vpath Node-path emulation and the vfs kernel build on it.
+// re-implemented per layer. The package depends on the standard
+// library only.
 package vkernel
 
 import (
