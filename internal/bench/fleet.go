@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"doppio/internal/browser"
-	"doppio/internal/core"
 	"doppio/internal/fleet"
 	"doppio/internal/jvm"
 	"doppio/internal/minic"
@@ -112,11 +111,6 @@ public class FleetEcho {
         System.out.println("echoed " + got);
     }
 }`
-
-// fleetSockShedDepth is the WithShed threshold for sock tenants: high
-// enough that a healthy run never trips it (a tripped dial surfaces as
-// an IOException in the guest), low enough to bound a runaway loop.
-const fleetSockShedDepth = 256
 
 // Fleet constants: the timeslice of every tenant VM (short slices keep
 // tail latency honest when hundreds of tenants share a shard) and the
@@ -254,18 +248,8 @@ func fleetTenant(a *fleetAssets, i int) fleet.Tenant {
 	case "sock":
 		t.Start = func(env *fleet.Env, done func(error)) (*fleet.Handle, error) {
 			// Each tenant gets its own multiplexed Stack to the shared
-			// gateway; the shed option refuses new dials when this
-			// tenant's loop falls behind (EAGAIN, transient).
-			var rt *core.Runtime
-			conn := sockets.Stack(env.Win, a.sockAddr,
-				sockets.WithMux(4),
-				sockets.WithShed(func() int {
-					if rt == nil {
-						return 0
-					}
-					return rt.QueueDepth()
-				}, fleetSockShedDepth),
-			)
+			// gateway.
+			conn := sockets.Stack(env.Win, a.sockAddr, sockets.WithMux(4))
 			vm := jvm.NewDoppioVM(env.Win, jvm.DoppioOptions{
 				Provider:         jvm.MapProvider(a.sockClasses),
 				Timeslice:        fleetTimeslice,
@@ -275,7 +259,6 @@ func fleetTenant(a *fleetAssets, i int) fleet.Tenant {
 					conn.Dial(cb)
 				},
 			})
-			rt = vm.Runtime()
 			vm.StartMain("FleetEcho", nil, func(err error) {
 				conn.Close()
 				done(err)

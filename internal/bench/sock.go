@@ -3,8 +3,7 @@
 // connections and once as N mux streams packed onto
 // N/sockStreamsPerConn multiplexed sessions: equal work, same
 // transport, so the A/B isolates what the framing and flow control
-// cost. A separate shed phase drives the gateway past its ShedDepth
-// and checks the refusal/recovery behavior the fleet layer depends on.
+// cost.
 package bench
 
 import (
@@ -20,15 +19,13 @@ import (
 
 // Soak constants: mux streams per WebSocket session in the mux arm
 // (the plain arm always uses one connection per stream), echo round
-// trips per stream and their size, the shed phase's queue-depth
-// threshold, and the A/B's pair count. The whole soak runs over
-// in-memory pipes: a 10k-connection sweep on real TCP needs ~4 fds per
-// connection, past typical fd limits.
+// trips per stream and their size, and the A/B's pair count. The whole
+// soak runs over in-memory pipes: a 10k-connection sweep on real TCP
+// needs ~4 fds per connection, past typical fd limits.
 const (
 	sockStreamsPerConn = 100
 	sockMsgs           = 4
 	sockSize           = 256
-	sockShedDepth      = 8
 	sockPairs          = 3
 )
 
@@ -41,40 +38,22 @@ func sockConns(scale int) []int {
 	return []int{1000, 5000, 10000}
 }
 
-// SockShed is the shed phase: a gateway with a deliberately low
-// ShedDepth and a forced queue-depth reading, so admission control
-// must refuse SYNs, then admit them again on recovery.
-type SockShed struct {
-	ShedDepth int `json:"shed_depth"`
-	// Attempted streams while the gateway was overloaded; every one
-	// must come back RST(EAGAIN).
-	Attempted int   `json:"attempted"`
-	Shed      int64 `json:"shed"`
-	// Recovered streams opened after the depth reading dropped; every
-	// one must succeed and echo.
-	Recovered int `json:"recovered"`
-	// GatewayShed and Pauses are the gateway's own counters —
-	// admission refusals and credit-pause transitions.
-	GatewayShed int64 `json:"gateway_shed"`
-	Pauses      int64 `json:"gateway_pauses"`
-}
-
 // sockFabric is one echo target behind one gateway, both on
 // in-memory listeners.
 type sockFabric struct {
 	dialGW func() (net.Conn, error)
-	gw     *sockets.Websockify
 	close  func()
 }
 
-func newSockFabric(opts sockets.GatewayOptions) (*sockFabric, error) {
+func newSockFabric() (*sockFabric, error) {
 	echoLn := sockets.NewMemListener()
 	go sockEchoAccept(echoLn)
 	gwLn := sockets.NewMemListener()
-	opts.Listener = gwLn
-	opts.MaxStreams = sockStreamsPerConn + 16
-	opts.Dial = func(string) (net.Conn, error) { return echoLn.Dial() }
-	gw, err := sockets.NewGateway("", "mem:echo", opts)
+	gw, err := sockets.NewGateway("", "mem:echo", sockets.GatewayOptions{
+		Listener:   gwLn,
+		MaxStreams: sockStreamsPerConn + 16,
+		Dial:       func(string) (net.Conn, error) { return echoLn.Dial() },
+	})
 	if err != nil {
 		echoLn.Close()
 		gwLn.Close()
@@ -82,7 +61,6 @@ func newSockFabric(opts sockets.GatewayOptions) (*sockFabric, error) {
 	}
 	return &sockFabric{
 		dialGW: gwLn.Dial,
-		gw:     gw,
 		close: func() {
 			gw.Close()
 			echoLn.Close()
@@ -124,8 +102,7 @@ func sockPattern(buf []byte, stream, msg int) {
 	}
 }
 
-// runSock runs one plain-vs-mux comparison per connection count,
-// then the shed phase.
+// runSock runs one plain-vs-mux comparison per connection count.
 func runSock(cfg Config, conns []int) (*Report, error) {
 	rep := newReport("sock", cfg, map[string]any{
 		"transport":        "mem",
@@ -145,15 +122,6 @@ func runSock(cfg Config, conns []int) (*Report, error) {
 		lost := maxMetric(c, "lost")
 		rep.check(c.Name+": zero lost streams", lost == 0, "%.0f lost in the worst run", lost)
 	}
-	shed, err := runSockShed()
-	if err != nil {
-		return nil, fmt.Errorf("sock shed phase: %w", err)
-	}
-	rep.Detail["shed"] = shed
-	rep.check("shed: every overloaded dial shed", shed.Shed == int64(shed.Attempted), "%d of %d", shed.Shed, shed.Attempted)
-	rep.check("shed: every recovery dial echoed", shed.Recovered == shed.Attempted, "%d of %d", shed.Recovered, shed.Attempted)
-	rep.check("shed: gateway shed and pause counters > 0", shed.GatewayShed > 0 && shed.Pauses > 0,
-		"shed=%d pauses=%d", shed.GatewayShed, shed.Pauses)
 	return rep, nil
 }
 
@@ -162,7 +130,7 @@ func runSock(cfg Config, conns []int) (*Report, error) {
 // counts as lost: the transport is lossless, and the mux adds no
 // repair of its own.
 func runSockArm(n int, mux bool) (Sample, error) {
-	fab, err := newSockFabric(sockets.GatewayOptions{})
+	fab, err := newSockFabric()
 	if err != nil {
 		return Sample{}, err
 	}
@@ -342,58 +310,4 @@ func runPlainStream(fab *sockFabric, stream int, lats []time.Duration) bool {
 		lats[stream*sockMsgs+i] = time.Since(t0)
 	}
 	return true
-}
-
-// runSockShed drives admission control: with the queue-depth reading
-// forced past ShedDepth every SYN must be refused with RST(EAGAIN);
-// with it back at zero every SYN must open and echo.
-func runSockShed() (SockShed, error) {
-	shed := SockShed{ShedDepth: sockShedDepth}
-	var depth atomic.Int64
-	fab, err := newSockFabric(sockets.GatewayOptions{
-		ShedDepth:  sockShedDepth,
-		QueueDepth: func() int { return int(depth.Load()) },
-	})
-	if err != nil {
-		return shed, err
-	}
-	defer fab.close()
-	m, closeSess, err := dialMuxSession(fab)
-	if err != nil {
-		return shed, err
-	}
-	defer closeSess()
-
-	// Overload: every new stream must bounce with the shed errno.
-	depth.Store(sockShedDepth * 10)
-	// Let the overload ticker observe the spike so the pause counter
-	// moves too (admission refusal itself is immediate, not ticked).
-	time.Sleep(20 * time.Millisecond)
-	attempts := 32
-	for i := 0; i < attempts; i++ {
-		shed.Attempted++
-		st, err := m.Open()
-		if err == nil {
-			err = st.WaitOpen()
-		}
-		if err != nil && sockets.IsShed(err) {
-			shed.Shed++
-		} else if err == nil {
-			st.Close()
-		}
-	}
-
-	// Recovery: the same dials must now be admitted and echo cleanly.
-	depth.Store(0)
-	time.Sleep(20 * time.Millisecond)
-	lats := make([]time.Duration, attempts)
-	for i := 0; i < attempts; i++ {
-		if runMuxStream(m, 1, i, lats) {
-			shed.Recovered++
-		}
-	}
-	snap := fab.gw.Snapshot()
-	shed.GatewayShed = snap.Stats.Shed
-	shed.Pauses = snap.Pauses
-	return shed, nil
 }

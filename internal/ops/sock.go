@@ -32,7 +32,7 @@ func (s *Server) snapshotGateways() []sockets.GatewaySnapshot {
 
 // handleSock serves the gateway view: per-session stream windows,
 // credit state, and the shed/reset counters that tell an operator
-// whether backpressure is engaging.
+// whether sessions are hitting their stream cap.
 func (s *Server) handleSock(w http.ResponseWriter, r *http.Request) {
 	snaps := s.snapshotGateways()
 	if r.URL.Query().Get("format") == "json" {
@@ -47,8 +47,7 @@ func (s *Server) handleSock(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, g := range snaps {
 		fmt.Fprintf(w, "== gateway -> %s ==\n", g.Target)
-		fmt.Fprintf(w, "conns: plain=%d mux=%d  shedding=%v (pauses=%d)\n",
-			g.PlainConns, g.MuxConns, g.Paused, g.Pauses)
+		fmt.Fprintf(w, "conns: plain=%d mux=%d\n", g.PlainConns, g.MuxConns)
 		st := g.Stats
 		fmt.Fprintf(w, "streams: opened=%d accepted=%d shed=%d resets=%d\n",
 			st.Opened, st.Accepted, st.Shed, st.Resets)
@@ -56,15 +55,14 @@ func (s *Server) handleSock(w http.ResponseWriter, r *http.Request) {
 			st.DataIn, st.BytesIn, st.DataOut, st.BytesOut, st.Credits)
 		if g.Faults.Ops > 0 {
 			f := g.Faults
-			fmt.Fprintf(w, "faults: ops=%d drops=%d resets=%d shorts=%d\n",
-				f.Ops, f.ErrsPre, f.ErrsPost, f.Shorts)
+			fmt.Fprintf(w, "faults: ops=%d reset-before=%d reset-after=%d\n",
+				f.Ops, f.ErrsPre+f.Shorts, f.ErrsPost)
 		}
 		for i, sess := range g.Sessions {
 			fmt.Fprintf(w, "session %d: streams=%d dead=%v\n", i, len(sess.Streams), sess.Dead)
 			for _, str := range sess.Streams {
-				fmt.Fprintf(w, "  stream %d: %s  swnd=%d queued=%d rbuf=%d paused=%v\n",
-					str.ID, str.State, str.SendWindow, str.SendQueued,
-					str.RecvBuffered, str.Paused)
+				fmt.Fprintf(w, "  stream %d: %s  swnd=%d queued=%d rbuf=%d\n",
+					str.ID, str.State, str.SendWindow, str.SendQueued, str.RecvBuffered)
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -72,6 +73,10 @@ type WebSocket struct {
 	// shutOnce closes conn once: the reader pump closes it when the
 	// transport ends, and a later Close finds nothing left to close.
 	shutOnce sync.Once
+	// closing marks a local Close before it shuts conn, so the reader
+	// pump can tell the read error that Close causes from a transport
+	// the peer or the network reset.
+	closing atomic.Bool
 
 	// wmu serializes every frame written to conn. Writers live on
 	// different goroutines — Send and Close on the event loop,
@@ -96,8 +101,9 @@ type WebSocket struct {
 	closeRequested bool
 
 	// settle resolves the connection-lifetime completion: exactly one
-	// call wins — with an error for a failed dial, nil for a peer
-	// close — and releases the loop's pending slot.
+	// call wins — with an error for a failed dial or a reset
+	// transport, nil for an orderly close — and releases the loop's
+	// pending slot.
 	settle func(v interface{}, err error)
 }
 
@@ -218,6 +224,13 @@ func (ws *WebSocket) connect(addr string) {
 		if err != nil || f.Op == OpClose {
 			// Release any writer still blocked on the dead connection.
 			ws.shut(conn)
+			if err != nil && !ws.closing.Load() {
+				// No close frame came and Close was not called: the
+				// transport was reset, which a program reads as
+				// ECONNRESET, as on a mux stream, not as EOF.
+				ws.fail(&StreamError{Code: vfs.ECONNRESET})
+				return
+			}
 			ws.closeEvent()
 			return
 		}
@@ -309,6 +322,7 @@ func (ws *WebSocket) Close() error {
 	if conn == nil {
 		return nil
 	}
+	ws.closing.Store(true)
 	// TryLock: if another writer is wedged mid-frame on a dead peer,
 	// skip the courtesy close frame — closing conn below is what
 	// unblocks that writer, and waiting for it here would deadlock.

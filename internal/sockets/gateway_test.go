@@ -1,7 +1,6 @@
 package sockets
 
 import (
-	"bytes"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -240,73 +239,46 @@ func TestMuxFaultEndsSession(t *testing.T) {
 	}
 }
 
-func TestWebsockifyShortFrameTruncates(t *testing.T) {
-	echoAddr, stopEcho := startEchoServer(t)
-	defer stopEcho()
-	proxy, err := NewWebsockify("127.0.0.1:0", echoAddr)
+// TestPlainFaultResets pins the gateway's one fault model in plain
+// mode: a fault on a data frame resets the connection without a close
+// frame, as it does a mux session, so the socket's read gets no bytes
+// and ECONNRESET instead of waiting for a reply that never comes, and
+// the bridge closes the target connection.
+func TestPlainFaultResets(t *testing.T) {
+	echoAddr, targetClosed := startWatchedEcho(t)
+	gw, err := NewGateway("127.0.0.1:0", echoAddr, GatewayOptions{
+		Faults: faultfs.Plan{Seed: 1, ErrRate: 1},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer proxy.Close()
-	proxy.SetFaults(faultfs.Plan{Seed: 7, ShortRate: 1})
+	defer gw.Close()
 
-	sent := []byte("twelve bytes")
 	w := browser.NewWindow(browser.Chrome28)
-	var got []byte
+	var got interface{}
+	var readErr error
+	read := false
 	w.Loop.Post("main", func() {
-		ws := DialWebSocket(w, proxy.Addr())
-		ws.OnOpen = func() { ws.Send(sent) }
-		ws.OnMessage = func(data []byte) {
-			got = data
-			ws.Close()
-		}
-		ws.OnError = func(err error) { t.Errorf("ws error: %v", err) }
+		Connect(w, gw.Addr(), func(s *Socket, err error) {
+			if err != nil {
+				t.Errorf("Connect: %v", err)
+				return
+			}
+			s.Write([]byte("reset"))
+			s.Read(64).Then(func(v interface{}, err error) {
+				got, readErr, read = v, err, true
+				s.Close()
+			})
+		})
 	})
 	if err := w.Loop.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) == 0 || len(got) >= len(sent) {
-		t.Fatalf("truncated echo length = %d, want in (0, %d)", len(got), len(sent))
+	if !read || got != nil || !vfs.IsErrno(readErr, vfs.ECONNRESET) {
+		t.Fatalf("read after the fault: settled %v, data %v, err %v; want no bytes and ECONNRESET", read, got, readErr)
 	}
-	if !bytes.HasPrefix(sent, got) {
-		t.Errorf("truncated echo %q is not a prefix of %q", got, sent)
-	}
-	fs := proxy.FaultStats()
-	if fs.Shorts < 1 {
-		t.Errorf("fault stats = %+v, want ≥1 short", fs)
-	}
-}
-
-func TestWebsockifyFrameDropIsSilent(t *testing.T) {
-	echoAddr, stopEcho := startEchoServer(t)
-	defer stopEcho()
-	proxy, err := NewWebsockify("127.0.0.1:0", echoAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
-	// Every frame is dropped pre-commit: the message never reaches the
-	// echo server and no reply ever comes back.
-	proxy.SetFaults(faultfs.Plan{Seed: 3, ErrRate: 1})
-
-	w := browser.NewWindow(browser.Chrome28)
-	got := false
-	w.Loop.Post("main", func() {
-		ws := DialWebSocket(w, proxy.Addr())
-		ws.OnOpen = func() {
-			ws.Send([]byte("into the void"))
-			// The drop is silent, so only a deadline ends the wait.
-			w.Loop.SetTimeout(func() { ws.Close() }, 50*time.Millisecond)
-		}
-		ws.OnMessage = func([]byte) { got = true }
-	})
-	if err := w.Loop.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got {
-		t.Error("message delivered despite 100% drop rate")
-	}
-	if fs := proxy.FaultStats(); fs.ErrsPre < 1 {
-		t.Errorf("fault stats = %+v, want ≥1 pre-commit drop", fs)
+	waitClosed(t, targetClosed, 1)
+	if fs := gw.FaultStats(); fs.ErrsPre+fs.ErrsPost+fs.Shorts != 1 {
+		t.Errorf("fault stats = %+v, want exactly 1 reset", fs)
 	}
 }

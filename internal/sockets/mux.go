@@ -62,7 +62,7 @@ const (
 // The RST reason codes carried in arg, mapped to errnos so stream
 // failures classify through vfs.Classify like every other error.
 const (
-	rstShed    uint32 = 1 // receiver refused the stream under load
+	rstShed    uint32 = 1 // receiver refused the stream at its cap
 	rstRefused uint32 = 2 // the gateway's TCP dial was refused
 	rstReset   uint32 = 3 // transport or peer died mid-stream
 	rstProto   uint32 = 4 // framing/credit protocol violation
@@ -110,8 +110,8 @@ func (e *StreamError) Error() string {
 // Errno classifies the failure for vfs.Classify.
 func (e *StreamError) Errno() vfs.Errno { return e.Code }
 
-// IsShed reports whether err is a stream refused for load (the signal
-// sockload's shed phase counts).
+// IsShed reports whether err is a stream refused at a stream cap:
+// a Dial past WithMux(n), or a SYN past the gateway's MaxStreams.
 func IsShed(err error) bool {
 	return vfs.IsErrno(err, vfs.EAGAIN)
 }
@@ -195,7 +195,7 @@ func newMuxTel(h *telemetry.Hub) muxTel {
 type MuxStats struct {
 	Opened   int64 // streams opened locally
 	Accepted int64 // streams accepted from the peer
-	Shed     int64 // SYNs refused for load (cap or handler reject)
+	Shed     int64 // SYNs refused at the stream cap
 	Resets   int64 // RST frames sent or received
 	DataIn   int64 // DATA frames received
 	DataOut  int64 // DATA frames sent
@@ -500,17 +500,13 @@ func (st *MuxStream) Accept() {
 }
 
 // Reject refuses an incoming stream with the given errno (server
-// role). vfs.EAGAIN is the shed code.
+// role).
 func (st *MuxStream) Reject(code vfs.Errno) {
 	m := st.m
 	m.mu.Lock()
 	if st.state != stSynRecv {
 		m.mu.Unlock()
 		return
-	}
-	if code == vfs.EAGAIN {
-		m.stats.Shed++
-		m.tel.shed.Inc()
 	}
 	fns := m.resetLocked(st, code, true)
 	m.mu.Unlock()
@@ -701,25 +697,6 @@ func (m *Mux) grantLocked(st *MuxStream) {
 	st.rw.granted = st.rw.consumed
 	m.enqueue(muxHeader(st.id, muxCredit, st.rw.granted, 0), nil)
 	m.stats.Credits++
-}
-
-// PauseCredit withholds future credit grants from the stream's peer —
-// the gateway's per-stream backpressure lever when the owning
-// tenant's loop falls behind.
-func (st *MuxStream) PauseCredit() {
-	st.m.mu.Lock()
-	st.rw.paused = true
-	st.m.mu.Unlock()
-}
-
-// ResumeCredit lifts a pause and releases any credit that accumulated
-// while paused.
-func (st *MuxStream) ResumeCredit() {
-	m := st.m
-	m.mu.Lock()
-	st.rw.paused = false
-	m.grantLocked(st)
-	m.mu.Unlock()
 }
 
 // Close half-closes the stream for writing: a FIN carrying the final
@@ -967,7 +944,6 @@ type StreamSnapshot struct {
 	SendWindow   int    `json:"send_window"`   // unspent credit
 	SendQueued   int    `json:"send_queued"`   // bytes awaiting window
 	RecvBuffered int    `json:"recv_buffered"` // bytes awaiting the consumer
-	Paused       bool   `json:"paused"`        // credit withheld (shedding)
 }
 
 // MuxSnapshot is the session state for /debug/sock.
@@ -989,7 +965,6 @@ func (m *Mux) Snapshot() MuxSnapshot {
 			SendWindow:   st.sw.avail(st.sendBase),
 			SendQueued:   len(st.sendBuf),
 			RecvBuffered: len(st.recvBuf),
-			Paused:       st.rw.paused,
 		})
 	}
 	return snap
@@ -1020,18 +995,4 @@ func (m *Mux) StreamCount() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.streams)
-}
-
-// ForEachStream calls fn for every live stream, outside the session
-// lock — the gateway's pause/resume sweep.
-func (m *Mux) ForEachStream(fn func(st *MuxStream)) {
-	m.mu.Lock()
-	streams := make([]*MuxStream, 0, len(m.streams))
-	for _, st := range m.streams {
-		streams = append(streams, st)
-	}
-	m.mu.Unlock()
-	for _, st := range streams {
-		fn(st)
-	}
 }

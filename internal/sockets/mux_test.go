@@ -328,101 +328,47 @@ func TestMuxZeroWindowBackpressure(t *testing.T) {
 	})
 }
 
-// TestMuxPauseCreditSheds pins the gateway's backpressure lever:
-// PauseCredit withholds grants (so a remote writer stalls) and
-// ResumeCredit releases the accumulated credit in one batch.
-func TestMuxPauseCreditSheds(t *testing.T) {
-	const window = 1024
-	acceptCh := make(chan *MuxStream, 1)
-	client, server := wirePair(window, func(st *MuxStream) {
-		st.Accept()
-		acceptCh <- st
-	})
-	defer client.CloseSession()
-	defer server.CloseSession()
-
-	st, err := client.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.WaitOpen(); err != nil {
-		t.Fatal(err)
-	}
-	peer := <-acceptCh
-	peer.PauseCredit()
-
-	if err := st.WriteBlocking(streamPattern(2, window)); err != nil {
-		t.Fatal(err)
-	}
-	// Drain while paused: no credit may flow.
-	buf := make([]byte, window)
-	n := 0
-	for n < window {
-		k, err := peer.ReadBlocking(buf[n:])
-		if err != nil {
-			t.Fatalf("peer read: %v", err)
-		}
-		n += k
-	}
-	var blocked atomic.Bool
-	done := make(chan error, 1)
-	st.Write([]byte("stalled"), func(err error) {
-		blocked.Store(true)
-		done <- err
-	})
-	time.Sleep(50 * time.Millisecond)
-	if blocked.Load() {
-		t.Fatal("write completed while credit was paused")
-	}
-
-	peer.ResumeCredit()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("write after resume failed: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("write did not resume after ResumeCredit")
-	}
-}
-
-// TestMuxShedStream pins load shedding end to end: a gateway whose
-// depth probe reports overload refuses new streams with EAGAIN, which
-// classifies transient (back off and redial).
+// TestMuxShedStream pins the gateway's admission rule end to end: a
+// SYN past the session's stream cap (GatewayOptions.MaxStreams) is
+// refused with RST(EAGAIN), which classifies transient (back off and
+// redial), and the gateway counts it as shed.
 func TestMuxShedStream(t *testing.T) {
 	echoAddr, stopEcho := startEchoServer(t)
 	defer stopEcho()
-	depth := atomic.Int64{}
-	gw, err := NewGateway("127.0.0.1:0", echoAddr, GatewayOptions{
-		ShedDepth:  4,
-		QueueDepth: func() int { return int(depth.Load()) },
-	})
+	gw, err := NewGateway("127.0.0.1:0", echoAddr, GatewayOptions{MaxStreams: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer gw.Close()
-	depth.Store(100) // hopelessly behind from the start
-
-	// Give the overload sweep a tick to notice.
-	time.Sleep(30 * time.Millisecond)
 
 	w := browser.NewWindow(browser.Chrome28)
 	var dialErr error
+	answered := false
 	w.Loop.Post("main", func() {
+		// The client's own cap is the default 1024, so only the
+		// gateway can refuse the second stream.
 		conn := Stack(w, gw.Addr())
-		conn.Dial(func(s *Socket, err error) {
-			dialErr = err
-			if s != nil {
-				s.Close()
+		conn.Dial(func(first *Socket, err error) {
+			if err != nil {
+				t.Errorf("first dial: %v", err)
+				conn.Close()
+				return
 			}
-			conn.Close()
+			conn.Dial(func(s *Socket, err error) {
+				answered, dialErr = true, err
+				if s != nil {
+					s.Close()
+				}
+				first.Close()
+				conn.Close()
+			})
 		})
 	})
 	if err := w.Loop.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if dialErr == nil {
-		t.Fatal("dial succeeded through an overloaded gateway")
+	if !answered || dialErr == nil {
+		t.Fatalf("second dial past MaxStreams 1: answered %v, err %v; want a shed", answered, dialErr)
 	}
 	if !IsShed(dialErr) {
 		t.Fatalf("dial error = %v, want a shed (EAGAIN) StreamError", dialErr)
@@ -431,8 +377,8 @@ func TestMuxShedStream(t *testing.T) {
 	if !ok || errno != vfs.EAGAIN || !errno.Transient() {
 		t.Fatalf("Classify(%v) = %v, %v; want transient EAGAIN", dialErr, errno, ok)
 	}
-	if gw.Snapshot().Stats.Shed == 0 {
-		t.Error("gateway shed counter is zero")
+	if shed := gw.Snapshot().Stats.Shed; shed != 1 {
+		t.Errorf("gateway shed counter = %d, want 1", shed)
 	}
 }
 
@@ -737,41 +683,6 @@ func TestGatewayCloseWaitsForConnections(t *testing.T) {
 	// complete — not merely in flight.
 	if n := gw.Snapshot().MuxConns; n != 0 {
 		t.Errorf("MuxConns = %d after Close returned, want 0", n)
-	}
-}
-
-// TestGatewaySelfDepthNoDeadlock pins the standalone wiring from
-// cmd/websockify: the gateway's own LiveStreams as its QueueDepth
-// signal. LiveStreams takes the gateway mutex, so the overload ticker
-// must sample the callback outside the lock — a regression here wedges
-// Snapshot, Close, and /debug/sock on the first 5ms tick.
-func TestGatewaySelfDepthNoDeadlock(t *testing.T) {
-	var self atomic.Pointer[Websockify]
-	gw, err := NewGateway("127.0.0.1:0", "127.0.0.1:1", GatewayOptions{
-		ShedDepth: 4,
-		QueueDepth: func() int {
-			if p := self.Load(); p != nil {
-				return p.LiveStreams()
-			}
-			return 0
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	self.Store(gw)
-	defer gw.Close()
-
-	time.Sleep(20 * time.Millisecond) // let the overload ticker fire
-	done := make(chan GatewaySnapshot, 1)
-	go func() { done <- gw.Snapshot() }()
-	select {
-	case snap := <-done:
-		if snap.Paused {
-			t.Fatalf("idle gateway reports paused: %+v", snap)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Snapshot deadlocked against the overload ticker")
 	}
 }
 

@@ -15,9 +15,7 @@ type stackConfig struct {
 	// gateway; 0 means 64 KiB. No option sets it: a test that needs a
 	// small window sets it right after Stack, before the transport
 	// opens.
-	window    int
-	shedFn    func() int
-	shedDepth int
+	window int
 }
 
 // WithMux caps the connection at n concurrent streams (n <= 0 means
@@ -25,15 +23,6 @@ type stackConfig struct {
 // shed StreamError (EAGAIN).
 func WithMux(n int) Option {
 	return func(c *stackConfig) { c.maxStream = n }
-}
-
-// WithShed adds client-side load shedding: when depthFn (typically
-// the owning runtime's QueueDepth) exceeds maxDepth at Dial time, the
-// dial fails immediately with a shed StreamError (EAGAIN — transient,
-// so retry policies back off) instead of adding work to a loop that
-// is already behind.
-func WithShed(depthFn func() int, maxDepth int) Option {
-	return func(c *stackConfig) { c.shedFn = depthFn; c.shedDepth = maxDepth }
 }
 
 // Conn is a client connection to the gateway: one multiplexed session
@@ -118,16 +107,11 @@ func (c *Conn) runWaiters() {
 
 // Dial opens one stream and calls cb on the event loop with its
 // Socket. A Dial issued before the connection opens waits for the
-// transport. A WithShed stack refuses the dial locally (EAGAIN) when
-// the owning loop is over its depth threshold, and a connection that
-// has ended fails it with the error that ended it.
+// transport, and a connection that has ended fails it with the error
+// that ended it.
 func (c *Conn) Dial(cb func(*Socket, error)) {
 	if c.closed {
 		cb(nil, ErrSocketClosed)
-		return
-	}
-	if c.cfg.shedFn != nil && c.cfg.shedDepth > 0 && c.cfg.shedFn() > c.cfg.shedDepth {
-		cb(nil, &StreamError{Code: vfs.EAGAIN})
 		return
 	}
 	if c.err != nil {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"testing"
 	"time"
 
@@ -258,6 +260,96 @@ func TestCloseAfterTransportLoss(t *testing.T) {
 	}
 	if plainErr != nil {
 		t.Errorf("plain Socket.Close after the transport was lost = %v, want nil", plainErr)
+	}
+}
+
+// TestTargetResetReadsAsReset pins one ending for one event on both
+// client transports: the target writes "part" and then resets its
+// connection. The same read loop over a Connect socket and over a
+// Stack stream must read "part" and then ECONNRESET on each; a plain
+// socket that read a clean EOF could take a cut-short reply for a
+// complete one.
+func TestTargetResetReadsAsReset(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(c net.Conn) {
+				c.Write([]byte("part"))
+				// Reset only once the client's "ack" shows the gateway
+				// forwarded "part".
+				io.ReadFull(c, make([]byte, 3))
+				c.(*net.TCPConn).SetLinger(0)
+				c.Close()
+			}(c)
+		}
+	}()
+	gw, err := NewWebsockify("127.0.0.1:0", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+
+	// Each dial opens one socket and returns what closes its transport.
+	dials := []struct {
+		name string
+		dial func(w *browser.Window, cb func(*Socket, error)) (closeConn func())
+	}{
+		{"plain", func(w *browser.Window, cb func(*Socket, error)) func() {
+			Connect(w, gw.Addr(), cb)
+			return func() {}
+		}},
+		{"mux", func(w *browser.Window, cb func(*Socket, error)) func() {
+			conn := Stack(w, gw.Addr())
+			conn.Dial(cb)
+			return func() { conn.Close() }
+		}},
+	}
+	for _, d := range dials {
+		w := browser.NewWindow(browser.Chrome28)
+		var data []byte
+		var end error
+		w.Loop.Post("main", func() {
+			var closeConn func()
+			closeConn = d.dial(w, func(s *Socket, err error) {
+				if err != nil {
+					end = err
+					closeConn()
+					return
+				}
+				var pump func()
+				pump = func() {
+					s.Read(64).Then(func(v interface{}, err error) {
+						b, _ := v.([]byte)
+						if b == nil || err != nil {
+							end = err
+							s.Close()
+							closeConn()
+							return
+						}
+						if data == nil {
+							s.Write([]byte("ack"))
+						}
+						data = append(data, b...)
+						pump()
+					})
+				}
+				pump()
+			})
+		})
+		if err := w.Loop.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if string(data) != "part" || !vfs.IsErrno(end, vfs.ECONNRESET) {
+			t.Errorf("%s: read %q, then %v; want \"part\", then ECONNRESET", d.name, data, end)
+		}
 	}
 }
 

@@ -24,10 +24,9 @@ import (
 //     is one TCP stream, no flow control (kept for compatibility and
 //     as the A/B baseline in sockload);
 //   - MuxPath ("/mux"): a multiplexed session — many logical streams
-//     over the one WebSocket, each with its own credit window, shed
-//     with RST(EAGAIN) when the owning tenant's event loop falls
-//     behind (GatewayOptions.QueueDepth over ShedDepth) or the
-//     session hits MaxStreams. The session ends with its connection,
+//     over the one WebSocket, each with its own credit window. A SYN
+//     past the session's MaxStreams is refused with RST(EAGAIN), the
+//     link's one admission rule. The session ends with its connection,
 //     orderly or not: its streams fail with ECONNRESET and their
 //     bridges close the target connections.
 type Websockify struct {
@@ -36,17 +35,15 @@ type Websockify struct {
 	opts     GatewayOptions
 	wg       sync.WaitGroup
 
+	inj *faultfs.Injector // nil without GatewayOptions.Faults; fixed at construction
+	tel *proxyTelemetry
+
 	mu         sync.Mutex
 	closed     bool
-	inj        *faultfs.Injector
 	plainConns int64
-	paused     bool
-	pauses     int64
 	retired    MuxStats              // counters of closed mux sessions
 	sessions   map[*Mux]struct{}     // one per live mux connection
 	conns      map[net.Conn]struct{} // live accepted conns, closed by Close
-
-	tel *proxyTelemetry
 }
 
 // errInjectedReset is the send error of a mux frame whose injected
@@ -54,28 +51,21 @@ type Websockify struct {
 var errInjectedReset = errors.New("sockets: injected connection reset")
 
 // GatewayOptions configures NewGateway. The zero value is a plain
-// websockify: 64 KiB windows, 1024 streams per session, no shedding,
-// no faults, no telemetry.
+// websockify: 64 KiB windows, 1024 streams per session, no faults, no
+// telemetry.
 type GatewayOptions struct {
 	// Window is the per-stream receive window advertised to clients
 	// (bytes); 0 means 64 KiB.
 	Window int
 	// MaxStreams caps concurrently open streams per session; a SYN
-	// past it is shed. 0 means 1024.
+	// past it is shed with RST(EAGAIN). 0 means 1024.
 	MaxStreams int
-	// ShedDepth is the QueueDepth reading past which new streams are
-	// refused with RST(EAGAIN) and open streams stop earning credit.
-	// 0 disables depth-based shedding.
-	ShedDepth int
-	// QueueDepth reports the owning tenant's event-loop run-queue
-	// depth (core.Runtime.QueueDepth is safe cross-goroutine). Nil
-	// disables depth-based shedding.
-	QueueDepth func() int
 	// Hub, when non-nil, receives gateway counters ("websockify") and
 	// mux counters ("sockmux").
 	Hub *telemetry.Hub
-	// Faults arms deterministic fault injection on the data path at
-	// construction (SetFaults can retoggle it at runtime).
+	// Faults arms deterministic fault injection on the data path for
+	// the gateway's lifetime. Every fault resets the connection
+	// without a close frame, before or after delivering its frame.
 	Faults faultfs.Plan
 	// Listener overrides the TCP listen (sockload's in-memory
 	// transport); when set, listenAddr is ignored.
@@ -136,10 +126,6 @@ func NewGateway(listenAddr, target string, opts GatewayOptions) (*Websockify, er
 	}
 	w.wg.Add(1)
 	go w.acceptLoop()
-	if opts.QueueDepth != nil && opts.ShedDepth > 0 {
-		w.wg.Add(1)
-		go w.overloadLoop()
-	}
 	return w, nil
 }
 
@@ -148,63 +134,17 @@ func NewWebsockify(listenAddr, target string) (*Websockify, error) {
 	return NewGateway(listenAddr, target, GatewayOptions{})
 }
 
-// SetFaults toggles deterministic fault injection on the data path at
-// runtime (a plan that cannot inject disarms it) — the chaos lever
-// tests flip mid-run. Faults apply per data frame, in both directions,
-// reusing the VFS fault model's kinds. In plain mode:
-//
-//   - ErrPre drops the frame on the floor — it is never forwarded, a
-//     silent loss.
-//   - ErrPost forwards the frame and then resets the bridge, tearing
-//     down both the WebSocket and TCP sides abruptly.
-//   - Short truncates the frame's payload to Keep of its bytes.
-//
-// In mux mode decisions are drawn per DATA frame, and every fault
-// resets the connection without a close frame — WebSocket rides TCP,
-// which loses connections, never single frames. ErrPost delivers the
-// frame first; ErrPre and Short reset before it. The reset ends the
-// session, and its streams fail with ECONNRESET. Connections already
-// past their handshake keep their previous injector.
-func (w *Websockify) SetFaults(plan faultfs.Plan) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if !plan.Enabled() {
-		w.inj = nil
-		return
-	}
-	w.inj = faultfs.New(plan)
-}
-
 // FaultStats snapshots the injector's decision counters (zero when
 // fault injection is off).
 func (w *Websockify) FaultStats() faultfs.Stats {
-	w.mu.Lock()
-	inj := w.inj
-	w.mu.Unlock()
-	if inj == nil {
+	if w.inj == nil {
 		return faultfs.Stats{}
 	}
-	return inj.Stats()
+	return w.inj.Stats()
 }
 
 // Addr returns the gateway's listen address.
 func (w *Websockify) Addr() string { return w.listener.Addr().String() }
-
-// LiveStreams counts open mux streams across all live sessions — the
-// standalone gateway's load signal when no tenant run queue exists.
-func (w *Websockify) LiveStreams() int {
-	w.mu.Lock()
-	sessions := make([]*Mux, 0, len(w.sessions))
-	for m := range w.sessions {
-		sessions = append(sessions, m)
-	}
-	w.mu.Unlock()
-	n := 0
-	for _, m := range sessions {
-		n += m.StreamCount()
-	}
-	return n
-}
 
 // Close stops accepting, tears down the listener and all live
 // connections — and with them their sessions — and waits for every
@@ -247,60 +187,6 @@ func (w *Websockify) untrack(conn net.Conn) {
 	w.mu.Unlock()
 }
 
-// overloaded reports whether the owning tenant is past the shed
-// threshold right now.
-func (w *Websockify) overloaded() bool {
-	if w.opts.QueueDepth == nil || w.opts.ShedDepth <= 0 {
-		return false
-	}
-	return w.opts.QueueDepth() > w.opts.ShedDepth
-}
-
-// overloadLoop applies backpressure to *open* streams: while the
-// tenant's loop is past ShedDepth, every stream's credit is withheld
-// (senders run out of window and stall); on recovery the accumulated
-// credit is released. New SYNs are shed in handleSyn independently.
-func (w *Websockify) overloadLoop() {
-	defer w.wg.Done()
-	t := time.NewTicker(5 * time.Millisecond)
-	defer t.Stop()
-	for range t.C {
-		// The depth callback is caller-supplied and may take locks of
-		// its own — the standalone gateway's is LiveStreams, which
-		// takes w.mu — so it must be sampled before w.mu is held.
-		over := w.overloaded()
-		w.mu.Lock()
-		if w.closed {
-			w.mu.Unlock()
-			return
-		}
-		changed := over != w.paused
-		if changed {
-			w.paused = over
-			if over {
-				w.pauses++
-			}
-		}
-		sessions := make([]*Mux, 0, len(w.sessions))
-		for m := range w.sessions {
-			sessions = append(sessions, m)
-		}
-		w.mu.Unlock()
-		if !changed {
-			continue
-		}
-		for _, m := range sessions {
-			m.ForEachStream(func(st *MuxStream) {
-				if over {
-					st.PauseCredit()
-				} else {
-					st.ResumeCredit()
-				}
-			})
-		}
-	}
-}
-
 func (w *Websockify) acceptLoop() {
 	defer w.wg.Done()
 	for {
@@ -324,32 +210,15 @@ func (w *Websockify) dialTarget() (net.Conn, error) {
 	return net.Dial("tcp", w.target)
 }
 
-// applyFault draws one decision for a frame payload heading through
-// the proxy. It reports the (possibly truncated) payload, whether to
-// forward it, and whether to reset the bridge after forwarding.
-func applyFault(inj *faultfs.Injector, op string, payload []byte) (out []byte, forward, reset bool) {
-	if inj == nil {
-		return payload, true, false
-	}
-	ft := inj.Next(op)
-	switch ft.Kind {
-	case faultfs.ErrPre:
-		return nil, false, false
-	case faultfs.ErrPost:
-		return payload, true, true
-	case faultfs.Short:
-		return payload[:int(float64(len(payload))*ft.Keep)], true, false
-	}
-	return payload, true, false
-}
-
-// muxFault draws the fault decision for one mux frame given its
-// header. Only DATA frames draw. Every fault resets the transport:
-// WebSocket rides TCP, which can lose a connection but never a single
-// frame, nor deliver one short. ErrPost delivers the frame and then
-// resets; ErrPre and Short reset before it.
-func muxFault(inj *faultfs.Injector, op string, hdr []byte) (deliver, reset bool) {
-	if inj == nil || !MuxIsData(hdr) {
+// linkFault draws the fault decision for one data frame crossing the
+// gateway (data is false for a mux control frame, which never draws).
+// Every fault resets the transport without a close frame: WebSocket
+// rides TCP, which can lose a connection but never a single frame,
+// nor deliver one short. ErrPost delivers the frame and then resets;
+// ErrPre and Short reset before it. Plain and mux mode share this one
+// model, so a guest sees ECONNRESET on either transport.
+func linkFault(inj *faultfs.Injector, op string, data bool) (deliver, reset bool) {
+	if inj == nil || !data {
 		return true, false
 	}
 	switch inj.Next(op).Kind {
@@ -388,10 +257,7 @@ func (w *Websockify) serve(wsConn net.Conn) {
 	defer w.wg.Done()
 	defer w.untrack(wsConn)
 	defer wsConn.Close()
-	w.mu.Lock()
 	tel := w.tel
-	inj := w.inj
-	w.mu.Unlock()
 	var hsStart time.Time
 	if tel != nil {
 		hsStart = time.Now()
@@ -408,17 +274,17 @@ func (w *Websockify) serve(wsConn net.Conn) {
 	}
 	cw := &connWriter{conn: wsConn}
 	if p, _, _ := strings.Cut(path, "?"); p == MuxPath {
-		w.serveMux(wsConn, cw, br, inj)
+		w.serveMux(wsConn, cw, br)
 		return
 	}
-	w.servePlain(wsConn, cw, br, tel, inj)
+	w.servePlain(wsConn, cw, br)
 }
 
 // ---- mux mode ----
 
-func (w *Websockify) serveMux(wsConn net.Conn, cw *connWriter, br io.Reader, inj *faultfs.Injector) {
+func (w *Websockify) serveMux(wsConn net.Conn, cw *connWriter, br io.Reader) {
 	send := func(hdr, payload []byte) error {
-		deliver, reset := muxFault(inj, "tcp2ws", hdr)
+		deliver, reset := linkFault(w.inj, "tcp2ws", MuxIsData(hdr))
 		if !deliver {
 			wsConn.Close()
 			return errInjectedReset
@@ -436,7 +302,7 @@ func (w *Websockify) serveMux(wsConn net.Conn, cw *connWriter, br io.Reader, inj
 		MaxStreams:   w.opts.MaxStreams,
 		Hub:          w.opts.Hub,
 		Send:         send,
-		AcceptStream: w.acceptStream,
+		AcceptStream: func(st *MuxStream) { go w.bridgeStream(st) },
 	})
 	w.mu.Lock()
 	w.sessions[m] = struct{}{}
@@ -454,7 +320,7 @@ loop:
 		case OpPing:
 			cw.writeFrame(&Frame{Fin: true, Op: OpPong, Payload: f.Payload})
 		case OpBinary:
-			deliver, reset := muxFault(inj, "ws2tcp", f.Payload)
+			deliver, reset := linkFault(w.inj, "ws2tcp", MuxIsData(f.Payload))
 			if deliver {
 				m.HandleFrame(f.Payload)
 			}
@@ -473,17 +339,6 @@ loop:
 	w.mu.Unlock()
 }
 
-// acceptStream is admission control: a tenant past the shed threshold
-// refuses the stream outright — RST(EAGAIN), which classifies
-// transient so well-behaved clients back off and redial.
-func (w *Websockify) acceptStream(st *MuxStream) {
-	if w.overloaded() {
-		st.Reject(vfs.EAGAIN)
-		return
-	}
-	go w.bridgeStream(st)
-}
-
 // bridgeStream connects one accepted mux stream to the TCP target and
 // pumps both directions until either side finishes.
 func (w *Websockify) bridgeStream(st *MuxStream) {
@@ -493,25 +348,6 @@ func (w *Websockify) bridgeStream(st *MuxStream) {
 		return
 	}
 	st.Accept()
-	// The overload sweep only fires on pause/resume transitions, so a
-	// stream admitted between the sweep's session snapshot and the flag
-	// flip would otherwise earn credit for the whole episode. Checking
-	// the flag here — after the stream is registered — closes the hole
-	// from both sides: either the sweep's snapshot saw this stream, or
-	// this read sees the flag (and the post-pause re-check undoes a
-	// pause that lost the race with the resume sweep).
-	w.mu.Lock()
-	paused := w.paused
-	w.mu.Unlock()
-	if paused {
-		st.PauseCredit()
-		w.mu.Lock()
-		paused = w.paused
-		w.mu.Unlock()
-		if !paused {
-			st.ResumeCredit()
-		}
-	}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	// stream → TCP.
@@ -569,7 +405,7 @@ func (w *Websockify) bridgeStream(st *MuxStream) {
 
 // ---- plain mode (classic websockify) ----
 
-func (w *Websockify) servePlain(wsConn net.Conn, cw *connWriter, br io.Reader, tel *proxyTelemetry, inj *faultfs.Injector) {
+func (w *Websockify) servePlain(wsConn net.Conn, cw *connWriter, br io.Reader) {
 	w.mu.Lock()
 	w.plainConns++
 	w.mu.Unlock()
@@ -584,6 +420,14 @@ func (w *Websockify) servePlain(wsConn net.Conn, cw *connWriter, br io.Reader, t
 		return
 	}
 	defer tcpConn.Close()
+	// reset ends the bridge on an injected fault. The WebSocket closes
+	// first, so no close frame can follow, and the client reads
+	// ECONNRESET.
+	reset := func() {
+		wsConn.Close()
+		tcpConn.Close()
+	}
+	tel := w.tel
 
 	done := make(chan struct{}, 2)
 	// WebSocket → TCP: unwrap frames into the byte stream.
@@ -598,20 +442,18 @@ func (w *Websockify) servePlain(wsConn net.Conn, cw *connWriter, br io.Reader, t
 			case OpClose:
 				return
 			case OpBinary, OpText, OpContinuation:
-				payload, forward, reset := applyFault(inj, "ws2tcp", f.Payload)
-				if !forward {
-					continue
+				deliver, fault := linkFault(w.inj, "ws2tcp", true)
+				if deliver {
+					if tel != nil {
+						tel.framesIn.Inc()
+						tel.bytesIn.Add(int64(len(f.Payload)))
+					}
+					if _, err := tcpConn.Write(f.Payload); err != nil {
+						return
+					}
 				}
-				if tel != nil {
-					tel.framesIn.Inc()
-					tel.bytesIn.Add(int64(len(payload)))
-				}
-				if _, err := tcpConn.Write(payload); err != nil {
-					return
-				}
-				if reset {
-					tcpConn.Close()
-					wsConn.Close()
+				if fault {
+					reset()
 					return
 				}
 			case OpPing:
@@ -626,21 +468,19 @@ func (w *Websockify) servePlain(wsConn net.Conn, cw *connWriter, br io.Reader, t
 		for {
 			n, err := tcpConn.Read(buf)
 			if n > 0 {
-				payload, forward, reset := applyFault(inj, "tcp2ws", buf[:n])
-				if forward {
-					f := &Frame{Fin: true, Op: OpBinary, Payload: payload}
+				deliver, fault := linkFault(w.inj, "tcp2ws", true)
+				if deliver {
 					if tel != nil {
 						tel.framesOut.Inc()
-						tel.bytesOut.Add(int64(len(payload)))
+						tel.bytesOut.Add(int64(n))
 					}
-					if werr := cw.writeFrame(f); werr != nil {
+					if werr := cw.writeFrame(&Frame{Fin: true, Op: OpBinary, Payload: buf[:n]}); werr != nil {
 						return
 					}
-					if reset {
-						tcpConn.Close()
-						wsConn.Close()
-						return
-					}
+				}
+				if fault {
+					reset()
+					return
 				}
 			}
 			if err != nil {
@@ -660,9 +500,7 @@ type GatewaySnapshot struct {
 	Target     string        `json:"target"`
 	PlainConns int64         `json:"plain_conns"`
 	MuxConns   int64         `json:"mux_conns"`
-	Paused     bool          `json:"paused"` // shedding backpressure right now
-	Pauses     int64         `json:"pauses"` // times the gateway entered pause
-	Stats      MuxStats      `json:"stats"`  // live + retired sessions
+	Stats      MuxStats      `json:"stats"` // live + retired sessions
 	Sessions   []MuxSnapshot `json:"sessions"`
 	Faults     faultfs.Stats `json:"faults"`
 }
@@ -675,23 +513,18 @@ func (w *Websockify) Snapshot() GatewaySnapshot {
 		Target:     w.target,
 		PlainConns: w.plainConns,
 		MuxConns:   int64(len(w.sessions)),
-		Paused:     w.paused,
-		Pauses:     w.pauses,
 		Stats:      w.retired,
 	}
 	sessions := make([]*Mux, 0, len(w.sessions))
 	for m := range w.sessions {
 		sessions = append(sessions, m)
 	}
-	inj := w.inj
 	w.mu.Unlock()
 	for _, m := range sessions {
 		ms := m.Snapshot()
 		snap.Sessions = append(snap.Sessions, ms)
 		snap.Stats.Add(ms.Stats)
 	}
-	if inj != nil {
-		snap.Faults = inj.Stats()
-	}
+	snap.Faults = w.FaultStats()
 	return snap
 }

@@ -18,9 +18,7 @@ package sockets
 //
 // A writer that exhausts the window parks (its Write completion stays
 // pending) until credit arrives — the "zero-window writer blocks,
-// credit resumes" behavior the equivalence tests pin down. The gateway
-// sheds load by withholding credit (pausing) or refusing streams
-// (RST), both expressed in this same currency.
+// credit resumes" behavior the equivalence tests pin down.
 
 // sendWindow is the sender half of one stream direction. Callers hold
 // the owning Mux's lock.
@@ -60,7 +58,6 @@ type recvWindow struct {
 	window   int    // bytes advertised to the peer at open
 	consumed uint32 // stream offset the consumer has drained through
 	granted  uint32 // consumed edge last advertised to the peer
-	paused   bool
 }
 
 // creditThreshold is the fraction of the window that must drain before
@@ -75,10 +72,9 @@ func (w *recvWindow) creditThreshold() int {
 }
 
 // due reports whether a grant is worth sending now: a quarter window
-// has drained since the last one and the stream is not paused for
-// shedding (a paused stream keeps accumulating; resume releases it).
+// has drained since the last one.
 func (w *recvWindow) due() bool {
-	return !w.paused && int(w.consumed-w.granted) >= w.creditThreshold()
+	return int(w.consumed-w.granted) >= w.creditThreshold()
 }
 
 // admits reports whether bytes through offset end fit the credit this

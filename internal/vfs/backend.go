@@ -60,7 +60,9 @@ type Backend interface {
 	// sorts it and appends its mount points), so a backend that keeps
 	// a listing hands out a copy.
 	Readdir(path string, cb func([]string, error))
-	// Rename moves old to new within the backend.
+	// Rename moves old to new within the backend. FS.Rename answers
+	// a rename onto itself and a directory moved into its own subtree
+	// before any backend sees them.
 	Rename(oldPath, newPath string, cb func(error))
 }
 

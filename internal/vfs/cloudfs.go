@@ -242,11 +242,8 @@ func (c *CloudFS) Rename(oldPath, newPath string, cb func(error)) {
 
 func (c *CloudStore) renameLocked(oldPath, newPath string) error {
 	data, isFile := c.files[oldPath]
-	switch {
-	case !isFile && !c.dirs[oldPath]:
+	if !isFile && !c.dirs[oldPath] {
 		return Err(ENOENT, "rename", oldPath)
-	case oldPath == newPath:
-		return nil
 	}
 	dir, _ := splitDir(newPath)
 	if !c.dirs[dir] {

@@ -58,7 +58,9 @@ func (s *sealed) verify(t *testing.T) {
 // files through AppendFile and the Buffers ReadFile returns, and no
 // slice any Open delivered may change. It also overwrites every
 // Readdir result, which belongs to its caller: a backend or decorator
-// that hands out a listing it keeps serves the scribbles back. The blocking arm drives
+// that hands out a listing it keeps serves the scribbles back. A
+// prologue renames a non-empty directory onto itself and then into its
+// own subtree, which FS.Rename answers for every backend. The blocking arm drives
 // the same stream through FS.Blocking, the guests' blocking entry
 // point, on every variant and the bare InMemory backend: delivering
 // inline answers inline must not change a single result.
@@ -97,6 +99,12 @@ func TestBackendEquivalence(t *testing.T) {
 		paths := []string{"/a", "/b", "/dir/c", "/dir/d", "/dir/sub/e"}
 		h.mkdir("/dir")
 		h.mkdir("/dir/sub")
+		// The prologue: a non-empty directory renamed onto itself, then
+		// into its own subtree, which must leave it in place.
+		record("rename /dir /dir", "", h.rename("/dir", "/dir"))
+		record("rename /dir /dir/sub/x", "", h.rename("/dir", "/dir/sub/x"))
+		names, err := h.readdir("/dir")
+		record("readdir", fmt.Sprint(names), err)
 		for i := 0; i < 160; i++ {
 			p := paths[next(len(paths))]
 			switch next(10) {
@@ -142,6 +150,16 @@ func TestBackendEquivalence(t *testing.T) {
 	reference := runSequence(t, false, func(*browser.Window, *buffer.Factory) Backend {
 		return NewInMemory()
 	})
+	prologue := []opResult{
+		{op: "rename /dir /dir"},
+		{op: "rename /dir /dir/sub/x", err: string(EINVAL)},
+		{op: "readdir", data: "[sub]"},
+	}
+	for i, want := range prologue {
+		if reference[i] != want {
+			t.Fatalf("inmemory prologue step %d = %+v, want %+v", i, reference[i], want)
+		}
+	}
 	compare := func(t *testing.T, name string, got []opResult) {
 		t.Helper()
 		if len(got) != len(reference) {

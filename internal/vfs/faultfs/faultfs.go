@@ -3,14 +3,14 @@
 // services" must survive flaky async transports; this package supplies
 // the flakiness on demand, reproducibly. Under the remote VFS backends
 // (§5.1) the retry layer above it can be *proved* to absorb it; in the
-// WebSocket gateway (§5.3) a fault ends the mux session, whose streams
-// then fail with ECONNRESET.
+// WebSocket gateway (§5.3) a fault resets the connection, so a plain
+// socket and every stream of a mux session fail with ECONNRESET.
 //
 // The engine is transport-agnostic: it knows nothing about the vfs
 // Backend API or the socket frame format. A decorator (vfs.NewFaulty,
 // the Websockify fault hook) asks the Injector for a decision per
 // operation and applies it to its own transport — returning EIO,
-// truncating a read, dropping a frame, or resetting a connection.
+// truncating a read, or resetting a connection.
 //
 // Determinism is the load-bearing property: an Injector seeded with
 // the same Plan issues the identical decision sequence on every run,
@@ -64,7 +64,7 @@ func (k Kind) String() string {
 
 // Fault is one decision: what to do to the current operation. The
 // consumer decides what an errno fault (ErrPre, ErrPost) means on its
-// transport: EIO in the VFS, a dropped frame or a reset in the gateway.
+// transport: EIO in the VFS, a connection reset in the gateway.
 type Fault struct {
 	Kind Kind
 	// Keep is the fraction of the transfer to deliver for Short,

@@ -325,7 +325,11 @@ func (fs *FS) Readdir(path string, cb func([]string, error)) {
 	})
 }
 
-// Rename moves oldPath to newPath.
+// Rename moves oldPath to newPath. Two cases are decided here, once
+// for every backend: a rename onto itself changes nothing and answers
+// as a Stat of the source does, and a directory cannot move into its
+// own subtree (EINVAL, as Unix refuses it). A file source whose target
+// lies under it goes on to the backend, which answers ENOTDIR.
 func (fs *FS) Rename(oldPath, newPath string, cb func(error)) {
 	op := fs.resolve(oldPath)
 	np := fs.resolve(newPath)
@@ -334,5 +338,24 @@ func (fs *FS) Rename(oldPath, newPath string, cb func(error)) {
 		fs.deliverErr(cb, Err(EROFS, "rename", op))
 		return
 	}
-	fs.root.Rename(op, np, func(err error) { fs.deliverErr(cb, err) })
+	rename := func() { fs.root.Rename(op, np, func(err error) { fs.deliverErr(cb, err) }) }
+	if op != np && !vkernel.Covers(op, np) {
+		rename()
+		return
+	}
+	fs.root.Stat(op, func(st Stats, err error) {
+		switch {
+		case err != nil:
+			if errno, ok := Classify(err); ok {
+				err = Err(errno, "rename", op)
+			}
+			fs.deliverErr(cb, err)
+		case op == np:
+			fs.deliverErr(cb, nil)
+		case st.IsDirectory():
+			fs.deliverErr(cb, Err(EINVAL, "rename", np))
+		default:
+			rename()
+		}
+	})
 }

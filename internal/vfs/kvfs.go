@@ -308,18 +308,6 @@ func (f *FlatKV) Readdir(p string, cb func([]string, error)) {
 // a directory, a directory target must be empty, a file cannot replace
 // a directory, and whatever the source replaces is cleared first.
 func (f *FlatKV) Rename(oldPath, newPath string, cb func(error)) {
-	if oldPath == newPath {
-		// Moving a node onto itself changes nothing, but the node must
-		// exist, as for every other backend.
-		f.statNode(oldPath, func(_ FileType, _ int, exists bool) {
-			if !exists {
-				cb(Err(ENOENT, "rename", oldPath))
-				return
-			}
-			cb(nil)
-		})
-		return
-	}
 	f.kv.get(fileKeyPrefix+oldPath, func(val string, ok bool) {
 		if ok {
 			f.clearTarget(newPath, false, func(err error) {
